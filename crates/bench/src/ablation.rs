@@ -196,57 +196,39 @@ pub fn ep_pressure() -> Series {
 }
 
 /// Multi-kernel extension (paper §7): 16 parallel `find` instances served
-/// by one kernel+m3fs pair versus two partitioned pairs (8 instances
-/// each). `find` is the §5.7 worst case — pure service traffic — so it
+/// by one kernel+m3fs pair versus two kernel shards with a pair each (8
+/// instances each). `find` is the §5.7 worst case — pure service traffic — so it
 /// shows the payoff of a second instance most directly.
 pub fn multikernel_scaling() -> Series {
-    use m3_base::PeId;
-    use m3_kernel::Kernel;
-    use m3_libos::{start_program, Env, ProgramRegistry};
-    use m3_platform::{Platform, PlatformConfig};
     use std::cell::RefCell;
 
-    let spec = workload::find_tree(33);
-
-    // avg time of `per_part` find instances on each of `parts` partitions.
+    // avg time of `per_part` find instances on each of `parts` shards.
     let run = |parts: usize, per_part: usize| -> f64 {
-        let pes_per_part = 2 + per_part;
-        let mut pcfg = PlatformConfig::xtensa(parts * pes_per_part);
-        pcfg.noc = NocConfig {
-            contention: false,
-            ..NocConfig::default()
-        };
-        let platform = Platform::new(pcfg);
-        let dram = 64 * 1024 * 1024u64 / parts as u64;
+        let sys = System::boot(SystemConfig {
+            pes: parts * (2 + per_part),
+            shards: parts,
+            noc: NocConfig {
+                contention: false,
+                ..NocConfig::default()
+            },
+            fs_blocks: 4096,
+            fs_setup: workload::find_tree(33).to_setup(),
+            ..SystemConfig::default()
+        });
         let times: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
         for p in 0..parts {
-            let base = (p * pes_per_part) as u32;
-            let owned: Vec<PeId> = (base..base + pes_per_part as u32).map(PeId::new).collect();
-            let kernel =
-                Kernel::start_partition(&platform, PeId::new(base), &owned, p as u64 * dram, dram);
-            let reg = ProgramRegistry::new();
-            let info = kernel.create_root("m3fs", None).unwrap();
-            let fs_env = Env::new(&kernel, &info, reg.clone());
-            let setup = spec.to_setup();
-            platform
-                .sim()
-                .spawn_daemon(format!("m3fs@{base}"), async move {
-                    m3_fs::run_m3fs(fs_env, 4096, setup).await.unwrap();
-                });
             for i in 0..per_part {
                 let times = times.clone();
-                start_program(&kernel, &format!("find{p}-{i}"), None, reg.clone(), {
-                    move |env| async move {
-                        mount_m3fs(&env).await.unwrap();
-                        let t0 = env.sim().now().as_u64();
-                        m3_apps::m3app::find(&env, "/", "log").await.unwrap();
-                        times.borrow_mut().push(env.sim().now().as_u64() - t0);
-                        0
-                    }
+                sys.run_program_on(p, &format!("find{p}-{i}"), move |env| async move {
+                    mount_m3fs(&env).await.unwrap();
+                    let t0 = env.sim().now().as_u64();
+                    m3_apps::m3app::find(&env, "/", "log").await.unwrap();
+                    times.borrow_mut().push(env.sim().now().as_u64() - t0);
+                    0
                 });
             }
         }
-        platform.sim().run();
+        sys.sim().run();
         let times = times.borrow();
         assert_eq!(times.len(), parts * per_part);
         times.iter().sum::<u64>() as f64 / times.len() as f64

@@ -10,7 +10,9 @@
 //! ordinary applications reached by core-neutral DTU message protocols.
 //!
 //! [`System`] boots the whole stack — platform, kernel, filesystem service —
-//! and runs programs on it:
+//! and runs programs on it. Setting [`SystemConfig::shards`] above one
+//! boots the same stack once per [`ShardPlan`] slice, with the kernels
+//! wired into a multikernel (§7):
 //!
 //! ```
 //! use m3::{System, SystemConfig};
@@ -34,10 +36,10 @@ use std::future::Future;
 
 use std::rc::Rc;
 
-use m3_base::{Cycles, PeId};
+use m3_base::Cycles;
 use m3_fault::{FaultPlan, FaultPlane};
 use m3_fs::{run_m3fs, SetupNode};
-use m3_kernel::Kernel;
+use m3_kernel::{Kernel, KernelConfig};
 use m3_libos::{start_program, Env, ProgramRegistry};
 use m3_noc::NocConfig;
 use m3_platform::{PeType, Platform, PlatformConfig};
@@ -53,20 +55,26 @@ pub use m3_noc as noc;
 pub use m3_platform as platform;
 pub use m3_sim as sim;
 
-pub use shard::{ShardPlan, ShardSlice, ShardedSystem, ShardedSystemConfig};
+pub use shard::{ShardPlan, ShardSlice};
 
 /// Configuration of a full M3 system.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
-    /// Number of general-purpose (Xtensa) PEs, including the kernel PE and
-    /// the filesystem-service PE.
+    /// Number of general-purpose (Xtensa) PEs across all shards, including
+    /// every shard's kernel PE and filesystem-service PE.
     pub pes: usize,
     /// Number of FFT-accelerator PEs appended after the general-purpose
-    /// ones.
+    /// ones; they belong to the last shard.
     pub accel_pes: usize,
-    /// Size of the m3fs data region in 1 KiB blocks.
+    /// Number of kernel shards (§7 "multiple kernel instances"). Each shard
+    /// owns a [`ShardPlan::carve`] slice of the PEs and DRAM and runs its
+    /// own kernel and m3fs; with more than one, the kernels are wired by
+    /// the kernel-to-kernel protocol. One (the default) is the standalone
+    /// system.
+    pub shards: usize,
+    /// Size of each shard's m3fs data region in 1 KiB blocks.
     pub fs_blocks: u64,
-    /// Initial filesystem content.
+    /// Initial content of every shard's filesystem.
     pub fs_setup: Vec<SetupNode>,
     /// NoC parameters (disable `contention` to model a perfectly scaling
     /// interconnect, as the §5.7 scalability experiment assumes).
@@ -76,26 +84,22 @@ pub struct SystemConfig {
     /// ([`m3_fault::ambient`]); if that is also empty, the system runs the
     /// exact fault-free code path.
     pub fault_plan: Option<FaultPlan>,
-    /// Allow the kernel to admit more VPEs than PEs by time-multiplexing
-    /// them (m3-sched). Off by default: without overcommit `CREATE_VPE`
-    /// fails with `NoFreePe` when every PE is occupied, exactly as before.
+    /// See [`KernelConfig::overcommit`].
     pub overcommit: bool,
-    /// Save only dirty SPM pages on a context switch (m3-vm dirty bitmap)
-    /// instead of the full SPM image. Off by default: the legacy full-image
-    /// path stays cycle-identical to the pre-vm goldens.
+    /// See [`KernelConfig::dirty_switches`].
     pub dirty_switches: bool,
-    /// Cap on resident DRAM frames per demand-paged address space; beyond
-    /// it the kernel pager evicts (clean pages first). `None` (default)
-    /// means unlimited — no eviction, no swap traffic.
+    /// See [`KernelConfig::vm_resident_pages`].
     pub vm_resident_pages: Option<usize>,
 }
 
 impl Default for SystemConfig {
-    /// Kernel + fs service + a few application PEs and an 8 MiB filesystem.
+    /// One kernel + fs service + a few application PEs and an 8 MiB
+    /// filesystem.
     fn default() -> Self {
         SystemConfig {
             pes: 6,
             accel_pes: 0,
+            shards: 1,
             fs_blocks: 8192,
             fs_setup: Vec::new(),
             noc: NocConfig::default(),
@@ -107,11 +111,13 @@ impl Default for SystemConfig {
     }
 }
 
-/// A booted M3 system: platform + kernel + m3fs, ready to run programs.
+/// A booted M3 system: platform, one kernel and one m3fs per shard, ready
+/// to run programs.
 #[derive(Clone)]
 pub struct System {
     platform: Platform,
-    kernel: Kernel,
+    kernels: Vec<Kernel>,
+    plan: ShardPlan,
     registry: ProgramRegistry,
 }
 
@@ -119,68 +125,116 @@ impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
             .field("pes", &self.platform.pe_count())
-            .field("kernel", &self.kernel)
+            .field("kernels", &self.kernels)
             .finish()
     }
 }
 
 impl System {
-    /// Boots the system: builds the platform, starts the kernel on PE 0
-    /// (which downgrades all other DTUs), and starts the m3fs service on
-    /// the next PE.
+    /// Boots the system in a fresh simulation; see [`System::boot_in`].
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has fewer than three PEs (kernel, fs,
-    /// and at least one application).
+    /// Panics if any shard would get fewer than three PEs (kernel, fs, and
+    /// at least one application).
     pub fn boot(cfg: SystemConfig) -> System {
         System::boot_in(Sim::new(), cfg)
     }
 
-    /// Like [`System::boot`], but inside an existing simulation. The PDES
-    /// islands use this to place one full system per island: the island's
-    /// windowed executor then drives the kernel, DTUs, and services, while
-    /// cross-island traffic travels as timestamped port events.
+    /// Boots the system inside an existing simulation: builds the
+    /// platform, carves it into `cfg.shards` slices, starts a kernel on the
+    /// first PE of each slice (which downgrades the slice's other DTUs),
+    /// and starts one m3fs service per kernel on its next free PE. The PDES
+    /// islands use this to place one full system per island.
+    ///
+    /// Boot order matters: the fault plane is armed on the DTU fabric
+    /// before [`Kernel::connect_shards`] (the ktk wire captures the crash
+    /// schedule to drop messages of dead kernel PEs), and
+    /// [`Kernel::attach_faults`] runs after it (the shard watchdog arms
+    /// only if the kernel already has its shard context).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has fewer than three PEs (kernel, fs,
-    /// and at least one application).
+    /// Panics if any shard would get fewer than three PEs (kernel, fs, and
+    /// at least one application).
     pub fn boot_in(sim: Sim, cfg: SystemConfig) -> System {
-        assert!(cfg.pes >= 3, "need kernel + fs + application PEs");
         let mut pcfg = PlatformConfig::xtensa(cfg.pes);
         pcfg.noc = cfg.noc.clone();
         for _ in 0..cfg.accel_pes {
             pcfg = pcfg.with_pe(PeType::FftAccel);
         }
         let platform = Platform::new_in(sim, pcfg);
-        let kernel = Kernel::start(&platform, PeId::new(0));
-        kernel.set_overcommit(cfg.overcommit);
-        kernel.set_dirty_switches(cfg.dirty_switches);
-        kernel.set_vm_resident_pages(cfg.vm_resident_pages);
-        let registry = ProgramRegistry::new();
-
-        // Arm the fault plane: an explicit plan wins, otherwise the ambient
-        // slot (set by chaos harnesses around unmodified entry points).
-        // Empty plans still arm the plane so recovery paths use bounded
-        // waits, which chaos runs rely on to never hang.
-        if let Some(plan) = cfg.fault_plan.clone().or_else(m3_fault::ambient::get) {
-            let plane = Rc::new(FaultPlane::new(plan));
-            platform.dtu_system().set_faults(plane.clone());
-            kernel.attach_faults(&plane);
+        let mut plan = ShardPlan::carve(cfg.pes, cfg.shards, platform.dram_size() as u64);
+        for slice in &plan.slices {
+            assert!(
+                slice.pe_count >= 3,
+                "need kernel + fs + application PEs in shard {}, got {}",
+                slice.shard,
+                slice.pe_count
+            );
+        }
+        if let Some(last) = plan.slices.last_mut() {
+            last.pe_count += cfg.accel_pes as u32;
         }
 
-        let info = kernel.create_root("m3fs", None).expect("PE for m3fs");
-        let fs_env = Env::new(&kernel, &info, registry.clone());
-        let blocks = cfg.fs_blocks;
-        let setup = cfg.fs_setup;
-        platform.sim().spawn_daemon("m3fs", async move {
-            run_m3fs(fs_env, blocks, setup).await.expect("m3fs failed");
-        });
+        // An explicit plan wins, otherwise the ambient slot (set by chaos
+        // harnesses around unmodified entry points). Empty plans still arm
+        // the plane so recovery paths use bounded waits, which chaos runs
+        // rely on to never hang.
+        let plane = cfg
+            .fault_plan
+            .clone()
+            .or_else(m3_fault::ambient::get)
+            .map(|plan| Rc::new(FaultPlane::new(plan)));
+        if let Some(plane) = &plane {
+            platform.dtu_system().set_faults(plane.clone());
+        }
+
+        let kcfg = KernelConfig {
+            overcommit: cfg.overcommit,
+            dirty_switches: cfg.dirty_switches,
+            vm_resident_pages: cfg.vm_resident_pages,
+        };
+        let kernels: Vec<Kernel> = plan
+            .slices
+            .iter()
+            .map(|slice| {
+                Kernel::start_partition(
+                    &platform,
+                    slice.kernel_pe(),
+                    &slice.pes(),
+                    slice.dram_base,
+                    slice.dram_size,
+                    kcfg,
+                )
+            })
+            .collect();
+        Kernel::connect_shards(&kernels);
+        if let Some(plane) = &plane {
+            for k in &kernels {
+                k.attach_faults(plane);
+            }
+        }
+
+        let registry = ProgramRegistry::new();
+        for kernel in &kernels {
+            let info = kernel.create_root("m3fs", None).expect("PE for m3fs");
+            let env = Env::new(kernel, &info, registry.clone());
+            let blocks = cfg.fs_blocks;
+            let setup = cfg.fs_setup.clone();
+            let name = match kernels.len() {
+                1 => "m3fs".to_string(),
+                _ => format!("m3fs@{}", kernel.pe()),
+            };
+            platform.sim().spawn_daemon(name, async move {
+                run_m3fs(env, blocks, setup).await.expect("m3fs failed");
+            });
+        }
 
         System {
             platform,
-            kernel,
+            kernels,
+            plan,
             registry,
         }
     }
@@ -195,12 +249,23 @@ impl System {
         &self.platform
     }
 
-    /// The kernel.
+    /// The kernel of shard 0 (the only kernel of a one-shard system).
     pub fn kernel(&self) -> &Kernel {
-        &self.kernel
+        &self.kernels[0]
     }
 
-    /// The program registry (register executables for `exec` here).
+    /// The shard kernels, in shard-id order.
+    pub fn kernels(&self) -> &[Kernel] {
+        &self.kernels
+    }
+
+    /// How the machine was carved into shards.
+    pub fn plan(&self) -> &ShardPlan {
+        &self.plan
+    }
+
+    /// The program registry shared by all shards (register executables
+    /// for `exec` here).
     pub fn registry(&self) -> &ProgramRegistry {
         &self.registry
     }
@@ -210,8 +275,8 @@ impl System {
         self.sim().stats()
     }
 
-    /// Starts a program on a free PE; the returned handle yields its exit
-    /// code after [`System::run`].
+    /// Starts a program on a free PE of shard 0; the returned handle yields
+    /// its exit code after [`System::run`].
     ///
     /// # Panics
     ///
@@ -221,11 +286,24 @@ impl System {
         F: FnOnce(Env) -> Fut + 'static,
         Fut: Future<Output = i64> + 'static,
     {
-        start_program(&self.kernel, name, None, self.registry.clone(), f)
+        self.run_program_on(0, name, f)
+    }
+
+    /// Starts a program on a free PE of shard `shard`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range or has no free PE.
+    pub fn run_program_on<F, Fut>(&self, shard: usize, name: &str, f: F) -> JoinHandle<i64>
+    where
+        F: FnOnce(Env) -> Fut + 'static,
+        Fut: Future<Output = i64> + 'static,
+    {
+        start_program(&self.kernels[shard], name, None, self.registry.clone(), f)
     }
 
     /// Runs the simulation until every program finished, then lets the
-    /// kernel and services settle in-flight work.
+    /// kernels and services settle in-flight work.
     pub fn run(&self) -> SimState {
         let state = self.sim().run();
         self.sim().settle(Cycles::new(1_000_000));
@@ -241,6 +319,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m3_base::PeId;
     use m3_fs::mount_m3fs;
     use m3_libos::vfs;
 

@@ -1,33 +1,25 @@
-//! Sharded multikernel boot (§7).
+//! How a machine is carved into kernel shards (§7).
 //!
 //! The paper names "multiple kernel instances" as the scalability path for
 //! large manycores: one kernel PE saturates long before 1024 application
 //! PEs do, so the machine is carved into *shards*, each owning a contiguous
 //! slice of PEs and DRAM and running its own kernel plus its own m3fs
-//! instance. Shards stay as independent as the two-partition setup this
-//! module grew out of — separate capability spaces, PE pools, memory pools,
-//! and service registries — but their kernels are wired together by the
-//! kernel-to-kernel (ktk) protocol, so a shard whose admission runs out of
-//! PEs forwards the request to the least-loaded peer and delegates the
+//! instance. Shards keep separate capability spaces, PE pools, memory
+//! pools, and service registries, but their kernels are wired together by
+//! the kernel-to-kernel (ktk) protocol, so a shard whose admission runs out
+//! of PEs forwards the request to the least-loaded peer and delegates the
 //! resulting capabilities back.
 //!
 //! [`ShardPlan::carve`] is the pure partitioning function (unit- and
-//! property-testable without booting anything); [`ShardedSystem`] boots the
-//! whole machine inside one `Sim`. The PDES benchmark (`fig10`) instead
-//! boots one [`crate::System`] per island and carries ktk bytes across
-//! island boundaries — same protocol, different transport.
+//! property-testable without booting anything). [`crate::System`] boots one
+//! kernel per slice inside one `Sim` when `SystemConfig::shards` is above
+//! one; a one-shard plan is the standalone system. The PDES benchmark
+//! (`fig10`) instead boots one single-shard [`crate::System`] per island
+//! and carries ktk bytes across island boundaries — same protocol,
+//! different transport.
 
-use std::future::Future;
-use std::rc::Rc;
-
-use m3_base::{Cycles, PeId};
-use m3_fault::{FaultPlan, FaultPlane};
-use m3_fs::{run_m3fs, SetupNode};
-use m3_kernel::{Kernel, PAGE_SIZE};
-use m3_libos::{start_program, Env, ProgramRegistry};
-use m3_noc::NocConfig;
-use m3_platform::{Platform, PlatformConfig};
-use m3_sim::{JoinHandle, Sim, SimState};
+use m3_base::PeId;
+use m3_kernel::PAGE_SIZE;
 
 /// One shard's slice of the machine: a contiguous PE range plus a DRAM
 /// range, with the kernel on the slice's first PE.
@@ -122,206 +114,6 @@ impl ShardPlan {
     /// The shard owning `pe`, if any.
     pub fn shard_of(&self, pe: PeId) -> Option<u32> {
         self.slices.iter().find(|s| s.contains(pe)).map(|s| s.shard)
-    }
-}
-
-/// Configuration of a sharded M3 system.
-#[derive(Clone, Debug)]
-pub struct ShardedSystemConfig {
-    /// Total number of (Xtensa) PEs across all shards.
-    pub pes: usize,
-    /// Number of kernel shards. Each shard needs at least three PEs
-    /// (kernel, m3fs, and one application PE).
-    pub shards: usize,
-    /// Size of each shard's m3fs data region in 1 KiB blocks.
-    pub fs_blocks: u64,
-    /// Initial content of every shard's filesystem.
-    pub fs_setup: Vec<SetupNode>,
-    /// NoC parameters.
-    pub noc: NocConfig,
-    /// Deterministic fault schedule injected at boot; `None` falls back to
-    /// the process-ambient plan slot exactly like [`crate::SystemConfig`].
-    pub fault_plan: Option<FaultPlan>,
-    /// Allow each shard's kernel to time-multiplex VPEs (m3-sched).
-    pub overcommit: bool,
-}
-
-impl Default for ShardedSystemConfig {
-    /// Two shards of four PEs each — the layout of the original
-    /// two-partition tests.
-    fn default() -> Self {
-        ShardedSystemConfig {
-            pes: 8,
-            shards: 2,
-            fs_blocks: 4096,
-            fs_setup: Vec::new(),
-            noc: NocConfig::default(),
-            fault_plan: None,
-            overcommit: false,
-        }
-    }
-}
-
-/// A booted sharded multikernel: one platform, N kernels wired by ktk,
-/// one m3fs per shard.
-#[derive(Clone)]
-pub struct ShardedSystem {
-    platform: Platform,
-    kernels: Vec<Kernel>,
-    plan: ShardPlan,
-    registry: ProgramRegistry,
-}
-
-impl std::fmt::Debug for ShardedSystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSystem")
-            .field("pes", &self.platform.pe_count())
-            .field("shards", &self.kernels.len())
-            .finish()
-    }
-}
-
-impl ShardedSystem {
-    /// Boots the sharded system in a fresh simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shard would get fewer than three PEs.
-    pub fn boot(cfg: ShardedSystemConfig) -> ShardedSystem {
-        ShardedSystem::boot_in(Sim::new(), cfg)
-    }
-
-    /// Like [`ShardedSystem::boot`], but inside an existing simulation.
-    ///
-    /// Boot order matters: the fault plane must be armed on the DTU fabric
-    /// before [`Kernel::connect_shards`] (the ktk wire captures the crash
-    /// schedule to drop messages of dead kernel PEs), and
-    /// [`Kernel::attach_faults`] must run after it (the shard watchdog
-    /// arms only if the kernel already has its shard context).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shard would get fewer than three PEs.
-    pub fn boot_in(sim: Sim, cfg: ShardedSystemConfig) -> ShardedSystem {
-        let mut pcfg = PlatformConfig::xtensa(cfg.pes);
-        pcfg.noc = cfg.noc.clone();
-        let platform = Platform::new_in(sim, pcfg);
-        let plan = ShardPlan::carve(cfg.pes, cfg.shards, platform.dram_size() as u64);
-        for slice in &plan.slices {
-            assert!(
-                slice.pe_count >= 3,
-                "shard {} needs kernel + fs + application PEs, got {}",
-                slice.shard,
-                slice.pe_count
-            );
-        }
-
-        let plane = cfg
-            .fault_plan
-            .clone()
-            .or_else(m3_fault::ambient::get)
-            .map(|plan| Rc::new(FaultPlane::new(plan)));
-        if let Some(plane) = &plane {
-            platform.dtu_system().set_faults(plane.clone());
-        }
-
-        let kernels: Vec<Kernel> = plan
-            .slices
-            .iter()
-            .map(|slice| {
-                let k = Kernel::start_partition(
-                    &platform,
-                    slice.kernel_pe(),
-                    &slice.pes(),
-                    slice.dram_base,
-                    slice.dram_size,
-                );
-                k.set_overcommit(cfg.overcommit);
-                k
-            })
-            .collect();
-        Kernel::connect_shards(&kernels);
-        if let Some(plane) = &plane {
-            for k in &kernels {
-                k.attach_faults(plane);
-            }
-        }
-
-        let registry = ProgramRegistry::new();
-        for kernel in &kernels {
-            let info = kernel.create_root("m3fs", None).expect("PE for m3fs");
-            let env = Env::new(kernel, &info, registry.clone());
-            let blocks = cfg.fs_blocks;
-            let setup = cfg.fs_setup.clone();
-            platform
-                .sim()
-                .spawn_daemon(format!("m3fs@{}", kernel.pe()), async move {
-                    run_m3fs(env, blocks, setup).await.expect("m3fs failed");
-                });
-        }
-
-        ShardedSystem {
-            platform,
-            kernels,
-            plan,
-            registry,
-        }
-    }
-
-    /// The simulation clock and executor.
-    pub fn sim(&self) -> &Sim {
-        self.platform.sim()
-    }
-
-    /// The hardware platform.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// The shard kernels, in shard-id order.
-    pub fn kernels(&self) -> &[Kernel] {
-        &self.kernels
-    }
-
-    /// One shard's kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn kernel(&self, shard: usize) -> &Kernel {
-        &self.kernels[shard]
-    }
-
-    /// How the machine was carved.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The shared program registry.
-    pub fn registry(&self) -> &ProgramRegistry {
-        &self.registry
-    }
-
-    /// Starts a program on shard `shard`; the returned handle yields its
-    /// exit code after [`ShardedSystem::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or has no free PE.
-    pub fn run_program_on<F, Fut>(&self, shard: usize, name: &str, f: F) -> JoinHandle<i64>
-    where
-        F: FnOnce(Env) -> Fut + 'static,
-        Fut: Future<Output = i64> + 'static,
-    {
-        start_program(&self.kernels[shard], name, None, self.registry.clone(), f)
-    }
-
-    /// Runs the simulation until every program finished, then lets the
-    /// kernels and services settle in-flight work.
-    pub fn run(&self) -> SimState {
-        let state = self.sim().run();
-        self.sim().settle(Cycles::new(1_000_000));
-        state
     }
 }
 

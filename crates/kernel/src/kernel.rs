@@ -138,6 +138,12 @@ struct KState {
     tables: BTreeMap<VpeId, CapTable>,
     /// Ring-buffer bytes currently placed in each PE's SPM.
     ringbuf_bytes: BTreeMap<PeId, u64>,
+    /// The capability `(vpe, sel)` whose activation currently occupies
+    /// each endpoint `(target vpe, ep)`. When the libos multiplexer hands
+    /// an endpoint to a receive gate, the previous capability loses its
+    /// activation record, so revoking it later leaves the new gate alone.
+    /// An entry whose capability was revoked finds nothing to update.
+    ep_owners: BTreeMap<(VpeId, EpId), (VpeId, SelId)>,
     /// Per-VPE address spaces (kernel-owned page tables, bounded resident
     /// sets, swap regions), managed remotely by the kernel like the
     /// endpoints (§7).
@@ -151,6 +157,27 @@ struct KState {
     next_req: u64,
     pending: BTreeMap<u64, PendingReply>,
     next_serv_ep: u32,
+}
+
+/// Kernel policy, chosen at boot and immutable afterwards. The default
+/// is the paper's model: one VPE per PE, full-image context switches,
+/// unbounded address spaces.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KernelConfig {
+    /// Admit more VPEs than PEs by time-multiplexing application PEs
+    /// (m3-sched): round-robin with blocked-on-receive parking; switches
+    /// move the suspended VPE's DTU state to a DRAM save area through the
+    /// DTU itself (§4.1/§7 future work). Off, `CreateVpe` fails with
+    /// `NoFreePe` once every PE is occupied.
+    pub overcommit: bool,
+    /// Move only the SPM pages the DTU dirtied since a context's last save
+    /// (its dirty bitmap) on a context switch, instead of the full
+    /// [`SPM_DATA_SIZE`] image the golden pins were recorded with.
+    pub dirty_switches: bool,
+    /// Resident-set bound (in pages) of every demand-paged address space;
+    /// beyond it the pager evicts, clean pages first. `None` leaves address
+    /// spaces unbounded: first-touch allocation only, no eviction.
+    pub vm_resident_pages: Option<usize>,
 }
 
 /// The M3 kernel, running on its dedicated PE.
@@ -170,17 +197,8 @@ pub struct Kernel {
     state: Rc<RefCell<KState>>,
     /// Run queues of the time-multiplexed PEs (overcommit mode, m3-sched).
     sched: Rc<RefCell<Scheduler>>,
-    /// Whether `CreateVpe` may admit more VPEs than PEs by
-    /// time-multiplexing application PEs.
-    overcommit: Rc<Cell<bool>>,
-    /// Whether context switches move only the SPM pages the DTU dirtied
-    /// since the last save (per the DTU's dirty bitmap) instead of the
-    /// whole data image. Off by default: the conservative full-image
-    /// transfer the golden pins were recorded with.
-    dirty_switches: Rc<Cell<bool>>,
-    /// Resident-set bound (in pages) applied to address spaces created by
-    /// later `PageFault` syscalls; `None` = unbounded (no eviction).
-    vm_resident: Rc<Cell<Option<usize>>>,
+    /// Boot-time policy, fixed for the kernel's lifetime.
+    cfg: KernelConfig,
     /// PEs that are never multiplexed: boot-time roots (services, drivers)
     /// keep their PE exclusively even in overcommit mode.
     pinned: Rc<RefCell<BTreeSet<PeId>>>,
@@ -199,7 +217,8 @@ impl std::fmt::Debug for Kernel {
 }
 
 impl Kernel {
-    /// Boots the kernel on `kernel_pe`, owning every PE and the whole DRAM.
+    /// Boots the kernel on `kernel_pe` with the default [`KernelConfig`],
+    /// owning every PE and the whole DRAM.
     ///
     /// # Panics
     ///
@@ -215,7 +234,14 @@ impl Kernel {
             .expect("dram")
             .borrow()
             .len() as u64;
-        Self::start_partition(platform, kernel_pe, &owned, 0, dram)
+        Self::start_partition(
+            platform,
+            kernel_pe,
+            &owned,
+            0,
+            dram,
+            KernelConfig::default(),
+        )
     }
 
     /// Boots a kernel instance that owns only the PEs in `owned` and the
@@ -223,7 +249,7 @@ impl Kernel {
     /// multi-kernel mode sketched as future work in the paper (§7; no
     /// cross-kernel synchronization: partitions are disjoint). Each
     /// instance has its own capability space, PE pool, memory pool, and
-    /// service registry.
+    /// service registry. `cfg` fixes the kernel's policy for its lifetime.
     ///
     /// # Panics
     ///
@@ -234,6 +260,7 @@ impl Kernel {
         owned: &[PeId],
         dram_base: u64,
         dram_size: u64,
+        cfg: KernelConfig,
     ) -> Kernel {
         assert!(
             owned.contains(&kernel_pe),
@@ -292,6 +319,7 @@ impl Kernel {
             state: Rc::new(RefCell::new(KState {
                 tables: BTreeMap::new(),
                 ringbuf_bytes: BTreeMap::new(),
+                ep_owners: BTreeMap::new(),
                 addr_spaces: BTreeMap::new(),
                 tree: DerivationTree::new(),
                 vpes: BTreeMap::new(),
@@ -304,9 +332,7 @@ impl Kernel {
                 next_serv_ep: keps::FIRST_SERV,
             })),
             sched: Rc::new(RefCell::new(Scheduler::new())),
-            overcommit: Rc::new(Cell::new(false)),
-            dirty_switches: Rc::new(Cell::new(false)),
-            vm_resident: Rc::new(Cell::new(None)),
+            cfg,
             pinned: Rc::new(RefCell::new(BTreeSet::new())),
             resumed_at: Rc::new(RefCell::new(BTreeMap::new())),
             shard: Rc::new(RefCell::new(None)),
@@ -839,7 +865,7 @@ impl Kernel {
                 // Overcommit: with every matching PE taken, time-multiplex
                 // the least-loaded one instead of failing (§4.1/§7 future
                 // work: the kernel suspends VPEs via DTU state save/restore).
-                Err(e) if e.code() == Code::NoFreePe && self.overcommit.get() => {
+                Err(e) if e.code() == Code::NoFreePe && self.cfg.overcommit => {
                     self.pick_overcommit_pe(&st, req, caller_ty)
                 }
                 other => other,
@@ -877,7 +903,7 @@ impl Kernel {
             // run queue (accelerators and pinned PEs stay exclusive). The
             // PE's DTU arrival notify doubles as the scheduler wake signal.
             let mut queued = false;
-            if self.overcommit.get()
+            if self.cfg.overcommit
                 && !st.pemng.desc(pe).is_fft_accel()
                 && !self.pinned.borrow().contains(&pe)
             {
@@ -1363,15 +1389,15 @@ impl Kernel {
             return SyscallReply::err(Code::InvEp);
         }
         self.sim.sleep(costs::ACTIVATE).await;
-        let (caller_pe, obj) = {
+        let (target, caller_pe, obj) = {
             let mut st = self.state.borrow_mut();
             let table = match Self::table(&mut st, caller) {
                 Ok(t) => t,
                 Err(e) => return SyscallReply::err(e.code()),
             };
             // Resolve the target VPE through the caller's capability.
-            let target_pe = match table.get(vpe).map(|c| c.obj.clone()) {
-                Ok(KObject::Vpe(v)) => v.borrow().pe,
+            let (target, target_pe) = match table.get(vpe).map(|c| c.obj.clone()) {
+                Ok(KObject::Vpe(v)) => (v.borrow().id, v.borrow().pe),
                 // A remote child's endpoints belong to its own shard's
                 // kernel; the parent delegates capabilities instead and the
                 // child activates them itself.
@@ -1380,7 +1406,7 @@ impl Kernel {
                 Err(e) => return SyscallReply::err(e.code()),
             };
             match table.get(gate).map(|c| c.obj.clone()) {
-                Ok(obj) => (target_pe, obj),
+                Ok(obj) => (target, target_pe, obj),
                 Err(e) => return SyscallReply::err(e.code()),
             }
         };
@@ -1455,9 +1481,21 @@ impl Kernel {
             return SyscallReply::err(e.code());
         }
         self.charge_ep_config(caller_pe).await;
-        // Record the activation for invalidation on revoke.
+        // Record the activation for invalidation on revoke. A receive gate
+        // pins its endpoint for good, so it also takes the endpoint out of
+        // the record of the capability that held it before: revoking that
+        // one must not tear down the ring buffer. Multiplexed memory and
+        // send gates leave the old record in place; an invalidation of a
+        // reused frame endpoint reaches the pager as an eviction, which
+        // re-faults the page.
         {
             let mut st = self.state.borrow_mut();
+            let prev = st.ep_owners.insert((target, ep), (caller, gate));
+            if let (Some((v, s)), KObject::RGate(_)) = (prev, &obj) {
+                if let Some(prev) = st.tables.get_mut(&v).and_then(|t| t.get_mut(s).ok()) {
+                    prev.activations.retain(|a| *a != (caller_pe, ep));
+                }
+            }
             if let Ok(table) = Self::table(&mut st, caller) {
                 if let Ok(cap) = table.get_mut(gate) {
                     cap.activations.push((caller_pe, ep));
@@ -1704,7 +1742,7 @@ impl Kernel {
             let aspace = st
                 .addr_spaces
                 .entry(caller)
-                .or_insert_with(|| AddrSpaceObj::new(self.vm_resident.get()));
+                .or_insert_with(|| AddrSpaceObj::new(self.cfg.vm_resident_pages));
             aspace.classify(page)
         };
 
@@ -2785,33 +2823,6 @@ impl Kernel {
     // VPE time-multiplexing (m3-sched)
     // ------------------------------------------------------------------
 
-    /// Enables (or disables) PE overcommit: with it on, `CreateVpe` admits
-    /// more VPEs than PEs by time-multiplexing application PEs — round-robin
-    /// with blocked-on-receive parking; switches move the suspended VPE's
-    /// DTU state to a DRAM save area through the DTU itself (§4.1/§7
-    /// future work). Off (the default) preserves the paper's one-VPE-per-PE
-    /// model bit for bit.
-    pub fn set_overcommit(&self, on: bool) {
-        self.overcommit.set(on);
-    }
-
-    /// Enables (or disables) dirty-tracked context switches: with it on,
-    /// the SPM data transfer of a switch covers only the pages the DTU
-    /// dirtied since the context's last save (its dirty bitmap) instead of
-    /// the full [`SPM_DATA_SIZE`] image. Off (the default) charges the
-    /// full image — the behaviour the golden pins were recorded with.
-    pub fn set_dirty_switches(&self, on: bool) {
-        self.dirty_switches.set(on);
-    }
-
-    /// Bounds the resident set of address spaces created by *later*
-    /// `PageFault` syscalls to `pages` frames, forcing the pager to evict
-    /// (clean-first) beyond that. `None` (the default) leaves address
-    /// spaces unbounded — first-touch allocation only, no eviction.
-    pub fn set_vm_resident_pages(&self, pages: Option<usize>) {
-        self.vm_resident.set(pages);
-    }
-
     /// Whether `vpe` is under scheduler control (time-multiplexed).
     pub fn sched_manages(&self, vpe: VpeId) -> bool {
         self.sched.borrow().manages(vpe)
@@ -2984,7 +2995,7 @@ impl Kernel {
             // dirtied since the last save; the conservative default moves
             // the whole data image (what the golden pins were recorded
             // with — the two are identical when every page is dirty).
-            let data = if self.dirty_switches.get() {
+            let data = if self.cfg.dirty_switches {
                 self.sim
                     .metrics()
                     .add(pe, m3_sim::keys::DIRTY_PAGES_SAVED, u64::from(dirty));
@@ -3013,7 +3024,7 @@ impl Kernel {
             Ok((restored, dirty)) => {
                 // Restores mirror saves: only the pages the save-out
                 // actually transferred come back eagerly.
-                let data = if self.dirty_switches.get() {
+                let data = if self.cfg.dirty_switches {
                     u64::from(dirty) * m3_vm::PAGE_SIZE
                 } else {
                     spm

@@ -31,4 +31,4 @@ pub mod protocol;
 pub mod service;
 pub mod vpe;
 
-pub use kernel::{Kernel, ShardCtx, VpeBootInfo, PAGE_SIZE, RINGBUF_SPM_BUDGET};
+pub use kernel::{Kernel, KernelConfig, ShardCtx, VpeBootInfo, PAGE_SIZE, RINGBUF_SPM_BUDGET};

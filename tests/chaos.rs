@@ -509,11 +509,12 @@ fn shard_kernel_crash_mid_delegation() {
     // in-flight and later cross-shard requests fail with typed errors (no
     // hang, no panic), the shard watchdog marks the peer dead and reaps
     // its proxy capabilities, and shard 0 keeps serving local work.
-    let sys = m3::ShardedSystem::boot(m3::ShardedSystemConfig {
+    let sys = m3::System::boot(m3::SystemConfig {
         pes: 6,
         shards: 2,
         fault_plan: Some(FaultPlan::new().crash_pe(PeId::new(3), Cycles::new(150_000))),
-        ..m3::ShardedSystemConfig::default()
+        fs_blocks: 4096,
+        ..m3::SystemConfig::default()
     });
     let job = sys.run_program_on(0, "delegator", |env| async move {
         // Shard 0's only free PE is this program: the child lands on
@@ -554,7 +555,7 @@ fn shard_kernel_crash_mid_delegation() {
     sys.sim().settle(Cycles::new(1_000_000));
     assert_eq!(job.try_take(), Some(TYPED_FAILURE));
     // The watchdog declared the peer dead and reaped the proxies.
-    let ctx = sys.kernel(0).shard_ctx().unwrap();
+    let ctx = sys.kernels()[0].shard_ctx().unwrap();
     assert!(ctx.is_dead(1), "shard 0 never noticed the dead peer");
 }
 
@@ -562,11 +563,12 @@ fn shard_kernel_crash_mid_delegation() {
 fn surviving_peers_still_take_spills_after_a_shard_dies() {
     // Three shards; shard 1's kernel dies early. Spill-over placement from
     // shard 0 must skip the dead shard and land on shard 2.
-    let sys = m3::ShardedSystem::boot(m3::ShardedSystemConfig {
+    let sys = m3::System::boot(m3::SystemConfig {
         pes: 9,
         shards: 3,
         fault_plan: Some(FaultPlan::new().crash_pe(PeId::new(3), Cycles::new(50_000))),
-        ..m3::ShardedSystemConfig::default()
+        fs_blocks: 4096,
+        ..m3::SystemConfig::default()
     });
     let plan = sys.plan().clone();
     let job = sys.run_program_on(0, "spiller", move |env| async move {

@@ -7,19 +7,20 @@
 //!    no cross-kernel synchronization, and exhaustion in one partition
 //!    never touches the other.
 //! 2. *Connected shards* — the same partitioned kernels wired together by
-//!    the kernel-to-kernel (ktk) protocol ([`ShardedSystem`]): spill-over
+//!    the kernel-to-kernel (ktk) protocol (a [`System`] with `shards > 1`): spill-over
 //!    placement on `NoFreePe`, cross-shard capability delegation and
 //!    revocation, remote exit-code propagation, and cross-shard service
 //!    sessions, all while each shard keeps its own capability space.
 
-use m3::{ShardedSystem, ShardedSystemConfig};
+use m3::{System, SystemConfig};
 use m3_base::error::Code;
 use m3_base::{Cycles, PeId, Perm};
-use m3_fs::{mount_m3fs, run_m3fs};
+use m3_fs::{mount_m3fs, run_m3fs, SetupNode};
 use m3_kernel::protocol::PeRequest;
-use m3_kernel::Kernel;
+use m3_kernel::{Kernel, KernelConfig, PAGE_SIZE};
+use m3_libos::addrspace::AddrSpace;
 use m3_libos::{start_program, vfs, Env, MemGate, ProgramRegistry, RecvGate, SendGate, Vpe};
-use m3_platform::{Platform, PlatformConfig};
+use m3_platform::{PeType, Platform, PlatformConfig};
 use m3_sim::SimState;
 
 /// Builds a platform split between two kernels: PEs 0..4 for kernel A,
@@ -29,8 +30,22 @@ fn boot_two_partitions() -> (Platform, Kernel, Kernel) {
     let dram = 64 * 1024 * 1024u64;
     let owned_a: Vec<PeId> = (0..4).map(PeId::new).collect();
     let owned_b: Vec<PeId> = (4..8).map(PeId::new).collect();
-    let kernel_a = Kernel::start_partition(&platform, PeId::new(0), &owned_a, 0, dram / 2);
-    let kernel_b = Kernel::start_partition(&platform, PeId::new(4), &owned_b, dram / 2, dram / 2);
+    let kernel_a = Kernel::start_partition(
+        &platform,
+        PeId::new(0),
+        &owned_a,
+        0,
+        dram / 2,
+        KernelConfig::default(),
+    );
+    let kernel_b = Kernel::start_partition(
+        &platform,
+        PeId::new(4),
+        &owned_b,
+        dram / 2,
+        dram / 2,
+        KernelConfig::default(),
+    );
 
     for kernel in [&kernel_a, &kernel_b] {
         let reg = ProgramRegistry::new();
@@ -184,21 +199,22 @@ fn dram_partitions_are_disjoint() {
 /// A small two-shard machine where shard 0's single application PE is taken
 /// by the test program itself — every further `CREATE_VPE` hits `NoFreePe`
 /// locally and must spill over the ktk gate.
-fn tight_two_shards() -> ShardedSystem {
-    ShardedSystem::boot(ShardedSystemConfig {
+fn tight_two_shards() -> System {
+    System::boot(SystemConfig {
         pes: 6,
         shards: 2,
-        ..ShardedSystemConfig::default()
+        fs_blocks: 4096,
+        ..SystemConfig::default()
     })
 }
 
 #[test]
 fn sharded_boot_smoke_4_shards_64_pes() {
-    let sys = ShardedSystem::boot(ShardedSystemConfig {
+    let sys = System::boot(SystemConfig {
         pes: 64,
         shards: 4,
         fs_blocks: 1024,
-        ..ShardedSystemConfig::default()
+        ..SystemConfig::default()
     });
     // The carve is exact: four slices of 16, kernels on 0/16/32/48, every
     // kernel wired into the shard fabric under its slice id.
@@ -206,7 +222,7 @@ fn sharded_boot_smoke_4_shards_64_pes() {
     for (i, slice) in sys.plan().slices.iter().enumerate() {
         assert_eq!(slice.pe_count, 16);
         assert_eq!(slice.kernel_pe(), PeId::new(16 * i as u32));
-        let ctx = sys.kernel(i).shard_ctx().expect("shard context");
+        let ctx = sys.kernels()[i].shard_ctx().expect("shard context");
         assert_eq!(ctx.id(), i as u32);
         assert_eq!(ctx.count(), 4);
     }
@@ -229,14 +245,15 @@ fn sharded_boot_smoke_4_shards_64_pes() {
 
 #[test]
 fn single_shard_system_attaches_no_shard_context() {
-    let sys = ShardedSystem::boot(ShardedSystemConfig {
+    let sys = System::boot(SystemConfig {
         pes: 6,
         shards: 1,
-        ..ShardedSystemConfig::default()
+        fs_blocks: 4096,
+        ..SystemConfig::default()
     });
     // One kernel is not a multikernel: the standalone code path, with no
     // shard context and no spill-over — NoFreePe stays NoFreePe.
-    assert!(sys.kernel(0).shard_ctx().is_none());
+    assert!(sys.kernels()[0].shard_ctx().is_none());
     let job = sys.run_program_on(0, "greedy", |env| async move {
         let mut held = Vec::new();
         for i in 0.. {
@@ -275,7 +292,7 @@ fn spill_over_places_on_peer_shard() {
     assert_eq!(job.try_take().unwrap(), 0);
     assert_eq!(sys.sim().stats().get("kernel.remote_placements"), 1);
     // The remote revoke freed the peer's PE again.
-    assert_eq!(sys.kernel(1).free_pes(), 1);
+    assert_eq!(sys.kernels()[1].free_pes(), 1);
 }
 
 #[test]
@@ -302,10 +319,11 @@ fn remote_child_runs_and_returns_exit_code() {
 fn spill_prefers_least_loaded_peer() {
     // 11 PEs in 3 shards carve wide-first into 4/4/3: after boot, shard 1
     // advertises more free PEs than shard 2.
-    let sys = ShardedSystem::boot(ShardedSystemConfig {
+    let sys = System::boot(SystemConfig {
         pes: 11,
         shards: 3,
-        ..ShardedSystemConfig::default()
+        fs_blocks: 4096,
+        ..SystemConfig::default()
     });
     let (s1, s2) = (sys.plan().slices[1].clone(), sys.plan().slices[2].clone());
     let job = sys.run_program_on(0, "spiller", move |env| async move {
@@ -451,8 +469,22 @@ fn remote_mount_reaches_peer_filesystem() {
     let dram = 64 * 1024 * 1024u64;
     let owned_a: Vec<PeId> = (0..4).map(PeId::new).collect();
     let owned_b: Vec<PeId> = (4..8).map(PeId::new).collect();
-    let kernel_a = Kernel::start_partition(&platform, PeId::new(0), &owned_a, 0, dram / 2);
-    let kernel_b = Kernel::start_partition(&platform, PeId::new(4), &owned_b, dram / 2, dram / 2);
+    let kernel_a = Kernel::start_partition(
+        &platform,
+        PeId::new(0),
+        &owned_a,
+        0,
+        dram / 2,
+        KernelConfig::default(),
+    );
+    let kernel_b = Kernel::start_partition(
+        &platform,
+        PeId::new(4),
+        &owned_b,
+        dram / 2,
+        dram / 2,
+        KernelConfig::default(),
+    );
     Kernel::connect_shards(&[kernel_a.clone(), kernel_b.clone()]);
 
     let info = kernel_b.create_root("m3fs", None).unwrap();
@@ -481,10 +513,11 @@ fn remote_mount_reaches_peer_filesystem() {
 
 #[test]
 fn per_shard_accounting_sums_to_global() {
-    let sys = ShardedSystem::boot(ShardedSystemConfig {
+    let sys = System::boot(SystemConfig {
         pes: 12,
         shards: 3,
-        ..ShardedSystemConfig::default()
+        fs_blocks: 4096,
+        ..SystemConfig::default()
     });
     let jobs: Vec<_> = (0..3)
         .map(|shard| {
@@ -515,6 +548,114 @@ fn per_shard_accounting_sums_to_global() {
     for slice in &sys.plan().slices {
         assert!(metrics.get(slice.kernel_pe(), m3_sim::keys::KERNEL_OPS) > 0);
         // Everything released: each shard is back to kernel + fs used.
-        assert_eq!(sys.kernel(slice.shard as usize).free_pes(), 2);
+        assert_eq!(sys.kernels()[slice.shard as usize].free_pes(), 2);
     }
+}
+
+#[test]
+fn paging_overcommit_and_dirty_switches_compose_with_shards() {
+    // Every kernel policy at once on a two-shard machine. Each slice has
+    // 4 PEs: kernel, m3fs, a driver and one client PE, so the three paging
+    // clients per shard outnumber the shard's two application PEs and
+    // time-share the client PE, while a 4-frame resident set makes their
+    // 8-page address spaces page.
+    const CLIENTS: u64 = 3;
+    const PAGES: u64 = 8;
+    let sys = System::boot(SystemConfig {
+        pes: 8,
+        shards: 2,
+        fs_blocks: 4096,
+        fs_setup: vec![SetupNode::file("/data", b"shared".to_vec())],
+        overcommit: true,
+        dirty_switches: true,
+        vm_resident_pages: Some(4),
+        ..SystemConfig::default()
+    });
+    let free_after_boot: Vec<u64> = sys.kernels().iter().map(|k| k.free_mem()).collect();
+    let jobs: Vec<_> = (0..2)
+        .map(|shard| {
+            sys.run_program_on(shard, "driver", |env| async move {
+                let mut vpes = Vec::new();
+                for i in 0..CLIENTS {
+                    let vpe = Vpe::new(&env, &format!("client{i}"), PeRequest::Any)
+                        .await
+                        .unwrap();
+                    vpe.run(move |cenv| async move {
+                        mount_m3fs(&cenv).await.unwrap();
+                        let mut aspace = AddrSpace::new(&cenv, Perm::RW);
+                        for round in 0..2u8 {
+                            for p in 0..PAGES {
+                                aspace
+                                    .write(p * PAGE_SIZE, &[i as u8, p as u8, round])
+                                    .await
+                                    .unwrap();
+                            }
+                            for p in 0..PAGES {
+                                let mut b = [0u8; 3];
+                                aspace.read(p * PAGE_SIZE, &mut b).await.unwrap();
+                                assert_eq!(b, [i as u8, p as u8, round]);
+                            }
+                        }
+                        let data = vfs::read_to_vec(&cenv, "/data").await.unwrap();
+                        assert_eq!(data, b"shared");
+                        10 + i as i64
+                    })
+                    .await
+                    .unwrap();
+                    vpes.push(vpe);
+                }
+                let mut sum = 0;
+                for vpe in vpes {
+                    sum += vpe.wait().await.unwrap();
+                    vpe.revoke().await.unwrap();
+                }
+                sum
+            })
+        })
+        .collect();
+    assert_eq!(sys.run(), SimState::Finished);
+    for job in jobs {
+        assert_eq!(job.try_take(), Some(10 + 11 + 12));
+    }
+    let metrics = sys.sim().metrics();
+    for slice in &sys.plan().slices {
+        for key in [
+            m3_sim::keys::CTX_SWITCHES,
+            m3_sim::keys::DIRTY_PAGES_SAVED,
+            m3_sim::keys::PAGE_FAULTS,
+        ] {
+            let sum: u64 = slice.pes().iter().map(|pe| metrics.get(*pe, key)).sum();
+            assert!(sum > 0, "shard {}: no {key}", slice.shard);
+        }
+    }
+    // Frames, swap regions and save areas all went back; only each m3fs
+    // region, allocated once its service started, is still held.
+    let fs_region = 4096 * 1024;
+    for (kernel, free) in sys.kernels().iter().zip(free_after_boot) {
+        assert_eq!(kernel.free_mem(), free - fs_region);
+    }
+}
+
+#[test]
+fn accelerators_join_the_last_shard_and_take_spills() {
+    let sys = System::boot(SystemConfig {
+        pes: 6,
+        shards: 2,
+        accel_pes: 1,
+        ..SystemConfig::default()
+    });
+    let accel = sys.platform().pes_of_type(PeType::FftAccel)[0];
+    assert_eq!(sys.plan().shard_of(accel), Some(1));
+    let job = sys.run_program_on(0, "fft-user", move |env| async move {
+        // Shard 0 owns no accelerator: the request spills to shard 1.
+        let vpe = Vpe::new(&env, "fft", PeRequest::Type(PeType::FftAccel))
+            .await
+            .unwrap();
+        let pe = vpe.pe();
+        vpe.revoke().await.unwrap();
+        pe.raw() as i64
+    });
+    assert_eq!(sys.run(), SimState::Finished);
+    assert_eq!(job.try_take(), Some(accel.raw() as i64));
+    assert_eq!(sys.stats().get("kernel.remote_placements"), 1);
 }

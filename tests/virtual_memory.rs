@@ -6,8 +6,10 @@ use m3::{System, SystemConfig};
 use m3_base::error::Code;
 use m3_base::rand::Rng;
 use m3_base::Perm;
+use m3_fs::{mount_m3fs, SetupNode};
 use m3_kernel::PAGE_SIZE;
 use m3_libos::addrspace::{AddrSpace, TLB_ENTRIES};
+use m3_libos::vfs;
 
 #[test]
 fn demand_paging_allocates_frames_on_first_touch() {
@@ -189,4 +191,33 @@ fn unmap_frees_the_frame_and_forgets_the_data() {
     });
     sys.run();
     assert_eq!(job.try_take(), Some(0));
+}
+
+#[test]
+fn revoking_an_evicted_frame_spares_the_gate_reusing_its_endpoint() {
+    // A dropped TLB frame gate frees its endpoint in the libos multiplexer,
+    // but the kernel still holds the frame capability. The reply gate
+    // reserved next gets that endpoint; evicting the page later revokes the
+    // frame capability, which must not invalidate the reply gate.
+    let sys = System::boot(SystemConfig {
+        vm_resident_pages: Some(1),
+        fs_setup: vec![SetupNode::file("/data", b"intact".to_vec())],
+        ..SystemConfig::default()
+    });
+    let job = sys.run_program("reuse", |env| async move {
+        let mut aspace = AddrSpace::new(&env, Perm::RW);
+        aspace.write(0, b"page 0").await.unwrap();
+        drop(aspace);
+        env.reply_gate().await.unwrap();
+        // A one-frame resident set: faulting page 1 evicts page 0.
+        let mut aspace = AddrSpace::new(&env, Perm::RW);
+        aspace.write(PAGE_SIZE, b"page 1").await.unwrap();
+        mount_m3fs(&env).await.unwrap();
+        vfs::read_to_vec(&env, "/data").await.unwrap().len() as i64
+    });
+    sys.run();
+    assert_eq!(job.try_take(), Some(6));
+    // Page 0 was dirty, so its eviction wrote it back to swap.
+    let written_back = sys.sim().metrics().total(m3_sim::keys::WRITEBACK_BYTES);
+    assert_eq!(written_back, PAGE_SIZE, "page 0 was never evicted");
 }
