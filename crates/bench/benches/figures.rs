@@ -1,59 +1,19 @@
-//! Regenerates every figure of the paper's evaluation (run by
-//! `cargo bench`). Each figure is produced once and printed as the same
-//! rows/series the paper reports, followed by the aggregate number of
-//! *simulated* cycles behind the figure. No wall-clock timing: the output
-//! is bit-identical across hosts and runs, so CI can diff it.
+//! Regenerates every registered figure (run by `cargo bench`). Each entry
+//! of `m3_bench::registry` is rendered once at full size and printed as
+//! the same rows/series the paper reports, followed by the aggregate
+//! number of *simulated* cycles behind it. No wall-clock timing: the
+//! output is bit-identical across hosts and runs, so CI can diff it.
 
-use m3_bench::{Figure, Series};
-
-/// Sums the simulated cycles a figure's bars account for.
-fn figure_cycles(fig: &Figure) -> u64 {
-    fig.groups
-        .iter()
-        .flat_map(|g| g.bars.iter())
-        .map(|b| b.total)
-        .sum()
-}
-
-/// Sums a swept series' values (cycles or ratios, per figure).
-fn series_cycles(series: &Series) -> u64 {
-    series
-        .rows
-        .iter()
-        .flat_map(|(_, vals)| vals.iter())
-        .map(|v| *v as u64)
-        .sum()
-}
-
-fn emit(name: &str, table: String, simulated: u64) {
-    println!("{table}");
-    println!("[{name}: {simulated} aggregate simulated cycles]\n");
-}
+use m3_bench::registry::{Opts, FIGURES};
 
 fn main() {
     println!("M3 (ASPLOS'16) reproduction — evaluation figures\n");
-    let fig3 = m3_bench::fig3::run();
-    emit("fig3", fig3.render(), figure_cycles(&fig3));
-    let fig4 = m3_bench::fig4::run();
-    emit("fig4", fig4.render(), series_cycles(&fig4));
-    let fig5 = m3_bench::fig5::run();
-    emit("fig5", fig5.render(), figure_cycles(&fig5));
-    let fig6 = m3_bench::fig6::run();
-    emit("fig6", fig6.render(), series_cycles(&fig6));
-    let fig7 = m3_bench::fig7::run();
-    emit("fig7", fig7.render(), figure_cycles(&fig7));
-    let fig8 = m3_bench::fig8::run();
-    emit("fig8", fig8.render(), series_cycles(&fig8));
-    let fig9 = m3_bench::fig9::run();
-    emit("fig9", fig9.render(), series_cycles(&fig9.series));
-    let arch = m3_bench::arch::run();
-    emit("arch", arch.render(), series_cycles(&arch));
-    let ablations = m3_bench::ablation::run_all();
-    let table = ablations
-        .iter()
-        .map(Series::render)
-        .collect::<Vec<_>>()
-        .join("\n");
-    let total = ablations.iter().map(series_cycles).sum();
-    emit("ablations", table, total);
+    for entry in FIGURES {
+        let out = (entry.render)(Opts::default());
+        println!("{}", out.table);
+        println!(
+            "[{}: {} aggregate simulated cycles]\n",
+            entry.name, out.cycles
+        );
+    }
 }

@@ -1,6 +1,7 @@
-//! Host wall-clock perf harness for the fig3–fig9 suite.
+//! Host wall-clock perf harness over every registered figure.
 //!
-//! Runs every figure end-to-end, timing each one and each of its scenarios
+//! Runs every entry of `m3_bench::registry` in full, timing each one and
+//! each of its scenarios
 //! (one independent `Sim` per scenario), collects the executor gauges from
 //! `m3_sim::gauges`, and writes `BENCH_<label>.json` at the repo root so the
 //! host-performance trajectory is recorded alongside the cycle-accurate
@@ -9,9 +10,10 @@
 //!
 //! Flags:
 //! - `--label <name>`: output file suffix (default `local`).
-//! - `--serial`: run scenarios on one thread (same results, no overlap).
-//! - `--sim-workers <N>`: pin the scenario worker count (also settable via
-//!   the `M3_SIM_WORKERS` environment variable).
+//! - `--serial`: run scenarios and PDES islands on one thread (same
+//!   results, no overlap).
+//! - `--sim-workers <N>`: pin the worker count (also settable via the
+//!   `M3_SIM_WORKERS` environment variable).
 //! - `--compare-serial`: run the suite serially first, then in parallel,
 //!   and report per-figure and total speedups. The serial pass seeds the
 //!   per-scenario cost registry, so the parallel pass claims the longest
@@ -26,7 +28,9 @@ use std::process::ExitCode;
 // m3lint: allow(determinism): this binary's whole purpose is host wall-clock measurement
 use std::time::Instant;
 
+use m3_bench::cli::Harness;
 use m3_bench::exec;
+use m3_bench::registry::{self, Opts};
 use m3_sim::gauges::{self, Gauges};
 
 /// CI fails when the suite takes more than this multiple of the baseline.
@@ -39,36 +43,21 @@ struct FigureRun {
     gauges: Gauges,
 }
 
-/// Renders one figure; the table itself is discarded, only time matters.
-type FigureFn = fn() -> String;
-
-fn figure_suite() -> Vec<(&'static str, FigureFn)> {
-    vec![
-        ("fig3", || m3_bench::fig3::run().render()),
-        ("fig4", || m3_bench::fig4::run().render()),
-        ("fig5", || m3_bench::fig5::run().render()),
-        ("fig6", || m3_bench::fig6::run().render()),
-        ("fig7", || m3_bench::fig7::run().render()),
-        ("fig8", || m3_bench::fig8::run().render()),
-        ("fig9", || m3_bench::fig9::run().render()),
-        ("fig11", || m3_bench::fig11::run().render()),
-    ]
-}
-
 fn run_suite() -> (Vec<FigureRun>, f64) {
     let mut runs = Vec::new();
     let mut total_ms = 0.0;
-    for (name, run) in figure_suite() {
+    for entry in registry::FIGURES {
         exec::take_job_timings();
         let before = gauges::snapshot();
         // m3lint: allow(determinism): host wall clock; simulated cycles are produced elsewhere
         let start = Instant::now();
-        let _table = run();
+        // Only the time matters; the table is discarded.
+        let _ = (entry.render)(Opts::default());
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let delta = gauges::snapshot().since(&before);
         total_ms += wall_ms;
         runs.push(FigureRun {
-            name,
+            name: entry.name,
             wall_ms,
             scenario_ms: exec::take_job_timings(),
             gauges: delta,
@@ -149,8 +138,7 @@ fn repo_root() -> PathBuf {
 fn main() -> ExitCode {
     let mut label = String::from("local");
     let mut baseline: Option<String> = None;
-    let mut compare_serial = false;
-    let mut forced_serial = false;
+    let mut harness = Harness::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -162,22 +150,18 @@ fn main() -> ExitCode {
                 Some(p) => baseline = Some(p),
                 None => return usage("--baseline needs a path"),
             },
-            "--serial" => {
-                exec::set_serial(true);
-                forced_serial = true;
-            }
-            "--sim-workers" => match args.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
-                Some(n) => exec::set_sim_workers(Some(n)),
-                None => return usage("--sim-workers needs a positive count"),
+            other => match harness.take(other, &mut args) {
+                Ok(true) => {}
+                Ok(false) => return usage(&format!("unknown argument {other}")),
+                Err(msg) => return usage(&msg),
             },
-            "--compare-serial" => compare_serial = true,
-            other => return usage(&format!("unknown argument {other}")),
         }
     }
+    harness.apply();
 
     // The serial pass runs first so its per-scenario costs seed the
     // longest-first claim order of the parallel pass.
-    let serial_pass = if compare_serial && !forced_serial {
+    let serial_pass = if harness.compare_serial && !harness.serial {
         exec::set_serial(true);
         let pass = run_suite();
         exec::set_serial(false);
@@ -186,13 +170,13 @@ fn main() -> ExitCode {
         None
     };
 
-    let serial = forced_serial || exec::workers_for(usize::MAX) == 1;
+    let serial = harness.serial || exec::workers_for(usize::MAX) == 1;
     let (runs, total_ms) = run_suite();
 
-    println!("== perf: fig3-fig9 host wall clock ==");
+    println!("== perf: host wall clock per registered figure ==");
     for (i, run) in runs.iter().enumerate() {
         println!(
-            "{:>5}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  peak {} live / {} timers",
+            "{:>10}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  peak {} live / {} timers",
             run.name,
             run.wall_ms,
             run.scenario_ms.len(),
@@ -203,16 +187,17 @@ fn main() -> ExitCode {
         );
         if let Some((serial_runs, _)) = &serial_pass {
             println!(
-                "       serial {:>7.1} ms -> speedup {:.2}x",
+                "            serial {:>7.1} ms -> speedup {:.2}x",
                 serial_runs[i].wall_ms,
                 serial_runs[i].wall_ms / run.wall_ms
             );
         }
     }
-    println!("total  {total_ms:>10.1} ms");
+    println!("{:>10}  {total_ms:>10.1} ms", "total");
     if let Some((_, serial_ms)) = &serial_pass {
         println!(
-            "serial {serial_ms:>10.1} ms -> parallel speedup {:.2}x ({} workers)",
+            "{:>10}  {serial_ms:>10.1} ms -> parallel speedup {:.2}x ({} workers)",
+            "serial",
             serial_ms / total_ms,
             exec::workers_for(usize::MAX)
         );
@@ -256,6 +241,9 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("perf: {msg}");
-    eprintln!("usage: perf [--label <name>] [--serial] [--sim-workers N] [--compare-serial] [--baseline <json>]");
+    eprintln!(
+        "usage: perf [--label <name>] [--baseline <json>] {}",
+        Harness::USAGE
+    );
     ExitCode::FAILURE
 }

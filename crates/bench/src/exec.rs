@@ -8,14 +8,14 @@
 //! matter which worker finished first. Simulated cycle counts cannot change:
 //! threading only overlaps *host* time.
 //!
-//! Serial escape hatch: [`set_serial`] (the binaries' `--serial` flag) or
+//! Serial escape hatch: [`set_serial`] (the harness `--serial` flag) or
 //! the `M3_BENCH_SERIAL` environment variable (any value but `0`).
 //!
-//! Worker count: [`set_sim_workers`] (the binaries' `--sim-workers N`
-//! flag) or the `M3_SIM_WORKERS` environment variable pin the thread
-//! count; otherwise every available core is used. The same knob feeds the
-//! PDES engine's worker count in `pdes_bench`, so one flag controls both
-//! levels of host parallelism.
+//! Worker count: [`set_sim_workers`] (the harness `--sim-workers N` flag)
+//! or the `M3_SIM_WORKERS` environment variable pin the thread count;
+//! otherwise every available core is used. The same knobs feed the PDES
+//! engine's island workers ([`island_workers`], used by fig10 and
+//! `pdes_bench`), so one flag controls both levels of host parallelism.
 //!
 //! Claim order: when a figure runs repeatedly in one process (the `perf`
 //! harness, determinism suites), [`run_labeled_jobs`] hands out the
@@ -73,8 +73,7 @@ pub fn set_sim_workers(workers: Option<usize>) {
 }
 
 /// The pinned worker count, if any: [`set_sim_workers`] wins, then the
-/// `M3_SIM_WORKERS` environment variable. Also consulted by `pdes_bench`
-/// for the PDES engine's island workers.
+/// `M3_SIM_WORKERS` environment variable.
 pub fn sim_workers() -> Option<usize> {
     match SIM_WORKERS.load(Ordering::Relaxed) {
         0 => std::env::var("M3_SIM_WORKERS")
@@ -92,6 +91,16 @@ pub fn workers_for(jobs: usize) -> usize {
         .map(|n| n.get())
         .unwrap_or(1);
     sim_workers().unwrap_or(cores).min(jobs).max(1)
+}
+
+/// PDES worker threads for one simulation split into `islands` islands:
+/// one when a serial run was requested, [`workers_for`] otherwise.
+pub fn island_workers(islands: usize) -> usize {
+    if serial_requested() {
+        1
+    } else {
+        workers_for(islands)
+    }
 }
 
 /// The claim order for `n` jobs under `label`: longest-first by the

@@ -22,6 +22,8 @@
 //! must be byte-identical for every `--sim-workers` count (asserted by
 //! `tests/pdes.rs`).
 
+use std::fmt::Write as _;
+
 use m3::{System, SystemConfig};
 use m3_base::error::Code;
 use m3_base::{Cycles, PeId};
@@ -30,6 +32,8 @@ use m3_libos::Vpe;
 use m3_noc::{IslandMap, NocConfig, Topology};
 use m3_platform::PeType;
 use m3_sim::pdes::{self, IslandBuilder, IslandFinish, PdesConfig};
+
+use crate::exec;
 
 /// Placer programs per shard (enough concurrency to keep one kernel busy).
 pub const PLACERS: usize = 4;
@@ -101,8 +105,6 @@ pub struct Fig10Point {
     pub ops_per_kcycle: f64,
     /// Deterministic digest (identical for every worker count).
     pub digest: String,
-    /// Host wall-clock milliseconds.
-    pub wall_ms: f64,
 }
 
 fn island_builder(id: u32, shards: u32, pes_per_shard: usize) -> IslandBuilder {
@@ -237,10 +239,7 @@ pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
     let builders: Vec<IslandBuilder> = (0..shards)
         .map(|i| island_builder(i, shards, per))
         .collect();
-    // m3lint: allow(determinism): host wall clock; simulated results are worker-count invariant
-    let start = std::time::Instant::now();
     let report = pdes::run(&cfg, builders);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let ops: u64 = report.outputs.iter().map(|l| field(l, "ops")).sum();
     let serve: u64 = report.outputs.iter().map(|l| field(l, "serve")).sum();
     let xplace: u64 = report.outputs.iter().map(|l| field(l, "xplace")).sum();
@@ -261,16 +260,72 @@ pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
         end,
         ops_per_kcycle: ops as f64 * 1e3 / end.as_u64().max(1) as f64,
         digest,
-        wall_ms,
     }
 }
 
-/// Runs the full sweep for one PE count.
-pub fn run_sweep(pes: u32, workers: usize) -> Vec<Fig10Point> {
-    shard_counts_for(pes)
-        .into_iter()
-        .map(|s| run_point(pes, s, workers.min(s as usize)))
-        .collect()
+/// The rendered sweep: one table per machine size.
+#[derive(Clone, Debug)]
+pub struct Fig10 {
+    /// `(pes, points)` per machine size, shard counts ascending.
+    pub sweeps: Vec<(u32, Vec<Fig10Point>)>,
+}
+
+impl Fig10 {
+    /// Renders one table per machine size plus each point's digest. Host
+    /// wall clock is left out, so the text is identical for every worker
+    /// count.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (pes, points) in &self.sweeps {
+            let _ = writeln!(out, "== fig10: kernel throughput vs shards at {pes} PEs ==");
+            let _ = writeln!(
+                out,
+                "  {:<7} {:>10} {:>12} {:>9} {:>8} {:>8} {:>12}",
+                "shards", "kernel-ops", "ops/kcycle", "scaling", "serve", "xplace", "end-cycles"
+            );
+            let base = points.first().map_or(1.0, |p| p.ops_per_kcycle);
+            for p in points {
+                let _ = writeln!(
+                    out,
+                    "  {:<7} {:>10} {:>12.2} {:>8.2}x {:>8} {:>8} {:>12}",
+                    p.shards,
+                    p.ops,
+                    p.ops_per_kcycle,
+                    p.ops_per_kcycle / base,
+                    p.serve,
+                    p.xplace,
+                    p.end.as_u64(),
+                );
+                let _ = writeln!(out, "  digest[{}] {}", p.shards, p.digest);
+            }
+        }
+        out
+    }
+
+    /// Final simulated clocks summed over every point.
+    pub fn end_cycles(&self) -> u64 {
+        self.sweeps
+            .iter()
+            .flat_map(|(_, points)| points)
+            .map(|p| p.end.as_u64())
+            .sum()
+    }
+}
+
+/// Runs the sweep at every PE count in `pe_counts`, each point on
+/// [`exec::island_workers`] threads.
+pub fn run(pe_counts: &[u32]) -> Fig10 {
+    let sweeps = pe_counts
+        .iter()
+        .map(|&pes| {
+            let points = shard_counts_for(pes)
+                .into_iter()
+                .map(|s| run_point(pes, s, exec::island_workers(s as usize)))
+                .collect();
+            (pes, points)
+        })
+        .collect();
+    Fig10 { sweeps }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! worker count (asserted by `tests/pdes.rs`).
 
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use m3::{System, SystemConfig};
@@ -55,8 +56,6 @@ pub struct PdesBenchRun {
     /// Deterministic digest of all simulated results; identical for every
     /// worker count.
     pub digest: String,
-    /// Host wall-clock milliseconds for the whole run.
-    pub wall_ms: f64,
 }
 
 /// The window width for `islands` ring nodes: the minimum cross-island
@@ -178,10 +177,7 @@ pub fn run(islands: u32, workers: usize) -> PdesBenchRun {
         workers,
     };
     let builders: Vec<IslandBuilder> = (0..islands).map(|i| island_builder(i, islands)).collect();
-    // m3lint: allow(determinism): host wall clock; simulated results are worker-count invariant
-    let start = std::time::Instant::now();
     let report = pdes::run(&cfg, builders);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let digest = format!(
         "{}|windows={}|events={}|end={}",
         report.outputs.join(";"),
@@ -189,10 +185,48 @@ pub fn run(islands: u32, workers: usize) -> PdesBenchRun {
         report.events,
         report.end_time.as_u64(),
     );
-    PdesBenchRun {
-        report,
-        digest,
-        wall_ms,
+    PdesBenchRun { report, digest }
+}
+
+impl PdesBenchRun {
+    /// Renders the window/event counts, per-island residency and digest.
+    /// Host wall clock and the worker count are left out, so the text is
+    /// identical for every worker count.
+    pub fn render(&self) -> String {
+        let islands = self.report.islands.len() as u32;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "== pdes_bench: {islands} islands, lookahead {} cycles ==",
+            lookahead(islands).as_u64()
+        );
+        let _ = writeln!(
+            out,
+            "windows {}  events {}  abandoned {}  end {} cycles",
+            self.report.windows,
+            self.report.events,
+            self.report.abandoned,
+            self.report.end_time.as_u64(),
+        );
+        let _ = writeln!(
+            out,
+            "  {:<7} {:>12} {:>13} {:>10} {:>10} {:>12}",
+            "island", "busy-cycles", "barrier-wait", "events-in", "events-out", "final-now"
+        );
+        for (i, st) in self.report.islands.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "  {:<7} {:>12} {:>13} {:>10} {:>10} {:>12}",
+                i,
+                st.advanced.as_u64(),
+                st.barrier_wait.as_u64(),
+                st.events_in,
+                st.events_out,
+                st.final_now.as_u64()
+            );
+        }
+        let _ = writeln!(out, "digest {}", self.digest);
+        out
     }
 }
 

@@ -91,6 +91,15 @@ impl Figure {
         print!("{}", self.render());
     }
 
+    /// Sums the simulated cycles of every bar.
+    pub fn total_cycles(&self) -> u64 {
+        self.groups
+            .iter()
+            .flat_map(|g| &g.bars)
+            .map(|b| b.total)
+            .sum()
+    }
+
     /// Finds a bar by group and label (for assertions).
     ///
     /// # Panics
@@ -144,6 +153,16 @@ impl Series {
     /// Prints the rendered table to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
+    }
+
+    /// Sums every value, truncating each to an integer (cycles or ratios,
+    /// depending on the figure): a cheap checksum of the table.
+    pub fn value_sum(&self) -> u64 {
+        self.rows
+            .iter()
+            .flat_map(|(_, vals)| vals)
+            .map(|v| *v as u64)
+            .sum()
     }
 
     /// Looks up a value by parameter and column name.
@@ -204,6 +223,7 @@ mod tests {
             }],
         };
         assert_eq!(fig.bar("read", "M3").total, 42);
+        assert_eq!(fig.total_cycles(), 42);
         assert!(fig.render().contains("Fig X"));
         assert!(fig.render().contains("total="));
     }
@@ -217,6 +237,7 @@ mod tests {
             rows: vec![(16, vec![1.0, 2.0]), (32, vec![3.0, 4.0])],
         };
         assert_eq!(s.value(32, "write"), 4.0);
+        assert_eq!(s.value_sum(), 10);
         assert!(s.render().contains("bpe"));
     }
 }

@@ -6,8 +6,9 @@
 //! m3-trace diff <a> <b>                 # localise the first divergence
 //! ```
 //!
-//! Trace files are the native format written by the bench binaries
-//! (`cargo run -p m3-bench --bin fig3 -- --trace out.trace`); `export`
+//! Trace files are the native format the `figure` binary writes for
+//! traced entries (`cargo run -p m3-bench --bin figure -- fig3 --trace-tsv
+//! out.tsv`); `export`
 //! produces JSON loadable in chrome://tracing or https://ui.perfetto.dev.
 //! `diff` exits with status 1 when the traces differ, so it can gate CI.
 

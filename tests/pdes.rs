@@ -1,18 +1,28 @@
 //! PDES determinism: the parallel engine must be invisible in the results.
 //!
 //! Two layers are exercised. The scenario harness (`m3_bench::exec`) runs
-//! independent Sims on worker threads; every figure render must be
-//! byte-identical under any `M3_SIM_WORKERS` setting. The PDES engine
+//! independent Sims on worker threads; every entry of the figure registry
+//! (`m3_bench::registry`) must render byte-identically under any
+//! `M3_SIM_WORKERS` setting. The PDES engine
 //! (`m3_sim::pdes`) splits ONE simulation into islands; its digests must
 //! be identical for every worker count, and one cross-island-heavy
 //! scenario is pinned to golden values so silent drift in the window
 //! protocol (lookahead, merge order, termination) fails loudly.
 
+use m3_bench::registry::{self, Opts};
 use m3_bench::{exec, pdes_bench};
 
-/// Renders one figure serially, then under 1, 2, and 4 sim workers, and
-/// requires all four renders to be byte-identical.
-fn assert_figure_invariant(name: &str, render: fn() -> String) {
+/// Renders one registered figure's smoke sweep serially, then under 1, 2
+/// and 4 sim workers, and requires all four tables to be byte-identical.
+fn assert_figure_invariant(name: &str) {
+    let entry = registry::find(name).unwrap_or_else(|| panic!("{name} is not registered"));
+    let render = || {
+        (entry.render)(Opts {
+            smoke: true,
+            param: None,
+        })
+        .table
+    };
     exec::set_serial(true);
     let serial = render();
     exec::set_serial(false);
@@ -27,39 +37,42 @@ fn assert_figure_invariant(name: &str, render: fn() -> String) {
     }
 }
 
-#[test]
-fn fig3_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig3", || m3_bench::fig3::run().render());
+/// One invariance test per registry entry (separate tests run in
+/// parallel), plus the list of entries they cover.
+macro_rules! invariance_tests {
+    ($($test:ident => $name:literal),* $(,)?) => {
+        $(
+            #[test]
+            fn $test() {
+                assert_figure_invariant($name);
+            }
+        )*
+        const COVERED: &[&str] = &[$($name),*];
+    };
+}
+
+invariance_tests! {
+    fig3_is_invariant_under_sim_workers => "fig3",
+    fig4_is_invariant_under_sim_workers => "fig4",
+    fig5_is_invariant_under_sim_workers => "fig5",
+    fig6_is_invariant_under_sim_workers => "fig6",
+    fig7_is_invariant_under_sim_workers => "fig7",
+    fig8_is_invariant_under_sim_workers => "fig8",
+    fig9_is_invariant_under_sim_workers => "fig9",
+    fig10_is_invariant_under_sim_workers => "fig10",
+    fig11_is_invariant_under_sim_workers => "fig11",
+    arch_is_invariant_under_sim_workers => "arch",
+    ablations_are_invariant_under_sim_workers => "ablations",
+    pdes_bench_is_invariant_under_sim_workers => "pdes_bench",
 }
 
 #[test]
-fn fig4_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig4", || m3_bench::fig4::run().render());
-}
-
-#[test]
-fn fig5_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig5", || m3_bench::fig5::run().render());
-}
-
-#[test]
-fn fig6_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig6", || m3_bench::fig6::run().render());
-}
-
-#[test]
-fn fig7_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig7", || m3_bench::fig7::run().render());
-}
-
-#[test]
-fn fig8_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig8", || m3_bench::fig8::run().render());
-}
-
-#[test]
-fn fig9_is_invariant_under_sim_workers() {
-    assert_figure_invariant("fig9", || m3_bench::fig9::run_sweep(&[8, 24]).render());
+fn every_registered_figure_has_an_invariance_test() {
+    let registered: Vec<&str> = registry::FIGURES.iter().map(|e| e.name).collect();
+    assert_eq!(
+        COVERED, registered,
+        "add an invariance_tests! line for each registry entry, in registry order"
+    );
 }
 
 #[test]
