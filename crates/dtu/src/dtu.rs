@@ -12,7 +12,7 @@ use m3_base::{Cycles, EpId, PeId, Perm};
 use m3_fault::{FaultPlane, MsgVerdict};
 use m3_noc::Noc;
 use m3_sim::{
-    keys, Component, Event, EventKind, Metrics, Notify, Recorder, Sim, StatHandle, Stats,
+    keys, Component, Event, EventKind, Metrics, Notify, Recorder, Sim, StatHandle, Stats, TaskName,
 };
 
 use crate::endpoint::EpConfig;
@@ -528,7 +528,8 @@ impl DtuSystem {
         self.inner.next_deposit.set(seq + 1);
         let sys = self.clone();
         let sim = self.sim.clone();
-        self.sim.spawn(format!("dtu-deliver-{seq}"), async move {
+        let name = TaskName::numbered("dtu-deliver-", seq);
+        self.sim.spawn_detached(name, async move {
             sim.sleep_until(at).await;
             sys.deposit(target_pe, target_ep, msg, ctx, credit);
         });
@@ -539,7 +540,8 @@ impl DtuSystem {
         self.inner.next_deposit.set(seq + 1);
         let sys = self.clone();
         let sim = self.sim.clone();
-        self.sim.spawn(format!("dtu-credit-{seq}"), async move {
+        let name = TaskName::numbered("dtu-credit-", seq);
+        self.sim.spawn_detached(name, async move {
             sim.sleep_until(at).await;
             sys.refill_credit(pe, ctx, ep);
         });

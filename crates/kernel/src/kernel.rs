@@ -11,7 +11,7 @@ use m3_base::{Cycles, EpId, PeId, Perm, SelId, VpeId};
 use m3_dtu::{Dtu, EpConfig, KernelToken, Message};
 use m3_platform::{PeType, Platform};
 use m3_sched::{Admission, Removal, Scheduler};
-use m3_sim::{Component, Event, EventKind, Notify, Sim};
+use m3_sim::{Component, Event, EventKind, Notify, Sim, TaskName};
 use m3_vm::{AddrSpaceObj, FaultKind, SwapRegion};
 
 use crate::cap::{
@@ -591,17 +591,23 @@ impl Kernel {
                 // bottleneck in the §5.7 scalability experiment).
                 Syscall::VpeWait { vpe } => {
                     let k = self.clone();
-                    self.sim.spawn(format!("kernel-wait-{caller}"), async move {
-                        let reply = k.handle_vpe_wait(caller, vpe).await;
-                        k.reply_to(&msg, reply).await;
-                    });
+                    self.sim.spawn_detached(
+                        TaskName::numbered("kernel-wait-VPE", caller.raw().into()),
+                        async move {
+                            let reply = k.handle_vpe_wait(caller, vpe).await;
+                            k.reply_to(&msg, reply).await;
+                        },
+                    );
                 }
                 Syscall::OpenSess { dst, name, arg } => {
                     let k = self.clone();
-                    self.sim.spawn(format!("kernel-open-{caller}"), async move {
-                        let reply = k.handle_open_sess(caller, dst, &name, arg).await;
-                        k.reply_to(&msg, reply).await;
-                    });
+                    self.sim.spawn_detached(
+                        TaskName::numbered("kernel-open-VPE", caller.raw().into()),
+                        async move {
+                            let reply = k.handle_open_sess(caller, dst, &name, arg).await;
+                            k.reply_to(&msg, reply).await;
+                        },
+                    );
                 }
                 Syscall::ExchangeSess {
                     sess,
@@ -610,23 +616,28 @@ impl Kernel {
                     args,
                 } => {
                     let k = self.clone();
-                    self.sim.spawn(format!("kernel-xchg-{caller}"), async move {
-                        let reply = k
-                            .handle_exchange_sess(caller, sess, obtain, &caps, &args)
-                            .await;
-                        k.reply_to(&msg, reply).await;
-                    });
+                    self.sim.spawn_detached(
+                        TaskName::numbered("kernel-xchg-VPE", caller.raw().into()),
+                        async move {
+                            let reply = k
+                                .handle_exchange_sess(caller, sess, obtain, &caps, &args)
+                                .await;
+                            k.reply_to(&msg, reply).await;
+                        },
+                    );
                 }
                 Syscall::Activate { vpe, ep, gate } => {
                     // May block until the receive gate is activated (§4.5.4:
                     // the kernel defers the reply until the receiver is
                     // ready).
                     let k = self.clone();
-                    self.sim
-                        .spawn(format!("kernel-activate-{caller}"), async move {
+                    self.sim.spawn_detached(
+                        TaskName::numbered("kernel-activate-VPE", caller.raw().into()),
+                        async move {
                             let reply = k.handle_activate(caller, vpe, ep, gate).await;
                             k.reply_to(&msg, reply).await;
-                        });
+                        },
+                    );
                 }
                 Syscall::Exit { code } => {
                     self.handle_exit(caller, code);
@@ -2106,7 +2117,13 @@ impl Kernel {
                 let dst_crash = crash_of.get(&dst).copied();
                 let dst_k = dst_k.clone();
                 let sim2 = sim.clone();
-                sim.spawn(format!("ktk-wire-{}-{}", src.pe, dst_k.pe), async move {
+                let name = TaskName::pair(
+                    "ktk-wire-PE",
+                    src.pe.raw().into(),
+                    "-PE",
+                    dst_k.pe.raw().into(),
+                );
+                sim.spawn_detached(name, async move {
                     sim2.sleep_until(t.completes_at).await;
                     if dst_crash.is_some_and(|at| sim2.now() >= at) {
                         return;
@@ -2973,7 +2990,8 @@ impl Kernel {
     /// cancelled (e.g. a timed-out receive dropping its future mid-wait).
     fn spawn_switch(&self, pe: PeId, from: Option<VpeId>, to: VpeId) {
         let k = self.clone();
-        self.sim.spawn(format!("kernel-ctxsw@{pe}"), async move {
+        let name = TaskName::numbered("kernel-ctxsw@PE", pe.raw().into());
+        self.sim.spawn_detached(name, async move {
             let _ = k.perform_switch(pe, from, to).await;
         });
     }

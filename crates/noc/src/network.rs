@@ -1,7 +1,6 @@
 //! Transfer scheduling with link contention.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -10,8 +9,7 @@ use m3_base::PeId;
 use m3_fault::FaultPlane;
 use m3_sim::{keys, Component, Event, EventKind, Metrics, Recorder, StatHandle, Stats};
 
-use crate::routing::{route, Link};
-use crate::topology::Topology;
+use crate::topology::{Coord, Topology};
 
 /// Tuning parameters of the NoC model.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,11 +52,22 @@ pub struct Transfer {
     pub bytes: u64,
 }
 
+/// Output ports per router in the reservation table: the node's injection
+/// port, then the links towards +x, -x, +y and -y.
+const PORTS: usize = 5;
+const INJECT: usize = 0;
+const EAST: usize = 1;
+const WEST: usize = 2;
+const SOUTH: usize = 3;
+const NORTH: usize = 4;
+
 struct NocInner {
     topo: Topology,
     cfg: NocConfig,
-    /// Per-directed-link time until which the link is reserved.
-    busy_until: BTreeMap<Link, Cycles>,
+    /// Per-directed-link time until which the link is reserved, indexed by
+    /// [`port_slot`]: one entry per grid position (occupied or not, since
+    /// XY routes may cross empty positions) and output port.
+    busy_until: Vec<Cycles>,
     stats: Stats,
     /// Handles for the three counters bumped on every transfer, resolved
     /// once so `schedule` skips the string-keyed map lookups.
@@ -99,7 +108,10 @@ impl fmt::Debug for Noc {
         f.debug_struct("Noc")
             .field("topology", &inner.topo)
             .field("config", &inner.cfg)
-            .field("reserved_links", &inner.busy_until.len())
+            .field(
+                "reserved_links",
+                &inner.busy_until.iter().filter(|c| !c.is_zero()).count(),
+            )
             .finish()
     }
 }
@@ -108,11 +120,12 @@ impl Noc {
     /// Creates a NoC over `topo` with the given configuration.
     pub fn new(topo: Topology, cfg: NocConfig) -> Noc {
         let stats = Stats::new();
+        let ports = (topo.width() * topo.height()) as usize * PORTS;
         Noc {
             inner: Rc::new(RefCell::new(NocInner {
                 topo,
                 cfg,
-                busy_until: BTreeMap::new(),
+                busy_until: vec![Cycles::ZERO; ports],
                 stat_transfers: stats.handle("noc.transfers"),
                 stat_bytes: stats.handle("noc.bytes"),
                 stat_wait: stats.handle("noc.wait_cycles"),
@@ -181,12 +194,8 @@ impl Noc {
         } = inner.cfg.clone();
         let duration = transfer_time(bytes + packet_overhead, bytes_per_cycle);
         let src_coord = inner.topo.coord(src);
-        let mut links = vec![Link {
-            from: src_coord,
-            to: src_coord,
-        }];
-        links.extend(route(&inner.topo, src, dst));
-        let hops = links.len() as u32 - 1;
+        let dst_coord = inner.topo.coord(dst);
+        let hops = src_coord.x.abs_diff(dst_coord.x) + src_coord.y.abs_diff(dst_coord.y);
 
         // Fault plane: a partition holds the transfer at the source until
         // the link heals; a link-delay fault stretches the wire time.
@@ -221,20 +230,45 @@ impl Noc {
             }
         }
 
+        // Walk the XY route of `routing::route` (injection port first, then
+        // X, then Y), reserving each link in turn.
         let mut arrival = depart;
         let mut waited = depart - now;
-        for link in links {
+        let width = inner.topo.width();
+        let busy_until = &mut inner.busy_until;
+        let mut cross = |at: Coord, port: usize| {
+            let slot = port_slot(width, at, port);
             let free_at = if contention {
-                inner.busy_until.get(&link).copied().unwrap_or(Cycles::ZERO)
+                busy_until[slot]
             } else {
                 Cycles::ZERO
             };
             let start = arrival.max(free_at);
             waited += start - arrival;
             if contention {
-                inner.busy_until.insert(link, start + duration);
+                busy_until[slot] = start + duration;
             }
             arrival = start + hop_latency;
+        };
+        let mut cur = src_coord;
+        cross(cur, INJECT);
+        while cur.x != dst_coord.x {
+            if dst_coord.x > cur.x {
+                cross(cur, EAST);
+                cur.x += 1;
+            } else {
+                cross(cur, WEST);
+                cur.x -= 1;
+            }
+        }
+        while cur.y != dst_coord.y {
+            if dst_coord.y > cur.y {
+                cross(cur, SOUTH);
+                cur.y += 1;
+            } else {
+                cross(cur, NORTH);
+                cur.y -= 1;
+            }
         }
         let completes_at = arrival + duration + fault_delay;
 
@@ -269,6 +303,11 @@ impl Noc {
             bytes,
         }
     }
+}
+
+/// The reservation-table index of output `port` at grid position `at`.
+fn port_slot(width: u32, at: Coord, port: usize) -> usize {
+    (at.y * width + at.x) as usize * PORTS + port
 }
 
 #[cfg(test)]

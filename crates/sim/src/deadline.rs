@@ -8,7 +8,7 @@
 //! would later wake a completed task.
 
 use std::future::Future;
-use std::task::Poll;
+use std::task::{Poll, Waker};
 
 use m3_base::Cycles;
 
@@ -20,16 +20,18 @@ use crate::Sim;
 /// The future is polled before the timer on every wake, so a result that is
 /// ready exactly at the deadline still wins the race (deterministically).
 ///
-/// The deadline is (re-)registered on every pending poll with the poll's
-/// *current* waker — a one-shot registration would go stale if the future
-/// is later polled through a different waker, and the timeout would wake
-/// the wrong task. The executor deduplicates re-registrations of an
-/// unchanged deadline by the same task (`timers_deduped`), so the hot
-/// path — a raced receive re-polled thousands of times per timeout window
-/// — arms exactly one timer instead of one per poll.
+/// The deadline is re-registered on a pending poll whenever the poll's
+/// waker differs from the one the armed timer wakes — a one-shot
+/// registration would go stale if the future is later polled through a
+/// different waker, and the timeout would wake the wrong task. A re-poll
+/// through the same waker (`Waker::will_wake`) is the hot path — a raced
+/// receive re-polled thousands of times per timeout window — and arms
+/// nothing: the armed timer still delivers the identical wake-up, and the
+/// skipped registration is counted in `timers_deduped`.
 pub async fn with_deadline<F: Future>(sim: &Sim, deadline: Cycles, fut: F) -> Option<F::Output> {
-    let mut fut = Box::pin(fut);
+    let mut fut = std::pin::pin!(fut);
     let sim = sim.clone();
+    let mut armed: Option<Waker> = None;
     std::future::poll_fn(move |cx| {
         if let Poll::Ready(v) = fut.as_mut().poll(cx) {
             return Poll::Ready(Some(v));
@@ -38,7 +40,13 @@ pub async fn with_deadline<F: Future>(sim: &Sim, deadline: Cycles, fut: F) -> Op
         if now >= deadline {
             return Poll::Ready(None);
         }
-        sim.schedule_wake(deadline - now, cx.waker().clone());
+        match &armed {
+            Some(w) if w.will_wake(cx.waker()) => sim.note_timer_deduped(),
+            _ => {
+                sim.schedule_wake(deadline - now, cx.waker().clone());
+                armed = Some(cx.waker().clone());
+            }
+        }
         Poll::Pending
     })
     .await
@@ -48,7 +56,7 @@ pub async fn with_deadline<F: Future>(sim: &Sim, deadline: Cycles, fut: F) -> Op
 mod tests {
     use super::*;
     use crate::{Notify, SimState};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     #[test]
@@ -92,6 +100,46 @@ mod tests {
         assert_eq!(sim.now(), Cycles::new(50));
         // The loser deregistered itself: no leaked waiter.
         assert_eq!(notify.waiter_count(), 0);
+    }
+
+    #[test]
+    fn rearms_when_polled_through_a_different_waker() {
+        // The race is polled once by `first`, which then finishes, and is
+        // awaited to the end by `second`. The timer armed with `first`'s
+        // waker wakes a dead task; only the re-registration with
+        // `second`'s waker gets the timeout delivered.
+        type Race = std::pin::Pin<Box<dyn Future<Output = Option<()>>>>;
+        let sim = Sim::new();
+        let race: Rc<RefCell<Option<Race>>> = {
+            let sim2 = sim.clone();
+            let fut = async move {
+                with_deadline(&sim2, Cycles::new(100), std::future::pending::<()>()).await
+            };
+            Rc::new(RefCell::new(Some(Box::pin(fut))))
+        };
+        {
+            let race = race.clone();
+            sim.spawn("first", async move {
+                std::future::poll_fn(|cx| {
+                    let mut slot = race.borrow_mut();
+                    let pending = slot.as_mut().expect("race").as_mut().poll(cx).is_pending();
+                    assert!(pending);
+                    Poll::Ready(())
+                })
+                .await;
+            });
+        }
+        let out = Rc::new(Cell::new(None));
+        {
+            let (sim2, out) = (sim.clone(), out.clone());
+            sim.spawn("second", async move {
+                sim2.sleep(Cycles::new(10)).await;
+                let fut = race.borrow_mut().take().expect("race");
+                out.set(Some((fut.await, sim2.now())));
+            });
+        }
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(out.get(), Some((None, Cycles::new(100))));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -15,6 +15,7 @@ use m3_base::cycles::Cycles;
 use m3_trace::{Component, Event, EventKind, Metrics, Recorder};
 
 use crate::gauges;
+use crate::name::TaskName;
 use crate::stats::Stats;
 
 /// A slot-plus-generation task handle.
@@ -70,12 +71,26 @@ impl Wake for TaskWaker {
 }
 
 struct Task {
-    /// Interned once at spawn; trace events and stall reports clone the
-    /// `Rc`, not the characters.
-    name: Rc<str>,
-    future: BoxFuture,
+    name: TaskName,
+    /// `name` rendered for trace events: filled at spawn when tracing is on
+    /// (or at the first traced event after it), then shared by every event.
+    traced: Option<Rc<str>>,
+    /// The future and the waker built for it at spawn. The poll moves both
+    /// out of the slot and back, so polling neither allocates nor touches
+    /// the waker's reference count. `None` only while the task is polled.
+    run: Option<(BoxFuture, Waker)>,
+    /// The waker's shared state, kept to clear its `queued` flag per poll.
     waker_state: Arc<TaskWaker>,
     daemon: bool,
+}
+
+impl Task {
+    /// The name trace events carry, rendered at most once per task.
+    fn trace_name(&mut self) -> Rc<str> {
+        self.traced
+            .get_or_insert_with(|| self.name.render())
+            .clone()
+    }
 }
 
 /// One slab slot: the current generation plus the task occupying it (if
@@ -111,13 +126,11 @@ struct Inner {
     /// `BinaryHeap` a min-heap; the sequence number keeps same-cycle events in
     /// scheduling order, which is what makes runs deterministic.
     timers: BinaryHeap<Reverse<(Cycles, u64, TimerEntry)>>,
-    /// Mirror of the heap for deduplication: every armed deadline maps to
-    /// the wakers registered at it. A re-registration of an *unchanged*
-    /// deadline by the same task (`Waker::will_wake`) is dropped — the
-    /// armed entry will deliver the identical wake, so skipping the push is
-    /// behavior-preserving while keeping the heap (and `timers_scheduled`)
-    /// from ballooning under deadline-racing loops.
-    armed: BTreeMap<Cycles, Vec<Waker>>,
+    /// The batch the run loops poll: the ready queue is swapped into it
+    /// under one lock, and wake-ups issued while it is polled land behind
+    /// it in the (now empty) queue, so FIFO order is that of a one-by-one
+    /// drain. Kept here so its allocation is reused.
+    batch: VecDeque<TaskId>,
     stats: Stats,
     /// Host-side gauges, merged into [`gauges`] after every run/settle call
     /// and on drop. `reported` remembers what was already contributed so
@@ -136,41 +149,22 @@ impl Inner {
     /// number. Both the initial registration and the re-queue paths (limit
     /// reached in `run_inner`, slack exceeded in `settle`) go through here,
     /// so the (deadline, sequence) ordering semantics cannot drift apart.
-    /// The dedupe mirror is kept in sync: `armed` only ever names wakers
-    /// that have a live heap entry.
     fn push_timer(&mut self, deadline: Cycles, entry: TimerEntry) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.armed
-            .entry(deadline)
-            .or_default()
-            .push(entry.0.clone());
         self.timers.push(Reverse((deadline, seq, entry)));
         self.peak_timers = self.peak_timers.max(self.timers.len() as u64);
     }
 
-    /// Pops the earliest timer entry, removing it from the dedupe mirror.
+    /// Pops the earliest timer entry.
     fn pop_timer(&mut self) -> Option<(Cycles, u64, TimerEntry)> {
-        let Reverse((deadline, seq, entry)) = self.timers.pop()?;
-        if let Some(wakers) = self.armed.get_mut(&deadline) {
-            if let Some(pos) = wakers.iter().position(|w| w.will_wake(&entry.0)) {
-                wakers.swap_remove(pos);
-            }
-            if wakers.is_empty() {
-                self.armed.remove(&deadline);
-            }
-        }
-        Some((deadline, seq, entry))
+        self.timers.pop().map(|Reverse(entry)| entry)
     }
 
-    /// Whether a timer for the same task is already armed at `deadline`.
-    /// Firing that entry wakes the task exactly like the new registration
-    /// would (wake-ups between polls are deduplicated anyway), so the
-    /// duplicate push can be skipped without changing any schedule.
-    fn already_armed(&self, deadline: Cycles, waker: &Waker) -> bool {
-        self.armed
-            .get(&deadline)
-            .is_some_and(|ws| ws.iter().any(|w| w.will_wake(waker)))
+    /// Registers a new timer that wakes `waker` at `deadline`.
+    fn arm(&mut self, deadline: Cycles, waker: Waker) {
+        self.timers_scheduled += 1;
+        self.push_timer(deadline, TimerEntry(waker));
     }
 
     /// The earliest moment something can happen: `now` while tasks are
@@ -270,7 +264,7 @@ impl Sim {
                 slots: Vec::new(),
                 free: Vec::new(),
                 timers: BinaryHeap::new(),
-                armed: BTreeMap::new(),
+                batch: VecDeque::new(),
                 stats: Stats::new(),
                 spawned: 0,
                 polls: 0,
@@ -323,32 +317,38 @@ impl Sim {
     ///
     /// The task starts in the ready queue and is first polled when the run
     /// loop next runs. `name` appears in stall diagnostics.
-    pub fn spawn<F>(&self, name: impl Into<String>, future: F) -> JoinHandle<F::Output>
+    pub fn spawn<F>(&self, name: impl Into<TaskName>, future: F) -> JoinHandle<F::Output>
     where
         F: Future + 'static,
         F::Output: 'static,
     {
-        self.spawn_inner(name, future, false)
+        self.spawn_joinable(name.into(), future, false)
     }
 
     /// Spawns a *daemon* task: one that serves others forever (the kernel's
     /// syscall loop, a filesystem service) and does not keep the simulation
     /// alive. [`Sim::run`] returns [`SimState::Finished`] once only daemons
     /// remain.
-    pub fn spawn_daemon<F>(&self, name: impl Into<String>, future: F) -> JoinHandle<F::Output>
+    pub fn spawn_daemon<F>(&self, name: impl Into<TaskName>, future: F) -> JoinHandle<F::Output>
     where
         F: Future + 'static,
         F::Output: 'static,
     {
-        self.spawn_inner(name, future, true)
+        self.spawn_joinable(name.into(), future, true)
     }
 
-    fn spawn_inner<F>(
-        &self,
-        name: impl Into<String>,
-        future: F,
-        daemon: bool,
-    ) -> JoinHandle<F::Output>
+    /// Spawns a fire-and-forget task: like [`Sim::spawn`], but nothing can
+    /// join it, so it gets no result slot and no completion notification.
+    /// For the per-event tasks of hot paths (a DTU message delivery, a
+    /// credit refill).
+    pub fn spawn_detached<F>(&self, name: impl Into<TaskName>, future: F)
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        self.spawn_task(name.into(), Box::pin(future), false);
+    }
+
+    fn spawn_joinable<F>(&self, name: TaskName, future: F, daemon: bool) -> JoinHandle<F::Output>
     where
         F: Future + 'static,
         F::Output: 'static,
@@ -364,8 +364,11 @@ impl Sim {
             *slot.borrow_mut() = Some(out);
             done.notify_all();
         };
-        let name: Rc<str> = Rc::from(name.into());
+        self.spawn_task(name, Box::pin(wrapped), daemon);
+        handle
+    }
 
+    fn spawn_task(&self, name: TaskName, future: BoxFuture, daemon: bool) {
         let mut inner = self.inner.borrow_mut();
         let idx = match inner.free.pop() {
             Some(idx) => idx,
@@ -383,18 +386,13 @@ impl Sim {
             ready: self.ready.clone(),
             queued: AtomicBool::new(true), // starts queued
         });
-        inner.slots[idx as usize].task = Some(Task {
-            name: name.clone(),
-            future: Box::pin(wrapped),
+        let mut task = Task {
+            name,
+            traced: None,
+            run: Some((future, Waker::from(waker_state.clone()))),
             waker_state,
             daemon,
-        });
-        if !daemon {
-            inner.live_regular += 1;
-        }
-        inner.spawned += 1;
-        let live = inner.live_tasks();
-        inner.peak_tasks = inner.peak_tasks.max(live);
+        };
         let at = inner.now;
         self.recorder.record_with(|| Event {
             at,
@@ -402,32 +400,36 @@ impl Sim {
             pe: None,
             comp: Component::Sched,
             kind: EventKind::TaskSpawn {
-                name: name.clone(),
+                name: task.trace_name(),
                 daemon,
             },
         });
+        inner.slots[idx as usize].task = Some(task);
+        if !daemon {
+            inner.live_regular += 1;
+        }
+        inner.spawned += 1;
+        let live = inner.live_tasks();
+        inner.peak_tasks = inner.peak_tasks.max(live);
         drop(inner);
         self.ready.lock().push_back(id);
-        handle
     }
 
     /// Registers `waker` to fire `delay` cycles from now.
     ///
-    /// Re-registering an unchanged deadline for the same task is free: the
-    /// already-armed entry delivers the identical wake-up, so the duplicate
-    /// is counted in `timers_deduped` and dropped instead of growing the
-    /// heap (deadline-racing loops — `with_deadline` retries against a
-    /// fixed deadline, watchdogs re-arming their detection point — would
-    /// otherwise re-push the same timer every iteration).
+    /// Every call arms a new timer (counted in `timers_scheduled`); a caller
+    /// that re-registers an unchanged deadline dedupes itself, as
+    /// [`crate::with_deadline`] does.
     pub fn schedule_wake(&self, delay: Cycles, waker: Waker) {
         let mut inner = self.inner.borrow_mut();
         let deadline = inner.now + delay;
-        if inner.already_armed(deadline, &waker) {
-            inner.timers_deduped += 1;
-            return;
-        }
-        inner.timers_scheduled += 1;
-        inner.push_timer(deadline, TimerEntry(waker));
+        inner.arm(deadline, waker);
+    }
+
+    /// Counts a timer registration a caller skipped because the timer it
+    /// armed earlier still delivers the same wake-up.
+    pub(crate) fn note_timer_deduped(&self) {
+        self.inner.borrow_mut().timers_deduped += 1;
     }
 
     /// Suspends the calling task for `delay` simulated cycles.
@@ -436,7 +438,7 @@ impl Sim {
     /// chance to run (analogous to a delta cycle in SystemC).
     pub fn sleep(&self, delay: Cycles) -> Sleep {
         Sleep {
-            sim: self.clone(),
+            inner: self.inner.clone(),
             delay,
             deadline: None,
         }
@@ -515,11 +517,7 @@ impl Sim {
     /// all-islands-finished decision.
     pub fn run_window(&self, end: Cycles) {
         loop {
-            loop {
-                let next = self.ready.lock().pop_front();
-                let Some(id) = next else { break };
-                self.poll_task(id);
-            }
+            self.drain_ready();
             let mut inner = self.inner.borrow_mut();
             match inner.timers.peek() {
                 Some(Reverse((deadline, _, _))) if *deadline <= end => {}
@@ -564,11 +562,7 @@ impl Sim {
     fn settle_inner(&self, slack: Cycles) {
         let limit = self.now() + slack;
         loop {
-            loop {
-                let next = self.ready.lock().pop_front();
-                let Some(id) = next else { break };
-                self.poll_task(id);
-            }
+            self.drain_ready();
             let mut inner = self.inner.borrow_mut();
             let Some((deadline, _, entry)) = inner.pop_timer() else {
                 return;
@@ -583,9 +577,28 @@ impl Sim {
         }
     }
 
+    /// Polls ready tasks until the queue stays empty. Each round swaps the
+    /// whole queue into the batch under one lock; tasks woken meanwhile
+    /// queue up behind the batch, exactly where a one-at-a-time drain
+    /// would have found them.
+    fn drain_ready(&self) {
+        let mut batch = std::mem::take(&mut self.inner.borrow_mut().batch);
+        loop {
+            std::mem::swap(&mut *self.ready.lock(), &mut batch);
+            if batch.is_empty() {
+                break;
+            }
+            for id in batch.drain(..) {
+                self.poll_task(id);
+            }
+        }
+        self.inner.borrow_mut().batch = batch;
+    }
+
     fn poll_task(&self, id: TaskId) {
         let (mut future, waker) = {
-            let mut inner = self.inner.borrow_mut();
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
             let Some(slot) = inner.slots.get_mut(id.slot as usize) else {
                 return;
             };
@@ -598,10 +611,10 @@ impl Sim {
             let Some(task) = slot.task.as_mut() else {
                 return;
             };
+            let Some(run) = task.run.take() else {
+                return;
+            };
             task.waker_state.queued.store(false, Ordering::Relaxed);
-            let fut = std::mem::replace(&mut task.future, Box::pin(async {}));
-            let name = task.name.clone();
-            let waker = Waker::from(task.waker_state.clone());
             inner.polls += 1;
             let at = inner.now;
             self.recorder.record_with(|| Event {
@@ -609,41 +622,43 @@ impl Sim {
                 dur: Cycles::ZERO,
                 pe: None,
                 comp: Component::Sched,
-                kind: EventKind::TaskPoll { name },
+                kind: EventKind::TaskPoll {
+                    name: task.trace_name(),
+                },
             });
-            (fut, waker)
+            run
         };
         let mut cx = Context::from_waker(&waker);
-        match future.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                let mut inner = self.inner.borrow_mut();
-                let slot = &mut inner.slots[id.slot as usize];
-                if let Some(task) = slot.task.take() {
-                    slot.gen = slot.gen.wrapping_add(1);
-                    inner.free.push(id.slot);
-                    if !task.daemon {
-                        inner.live_regular -= 1;
-                    }
-                    let at = inner.now;
-                    self.recorder.record_with(|| Event {
-                        at,
-                        dur: Cycles::ZERO,
-                        pe: None,
-                        comp: Component::Sched,
-                        kind: EventKind::TaskComplete { name: task.name },
-                    });
-                }
+        if future.as_mut().poll(&mut cx).is_pending() {
+            if let Some(task) = self.inner.borrow_mut().slots[id.slot as usize]
+                .task
+                .as_mut()
+            {
+                task.run = Some((future, waker));
             }
-            Poll::Pending => {
-                let mut inner = self.inner.borrow_mut();
-                if let Some(slot) = inner.slots.get_mut(id.slot as usize) {
-                    if slot.gen == id.gen {
-                        if let Some(task) = slot.task.as_mut() {
-                            task.future = future;
-                        }
-                    }
-                }
+            return;
+        }
+        // Dropped before the borrow below: a future's destructor may call
+        // back into the simulation.
+        drop((future, waker));
+        let mut inner = self.inner.borrow_mut();
+        let slot = &mut inner.slots[id.slot as usize];
+        if let Some(mut task) = slot.task.take() {
+            slot.gen = slot.gen.wrapping_add(1);
+            inner.free.push(id.slot);
+            if !task.daemon {
+                inner.live_regular -= 1;
             }
+            let at = inner.now;
+            self.recorder.record_with(|| Event {
+                at,
+                dur: Cycles::ZERO,
+                pe: None,
+                comp: Component::Sched,
+                kind: EventKind::TaskComplete {
+                    name: task.trace_name(),
+                },
+            });
         }
     }
 
@@ -656,11 +671,7 @@ impl Sim {
     fn run_loop(&self, limit: Option<Cycles>) -> SimState {
         loop {
             // Drain the ready queue first: all work at the current instant.
-            loop {
-                let next = self.ready.lock().pop_front();
-                let Some(id) = next else { break };
-                self.poll_task(id);
-            }
+            self.drain_ready();
 
             // No task is runnable: advance the clock to the next timer.
             let mut inner = self.inner.borrow_mut();
@@ -713,12 +724,21 @@ impl Sim {
 /// again": a spurious wake-up (e.g. through a cloned waker) before the
 /// deadline leaves the sleep pending, and the originally registered timer
 /// still completes it at the right cycle.
-#[derive(Debug)]
 pub struct Sleep {
-    sim: Sim,
+    /// The executor state only (clock and timer wheel), not a whole [`Sim`].
+    inner: Rc<RefCell<Inner>>,
     delay: Cycles,
     /// Set on first poll, when the timer is registered.
     deadline: Option<Cycles>,
+}
+
+impl fmt::Debug for Sleep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Sleep")
+            .field("delay", &self.delay)
+            .field("deadline", &self.deadline)
+            .finish()
+    }
 }
 
 impl Future for Sleep {
@@ -727,7 +747,7 @@ impl Future for Sleep {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         match self.deadline {
             Some(deadline) => {
-                if self.sim.now() >= deadline {
+                if self.inner.borrow().now >= deadline {
                     Poll::Ready(())
                 } else {
                     // Woken early: the registered timer is still pending and
@@ -736,10 +756,13 @@ impl Future for Sleep {
                 }
             }
             None => {
-                let delay = self.delay;
-                let deadline = self.sim.now() + delay;
+                let deadline = {
+                    let mut inner = self.inner.borrow_mut();
+                    let deadline = inner.now + self.delay;
+                    inner.arm(deadline, cx.waker().clone());
+                    deadline
+                };
                 self.deadline = Some(deadline);
-                self.sim.schedule_wake(delay, cx.waker().clone());
                 Poll::Pending
             }
         }
@@ -1144,6 +1167,144 @@ mod tests {
         assert_eq!(inner.free.len(), 1000);
         assert_eq!(inner.peak_tasks, 1000);
         assert!(inner.peak_timers > 0);
+    }
+
+    /// A never-finishing task body that logs every poll, publishes its
+    /// waker under its name, and on its `n`-th poll wakes the tasks the
+    /// script lists for `(name, n)`, in order.
+    struct Probe {
+        name: &'static str,
+        polls: usize,
+        script: &'static [(&'static str, usize, &'static [&'static str])],
+        wakers: Rc<RefCell<Vec<(&'static str, Waker)>>>,
+        log: Rc<RefCell<Vec<&'static str>>>,
+    }
+
+    impl Future for Probe {
+        type Output = ();
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let this = self.get_mut();
+            this.log.borrow_mut().push(this.name);
+            let mut wakers = this.wakers.borrow_mut();
+            wakers.retain(|(n, _)| *n != this.name);
+            wakers.push((this.name, cx.waker().clone()));
+            for (_, _, targets) in this
+                .script
+                .iter()
+                .filter(|(n, k, _)| *n == this.name && *k == this.polls)
+            {
+                for target in *targets {
+                    let (_, w) = wakers.iter().find(|(n, _)| n == target).expect("parked");
+                    w.wake_by_ref();
+                }
+            }
+            this.polls += 1;
+            Poll::Pending
+        }
+    }
+
+    /// Spawns one [`Probe`] per name, in order, runs the simulation and
+    /// returns the poll log.
+    fn probe_run(
+        names: &[&'static str],
+        script: &'static [(&'static str, usize, &'static [&'static str])],
+    ) -> Vec<&'static str> {
+        let sim = Sim::new();
+        let wakers = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for &name in names {
+            let probe = Probe {
+                name,
+                polls: 0,
+                script,
+                wakers: wakers.clone(),
+                log: log.clone(),
+            };
+            sim.spawn(name, probe);
+        }
+        assert!(matches!(sim.run(), SimState::Stalled(_)));
+        let out = log.borrow().clone();
+        out
+    }
+
+    #[test]
+    fn mid_batch_wakes_run_after_the_batch_in_wake_order() {
+        // The first batch is [X, Y, A, B, C]; A wakes Y, then X. Both
+        // were polled already, so they queue behind the batch: B and C
+        // still run first, then Y before X.
+        let log = probe_run(&["X", "Y", "A", "B", "C"], &[("A", 0, &["Y", "X"])]);
+        assert_eq!(log, ["X", "Y", "A", "B", "C", "Y", "X"]);
+    }
+
+    #[test]
+    fn task_woken_again_inside_its_batch_is_polled_once_more_behind_it() {
+        // D, polled last in the first batch, wakes A, X, B: the second
+        // batch is [A, X, B]. A wakes X while X still waits in that batch
+        // (no extra poll: it is queued already); B wakes X after X's poll,
+        // so X runs once more, behind the batch.
+        let log = probe_run(
+            &["A", "X", "B", "D"],
+            &[
+                ("D", 0, &["A", "X", "B"]),
+                ("A", 1, &["X"]),
+                ("B", 1, &["X"]),
+            ],
+        );
+        assert_eq!(log, ["A", "X", "B", "D", "A", "X", "B", "X"]);
+    }
+
+    #[test]
+    fn detached_tasks_run_and_keep_the_sim_alive() {
+        let sim = Sim::new();
+        sim.enable_trace();
+        let hit = Rc::new(Cell::new(None));
+        {
+            let (sim2, hit) = (sim.clone(), hit.clone());
+            sim.spawn_detached(TaskName::numbered("detached-", 7), async move {
+                sim2.sleep(Cycles::new(30)).await;
+                hit.set(Some(sim2.now()));
+            });
+        }
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(hit.get(), Some(Cycles::new(30)));
+        let names: Vec<String> = sim.trace().iter().map(Event::display_name).collect();
+        assert_eq!(
+            names,
+            [
+                "spawn:detached-7",
+                "poll:detached-7",
+                "advance",
+                "poll:detached-7",
+                "done:detached-7"
+            ]
+        );
+    }
+
+    #[test]
+    fn trace_names_are_rendered_once_per_task() {
+        let sim = Sim::new();
+        sim.enable_trace();
+        sim.spawn(TaskName::numbered("t-", 1), {
+            let sim = sim.clone();
+            async move {
+                sim.sleep(Cycles::new(5)).await;
+            }
+        });
+        sim.run();
+        let names: Vec<Rc<str>> = sim
+            .trace()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::TaskSpawn { name, .. }
+                | EventKind::TaskPoll { name }
+                | EventKind::TaskComplete { name } => Some(name),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(names.len(), 4);
+        assert!(names.iter().all(|n| Rc::ptr_eq(n, &names[0])));
+        assert_eq!(&*names[0], "t-1");
     }
 
     use std::cell::Cell;

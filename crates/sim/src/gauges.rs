@@ -26,9 +26,9 @@ pub struct Gauges {
     pub task_polls: u64,
     /// Total timers registered.
     pub timers_scheduled: u64,
-    /// Timer registrations skipped because an identical (deadline, waker)
-    /// entry was already armed — churn the dedupe in
-    /// [`crate::Sim::schedule_wake`] absorbed.
+    /// Deadline re-registrations skipped because the timer already armed
+    /// for the same deadline wakes the same task — churn the dedupe in
+    /// [`crate::with_deadline`] absorbed.
     pub timers_deduped: u64,
     /// Highest number of concurrently live tasks in any single `Sim`.
     pub peak_live_tasks: u64,

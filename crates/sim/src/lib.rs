@@ -30,6 +30,7 @@ mod channel;
 mod deadline;
 mod executor;
 pub mod gauges;
+mod name;
 mod notify;
 pub mod pdes;
 mod stats;
@@ -40,5 +41,6 @@ pub use executor::{JoinHandle, Sim, SimState};
 pub use m3_trace::{
     keys, Component, Event, EventKind, Histogram, LatencyHistogram, Metrics, Recorder,
 };
+pub use name::TaskName;
 pub use notify::Notify;
 pub use stats::{StatHandle, Stats};
