@@ -11,7 +11,7 @@ use m3_base::{Cycles, EpId, PeId, Perm, SelId, VpeId};
 use m3_dtu::{Dtu, EpConfig, KernelToken, Message};
 use m3_platform::{PeType, Platform};
 use m3_sched::{Admission, Removal, Scheduler};
-use m3_sim::{Component, Event, EventKind, Notify, Sim, TaskName};
+use m3_sim::{Component, Event, EventKind, LazyStat, Notify, Sim, TaskName};
 use m3_vm::{AddrSpaceObj, FaultKind, SwapRegion};
 
 use crate::cap::{
@@ -208,6 +208,29 @@ pub struct Kernel {
     /// Sharded-multikernel context (§7), set by [`Kernel::set_shard`];
     /// `None` for a standalone kernel.
     shard: Rc<RefCell<Option<Rc<ShardCtx>>>>,
+    counters: Rc<Counters>,
+}
+
+/// The kernel's per-operation counters in the simulation's `Stats` bag.
+struct Counters {
+    syscalls: LazyStat,
+    ktk_requests: LazyStat,
+    page_faults: LazyStat,
+    vpe_exits: LazyStat,
+    remote_placements: LazyStat,
+}
+
+impl Counters {
+    fn new(sim: &Sim) -> Counters {
+        let stats = sim.stats();
+        Counters {
+            syscalls: LazyStat::new(&stats, "kernel.syscalls"),
+            ktk_requests: LazyStat::new(&stats, "kernel.ktk_requests"),
+            page_faults: LazyStat::new(&stats, "kernel.page_faults"),
+            vpe_exits: LazyStat::new(&stats, "kernel.vpe_exits"),
+            remote_placements: LazyStat::new(&stats, "kernel.remote_placements"),
+        }
+    }
 }
 
 impl std::fmt::Debug for Kernel {
@@ -336,6 +359,7 @@ impl Kernel {
             pinned: Rc::new(RefCell::new(BTreeSet::new())),
             resumed_at: Rc::new(RefCell::new(BTreeMap::new())),
             shard: Rc::new(RefCell::new(None)),
+            counters: Rc::new(Counters::new(&sim)),
         };
 
         let k = kernel.clone();
@@ -559,7 +583,7 @@ impl Kernel {
             // Free the slot right away; the reply info lives in `msg`.
             let _ = self.dtu.ack(keps::SYSC);
             self.sim.sleep(costs::DISPATCH).await;
-            self.sim.stats().incr("kernel.syscalls");
+            self.counters.syscalls.incr();
             // Per-kernel-PE operation counter: local syscalls here, plus
             // ktk requests served for peers in `ktk_deliver` — so a sharded
             // multikernel's throughput sums per shard (fig10).
@@ -1706,7 +1730,7 @@ impl Kernel {
         aspace.map(page, frame, Perm::RW, Some(dst));
         aspace.touch(page, write);
         let perm = aspace.entry(page).map_or(Perm::RW, |e| e.perm);
-        self.sim.stats().incr("kernel.page_faults");
+        self.counters.page_faults.incr();
         self.sim.metrics().incr(pe, m3_sim::keys::PAGE_FAULTS);
         let now = self.sim.now();
         self.sim.tracer().record_with(|| Event {
@@ -1999,7 +2023,7 @@ impl Kernel {
             }
         }
         vpe_obj.borrow().exited.notify_all();
-        self.sim.stats().incr("kernel.vpe_exits");
+        self.counters.vpe_exits.incr();
     }
 
     fn handle_exit(&self, caller: VpeId, code: i64) {
@@ -2269,8 +2293,8 @@ impl Kernel {
                     },
                 });
                 let k = self.clone();
-                let name = format!("ktk-{}@{}", msg.name(), self.pe);
-                self.sim.spawn(name, async move {
+                let name = TaskName::tagged("ktk-", msg.name(), "@PE", self.pe.raw().into());
+                self.sim.spawn_detached(name, async move {
                     k.ktk_handle(&ctx, src, msg).await;
                 });
             }
@@ -2282,7 +2306,7 @@ impl Kernel {
     /// (unless fire-and-forget).
     async fn ktk_handle(&self, ctx: &Rc<ShardCtx>, src: u32, msg: KtkMsg) {
         self.sim.sleep(costs::KTK_DISPATCH).await;
-        self.sim.stats().incr("kernel.ktk_requests");
+        self.counters.ktk_requests.incr();
         self.sim.metrics().incr(self.pe, m3_sim::keys::KERNEL_OPS);
         let outcome = match msg {
             KtkMsg::PlaceVpe { req_id, name, want } => {
@@ -2578,7 +2602,7 @@ impl Kernel {
                         self.ktk_send(ctx, peer, &KtkMsg::RevokeVpe { vpe: vpe_raw });
                         return Err(e);
                     }
-                    self.sim.stats().incr("kernel.remote_placements");
+                    self.counters.remote_placements.incr();
                     let mut os = OStream::new();
                     os.push_u32(vpe_raw).push_u32(pe.raw());
                     return Ok(os.into_bytes());

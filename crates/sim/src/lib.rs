@@ -43,4 +43,4 @@ pub use m3_trace::{
 };
 pub use name::TaskName;
 pub use notify::Notify;
-pub use stats::{StatHandle, Stats};
+pub use stats::{LazyStat, StatHandle, Stats};

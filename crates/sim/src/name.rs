@@ -7,7 +7,7 @@ use std::rc::Rc;
 /// reports.
 ///
 /// Hot paths spawn a task per event (one per DTU delivery, one per blocking
-/// syscall), so a name is kept in its parts — a static prefix and up to two
+/// syscall), so a name is kept in its parts — static strings and up to two
 /// numbers — and formatted only when a trace or a stall report shows it.
 /// Names built any other way (a `String`) are interned once.
 ///
@@ -18,6 +18,7 @@ use std::rc::Rc;
 ///
 /// assert_eq!(TaskName::numbered("dtu-deliver-", 7).to_string(), "dtu-deliver-7");
 /// assert_eq!(TaskName::pair("ktk-wire-PE", 1, "-PE", 2).to_string(), "ktk-wire-PE1-PE2");
+/// assert_eq!(TaskName::tagged("ktk-", "place_vpe", "@PE", 3).to_string(), "ktk-place_vpe@PE3");
 /// assert_eq!(TaskName::from("worker").to_string(), "worker");
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -30,6 +31,8 @@ enum Repr {
     Numbered(&'static str, u64),
     /// `{prefix}{a}{sep}{b}`.
     Pair(&'static str, u64, &'static str, u64),
+    /// `{prefix}{tag}{sep}{n}`.
+    Tagged(&'static str, &'static str, &'static str, u64),
     Interned(Rc<str>),
 }
 
@@ -42,6 +45,16 @@ impl TaskName {
     /// A name that renders as `{prefix}{a}{sep}{b}`.
     pub const fn pair(prefix: &'static str, a: u64, sep: &'static str, b: u64) -> TaskName {
         TaskName(Repr::Pair(prefix, a, sep, b))
+    }
+
+    /// A name that renders as `{prefix}{tag}{sep}{n}`.
+    pub const fn tagged(
+        prefix: &'static str,
+        tag: &'static str,
+        sep: &'static str,
+        n: u64,
+    ) -> TaskName {
+        TaskName(Repr::Tagged(prefix, tag, sep, n))
     }
 
     /// The rendered name as the shared string trace events carry.
@@ -59,6 +72,7 @@ impl fmt::Display for TaskName {
             Repr::Static(s) => f.write_str(s),
             Repr::Numbered(prefix, n) => write!(f, "{prefix}{n}"),
             Repr::Pair(prefix, a, sep, b) => write!(f, "{prefix}{a}{sep}{b}"),
+            Repr::Tagged(prefix, tag, sep, n) => write!(f, "{prefix}{tag}{sep}{n}"),
             Repr::Interned(s) => f.write_str(s),
         }
     }
@@ -105,6 +119,10 @@ mod tests {
             (
                 TaskName::pair("ktk-wire-PE", 12, "-PE", 0),
                 format!("ktk-wire-{}-{}", pe, PeId::new(0)),
+            ),
+            (
+                TaskName::tagged("ktk-", "delegate_cap", "@PE", 12),
+                format!("ktk-{}@{}", "delegate_cap", pe),
             ),
             (TaskName::from(format!("w{}", 9)), "w9".to_string()),
         ];

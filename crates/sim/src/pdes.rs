@@ -2,14 +2,14 @@
 //!
 //! The engine partitions a platform into *islands* — disjoint groups of
 //! PEs, each simulated by its own [`Sim`] (slab executor + timer wheel) on
-//! a worker thread — and synchronizes them in bounded time windows, the
-//! approach parti-gem5 and MGSim use for tile-based manycores. The window
-//! width comes from the *lookahead*: the minimum simulated latency of any
-//! cross-island NoC transfer (`m3_noc::IslandMap::lookahead`). Inside a
-//! window every island advances freely; events that cross a boundary are
-//! exported as timestamped [`PdesEvent`]s and delivered at the next
-//! barrier, which is always soon enough because nothing can cross the NoC
-//! faster than the lookahead.
+//! one of the run's threads — and synchronizes them in bounded time
+//! windows, the approach parti-gem5 and MGSim use for tile-based
+//! manycores. The window width comes from the *lookahead*: the minimum
+//! simulated latency of any cross-island NoC transfer
+//! (`m3_noc::IslandMap::lookahead`). Inside a window every island advances
+//! freely; events that cross a boundary are exported as timestamped
+//! [`PdesEvent`]s and delivered at the next barrier, which is always soon
+//! enough because nothing can cross the NoC faster than the lookahead.
 //!
 //! # The synchronization protocol
 //!
@@ -40,10 +40,18 @@
 //! # What lives where
 //!
 //! `Sim` is `!Send` (single-threaded by design), so island *builders* are
-//! `Send` closures shipped to the worker thread, which constructs the
-//! island there; everything crossing threads afterwards is plain data.
-//! Cross-island messages travel as bytes (see `m3_dtu::wire`) through
+//! `Send` closures shipped to the thread that will run the island, which
+//! constructs it there; everything crossing threads afterwards is plain
+//! data. Cross-island messages travel as bytes (see `m3_dtu::wire`) through
 //! numbered [`PortRx`] inboxes registered by the builder.
+//!
+//! With `workers = N` the islands split into `N` contiguous chunks. The
+//! coordinator runs on a thread of its own (never the caller's) and hosts
+//! the *last* chunk itself: each window it sends the other chunks' events
+//! to their remote worker threads, runs its own islands inline, and then
+//! collects one reply per remote worker, covering its whole chunk. A run
+//! therefore uses `N` threads, and with one worker there is no channel
+//! and no per-window thread handoff at all.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -120,8 +128,9 @@ pub struct PdesConfig {
     /// *minimum* over all island pairs or the run is not conservative;
     /// derive it with `m3_noc::IslandMap::lookahead`.
     pub lookahead: Cycles,
-    /// Worker threads; clamped to `[1, islands]`. The results are
-    /// identical for every value — this only trades wall-clock time.
+    /// Threads that run islands, the coordinator's included; clamped to
+    /// `[1, islands]`. The results are identical for every value — this
+    /// only trades wall-clock time.
     pub workers: usize,
 }
 
@@ -307,35 +316,33 @@ impl PortRx {
 }
 
 enum Command {
-    /// Run one window up to `end`, delivering `events` first (keyed by
-    /// island id, each list already in merge order).
+    /// Run one window up to `end`, delivering `events` first: one list per
+    /// island of the chunk, in chunk order, each already in merge order.
     Window {
         end: Cycles,
-        events: BTreeMap<u32, Vec<PdesEvent>>,
+        events: Vec<Vec<PdesEvent>>,
     },
     Finish,
 }
 
 struct WindowReply {
-    island: u32,
     next: Option<Cycles>,
     live: usize,
     out: Vec<PdesEvent>,
     stalled: Vec<String>,
 }
 
+/// A remote worker's answer to one [`Command`], covering its whole chunk.
 enum Reply {
-    Window(WindowReply),
-    Finished {
-        island: u32,
-        output: String,
-        stats: IslandStats,
-    },
+    /// One report per island, in chunk order.
+    Window(Vec<WindowReply>),
+    /// Each island's output and residency, in chunk order.
+    Finished(Vec<(String, IslandStats)>),
 }
 
 struct WorkerIsland {
     ctx: IslandCtx,
-    finish: Option<IslandFinish>,
+    finish: IslandFinish,
     stats: IslandStats,
 }
 
@@ -345,7 +352,6 @@ impl WorkerIsland {
         let next = sim.next_event_time();
         let live = sim.live_regular();
         WindowReply {
-            island: self.ctx.id(),
             next,
             live,
             out: self.ctx.drain_outbox(),
@@ -386,57 +392,120 @@ impl WorkerIsland {
         reply
     }
 
-    fn finish(mut self) -> Reply {
-        let output = (self.finish.take().expect("finish runs once"))(&self.ctx);
+    fn finish(mut self) -> (String, IslandStats) {
+        let output = (self.finish)(&self.ctx);
         self.stats.final_now = self.ctx.sim().now();
         self.ctx.sim().flush_gauges();
-        Reply::Finished {
-            island: self.ctx.id(),
-            output,
-            stats: self.stats,
+        (output, self.stats)
+    }
+}
+
+/// The contiguous run of islands one thread simulates — a remote worker's
+/// or the coordinator's own.
+struct Chunk {
+    islands: Vec<WorkerIsland>,
+}
+
+impl Chunk {
+    /// Builds islands `first..first + builders.len()` on the calling thread.
+    fn build(first: u32, total: u32, lookahead: Cycles, builders: Vec<IslandBuilder>) -> Chunk {
+        let islands = (first..)
+            .zip(builders)
+            .map(|(id, build)| {
+                let ctx = IslandCtx::new(id, total, lookahead);
+                let finish = build(&ctx);
+                WorkerIsland {
+                    ctx,
+                    finish,
+                    stats: IslandStats::default(),
+                }
+            })
+            .collect();
+        Chunk { islands }
+    }
+
+    /// The horizon report before any window.
+    fn report(&self) -> Vec<WindowReply> {
+        self.islands.iter().map(WorkerIsland::report).collect()
+    }
+
+    fn run_window(&mut self, end: Cycles, events: Vec<Vec<PdesEvent>>) -> Vec<WindowReply> {
+        self.islands
+            .iter_mut()
+            .zip(events)
+            .map(|(isl, evs)| isl.run_window(end, evs))
+            .collect()
+    }
+
+    fn finish(self) -> Vec<(String, IslandStats)> {
+        self.islands.into_iter().map(WorkerIsland::finish).collect()
+    }
+}
+
+/// A remote worker: reports its freshly built chunk, then answers each
+/// command with one reply until told to finish or its command channel
+/// closes (the coordinator is gone).
+fn worker(mut chunk: Chunk, commands: mpsc::Receiver<Command>, replies: mpsc::Sender<Reply>) {
+    let _ = replies.send(Reply::Window(chunk.report()));
+    while let Ok(cmd) = commands.recv() {
+        match cmd {
+            Command::Window { end, events } => {
+                let _ = replies.send(Reply::Window(chunk.run_window(end, events)));
+            }
+            Command::Finish => {
+                let _ = replies.send(Reply::Finished(chunk.finish()));
+                return;
+            }
         }
     }
 }
 
-fn worker(
-    islands_total: u32,
-    lookahead: Cycles,
-    builders: Vec<(u32, IslandBuilder)>,
-    commands: mpsc::Receiver<Command>,
-    replies: mpsc::Sender<Reply>,
-) {
-    let mut islands: Vec<WorkerIsland> = builders
-        .into_iter()
-        .map(|(id, build)| {
-            let ctx = IslandCtx::new(id, islands_total, lookahead);
-            let finish = build(&ctx);
-            WorkerIsland {
-                ctx,
-                finish: Some(finish),
-                stats: IslandStats::default(),
-            }
-        })
-        .collect();
-    // Initial horizon report, before any window.
-    for isl in &islands {
-        let _ = replies.send(Reply::Window(isl.report()));
+/// The coordinator's view of every island between windows.
+struct Horizon {
+    next: Vec<Option<Cycles>>,
+    live: Vec<usize>,
+    stalled: Vec<Vec<String>>,
+    /// Exported events not yet delivered, in merge order.
+    pending: BTreeSet<PdesEvent>,
+}
+
+impl Horizon {
+    fn new(islands: usize) -> Horizon {
+        Horizon {
+            next: vec![None; islands],
+            live: vec![0; islands],
+            stalled: vec![Vec::new(); islands],
+            pending: BTreeSet::new(),
+        }
     }
-    while let Ok(cmd) = commands.recv() {
-        match cmd {
-            Command::Window { end, mut events } => {
-                for isl in &mut islands {
-                    let evs = events.remove(&isl.ctx.id()).unwrap_or_default();
-                    let reply = isl.run_window(end, evs);
-                    let _ = replies.send(Reply::Window(reply));
+
+    /// Takes in one chunk's reports; the chunk starts at island `first`.
+    /// After a window, every exported event must lie past its `end`.
+    fn absorb(&mut self, first: u32, replies: Vec<WindowReply>, window_end: Option<Cycles>) {
+        for (i, r) in (first as usize..).zip(replies) {
+            self.next[i] = r.next;
+            self.live[i] = r.live;
+            self.stalled[i] = r.stalled;
+            for ev in r.out {
+                if let Some(end) = window_end {
+                    assert!(ev.at > end, "island {} broke lookahead", ev.src);
                 }
-            }
-            Command::Finish => {
-                for isl in islands {
-                    let _ = replies.send(isl.finish());
-                }
-                return;
+                self.pending.insert(ev);
             }
         }
+    }
+
+    /// The earliest instant any island can act, if any can.
+    fn base(&self) -> Option<Cycles> {
+        let pending = self.pending.first().map(|e| e.at);
+        self.next.iter().flatten().copied().chain(pending).min()
+    }
+}
+
+fn window_replies(rx: &mpsc::Receiver<Reply>) -> Vec<WindowReply> {
+    match rx.recv().expect("island worker died") {
+        Reply::Window(r) => r,
+        Reply::Finished(_) => unreachable!("finish not requested yet"),
     }
 }
 
@@ -458,154 +527,136 @@ pub fn run(cfg: &PdesConfig, builders: Vec<IslandBuilder>) -> PdesReport {
         "lookahead must be positive"
     );
     assert!(!builders.is_empty(), "need at least one island");
-    let islands = builders.len() as u32;
-    let workers = cfg.workers.clamp(1, builders.len());
+    // The coordinator builds and runs islands too, so it gets a thread of
+    // its own rather than the caller's: on the main thread the islands'
+    // large allocations land in the allocator's main arena, which slows
+    // set-up and raises peak RSS.
+    std::thread::scope(|scope| {
+        let coordinator = std::thread::Builder::new()
+            .name("pdes-coordinator".to_string())
+            .spawn_scoped(scope, move || coordinate(scope, cfg, builders))
+            .expect("spawn the pdes coordinator");
+        coordinator
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
 
-    // Contiguous chunks, wide chunks first (mirrors IslandMap::columns).
-    let base = builders.len() / workers;
-    let extra = builders.len() % workers;
-    let mut chunks: Vec<Vec<(u32, IslandBuilder)>> = Vec::with_capacity(workers);
-    let mut next_id = 0u32;
-    let mut rest = builders;
+/// The window loop. Islands are split into `workers` contiguous chunks,
+/// wide chunks first (mirrors `IslandMap::columns`); the last chunk runs
+/// inline on this thread, every other one on a remote worker thread.
+fn coordinate<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    cfg: &PdesConfig,
+    builders: Vec<IslandBuilder>,
+) -> PdesReport {
+    let islands = builders.len();
+    let workers = cfg.workers.clamp(1, islands);
+    let (base, extra) = (islands / workers, islands % workers);
+    // Chunk `w` holds islands `starts[w]..starts[w + 1]`.
+    let mut starts = vec![0u32];
+    let mut chunk_of = Vec::with_capacity(islands);
     for w in 0..workers {
         let take = base + usize::from(w < extra);
-        let mut chunk = Vec::with_capacity(take);
-        for b in rest.drain(..take) {
-            chunk.push((next_id, b));
-            next_id += 1;
-        }
-        chunks.push(chunk);
+        chunk_of.extend(std::iter::repeat_n(w, take));
+        starts.push(starts[w] + take as u32);
     }
+    let own = workers - 1;
 
-    let mut island_thread: Vec<usize> = Vec::with_capacity(islands as usize);
-    let mut thread_islands: Vec<usize> = Vec::with_capacity(workers);
-    for (t, chunk) in chunks.iter().enumerate() {
-        island_thread.extend(std::iter::repeat_n(t, chunk.len()));
-        thread_islands.push(chunk.len());
+    let mut builders = builders.into_iter();
+    // One reply channel per worker: a worker that dies (panic in an
+    // island) closes its channel, so the coordinator fails fast instead
+    // of waiting forever on a channel the healthy workers keep open.
+    let mut remotes = Vec::with_capacity(own);
+    for w in 0..own {
+        let len = (starts[w + 1] - starts[w]) as usize;
+        let chunk: Vec<IslandBuilder> = builders.by_ref().take(len).collect();
+        let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
+        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+        let (first, total, lookahead) = (starts[w], islands as u32, cfg.lookahead);
+        std::thread::Builder::new()
+            .name(format!("pdes-worker-{w}"))
+            .spawn_scoped(scope, move || {
+                worker(
+                    Chunk::build(first, total, lookahead, chunk),
+                    cmd_rx,
+                    reply_tx,
+                )
+            })
+            .expect("spawn a pdes worker");
+        remotes.push((cmd_tx, reply_rx));
     }
+    let mut local = Chunk::build(
+        starts[own],
+        islands as u32,
+        cfg.lookahead,
+        builders.collect(),
+    );
 
-    std::thread::scope(|scope| {
-        let mut cmd_txs = Vec::with_capacity(workers);
-        // One reply channel per worker: a worker that dies (panic in an
-        // island) closes its channel, so the coordinator fails fast
-        // instead of waiting forever on a shared channel the healthy
-        // workers keep open.
-        let mut reply_rxs = Vec::with_capacity(workers);
-        for chunk in chunks {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-            let lookahead = cfg.lookahead;
-            scope.spawn(move || worker(islands, lookahead, chunk, cmd_rx, reply_tx));
-            cmd_txs.push(cmd_tx);
-            reply_rxs.push(reply_rx);
-        }
+    let mut horizon = Horizon::new(islands);
+    for (w, (_, rx)) in remotes.iter().enumerate() {
+        horizon.absorb(starts[w], window_replies(rx), None);
+    }
+    horizon.absorb(starts[own], local.report(), None);
 
-        let mut next: Vec<Option<Cycles>> = vec![None; islands as usize];
-        let mut live: Vec<usize> = vec![0; islands as usize];
-        let mut stalled: Vec<Vec<String>> = vec![Vec::new(); islands as usize];
-        let mut pending: BTreeSet<PdesEvent> = BTreeSet::new();
-        let mut windows = 0u64;
-        let mut delivered = 0u64;
-
-        let collect_round = |pending: &mut BTreeSet<PdesEvent>,
-                             next: &mut Vec<Option<Cycles>>,
-                             live: &mut Vec<usize>,
-                             stalled: &mut Vec<Vec<String>>,
-                             window_end: Option<Cycles>| {
-            for (rx, count) in reply_rxs.iter().zip(&thread_islands) {
-                for _ in 0..*count {
-                    match rx.recv().expect("island worker died") {
-                        Reply::Window(r) => {
-                            let i = r.island as usize;
-                            next[i] = r.next;
-                            live[i] = r.live;
-                            stalled[i] = r.stalled;
-                            for ev in r.out {
-                                if let Some(end) = window_end {
-                                    assert!(ev.at > end, "island {} broke lookahead", r.island);
-                                }
-                                pending.insert(ev);
-                            }
-                        }
-                        Reply::Finished { .. } => unreachable!("finish not requested yet"),
-                    }
-                }
-            }
+    let mut windows = 0u64;
+    let mut delivered = 0u64;
+    while horizon.live.iter().any(|&l| l > 0) {
+        let Some(window_base) = horizon.base() else {
+            let names: Vec<String> = horizon.stalled.concat();
+            panic!("pdes stalled: no island can make progress; live tasks: {names:?}");
         };
+        let end = window_base + cfg.lookahead - Cycles::new(1);
 
-        collect_round(&mut pending, &mut next, &mut live, &mut stalled, None);
+        // Due events go straight to their island's slot in its chunk.
+        let mut buckets: Vec<Vec<Vec<PdesEvent>>> = starts
+            .windows(2)
+            .map(|w| vec![Vec::new(); (w[1] - w[0]) as usize])
+            .collect();
+        while horizon.pending.first().is_some_and(|e| e.at <= end) {
+            let ev = horizon.pending.pop_first().expect("checked first");
+            delivered += 1;
+            let c = chunk_of[ev.dst as usize];
+            buckets[c][(ev.dst - starts[c]) as usize].push(ev);
+        }
+        let local_events = buckets.pop().expect("the coordinator's chunk");
+        for ((tx, _), events) in remotes.iter().zip(buckets) {
+            tx.send(Command::Window { end, events })
+                .expect("island worker died");
+        }
+        let local_replies = local.run_window(end, local_events);
+        for (w, (_, rx)) in remotes.iter().enumerate() {
+            horizon.absorb(starts[w], window_replies(rx), Some(end));
+        }
+        horizon.absorb(starts[own], local_replies, Some(end));
+        windows += 1;
+    }
 
-        loop {
-            if live.iter().all(|&l| l == 0) {
-                break;
-            }
-            let mut base: Option<Cycles> = pending.first().map(|e| e.at);
-            for n in next.iter().flatten() {
-                base = Some(base.map_or(*n, |b| b.min(*n)));
-            }
-            let Some(window_base) = base else {
-                let names: Vec<String> = stalled.concat();
-                panic!("pdes stalled: no island can make progress; live tasks: {names:?}");
-            };
-            let end = window_base + cfg.lookahead - Cycles::new(1);
-
-            let mut deliveries: BTreeMap<u32, Vec<PdesEvent>> = BTreeMap::new();
-            while let Some(first) = pending.first() {
-                if first.at > end {
-                    break;
-                }
-                let ev = pending.pop_first().expect("checked first");
-                delivered += 1;
-                deliveries.entry(ev.dst).or_default().push(ev);
-            }
-            let mut per_thread: Vec<BTreeMap<u32, Vec<PdesEvent>>> =
-                (0..workers).map(|_| BTreeMap::new()).collect();
-            for (dst, evs) in deliveries {
-                per_thread[island_thread[dst as usize]].insert(dst, evs);
-            }
-            for (tx, events) in cmd_txs.iter().zip(per_thread) {
-                tx.send(Command::Window { end, events })
-                    .expect("island worker died");
-            }
-            collect_round(&mut pending, &mut next, &mut live, &mut stalled, Some(end));
-            windows += 1;
+    for (tx, _) in &remotes {
+        tx.send(Command::Finish).expect("island worker died");
+    }
+    let mut finished = Vec::with_capacity(islands);
+    for (_, rx) in &remotes {
+        match rx.recv().expect("island worker died") {
+            Reply::Finished(f) => finished.extend(f),
+            Reply::Window(_) => unreachable!("windows are all collected"),
         }
-
-        for tx in &cmd_txs {
-            tx.send(Command::Finish).expect("island worker died");
-        }
-        let mut outputs: Vec<Option<String>> = vec![None; islands as usize];
-        let mut stats: Vec<Option<IslandStats>> = vec![None; islands as usize];
-        for (rx, count) in reply_rxs.iter().zip(&thread_islands) {
-            for _ in 0..*count {
-                match rx.recv().expect("island worker died") {
-                    Reply::Finished {
-                        island,
-                        output,
-                        stats: s,
-                    } => {
-                        outputs[island as usize] = Some(output);
-                        stats[island as usize] = Some(s);
-                    }
-                    Reply::Window(_) => unreachable!("windows are all collected"),
-                }
-            }
-        }
-        let stats: Vec<IslandStats> = stats.into_iter().map(|s| s.expect("reported")).collect();
-        let end_time = stats
-            .iter()
-            .map(|s| s.final_now)
-            .max()
-            .unwrap_or(Cycles::ZERO);
-        PdesReport {
-            outputs: outputs.into_iter().map(|o| o.expect("reported")).collect(),
-            islands: stats,
-            windows,
-            events: delivered,
-            abandoned: pending.len() as u64,
-            end_time,
-        }
-    })
+    }
+    finished.extend(local.finish());
+    let (outputs, stats): (Vec<String>, Vec<IslandStats>) = finished.into_iter().unzip();
+    let end_time = stats
+        .iter()
+        .map(|s| s.final_now)
+        .max()
+        .unwrap_or(Cycles::ZERO);
+    PdesReport {
+        outputs,
+        islands: stats,
+        windows,
+        events: delivered,
+        abandoned: horizon.pending.len() as u64,
+        end_time,
+    }
 }
 
 #[cfg(test)]
@@ -786,6 +837,176 @@ mod tests {
             Box::new(|_: &IslandCtx| String::new())
         });
         run(&cfg(2), vec![bad, idle]);
+    }
+
+    type Seen = std::sync::Arc<std::sync::Mutex<Vec<Witness>>>;
+
+    /// One island's builder, window or finish closure, and the thread that
+    /// ran it.
+    #[derive(Debug)]
+    struct Witness {
+        island: u32,
+        thread: std::thread::ThreadId,
+        thread_name: Option<String>,
+    }
+
+    fn witness(seen: &Seen, island: u32) {
+        let thread = std::thread::current();
+        seen.lock().unwrap().push(Witness {
+            island,
+            thread: thread.id(),
+            thread_name: thread.name().map(str::to_string),
+        });
+    }
+
+    /// Independent islands that record their threads: in the builder, in
+    /// a task across three windows, and in the finish closure.
+    fn witnesses(islands: u32, seen: &Seen) -> Vec<IslandBuilder> {
+        (0..islands)
+            .map(|i| {
+                let seen = seen.clone();
+                Box::new(move |ctx: &IslandCtx| {
+                    witness(&seen, i);
+                    let (sim, seen2) = (ctx.sim().clone(), seen.clone());
+                    ctx.sim().spawn("witness", async move {
+                        for _ in 0..3 {
+                            witness(&seen2, i);
+                            sim.sleep(Cycles::new(10)).await;
+                        }
+                    });
+                    Box::new(move |_: &IslandCtx| {
+                        witness(&seen, i);
+                        String::new()
+                    }) as IslandFinish
+                }) as IslandBuilder
+            })
+            .collect()
+    }
+
+    fn distinct<T: PartialEq + Copy>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+        let mut out = Vec::new();
+        for item in items {
+            if !out.contains(&item) {
+                out.push(item);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_worker_runs_every_island_on_one_spawned_thread() {
+        let seen = Seen::default();
+        let report = run(&cfg(1), witnesses(3, &seen));
+        assert!(report.windows >= 3, "windows: {}", report.windows);
+        let seen = seen.lock().unwrap();
+        // Per island: builder, three window polls, finish.
+        assert_eq!(seen.len(), 3 * 5, "{seen:?}");
+        let threads = distinct(seen.iter().map(|w| w.thread));
+        assert_eq!(threads.len(), 1, "{seen:?}");
+        assert_ne!(threads[0], std::thread::current().id());
+        assert_eq!(seen[0].thread_name.as_deref(), Some("pdes-coordinator"));
+    }
+
+    #[test]
+    fn the_coordinator_hosts_the_last_chunk() {
+        let seen = Seen::default();
+        run(&cfg(3), witnesses(5, &seen));
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 5 * 5, "{seen:?}");
+        let threads = distinct(seen.iter().map(|w| w.thread));
+        assert_eq!(threads.len(), 3, "{seen:?}");
+        assert!(!threads.contains(&std::thread::current().id()));
+        // Chunks of 2, 2 and 1 islands; each island stays on one thread.
+        let thread_of = |island: u32| {
+            let on = distinct(
+                seen.iter()
+                    .filter(|w| w.island == island)
+                    .map(|w| (w.thread, w.thread_name.as_deref())),
+            );
+            assert_eq!(on.len(), 1, "island {island}: {on:?}");
+            on[0]
+        };
+        assert_eq!(thread_of(0), thread_of(1));
+        assert_eq!(thread_of(2), thread_of(3));
+        assert_eq!(thread_of(0).1, Some("pdes-worker-0"));
+        assert_eq!(thread_of(2).1, Some("pdes-worker-1"));
+        assert_eq!(thread_of(4).1, Some("pdes-coordinator"));
+    }
+
+    /// Runs `f` on a thread of its own and returns its panic message;
+    /// fails if `f` returns normally or is still running after a minute.
+    fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
+        // The sender drops when `f` returns or unwinds, whichever happens.
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let handle = std::thread::spawn(move || {
+            let _done = done_tx;
+            f();
+        });
+        if let Err(mpsc::RecvTimeoutError::Timeout) =
+            done_rx.recv_timeout(std::time::Duration::from_secs(60))
+        {
+            panic!("the run hung");
+        }
+        let payload = handle
+            .join()
+            .expect_err("expected a panic, but the run returned");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |msg| msg.to_string()),
+        }
+    }
+
+    #[test]
+    fn lookahead_violation_on_the_coordinator_keeps_its_message() {
+        let bad: IslandBuilder = Box::new(|ctx: &IslandCtx| {
+            let ctx2 = ctx.clone();
+            ctx.sim().spawn("cheater", async move {
+                ctx2.send(ctx2.lookahead() - Cycles::new(1), 1, 0, vec![]);
+            });
+            Box::new(|_: &IslandCtx| String::new())
+        });
+        let idle: IslandBuilder = Box::new(|ctx: &IslandCtx| {
+            ctx.port(0);
+            Box::new(|_: &IslandCtx| String::new())
+        });
+        let msg = panic_message(|| {
+            run(&cfg(1), vec![bad, idle]);
+        });
+        assert!(
+            msg.contains("island 0: event at 6 violates lookahead 7"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn a_coordinator_island_panic_ends_the_run_and_releases_the_worker() {
+        // Island 0, on the remote worker, would run forever; island 1, on
+        // the coordinator, panics in its third window. `run` only returns
+        // once its scope has joined every thread, so getting the panic
+        // back at all means the worker saw its command channel close.
+        let endless: IslandBuilder = Box::new(|ctx: &IslandCtx| {
+            let sim = ctx.sim().clone();
+            ctx.sim().spawn("endless", async move {
+                loop {
+                    sim.sleep(Cycles::new(5)).await;
+                }
+            });
+            Box::new(|_: &IslandCtx| String::new())
+        });
+        let doomed: IslandBuilder = Box::new(|ctx: &IslandCtx| {
+            let sim = ctx.sim().clone();
+            ctx.sim().spawn("doomed", async move {
+                sim.sleep(Cycles::new(20)).await;
+                panic!("island 1 gave up at {}", sim.now());
+            });
+            Box::new(|_: &IslandCtx| String::new())
+        });
+        let msg = panic_message(|| {
+            run(&cfg(2), vec![endless, doomed]);
+        });
+        assert_eq!(msg, "island 1 gave up at 20");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Shared statistics counters for instrumenting simulated components.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -136,6 +136,53 @@ impl fmt::Debug for Stats {
     }
 }
 
+/// One counter of a [`Stats`] bag that registers its name on its first
+/// increment and increments through a [`StatHandle`] from then on.
+///
+/// For per-operation counters that may never fire in a run: like
+/// [`Stats::incr`], the name stays absent from [`Stats::snapshot`] until
+/// the first increment, but later increments skip the name lookup.
+///
+/// # Examples
+///
+/// ```
+/// use m3_sim::{LazyStat, Stats};
+///
+/// let stats = Stats::new();
+/// let faults = LazyStat::new(&stats, "vm.faults");
+/// assert!(stats.snapshot().is_empty());
+/// faults.incr();
+/// faults.incr();
+/// assert_eq!(stats.get("vm.faults"), 2);
+/// ```
+#[derive(Debug)]
+pub struct LazyStat {
+    stats: Stats,
+    key: &'static str,
+    handle: Cell<Option<StatHandle>>,
+}
+
+impl LazyStat {
+    /// A counter named `key` in `stats`, not registered yet.
+    pub fn new(stats: &Stats, key: &'static str) -> LazyStat {
+        LazyStat {
+            stats: stats.clone(),
+            key,
+            handle: Cell::new(None),
+        }
+    }
+
+    /// Increments the counter by one, registering it first if needed.
+    pub fn incr(&self) {
+        let h = self.handle.get().unwrap_or_else(|| {
+            let h = self.stats.handle(self.key);
+            self.handle.set(Some(h));
+            h
+        });
+        self.stats.incr_handle(h);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,5 +257,21 @@ mod tests {
         stats.add_handle(h, u64::MAX - 1);
         stats.add_handle(h, 7);
         assert_eq!(stats.get("h"), u64::MAX);
+    }
+
+    #[test]
+    fn lazy_stats_register_on_first_increment() {
+        let stats = Stats::new();
+        stats.incr("a");
+        let b = LazyStat::new(&stats, "b");
+        let c = LazyStat::new(&stats, "c");
+        assert_eq!(stats.snapshot(), vec![("a".to_string(), 1)]);
+        c.incr();
+        c.incr();
+        stats.incr("c");
+        let snap = stats.snapshot();
+        assert_eq!(snap, vec![("a".to_string(), 1), ("c".to_string(), 3)]);
+        drop(b);
+        assert_eq!(stats.snapshot(), snap);
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! `with_deadline` re-registers its deadline on every pending poll — a
 //! one-shot registration would go stale if the raced future is later
-//! polled through a different waker. Without the executor's dedupe, a
-//! race whose inner future is re-polled N times before settling would
-//! push N identical `(deadline, task)` entries into the timer heap; the
-//! fig4 sweep's raced service calls are exactly this shape whenever
-//! their wait is woken spuriously. The executor now recognizes a waker
-//! already armed at the same deadline and skips the re-registration,
-//! counting it in `timers_deduped`.
+//! polled through a different waker. Without a dedupe, a race whose
+//! inner future is re-polled N times before settling would push N
+//! identical `(deadline, task)` entries into the timer heap; the fig4
+//! sweep's raced service calls are exactly this shape whenever their wait
+//! is woken spuriously. The dedupe lives in `with_deadline`: it keeps the
+//! waker it armed the deadline with and skips the re-registration while
+//! polls come through that same waker (`Waker::will_wake`), counting each
+//! skip in `timers_deduped`.
 //!
 //! The pinned scenario is a consumer racing one far deadline against a
 //! chatty producer: every item the producer posts re-polls the pending
