@@ -3567,6 +3567,169 @@ mod tests {
     }
 
     #[test]
+    fn blocking_syscalls_reject_bad_arguments_with_their_error_codes() {
+        // Each case is one early return of a handler that may block; the
+        // setup gives the root a memory gate (1), an activated receive gate
+        // (2) and a receive gate too large for the ring-buffer budget (3).
+        let (platform, _kernel, root) = boot();
+        let sim = platform.sim().clone();
+        let dtu = platform.dtu(root.pe);
+        let sel = SelId::new;
+        let activate = move |vpe, ep, gate| Syscall::Activate {
+            vpe: sel(vpe),
+            ep: EpId::new(ep),
+            gate: sel(gate),
+        };
+        let exchange_sess = |sess| Syscall::ExchangeSess {
+            sess: sel(sess),
+            obtain: true,
+            caps: vec![sel(20)],
+            args: Vec::new(),
+        };
+        let first_free = std_eps::FIRST_FREE;
+        let ep_count = m3_base::cfg::EP_COUNT as u32;
+        let cases = vec![
+            (activate(0, first_free - 1, 1), Code::InvEp),
+            (activate(0, ep_count, 1), Code::InvEp),
+            (activate(9, first_free, 1), Code::InvCap),
+            (activate(1, first_free, 1), Code::InvCap),
+            (activate(0, first_free, 9), Code::InvCap),
+            (activate(0, first_free, 0), Code::InvCap),
+            (activate(0, first_free + 1, 2), Code::NotSup),
+            (activate(0, first_free + 1, 3), Code::OutOfMem),
+            (Syscall::VpeWait { vpe: sel(1) }, Code::InvCap),
+            (
+                Syscall::OpenSess {
+                    dst: sel(10),
+                    name: "nosuch".to_string(),
+                    arg: 0,
+                },
+                Code::InvService,
+            ),
+            (exchange_sess(1), Code::InvCap),
+            (exchange_sess(9), Code::InvCap),
+        ];
+        let expected: Vec<Code> = cases.iter().map(|(_, code)| *code).collect();
+        let h = sim.spawn("app", async move {
+            let setup = [
+                Syscall::AllocMem {
+                    dst: sel(1),
+                    size: 4096,
+                    perm: Perm::RW,
+                },
+                Syscall::CreateRGate {
+                    dst: sel(2),
+                    slots: 4,
+                    slot_size: 256,
+                },
+                activate(0, first_free, 2),
+                Syscall::CreateRGate {
+                    dst: sel(3),
+                    slots: 64,
+                    slot_size: RINGBUF_SPM_BUDGET as u32,
+                },
+            ];
+            for call in setup {
+                assert_eq!(syscall(&dtu, call).await.error, None);
+            }
+            let mut got = Vec::new();
+            for (call, _) in cases {
+                got.push(syscall(&dtu, call).await.error);
+            }
+            got
+        });
+        sim.run();
+        let got = h.try_take().unwrap();
+        let want: Vec<Option<Code>> = expected.into_iter().map(Some).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn parked_wait_and_activate_do_not_stall_the_syscall_loop() {
+        // The root parks in `VpeWait` on a live child, the child parks in
+        // `Activate` of a send gate whose receive gate is never activated;
+        // a third VPE's `Noop` must still be answered.
+        let (platform, kernel, root) = boot();
+        let sim = platform.sim().clone();
+        let dtu = platform.dtu(root.pe);
+        let parked = Rc::new(RefCell::new(Vec::new()));
+        let parked2 = parked.clone();
+        let h = sim.spawn("root", async move {
+            let sel = SelId::new;
+            let mut pes = Vec::new();
+            for (dst, mem_dst, name) in [(3, 4, "activator"), (5, 6, "pinger")] {
+                let r = syscall(
+                    &dtu,
+                    Syscall::CreateVpe {
+                        dst: sel(dst),
+                        mem_dst: sel(mem_dst),
+                        pe: PeRequest::Same,
+                        name: name.to_string(),
+                    },
+                )
+                .await;
+                assert_eq!(r.error, None);
+                let mut is = m3_base::marshal::IStream::new(&r.data);
+                let _ = is.pop_u32().unwrap();
+                pes.push(PeId::new(is.pop_u32().unwrap()));
+                let r = syscall(&dtu, Syscall::VpeStart { vpe: sel(dst) }).await;
+                assert_eq!(r.error, None);
+            }
+            for call in [
+                Syscall::CreateRGate {
+                    dst: sel(1),
+                    slots: 4,
+                    slot_size: 256,
+                },
+                Syscall::CreateSGate {
+                    dst: sel(2),
+                    rgate: sel(1),
+                    label: 0,
+                    credits: 1,
+                },
+                Syscall::Exchange {
+                    vpe: sel(3),
+                    own: sel(2),
+                    other: sel(1),
+                    obtain: false,
+                },
+            ] {
+                assert_eq!(syscall(&dtu, call).await.error, None);
+            }
+            let sim = kernel.platform().sim().clone();
+            let activator = kernel.platform().dtu(pes[0]);
+            parked2
+                .borrow_mut()
+                .push(sim.spawn("activator", async move {
+                    syscall(
+                        &activator,
+                        Syscall::Activate {
+                            vpe: sel(0),
+                            ep: EpId::new(std_eps::FIRST_FREE),
+                            gate: sel(1),
+                        },
+                    )
+                    .await
+                }));
+            let pinger = kernel.platform().dtu(pes[1]);
+            let sim2 = sim.clone();
+            let pinged = sim.spawn("pinger", async move {
+                sim2.sleep(m3_base::Cycles::new(20_000)).await;
+                syscall(&pinger, Syscall::Noop).await
+            });
+            parked2.borrow_mut().push(sim.spawn("waiter", async move {
+                syscall(&dtu, Syscall::VpeWait { vpe: sel(3) }).await
+            }));
+            pinged.join().await
+        });
+        sim.run();
+        assert_eq!(h.try_take().unwrap(), SyscallReply::ok());
+        for task in parked.borrow().iter() {
+            assert!(!task.is_finished());
+        }
+    }
+
+    #[test]
     fn watchdog_destroys_vpe_on_crashed_pe() {
         use m3_fault::{FaultPlan, FaultPlane};
 
