@@ -1,4 +1,8 @@
-//! Kernel boot, the syscall loop, and service forwarding.
+//! Kernel boot, kernel state, and the capability operations every
+//! subsystem shares: copy, recursive revoke, and VPE teardown. The
+//! subsystems live in child modules: the syscall loop and its table
+//! ([`syscall`]), VPE time-multiplexing ([`sched`]), the sharded
+//! multikernel ([`shards`]) and demand paging ([`pager`]).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -9,7 +13,7 @@ use m3_base::{Cycles, EpId, PeId, SelId, VpeId};
 use m3_dtu::{Dtu, EpConfig, KernelToken};
 use m3_platform::{PeType, Platform};
 use m3_sched::{Removal, Scheduler};
-use m3_sim::{Component, Event, EventKind, LazyStat, Sim};
+use m3_sim::{Component, Event, EventKind, LazyStat, Notify, Sim};
 use m3_vm::AddrSpaceObj;
 
 use crate::cap::{CapTable, Capability, DerivationTree, KObject, MGateObj};
@@ -84,6 +88,22 @@ struct KState {
     next_serv_ep: u32,
 }
 
+impl KState {
+    /// Creates VPE `name` on `pe` in the init state, with a capability
+    /// table holding its self capability at selector 0. Where that
+    /// capability hangs in the derivation tree is the caller's choice.
+    fn new_vpe(&mut self, name: &str, pe: PeId) -> Result<(VpeId, Rc<RefCell<VpeObj>>)> {
+        let id = VpeId::new(self.next_vpe);
+        self.next_vpe += 1;
+        let vpe = Rc::new(RefCell::new(VpeObj::new(id, name, pe)));
+        self.vpes.insert(id, vpe.clone());
+        let mut table = CapTable::new();
+        table.insert(SelId::new(0), Capability::new(KObject::Vpe(vpe.clone())))?;
+        self.tables.insert(id, table);
+        Ok((id, vpe))
+    }
+}
+
 /// Kernel policy, chosen at boot and immutable afterwards. The default
 /// is the paper's model: one VPE per PE, full-image context switches,
 /// unbounded address spaces.
@@ -97,7 +117,8 @@ pub struct KernelConfig {
     pub overcommit: bool,
     /// Move only the SPM pages the DTU dirtied since a context's last save
     /// (its dirty bitmap) on a context switch, instead of the full
-    /// [`SPM_DATA_SIZE`] image the golden pins were recorded with.
+    /// [`m3_base::cfg::SPM_DATA_SIZE`] image the golden pins were
+    /// recorded with.
     pub dirty_switches: bool,
     /// Resident-set bound (in pages) of every demand-paged address space;
     /// beyond it the pager evicts, clean pages first. `None` leaves address
@@ -143,6 +164,7 @@ struct Counters {
     page_faults: LazyStat,
     vpe_exits: LazyStat,
     remote_placements: LazyStat,
+    ktk_bad_messages: LazyStat,
 }
 
 impl Counters {
@@ -154,7 +176,19 @@ impl Counters {
             page_faults: LazyStat::new(&stats, "kernel.page_faults"),
             vpe_exits: LazyStat::new(&stats, "kernel.vpe_exits"),
             remote_placements: LazyStat::new(&stats, "kernel.remote_placements"),
+            ktk_bad_messages: LazyStat::new(&stats, "kernel.ktk_bad_messages"),
         }
+    }
+}
+
+/// Waits until `slot` holds a value (`ready` fires whenever it is filled)
+/// and takes it: the wait of a request for its reply.
+async fn take_when_ready<T>(slot: &RefCell<Option<T>>, ready: &Notify) -> T {
+    loop {
+        if let Some(value) = slot.borrow_mut().take() {
+            return value;
+        }
+        ready.wait().await;
     }
 }
 
@@ -395,14 +429,8 @@ impl Kernel {
             }
             None => st.pemng.alloc(PeRequest::Any, PeType::Xtensa)?,
         };
-        let id = VpeId::new(st.next_vpe);
-        st.next_vpe += 1;
-        let vpe = Rc::new(RefCell::new(VpeObj::new(id, name, pe)));
+        let (id, vpe) = st.new_vpe(name, pe)?;
         vpe.borrow_mut().state = VpeState::Running;
-        st.vpes.insert(id, vpe.clone());
-        let mut table = CapTable::new();
-        table.insert(SelId::new(0), Capability::new(KObject::Vpe(vpe)))?;
-        st.tables.insert(id, table);
         st.tree.insert_root((id, SelId::new(0)));
         drop(st);
         // Boot-time roots (services, benchmark drivers) are never
@@ -412,28 +440,36 @@ impl Kernel {
         Ok(VpeBootInfo { vpe: id, pe })
     }
 
+    /// The syscall channel of VPE `id`: EP1 receives the kernel's replies,
+    /// EP0 sends to the kernel's syscall endpoint under label `id`.
+    fn sysc_channel(&self, id: VpeId) -> [(EpId, EpConfig); 2] {
+        [
+            (
+                std_eps::SYSC_REPLY,
+                EpConfig::Receive {
+                    slots: 2,
+                    slot_size: SYSC_MSG_SIZE + m3_base::cfg::MSG_HEADER_SIZE,
+                    allow_replies: false,
+                },
+            ),
+            (
+                std_eps::SYSC_SEND,
+                EpConfig::Send {
+                    pe: self.pe,
+                    ep: keps::SYSC,
+                    label: id.raw() as u64,
+                    credits: Some(1),
+                    max_payload: SYSC_MSG_SIZE,
+                },
+            ),
+        ]
+    }
+
     /// Configures EP0/EP1 of `pe` as the syscall channel of VPE `id`.
     fn setup_sysc_channel(&self, id: VpeId, pe: PeId) -> Result<()> {
-        self.ktok.configure(
-            pe,
-            std_eps::SYSC_REPLY,
-            EpConfig::Receive {
-                slots: 2,
-                slot_size: SYSC_MSG_SIZE + m3_base::cfg::MSG_HEADER_SIZE,
-                allow_replies: false,
-            },
-        )?;
-        self.ktok.configure(
-            pe,
-            std_eps::SYSC_SEND,
-            EpConfig::Send {
-                pe: self.pe,
-                ep: keps::SYSC,
-                label: id.raw() as u64,
-                credits: Some(1),
-                max_payload: SYSC_MSG_SIZE,
-            },
-        )?;
+        for (ep, cfg) in self.sysc_channel(id) {
+            self.ktok.configure(pe, ep, cfg)?;
+        }
         Ok(())
     }
 
@@ -441,29 +477,9 @@ impl Kernel {
     /// into the *save area* of VPE `id` on `pe` — used for VPEs admitted to
     /// an occupied PE, whose endpoints must not clobber the resident's.
     fn stash_sysc_channel(&self, id: VpeId, pe: PeId) -> Result<()> {
-        let ctx = u64::from(id.raw());
-        self.ktok.stash_config(
-            pe,
-            ctx,
-            std_eps::SYSC_REPLY,
-            EpConfig::Receive {
-                slots: 2,
-                slot_size: SYSC_MSG_SIZE + m3_base::cfg::MSG_HEADER_SIZE,
-                allow_replies: false,
-            },
-        )?;
-        self.ktok.stash_config(
-            pe,
-            ctx,
-            std_eps::SYSC_SEND,
-            EpConfig::Send {
-                pe: self.pe,
-                ep: keps::SYSC,
-                label: id.raw() as u64,
-                credits: Some(1),
-                max_payload: SYSC_MSG_SIZE,
-            },
-        )?;
+        for (ep, cfg) in self.sysc_channel(id) {
+            self.ktok.stash_config(pe, u64::from(id.raw()), ep, cfg)?;
+        }
         Ok(())
     }
 
@@ -559,6 +575,14 @@ impl Kernel {
             self.destroy_vpe(&vobj, -1);
         }
         removed.len()
+    }
+
+    /// [`Kernel::revoke_cap`], charged per removed capability.
+    async fn revoke_charged(&self, vpe: VpeId, sel: SelId) {
+        let count = self.revoke_cap(vpe, sel);
+        self.sim
+            .sleep(costs::REVOKE_PER_CAP * (count as u64).max(1))
+            .await;
     }
 
     /// Tears a VPE down: marks it dead, revokes everything it held, frees
@@ -1260,6 +1284,22 @@ mod tests {
         for task in parked.borrow().iter() {
             assert!(!task.is_finished());
         }
+    }
+
+    #[test]
+    fn truncated_ktk_frame_is_counted_and_spawns_nothing() {
+        let (platform, kernel, _root) = boot();
+        let sim = platform.sim().clone();
+        kernel.set_shard(0, 2, &[(1, PeId::new(3))], Box::new(|_, _| {}));
+        let frame = KtkMsg::RevokeVpe { vpe: 7 }.to_bytes(1, 0);
+        let live = sim.live_regular();
+        kernel.ktk_deliver(&frame[..frame.len() - 1]);
+        assert_eq!(sim.stats().get("kernel.ktk_bad_messages"), 1);
+        assert_eq!(sim.live_regular(), live);
+        // The whole frame is a request: it does spawn its handler task.
+        kernel.ktk_deliver(&frame);
+        assert_eq!(sim.live_regular(), live + 1);
+        assert_eq!(sim.stats().get("kernel.ktk_bad_messages"), 1);
     }
 
     #[test]

@@ -1,3 +1,6 @@
+//! Demand paging (m3-vm, DESIGN.md §5k): page-fault and unmap syscalls,
+//! eviction with write-back, and swap-in.
+
 use std::rc::Rc;
 
 use m3_base::error::{Code, Error, Result};
@@ -7,7 +10,6 @@ use m3_sim::{Component, Event, EventKind};
 use m3_vm::{AddrSpaceObj, FaultKind, SwapRegion};
 
 use crate::cap::{Capability, KObject, MGateObj};
-use crate::costs;
 
 use super::{Kernel, PAGE_SIZE};
 
@@ -121,10 +123,7 @@ impl Kernel {
                 cap
             };
             if let Some(sel) = cap {
-                let count = self.revoke_cap(caller, sel);
-                self.sim
-                    .sleep(costs::REVOKE_PER_CAP * (count as u64).max(1))
-                    .await;
+                self.revoke_charged(caller, sel).await;
             }
         }
     }

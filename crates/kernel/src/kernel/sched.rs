@@ -1,3 +1,7 @@
+//! VPE time-multiplexing (m3-sched, DESIGN.md §5f): overcommit
+//! placement, the park/acquire/yield protocol, and the context-switch
+//! engine that moves a VPE's state through the DTU.
+
 use m3_base::cfg::SPM_DATA_SIZE;
 use m3_base::error::{Code, Error, Result};
 use m3_base::{EpId, PeId, VpeId};
@@ -42,10 +46,6 @@ impl Kernel {
         .ok_or_else(|| Error::new(Code::NoFreePe).with_msg(format!("request {req:?}")))
     }
 
-    // ------------------------------------------------------------------
-    // VPE time-multiplexing (m3-sched)
-    // ------------------------------------------------------------------
-
     /// Whether `vpe` is under scheduler control (time-multiplexed).
     pub fn sched_manages(&self, vpe: VpeId) -> bool {
         self.sched.borrow().manages(vpe)
@@ -61,10 +61,10 @@ impl Kernel {
     /// funnel of the cooperative multiplexing model).
     ///
     /// Returns when `vpe` is resident with a message pending at `ep`, or —
-    /// mirroring one iteration of the [`Dtu::recv`] poll loop — after a
-    /// single arrival wake while it stays resident, so the caller re-polls
-    /// with exactly the cycle pattern of the unmanaged path. Unmanaged VPEs
-    /// return immediately.
+    /// mirroring one iteration of the [`m3_dtu::Dtu::recv`] poll loop —
+    /// after a single arrival wake while it stays resident, so the caller
+    /// re-polls with exactly the cycle pattern of the unmanaged path.
+    /// Unmanaged VPEs return immediately.
     ///
     /// # Errors
     ///

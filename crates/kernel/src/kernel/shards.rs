@@ -1,3 +1,7 @@
+//! The sharded multikernel (§7, DESIGN.md §5j): the shard context, the
+//! ktk client (requests to peer shards) and server (requests from them),
+//! and capability descriptors that cross shard boundaries.
+
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -9,13 +13,13 @@ use m3_base::{Cycles, EpId, PeId, Perm, SelId, VpeId};
 use m3_platform::PeType;
 use m3_sim::{Component, Event, EventKind, Notify, TaskName};
 
-use crate::cap::{CapTable, Capability, KObject, MGateObj, RemoteSessObj, RemoteVpeObj, XSGateObj};
+use crate::cap::{Capability, KObject, MGateObj, RemoteSessObj, RemoteVpeObj, XSGateObj};
 use crate::costs;
 use crate::ktk::{self, CapDesc, KtkMsg, KtkReply};
-use crate::protocol::{PeRequest, ServiceRequest, SyscallReply};
-use crate::vpe::{VpeObj, VpeState};
+use crate::protocol::{PeRequest, ServiceRequest};
+use crate::vpe::{wait_exit, VpeObj};
 
-use super::Kernel;
+use super::{take_when_ready, Kernel};
 
 struct KtkPending {
     slot: Rc<RefCell<Option<KtkReply>>>,
@@ -88,10 +92,6 @@ impl std::fmt::Debug for ShardCtx {
 }
 
 impl Kernel {
-    // ------------------------------------------------------------------
-    // Sharded multikernel (ktk, §7)
-    // ------------------------------------------------------------------
-
     /// The shard context, if this kernel is part of a sharded multikernel.
     pub fn shard_ctx(&self) -> Option<Rc<ShardCtx>> {
         self.shard.borrow().clone()
@@ -281,22 +281,10 @@ impl Kernel {
         );
         self.ktk_send(ctx, dst, &build(req_id));
         if self.dtu.system().faults().is_none() {
-            loop {
-                if let Some(reply) = slot.borrow_mut().take() {
-                    return Ok(reply);
-                }
-                ready.wait().await;
-            }
+            return Ok(take_when_ready(&slot, &ready).await);
         }
         let deadline = self.sim.now() + costs::KTK_TIMEOUT;
-        let wait = async {
-            loop {
-                if let Some(reply) = slot.borrow_mut().take() {
-                    return reply;
-                }
-                ready.wait().await;
-            }
-        };
+        let wait = take_when_ready(&slot, &ready);
         match m3_sim::with_deadline(&self.sim, deadline, wait).await {
             Some(reply) => Ok(reply),
             None => {
@@ -314,7 +302,7 @@ impl Kernel {
     pub fn ktk_deliver(&self, bytes: &[u8]) {
         let Some(ctx) = self.shard_ctx() else { return };
         let Ok((src, free, msg)) = KtkMsg::from_bytes(bytes) else {
-            self.sim.stats().incr("kernel.ktk_bad_messages");
+            self.counters.ktk_bad_messages.incr();
             return;
         };
         // Piggybacked load feed: every message refreshes the sender's
@@ -377,7 +365,7 @@ impl Kernel {
                 desc,
             } => Some((req_id, self.ktk_delegate_cap(vpe, sel, &desc).await)),
             KtkMsg::RevokeCap { vpe, sel } => {
-                self.ktk_revoke_cap(vpe, sel).await;
+                self.revoke_charged(VpeId::new(vpe), SelId::new(sel)).await;
                 None
             }
             KtkMsg::OpenSess { req_id, name, arg } => {
@@ -417,13 +405,7 @@ impl Kernel {
             // `Same` cannot cross shards (the sender resolves it first); a
             // stray one falls back to the base compute type.
             let pe = st.pemng.alloc(want, PeType::Xtensa)?;
-            let id = VpeId::new(st.next_vpe);
-            st.next_vpe += 1;
-            let vpe = Rc::new(RefCell::new(VpeObj::new(id, name, pe)));
-            st.vpes.insert(id, vpe.clone());
-            let mut table = CapTable::new();
-            table.insert(SelId::new(0), Capability::new(KObject::Vpe(vpe)))?;
-            st.tables.insert(id, table);
+            let (id, _) = st.new_vpe(name, pe)?;
             st.tree.insert_root((id, SelId::new(0)));
             (id, pe)
         };
@@ -432,43 +414,26 @@ impl Kernel {
         Ok(KtkReply::ok(u64::from(id.raw()), u64::from(pe.raw())))
     }
 
-    fn ktk_start_vpe(&self, vpe: u32) -> Result<KtkReply> {
-        let vpe_obj = self
-            .state
+    /// The local VPE a peer shard's proxy refers to.
+    fn proxied_vpe(&self, vpe: u32) -> Result<Rc<RefCell<VpeObj>>> {
+        self.state
             .borrow()
             .vpes
             .get(&VpeId::new(vpe))
             .cloned()
-            .ok_or_else(|| Error::new(Code::VpeGone).with_msg("unknown remote VPE"))?;
-        let mut v = vpe_obj.borrow_mut();
-        match v.state {
-            VpeState::Init => {
-                v.state = VpeState::Running;
-                Ok(KtkReply::ok(0, 0))
-            }
-            _ => Err(Error::new(Code::InvArgs).with_msg("VPE not in init state")),
-        }
+            .ok_or_else(|| Error::new(Code::VpeGone).with_msg("unknown remote VPE"))
+    }
+
+    fn ktk_start_vpe(&self, vpe: u32) -> Result<KtkReply> {
+        self.proxied_vpe(vpe)?.borrow_mut().start()?;
+        Ok(KtkReply::ok(0, 0))
     }
 
     async fn ktk_wait_vpe(&self, vpe: u32) -> Result<KtkReply> {
-        let vpe_obj = self
-            .state
-            .borrow()
-            .vpes
-            .get(&VpeId::new(vpe))
-            .cloned()
-            .ok_or_else(|| Error::new(Code::VpeGone).with_msg("unknown remote VPE"))?;
-        loop {
-            let (code, exited) = {
-                let v = vpe_obj.borrow();
-                (v.exit_code(), v.exited.clone())
-            };
-            if let Some(code) = code {
-                // The exit code travels as its i64 bit pattern.
-                return Ok(KtkReply::ok(code as u64, 0));
-            }
-            exited.wait().await;
-        }
+        let vpe_obj = self.proxied_vpe(vpe)?;
+        let code = wait_exit(&vpe_obj).await;
+        // The exit code travels as its i64 bit pattern.
+        Ok(KtkReply::ok(code as u64, 0))
     }
 
     fn ktk_revoke_vpe(&self, vpe: u32) {
@@ -484,21 +449,11 @@ impl Kernel {
         Ok(KtkReply::ok(0, 0))
     }
 
-    async fn ktk_revoke_cap(&self, vpe: u32, sel: u32) {
-        let count = self.revoke_cap(VpeId::new(vpe), SelId::new(sel));
-        self.sim
-            .sleep(costs::REVOKE_PER_CAP * (count as u64).max(1))
-            .await;
-    }
-
     async fn ktk_open_sess(&self, name: &str, arg: u64) -> Result<KtkReply> {
         let serv = self.state.borrow().services.find(name)?;
         let reply = self
             .forward_to_service(&serv, ServiceRequest::Open { arg })
             .await?;
-        if let Some(code) = reply.error {
-            return Err(Error::new(code));
-        }
         Ok(KtkReply::ok(reply.ident, 0))
     }
 
@@ -528,9 +483,6 @@ impl Kernel {
                 },
             )
             .await?;
-        if let Some(code) = reply.error {
-            return Err(Error::new(code));
-        }
         if reply.caps.len() as u32 > cap_count {
             return Err(Error::new(Code::BadMessage));
         }
@@ -676,8 +628,8 @@ impl Kernel {
         dst: SelId,
         name: &str,
         arg: u64,
-        local_err: &Error,
-    ) -> SyscallReply {
+        local_err: Error,
+    ) -> Result<Vec<u8>> {
         for peer in ctx.alive_peers() {
             let reply = self
                 .ktk_request(ctx, peer, |req_id| KtkMsg::OpenSess {
@@ -695,22 +647,17 @@ impl Kernel {
                         ident: r.a,
                     });
                     let mut st = self.state.borrow_mut();
-                    let table = match Self::table(&mut st, caller) {
-                        Ok(t) => t,
-                        Err(e) => return SyscallReply::err(e.code()),
-                    };
-                    if let Err(e) = table.insert(dst, Capability::new(KObject::RemoteSess(sess))) {
-                        return SyscallReply::err(e.code());
-                    }
+                    Self::table(&mut st, caller)?
+                        .insert(dst, Capability::new(KObject::RemoteSess(sess)))?;
                     st.tree.insert_root((caller, dst));
-                    return SyscallReply::ok();
+                    return Ok(Vec::new());
                 }
                 // This peer does not host it either; keep looking.
                 Err(e) if e.code() == Code::InvService => {}
-                Err(e) => return SyscallReply::err(e.code()),
+                Err(e) => return Err(e),
             }
         }
-        SyscallReply::err(local_err.code())
+        Err(local_err)
     }
 
     /// Cross-shard `ExchangeSess` (requesting side): ships the exchange to
@@ -724,25 +671,14 @@ impl Kernel {
         obtain: bool,
         caps: &[SelId],
         args: &[u8],
-    ) -> SyscallReply {
-        let ctx = match self.shard_ctx_or_err() {
-            Ok(c) => c,
-            Err(e) => return SyscallReply::err(e.code()),
-        };
+    ) -> Result<Vec<u8>> {
+        let ctx = self.shard_ctx_or_err()?;
         let mut descs = Vec::new();
         if !obtain {
             let mut st = self.state.borrow_mut();
             for sel in caps {
-                let obj = match Self::table(&mut st, caller)
-                    .and_then(|t| t.get(*sel).map(|c| c.obj.clone()))
-                {
-                    Ok(o) => o,
-                    Err(e) => return SyscallReply::err(e.code()),
-                };
-                match Self::desc_of_obj(&obj) {
-                    Ok(d) => descs.push(d),
-                    Err(e) => return SyscallReply::err(e.code()),
-                }
+                let obj = Self::table(&mut st, caller)?.get(*sel)?.obj.clone();
+                descs.push(Self::desc_of_obj(&obj)?);
             }
         }
         let reply = self
@@ -755,22 +691,16 @@ impl Kernel {
                 descs,
                 args: args.to_vec(),
             })
-            .await
-            .and_then(KtkReply::into_result);
-        let reply = match reply {
-            Ok(r) => r,
-            Err(e) => return SyscallReply::err(e.code()),
-        };
+            .await?
+            .into_result()?;
         if reply.caps.len() > caps.len() {
-            return SyscallReply::err(Code::BadMessage);
+            return Err(Error::new(Code::BadMessage));
         }
         // Obtain direction: install what the service handed back.
         for (i, desc) in reply.caps.iter().enumerate() {
-            if let Err(e) = self.install_desc(caller, caps[i], desc) {
-                return SyscallReply::err(e.code());
-            }
+            self.install_desc(caller, caps[i], desc)?;
         }
-        SyscallReply::ok_with(reply.args)
+        Ok(reply.args)
     }
 
     /// Converts a local capability into a descriptor that can cross a

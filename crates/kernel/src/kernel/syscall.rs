@@ -1,3 +1,6 @@
+//! The syscall loop: one table that dispatches every [`Syscall`], the
+//! handlers behind it, and forwarding to services (§4.5.3).
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -9,25 +12,49 @@ use m3_dtu::{EpConfig, Message};
 use m3_sched::Admission;
 use m3_sim::{Component, Event, EventKind, Notify, TaskName};
 
-use crate::cap::{CapTable, Capability, KObject, MGateObj, RGateObj, SGateObj};
+use crate::cap::{Capability, KObject, MGateObj, RGateObj, SGateObj};
 use crate::costs;
-use crate::ktk::{KtkMsg, KtkReply};
+use crate::ktk::KtkMsg;
 use crate::protocol::{std_eps, PeRequest, ServiceReply, ServiceRequest, Syscall, SyscallReply};
 use crate::service::{ServObj, SessObj};
-use crate::vpe::{VpeObj, VpeState};
+use crate::vpe::wait_exit;
 
-use super::{keps, Kernel, RINGBUF_SPM_BUDGET};
+use super::{keps, take_when_ready, Kernel, RINGBUF_SPM_BUDGET};
 
 pub(super) struct PendingReply {
     slot: Rc<RefCell<Option<ServiceReply>>>,
     ready: Notify,
 }
 
-impl Kernel {
-    // ------------------------------------------------------------------
-    // Main loop
-    // ------------------------------------------------------------------
+/// The task-name prefix of a syscall that may block, `None` for one that
+/// completes inline. A blocking call runs in a detached task so the kernel
+/// keeps serving; all others run serially on the syscall loop, which is
+/// what makes a single kernel instance a measurable bottleneck in the §5.7
+/// scalability experiment.
+fn detach_prefix(call: &Syscall) -> Option<&'static str> {
+    match call {
+        Syscall::VpeWait { .. } => Some("kernel-wait-VPE"),
+        Syscall::OpenSess { .. } => Some("kernel-open-VPE"),
+        Syscall::ExchangeSess { .. } => Some("kernel-xchg-VPE"),
+        // Defers the reply until the receive gate is activated (§4.5.4).
+        Syscall::Activate { .. } => Some("kernel-activate-VPE"),
+        Syscall::Noop
+        | Syscall::CreateRGate { .. }
+        | Syscall::CreateSGate { .. }
+        | Syscall::AllocMem { .. }
+        | Syscall::DeriveMem { .. }
+        | Syscall::CreateVpe { .. }
+        | Syscall::VpeStart { .. }
+        | Syscall::CreateSrv { .. }
+        | Syscall::Exchange { .. }
+        | Syscall::Revoke { .. }
+        | Syscall::Exit { .. }
+        | Syscall::PageFault { .. }
+        | Syscall::Unmap { .. } => None,
+    }
+}
 
+impl Kernel {
     pub(super) async fn main_loop(&self) {
         loop {
             let msg = match self.dtu.recv(keps::SYSC).await {
@@ -47,7 +74,7 @@ impl Kernel {
             let call = match Syscall::from_bytes(&msg.payload) {
                 Ok(c) => c,
                 Err(e) => {
-                    self.reply_to(&msg, SyscallReply::err(e.code())).await;
+                    self.reply_to(&msg, Err(e)).await;
                     continue;
                 }
             };
@@ -61,103 +88,22 @@ impl Kernel {
                     opcode: call.name().to_string(),
                 },
             });
-
-            match call {
-                // Calls that may block detach into their own task so the
-                // kernel keeps serving (other syscalls are handled serially,
-                // which is what makes a single kernel instance a measurable
-                // bottleneck in the §5.7 scalability experiment).
-                Syscall::VpeWait { vpe } => {
+            match detach_prefix(&call) {
+                Some(prefix) => {
                     let k = self.clone();
                     self.sim.spawn_detached(
-                        TaskName::numbered("kernel-wait-VPE", caller.raw().into()),
-                        async move {
-                            let reply = k.handle_vpe_wait(caller, vpe).await;
-                            k.reply_to(&msg, reply).await;
-                        },
+                        TaskName::numbered(prefix, caller.raw().into()),
+                        async move { k.dispatch(&msg, caller, call).await },
                     );
                 }
-                Syscall::OpenSess { dst, name, arg } => {
-                    let k = self.clone();
-                    self.sim.spawn_detached(
-                        TaskName::numbered("kernel-open-VPE", caller.raw().into()),
-                        async move {
-                            let reply = k.handle_open_sess(caller, dst, &name, arg).await;
-                            k.reply_to(&msg, reply).await;
-                        },
-                    );
-                }
-                Syscall::ExchangeSess {
-                    sess,
-                    obtain,
-                    caps,
-                    args,
-                } => {
-                    let k = self.clone();
-                    self.sim.spawn_detached(
-                        TaskName::numbered("kernel-xchg-VPE", caller.raw().into()),
-                        async move {
-                            let reply = k
-                                .handle_exchange_sess(caller, sess, obtain, &caps, &args)
-                                .await;
-                            k.reply_to(&msg, reply).await;
-                        },
-                    );
-                }
-                Syscall::Activate { vpe, ep, gate } => {
-                    // May block until the receive gate is activated (§4.5.4:
-                    // the kernel defers the reply until the receiver is
-                    // ready).
-                    let k = self.clone();
-                    self.sim.spawn_detached(
-                        TaskName::numbered("kernel-activate-VPE", caller.raw().into()),
-                        async move {
-                            let reply = k.handle_activate(caller, vpe, ep, gate).await;
-                            k.reply_to(&msg, reply).await;
-                        },
-                    );
-                }
-                Syscall::Exit { code } => {
-                    self.handle_exit(caller, code);
-                    // No reply: the VPE is gone.
-                }
-                other => {
-                    let reply = self.handle_sync(caller, other).await;
-                    self.reply_to(&msg, reply).await;
-                }
+                None => self.dispatch(&msg, caller, call).await,
             }
         }
     }
 
-    async fn reply_to(&self, msg: &Message, reply: SyscallReply) {
-        self.sim.sleep(costs::REPLY).await;
-        let _ = self.dtu.reply(msg, &reply.to_bytes()).await;
-    }
-
-    /// Routes service replies (arriving at EP1) to the pending request.
-    pub(super) async fn reply_pump(&self) {
-        loop {
-            let msg = match self.dtu.recv(keps::SERV_REPLY).await {
-                Ok(m) => m,
-                Err(_) => return,
-            };
-            let _ = self.dtu.ack(keps::SERV_REPLY);
-            let req_id = msg.header.label;
-            let pending = self.state.borrow_mut().pending.remove(&req_id);
-            if let Some(p) = pending {
-                let reply = ServiceReply::from_bytes(&msg.payload)
-                    .unwrap_or_else(|e| ServiceReply::err(e.code()));
-                *p.slot.borrow_mut() = Some(reply);
-                p.ready.notify_all();
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Synchronous handlers
-    // ------------------------------------------------------------------
-
-    async fn handle_sync(&self, caller: VpeId, call: Syscall) -> SyscallReply {
+    /// The syscall table: runs `call` on behalf of `caller` and answers
+    /// `msg` with the outcome.
+    async fn dispatch(&self, msg: &Message, caller: VpeId, call: Syscall) {
         let result = match call {
             Syscall::Noop => Ok(Vec::new()),
             Syscall::CreateRGate {
@@ -194,8 +140,22 @@ impl Kernel {
                 name,
             } => self.sys_create_vpe(caller, dst, mem_dst, pe, &name).await,
             Syscall::VpeStart { vpe } => self.sys_vpe_start(caller, vpe).await,
+            Syscall::VpeWait { vpe } => self.sys_vpe_wait(caller, vpe).await,
+            Syscall::Activate { vpe, ep, gate } => self.sys_activate(caller, vpe, ep, gate).await,
             Syscall::CreateSrv { dst, rgate, name } => {
                 self.sys_create_srv(caller, dst, rgate, &name).await
+            }
+            Syscall::OpenSess { dst, name, arg } => {
+                self.sys_open_sess(caller, dst, &name, arg).await
+            }
+            Syscall::ExchangeSess {
+                sess,
+                obtain,
+                caps,
+                args,
+            } => {
+                self.sys_exchange_sess(caller, sess, obtain, &caps, &args)
+                    .await
             }
             Syscall::Exchange {
                 vpe,
@@ -204,15 +164,46 @@ impl Kernel {
                 obtain,
             } => self.sys_exchange(caller, vpe, own, other, obtain).await,
             Syscall::Revoke { sel } => self.sys_revoke(caller, sel).await,
+            Syscall::Exit { code } => {
+                // No reply: the VPE is gone.
+                self.sys_exit(caller, code);
+                return;
+            }
             Syscall::PageFault { dst, virt, access } => {
                 self.sys_page_fault(caller, dst, virt, access).await
             }
             Syscall::Unmap { virt } => self.sys_unmap(caller, virt).await,
-            _ => Err(Error::new(Code::Internal).with_msg("not a sync syscall")),
         };
-        match result {
+        self.reply_to(msg, result).await;
+    }
+
+    /// Answers a syscall: the one place a handler's result becomes a
+    /// [`SyscallReply`].
+    async fn reply_to(&self, msg: &Message, result: Result<Vec<u8>>) {
+        let reply = match result {
             Ok(data) => SyscallReply::ok_with(data),
             Err(e) => SyscallReply::err(e.code()),
+        };
+        self.sim.sleep(costs::REPLY).await;
+        let _ = self.dtu.reply(msg, &reply.to_bytes()).await;
+    }
+
+    /// Routes service replies (arriving at EP1) to the pending request.
+    pub(super) async fn reply_pump(&self) {
+        loop {
+            let msg = match self.dtu.recv(keps::SERV_REPLY).await {
+                Ok(m) => m,
+                Err(_) => return,
+            };
+            let _ = self.dtu.ack(keps::SERV_REPLY);
+            let req_id = msg.header.label;
+            let pending = self.state.borrow_mut().pending.remove(&req_id);
+            if let Some(p) = pending {
+                let reply = ServiceReply::from_bytes(&msg.payload)
+                    .unwrap_or_else(|e| ServiceReply::err(e.code()));
+                *p.slot.borrow_mut() = Some(reply);
+                p.ready.notify_all();
+            }
         }
     }
 
@@ -363,20 +354,12 @@ impl Kernel {
                 Ok(pe) => pe,
                 Err(e) => break 'placed Err((e, caller_ty)),
             };
-            let id = VpeId::new(st.next_vpe);
-            st.next_vpe += 1;
-            let vpe = Rc::new(RefCell::new(VpeObj::new(id, name, pe)));
-            st.vpes.insert(id, vpe.clone());
-
+            let (id, vpe) = st.new_vpe(name, pe)?;
             // The caller owns the root VPE capability; the child's self
             // capability (selector 0) derives from it, so revoking the
             // parent's handle resets the child — not the other way around.
-            Self::table(&mut st, caller)?
-                .insert(dst, Capability::new(KObject::Vpe(vpe.clone())))?;
+            Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::Vpe(vpe)))?;
             st.tree.insert_root((caller, dst));
-            let mut table = CapTable::new();
-            table.insert(SelId::new(0), Capability::new(KObject::Vpe(vpe)))?;
-            st.tables.insert(id, table);
             st.tree.insert_child((caller, dst), (id, SelId::new(0)));
             let mgate = Rc::new(MGateObj {
                 pe,
@@ -444,16 +427,7 @@ impl Kernel {
             Self::table(&mut st, caller)?.get(vpe)?.obj.clone()
         };
         match target {
-            KObject::Vpe(vpe_obj) => {
-                let mut v = vpe_obj.borrow_mut();
-                match v.state {
-                    VpeState::Init => {
-                        v.state = VpeState::Running;
-                        Ok(Vec::new())
-                    }
-                    _ => Err(Error::new(Code::InvArgs).with_msg("VPE not in init state")),
-                }
-            }
+            KObject::Vpe(vpe_obj) => vpe_obj.borrow_mut().start()?,
             // A remotely placed child is started by its own shard's kernel.
             KObject::RemoteVpe(r) => {
                 let ctx = self.shard_ctx_or_err()?;
@@ -463,66 +437,40 @@ impl Kernel {
                 })
                 .await?
                 .into_result()?;
-                Ok(Vec::new())
             }
             other => {
-                Err(Error::new(Code::InvCap)
+                return Err(Error::new(Code::InvCap)
                     .with_msg(format!("expected vpe, found {}", other.kind())))
             }
         }
+        Ok(Vec::new())
     }
 
-    async fn handle_vpe_wait(&self, caller: VpeId, vpe: SelId) -> SyscallReply {
+    async fn sys_vpe_wait(&self, caller: VpeId, vpe: SelId) -> Result<Vec<u8>> {
         let target = {
             let mut st = self.state.borrow_mut();
-            let table = match Self::table(&mut st, caller) {
-                Ok(t) => t,
-                Err(e) => return SyscallReply::err(e.code()),
-            };
-            match table.get(vpe).map(|c| c.obj.clone()) {
-                Ok(obj) => obj,
-                Err(e) => return SyscallReply::err(e.code()),
-            }
+            Self::table(&mut st, caller)?.get(vpe)?.obj.clone()
         };
-        let vpe_obj = match target {
-            KObject::Vpe(v) => v,
+        let code = match target {
+            KObject::Vpe(v) => wait_exit(&v).await,
             // Wait on a remotely placed child: its shard's kernel holds
             // the exit code and replies once the VPE is gone.
             KObject::RemoteVpe(r) => {
-                let ctx = match self.shard_ctx_or_err() {
-                    Ok(c) => c,
-                    Err(e) => return SyscallReply::err(e.code()),
-                };
+                let ctx = self.shard_ctx_or_err()?;
                 let reply = self
                     .ktk_request(&ctx, r.shard, |req_id| KtkMsg::WaitVpe {
                         req_id,
                         vpe: r.vpe,
                     })
-                    .await
-                    .and_then(KtkReply::into_result);
-                return match reply {
-                    Ok(r) => {
-                        let mut os = OStream::new();
-                        os.push_i64(r.a as i64);
-                        SyscallReply::ok_with(os.into_bytes())
-                    }
-                    Err(e) => SyscallReply::err(e.code()),
-                };
+                    .await?
+                    .into_result()?;
+                reply.a as i64
             }
-            _ => return SyscallReply::err(Code::InvCap),
+            _ => return Err(Error::new(Code::InvCap)),
         };
-        loop {
-            let (code, exited) = {
-                let v = vpe_obj.borrow();
-                (v.exit_code(), v.exited.clone())
-            };
-            if let Some(code) = code {
-                let mut os = OStream::new();
-                os.push_i64(code);
-                return SyscallReply::ok_with(os.into_bytes());
-            }
-            exited.wait().await;
-        }
+        let mut os = OStream::new();
+        os.push_i64(code);
+        Ok(os.into_bytes())
     }
 
     async fn sys_create_srv(
@@ -593,6 +541,12 @@ impl Kernel {
         (req_id, ready, slot)
     }
 
+    /// Forwards `req` to `serv` and returns the service's acceptance.
+    ///
+    /// # Errors
+    ///
+    /// A denial comes back as the service's error code; a service that
+    /// stays silent under an armed fault plane as [`Code::Unreachable`].
     pub(super) async fn forward_to_service(
         &self,
         serv: &Rc<ServObj>,
@@ -611,12 +565,7 @@ impl Kernel {
                     Some((keps::SERV_REPLY, req_id)),
                 )
                 .await?;
-            loop {
-                if let Some(reply) = slot.borrow_mut().take() {
-                    return Ok(reply);
-                }
-                ready.wait().await;
-            }
+            return take_when_ready(&slot, &ready).await.into_result();
         }
         // Faulted path: bound each attempt, retry a few times, then declare
         // the service unreachable. Each attempt registers a fresh request id
@@ -637,16 +586,9 @@ impl Kernel {
                 return Err(e);
             }
             let deadline = self.sim.now() + costs::SERVICE_TIMEOUT;
-            let wait = async {
-                loop {
-                    if let Some(reply) = slot.borrow_mut().take() {
-                        return reply;
-                    }
-                    ready.wait().await;
-                }
-            };
+            let wait = take_when_ready(&slot, &ready);
             match m3_sim::with_deadline(&self.sim, deadline, wait).await {
-                Some(reply) => return Ok(reply),
+                Some(reply) => return reply.into_result(),
                 None => {
                     self.state.borrow_mut().pending.remove(&req_id);
                     let at = self.sim.now();
@@ -666,74 +608,50 @@ impl Kernel {
         Err(Error::new(Code::Unreachable).with_msg("service did not reply"))
     }
 
-    async fn handle_open_sess(
+    async fn sys_open_sess(
         &self,
         caller: VpeId,
         dst: SelId,
         name: &str,
         arg: u64,
-    ) -> SyscallReply {
+    ) -> Result<Vec<u8>> {
         // Bind before matching: the scrutinee temporary would otherwise
         // keep the state borrowed across the remote-lookup await.
         let found = self.state.borrow().services.find(name);
         let serv = match found {
             Ok(s) => s,
-            Err(e) => {
-                // Remote mount (§7): a service another shard registered is
-                // reachable through that shard's kernel. Unknown locally,
-                // try the peers.
-                if let Some(ctx) = self.shard_ctx() {
-                    return self
-                        .open_sess_remote(&ctx, caller, dst, name, arg, &e)
-                        .await;
-                }
-                return SyscallReply::err(e.code());
-            }
+            // Remote mount (§7): a service another shard registered is
+            // reachable through that shard's kernel. Unknown locally, try
+            // the peers.
+            Err(e) => match self.shard_ctx() {
+                Some(ctx) => return self.open_sess_remote(&ctx, caller, dst, name, arg, e).await,
+                None => return Err(e),
+            },
         };
-        let reply = match self
+        let reply = self
             .forward_to_service(&serv, ServiceRequest::Open { arg })
-            .await
-        {
-            Ok(r) => r,
-            Err(e) => return SyscallReply::err(e.code()),
-        };
-        if let Some(code) = reply.error {
-            return SyscallReply::err(code);
-        }
+            .await?;
         let sess = Rc::new(SessObj {
             serv,
             ident: reply.ident,
         });
         let mut st = self.state.borrow_mut();
-        let table = match Self::table(&mut st, caller) {
-            Ok(t) => t,
-            Err(e) => return SyscallReply::err(e.code()),
-        };
-        if let Err(e) = table.insert(dst, Capability::new(KObject::Sess(sess))) {
-            return SyscallReply::err(e.code());
-        }
+        Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::Sess(sess)))?;
         st.tree.insert_root((caller, dst));
-        SyscallReply::ok()
+        Ok(Vec::new())
     }
 
-    async fn handle_exchange_sess(
+    async fn sys_exchange_sess(
         &self,
         caller: VpeId,
         sess: SelId,
         obtain: bool,
         caps: &[SelId],
         args: &[u8],
-    ) -> SyscallReply {
+    ) -> Result<Vec<u8>> {
         let target = {
             let mut st = self.state.borrow_mut();
-            let table = match Self::table(&mut st, caller) {
-                Ok(t) => t,
-                Err(e) => return SyscallReply::err(e.code()),
-            };
-            match table.get(sess).map(|c| c.obj.clone()) {
-                Ok(obj) => obj,
-                Err(e) => return SyscallReply::err(e.code()),
-            }
+            Self::table(&mut st, caller)?.get(sess)?.obj.clone()
         };
         let sess_obj = match target {
             KObject::Sess(s) => s,
@@ -744,9 +662,9 @@ impl Kernel {
                     .exchange_sess_remote(caller, &r, obtain, caps, args)
                     .await;
             }
-            _ => return SyscallReply::err(Code::InvCap),
+            _ => return Err(Error::new(Code::InvCap)),
         };
-        let reply = match self
+        let reply = self
             .forward_to_service(
                 &sess_obj.serv,
                 ServiceRequest::Exchange {
@@ -756,16 +674,9 @@ impl Kernel {
                     args: args.to_vec(),
                 },
             )
-            .await
-        {
-            Ok(r) => r,
-            Err(e) => return SyscallReply::err(e.code()),
-        };
-        if let Some(code) = reply.error {
-            return SyscallReply::err(code);
-        }
+            .await?;
         if reply.caps.len() > caps.len() {
-            return SyscallReply::err(Code::BadMessage);
+            return Err(Error::new(Code::BadMessage));
         }
         // Move the capabilities between the service owner and the caller.
         let owner = sess_obj.serv.owner;
@@ -775,11 +686,9 @@ impl Kernel {
             } else {
                 ((caller, caps[i]), (owner, *serv_sel))
             };
-            if let Err(e) = self.copy_cap(src, dst) {
-                return SyscallReply::err(e.code());
-            }
+            self.copy_cap(src, dst)?;
         }
-        SyscallReply::ok_with(reply.args)
+        Ok(reply.args)
     }
 
     async fn sys_exchange(
@@ -844,37 +753,30 @@ impl Kernel {
         }
     }
 
-    async fn handle_activate(
+    async fn sys_activate(
         &self,
         caller: VpeId,
         vpe: SelId,
         ep: EpId,
         gate: SelId,
-    ) -> SyscallReply {
+    ) -> Result<Vec<u8>> {
         if ep.idx() < std_eps::FIRST_FREE as usize || ep.idx() >= m3_base::cfg::EP_COUNT {
-            return SyscallReply::err(Code::InvEp);
+            return Err(Error::new(Code::InvEp));
         }
         self.sim.sleep(costs::ACTIVATE).await;
         let (target, caller_pe, obj) = {
             let mut st = self.state.borrow_mut();
-            let table = match Self::table(&mut st, caller) {
-                Ok(t) => t,
-                Err(e) => return SyscallReply::err(e.code()),
-            };
+            let table = Self::table(&mut st, caller)?;
             // Resolve the target VPE through the caller's capability.
-            let (target, target_pe) = match table.get(vpe).map(|c| c.obj.clone()) {
-                Ok(KObject::Vpe(v)) => (v.borrow().id, v.borrow().pe),
+            let (target, target_pe) = match &table.get(vpe)?.obj {
+                KObject::Vpe(v) => (v.borrow().id, v.borrow().pe),
                 // A remote child's endpoints belong to its own shard's
                 // kernel; the parent delegates capabilities instead and the
                 // child activates them itself.
-                Ok(KObject::RemoteVpe(_)) => return SyscallReply::err(Code::NotSup),
-                Ok(_) => return SyscallReply::err(Code::InvCap),
-                Err(e) => return SyscallReply::err(e.code()),
+                KObject::RemoteVpe(_) => return Err(Error::new(Code::NotSup)),
+                _ => return Err(Error::new(Code::InvCap)),
             };
-            match table.get(gate).map(|c| c.obj.clone()) {
-                Ok(obj) => (target, target_pe, obj),
-                Err(e) => return SyscallReply::err(e.code()),
-            }
+            (target, target_pe, table.get(gate)?.obj.clone())
         };
 
         let cfg = match &obj {
@@ -902,7 +804,7 @@ impl Kernel {
             KObject::RGate(rg) => {
                 if rg.activation.borrow().is_some() {
                     // Receive gates cannot be moved while senders exist.
-                    return SyscallReply::err(Code::NotSup);
+                    return Err(Error::new(Code::NotSup));
                 }
                 // Validate the buffer placement in the target SPM: the
                 // kernel ensures ring buffers do not overlap and fit the
@@ -912,7 +814,7 @@ impl Kernel {
                     let mut st = self.state.borrow_mut();
                     let used = st.ringbuf_bytes.entry(caller_pe).or_insert(0);
                     if *used + bytes > RINGBUF_SPM_BUDGET {
-                        return SyscallReply::err(Code::OutOfMem);
+                        return Err(Error::new(Code::OutOfMem));
                     }
                     *used += bytes;
                 }
@@ -940,12 +842,10 @@ impl Kernel {
                 len: mg.size,
                 perm: mg.perm,
             },
-            _ => return SyscallReply::err(Code::InvCap),
+            _ => return Err(Error::new(Code::InvCap)),
         };
 
-        if let Err(e) = self.ktok.configure(caller_pe, ep, cfg) {
-            return SyscallReply::err(e.code());
-        }
+        self.ktok.configure(caller_pe, ep, cfg)?;
         self.charge_ep_config(caller_pe).await;
         // Record the activation for invalidation on revoke. A receive gate
         // pins its endpoint for good, so it also takes the endpoint out of
@@ -968,18 +868,15 @@ impl Kernel {
                 }
             }
         }
-        SyscallReply::ok()
-    }
-
-    async fn sys_revoke(&self, caller: VpeId, sel: SelId) -> Result<Vec<u8>> {
-        let count = self.revoke_cap(caller, sel);
-        self.sim
-            .sleep(costs::REVOKE_PER_CAP * (count as u64).max(1))
-            .await;
         Ok(Vec::new())
     }
 
-    fn handle_exit(&self, caller: VpeId, code: i64) {
+    async fn sys_revoke(&self, caller: VpeId, sel: SelId) -> Result<Vec<u8>> {
+        self.revoke_charged(caller, sel).await;
+        Ok(Vec::new())
+    }
+
+    fn sys_exit(&self, caller: VpeId, code: i64) {
         let vpe_obj = {
             let st = self.state.borrow();
             st.vpes.get(&caller).cloned()

@@ -19,7 +19,12 @@
 //! - [`pemng`] — PE allocation by type (§4.5.5),
 //! - [`ktk`] — the kernel-to-kernel protocol of the sharded multikernel
 //!   (§7: multiple kernel instances as the scalability path),
-//! - [`Kernel`] — boot, the syscall dispatch loop, and service forwarding.
+//! - [`Kernel`] — boot and kernel state (`kernel.rs`), split into child
+//!   modules along the subsystems: the syscall loop with its one dispatch
+//!   table and service forwarding (`kernel/syscall.rs`), VPE
+//!   time-multiplexing and the context-switch engine (`kernel/sched.rs`),
+//!   the ktk client and server of the sharded multikernel
+//!   (`kernel/shards.rs`), and the demand pager (`kernel/pager.rs`).
 
 pub mod cap;
 pub mod costs;

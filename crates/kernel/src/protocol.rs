@@ -708,6 +708,18 @@ impl ServiceReply {
         }
     }
 
+    /// Converts a denial into its error code.
+    ///
+    /// # Errors
+    ///
+    /// Returns the carried error code, if any.
+    pub fn into_result(self) -> Result<ServiceReply> {
+        match self.error {
+            None => Ok(self),
+            Some(code) => Err(Error::new(code)),
+        }
+    }
+
     /// Marshals the reply.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut os = OStream::with_capacity(32);

@@ -5,6 +5,9 @@
 //! in time" (§4.3). Each VPE represents a single activity; parallelism means
 //! creating more VPEs (§4.5.5).
 
+use std::cell::RefCell;
+
+use m3_base::error::{Code, Error, Result};
 use m3_base::{PeId, VpeId};
 use m3_sim::Notify;
 
@@ -58,6 +61,34 @@ impl VpeObj {
     pub fn is_alive(&self) -> bool {
         !matches!(self.state, VpeState::Dead(_))
     }
+
+    /// Starts the program: [`VpeState::Init`] becomes
+    /// [`VpeState::Running`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Code::InvArgs`] if the VPE is not in the init state.
+    pub fn start(&mut self) -> Result<()> {
+        if self.state != VpeState::Init {
+            return Err(Error::new(Code::InvArgs).with_msg("VPE not in init state"));
+        }
+        self.state = VpeState::Running;
+        Ok(())
+    }
+}
+
+/// Waits until `vpe` has died and returns its exit code (`VpeWait`).
+pub async fn wait_exit(vpe: &RefCell<VpeObj>) -> i64 {
+    loop {
+        let (code, exited) = {
+            let v = vpe.borrow();
+            (v.exit_code(), v.exited.clone())
+        };
+        if let Some(code) = code {
+            return code;
+        }
+        exited.wait().await;
+    }
 }
 
 #[cfg(test)]
@@ -75,5 +106,15 @@ mod tests {
         vpe.state = VpeState::Dead(3);
         assert!(!vpe.is_alive());
         assert_eq!(vpe.exit_code(), Some(3));
+    }
+
+    #[test]
+    fn start_only_from_init() {
+        let mut vpe = VpeObj::new(VpeId::new(1), "test", PeId::new(2));
+        vpe.start().unwrap();
+        assert_eq!(vpe.state, VpeState::Running);
+        assert_eq!(vpe.start().unwrap_err().code(), Code::InvArgs);
+        vpe.state = VpeState::Dead(0);
+        assert_eq!(vpe.start().unwrap_err().code(), Code::InvArgs);
     }
 }
