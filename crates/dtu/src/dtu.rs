@@ -12,7 +12,8 @@ use m3_base::{Cycles, EpId, PeId, Perm};
 use m3_fault::{FaultPlane, MsgVerdict};
 use m3_noc::Noc;
 use m3_sim::{
-    keys, Component, Event, EventKind, Metrics, Notify, Recorder, Sim, StatHandle, Stats, TaskName,
+    keys, Component, Event, EventKind, MetricHandle, Metrics, Notify, Recorder, Sim, StatHandle,
+    Stats,
 };
 
 use crate::endpoint::EpConfig;
@@ -119,15 +120,14 @@ struct SystemInner {
     /// Deposits and credit refills for a context that is not live on its PE
     /// land here instead of the live endpoint registers.
     saved: RefCell<BTreeMap<(PeId, u64), SavedCtx>>,
-    next_deposit: std::cell::Cell<u64>,
     /// Fault-injection plane; `None` (the default) keeps every hot path on
     /// the exact pre-fault code, so a disabled plane costs zero cycles.
     faults: RefCell<Option<Rc<FaultPlane>>>,
 }
 
-/// Pre-resolved handles for the counters the DTU bumps on every message or
-/// transfer, so the hot path indexes a vector instead of walking a
-/// string-keyed map.
+/// Pre-resolved handles for the counters and metrics the DTU bumps on
+/// every message or transfer, so the hot path indexes a vector instead of
+/// walking a string-keyed map.
 #[derive(Copy, Clone)]
 struct HotStats {
     msgs_sent: StatHandle,
@@ -139,10 +139,14 @@ struct HotStats {
     msgs_delivered: StatHandle,
     msgs_dropped: StatHandle,
     deposit_no_recv_ep: StatHandle,
+    busy: MetricHandle,
+    ring_occupancy: MetricHandle,
+    drops: MetricHandle,
+    credit_stalls: MetricHandle,
 }
 
 impl HotStats {
-    fn new(stats: &Stats) -> HotStats {
+    fn new(stats: &Stats, metrics: &Metrics) -> HotStats {
         HotStats {
             msgs_sent: stats.handle("dtu.msgs_sent"),
             replies_sent: stats.handle("dtu.replies_sent"),
@@ -153,6 +157,10 @@ impl HotStats {
             msgs_delivered: stats.handle("dtu.msgs_delivered"),
             msgs_dropped: stats.handle("dtu.msgs_dropped"),
             deposit_no_recv_ep: stats.handle("dtu.deposit_no_recv_ep"),
+            busy: metrics.handle(keys::DTU_BUSY),
+            ring_occupancy: metrics.handle(keys::RING_OCCUPANCY),
+            drops: metrics.handle(keys::DTU_DROPS),
+            credit_stalls: metrics.handle(keys::CREDIT_STALLS),
         }
     }
 }
@@ -188,7 +196,7 @@ impl DtuSystem {
         let count = noc.topology().node_count() as usize;
         noc.attach(sim.tracer(), sim.metrics());
         DtuSystem {
-            hot: HotStats::new(&sim.stats()),
+            hot: HotStats::new(&sim.stats(), &sim.metrics()),
             stats: sim.stats(),
             tracer: sim.tracer(),
             metrics: sim.metrics(),
@@ -198,7 +206,6 @@ impl DtuSystem {
                 pes: RefCell::new((0..count).map(|_| PeState::new()).collect()),
                 mems: RefCell::new(BTreeMap::new()),
                 saved: RefCell::new(BTreeMap::new()),
-                next_deposit: std::cell::Cell::new(0),
                 faults: RefCell::new(None),
             }),
         }
@@ -390,13 +397,14 @@ impl DtuSystem {
             let occupied = rb.occupied() as u64;
             state.spm_dirty.touch(wire as u64);
             self.stats.incr_handle(self.hot.msgs_delivered);
-            self.metrics.observe(pe, keys::RING_OCCUPANCY, occupied);
+            self.metrics
+                .observe_handle(pe, self.hot.ring_occupancy, occupied);
             let arrival = state.arrival.clone();
             drop(pes);
             arrival.notify_all();
         } else {
             self.stats.incr_handle(self.hot.msgs_dropped);
-            self.metrics.incr(pe, keys::DTU_DROPS);
+            self.metrics.incr_handle(pe, self.hot.drops);
             let at = self.sim.now();
             self.tracer.record_with(|| Event {
                 at,
@@ -459,12 +467,12 @@ impl DtuSystem {
         if rb.deposit(msg) {
             self.stats.incr_handle(self.hot.msgs_delivered);
             self.metrics
-                .observe(pe, keys::RING_OCCUPANCY, rb.occupied() as u64);
+                .observe_handle(pe, self.hot.ring_occupancy, rb.occupied() as u64);
             drop(saved);
             arrival.notify_all();
         } else {
             self.stats.incr_handle(self.hot.msgs_dropped);
-            self.metrics.incr(pe, keys::DTU_DROPS);
+            self.metrics.incr_handle(pe, self.hot.drops);
             let at = self.sim.now();
             self.tracer.record_with(|| Event {
                 at,
@@ -515,7 +523,9 @@ impl DtuSystem {
         }
     }
 
-    fn spawn_delivery(
+    /// Deposits `msg` at `at` (see [`DtuSystem::deposit`]): a timer
+    /// callback, not a task.
+    fn deliver_at(
         &self,
         at: Cycles,
         target_pe: PeId,
@@ -524,27 +534,16 @@ impl DtuSystem {
         ctx: Option<u64>,
         credit: Option<(PeId, u64, EpId)>,
     ) {
-        let seq = self.inner.next_deposit.get();
-        self.inner.next_deposit.set(seq + 1);
         let sys = self.clone();
-        let sim = self.sim.clone();
-        let name = TaskName::numbered("dtu-deliver-", seq);
-        self.sim.spawn_detached(name, async move {
-            sim.sleep_until(at).await;
+        self.sim.call_at(at, move || {
             sys.deposit(target_pe, target_ep, msg, ctx, credit);
         });
     }
 
-    fn spawn_credit_refill(&self, at: Cycles, pe: PeId, ctx: u64, ep: EpId) {
-        let seq = self.inner.next_deposit.get();
-        self.inner.next_deposit.set(seq + 1);
+    /// Refills one credit of `(pe, ctx, ep)` at `at`.
+    fn refill_credit_at(&self, at: Cycles, pe: PeId, ctx: u64, ep: EpId) {
         let sys = self.clone();
-        let sim = self.sim.clone();
-        let name = TaskName::numbered("dtu-credit-", seq);
-        self.sim.spawn_detached(name, async move {
-            sim.sleep_until(at).await;
-            sys.refill_credit(pe, ctx, ep);
-        });
+        self.sim.call_at(at, move || sys.refill_credit(pe, ctx, ep));
     }
 
     /// Sanitizer (`--features m3-dtu/sanitize`): asserts the DTU-wide
@@ -831,7 +830,9 @@ impl Dtu {
                 let cur = state.credits.entry(ep).or_insert(0);
                 if *cur == 0 {
                     drop(pes);
-                    self.sys.metrics.incr(self.pe, keys::CREDIT_STALLS);
+                    self.sys
+                        .metrics
+                        .incr_handle(self.pe, self.sys.hot.credit_stalls);
                     let at = self.sys.sim.now();
                     self.sys.tracer.record_with(|| Event {
                         at,
@@ -873,7 +874,7 @@ impl Dtu {
             .add_handle(self.sys.hot.msg_cycles, (t.completes_at - now).as_u64());
         self.sys
             .metrics
-            .add(self.pe, keys::DTU_BUSY, (t.completes_at - now).as_u64());
+            .add_handle(self.pe, self.sys.hot.busy, (t.completes_at - now).as_u64());
         self.sys.tracer.record_with(|| Event {
             at: now,
             dur: t.completes_at + timing::DELIVER - now,
@@ -897,7 +898,7 @@ impl Dtu {
         };
         match verdict {
             MsgVerdict::Deliver => {
-                self.sys.spawn_delivery(
+                self.sys.deliver_at(
                     t.completes_at + timing::DELIVER,
                     target_pe,
                     target_ep,
@@ -912,7 +913,7 @@ impl Dtu {
                 // drop: the reply path that normally refills it is gone.
                 self.sys.trace_fault(self.pe, "msg_drop", Cycles::ZERO);
                 if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
-                    self.sys.spawn_credit_refill(
+                    self.sys.refill_credit_at(
                         t.completes_at + timing::DELIVER,
                         sender_pe,
                         sender_ctx,
@@ -924,7 +925,7 @@ impl Dtu {
                 // Two copies arrive; only the first carries the credit
                 // pointer, so a drop of the duplicate cannot double-refund.
                 self.sys.trace_fault(self.pe, "msg_duplicate", Cycles::ZERO);
-                self.sys.spawn_delivery(
+                self.sys.deliver_at(
                     t.completes_at + timing::DELIVER,
                     target_pe,
                     target_ep,
@@ -932,7 +933,7 @@ impl Dtu {
                     None,
                     credit,
                 );
-                self.sys.spawn_delivery(
+                self.sys.deliver_at(
                     t.completes_at + timing::DELIVER,
                     target_pe,
                     target_ep,
@@ -947,7 +948,7 @@ impl Dtu {
                 let mut bytes = msg.payload.to_vec();
                 m3_fault::corrupt_payload(&mut bytes);
                 msg.payload = bytes.into();
-                self.sys.spawn_delivery(
+                self.sys.deliver_at(
                     t.completes_at + timing::DELIVER,
                     target_pe,
                     target_ep,
@@ -995,7 +996,7 @@ impl Dtu {
             .add_handle(self.sys.hot.msg_cycles, (t.completes_at - now).as_u64());
         self.sys
             .metrics
-            .add(self.pe, keys::DTU_BUSY, (t.completes_at - now).as_u64());
+            .add_handle(self.pe, self.sys.hot.busy, (t.completes_at - now).as_u64());
         self.sys.tracer.record_with(|| Event {
             at: now,
             dur: t.completes_at + timing::DELIVER - now,
@@ -1013,7 +1014,7 @@ impl Dtu {
         };
         match verdict {
             MsgVerdict::Deliver => {
-                self.sys.spawn_delivery(
+                self.sys.deliver_at(
                     t.completes_at + timing::DELIVER,
                     rinfo.pe,
                     rinfo.ep,
@@ -1028,7 +1029,7 @@ impl Dtu {
             MsgVerdict::Duplicate => {
                 self.sys.trace_fault(self.pe, "msg_duplicate", Cycles::ZERO);
                 for _ in 0..2 {
-                    self.sys.spawn_delivery(
+                    self.sys.deliver_at(
                         t.completes_at + timing::DELIVER,
                         rinfo.pe,
                         rinfo.ep,
@@ -1044,7 +1045,7 @@ impl Dtu {
                 let mut bytes = reply_msg.payload.to_vec();
                 m3_fault::corrupt_payload(&mut bytes);
                 reply_msg.payload = bytes.into();
-                self.sys.spawn_delivery(
+                self.sys.deliver_at(
                     t.completes_at + timing::DELIVER,
                     rinfo.pe,
                     rinfo.ep,
@@ -1058,7 +1059,7 @@ impl Dtu {
         // which travels independently of the reply message: even a faulted
         // reply returns the sender's credit, so retries are never starved.
         self.sys
-            .spawn_credit_refill(t.completes_at, rinfo.pe, rinfo.ctx, rinfo.credit_ep);
+            .refill_credit_at(t.completes_at, rinfo.pe, rinfo.ctx, rinfo.credit_ep);
         Ok(())
     }
 
@@ -1132,9 +1133,11 @@ impl Dtu {
         match state.ringbufs.get_mut(&ep) {
             Some(rb) => {
                 rb.ack();
-                self.sys
-                    .metrics
-                    .observe(self.pe, keys::RING_OCCUPANCY, rb.occupied() as u64);
+                self.sys.metrics.observe_handle(
+                    self.pe,
+                    self.sys.hot.ring_occupancy,
+                    rb.occupied() as u64,
+                );
                 Ok(())
             }
             None => Err(Error::new(Code::InvEp).with_msg(format!("{ep} is not a receive EP"))),
@@ -1203,9 +1206,9 @@ impl Dtu {
             self.sys.hot.xfer_cycles,
             (data_xfer.completes_at - now).as_u64(),
         );
-        self.sys.metrics.add(
+        self.sys.metrics.add_handle(
             self.pe,
-            keys::DTU_BUSY,
+            self.sys.hot.busy,
             (data_xfer.completes_at - now).as_u64(),
         );
         self.sys.tracer.record_with(|| Event {
@@ -1260,9 +1263,9 @@ impl Dtu {
             self.sys.hot.xfer_cycles,
             (xfer.completes_at + lat - now).as_u64(),
         );
-        self.sys.metrics.add(
+        self.sys.metrics.add_handle(
             self.pe,
-            keys::DTU_BUSY,
+            self.sys.hot.busy,
             (xfer.completes_at + lat - now).as_u64(),
         );
         self.sys.tracer.record_with(|| Event {

@@ -193,14 +193,7 @@ impl Kernel {
                 let dst_crash = crash_of.get(&dst).copied();
                 let dst_k = dst_k.clone();
                 let sim2 = sim.clone();
-                let name = TaskName::pair(
-                    "ktk-wire-PE",
-                    src.pe.raw().into(),
-                    "-PE",
-                    dst_k.pe.raw().into(),
-                );
-                sim.spawn_detached(name, async move {
-                    sim2.sleep_until(t.completes_at).await;
+                sim.call_at(t.completes_at, move || {
                     if dst_crash.is_some_and(|at| sim2.now() >= at) {
                         return;
                     }

@@ -12,7 +12,7 @@ use m3_dtu::Dtu;
 use m3_fault::RecoveryPolicy;
 use m3_kernel::protocol::{std_eps, Syscall, SyscallReply};
 use m3_kernel::{Kernel, VpeBootInfo};
-use m3_sim::{JoinHandle, Sim};
+use m3_sim::{JoinHandle, MetricHandle, Metrics, Sim};
 
 use crate::epmux::EpMux;
 use crate::gate::RecvGate;
@@ -78,6 +78,10 @@ impl ProgramRegistry {
 struct EnvInner {
     kernel: Kernel,
     sim: Sim,
+    /// The simulation's metrics bag and the handle of the PE-busy counter
+    /// every [`Env::compute`] bumps.
+    metrics: Metrics,
+    pe_busy: MetricHandle,
     dtu: Dtu,
     vpe: VpeId,
     pe: PeId,
@@ -108,10 +112,13 @@ impl Env {
     /// Creates the environment of a VPE from its boot info.
     pub fn new(kernel: &Kernel, info: &VpeBootInfo, programs: ProgramRegistry) -> Env {
         let platform = kernel.platform();
+        let metrics = platform.sim().metrics();
         Env {
             inner: Rc::new(EnvInner {
                 kernel: kernel.clone(),
                 sim: platform.sim().clone(),
+                pe_busy: metrics.handle(m3_sim::keys::PE_BUSY),
+                metrics,
                 dtu: platform.dtu(info.pe),
                 vpe: info.vpe,
                 pe: info.pe,
@@ -188,10 +195,7 @@ impl Env {
     /// Models `cycles` of local computation (OS/library work; not shown as
     /// application time in the figure breakdowns).
     pub async fn compute(&self, cycles: Cycles) {
-        self.inner
-            .sim
-            .metrics()
-            .add(self.pe(), m3_sim::keys::PE_BUSY, cycles.as_u64());
+        self.count_busy(cycles);
         self.inner.sim.sleep(cycles).await;
     }
 
@@ -199,11 +203,16 @@ impl Env {
     /// `m3.app_cycles` for the Figure 5/7 breakdowns.
     pub async fn compute_app(&self, cycles: Cycles) {
         self.inner.sim.stats().add("m3.app_cycles", cycles.as_u64());
-        self.inner
-            .sim
-            .metrics()
-            .add(self.pe(), m3_sim::keys::PE_BUSY, cycles.as_u64());
+        self.count_busy(cycles);
         self.inner.sim.sleep(cycles).await;
+    }
+
+    /// Counts `cycles` of computation as busy time of this PE.
+    fn count_busy(&self, cycles: Cycles) {
+        let inner = &self.inner;
+        inner
+            .metrics
+            .add_handle(inner.pe, inner.pe_busy, cycles.as_u64());
     }
 
     /// Drops an application-level phase marker into the trace (free when

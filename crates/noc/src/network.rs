@@ -7,7 +7,9 @@ use std::rc::Rc;
 use m3_base::cycles::{transfer_time, Cycles};
 use m3_base::PeId;
 use m3_fault::FaultPlane;
-use m3_sim::{keys, Component, Event, EventKind, Metrics, Recorder, StatHandle, Stats};
+use m3_sim::{
+    keys, Component, Event, EventKind, MetricHandle, Metrics, Recorder, StatHandle, Stats,
+};
 
 use crate::topology::{Coord, Topology};
 
@@ -77,10 +79,28 @@ struct NocInner {
     /// Event sink; a detached (disabled) recorder until [`Noc::attach`].
     tracer: Recorder,
     /// Per-PE metrics; a detached bag until [`Noc::attach`].
-    metrics: Metrics,
+    metrics: NocMetrics,
     /// Fault-injection plane; `None` (the default) means the clean-path
     /// code is byte-identical to a build without fault support.
     faults: Option<Rc<FaultPlane>>,
+}
+
+/// The metrics bag a NoC reports into, with the handles of the two
+/// counters every transfer bumps.
+struct NocMetrics {
+    bag: Metrics,
+    link_busy: MetricHandle,
+    wait: MetricHandle,
+}
+
+impl NocMetrics {
+    fn new(bag: Metrics) -> NocMetrics {
+        NocMetrics {
+            link_busy: bag.handle(keys::NOC_LINK_BUSY),
+            wait: bag.handle(keys::NOC_WAIT),
+            bag,
+        }
+    }
 }
 
 /// The network-on-chip: schedules transfers between mesh nodes.
@@ -131,7 +151,7 @@ impl Noc {
                 stat_wait: stats.handle("noc.wait_cycles"),
                 stats,
                 tracer: Recorder::new(),
-                metrics: Metrics::new(),
+                metrics: NocMetrics::new(Metrics::new()),
                 faults: None,
             })),
         }
@@ -144,7 +164,7 @@ impl Noc {
     pub fn attach(&self, tracer: Recorder, metrics: Metrics) {
         let mut inner = self.inner.borrow_mut();
         inner.tracer = tracer;
-        inner.metrics = metrics;
+        inner.metrics = NocMetrics::new(metrics);
     }
 
     /// Arms the fault-injection plane: subsequent transfers are subject to
@@ -277,12 +297,13 @@ impl Noc {
         inner.stats.add_handle(inner.stat_wait, waited.as_u64());
         // Each of the hops+1 links (injection port included) is reserved
         // for the wire duration; attribute that to the sourcing node.
-        inner.metrics.add(
+        let m = &inner.metrics;
+        m.bag.add_handle(
             src,
-            keys::NOC_LINK_BUSY,
+            m.link_busy,
             duration.as_u64().saturating_mul(u64::from(hops) + 1),
         );
-        inner.metrics.add(src, keys::NOC_WAIT, waited.as_u64());
+        m.bag.add_handle(src, m.wait, waited.as_u64());
         inner.tracer.record_with(|| Event {
             at: now,
             dur: completes_at - now,

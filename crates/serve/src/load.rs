@@ -21,6 +21,9 @@
 //! instead of quietly stretching the arrival process — the
 //! coordinated-omission correction that makes the p99 honest.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use m3_base::rand::Rng;
 use m3_base::Cycles;
 
@@ -66,9 +69,7 @@ pub struct Pending {
 }
 
 struct Client {
-    id: u64,
     rng: Rng,
-    due: u64,
     left: u64,
     puts: u32,
 }
@@ -97,9 +98,23 @@ impl Client {
 }
 
 /// A (partition of a) client population with its arrival schedule.
+///
+/// Drivers keep one request in flight per set: ask for the
+/// [`ClientSet::next_request`], issue it, report its
+/// [`ClientSet::complete`], repeat. Asking for the next request before
+/// completing the previous one is a caller error: a client is off the
+/// schedule from its request until its completion sets its next due time,
+/// so the answer is another client's request or `None`.
 pub struct ClientSet {
     arrivals: Arrivals,
+    /// This set's share of the population: `clients[i]` is client
+    /// `part + i * parts`.
+    part: u64,
+    parts: u64,
     clients: Vec<Client>,
+    /// The schedulable clients — requests left and none in flight — as
+    /// `(due, id)`: the minimum is the next request.
+    schedule: BinaryHeap<Reverse<(u64, u64)>>,
 }
 
 impl ClientSet {
@@ -118,6 +133,7 @@ impl ClientSet {
     pub fn partition(plan: &LoadPlan, part: u64, parts: u64) -> ClientSet {
         assert!(part < parts, "partition {part} of {parts}");
         let mut clients = Vec::new();
+        let mut schedule = BinaryHeap::new();
         for id in (part..plan.clients).step_by(parts as usize) {
             // Split a per-client stream off the plan seed; the constant is
             // an arbitrary odd mixer to decorrelate adjacent ids.
@@ -129,17 +145,21 @@ impl ClientSet {
                 Arrivals::Open { period } => period.as_u64(),
             };
             let due = rng.next_below(interval.max(1));
+            if plan.reqs_per_client > 0 {
+                schedule.push(Reverse((due, id)));
+            }
             clients.push(Client {
-                id,
                 rng,
-                due,
                 left: plan.reqs_per_client,
                 puts: 0,
             });
         }
         ClientSet {
             arrivals: plan.arrivals,
+            part,
+            parts,
             clients,
+            schedule,
         }
     }
 
@@ -153,43 +173,47 @@ impl ClientSet {
     /// client finished. The caller must [`ClientSet::complete`] the
     /// client before its next request becomes available.
     pub fn next_request(&mut self) -> Option<Pending> {
-        let best = self
-            .clients
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.left > 0)
-            .min_by_key(|(_, c)| (c.due, c.id))?;
-        let idx = best.0;
+        let Reverse((due, id)) = self.schedule.pop()?;
+        let idx = self.index(id);
         let c = &mut self.clients[idx];
         c.left -= 1;
-        let pending = Pending {
-            client: c.id,
-            due: Cycles::new(c.due),
+        Some(Pending {
+            client: id,
+            due: Cycles::new(due),
             op: c.op(),
-        };
-        // Until completion the client must not be schedulable again; park
-        // it at the end of time (complete() sets the real next due).
-        c.due = u64::MAX;
-        Some(pending)
+        })
     }
 
     /// Records that `client`'s in-flight request completed at `now` with
     /// scheduled arrival `due`; returns the measured latency and schedules
     /// the client's next request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is not in this set.
     pub fn complete(&mut self, client: u64, due: Cycles, now: Cycles) -> Cycles {
-        let c = self
-            .clients
-            .iter_mut()
-            .find(|c| c.id == client)
-            .unwrap_or_else(|| panic!("unknown client {client}"));
+        let idx = self.index(client);
         let latency = Cycles::new(now.as_u64().saturating_sub(due.as_u64()));
-        c.due = match self.arrivals {
+        let next = match self.arrivals {
             Arrivals::Closed { think } => now.as_u64() + think.as_u64(),
             // Open loop: the schedule marches on from the *scheduled* time,
             // not the completion — that is the whole point.
             Arrivals::Open { period } => due.as_u64() + period.as_u64(),
         };
+        if self.clients[idx].left > 0 {
+            self.schedule.push(Reverse((next, client)));
+        }
         latency
+    }
+
+    /// The position of `client` in `clients`.
+    fn index(&self, client: u64) -> usize {
+        client
+            .checked_sub(self.part)
+            .filter(|d| d % self.parts == 0)
+            .map(|d| (d / self.parts) as usize)
+            .filter(|&i| i < self.clients.len())
+            .unwrap_or_else(|| panic!("unknown client {client}"))
     }
 }
 
@@ -215,8 +239,15 @@ mod tests {
         assert_eq!(whole.remaining(), 30);
         let mut ids = Vec::new();
         for part in 0..4 {
-            let set = ClientSet::partition(&p, part, 4);
-            ids.extend(set.clients.iter().map(|c| c.id));
+            let mut set = ClientSet::partition(&p, part, 4);
+            let mut mine = Vec::new();
+            while let Some(pending) = set.next_request() {
+                mine.push(pending.client);
+                set.complete(pending.client, pending.due, pending.due);
+            }
+            mine.sort_unstable();
+            mine.dedup();
+            ids.extend(mine);
         }
         ids.sort_unstable();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
@@ -294,6 +325,115 @@ mod tests {
         let b = set.next_request().unwrap();
         assert_ne!(a.client, b.client, "both clients issue one request");
         assert!(set.next_request().is_none());
+    }
+
+    /// The linear-scan generator the heap replaced: every request picks the
+    /// minimum `(due, id)` over the clients with requests left, parking the
+    /// issued client at the end of time until its completion.
+    struct LinearScan {
+        arrivals: Arrivals,
+        /// `(id, client, due)`.
+        clients: Vec<(u64, Client, u64)>,
+    }
+
+    impl LinearScan {
+        fn partition(plan: &LoadPlan, part: u64, parts: u64) -> LinearScan {
+            let mut set = ClientSet::partition(plan, part, parts);
+            let mut due: Vec<(u64, u64)> = set
+                .schedule
+                .drain()
+                .map(|Reverse((due, id))| (id, due))
+                .collect();
+            due.sort_unstable();
+            let clients = set
+                .clients
+                .into_iter()
+                .zip(due)
+                .map(|(c, (id, due))| (id, c, due))
+                .collect();
+            LinearScan {
+                arrivals: plan.arrivals,
+                clients,
+            }
+        }
+
+        fn next_request(&mut self) -> Option<Pending> {
+            let (id, c, due) = self
+                .clients
+                .iter_mut()
+                .filter(|(_, c, _)| c.left > 0)
+                .min_by_key(|(id, _, due)| (*due, *id))?;
+            c.left -= 1;
+            let pending = Pending {
+                client: *id,
+                due: Cycles::new(*due),
+                op: c.op(),
+            };
+            *due = u64::MAX;
+            Some(pending)
+        }
+
+        fn complete(&mut self, client: u64, due: Cycles, now: Cycles) -> Cycles {
+            let (_, _, next) = self
+                .clients
+                .iter_mut()
+                .find(|(id, _, _)| *id == client)
+                .expect("known client");
+            *next = match self.arrivals {
+                Arrivals::Closed { think } => now.as_u64() + think.as_u64(),
+                Arrivals::Open { period } => due.as_u64() + period.as_u64(),
+            };
+            Cycles::new(now.as_u64().saturating_sub(due.as_u64()))
+        }
+    }
+
+    #[test]
+    fn heap_issues_requests_in_the_linear_scan_order() {
+        let arrivals = [
+            Arrivals::Closed {
+                think: Cycles::new(1000),
+            },
+            Arrivals::Open {
+                period: Cycles::new(700),
+            },
+        ];
+        for seed in [1u64, 7, 42] {
+            for arrivals in arrivals {
+                let p = LoadPlan {
+                    clients: 37,
+                    reqs_per_client: 9,
+                    seed,
+                    arrivals,
+                };
+                for parts in [1u64, 4] {
+                    for part in 0..parts {
+                        let mut set = ClientSet::partition(&p, part, parts);
+                        let mut reference = LinearScan::partition(&p, part, parts);
+                        // One request in flight, served after a seeded
+                        // service time that is often zero, so completions
+                        // tie with other clients' due times.
+                        let mut service = Rng::new(seed ^ part);
+                        let mut now = 0u64;
+                        let mut issued = 0u64;
+                        loop {
+                            let got = set.next_request();
+                            assert_eq!(got, reference.next_request(), "seed {seed} {part}/{parts}");
+                            let Some(req) = got else { break };
+                            issued += 1;
+                            now = now.max(req.due.as_u64()) + service.next_below(4) * 250;
+                            let done = Cycles::new(now);
+                            assert_eq!(
+                                set.complete(req.client, req.due, done),
+                                reference.complete(req.client, req.due, done)
+                            );
+                        }
+                        let held = (part..p.clients).step_by(parts as usize).count() as u64;
+                        assert_eq!(issued, held * p.reqs_per_client);
+                        assert_eq!(set.remaining(), 0);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWakerVTable, Wake, Waker};
 
 use m3_base::cycles::Cycles;
 use m3_trace::{Component, Event, EventKind, Metrics, Recorder};
@@ -29,6 +29,16 @@ use crate::stats::Stats;
 struct TaskId {
     slot: u32,
     gen: u32,
+}
+
+impl TaskId {
+    /// Not a task: the ready-queue marker of one [`Sim::call_at`]. The
+    /// callback's timer is armed where the marker is drained, exactly where
+    /// the equivalent detached task would have been polled first.
+    const ARM_CALL: TaskId = TaskId {
+        slot: u32::MAX,
+        gen: u32::MAX,
+    };
 }
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
@@ -115,17 +125,26 @@ pub enum SimState {
 struct Inner {
     now: Cycles,
     next_seq: u64,
-    /// Live tasks that are not daemons; the run loop finishes when this
-    /// reaches zero.
+    /// Live tasks that are not daemons plus pending [`Sim::call_at`]
+    /// callbacks; the run loop finishes when this reaches zero.
     live_regular: usize,
     /// Task slab, indexed by `TaskId::slot`. Vacant slots are listed in
     /// `free` and reused in LIFO order.
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Timer wheel: (deadline, sequence) -> waker. `Reverse` makes the
+    /// Timer wheel: (deadline, sequence) -> entry. `Reverse` makes the
     /// `BinaryHeap` a min-heap; the sequence number keeps same-cycle events in
     /// scheduling order, which is what makes runs deterministic.
     timers: BinaryHeap<Reverse<(Cycles, u64, TimerEntry)>>,
+    /// [`Sim::call_at`] callbacks whose timer is not armed yet, in call
+    /// order; one [`TaskId::ARM_CALL`] marker per entry waits in the ready
+    /// queue.
+    unarmed: VecDeque<(Cycles, Callback)>,
+    /// The task [`Sim::poll_task`] is polling and the identity (data and
+    /// vtable pointers, what `Waker::will_wake` compares) of the waker its
+    /// context carries. A [`Sleep`] polled under exactly that waker arms a
+    /// [`TimerEntry::Task`] instead of cloning the waker.
+    polling: Option<(TaskId, *const (), *const RawWakerVTable)>,
     /// The batch the run loops poll: the ready queue is swapped into it
     /// under one lock, and wake-ups issued while it is polled land behind
     /// it in the (now empty) queue, so FIFO order is that of a one-by-one
@@ -161,10 +180,10 @@ impl Inner {
         self.timers.pop().map(|Reverse(entry)| entry)
     }
 
-    /// Registers a new timer that wakes `waker` at `deadline`.
-    fn arm(&mut self, deadline: Cycles, waker: Waker) {
+    /// Registers a new timer that fires `entry` at `deadline`.
+    fn arm(&mut self, deadline: Cycles, entry: TimerEntry) {
         self.timers_scheduled += 1;
-        self.push_timer(deadline, TimerEntry(waker));
+        self.push_timer(deadline, entry);
     }
 
     /// The earliest moment something can happen: `now` while tasks are
@@ -203,8 +222,24 @@ impl Drop for Inner {
     }
 }
 
-/// Wrapper so the heap can order entries without comparing wakers.
-struct TimerEntry(Waker);
+/// A [`Sim::call_at`] callback.
+type Callback = Box<dyn FnOnce()>;
+
+/// What a timer does when it fires. Ordering lives in the heap's
+/// (deadline, sequence) key; the entry itself compares equal to every
+/// other, so the heap never compares wakers or closures.
+enum TimerEntry {
+    /// Runs a [`Sim::call_at`] callback: an event without a task.
+    Call(Callback),
+    /// Polls the task directly. Armed by a [`Sleep`] polled under the
+    /// waker of the task being polled; sound because every run, settle and
+    /// window loop pops a timer only after draining the ready queue, so
+    /// the task is polled exactly where a wake-up would have put it.
+    Task(TaskId),
+    /// Wakes a waker the executor does not own (a foreign context, a
+    /// sub-future's waker, [`Sim::schedule_wake`]).
+    Wake(Waker),
+}
 
 impl PartialEq for TimerEntry {
     fn eq(&self, _: &Self) -> bool {
@@ -264,6 +299,8 @@ impl Sim {
                 slots: Vec::new(),
                 free: Vec::new(),
                 timers: BinaryHeap::new(),
+                unarmed: VecDeque::new(),
+                polling: None,
                 batch: VecDeque::new(),
                 stats: Stats::new(),
                 spawned: 0,
@@ -339,8 +376,9 @@ impl Sim {
 
     /// Spawns a fire-and-forget task: like [`Sim::spawn`], but nothing can
     /// join it, so it gets no result slot and no completion notification.
-    /// For the per-event tasks of hot paths (a DTU message delivery, a
-    /// credit refill).
+    /// For per-event work that really awaits (a context switch, a blocking
+    /// syscall, a ktk handler); an action that only waits for a deadline is
+    /// a [`Sim::call_at`].
     pub fn spawn_detached<F>(&self, name: impl Into<TaskName>, future: F)
     where
         F: Future<Output = ()> + 'static,
@@ -415,6 +453,47 @@ impl Sim {
         self.ready.lock().push_back(id);
     }
 
+    /// Runs `f` once the clock reaches `at` (at once, behind the ready
+    /// tasks, if `at` has passed): an event without a task — no slot, no
+    /// polls, no waker — for the DTU's deliveries and credit refills and
+    /// the kernel's ktk wire hops.
+    ///
+    /// Fires in exactly the order a detached task
+    /// `async { sim.sleep_until(at).await; f() }` spawned in its place
+    /// would: a marker takes the task's place in the ready queue and arms
+    /// the timer (one `timers_scheduled`) where that task would first be
+    /// polled.
+    /// A pending callback keeps [`Sim::run`] going like a regular task.
+    pub fn call_at(&self, at: Cycles, f: impl FnOnce() + 'static) {
+        let mut inner = self.inner.borrow_mut();
+        inner.unarmed.push_back((at, Box::new(f)));
+        inner.live_regular += 1;
+        drop(inner);
+        self.ready.lock().push_back(TaskId::ARM_CALL);
+    }
+
+    /// Arms the timer of the oldest unarmed [`Sim::call_at`] callback.
+    fn arm_call(&self) {
+        let mut inner = self.inner.borrow_mut();
+        let (at, f) = inner.unarmed.pop_front().expect("one callback per marker");
+        let deadline = at.max(inner.now);
+        inner.arm(deadline, TimerEntry::Call(f));
+    }
+
+    /// Fires a popped timer entry. The ready queue is empty whenever a
+    /// loop pops a timer, so polling a task here is what waking it and
+    /// draining the queue would do.
+    fn fire(&self, entry: TimerEntry) {
+        match entry {
+            TimerEntry::Call(f) => {
+                self.inner.borrow_mut().live_regular -= 1;
+                f();
+            }
+            TimerEntry::Task(id) => self.poll_task(id),
+            TimerEntry::Wake(waker) => waker.wake(),
+        }
+    }
+
     /// Registers `waker` to fire `delay` cycles from now.
     ///
     /// Every call arms a new timer (counted in `timers_scheduled`); a caller
@@ -423,7 +502,7 @@ impl Sim {
     pub fn schedule_wake(&self, delay: Cycles, waker: Waker) {
         let mut inner = self.inner.borrow_mut();
         let deadline = inner.now + delay;
-        inner.arm(deadline, waker);
+        inner.arm(deadline, TimerEntry::Wake(waker));
     }
 
     /// Counts a timer registration a caller skipped because the timer it
@@ -484,7 +563,8 @@ impl Sim {
         self.inner.borrow().next_event_time(ready_empty)
     }
 
-    /// Number of live non-daemon tasks.
+    /// Number of live non-daemon tasks plus pending [`Sim::call_at`]
+    /// callbacks: what keeps the simulation running.
     pub fn live_regular(&self) -> usize {
         self.inner.borrow().live_regular
     }
@@ -537,7 +617,7 @@ impl Sim {
                 });
             }
             drop(inner);
-            entry.0.wake();
+            self.fire(entry);
         }
     }
 
@@ -573,7 +653,7 @@ impl Sim {
             }
             inner.now = deadline;
             drop(inner);
-            entry.0.wake();
+            self.fire(entry);
         }
     }
 
@@ -589,7 +669,11 @@ impl Sim {
                 break;
             }
             for id in batch.drain(..) {
-                self.poll_task(id);
+                if id == TaskId::ARM_CALL {
+                    self.arm_call();
+                } else {
+                    self.poll_task(id);
+                }
             }
         }
         self.inner.borrow_mut().batch = batch;
@@ -616,6 +700,7 @@ impl Sim {
             };
             task.waker_state.queued.store(false, Ordering::Relaxed);
             inner.polls += 1;
+            inner.polling = Some((id, run.1.data(), run.1.vtable()));
             let at = inner.now;
             self.recorder.record_with(|| Event {
                 at,
@@ -629,15 +714,16 @@ impl Sim {
             run
         };
         let mut cx = Context::from_waker(&waker);
-        if future.as_mut().poll(&mut cx).is_pending() {
-            if let Some(task) = self.inner.borrow_mut().slots[id.slot as usize]
-                .task
-                .as_mut()
-            {
+        let pending = future.as_mut().poll(&mut cx).is_pending();
+        let mut inner = self.inner.borrow_mut();
+        inner.polling = None;
+        if pending {
+            if let Some(task) = inner.slots[id.slot as usize].task.as_mut() {
                 task.run = Some((future, waker));
             }
             return;
         }
+        drop(inner);
         // Dropped before the borrow below: a future's destructor may call
         // back into the simulation.
         drop((future, waker));
@@ -713,7 +799,7 @@ impl Sim {
                 });
             }
             drop(inner);
-            entry.0.wake();
+            self.fire(entry);
         }
     }
 }
@@ -723,7 +809,9 @@ impl Sim {
 /// Readiness is gated on the recorded deadline, not on "was I polled
 /// again": a spurious wake-up (e.g. through a cloned waker) before the
 /// deadline leaves the sleep pending, and the originally registered timer
-/// still completes it at the right cycle.
+/// still completes it at the right cycle. The first poll arms that timer
+/// for the task being polled when the context carries that task's own
+/// waker, and for a clone of the context's waker otherwise.
 pub struct Sleep {
     /// The executor state only (clock and timer wheel), not a whole [`Sim`].
     inner: Rc<RefCell<Inner>>,
@@ -759,7 +847,16 @@ impl Future for Sleep {
                 let deadline = {
                     let mut inner = self.inner.borrow_mut();
                     let deadline = inner.now + self.delay;
-                    inner.arm(deadline, cx.waker().clone());
+                    let w = cx.waker();
+                    let entry = match inner.polling {
+                        Some((id, data, vtable))
+                            if std::ptr::eq(w.data(), data) && std::ptr::eq(w.vtable(), vtable) =>
+                        {
+                            TimerEntry::Task(id)
+                        }
+                        _ => TimerEntry::Wake(w.clone()),
+                    };
+                    inner.arm(deadline, entry);
                     deadline
                 };
                 self.deadline = Some(deadline);
@@ -1305,6 +1402,222 @@ mod tests {
         assert_eq!(names.len(), 4);
         assert!(names.iter().all(|n| Rc::ptr_eq(n, &names[0])));
         assert_eq!(&*names[0], "t-1");
+    }
+
+    /// One event schedule, run with each deferred-action form: the old
+    /// detached task (`sleep_until` then act) or a `call_at` callback.
+    fn deferred_log(detached: bool) -> Vec<(u64, &'static str)> {
+        fn defer(sim: &Sim, detached: bool, at: u64, f: impl FnOnce() + 'static) {
+            if detached {
+                let sim2 = sim.clone();
+                sim.spawn_detached("deferred", async move {
+                    sim2.sleep_until(Cycles::new(at)).await;
+                    f();
+                });
+            } else {
+                sim.call_at(Cycles::new(at), f);
+            }
+        }
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<(u64, &'static str)>>> = Rc::default();
+        let note = |name: &'static str| {
+            let (sim, log) = (sim.clone(), log.clone());
+            move || log.borrow_mut().push((sim.now().as_u64(), name))
+        };
+        // "caller" defers e1 to 10, then sleeps to the same deadline;
+        // "other", polled behind it in the same batch, sleeps to 10 before
+        // e1's timer is armed.
+        {
+            let (sim2, e1, e2, e3, me) = (
+                sim.clone(),
+                note("e1"),
+                note("e2-past"),
+                note("e3"),
+                note("caller"),
+            );
+            let chained = note("chained");
+            sim.spawn("caller", async move {
+                defer(&sim2, detached, 10, e1);
+                defer(&sim2, detached, 0, e2);
+                let sim3 = sim2.clone();
+                defer(&sim2, detached, 20, move || {
+                    e3();
+                    defer(&sim3, detached, 20, chained);
+                });
+                sim2.sleep_until(Cycles::new(10)).await;
+                me();
+            });
+        }
+        {
+            let (sim2, me) = (sim.clone(), note("other"));
+            sim.spawn("other", async move {
+                sim2.sleep_until(Cycles::new(10)).await;
+                me();
+                sim2.sleep_until(Cycles::new(20)).await;
+            });
+        }
+        assert_eq!(sim.run(), SimState::Finished);
+        let out = log.borrow().clone();
+        out
+    }
+
+    #[test]
+    fn call_at_fires_in_the_order_of_the_detached_task_it_replaces() {
+        let calls = deferred_log(false);
+        assert_eq!(calls, deferred_log(true));
+        // e1 was armed after both same-deadline sleeps of the first batch,
+        // so it fires last at cycle 10; a past deadline fires at once.
+        assert_eq!(
+            calls,
+            [
+                (0, "e2-past"),
+                (10, "caller"),
+                (10, "other"),
+                (10, "e1"),
+                (20, "e3"),
+                (20, "chained")
+            ]
+        );
+    }
+
+    #[test]
+    fn call_at_runs_without_a_task_and_keeps_the_sim_alive() {
+        let sim = Sim::new();
+        sim.enable_trace();
+        let hit = Rc::new(Cell::new(None));
+        {
+            let (sim2, hit) = (sim.clone(), hit.clone());
+            sim.call_at(Cycles::new(100), move || hit.set(Some(sim2.now())));
+        }
+        assert_eq!(sim.live_regular(), 1);
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(hit.get(), Some(Cycles::new(100)));
+        assert_eq!(sim.live_regular(), 0);
+        let inner = sim.inner.borrow();
+        assert_eq!(
+            (inner.spawned, inner.polls, inner.timers_scheduled),
+            (0, 0, 1)
+        );
+        let tags: Vec<&str> = sim.trace().iter().map(|e| e.kind.tag()).collect();
+        assert_eq!(tags, ["clock_advance"]);
+    }
+
+    #[test]
+    fn run_until_requeues_a_pending_call_at_the_limit() {
+        let sim = Sim::new();
+        let hit = Rc::new(Cell::new(false));
+        {
+            let hit = hit.clone();
+            sim.call_at(Cycles::new(100), move || hit.set(true));
+        }
+        assert_eq!(sim.run_until(Cycles::new(50)), SimState::TimeLimit);
+        assert!(!hit.get());
+        assert_eq!(sim.now(), Cycles::new(50));
+        assert_eq!(sim.run_until(Cycles::new(100)), SimState::Finished);
+        assert!(hit.get());
+        assert_eq!(sim.now(), Cycles::new(100));
+    }
+
+    #[test]
+    fn settle_and_run_window_fire_only_calls_due_by_their_end() {
+        let sim = Sim::new();
+        let fired: Rc<RefCell<Vec<u64>>> = Rc::default();
+        for at in [10u64, 30, 31] {
+            let (sim2, fired) = (sim.clone(), fired.clone());
+            sim.call_at(Cycles::new(at), move || {
+                fired.borrow_mut().push(sim2.now().as_u64());
+            });
+        }
+        sim.settle(Cycles::new(20));
+        assert_eq!(*fired.borrow(), [10]);
+        assert_eq!(sim.now(), Cycles::new(10));
+        sim.run_window(Cycles::new(30));
+        assert_eq!(*fired.borrow(), [10, 30]);
+        assert_eq!(sim.next_event_time(), Some(Cycles::new(31)));
+        assert_eq!(sim.live_regular(), 1);
+        sim.run_window(Cycles::new(31));
+        assert_eq!(*fired.borrow(), [10, 30, 31]);
+        assert_eq!(sim.live_regular(), 0);
+    }
+
+    /// A waker the executor does not own: counts its wake-ups and forwards
+    /// them to the task's own waker.
+    struct Foreign {
+        woken: Arc<std::sync::atomic::AtomicUsize>,
+        task: Waker,
+    }
+
+    impl Wake for Foreign {
+        fn wake(self: Arc<Self>) {
+            self.woken.fetch_add(1, Ordering::Relaxed);
+            self.task.wake_by_ref();
+        }
+    }
+
+    /// Polls the inner sleep under a [`Foreign`] waker.
+    struct UnderForeign {
+        sleep: Sleep,
+        woken: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Future for UnderForeign {
+        type Output = ();
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            let this = self.get_mut();
+            let waker = Waker::from(Arc::new(Foreign {
+                woken: this.woken.clone(),
+                task: cx.waker().clone(),
+            }));
+            Pin::new(&mut this.sleep).poll(&mut Context::from_waker(&waker))
+        }
+    }
+
+    fn pending_timer_kinds(sim: &Sim) -> Vec<&'static str> {
+        let inner = sim.inner.borrow();
+        inner
+            .timers
+            .iter()
+            .map(|Reverse((_, _, entry))| match entry {
+                TimerEntry::Call(_) => "call",
+                TimerEntry::Task(_) => "task",
+                TimerEntry::Wake(_) => "wake",
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sleep_under_a_foreign_waker_wakes_through_it() {
+        let sim = Sim::new();
+        let woken = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let h = sim.spawn("foreign", {
+            let (sim, woken) = (sim.clone(), woken.clone());
+            async move {
+                UnderForeign {
+                    sleep: sim.sleep(Cycles::new(40)),
+                    woken,
+                }
+                .await;
+                sim.now()
+            }
+        });
+        assert_eq!(sim.run_until(Cycles::ZERO), SimState::TimeLimit);
+        assert_eq!(pending_timer_kinds(&sim), ["wake"]);
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(h.try_take(), Some(Cycles::new(40)));
+        assert_eq!(woken.load(Ordering::Relaxed), 1);
+
+        // Polled under its own task's waker, the same sleep arms a task
+        // timer instead.
+        let sim = Sim::new();
+        sim.spawn("own", {
+            let sim = sim.clone();
+            async move { sim.sleep(Cycles::new(40)).await }
+        });
+        assert_eq!(sim.run_until(Cycles::ZERO), SimState::TimeLimit);
+        assert_eq!(pending_timer_kinds(&sim), ["task"]);
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(sim.now(), Cycles::new(40));
     }
 
     use std::cell::Cell;

@@ -39,7 +39,7 @@ pub use channel::{channel, Receiver, Sender};
 pub use deadline::with_deadline;
 pub use executor::{JoinHandle, Sim, SimState};
 pub use m3_trace::{
-    keys, Component, Event, EventKind, Histogram, LatencyHistogram, Metrics, Recorder,
+    keys, Component, Event, EventKind, Histogram, LatencyHistogram, MetricHandle, Metrics, Recorder,
 };
 pub use name::TaskName;
 pub use notify::Notify;

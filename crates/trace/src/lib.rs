@@ -655,18 +655,90 @@ impl Histogram {
     }
 }
 
+/// A pre-resolved handle to one metric name of a [`Metrics`] bag, from
+/// [`Metrics::handle`]. Updating through a handle indexes a dense per-PE
+/// table instead of walking a string-keyed map — for the per-event callers
+/// (NoC transfers, DTU commands, `Env::compute`).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct MetricHandle(u32);
+
+/// One dense table: per PE (indexed by its raw id), per handle, the value
+/// if anything was recorded there. Reads skip `None` cells only, so a
+/// zero add still shows up as a row.
+type Table<T> = Vec<Vec<Option<T>>>;
+
+/// The cell of `(pe, h)` in `table`, growing the table to reach it.
+fn cell<T>(table: &mut Table<T>, pe: PeId, h: MetricHandle) -> &mut Option<T> {
+    let pe = pe.idx();
+    if table.len() <= pe {
+        table.resize_with(pe + 1, Vec::new);
+    }
+    let row = &mut table[pe];
+    let h = h.0 as usize;
+    if row.len() <= h {
+        row.resize_with(h + 1, || None);
+    }
+    &mut row[h]
+}
+
 #[derive(Default)]
 struct MetricsInner {
-    counters: BTreeMap<(u32, &'static str), u64>,
-    hists: BTreeMap<(u32, &'static str), Histogram>,
-    lats: BTreeMap<(u32, &'static str), LatencyHistogram>,
+    /// Interned names: name -> handle. Iterating it visits the handles in
+    /// name order, which is the order every dump uses.
+    index: BTreeMap<&'static str, MetricHandle>,
+    counters: Table<u64>,
+    hists: Table<Histogram>,
+    lats: Table<LatencyHistogram>,
+}
+
+impl MetricsInner {
+    fn handle(&mut self, key: &'static str) -> MetricHandle {
+        let next = MetricHandle(self.index.len() as u32);
+        *self.index.entry(key).or_insert(next)
+    }
+
+    /// The recorded cell of `(pe, key)` in `table`, if any.
+    fn find<'a, T>(&self, table: &'a Table<T>, pe: PeId, key: &str) -> Option<&'a T> {
+        let h = self.index.get(key)?;
+        table.get(pe.idx())?.get(h.0 as usize)?.as_ref()
+    }
+
+    /// Every recorded cell of `table` as `(pe, key, value)`, sorted by PE
+    /// and then by name: the order of a `BTreeMap<(pe, key), _>`.
+    fn rows<'a, T>(
+        &'a self,
+        table: &'a Table<T>,
+    ) -> impl Iterator<Item = (u32, &'static str, &'a T)> {
+        table.iter().enumerate().flat_map(move |(pe, row)| {
+            self.index.iter().filter_map(move |(key, h)| {
+                let v = row.get(h.0 as usize)?.as_ref()?;
+                Some((pe as u32, *key, v))
+            })
+        })
+    }
 }
 
 /// Per-PE counters, gauges, and histograms shared across a simulation.
 ///
-/// Always on: updates are plain map operations with `&'static str` keys (no
-/// allocation), they never touch simulated time, and `BTreeMap` keeps every
-/// dump deterministic. Cheaply cloneable; clones share the state.
+/// Always on: names are interned once into [`MetricHandle`]s and values
+/// live in dense per-PE tables, so an update never allocates past a table's
+/// first growth and never touches simulated time. Reads sort by PE and then
+/// by name, so every dump is deterministic. Cheaply cloneable; clones share
+/// the state. Handles are valid for this bag and all its clones.
+///
+/// # Examples
+///
+/// ```
+/// use m3_base::PeId;
+/// use m3_trace::{keys, Metrics};
+///
+/// let m = Metrics::new();
+/// m.add(PeId::new(1), keys::DTU_DROPS, 2);
+/// // Per-event callers resolve the name once:
+/// let drops = m.handle(keys::DTU_DROPS);
+/// m.incr_handle(PeId::new(1), drops);
+/// assert_eq!(m.get(PeId::new(1), keys::DTU_DROPS), 3);
+/// ```
 #[derive(Clone, Default)]
 pub struct Metrics {
     inner: Rc<RefCell<MetricsInner>>,
@@ -676,8 +748,8 @@ impl std::fmt::Debug for Metrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.borrow();
         f.debug_struct("Metrics")
-            .field("counters", &inner.counters.len())
-            .field("histograms", &inner.hists.len())
+            .field("counters", &inner.rows(&inner.counters).count())
+            .field("histograms", &inner.rows(&inner.hists).count())
             .finish()
     }
 }
@@ -688,11 +760,37 @@ impl Metrics {
         Metrics::default()
     }
 
+    /// Interns `key` and returns its handle. Interning records nothing: a
+    /// name shows up in reads only once a value is recorded under it.
+    pub fn handle(&self, key: &'static str) -> MetricHandle {
+        self.inner.borrow_mut().handle(key)
+    }
+
+    /// Adds `n` to the counter behind `h` of `pe` (saturating). A zero add
+    /// still creates the counter.
+    pub fn add_handle(&self, pe: PeId, h: MetricHandle, n: u64) {
+        let mut inner = self.inner.borrow_mut();
+        let slot = cell(&mut inner.counters, pe, h).get_or_insert(0);
+        *slot = slot.saturating_add(n);
+    }
+
+    /// Increments the counter behind `h` of `pe` by one.
+    pub fn incr_handle(&self, pe: PeId, h: MetricHandle) {
+        self.add_handle(pe, h, 1);
+    }
+
+    /// Records `value` into the histogram behind `h` of `pe`.
+    pub fn observe_handle(&self, pe: PeId, h: MetricHandle, value: u64) {
+        let mut inner = self.inner.borrow_mut();
+        cell(&mut inner.hists, pe, h)
+            .get_or_insert_with(Histogram::new)
+            .observe(value);
+    }
+
     /// Adds `n` to counter `key` of `pe` (saturating).
     pub fn add(&self, pe: PeId, key: &'static str, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        let slot = inner.counters.entry((pe.raw(), key)).or_insert(0);
-        *slot = slot.saturating_add(n);
+        let h = self.handle(key);
+        self.add_handle(pe, h, n);
     }
 
     /// Increments counter `key` of `pe` by one.
@@ -702,54 +800,50 @@ impl Metrics {
 
     /// Reads a counter; absent counters read as zero.
     pub fn get(&self, pe: PeId, key: &'static str) -> u64 {
-        self.inner
-            .borrow()
-            .counters
-            .get(&(pe.raw(), key))
-            .copied()
-            .unwrap_or(0)
+        let inner = self.inner.borrow();
+        inner.find(&inner.counters, pe, key).copied().unwrap_or(0)
     }
 
     /// Sums counter `key` over all PEs.
     pub fn total(&self, key: &'static str) -> u64 {
-        self.inner
-            .borrow()
+        let inner = self.inner.borrow();
+        let Some(h) = inner.index.get(key) else {
+            return 0;
+        };
+        inner
             .counters
             .iter()
-            .filter(|((_, k), _)| *k == key)
-            .fold(0u64, |acc, (_, v)| acc.saturating_add(*v))
+            .filter_map(|row| row.get(h.0 as usize).copied().flatten())
+            .fold(0u64, u64::saturating_add)
     }
 
     /// Records `value` into histogram `key` of `pe`.
     pub fn observe(&self, pe: PeId, key: &'static str, value: u64) {
-        self.inner
-            .borrow_mut()
-            .hists
-            .entry((pe.raw(), key))
-            .or_default()
-            .observe(value);
+        let h = self.handle(key);
+        self.observe_handle(pe, h, value);
     }
 
     /// A copy of histogram `key` of `pe`, if it has observations.
     pub fn histogram(&self, pe: PeId, key: &'static str) -> Option<Histogram> {
-        self.inner.borrow().hists.get(&(pe.raw(), key)).cloned()
+        let inner = self.inner.borrow();
+        inner.find(&inner.hists, pe, key).cloned()
     }
 
     /// Records `value` into the quantile-capable latency histogram `key` of
     /// `pe` (HDR-style sub-bucketed — use for p50/p99/p999 reporting, where
     /// the power-of-two [`Metrics::observe`] buckets are too coarse).
     pub fn observe_latency(&self, pe: PeId, key: &'static str, value: u64) {
-        self.inner
-            .borrow_mut()
-            .lats
-            .entry((pe.raw(), key))
-            .or_default()
+        let mut inner = self.inner.borrow_mut();
+        let h = inner.handle(key);
+        cell(&mut inner.lats, pe, h)
+            .get_or_insert_with(LatencyHistogram::new)
             .observe(value);
     }
 
     /// A copy of latency histogram `key` of `pe`, if it has observations.
     pub fn latency(&self, pe: PeId, key: &'static str) -> Option<LatencyHistogram> {
-        self.inner.borrow().lats.get(&(pe.raw(), key)).cloned()
+        let inner = self.inner.borrow();
+        inner.find(&inner.lats, pe, key).cloned()
     }
 
     /// Latency histogram `key` merged across all PEs — the system-wide
@@ -758,8 +852,8 @@ impl Metrics {
     pub fn merged_latency(&self, key: &'static str) -> Option<LatencyHistogram> {
         let inner = self.inner.borrow();
         let mut merged: Option<LatencyHistogram> = None;
-        for ((_, k), h) in inner.lats.iter() {
-            if *k == key {
+        for (_, k, h) in inner.rows(&inner.lats) {
+            if k == key {
                 merged.get_or_insert_with(LatencyHistogram::new).merge(h);
             }
         }
@@ -775,9 +869,9 @@ impl Metrics {
         let mut keys: Vec<&'static str> = Vec::new();
         {
             let inner = self.inner.borrow();
-            for ((pe, key), h) in inner.lats.iter() {
+            for (pe, key, h) in inner.rows(&inner.lats) {
                 let _ = writeln!(out, "{pe}\t{key}\t{}", latency_row(h));
-                if !keys.contains(key) {
+                if !keys.contains(&key) {
                     keys.push(key);
                 }
             }
@@ -807,11 +901,10 @@ impl Metrics {
     pub fn pes(&self) -> Vec<PeId> {
         let inner = self.inner.borrow();
         let mut pes: Vec<u32> = inner
-            .counters
-            .keys()
-            .chain(inner.hists.keys())
-            .chain(inner.lats.keys())
-            .map(|(pe, _)| *pe)
+            .rows(&inner.counters)
+            .map(|(pe, _, _)| pe)
+            .chain(inner.rows(&inner.hists).map(|(pe, _, _)| pe))
+            .chain(inner.rows(&inner.lats).map(|(pe, _, _)| pe))
             .collect();
         pes.sort_unstable();
         pes.dedup();
@@ -820,11 +913,10 @@ impl Metrics {
 
     /// A sorted snapshot of every counter as `(pe, key, value)` rows.
     pub fn snapshot(&self) -> Vec<(PeId, &'static str, u64)> {
-        self.inner
-            .borrow()
-            .counters
-            .iter()
-            .map(|((pe, key), v)| (PeId::new(*pe), *key, *v))
+        let inner = self.inner.borrow();
+        inner
+            .rows(&inner.counters)
+            .map(|(pe, key, v)| (PeId::new(pe), key, *v))
             .collect()
     }
 
@@ -845,8 +937,8 @@ impl Metrics {
                 }
             }
             let inner = self.inner.borrow();
-            for ((row_pe, key), h) in inner.hists.iter() {
-                if *row_pe == pe.raw() {
+            for (row_pe, key, h) in inner.rows(&inner.hists) {
+                if row_pe == pe.raw() {
                     let (min, mean) = match (h.min(), h.mean()) {
                         (Some(min), Some(mean)) => (min.to_string(), format!("{mean:.1}")),
                         _ => ("-".to_string(), "-".to_string()),
@@ -860,8 +952,8 @@ impl Metrics {
                     );
                 }
             }
-            for ((row_pe, key), h) in inner.lats.iter() {
-                if *row_pe == pe.raw() {
+            for (row_pe, key, h) in inner.rows(&inner.lats) {
+                if row_pe == pe.raw() {
                     let _ = write!(out, "  {key}[{}]", h.summary());
                 }
             }
