@@ -2538,6 +2538,283 @@ mod tests {
         );
     }
 
+    // ------------------------------------------------------------------
+    // Error order and cost of every command
+    // ------------------------------------------------------------------
+
+    /// A DTU command as the error-order table issues it from PE1.
+    #[derive(Clone, Copy, Debug)]
+    enum Cmd {
+        Send {
+            ep: u32,
+            len: usize,
+        },
+        /// A reply to a message that carries no reply info.
+        ReplyUnreplyable,
+        Read {
+            offset: u64,
+            len: usize,
+        },
+        Write {
+            offset: u64,
+            len: usize,
+        },
+        Fetch,
+        Ack,
+    }
+
+    /// One row: PE1's EP 0 holds `ep0`, the `crashed` PEs are dead from
+    /// cycle 0, and `cmd` must fail with `code` with the clock at `at` on
+    /// return, the DTU counters having recorded `rdma_bytes` of transfer.
+    struct Row {
+        cmd: Cmd,
+        ep0: EpConfig,
+        crashed: &'static [u32],
+        code: Code,
+        at: u64,
+        rdma_bytes: u64,
+    }
+
+    fn mem_cfg(pe: u32, offset: u64, len: u64, perm: Perm) -> EpConfig {
+        EpConfig::Memory {
+            pe: PeId::new(pe),
+            offset,
+            len,
+            perm,
+        }
+    }
+
+    fn run_row(row: &Row) -> (Code, Cycles, Sim) {
+        let (sim, sys) = setup(3);
+        sim.enable_trace();
+        sys.add_memory(PeId::new(2), MemKind::Dram, 4096);
+        let kernel = sys.dtu(PeId::new(0)).claim_kernel_token().unwrap();
+        kernel
+            .configure(PeId::new(1), EpId::new(0), row.ep0.clone())
+            .unwrap();
+        if !row.crashed.is_empty() {
+            let plan = row.crashed.iter().fold(FaultPlan::new(), |plan, &pe| {
+                plan.crash_pe(PeId::new(pe), Cycles::ZERO)
+            });
+            arm(&sys, plan);
+        }
+        let dtu = sys.dtu(PeId::new(1));
+        let clock = sim.clone();
+        let cmd = row.cmd;
+        let h = sim.spawn("cmd", async move {
+            let res = match cmd {
+                Cmd::Send { ep, len } => dtu.send(EpId::new(ep), &vec![0; len], None).await,
+                Cmd::ReplyUnreplyable => {
+                    let msg = Message {
+                        header: Header {
+                            label: 0,
+                            len: 0,
+                            sender_pe: PeId::new(2),
+                            sender_ep: EpId::new(0),
+                            reply: None,
+                        },
+                        payload: crate::Payload::empty(),
+                    };
+                    dtu.reply(&msg, b"x").await
+                }
+                Cmd::Read { offset, len } => {
+                    dtu.read_mem(EpId::new(0), offset, len).await.map(drop)
+                }
+                Cmd::Write { offset, len } => {
+                    dtu.write_mem(EpId::new(0), offset, &vec![0; len]).await
+                }
+                Cmd::Fetch => dtu.fetch(EpId::new(0)).map(drop),
+                Cmd::Ack => dtu.ack(EpId::new(0)),
+            };
+            (res.unwrap_err().code(), clock.now())
+        });
+        sim.run();
+        let (code, at) = h.try_take().unwrap();
+        (code, at, sim)
+    }
+
+    #[test]
+    fn every_command_fails_in_its_pinned_order_at_its_pinned_cost() {
+        let issue = timing::CMD_ISSUE.as_u64();
+        let crashed_self: &[u32] = &[1];
+        let rows = [
+            // send: range check, fault gate, CMD_ISSUE, then decode.
+            Row {
+                cmd: Cmd::Send {
+                    ep: EP_COUNT as u32,
+                    len: 1,
+                },
+                ep0: EpConfig::Invalid,
+                crashed: &[],
+                code: Code::InvEp,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            Row {
+                cmd: Cmd::Send { ep: 0, len: 1 },
+                ep0: recv_cfg(4, false),
+                crashed: crashed_self,
+                code: Code::Unreachable,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            Row {
+                cmd: Cmd::Send { ep: 0, len: 1 },
+                ep0: recv_cfg(4, false),
+                crashed: &[],
+                code: Code::InvEp,
+                at: issue,
+                rdma_bytes: 0,
+            },
+            Row {
+                cmd: Cmd::Send { ep: 0, len: 129 },
+                ep0: send_cfg(2, 0, 0, None),
+                crashed: &[],
+                code: Code::InvArgs,
+                at: issue,
+                rdma_bytes: 0,
+            },
+            Row {
+                cmd: Cmd::Send { ep: 0, len: 1 },
+                ep0: send_cfg(2, 0, 0, Some(0)),
+                crashed: &[],
+                code: Code::NoCredits,
+                at: issue,
+                rdma_bytes: 0,
+            },
+            // reply: the reply-info check precedes the fault gate.
+            Row {
+                cmd: Cmd::ReplyUnreplyable,
+                ep0: EpConfig::Invalid,
+                crashed: crashed_self,
+                code: Code::NoPerm,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            // RDMA: the endpoint check precedes the fault gate...
+            Row {
+                cmd: Cmd::Read { offset: 0, len: 1 },
+                ep0: recv_cfg(4, false),
+                crashed: crashed_self,
+                code: Code::InvEp,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            Row {
+                cmd: Cmd::Write { offset: 0, len: 1 },
+                ep0: mem_cfg(2, 0, 512, Perm::R),
+                crashed: crashed_self,
+                code: Code::NoPerm,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            Row {
+                cmd: Cmd::Read {
+                    offset: u64::MAX,
+                    len: 1,
+                },
+                ep0: mem_cfg(2, 0, 512, Perm::R),
+                crashed: crashed_self,
+                code: Code::InvArgs,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            Row {
+                cmd: Cmd::Read {
+                    offset: 500,
+                    len: 100,
+                },
+                ep0: mem_cfg(2, 0, 512, Perm::R),
+                crashed: crashed_self,
+                code: Code::InvArgs,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            // ...a dead target fails before CMD_ISSUE...
+            Row {
+                cmd: Cmd::Read { offset: 0, len: 64 },
+                ep0: mem_cfg(2, 0, 512, Perm::RW),
+                crashed: &[2],
+                code: Code::Unreachable,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            Row {
+                cmd: Cmd::Write { offset: 0, len: 64 },
+                ep0: mem_cfg(2, 0, 512, Perm::RW),
+                crashed: &[2],
+                code: Code::Unreachable,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            // ...and a node without memory only after the whole transfer,
+            // which the counters record.
+            Row {
+                cmd: Cmd::Read { offset: 0, len: 64 },
+                ep0: mem_cfg(0, 0, 512, Perm::RW),
+                crashed: &[],
+                code: Code::InvArgs,
+                at: 28,
+                rdma_bytes: 64,
+            },
+            Row {
+                cmd: Cmd::Write { offset: 0, len: 64 },
+                ep0: mem_cfg(0, 0, 512, Perm::RW),
+                crashed: &[],
+                code: Code::InvArgs,
+                at: 21,
+                rdma_bytes: 64,
+            },
+            // fetch/ack: register accesses on a non-receive EP.
+            Row {
+                cmd: Cmd::Fetch,
+                ep0: send_cfg(2, 0, 0, None),
+                crashed: &[],
+                code: Code::InvEp,
+                at: 0,
+                rdma_bytes: 0,
+            },
+            Row {
+                cmd: Cmd::Ack,
+                ep0: send_cfg(2, 0, 0, None),
+                crashed: &[],
+                code: Code::InvEp,
+                at: 0,
+                rdma_bytes: 0,
+            },
+        ];
+        for row in &rows {
+            let (code, at, sim) = run_row(row);
+            let what = format!(
+                "{:?} with EP0 {:?}, crashed {:?}",
+                row.cmd, row.ep0, row.crashed
+            );
+            assert_eq!(code, row.code, "{what}");
+            assert_eq!(at, Cycles::new(row.at), "{what}");
+            let stats = sim.stats();
+            let moved = stats.get("dtu.mem_read_bytes") + stats.get("dtu.mem_write_bytes");
+            assert_eq!(moved, row.rdma_bytes, "{what}");
+            assert_eq!(
+                stats.get("dtu.xfer_cycles") > 0,
+                row.rdma_bytes > 0,
+                "{what}"
+            );
+            let stalls = u64::from(row.code == Code::NoCredits);
+            let metrics = sim.metrics();
+            assert_eq!(
+                metrics.get(PeId::new(1), m3_sim::keys::CREDIT_STALLS),
+                stalls,
+                "{what}"
+            );
+            let events = sim
+                .trace()
+                .iter()
+                .filter(|e| e.kind.tag() == "credit_stall")
+                .count();
+            assert_eq!(events as u64, stalls, "{what}");
+        }
+    }
+
     #[test]
     fn recv_timeout_times_out_without_traffic() {
         let (sim, sys) = setup(2);
