@@ -8,6 +8,7 @@
 use std::collections::VecDeque;
 
 use m3_base::cycles::transfer_time;
+use m3_base::error::Code;
 use m3_base::marshal::{IStream, OStream};
 use m3_base::rand::Rng;
 use m3_base::{Cycles, EpId, PeId, Perm};
@@ -709,6 +710,172 @@ fn dtu_save_restore_roundtrips_state_bit_for_bit() {
         let after = kernel.snapshot(target).unwrap();
         assert_eq!(before, after, "case {case}: state must round-trip");
     }
+}
+
+/// What one run of [`parked_deposit_run`] leaves behind.
+#[derive(Debug, PartialEq)]
+struct DepositOutcome {
+    target: Vec<(EpConfig, Option<RingBuf>, Option<u32>)>,
+    sender: Vec<(EpConfig, Option<RingBuf>, Option<u32>)>,
+    /// The error code of every send, `None` for an accepted one.
+    sends: Vec<Option<Code>>,
+    delivered: u64,
+    dropped: u64,
+}
+
+/// Drives one seeded traffic pattern at a target context (PE2, ctx 7).
+/// With `park`, the context is saved out after its own requests left and
+/// restored once all traffic has landed, so every deposit and credit
+/// refill towards it takes the save-area path; without, the same traffic
+/// lands in the live registers.
+fn parked_deposit_run(seed: u64, park: bool) -> DepositOutcome {
+    let mut rng = Rng::new(seed);
+    let sim = m3_sim::Sim::new();
+    let noc = Noc::new(Topology::with_nodes(4), NocConfig::default());
+    let sys = DtuSystem::new(sim.clone(), noc);
+    let kernel = sys.dtu(PeId::new(0)).claim_kernel_token().unwrap();
+    let (sender, target, server) = (PeId::new(1), PeId::new(2), PeId::new(3));
+    let ctx = 7;
+    kernel.set_current_ctx(target, ctx).unwrap();
+
+    // Target receive EPs 1..=rings, each fed by a bounded sender EP that
+    // may hold more credits than the ring has slots (so rings overflow),
+    // and some not validated for replies (so reply info is stripped).
+    let rings = 1 + rng.next_below(4) as u32;
+    for ep in 1..=rings {
+        kernel
+            .configure(
+                target,
+                EpId::new(ep),
+                EpConfig::Receive {
+                    slots: 1 << rng.next_below(3),
+                    slot_size: 128,
+                    allow_replies: rng.next_below(2) == 0,
+                },
+            )
+            .unwrap();
+        kernel
+            .configure(
+                sender,
+                EpId::new(ep),
+                EpConfig::Send {
+                    pe: target,
+                    ep: EpId::new(ep),
+                    label: u64::from(ep),
+                    credits: Some(1 + rng.next_below(6) as u32),
+                    max_payload: 64,
+                },
+            )
+            .unwrap();
+    }
+    let receive = |slots| EpConfig::Receive {
+        slots,
+        slot_size: 128,
+        allow_replies: true,
+    };
+    kernel.configure(sender, EpId::new(0), receive(4)).unwrap();
+    kernel.configure(server, EpId::new(0), receive(8)).unwrap();
+    // The target's own requests: their replies (and credit refills) chase
+    // it into its save area when parked.
+    let requests = 1 + rng.next_below(3) as u32;
+    kernel
+        .configure(
+            target,
+            EpId::new(0),
+            EpConfig::Send {
+                pe: server,
+                ep: EpId::new(0),
+                label: 0x5e,
+                credits: Some(requests),
+                max_payload: 64,
+            },
+        )
+        .unwrap();
+    let client = sys.dtu(target);
+    sim.spawn("target", async move {
+        for i in 0..requests {
+            let reply_to = EpId::new(1 + i % rings);
+            client
+                .send(EpId::new(0), b"req", Some((reply_to, u64::from(i))))
+                .await
+                .unwrap();
+        }
+    });
+    sim.run();
+    if park {
+        kernel.save_state(target).unwrap();
+    }
+
+    let replies: Vec<Vec<u8>> = (0..requests)
+        .map(|_| {
+            let mut bytes = vec![0u8; 1 + rng.next_below(32) as usize];
+            rng.fill_bytes(&mut bytes);
+            bytes
+        })
+        .collect();
+    let srv = sys.dtu(server);
+    sim.spawn("server", async move {
+        for payload in replies {
+            let msg = srv.fetch(EpId::new(0)).unwrap().expect("request arrived");
+            srv.reply(&msg, &payload).await.unwrap();
+            srv.ack(EpId::new(0)).unwrap();
+        }
+    });
+    let traffic: Vec<(u32, Vec<u8>, bool, u64)> = (0..8 + rng.next_below(16))
+        .map(|_| {
+            let ep = 1 + rng.next_below(u64::from(rings)) as u32;
+            let mut bytes = vec![0u8; 1 + rng.next_below(48) as usize];
+            rng.fill_bytes(&mut bytes);
+            (ep, bytes, rng.next_below(2) == 0, rng.next_below(40))
+        })
+        .collect();
+    let src = sys.dtu(sender);
+    let clock = sim.clone();
+    let sends = sim.spawn("sender", async move {
+        let mut codes = Vec::new();
+        for (ep, payload, wants_reply, gap) in traffic {
+            let reply = wants_reply.then_some((EpId::new(0), 0x77));
+            let res = src.send(EpId::new(ep), &payload, reply).await;
+            codes.push(res.err().map(|e| e.code()));
+            clock.sleep(Cycles::new(gap)).await;
+        }
+        codes
+    });
+    sim.run();
+    if park {
+        kernel.restore_state(target, ctx).unwrap();
+    }
+    let stats = sim.stats();
+    DepositOutcome {
+        target: kernel.snapshot(target).unwrap(),
+        sender: kernel.snapshot(sender).unwrap(),
+        sends: sends.try_take().unwrap(),
+        delivered: stats.get("dtu.msgs_delivered"),
+        dropped: stats.get("dtu.msgs_dropped"),
+    }
+}
+
+#[test]
+fn dtu_parked_deposits_equal_live_ones() {
+    // A switched-out context must receive exactly what a resident one
+    // would: same reply stripping, same ring overflow drops and credit
+    // refunds, same reply deposits and credit refills, just into its save
+    // area.
+    let mut rng = Rng::new(0x4d31_5a7e);
+    let (mut dropped, mut stalled) = (0, 0);
+    for case in 0..24 {
+        let seed = rng.next_u64();
+        let live = parked_deposit_run(seed, false);
+        let parked = parked_deposit_run(seed, true);
+        assert_eq!(live, parked, "case {case} (seed {seed:#x})");
+        dropped += live.dropped;
+        stalled += live.sends.iter().filter(|c| c.is_some()).count();
+    }
+    // The sweep must actually overflow rings and run out of credits.
+    assert!(
+        dropped > 0 && stalled > 0,
+        "dropped {dropped}, stalled {stalled}"
+    );
 }
 
 // ---------------------------------------------------------------------
