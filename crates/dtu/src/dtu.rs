@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use m3_base::cfg::{EP_COUNT, MSG_HEADER_SIZE};
+use m3_base::cfg::EP_COUNT;
 use m3_base::error::{Code, Error, Result};
 use m3_base::ids::Label;
 use m3_base::{Cycles, EpId, PeId, Perm};
@@ -35,12 +35,151 @@ pub enum MemKind {
 /// this id, so arriving traffic is routed into save areas during the window.
 pub const NO_CTX: u64 = u64::MAX;
 
-struct PeState {
-    privileged: bool,
+/// One endpoint register file: the configuration registers, the ring
+/// buffers of the receive EPs, and the remaining credits of the bounded
+/// send EPs. A PE's live registers and a switched-out context's save area
+/// are both one of these, so a deposit, a credit refill or a configuration
+/// write behaves the same wherever the context currently is.
+#[derive(Debug)]
+struct EpFile {
     eps: Vec<EpConfig>,
     ringbufs: BTreeMap<EpId, RingBuf>,
     /// Remaining credits per send endpoint (only for bounded-credit EPs).
     credits: BTreeMap<EpId, u32>,
+}
+
+/// What [`EpFile::deposit`] did with a message.
+enum Deposit {
+    /// Stored; the ring buffer now holds this many messages.
+    Stored(usize),
+    /// The ring buffer was full.
+    Dropped,
+    /// The endpoint is not a receive EP.
+    NoRecvEp,
+}
+
+impl EpFile {
+    fn new() -> EpFile {
+        EpFile {
+            eps: vec![EpConfig::Invalid; EP_COUNT],
+            ringbufs: BTreeMap::new(),
+            credits: BTreeMap::new(),
+        }
+    }
+
+    fn is_receive(&self, ep: EpId) -> bool {
+        matches!(self.eps.get(ep.idx()), Some(EpConfig::Receive { .. }))
+    }
+
+    /// Writes `cfg` into register `ep`, with a fresh ring buffer for a
+    /// receive EP and a full credit counter for a bounded send EP.
+    fn set(&mut self, ep: EpId, cfg: EpConfig) {
+        match &cfg {
+            EpConfig::Receive {
+                slots, slot_size, ..
+            } => {
+                self.ringbufs.insert(ep, RingBuf::new(*slots, *slot_size));
+                self.credits.remove(&ep);
+            }
+            EpConfig::Send { credits, .. } => {
+                self.ringbufs.remove(&ep);
+                if let Some(c) = credits {
+                    self.credits.insert(ep, *c);
+                } else {
+                    self.credits.remove(&ep);
+                }
+            }
+            EpConfig::Memory { .. } | EpConfig::Invalid => {
+                self.ringbufs.remove(&ep);
+                self.credits.remove(&ep);
+            }
+        }
+        self.eps[ep.idx()] = cfg;
+    }
+
+    /// Stores `msg` in the ring buffer of receive EP `ep`. A buffer not
+    /// validated for replies gets the message with its reply info stripped,
+    /// so software cannot use it (paper §4.4.4).
+    fn deposit(&mut self, ep: EpId, mut msg: Message) -> Deposit {
+        match self.eps.get(ep.idx()) {
+            Some(EpConfig::Receive { allow_replies, .. }) => {
+                if !allow_replies {
+                    msg.header.reply = None;
+                }
+            }
+            _ => return Deposit::NoRecvEp,
+        }
+        let Some(rb) = self.ringbufs.get_mut(&ep) else {
+            return Deposit::NoRecvEp;
+        };
+        if rb.deposit(msg) {
+            Deposit::Stored(rb.occupied())
+        } else {
+            Deposit::Dropped
+        }
+    }
+
+    /// Returns one credit to bounded send EP `ep`, up to its configured
+    /// maximum; a no-op for any other endpoint.
+    fn return_credit(&mut self, ep: EpId) {
+        if let Some(EpConfig::Send {
+            credits: Some(max), ..
+        }) = self.eps.get(ep.idx())
+        {
+            let cur = self.credits.entry(ep).or_insert(0);
+            *cur = (*cur + 1).min(*max);
+        }
+    }
+
+    /// Bytes a DTU transfer of this state moves: one register block per
+    /// endpoint (§4.3.3) plus the queued messages of every ring buffer.
+    fn state_bytes(&self) -> u64 {
+        let eps = EP_COUNT as u64 * timing::EP_SAVE_BYTES;
+        let rings: u64 = self.ringbufs.values().map(RingBuf::queued_wire_bytes).sum();
+        eps + rings
+    }
+
+    /// The per-context half of [`DtuSystem::sanitize_check`].
+    #[cfg(feature = "sanitize")]
+    fn sanitize(&self, pe: usize, ctx: u64) {
+        for (ep, remaining) in &self.credits {
+            if let Some(EpConfig::Send {
+                credits: Some(max), ..
+            }) = self.eps.get(ep.idx())
+            {
+                assert!(
+                    remaining <= max,
+                    "sanitize: pe{pe} ctx{ctx} {ep}: {remaining} credits exceed the configured {max}"
+                );
+            }
+        }
+        for (ep, rb) in &self.ringbufs {
+            assert!(
+                rb.occupied() <= rb.slots(),
+                "sanitize: pe{pe} ctx{ctx} {ep}: ring buffer holds {} of {} slots",
+                rb.occupied(),
+                rb.slots()
+            );
+            if let Some(EpConfig::Receive {
+                slots, slot_size, ..
+            }) = self.eps.get(ep.idx())
+            {
+                assert!(
+                    rb.slots() == *slots && rb.slot_size() == *slot_size,
+                    "sanitize: pe{pe} ctx{ctx} {ep}: ring buffer geometry {}x{} disagrees with \
+                     the endpoint register {slots}x{slot_size}",
+                    rb.slots(),
+                    rb.slot_size()
+                );
+            }
+        }
+    }
+}
+
+struct PeState {
+    privileged: bool,
+    /// The live endpoint registers.
+    regs: EpFile,
     /// Woken whenever a message arrives at any EP of this DTU.
     arrival: Notify,
     /// Which VPE context the live endpoint registers belong to. Stays at
@@ -60,9 +199,7 @@ impl PeState {
     fn new() -> PeState {
         PeState {
             privileged: true, // all DTUs are privileged at boot (paper §3)
-            eps: vec![EpConfig::Invalid; EP_COUNT],
-            ringbufs: BTreeMap::new(),
-            credits: BTreeMap::new(),
+            regs: EpFile::new(),
             arrival: Notify::new(),
             current_ctx: 0,
             // A fresh context's image has never been saved: fully dirty.
@@ -71,14 +208,12 @@ impl PeState {
     }
 }
 
-/// The architectural DTU state of a switched-out VPE: endpoint registers,
-/// undelivered ring-buffer contents, and unspent credits, as the kernel
-/// parked them in the context's DRAM save area.
+/// The architectural DTU state of a switched-out VPE: its endpoint register
+/// file, with undelivered ring-buffer contents and unspent credits, as the
+/// kernel parked it in the context's DRAM save area.
 #[derive(Debug)]
 struct SavedCtx {
-    eps: Vec<EpConfig>,
-    ringbufs: BTreeMap<EpId, RingBuf>,
-    credits: BTreeMap<EpId, u32>,
+    regs: EpFile,
     /// SPM pages that were dirty when this context was saved out — the
     /// pages the (dirty-tracked) save actually transferred, and therefore
     /// the pages a later restore must bring back eagerly (clean pages
@@ -89,22 +224,12 @@ struct SavedCtx {
 impl SavedCtx {
     fn new() -> SavedCtx {
         SavedCtx {
-            eps: vec![EpConfig::Invalid; EP_COUNT],
-            ringbufs: BTreeMap::new(),
-            credits: BTreeMap::new(),
+            regs: EpFile::new(),
             // A stashed-but-never-resident context has no SPM image yet;
             // its first activation is a start, and on a later save the
             // live bitmap decides. Conservative full image.
             dirty_pages: m3_vm::SPM_PAGES,
         }
-    }
-
-    /// Bytes a DTU transfer of this state moves: one register block per
-    /// endpoint (§4.3.3) plus the queued messages of every ring buffer.
-    fn state_bytes(&self) -> u64 {
-        let eps = EP_COUNT as u64 * timing::EP_SAVE_BYTES;
-        let rings: u64 = self.ringbufs.values().map(RingBuf::queued_wire_bytes).sum();
-        eps + rings
     }
 }
 
@@ -316,211 +441,97 @@ impl DtuSystem {
         ctx: Option<u64>,
         credit: Option<(PeId, u64, EpId)>,
     ) {
-        self.deposit_inner(pe, ep, msg, ctx, credit);
-        self.sanitize_check();
-    }
-
-    fn deposit_inner(
-        &self,
-        pe: PeId,
-        ep: EpId,
-        mut msg: Message,
-        ctx: Option<u64>,
-        credit: Option<(PeId, u64, EpId)>,
-    ) {
-        // A crashed PE's DTU is dead silicon: messages towards it vanish.
-        // The sender's credit is refunded just like on a ring-buffer drop,
-        // because the reply path that would normally refill it is gone.
-        if let Some(faults) = self.inner.faults.borrow().as_ref() {
-            if faults.crashed_at(self.sim.now(), pe).is_some() {
-                self.stats.incr_handle(self.hot.msgs_dropped);
-                self.trace_fault(pe, "dst_crashed", Cycles::ZERO);
-                if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
-                    self.refill_credit(sender_pe, sender_ctx, sender_ep);
-                }
-                return;
-            }
-        }
-        let mut pes = self.inner.pes.borrow_mut();
-        let state = &mut pes[pe.idx()];
-        // Route to the live registers or to a save area. On a PE the kernel
-        // never time-multiplexes, `current_ctx` is the boot value and every
-        // message matches the live path — zero overhead, identical code.
-        let saved_ctx: Option<u64> = match ctx {
-            Some(c) if c == state.current_ctx => None,
-            Some(c) => Some(c),
-            None => {
-                if matches!(state.eps.get(ep.idx()), Some(EpConfig::Receive { .. })) {
-                    None
-                } else {
-                    let saved = self.inner.saved.borrow();
-                    saved
-                        .iter()
-                        .find(|((spe, _), sc)| {
-                            *spe == pe
-                                && matches!(sc.eps.get(ep.idx()), Some(EpConfig::Receive { .. }))
-                        })
-                        .map(|((_, c), _)| *c)
+        self.checked(|| {
+            // A crashed PE's DTU is dead silicon: messages towards it vanish.
+            // The sender's credit is refunded just like on a ring-buffer drop,
+            // because the reply path that would normally refill it is gone.
+            if let Some(faults) = self.inner.faults.borrow().as_ref() {
+                if faults.crashed_at(self.sim.now(), pe).is_some() {
+                    self.stats.incr_handle(self.hot.msgs_dropped);
+                    self.trace_fault(pe, "dst_crashed", Cycles::ZERO);
+                    if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
+                        self.refill_credit(sender_pe, sender_ctx, sender_ep);
+                    }
+                    return;
                 }
             }
-        };
-        if let Some(c) = saved_ctx {
-            // Arrival still pings the PE's notify: the kernel waits there
-            // for messages on behalf of switched-out contexts.
+            let mut pes = self.inner.pes.borrow_mut();
+            let state = &mut pes[pe.idx()];
+            let mut saved = self.inner.saved.borrow_mut();
+            // Route to the live registers or to a save area. On a PE the
+            // kernel never time-multiplexes, `current_ctx` is the boot value
+            // and every message takes the live path.
+            let parked = match ctx {
+                Some(c) if c == state.current_ctx => None,
+                Some(c) => Some(c),
+                None if state.regs.is_receive(ep) => None,
+                None => saved
+                    .range((pe, 0)..=(pe, u64::MAX))
+                    .find(|(_, sc)| sc.regs.is_receive(ep))
+                    .map(|((_, c), _)| *c),
+            };
+            let outcome = match parked {
+                None => {
+                    // A live-ring delivery lands the message in the running
+                    // context's SPM, which dirties the pages under the DTU's
+                    // streaming cursor. Parked deposits stay in DRAM.
+                    let wire = msg.wire_size() as u64;
+                    let outcome = state.regs.deposit(ep, msg);
+                    if let Deposit::Stored(_) = outcome {
+                        state.spm_dirty.touch(wire);
+                    }
+                    outcome
+                }
+                Some(c) => saved
+                    .get_mut(&(pe, c))
+                    .map_or(Deposit::NoRecvEp, |sc| sc.regs.deposit(ep, msg)),
+            };
+            // Arrival pings the PE's notify for parked deposits too: the
+            // kernel waits there for messages on behalf of switched-out
+            // contexts.
             let arrival = state.arrival.clone();
-            drop(pes);
-            self.deposit_saved(pe, c, ep, msg, credit, &arrival);
-            return;
-        }
-        let allow_replies = match state.eps.get(ep.idx()) {
-            Some(EpConfig::Receive { allow_replies, .. }) => *allow_replies,
-            _ => {
-                self.stats.incr_handle(self.hot.deposit_no_recv_ep);
-                return;
-            }
-        };
-        if !allow_replies {
-            // The buffer is not validated for replies; strip the reply info
-            // so software cannot use it (paper §4.4.4).
-            msg.header.reply = None;
-        }
-        // Captured before the deposit consumes the message: a live-ring
-        // delivery lands these bytes in the running context's SPM, which
-        // dirties the pages under the DTU's streaming cursor. Parked
-        // deposits stay in DRAM and leave the SPM untouched.
-        let wire = msg.wire_size();
-        let Some(rb) = state.ringbufs.get_mut(&ep) else {
-            self.stats.incr_handle(self.hot.deposit_no_recv_ep);
-            return;
-        };
-        if rb.deposit(msg) {
-            let occupied = rb.occupied() as u64;
-            state.spm_dirty.touch(wire as u64);
-            self.stats.incr_handle(self.hot.msgs_delivered);
-            self.metrics
-                .observe_handle(pe, self.hot.ring_occupancy, occupied);
-            let arrival = state.arrival.clone();
-            drop(pes);
-            arrival.notify_all();
-        } else {
-            self.stats.incr_handle(self.hot.msgs_dropped);
-            self.metrics.incr_handle(pe, self.hot.drops);
-            let at = self.sim.now();
-            self.tracer.record_with(|| Event {
-                at,
-                dur: Cycles::ZERO,
-                pe: Some(pe),
-                comp: Component::Dtu,
-                kind: EventKind::MsgDrop { ep },
-            });
-            drop(pes);
-            if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
-                self.refill_credit(sender_pe, sender_ctx, sender_ep);
-            }
-        }
-    }
-
-    /// The save-area half of [`DtuSystem::deposit`]: same semantics as the
-    /// live path (reply stripping, drop accounting, credit refund), applied
-    /// to the parked ring buffer of context `(pe, ctx)`.
-    fn deposit_saved(
-        &self,
-        pe: PeId,
-        ctx: u64,
-        ep: EpId,
-        msg: Message,
-        credit: Option<(PeId, u64, EpId)>,
-        arrival: &Notify,
-    ) {
-        self.deposit_saved_inner(pe, ctx, ep, msg, credit, arrival);
-        self.sanitize_check();
-    }
-
-    fn deposit_saved_inner(
-        &self,
-        pe: PeId,
-        ctx: u64,
-        ep: EpId,
-        mut msg: Message,
-        credit: Option<(PeId, u64, EpId)>,
-        arrival: &Notify,
-    ) {
-        let mut saved = self.inner.saved.borrow_mut();
-        let Some(sc) = saved.get_mut(&(pe, ctx)) else {
-            self.stats.incr_handle(self.hot.deposit_no_recv_ep);
-            return;
-        };
-        let allow_replies = match sc.eps.get(ep.idx()) {
-            Some(EpConfig::Receive { allow_replies, .. }) => *allow_replies,
-            _ => {
-                self.stats.incr_handle(self.hot.deposit_no_recv_ep);
-                return;
-            }
-        };
-        if !allow_replies {
-            msg.header.reply = None;
-        }
-        let Some(rb) = sc.ringbufs.get_mut(&ep) else {
-            self.stats.incr_handle(self.hot.deposit_no_recv_ep);
-            return;
-        };
-        if rb.deposit(msg) {
-            self.stats.incr_handle(self.hot.msgs_delivered);
-            self.metrics
-                .observe_handle(pe, self.hot.ring_occupancy, rb.occupied() as u64);
             drop(saved);
-            arrival.notify_all();
-        } else {
-            self.stats.incr_handle(self.hot.msgs_dropped);
-            self.metrics.incr_handle(pe, self.hot.drops);
-            let at = self.sim.now();
-            self.tracer.record_with(|| Event {
-                at,
-                dur: Cycles::ZERO,
-                pe: Some(pe),
-                comp: Component::Dtu,
-                kind: EventKind::MsgDrop { ep },
-            });
-            drop(saved);
-            if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
-                self.refill_credit(sender_pe, sender_ctx, sender_ep);
+            drop(pes);
+            match outcome {
+                Deposit::Stored(occupied) => {
+                    self.stats.incr_handle(self.hot.msgs_delivered);
+                    self.metrics
+                        .observe_handle(pe, self.hot.ring_occupancy, occupied as u64);
+                    arrival.notify_all();
+                }
+                Deposit::Dropped => {
+                    self.stats.incr_handle(self.hot.msgs_dropped);
+                    self.metrics.incr_handle(pe, self.hot.drops);
+                    let at = self.sim.now();
+                    self.tracer.record_with(|| Event {
+                        at,
+                        dur: Cycles::ZERO,
+                        pe: Some(pe),
+                        comp: Component::Dtu,
+                        kind: EventKind::MsgDrop { ep },
+                    });
+                    if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
+                        self.refill_credit(sender_pe, sender_ctx, sender_ep);
+                    }
+                }
+                Deposit::NoRecvEp => self.stats.incr_handle(self.hot.deposit_no_recv_ep),
             }
-        }
+        });
     }
 
+    /// Returns one credit to send EP `ep` of context `(pe, ctx)`: into the
+    /// live registers if the context runs, else into its save area, so the
+    /// credit is there when a switched-out sender resumes.
     fn refill_credit(&self, pe: PeId, ctx: u64, ep: EpId) {
-        self.refill_credit_inner(pe, ctx, ep);
-        self.sanitize_check();
-    }
-
-    fn refill_credit_inner(&self, pe: PeId, ctx: u64, ep: EpId) {
-        let mut pes = self.inner.pes.borrow_mut();
-        let state = &mut pes[pe.idx()];
-        if state.current_ctx == ctx {
-            if let Some(EpConfig::Send {
-                credits: Some(max), ..
-            }) = state.eps.get(ep.idx())
-            {
-                let max = *max;
-                let cur = state.credits.entry(ep).or_insert(0);
-                *cur = (*cur + 1).min(max);
+        self.checked(|| {
+            let mut pes = self.inner.pes.borrow_mut();
+            let state = &mut pes[pe.idx()];
+            if state.current_ctx == ctx {
+                state.regs.return_credit(ep);
+            } else if let Some(sc) = self.inner.saved.borrow_mut().get_mut(&(pe, ctx)) {
+                sc.regs.return_credit(ep);
             }
-            return;
-        }
-        // The context was switched out since it sent: the refill follows it
-        // into its save area so the credit is there when it resumes.
-        drop(pes);
-        let mut saved = self.inner.saved.borrow_mut();
-        if let Some(sc) = saved.get_mut(&(pe, ctx)) {
-            if let Some(EpConfig::Send {
-                credits: Some(max), ..
-            }) = sc.eps.get(ep.idx())
-            {
-                let max = *max;
-                let cur = sc.credits.entry(ep).or_insert(0);
-                *cur = (*cur + 1).min(max);
-            }
-        }
+        });
     }
 
     /// Deposits `msg` at `at` (see [`DtuSystem::deposit`]): a timer
@@ -546,6 +557,15 @@ impl DtuSystem {
         self.sim.call_at(at, move || sys.refill_credit(pe, ctx, ep));
     }
 
+    /// Runs `op`, then [`DtuSystem::sanitize_check`]. Every operation that
+    /// can raise the checked quantities goes through here; `op` must have
+    /// released its borrows of `pes` and `saved` when it returns.
+    fn checked<T>(&self, op: impl FnOnce() -> T) -> T {
+        let res = op();
+        self.sanitize_check();
+        res
+    }
+
     /// Sanitizer (`--features m3-dtu/sanitize`): asserts the DTU-wide
     /// invariants over the live registers of every PE *and* every parked
     /// save area, after each operation that can raise the checked
@@ -560,67 +580,14 @@ impl DtuSystem {
     ///   endpoint register.
     ///
     /// Purely a host-side assertion: no simulated cycles pass, so enabling
-    /// the feature cannot perturb any modelled timing. Must be called with
-    /// no outstanding borrow of `pes` or `saved`.
+    /// the feature cannot perturb any modelled timing.
     #[cfg(feature = "sanitize")]
     fn sanitize_check(&self) {
-        {
-            let pes = self.inner.pes.borrow();
-            for (idx, state) in pes.iter().enumerate() {
-                Self::sanitize_ctx(
-                    idx,
-                    state.current_ctx,
-                    &state.eps,
-                    &state.ringbufs,
-                    &state.credits,
-                );
-            }
+        for (idx, state) in self.inner.pes.borrow().iter().enumerate() {
+            state.regs.sanitize(idx, state.current_ctx);
         }
-        let saved = self.inner.saved.borrow();
-        for ((pe, ctx), sc) in saved.iter() {
-            Self::sanitize_ctx(pe.idx(), *ctx, &sc.eps, &sc.ringbufs, &sc.credits);
-        }
-    }
-
-    /// The per-context half of [`DtuSystem::sanitize_check`].
-    #[cfg(feature = "sanitize")]
-    fn sanitize_ctx(
-        pe: usize,
-        ctx: u64,
-        eps: &[EpConfig],
-        ringbufs: &BTreeMap<EpId, RingBuf>,
-        credits: &BTreeMap<EpId, u32>,
-    ) {
-        for (ep, remaining) in credits {
-            if let Some(EpConfig::Send {
-                credits: Some(max), ..
-            }) = eps.get(ep.idx())
-            {
-                assert!(
-                    remaining <= max,
-                    "sanitize: pe{pe} ctx{ctx} {ep}: {remaining} credits exceed the configured {max}"
-                );
-            }
-        }
-        for (ep, rb) in ringbufs {
-            assert!(
-                rb.occupied() <= rb.slots(),
-                "sanitize: pe{pe} ctx{ctx} {ep}: ring buffer holds {} of {} slots",
-                rb.occupied(),
-                rb.slots()
-            );
-            if let Some(EpConfig::Receive {
-                slots, slot_size, ..
-            }) = eps.get(ep.idx())
-            {
-                assert!(
-                    rb.slots() == *slots && rb.slot_size() == *slot_size,
-                    "sanitize: pe{pe} ctx{ctx} {ep}: ring buffer geometry {}x{} disagrees with \
-                     the endpoint register {slots}x{slot_size}",
-                    rb.slots(),
-                    rb.slot_size()
-                );
-            }
+        for ((pe, ctx), sc) in self.inner.saved.borrow().iter() {
+            sc.regs.sanitize(pe.idx(), *ctx);
         }
     }
 
@@ -806,18 +773,18 @@ impl Dtu {
         self.fault_gate().await?;
         self.sys.sim.sleep(timing::CMD_ISSUE).await;
 
-        let (target_pe, target_ep, label, bounded, my_ctx) = {
+        let (dst, label, bounded, my_ctx) = {
             let mut pes = self.sys.inner.pes.borrow_mut();
             let state = &mut pes[self.pe.idx()];
             let my_ctx = state.current_ctx;
-            let (pe, tep, label, bounded, max_payload) = match &state.eps[ep.idx()] {
+            let (dst, label, bounded, max_payload) = match &state.regs.eps[ep.idx()] {
                 EpConfig::Send {
                     pe,
                     ep: tep,
                     label,
                     credits,
                     max_payload,
-                } => (*pe, *tep, *label, credits.is_some(), *max_payload),
+                } => ((*pe, *tep), *label, credits.is_some(), *max_payload),
                 _ => return Err(Error::new(Code::InvEp).with_msg(format!("{ep} is not a send EP"))),
             };
             if payload.len() > max_payload {
@@ -827,7 +794,7 @@ impl Dtu {
                 )));
             }
             if bounded {
-                let cur = state.credits.entry(ep).or_insert(0);
+                let cur = state.regs.credits.entry(ep).or_insert(0);
                 if *cur == 0 {
                     drop(pes);
                     self.sys
@@ -845,7 +812,7 @@ impl Dtu {
                 }
                 *cur -= 1;
             }
-            (pe, tep, label, bounded, my_ctx)
+            (dst, label, bounded, my_ctx)
         };
 
         let msg = Message {
@@ -864,100 +831,8 @@ impl Dtu {
             },
             payload: payload.into(),
         };
-
-        let wire = (MSG_HEADER_SIZE + payload.len()) as u64;
-        let now = self.sys.sim.now();
-        let t = self.sys.noc.schedule(now, self.pe, target_pe, wire);
-        self.sys.stats.incr_handle(self.sys.hot.msgs_sent);
-        self.sys
-            .stats
-            .add_handle(self.sys.hot.msg_cycles, (t.completes_at - now).as_u64());
-        self.sys
-            .metrics
-            .add_handle(self.pe, self.sys.hot.busy, (t.completes_at - now).as_u64());
-        self.sys.tracer.record_with(|| Event {
-            at: now,
-            dur: t.completes_at + timing::DELIVER - now,
-            pe: Some(self.pe),
-            comp: Component::Dtu,
-            kind: EventKind::MsgSend {
-                ep,
-                dst_pe: target_pe,
-                dst_ep: target_ep,
-                bytes: wire,
-            },
-        });
-        let credit = if bounded {
-            Some((self.pe, my_ctx, ep))
-        } else {
-            None
-        };
-        let verdict = match self.sys.faults() {
-            Some(faults) => faults.message_verdict(now, self.pe, target_pe),
-            None => MsgVerdict::Deliver,
-        };
-        match verdict {
-            MsgVerdict::Deliver => {
-                self.sys.deliver_at(
-                    t.completes_at + timing::DELIVER,
-                    target_pe,
-                    target_ep,
-                    msg,
-                    None,
-                    credit,
-                );
-            }
-            MsgVerdict::Drop => {
-                // The message vanishes in the NoC. The credit is refunded at
-                // the would-be delivery time, exactly like a ring-buffer
-                // drop: the reply path that normally refills it is gone.
-                self.sys.trace_fault(self.pe, "msg_drop", Cycles::ZERO);
-                if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
-                    self.sys.refill_credit_at(
-                        t.completes_at + timing::DELIVER,
-                        sender_pe,
-                        sender_ctx,
-                        sender_ep,
-                    );
-                }
-            }
-            MsgVerdict::Duplicate => {
-                // Two copies arrive; only the first carries the credit
-                // pointer, so a drop of the duplicate cannot double-refund.
-                self.sys.trace_fault(self.pe, "msg_duplicate", Cycles::ZERO);
-                self.sys.deliver_at(
-                    t.completes_at + timing::DELIVER,
-                    target_pe,
-                    target_ep,
-                    msg.clone(),
-                    None,
-                    credit,
-                );
-                self.sys.deliver_at(
-                    t.completes_at + timing::DELIVER,
-                    target_pe,
-                    target_ep,
-                    msg,
-                    None,
-                    None,
-                );
-            }
-            MsgVerdict::Corrupt => {
-                self.sys.trace_fault(self.pe, "msg_corrupt", Cycles::ZERO);
-                let mut msg = msg;
-                let mut bytes = msg.payload.to_vec();
-                m3_fault::corrupt_payload(&mut bytes);
-                msg.payload = bytes.into();
-                self.sys.deliver_at(
-                    t.completes_at + timing::DELIVER,
-                    target_pe,
-                    target_ep,
-                    msg,
-                    None,
-                    credit,
-                );
-            }
-        }
+        let credit = bounded.then_some((self.pe, my_ctx, ep));
+        self.transmit(Some(ep), msg, dst, None, credit);
         Ok(())
     }
 
@@ -987,80 +862,92 @@ impl Dtu {
             },
             payload: payload.into(),
         };
-        let wire = (MSG_HEADER_SIZE + payload.len()) as u64;
-        let now = self.sys.sim.now();
-        let t = self.sys.noc.schedule(now, self.pe, rinfo.pe, wire);
-        self.sys.stats.incr_handle(self.sys.hot.replies_sent);
-        self.sys
-            .stats
-            .add_handle(self.sys.hot.msg_cycles, (t.completes_at - now).as_u64());
-        self.sys
-            .metrics
-            .add_handle(self.pe, self.sys.hot.busy, (t.completes_at - now).as_u64());
-        self.sys.tracer.record_with(|| Event {
-            at: now,
-            dur: t.completes_at + timing::DELIVER - now,
-            pe: Some(self.pe),
-            comp: Component::Dtu,
-            kind: EventKind::MsgReply {
-                dst_pe: rinfo.pe,
-                bytes: wire,
-            },
-        });
-        // Replies consume no credit, so a dropped reply refunds nothing.
-        let verdict = match self.sys.faults() {
-            Some(faults) => faults.message_verdict(now, self.pe, rinfo.pe),
-            None => MsgVerdict::Deliver,
-        };
-        match verdict {
-            MsgVerdict::Deliver => {
-                self.sys.deliver_at(
-                    t.completes_at + timing::DELIVER,
-                    rinfo.pe,
-                    rinfo.ep,
-                    reply_msg,
-                    Some(rinfo.ctx),
-                    None,
-                );
-            }
-            MsgVerdict::Drop => {
-                self.sys.trace_fault(self.pe, "msg_drop", Cycles::ZERO);
-            }
-            MsgVerdict::Duplicate => {
-                self.sys.trace_fault(self.pe, "msg_duplicate", Cycles::ZERO);
-                for _ in 0..2 {
-                    self.sys.deliver_at(
-                        t.completes_at + timing::DELIVER,
-                        rinfo.pe,
-                        rinfo.ep,
-                        reply_msg.clone(),
-                        Some(rinfo.ctx),
-                        None,
-                    );
-                }
-            }
-            MsgVerdict::Corrupt => {
-                self.sys.trace_fault(self.pe, "msg_corrupt", Cycles::ZERO);
-                let mut reply_msg = reply_msg;
-                let mut bytes = reply_msg.payload.to_vec();
-                m3_fault::corrupt_payload(&mut bytes);
-                reply_msg.payload = bytes.into();
-                self.sys.deliver_at(
-                    t.completes_at + timing::DELIVER,
-                    rinfo.pe,
-                    rinfo.ep,
-                    reply_msg,
-                    Some(rinfo.ctx),
-                    None,
-                );
-            }
-        }
+        // Replies consume no credit, so a lost reply refunds nothing.
+        let completes_at =
+            self.transmit(None, reply_msg, (rinfo.pe, rinfo.ep), Some(rinfo.ctx), None);
         // The credit refill models the DTU-level flow-control ack (§4.4.3),
         // which travels independently of the reply message: even a faulted
         // reply returns the sender's credit, so retries are never starved.
         self.sys
-            .refill_credit_at(t.completes_at, rinfo.pe, rinfo.ctx, rinfo.credit_ep);
+            .refill_credit_at(completes_at, rinfo.pe, rinfo.ctx, rinfo.credit_ep);
         Ok(())
+    }
+
+    /// Puts `msg` on the NoC towards `dst` — a send through `send_ep`, or a
+    /// reply if that is `None` — bills the transfer, and applies the fault
+    /// plane's verdict to the delivery. `ctx` is the context a reply
+    /// follows; `credit` is the bounded send EP a lost message refunds.
+    /// Returns when the NoC transfer completes; the message is deposited
+    /// [`timing::DELIVER`] later.
+    fn transmit(
+        &self,
+        send_ep: Option<EpId>,
+        mut msg: Message,
+        (dst_pe, dst_ep): (PeId, EpId),
+        ctx: Option<u64>,
+        credit: Option<(PeId, u64, EpId)>,
+    ) -> Cycles {
+        let sys = &self.sys;
+        let wire = msg.wire_size() as u64;
+        let now = sys.sim.now();
+        let t = sys.noc.schedule(now, self.pe, dst_pe, wire);
+        let busy = (t.completes_at - now).as_u64();
+        let arrive = t.completes_at + timing::DELIVER;
+        sys.stats.incr_handle(match send_ep {
+            Some(_) => sys.hot.msgs_sent,
+            None => sys.hot.replies_sent,
+        });
+        sys.stats.add_handle(sys.hot.msg_cycles, busy);
+        sys.metrics.add_handle(self.pe, sys.hot.busy, busy);
+        sys.tracer.record_with(|| Event {
+            at: now,
+            dur: arrive - now,
+            pe: Some(self.pe),
+            comp: Component::Dtu,
+            kind: match send_ep {
+                Some(ep) => EventKind::MsgSend {
+                    ep,
+                    dst_pe,
+                    dst_ep,
+                    bytes: wire,
+                },
+                None => EventKind::MsgReply {
+                    dst_pe,
+                    bytes: wire,
+                },
+            },
+        });
+        let verdict = match sys.faults() {
+            Some(faults) => faults.message_verdict(now, self.pe, dst_pe),
+            None => MsgVerdict::Deliver,
+        };
+        match verdict {
+            MsgVerdict::Deliver => sys.deliver_at(arrive, dst_pe, dst_ep, msg, ctx, credit),
+            MsgVerdict::Drop => {
+                // The message vanishes in the NoC. The credit is refunded at
+                // the would-be delivery time, exactly like a ring-buffer
+                // drop: the reply path that normally refills it is gone.
+                sys.trace_fault(self.pe, "msg_drop", Cycles::ZERO);
+                if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
+                    sys.refill_credit_at(arrive, sender_pe, sender_ctx, sender_ep);
+                }
+            }
+            MsgVerdict::Duplicate => {
+                // Two copies arrive; only the first carries the credit
+                // pointer, so a drop of the duplicate cannot double-refund.
+                sys.trace_fault(self.pe, "msg_duplicate", Cycles::ZERO);
+                sys.deliver_at(arrive, dst_pe, dst_ep, msg.clone(), ctx, credit);
+                sys.deliver_at(arrive, dst_pe, dst_ep, msg, ctx, None);
+            }
+            MsgVerdict::Corrupt => {
+                sys.trace_fault(self.pe, "msg_corrupt", Cycles::ZERO);
+                let mut bytes = msg.payload.to_vec();
+                m3_fault::corrupt_payload(&mut bytes);
+                msg.payload = bytes.into();
+                sys.deliver_at(arrive, dst_pe, dst_ep, msg, ctx, credit);
+            }
+        }
+        t.completes_at
     }
 
     /// Fetches the oldest unread message from receive endpoint `ep`, if any.
@@ -1075,7 +962,7 @@ impl Dtu {
         Self::check_ep(ep)?;
         let mut pes = self.sys.inner.pes.borrow_mut();
         let state = &mut pes[self.pe.idx()];
-        match state.ringbufs.get_mut(&ep) {
+        match state.regs.ringbufs.get_mut(&ep) {
             Some(rb) => Ok(rb.fetch()),
             None => Err(Error::new(Code::InvEp).with_msg(format!("{ep} is not a receive EP"))),
         }
@@ -1130,7 +1017,7 @@ impl Dtu {
         Self::check_ep(ep)?;
         let mut pes = self.sys.inner.pes.borrow_mut();
         let state = &mut pes[self.pe.idx()];
-        match state.ringbufs.get_mut(&ep) {
+        match state.regs.ringbufs.get_mut(&ep) {
             Some(rb) => {
                 rb.ack();
                 self.sys.metrics.observe_handle(
@@ -1148,6 +1035,7 @@ impl Dtu {
     pub fn has_message(&self, ep: EpId) -> bool {
         let pes = self.sys.inner.pes.borrow();
         pes[self.pe.idx()]
+            .regs
             .ringbufs
             .get(&ep)
             .is_some_and(|rb| rb.has_message())
@@ -1157,7 +1045,7 @@ impl Dtu {
     /// send EP).
     pub fn credits(&self, ep: EpId) -> Option<u32> {
         let pes = self.sys.inner.pes.borrow();
-        pes[self.pe.idx()].credits.get(&ep).copied()
+        pes[self.pe.idx()].regs.credits.get(&ep).copied()
     }
 
     /// Reads `len` bytes at `offset` within the region of memory endpoint
@@ -1186,57 +1074,8 @@ impl Dtu {
     /// Same as [`Dtu::read_mem`].
     pub async fn read_mem_into(&self, ep: EpId, offset: u64, buf: &mut [u8]) -> Result<()> {
         let len = buf.len();
-        let (pe, base) = self.check_mem_access(ep, offset, len, Perm::R)?;
-        self.fault_gate().await?;
-        self.check_target_alive(pe)?;
-        self.sys.sim.sleep(timing::CMD_ISSUE).await;
-        let now = self.sys.sim.now();
-        // Request packet to the memory, then the data travels back.
-        let req = self.sys.noc.schedule(now, self.pe, pe, 0);
-        let lat = self.sys.mem_latency(pe);
-        let data_xfer = self
-            .sys
-            .noc
-            .schedule(req.completes_at + lat, pe, self.pe, len as u64);
-        self.sys.sim.sleep_until(data_xfer.completes_at).await;
-        self.sys
-            .stats
-            .add_handle(self.sys.hot.mem_read_bytes, len as u64);
-        self.sys.stats.add_handle(
-            self.sys.hot.xfer_cycles,
-            (data_xfer.completes_at - now).as_u64(),
-        );
-        self.sys.metrics.add_handle(
-            self.pe,
-            self.sys.hot.busy,
-            (data_xfer.completes_at - now).as_u64(),
-        );
-        self.sys.tracer.record_with(|| Event {
-            at: now,
-            dur: data_xfer.completes_at - now,
-            pe: Some(self.pe),
-            comp: Component::Dtu,
-            kind: EventKind::MemXfer {
-                write: false,
-                bytes: len as u64,
-            },
-        });
-
-        let mems = self.sys.inner.mems.borrow();
-        let mem = mems
-            .get(&pe)
-            .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no memory at {pe}")))?;
-        let data = mem.data.borrow();
-        let start = (base + offset) as usize;
-        buf.copy_from_slice(&data[start..start + len]);
-        drop(data);
-        drop(mems);
-        // The fetched bytes land in this PE's SPM: dirty the pages under the
-        // streaming cursor. RDMA writes read *out* of the SPM and stay clean.
-        self.sys.inner.pes.borrow_mut()[self.pe.idx()]
-            .spm_dirty
-            .touch(len as u64);
-        Ok(())
+        self.rdma(ep, offset, len, false, |region| buf.copy_from_slice(region))
+            .await
     }
 
     /// Writes `data` at `offset` within the region of memory endpoint `ep`
@@ -1248,34 +1087,64 @@ impl Dtu {
     /// - [`Code::NoPerm`] if the endpoint lacks write permission.
     /// - [`Code::InvArgs`] if the access exceeds the region.
     pub async fn write_mem(&self, ep: EpId, offset: u64, data: &[u8]) -> Result<()> {
-        let (pe, base) = self.check_mem_access(ep, offset, data.len(), Perm::W)?;
+        self.rdma(ep, offset, data.len(), true, |region| {
+            region.copy_from_slice(data)
+        })
+        .await
+    }
+
+    /// The RDMA pipeline behind [`Dtu::read_mem_into`] and
+    /// [`Dtu::write_mem`]: endpoint check, fault gate, target check,
+    /// command issue, the transfer, its accounting, and finally `access` on
+    /// the `len` bytes of the region the transfer reached.
+    async fn rdma(
+        &self,
+        ep: EpId,
+        offset: u64,
+        len: usize,
+        write: bool,
+        access: impl FnOnce(&mut [u8]),
+    ) -> Result<()> {
+        let need = if write { Perm::W } else { Perm::R };
+        let (pe, base) = self.check_mem_access(ep, offset, len, need)?;
         self.fault_gate().await?;
         self.check_target_alive(pe)?;
         self.sys.sim.sleep(timing::CMD_ISSUE).await;
         let now = self.sys.sim.now();
-        let xfer = self.sys.noc.schedule(now, self.pe, pe, data.len() as u64);
         let lat = self.sys.mem_latency(pe);
-        self.sys.sim.sleep_until(xfer.completes_at + lat).await;
+        let done = if write {
+            // The data travels to the memory, which then takes its latency.
+            let xfer = self.sys.noc.schedule(now, self.pe, pe, len as u64);
+            xfer.completes_at + lat
+        } else {
+            // Request packet to the memory, then the data travels back.
+            let req = self.sys.noc.schedule(now, self.pe, pe, 0);
+            let data = self
+                .sys
+                .noc
+                .schedule(req.completes_at + lat, pe, self.pe, len as u64);
+            data.completes_at
+        };
+        self.sys.sim.sleep_until(done).await;
+        let bytes = if write {
+            self.sys.hot.mem_write_bytes
+        } else {
+            self.sys.hot.mem_read_bytes
+        };
+        self.sys.stats.add_handle(bytes, len as u64);
+        let busy = (done - now).as_u64();
+        self.sys.stats.add_handle(self.sys.hot.xfer_cycles, busy);
         self.sys
-            .stats
-            .add_handle(self.sys.hot.mem_write_bytes, data.len() as u64);
-        self.sys.stats.add_handle(
-            self.sys.hot.xfer_cycles,
-            (xfer.completes_at + lat - now).as_u64(),
-        );
-        self.sys.metrics.add_handle(
-            self.pe,
-            self.sys.hot.busy,
-            (xfer.completes_at + lat - now).as_u64(),
-        );
+            .metrics
+            .add_handle(self.pe, self.sys.hot.busy, busy);
         self.sys.tracer.record_with(|| Event {
             at: now,
-            dur: xfer.completes_at + lat - now,
+            dur: done - now,
             pe: Some(self.pe),
             comp: Component::Dtu,
             kind: EventKind::MemXfer {
-                write: true,
-                bytes: data.len() as u64,
+                write,
+                bytes: len as u64,
             },
         });
 
@@ -1283,9 +1152,17 @@ impl Dtu {
         let mem = mems
             .get(&pe)
             .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no memory at {pe}")))?;
-        let mut store = mem.data.borrow_mut();
         let start = (base + offset) as usize;
-        store[start..start + data.len()].copy_from_slice(data);
+        access(&mut mem.data.borrow_mut()[start..start + len]);
+        drop(mems);
+        if !write {
+            // The fetched bytes land in this PE's SPM: dirty the pages under
+            // the streaming cursor. RDMA writes read *out* of the SPM and
+            // stay clean.
+            self.sys.inner.pes.borrow_mut()[self.pe.idx()]
+                .spm_dirty
+                .touch(len as u64);
+        }
         Ok(())
     }
 
@@ -1299,7 +1176,7 @@ impl Dtu {
         Self::check_ep(ep)?;
         let pes = self.sys.inner.pes.borrow();
         let state = &pes[self.pe.idx()];
-        match &state.eps[ep.idx()] {
+        match &state.regs.eps[ep.idx()] {
             EpConfig::Memory {
                 pe,
                 offset: base,
@@ -1357,40 +1234,16 @@ impl KernelToken {
     /// - [`Code::InvEp`] if `ep` is out of range.
     // m3lint: allow(cycle-accounting): KernelToken config-plane: the kernel pays for the EP_CONFIG_BYTES config message it sends to reach this
     pub fn configure(&self, target: PeId, ep: EpId, cfg: EpConfig) -> Result<()> {
-        let res = self.configure_inner(target, ep, cfg);
-        self.dtu.sys.sanitize_check();
-        res
-    }
-
-    fn configure_inner(&self, target: PeId, ep: EpId, cfg: EpConfig) -> Result<()> {
-        self.dtu.require_privileged()?;
-        Dtu::check_ep(ep)?;
-        let mut pes = self.dtu.sys.inner.pes.borrow_mut();
-        let state = pes
-            .get_mut(target.idx())
-            .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no node {target}")))?;
-        match &cfg {
-            EpConfig::Receive {
-                slots, slot_size, ..
-            } => {
-                state.ringbufs.insert(ep, RingBuf::new(*slots, *slot_size));
-                state.credits.remove(&ep);
-            }
-            EpConfig::Send { credits, .. } => {
-                state.ringbufs.remove(&ep);
-                if let Some(c) = credits {
-                    state.credits.insert(ep, *c);
-                } else {
-                    state.credits.remove(&ep);
-                }
-            }
-            EpConfig::Memory { .. } | EpConfig::Invalid => {
-                state.ringbufs.remove(&ep);
-                state.credits.remove(&ep);
-            }
-        }
-        state.eps[ep.idx()] = cfg;
-        Ok(())
+        self.dtu.sys.checked(|| {
+            self.dtu.require_privileged()?;
+            Dtu::check_ep(ep)?;
+            let mut pes = self.dtu.sys.inner.pes.borrow_mut();
+            let state = pes
+                .get_mut(target.idx())
+                .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no node {target}")))?;
+            state.regs.set(ep, cfg);
+            Ok(())
+        })
     }
 
     /// Reads the configuration of endpoint `ep` at `target`.
@@ -1405,7 +1258,7 @@ impl KernelToken {
         let state = pes
             .get(target.idx())
             .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no node {target}")))?;
-        Ok(state.eps[ep.idx()].clone())
+        Ok(state.regs.eps[ep.idx()].clone())
     }
 
     /// Upgrades or downgrades the DTU at `target`. During boot the kernel
@@ -1434,28 +1287,24 @@ impl KernelToken {
     /// - [`Code::InvEp`] if the endpoint is not a bounded-credit send EP.
     // m3lint: allow(cycle-accounting): credits are restored at the reply transfer's completion time, which the replying side already paid for
     pub fn refill_credits(&self, target: PeId, ep: EpId, credits: u32) -> Result<()> {
-        let res = self.refill_credits_inner(target, ep, credits);
-        self.dtu.sys.sanitize_check();
-        res
-    }
-
-    fn refill_credits_inner(&self, target: PeId, ep: EpId, credits: u32) -> Result<()> {
-        self.dtu.require_privileged()?;
-        Dtu::check_ep(ep)?;
-        let mut pes = self.dtu.sys.inner.pes.borrow_mut();
-        let state = pes
-            .get_mut(target.idx())
-            .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no node {target}")))?;
-        match state.eps.get(ep.idx()) {
-            Some(EpConfig::Send {
-                credits: Some(max), ..
-            }) => {
-                let v = credits.min(*max);
-                state.credits.insert(ep, v);
-                Ok(())
+        self.dtu.sys.checked(|| {
+            self.dtu.require_privileged()?;
+            Dtu::check_ep(ep)?;
+            let mut pes = self.dtu.sys.inner.pes.borrow_mut();
+            let regs = &mut pes
+                .get_mut(target.idx())
+                .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no node {target}")))?
+                .regs;
+            match regs.eps.get(ep.idx()) {
+                Some(EpConfig::Send {
+                    credits: Some(max), ..
+                }) => {
+                    regs.credits.insert(ep, credits.min(*max));
+                    Ok(())
+                }
+                _ => Err(Error::new(Code::InvEp).with_msg("not a bounded-credit send EP")),
             }
-            _ => Err(Error::new(Code::InvEp).with_msg("not a bounded-credit send EP")),
-        }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1495,15 +1344,13 @@ impl KernelToken {
         let ctx = state.current_ctx;
         let dirty_pages = state.spm_dirty.count();
         let saved_ctx = SavedCtx {
-            eps: std::mem::replace(&mut state.eps, vec![EpConfig::Invalid; EP_COUNT]),
-            ringbufs: std::mem::take(&mut state.ringbufs),
-            credits: std::mem::take(&mut state.credits),
+            regs: std::mem::replace(&mut state.regs, EpFile::new()),
             dirty_pages,
         };
         state.current_ctx = NO_CTX;
         state.spm_dirty.mark_all();
         drop(pes);
-        let bytes = saved_ctx.state_bytes();
+        let bytes = saved_ctx.regs.state_bytes();
         self.dtu
             .sys
             .inner
@@ -1528,40 +1375,34 @@ impl KernelToken {
     ///   no save area.
     // m3lint: allow(cycle-accounting): the kernel switch path charges CTX_RESTORE_FIXED plus the modelled state transfer, as for save_state
     pub fn restore_state(&self, target: PeId, ctx: u64) -> Result<(u64, u32)> {
-        let res = self.restore_state_inner(target, ctx);
-        self.dtu.sys.sanitize_check();
-        res
-    }
-
-    fn restore_state_inner(&self, target: PeId, ctx: u64) -> Result<(u64, u32)> {
-        self.dtu.require_privileged()?;
-        let saved_ctx = self
-            .dtu
-            .sys
-            .inner
-            .saved
-            .borrow_mut()
-            .remove(&(target, ctx))
-            .ok_or_else(|| {
-                Error::new(Code::InvArgs).with_msg(format!("no saved context {ctx} at {target}"))
-            })?;
-        let bytes = saved_ctx.state_bytes();
-        let dirty_pages = saved_ctx.dirty_pages;
-        let mut pes = self.dtu.sys.inner.pes.borrow_mut();
-        let state = pes
-            .get_mut(target.idx())
-            .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no node {target}")))?;
-        state.eps = saved_ctx.eps;
-        state.ringbufs = saved_ctx.ringbufs;
-        state.credits = saved_ctx.credits;
-        state.current_ctx = ctx;
-        state.spm_dirty.clear();
-        let arrival = state.arrival.clone();
-        drop(pes);
-        // Messages may have been parked in the restored ring buffers while
-        // the context was out; wake its receivers so they re-poll.
-        arrival.notify_all();
-        Ok((bytes, dirty_pages))
+        self.dtu.sys.checked(|| {
+            self.dtu.require_privileged()?;
+            let saved_ctx = self
+                .dtu
+                .sys
+                .inner
+                .saved
+                .borrow_mut()
+                .remove(&(target, ctx))
+                .ok_or_else(|| {
+                    Error::new(Code::InvArgs)
+                        .with_msg(format!("no saved context {ctx} at {target}"))
+                })?;
+            let bytes = saved_ctx.regs.state_bytes();
+            let mut pes = self.dtu.sys.inner.pes.borrow_mut();
+            let state = pes
+                .get_mut(target.idx())
+                .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no node {target}")))?;
+            state.regs = saved_ctx.regs;
+            state.current_ctx = ctx;
+            state.spm_dirty.clear();
+            let arrival = state.arrival.clone();
+            drop(pes);
+            // Messages may have been parked in the restored ring buffers
+            // while the context was out; wake its receivers so they re-poll.
+            arrival.notify_all();
+            Ok((bytes, saved_ctx.dirty_pages))
+        })
     }
 
     /// Configures endpoint `ep` directly in the *save area* of context
@@ -1576,38 +1417,14 @@ impl KernelToken {
     /// - [`Code::InvEp`] if `ep` is out of range.
     // m3lint: allow(cycle-accounting): KernelToken config-plane: updates a parked context image; charged by the kernel's config message path
     pub fn stash_config(&self, target: PeId, ctx: u64, ep: EpId, cfg: EpConfig) -> Result<()> {
-        let res = self.stash_config_inner(target, ctx, ep, cfg);
-        self.dtu.sys.sanitize_check();
-        res
-    }
-
-    fn stash_config_inner(&self, target: PeId, ctx: u64, ep: EpId, cfg: EpConfig) -> Result<()> {
-        self.dtu.require_privileged()?;
-        Dtu::check_ep(ep)?;
-        let mut saved = self.dtu.sys.inner.saved.borrow_mut();
-        let sc = saved.entry((target, ctx)).or_insert_with(SavedCtx::new);
-        match &cfg {
-            EpConfig::Receive {
-                slots, slot_size, ..
-            } => {
-                sc.ringbufs.insert(ep, RingBuf::new(*slots, *slot_size));
-                sc.credits.remove(&ep);
-            }
-            EpConfig::Send { credits, .. } => {
-                sc.ringbufs.remove(&ep);
-                if let Some(c) = credits {
-                    sc.credits.insert(ep, *c);
-                } else {
-                    sc.credits.remove(&ep);
-                }
-            }
-            EpConfig::Memory { .. } | EpConfig::Invalid => {
-                sc.ringbufs.remove(&ep);
-                sc.credits.remove(&ep);
-            }
-        }
-        sc.eps[ep.idx()] = cfg;
-        Ok(())
+        self.dtu.sys.checked(|| {
+            self.dtu.require_privileged()?;
+            Dtu::check_ep(ep)?;
+            let mut saved = self.dtu.sys.inner.saved.borrow_mut();
+            let sc = saved.entry((target, ctx)).or_insert_with(SavedCtx::new);
+            sc.regs.set(ep, cfg);
+            Ok(())
+        })
     }
 
     /// Labels the live registers of the DTU at `target` as belonging to
@@ -1651,7 +1468,7 @@ impl KernelToken {
             .saved
             .borrow()
             .get(&(target, ctx))
-            .and_then(|sc| sc.ringbufs.get(&ep))
+            .and_then(|sc| sc.regs.ringbufs.get(&ep))
             .is_some_and(RingBuf::has_message)
     }
 
@@ -1660,7 +1477,7 @@ impl KernelToken {
     pub fn has_message(&self, target: PeId, ep: EpId) -> bool {
         let pes = self.dtu.sys.inner.pes.borrow();
         pes.get(target.idx())
-            .and_then(|s| s.ringbufs.get(&ep))
+            .and_then(|s| s.regs.ringbufs.get(&ep))
             .is_some_and(RingBuf::has_message)
     }
 
@@ -1718,9 +1535,9 @@ impl KernelToken {
             .map(|i| {
                 let ep = EpId::new(i as u32);
                 (
-                    state.eps[i].clone(),
-                    state.ringbufs.get(&ep).cloned(),
-                    state.credits.get(&ep).copied(),
+                    state.regs.eps[i].clone(),
+                    state.regs.ringbufs.get(&ep).cloned(),
+                    state.regs.credits.get(&ep).copied(),
                 )
             })
             .collect())
@@ -1770,6 +1587,7 @@ mod tests {
             .configure(PeId::new(1), EpId::new(0), send_cfg(0, 0, 0, Some(2)))
             .unwrap();
         sys.inner.pes.borrow_mut()[1]
+            .regs
             .credits
             .insert(EpId::new(0), 99);
         // Any checked operation — even one touching a different endpoint —
@@ -1789,6 +1607,7 @@ mod tests {
             .configure(PeId::new(1), EpId::new(0), recv_cfg(4, false))
             .unwrap();
         sys.inner.pes.borrow_mut()[1]
+            .regs
             .ringbufs
             .insert(EpId::new(0), RingBuf::new(2, 64));
         kernel
