@@ -1148,12 +1148,21 @@ impl Dtu {
             },
         });
 
+        // The region was checked against the endpoint, not against the
+        // memory behind it: a region the kernel placed past the end of the
+        // node's memory fails like a node without one.
         let mems = self.sys.inner.mems.borrow();
-        let mem = mems
-            .get(&pe)
-            .ok_or_else(|| Error::new(Code::InvArgs).with_msg(format!("no memory at {pe}")))?;
-        let start = (base + offset) as usize;
-        access(&mut mem.data.borrow_mut()[start..start + len]);
+        let mut data = mems.get(&pe).map(|mem| mem.data.borrow_mut());
+        let region = data.as_mut().and_then(|data| {
+            let start = usize::try_from(base.checked_add(offset)?).ok()?;
+            data.get_mut(start..start.checked_add(len)?)
+        });
+        let Some(region) = region else {
+            return Err(Error::new(Code::InvArgs)
+                .with_msg(format!("no memory at {pe} for [{base} + {offset}, +{len})")));
+        };
+        access(region);
+        drop(data);
         drop(mems);
         if !write {
             // The fetched bytes land in this PE's SPM: dirty the pages under
@@ -2035,6 +2044,27 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), vec![0x5a]);
+    }
+
+    #[test]
+    fn rdma_past_the_backing_memory_fails_instead_of_panicking() {
+        // The region [4000, 4512) lies partly beyond the 4 KiB DRAM.
+        let (sim, sys) = setup(3);
+        let mem = sys.add_memory(PeId::new(2), MemKind::Dram, 4096);
+        let kernel = sys.dtu(PeId::new(0)).claim_kernel_token().unwrap();
+        kernel
+            .configure(PeId::new(1), EpId::new(0), mem_cfg(2, 4000, 512, Perm::RW))
+            .unwrap();
+        let app = sys.dtu(PeId::new(1));
+        let h = sim.spawn("app", async move {
+            let read = app.read_mem(EpId::new(0), 0, 200).await.unwrap_err();
+            let write = app.write_mem(EpId::new(0), 0, &[7; 200]).await.unwrap_err();
+            let inside = app.read_mem(EpId::new(0), 0, 96).await.is_ok();
+            (read.code(), write.code(), inside)
+        });
+        sim.run();
+        assert_eq!(h.try_take().unwrap(), (Code::InvArgs, Code::InvArgs, true));
+        assert!(mem.borrow()[4000..].iter().all(|&b| b == 0));
     }
 
     #[test]
