@@ -19,12 +19,14 @@
 //! - **cycle-accounting** — `pub` fns in dtu/noc/sched that write
 //!   architectural state must reach a cycle-charging call; see
 //!   [`crate::cycles`].
-//! - **suppression** — pseudo-rule for malformed suppressions themselves.
+//! - **suppression** — pseudo-rule for malformed suppressions themselves,
+//!   and for justified ones that suppress no finding.
 //!
 //! All checks run on the spanned token stream from [`crate::lexer`] and the
 //! block tree from [`crate::tree`], so string literals, comments, raw
 //! strings and char literals can never confuse an identifier match.
 
+use std::cell::Cell;
 use std::path::Path;
 
 use crate::lexer::{lex, Kind, Token};
@@ -228,12 +230,20 @@ pub fn check_file(path: &Path, source: &str) -> Vec<Finding> {
             suppressions.push(sup);
         }
     }
+    // Which suppressions silenced a finding; the rest are reported below.
+    let used: Vec<Cell<bool>> = vec![Cell::new(false); suppressions.len()];
     let allowed = |rule: &str, line_no: usize| -> bool {
-        suppressions.iter().any(|s| {
-            s.justified
+        let mut hit = false;
+        for (s, used) in suppressions.iter().zip(&used) {
+            if s.justified
                 && s.rules.iter().any(|r| r == rule)
                 && ((s.trailing && s.line == line_no) || (!s.trailing && s.line + 1 == line_no))
-        })
+            {
+                used.set(true);
+                hit = true;
+            }
+        }
+        hit
     };
     let mut push = |rule: &'static str, line_no: usize, message: String| {
         if !allowed(rule, line_no) {
@@ -325,6 +335,23 @@ pub fn check_file(path: &Path, source: &str) -> Vec<Finding> {
     isolation::check(&tree, &class, &mut push);
     borrow::check(&tree, &class, &mut push);
     cycles::check(&tree, &class, &mut push);
+
+    // A justified suppression that silenced nothing hides the next real
+    // finding on its line; one naming an unknown rule is flagged above.
+    for (sup, used) in suppressions.iter().zip(&used) {
+        let known = sup.rules.iter().all(|r| RULES.contains(&r.as_str()));
+        if sup.justified && known && !used.get() {
+            findings.push(Finding {
+                file: file.clone(),
+                line: sup.line,
+                rule: "suppression",
+                message: format!(
+                    "m3lint suppression of `{}` suppresses nothing: delete it",
+                    sup.rules.join(", ")
+                ),
+            });
+        }
+    }
 
     findings.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
     findings.dedup_by(|a, b| a.line == b.line && a.rule == b.rule && a.message == b.message);
@@ -688,6 +715,29 @@ mod tests {
         let src = "// m3lint: allow(nonsense): because\nlet x = 1;\n";
         let f = check("crates/sim/src/executor.rs", src);
         assert_eq!(rules_of(&f), vec!["suppression"]);
+    }
+
+    #[test]
+    fn suppression_that_suppresses_nothing_is_rejected() {
+        let src = "// m3lint: allow(determinism): oracle map\nlet m = BTreeMap::new();\n";
+        let f = check("crates/sim/src/executor.rs", src);
+        assert_eq!(rules_of(&f), vec!["suppression"]);
+        assert_eq!(f[0].line, 1);
+        assert!(f[0].message.contains("suppresses nothing"), "{f:?}");
+    }
+
+    #[test]
+    fn suppression_out_of_its_rule_scope_suppresses_nothing() {
+        // no-unwrap does not apply to sim code, so the allow is dead.
+        let src = "let v = y.unwrap(); // m3lint: allow(no-unwrap): len checked above\n";
+        let f = check("crates/sim/src/executor.rs", src);
+        assert_eq!(rules_of(&f), vec!["suppression"]);
+    }
+
+    #[test]
+    fn suppression_counts_as_used_if_any_rule_fires() {
+        let src = "let m = HashMap::new(); // m3lint: allow(determinism, no-unwrap): oracle map\n";
+        assert!(check("crates/sim/src/executor.rs", src).is_empty());
     }
 
     #[test]

@@ -11,4 +11,4 @@ fn oracle() {
 }
 
 /* m3lint: allow(determinism): host-side profiling shim, compiled out of sim builds */
-fn profile() {}
+fn profile() -> Instant { Instant::now() }
