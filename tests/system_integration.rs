@@ -6,7 +6,11 @@ use m3_base::error::Code;
 use m3_base::{Cycles, PeId, Perm};
 use m3_fs::{mount_m3fs, SetupNode};
 use m3_kernel::protocol::PeRequest;
+use m3_kernel::PAGE_SIZE;
+use m3_libos::addrspace::AddrSpace;
 use m3_libos::{vfs, MemGate, Vpe};
+use m3_lx::{LxConfig, LxMachine};
+use m3_sim::{keys, Sim, SimState};
 
 #[test]
 fn noc_level_isolation_is_enforced_after_boot() {
@@ -280,4 +284,177 @@ fn device_interrupts_arrive_as_messages() {
     });
     sys.run();
     assert_eq!(job.try_take(), Some(5));
+}
+
+/// The composed shards + overcommit + paging run of
+/// `tests/multikernel.rs::paging_overcommit_and_dirty_switches_compose_with_shards`.
+fn composed_shards_overcommit_paging_run() -> System {
+    const CLIENTS: u64 = 3;
+    const PAGES: u64 = 8;
+    let sys = System::boot(SystemConfig {
+        pes: 8,
+        shards: 2,
+        fs_blocks: 4096,
+        fs_setup: vec![SetupNode::file("/data", b"shared".to_vec())],
+        overcommit: true,
+        dirty_switches: true,
+        vm_resident_pages: Some(4),
+        ..SystemConfig::default()
+    });
+    let jobs: Vec<_> = (0..2)
+        .map(|shard| {
+            sys.run_program_on(shard, "driver", |env| async move {
+                let mut vpes = Vec::new();
+                for i in 0..CLIENTS {
+                    let vpe = Vpe::new(&env, &format!("client{i}"), PeRequest::Any)
+                        .await
+                        .unwrap();
+                    vpe.run(move |cenv| async move {
+                        mount_m3fs(&cenv).await.unwrap();
+                        let mut aspace = AddrSpace::new(&cenv, Perm::RW);
+                        for round in 0..2u8 {
+                            for p in 0..PAGES {
+                                aspace
+                                    .write(p * PAGE_SIZE, &[i as u8, p as u8, round])
+                                    .await
+                                    .unwrap();
+                            }
+                            for p in 0..PAGES {
+                                let mut b = [0u8; 3];
+                                aspace.read(p * PAGE_SIZE, &mut b).await.unwrap();
+                                assert_eq!(b, [i as u8, p as u8, round]);
+                            }
+                        }
+                        let data = vfs::read_to_vec(&cenv, "/data").await.unwrap();
+                        assert_eq!(data, b"shared");
+                        10 + i as i64
+                    })
+                    .await
+                    .unwrap();
+                    vpes.push(vpe);
+                }
+                let mut sum = 0;
+                for vpe in vpes {
+                    sum += vpe.wait().await.unwrap();
+                    vpe.revoke().await.unwrap();
+                }
+                sum
+            })
+        })
+        .collect();
+    assert_eq!(sys.run(), SimState::Finished);
+    for job in jobs {
+        assert_eq!(job.try_take(), Some(10 + 11 + 12));
+    }
+    sys
+}
+
+/// The Linux FFT pipeline of fig7: a fork, an exec and a pipe.
+fn lx_fft_pipe_run() -> LxMachine {
+    let sim = Sim::new();
+    let machine = LxMachine::new(&sim, LxConfig::xtensa());
+    {
+        let mut fs = machine.fs().borrow_mut();
+        fs.mkdir("/bin").unwrap();
+        let ino = fs.create("/bin/fft").unwrap();
+        fs.write(ino, 0, &vec![0x7f; 16 * 1024]).unwrap();
+    }
+    let (_, job) = machine.spawn_proc("fft-bench", |p| async move {
+        m3_apps::lxapp::fft_pipeline(&p, "/result.bin")
+            .await
+            .unwrap();
+        0
+    });
+    assert_eq!(sim.run(), SimState::Finished);
+    assert_eq!(job.try_take(), Some(0));
+    machine
+}
+
+/// The totals of every counter the figures and m3bench read, on one
+/// composed M3 run and one Linux pipe run, zeros included. The NoC's
+/// counters are read through the NoC.
+#[test]
+fn counter_totals_of_a_composed_run_and_an_lx_pipe_run_are_pinned() {
+    const M3: [(&str, u64); 24] = [
+        ("app.fft_cycles", 0),
+        ("dtu.deposit_no_recv_ep", 0),
+        ("dtu.mem_read_bytes", 324),
+        ("dtu.mem_write_bytes", 147756),
+        ("dtu.msg_cycles", 22322),
+        ("dtu.msgs_delivered", 1116),
+        ("dtu.msgs_dropped", 0),
+        ("dtu.msgs_sent", 562),
+        ("dtu.replies_sent", 554),
+        ("dtu.xfer_cycles", 42824),
+        ("kernel.ktk_bad_messages", 0),
+        ("kernel.ktk_requests", 3),
+        ("kernel.page_faults", 156),
+        ("kernel.remote_placements", 0),
+        ("kernel.syscalls", 532),
+        ("kernel.vpe_exits", 8),
+        ("lx.app_cycles", 0),
+        ("lx.ctx_switches", 0),
+        ("lx.os_cycles", 0),
+        ("lx.xfer_cycles", 0),
+        ("m3.app_cycles", 0),
+        ("noc.bytes", 812418),
+        ("noc.transfers", 1688),
+        ("noc.wait_cycles", 36566),
+    ];
+    const LX: [(&str, u64); 24] = [
+        ("app.fft_cycles", 1228800),
+        ("dtu.deposit_no_recv_ep", 0),
+        ("dtu.mem_read_bytes", 0),
+        ("dtu.mem_write_bytes", 0),
+        ("dtu.msg_cycles", 0),
+        ("dtu.msgs_delivered", 0),
+        ("dtu.msgs_dropped", 0),
+        ("dtu.msgs_sent", 0),
+        ("dtu.replies_sent", 0),
+        ("dtu.xfer_cycles", 0),
+        ("kernel.ktk_bad_messages", 0),
+        ("kernel.ktk_requests", 0),
+        ("kernel.page_faults", 0),
+        ("kernel.remote_placements", 0),
+        ("kernel.syscalls", 0),
+        ("kernel.vpe_exits", 0),
+        ("lx.app_cycles", 1261568),
+        ("lx.ctx_switches", 3),
+        ("lx.os_cycles", 118390),
+        ("lx.xfer_cycles", 153600),
+        ("m3.app_cycles", 0),
+        ("noc.bytes", 0),
+        ("noc.transfers", 0),
+        ("noc.wait_cycles", 0),
+    ];
+
+    let sys = composed_shards_overcommit_paging_run();
+    let stats = sys.stats();
+    let noc = sys.platform().dtu_system().noc().stats();
+    let got: Vec<(&str, u64)> = M3
+        .iter()
+        .map(|&(name, _)| match name.starts_with("noc.") {
+            true => (name, noc.get(name)),
+            false => (name, stats.get(name)),
+        })
+        .collect();
+    assert_eq!(got, M3);
+    let metrics = sys.sim().metrics();
+    assert_eq!(
+        stats.get("kernel.page_faults"),
+        metrics.total(keys::PAGE_FAULTS)
+    );
+    assert_eq!(
+        stats.get("kernel.syscalls") + stats.get("kernel.ktk_requests"),
+        metrics.total(keys::KERNEL_OPS)
+    );
+    assert_eq!(noc.get("noc.wait_cycles"), metrics.total(keys::NOC_WAIT));
+
+    let machine = lx_fft_pipe_run();
+    let stats = machine.stats();
+    let got: Vec<(&str, u64)> = LX
+        .iter()
+        .map(|&(name, _)| (name, stats.get(name)))
+        .collect();
+    assert_eq!(got, LX);
 }
