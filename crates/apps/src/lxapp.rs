@@ -9,6 +9,7 @@ use m3_base::error::{Code, Error, Result};
 use m3_base::Cycles;
 use m3_lx::LxProc;
 use m3_platform::accel::fft_sw_cycles;
+use m3_sim::keys;
 
 use crate::fft;
 use crate::m3app::{FIND_MATCH_CYCLES, TR_CYCLES_PER_BYTE};
@@ -235,7 +236,7 @@ pub async fn fft_pipeline(p: &LxProc, out: &str) -> Result<()> {
             let core = c.machine().config().core.clone();
             let cost = fft_sw_cycles(re.len(), &core);
             c.compute(cost).await;
-            c.machine().stats().add("app.fft_cycles", cost.as_u64());
+            c.machine().count(keys::FFT_CYCLES, cost.as_u64());
             fft::fft_in_place(&mut re, &mut im);
             let out_bytes = fft::pack(&re, &im);
             let Ok(mut f) = c.open(&out_path, true, true, true).await else {

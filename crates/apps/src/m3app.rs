@@ -10,6 +10,7 @@ use m3_libos::vfs::{self, OpenFlags, SeekMode};
 use m3_libos::{Env, ProgramRegistry, Vpe};
 use m3_platform::accel::{fft_accel_cycles, fft_sw_cycles};
 use m3_platform::PeType;
+use m3_sim::keys;
 
 use crate::fft;
 use crate::sqlwork;
@@ -315,7 +316,9 @@ pub fn register_fft_program(reg: &ProgramRegistry) {
             fft_sw_cycles(re.len(), core)
         };
         env.compute_app(cost).await;
-        env.sim().stats().add("app.fft_cycles", cost.as_u64());
+        env.sim()
+            .metrics()
+            .add(env.pe(), keys::FFT_CYCLES, cost.as_u64());
         fft::fft_in_place(&mut re, &mut im);
         let out_bytes = fft::pack(&re, &im);
         if vfs::write_all(&env, out_path, &out_bytes).await.is_err() {

@@ -31,6 +31,7 @@ use m3_kernel::protocol::PeRequest;
 use m3_libos::Vpe;
 use m3_noc::{IslandMap, NocConfig, Topology};
 use m3_platform::PeType;
+use m3_sim::keys;
 use m3_sim::pdes::{self, IslandBuilder, IslandFinish, PdesConfig};
 
 use crate::exec;
@@ -196,8 +197,9 @@ fn island_builder(id: u32, shards: u32, pes_per_shard: usize) -> IslandBuilder {
             let placed = spill
                 .try_take()
                 .expect("spiller finished before termination");
-            let ops = ctx.sim().metrics().total(m3_sim::keys::KERNEL_OPS);
-            let xplace = ctx.sim().stats().get("kernel.remote_placements");
+            let stats = ctx.sim().stats();
+            let ops = stats.get(keys::KERNEL_SYSCALLS) + stats.get(keys::KTK_REQUESTS);
+            let xplace = stats.get(keys::REMOTE_PLACEMENTS);
             format!(
                 "i{}:ops={}:serve={}:xplace={}:end={}",
                 ctx.id(),

@@ -17,7 +17,7 @@ use m3_libos::pipe::{self, PipeRole, PipeWriter};
 use m3_libos::vfs::{self, OpenFlags};
 use m3_libos::Vpe;
 use m3_lx::{LxConfig, LxMachine};
-use m3_sim::{Event, Sim};
+use m3_sim::{keys, Event, Sim};
 
 use crate::exec::{self, Job};
 use crate::report::{Bar, Figure, Group};
@@ -42,13 +42,13 @@ fn m3_syscall() -> Bar {
         env.syscall(Syscall::Noop).await.unwrap(); // warm up
         let stats = env.sim().stats();
         let t0 = env.sim().now().as_u64();
-        let x0 = stats.get("dtu.msg_cycles");
+        let x0 = stats.get(keys::DTU_MSG_CYCLES);
         const N: u64 = 100;
         for _ in 0..N {
             env.syscall(Syscall::Noop).await.unwrap();
         }
         let total = (env.sim().now().as_u64() - t0) / N;
-        let xfer = (stats.get("dtu.msg_cycles") - x0) / N;
+        let xfer = (stats.get(keys::DTU_MSG_CYCLES) - x0) / N;
         out2.set((total, xfer));
         0
     });
@@ -170,7 +170,7 @@ fn m3_file_run(
         if read {
             let mut file = vfs::open(&env, "/data", OpenFlags::R).await.unwrap();
             let t0 = env.sim().now().as_u64();
-            let x0 = stats.get("dtu.xfer_cycles");
+            let x0 = stats.get(keys::DTU_XFER_CYCLES);
             loop {
                 let n = file.read(&mut buf).await.unwrap();
                 if n == 0 {
@@ -179,7 +179,7 @@ fn m3_file_run(
             }
             out2.set((
                 env.sim().now().as_u64() - t0,
-                stats.get("dtu.xfer_cycles") - x0,
+                stats.get(keys::DTU_XFER_CYCLES) - x0,
             ));
             file.close().await.unwrap();
         } else {
@@ -187,7 +187,7 @@ fn m3_file_run(
                 .await
                 .unwrap();
             let t0 = env.sim().now().as_u64();
-            let x0 = stats.get("dtu.xfer_cycles");
+            let x0 = stats.get(keys::DTU_XFER_CYCLES);
             let mut left = XFER_BYTES;
             while left > 0 {
                 let n = buf.len().min(left);
@@ -200,7 +200,7 @@ fn m3_file_run(
             file.close().await.unwrap();
             out2.set((
                 env.sim().now().as_u64() - t0,
-                stats.get("dtu.xfer_cycles") - x0,
+                stats.get(keys::DTU_XFER_CYCLES) - x0,
             ));
         }
         0
@@ -232,19 +232,22 @@ fn lx_file(cfg: LxConfig, label: &str, read: bool) -> Bar {
         if read {
             let mut f = p.open("/data", false, false, false).await.unwrap();
             let t0 = sim.now().as_u64();
-            let x0 = stats.get("lx.xfer_cycles");
+            let x0 = stats.get(keys::LX_XFER_CYCLES);
             loop {
                 let d = f.read(BENCH_BUF_SIZE).await.unwrap();
                 if d.is_empty() {
                     break;
                 }
             }
-            out2.set((sim.now().as_u64() - t0, stats.get("lx.xfer_cycles") - x0));
+            out2.set((
+                sim.now().as_u64() - t0,
+                stats.get(keys::LX_XFER_CYCLES) - x0,
+            ));
             f.close().await;
         } else {
             let mut f = p.open("/new", true, true, true).await.unwrap();
             let t0 = sim.now().as_u64();
-            let x0 = stats.get("lx.xfer_cycles");
+            let x0 = stats.get(keys::LX_XFER_CYCLES);
             let chunk = vec![0x61u8; BENCH_BUF_SIZE];
             let mut left = XFER_BYTES;
             while left > 0 {
@@ -253,7 +256,10 @@ fn lx_file(cfg: LxConfig, label: &str, read: bool) -> Bar {
                 left -= n;
             }
             f.close().await;
-            out2.set((sim.now().as_u64() - t0, stats.get("lx.xfer_cycles") - x0));
+            out2.set((
+                sim.now().as_u64() - t0,
+                stats.get(keys::LX_XFER_CYCLES) - x0,
+            ));
         }
         0
     });
@@ -303,7 +309,7 @@ fn m3_pipe() -> Bar {
         let stats = env.sim().stats();
         let mut buf = vec![0u8; BENCH_BUF_SIZE];
         let t0 = env.sim().now().as_u64();
-        let x0 = stats.get("dtu.xfer_cycles");
+        let x0 = stats.get(keys::DTU_XFER_CYCLES);
         loop {
             let n = reader.read(&mut buf).await.unwrap();
             if n == 0 {
@@ -312,7 +318,7 @@ fn m3_pipe() -> Bar {
         }
         out2.set((
             env.sim().now().as_u64() - t0,
-            stats.get("dtu.xfer_cycles") - x0,
+            stats.get(keys::DTU_XFER_CYCLES) - x0,
         ));
         child.wait().await.unwrap();
         0
@@ -347,14 +353,17 @@ fn lx_pipe(cfg: LxConfig, label: &str) -> Bar {
         let sim = p.machine().sim().clone();
         let stats = p.machine().stats();
         let t0 = sim.now().as_u64();
-        let x0 = stats.get("lx.xfer_cycles");
+        let x0 = stats.get(keys::LX_XFER_CYCLES);
         loop {
             let d = rx.read(&p, BENCH_BUF_SIZE).await.unwrap();
             if d.is_empty() {
                 break;
             }
         }
-        out2.set((sim.now().as_u64() - t0, stats.get("lx.xfer_cycles") - x0));
+        out2.set((
+            sim.now().as_u64() - t0,
+            stats.get(keys::LX_XFER_CYCLES) - x0,
+        ));
         rx.close();
         0
     });

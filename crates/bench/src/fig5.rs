@@ -11,7 +11,7 @@ use m3::{System, SystemConfig};
 use m3_apps::{lxapp, m3app, tarfmt, workload};
 use m3_fs::{mount_m3fs, SetupNode};
 use m3_lx::{LxConfig, LxMachine};
-use m3_sim::Sim;
+use m3_sim::{keys, Sim};
 
 use crate::exec::{self, Job};
 use crate::report::{Bar, Figure, Group};
@@ -94,8 +94,8 @@ fn m3_bar(kind: BenchKind) -> Bar {
         mount_m3fs(&env).await.unwrap();
         let stats = env.sim().stats();
         let t0 = env.sim().now().as_u64();
-        let app0 = stats.get("m3.app_cycles");
-        let x0 = stats.get("dtu.xfer_cycles");
+        let app0 = stats.get(keys::APP_CYCLES);
+        let x0 = stats.get(keys::DTU_XFER_CYCLES);
         match kind {
             BenchKind::CatTr => {
                 m3app::cat_tr(&env, "/input.txt", "/output.txt")
@@ -122,8 +122,8 @@ fn m3_bar(kind: BenchKind) -> Bar {
         }
         out2.set((
             env.sim().now().as_u64() - t0,
-            stats.get("m3.app_cycles") - app0,
-            stats.get("dtu.xfer_cycles") - x0,
+            stats.get(keys::APP_CYCLES) - app0,
+            stats.get(keys::DTU_XFER_CYCLES) - x0,
         ));
         0
     });
@@ -160,8 +160,8 @@ fn lx_bar(kind: BenchKind, cfg: LxConfig, label: &str) -> Bar {
         let sim = p.machine().sim().clone();
         let stats = p.machine().stats();
         let t0 = sim.now().as_u64();
-        let app0 = stats.get("lx.app_cycles");
-        let x0 = stats.get("lx.xfer_cycles");
+        let app0 = stats.get(keys::LX_APP_CYCLES);
+        let x0 = stats.get(keys::LX_XFER_CYCLES);
         match kind {
             BenchKind::CatTr => {
                 lxapp::cat_tr(&p, "/input.txt", "/output.txt")
@@ -186,8 +186,8 @@ fn lx_bar(kind: BenchKind, cfg: LxConfig, label: &str) -> Bar {
         }
         out2.set((
             sim.now().as_u64() - t0,
-            stats.get("lx.app_cycles") - app0,
-            stats.get("lx.xfer_cycles") - x0,
+            stats.get(keys::LX_APP_CYCLES) - app0,
+            stats.get(keys::LX_XFER_CYCLES) - x0,
         ));
         0
     });

@@ -14,7 +14,7 @@ use m3_apps::{lxapp, m3app};
 use m3_fs::{mount_m3fs, SetupNode};
 use m3_lx::{LxConfig, LxMachine};
 use m3_platform::PeType;
-use m3_sim::Sim;
+use m3_sim::{keys, Sim};
 
 use crate::exec::{self, Job};
 use crate::report::{Bar, Figure, Group};
@@ -37,14 +37,14 @@ fn m3_bar(accel: bool) -> Bar {
         mount_m3fs(&env).await.unwrap();
         let stats = env.sim().stats();
         let t0 = env.sim().now().as_u64();
-        let f0 = stats.get("app.fft_cycles");
-        let x0 = stats.get("dtu.xfer_cycles");
+        let f0 = stats.get(keys::FFT_CYCLES);
+        let x0 = stats.get(keys::DTU_XFER_CYCLES);
         let pe = if accel { Some(PeType::FftAccel) } else { None };
         m3app::fft_pipeline(&env, pe, "/result.bin").await.unwrap();
         out2.set((
             env.sim().now().as_u64() - t0,
-            stats.get("app.fft_cycles") - f0,
-            stats.get("dtu.xfer_cycles") - x0,
+            stats.get(keys::FFT_CYCLES) - f0,
+            stats.get(keys::DTU_XFER_CYCLES) - x0,
         ));
         0
     });
@@ -75,13 +75,13 @@ fn lx_bar() -> Bar {
         let sim = p.machine().sim().clone();
         let stats = p.machine().stats();
         let t0 = sim.now().as_u64();
-        let f0 = stats.get("app.fft_cycles");
-        let x0 = stats.get("lx.xfer_cycles");
+        let f0 = stats.get(keys::FFT_CYCLES);
+        let x0 = stats.get(keys::LX_XFER_CYCLES);
         lxapp::fft_pipeline(&p, "/result.bin").await.unwrap();
         out2.set((
             sim.now().as_u64() - t0,
-            stats.get("app.fft_cycles") - f0,
-            stats.get("lx.xfer_cycles") - x0,
+            stats.get(keys::FFT_CYCLES) - f0,
+            stats.get(keys::LX_XFER_CYCLES) - x0,
         ));
         0
     });

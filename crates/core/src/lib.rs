@@ -270,7 +270,8 @@ impl System {
         &self.registry
     }
 
-    /// Shared statistics counters.
+    /// The totals view of the simulation's metrics: each counter summed
+    /// over all PEs.
     pub fn stats(&self) -> Stats {
         self.sim().stats()
     }

@@ -11,10 +11,7 @@ use m3_base::ids::Label;
 use m3_base::{Cycles, EpId, PeId, Perm};
 use m3_fault::{FaultPlane, MsgVerdict};
 use m3_noc::Noc;
-use m3_sim::{
-    keys, Component, Event, EventKind, MetricHandle, Metrics, Notify, Recorder, Sim, StatHandle,
-    Stats,
-};
+use m3_sim::{keys, Component, Event, EventKind, MetricHandle, Metrics, Notify, Recorder, Sim};
 
 use crate::endpoint::EpConfig;
 use crate::message::{Header, Message, ReplyInfo};
@@ -250,38 +247,39 @@ struct SystemInner {
     faults: RefCell<Option<Rc<FaultPlane>>>,
 }
 
-/// Pre-resolved handles for the counters and metrics the DTU bumps on
-/// every message or transfer, so the hot path indexes a vector instead of
-/// walking a string-keyed map.
+/// Pre-resolved handles for the metrics the DTU bumps on every message or
+/// transfer, so the hot path indexes a table instead of walking a
+/// string-keyed map. Sends and transfers count at the issuing PE,
+/// deposits at the destination PE.
 #[derive(Copy, Clone)]
-struct HotStats {
-    msgs_sent: StatHandle,
-    replies_sent: StatHandle,
-    msg_cycles: StatHandle,
-    xfer_cycles: StatHandle,
-    mem_read_bytes: StatHandle,
-    mem_write_bytes: StatHandle,
-    msgs_delivered: StatHandle,
-    msgs_dropped: StatHandle,
-    deposit_no_recv_ep: StatHandle,
+struct HotMetrics {
+    msgs_sent: MetricHandle,
+    replies_sent: MetricHandle,
+    msg_cycles: MetricHandle,
+    xfer_cycles: MetricHandle,
+    mem_read_bytes: MetricHandle,
+    mem_write_bytes: MetricHandle,
+    msgs_delivered: MetricHandle,
+    msgs_dropped: MetricHandle,
+    deposit_no_recv_ep: MetricHandle,
     busy: MetricHandle,
     ring_occupancy: MetricHandle,
     drops: MetricHandle,
     credit_stalls: MetricHandle,
 }
 
-impl HotStats {
-    fn new(stats: &Stats, metrics: &Metrics) -> HotStats {
-        HotStats {
-            msgs_sent: stats.handle("dtu.msgs_sent"),
-            replies_sent: stats.handle("dtu.replies_sent"),
-            msg_cycles: stats.handle("dtu.msg_cycles"),
-            xfer_cycles: stats.handle("dtu.xfer_cycles"),
-            mem_read_bytes: stats.handle("dtu.mem_read_bytes"),
-            mem_write_bytes: stats.handle("dtu.mem_write_bytes"),
-            msgs_delivered: stats.handle("dtu.msgs_delivered"),
-            msgs_dropped: stats.handle("dtu.msgs_dropped"),
-            deposit_no_recv_ep: stats.handle("dtu.deposit_no_recv_ep"),
+impl HotMetrics {
+    fn new(metrics: &Metrics) -> HotMetrics {
+        HotMetrics {
+            msgs_sent: metrics.handle(keys::DTU_MSGS_SENT),
+            replies_sent: metrics.handle(keys::DTU_REPLIES_SENT),
+            msg_cycles: metrics.handle(keys::DTU_MSG_CYCLES),
+            xfer_cycles: metrics.handle(keys::DTU_XFER_CYCLES),
+            mem_read_bytes: metrics.handle(keys::DTU_MEM_READ_BYTES),
+            mem_write_bytes: metrics.handle(keys::DTU_MEM_WRITE_BYTES),
+            msgs_delivered: metrics.handle(keys::DTU_MSGS_DELIVERED),
+            msgs_dropped: metrics.handle(keys::DTU_MSGS_DROPPED),
+            deposit_no_recv_ep: metrics.handle(keys::DTU_DEPOSIT_NO_RECV_EP),
             busy: metrics.handle(keys::DTU_BUSY),
             ring_occupancy: metrics.handle(keys::RING_OCCUPANCY),
             drops: metrics.handle(keys::DTU_DROPS),
@@ -298,8 +296,7 @@ impl HotStats {
 pub struct DtuSystem {
     sim: Sim,
     noc: Noc,
-    stats: Stats,
-    hot: HotStats,
+    hot: HotMetrics,
     tracer: Recorder,
     metrics: Metrics,
     inner: Rc<SystemInner>,
@@ -321,8 +318,7 @@ impl DtuSystem {
         let count = noc.topology().node_count() as usize;
         noc.attach(sim.tracer(), sim.metrics());
         DtuSystem {
-            hot: HotStats::new(&sim.stats(), &sim.metrics()),
-            stats: sim.stats(),
+            hot: HotMetrics::new(&sim.metrics()),
             tracer: sim.tracer(),
             metrics: sim.metrics(),
             sim,
@@ -447,7 +443,7 @@ impl DtuSystem {
             // because the reply path that would normally refill it is gone.
             if let Some(faults) = self.inner.faults.borrow().as_ref() {
                 if faults.crashed_at(self.sim.now(), pe).is_some() {
-                    self.stats.incr_handle(self.hot.msgs_dropped);
+                    self.metrics.incr_handle(pe, self.hot.msgs_dropped);
                     self.trace_fault(pe, "dst_crashed", Cycles::ZERO);
                     if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
                         self.refill_credit(sender_pe, sender_ctx, sender_ep);
@@ -494,13 +490,13 @@ impl DtuSystem {
             drop(pes);
             match outcome {
                 Deposit::Stored(occupied) => {
-                    self.stats.incr_handle(self.hot.msgs_delivered);
+                    self.metrics.incr_handle(pe, self.hot.msgs_delivered);
                     self.metrics
                         .observe_handle(pe, self.hot.ring_occupancy, occupied as u64);
                     arrival.notify_all();
                 }
                 Deposit::Dropped => {
-                    self.stats.incr_handle(self.hot.msgs_dropped);
+                    self.metrics.incr_handle(pe, self.hot.msgs_dropped);
                     self.metrics.incr_handle(pe, self.hot.drops);
                     let at = self.sim.now();
                     self.tracer.record_with(|| Event {
@@ -514,7 +510,7 @@ impl DtuSystem {
                         self.refill_credit(sender_pe, sender_ctx, sender_ep);
                     }
                 }
-                Deposit::NoRecvEp => self.stats.incr_handle(self.hot.deposit_no_recv_ep),
+                Deposit::NoRecvEp => self.metrics.incr_handle(pe, self.hot.deposit_no_recv_ep),
             }
         });
     }
@@ -893,11 +889,12 @@ impl Dtu {
         let t = sys.noc.schedule(now, self.pe, dst_pe, wire);
         let busy = (t.completes_at - now).as_u64();
         let arrive = t.completes_at + timing::DELIVER;
-        sys.stats.incr_handle(match send_ep {
+        let sent = match send_ep {
             Some(_) => sys.hot.msgs_sent,
             None => sys.hot.replies_sent,
-        });
-        sys.stats.add_handle(sys.hot.msg_cycles, busy);
+        };
+        sys.metrics.incr_handle(self.pe, sent);
+        sys.metrics.add_handle(self.pe, sys.hot.msg_cycles, busy);
         sys.metrics.add_handle(self.pe, sys.hot.busy, busy);
         sys.tracer.record_with(|| Event {
             at: now,
@@ -1131,12 +1128,11 @@ impl Dtu {
         } else {
             self.sys.hot.mem_read_bytes
         };
-        self.sys.stats.add_handle(bytes, len as u64);
         let busy = (done - now).as_u64();
-        self.sys.stats.add_handle(self.sys.hot.xfer_cycles, busy);
-        self.sys
-            .metrics
-            .add_handle(self.pe, self.sys.hot.busy, busy);
+        let m = &self.sys.metrics;
+        m.add_handle(self.pe, bytes, len as u64);
+        m.add_handle(self.pe, self.sys.hot.xfer_cycles, busy);
+        m.add_handle(self.pe, self.sys.hot.busy, busy);
         self.sys.tracer.record_with(|| Event {
             at: now,
             dur: done - now,

@@ -13,7 +13,7 @@ use m3_base::{Cycles, EpId, PeId, SelId, VpeId};
 use m3_dtu::{Dtu, EpConfig, KernelToken};
 use m3_platform::{PeType, Platform};
 use m3_sched::{Removal, Scheduler};
-use m3_sim::{Component, Event, EventKind, LazyStat, Notify, Sim};
+use m3_sim::{keys, Component, Event, EventKind, MetricHandle, Metrics, Notify, Sim};
 use m3_vm::AddrSpaceObj;
 
 use crate::cap::{CapTable, Capability, DerivationTree, KObject, MGateObj};
@@ -154,29 +154,31 @@ pub struct Kernel {
     /// Sharded-multikernel context (§7), set by [`Kernel::set_shard`];
     /// `None` for a standalone kernel.
     shard: Rc<RefCell<Option<Rc<ShardCtx>>>>,
-    counters: Rc<Counters>,
+    counters: Counters,
 }
 
-/// The kernel's per-operation counters in the simulation's `Stats` bag.
+/// Handles of the kernel's per-operation counters in the simulation's
+/// metrics; all but `page_faults` count on the kernel's PE
+/// ([`Kernel::count`]).
+#[derive(Clone, Copy)]
 struct Counters {
-    syscalls: LazyStat,
-    ktk_requests: LazyStat,
-    page_faults: LazyStat,
-    vpe_exits: LazyStat,
-    remote_placements: LazyStat,
-    ktk_bad_messages: LazyStat,
+    syscalls: MetricHandle,
+    ktk_requests: MetricHandle,
+    page_faults: MetricHandle,
+    vpe_exits: MetricHandle,
+    remote_placements: MetricHandle,
+    ktk_bad_messages: MetricHandle,
 }
 
 impl Counters {
-    fn new(sim: &Sim) -> Counters {
-        let stats = sim.stats();
+    fn new(metrics: &Metrics) -> Counters {
         Counters {
-            syscalls: LazyStat::new(&stats, "kernel.syscalls"),
-            ktk_requests: LazyStat::new(&stats, "kernel.ktk_requests"),
-            page_faults: LazyStat::new(&stats, "kernel.page_faults"),
-            vpe_exits: LazyStat::new(&stats, "kernel.vpe_exits"),
-            remote_placements: LazyStat::new(&stats, "kernel.remote_placements"),
-            ktk_bad_messages: LazyStat::new(&stats, "kernel.ktk_bad_messages"),
+            syscalls: metrics.handle(keys::KERNEL_SYSCALLS),
+            ktk_requests: metrics.handle(keys::KTK_REQUESTS),
+            page_faults: metrics.handle(keys::PAGE_FAULTS),
+            vpe_exits: metrics.handle(keys::VPE_EXITS),
+            remote_placements: metrics.handle(keys::REMOTE_PLACEMENTS),
+            ktk_bad_messages: metrics.handle(keys::KTK_BAD_MESSAGES),
         }
     }
 }
@@ -318,7 +320,7 @@ impl Kernel {
             pinned: Rc::new(RefCell::new(BTreeSet::new())),
             resumed_at: Rc::new(RefCell::new(BTreeMap::new())),
             shard: Rc::new(RefCell::new(None)),
-            counters: Rc::new(Counters::new(&sim)),
+            counters: Counters::new(&sim.metrics()),
         };
 
         let k = kernel.clone();
@@ -666,7 +668,12 @@ impl Kernel {
             }
         }
         vpe_obj.borrow().exited.notify_all();
-        self.counters.vpe_exits.incr();
+        self.count(self.counters.vpe_exits);
+    }
+
+    /// Counts one operation under `counter` on this kernel's PE.
+    fn count(&self, counter: MetricHandle) {
+        self.sim.metrics().incr_handle(self.pe, counter);
     }
 
     /// Charges the NoC time of one remote endpoint-configuration packet.

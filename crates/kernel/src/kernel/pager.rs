@@ -193,8 +193,9 @@ impl Kernel {
         aspace.map(page, frame, Perm::RW, Some(dst));
         aspace.touch(page, write);
         let perm = aspace.entry(page).map_or(Perm::RW, |e| e.perm);
-        self.counters.page_faults.incr();
-        self.sim.metrics().incr(pe, m3_sim::keys::PAGE_FAULTS);
+        self.sim
+            .metrics()
+            .incr_handle(pe, self.counters.page_faults);
         let now = self.sim.now();
         self.sim.tracer().record_with(|| Event {
             at: now,

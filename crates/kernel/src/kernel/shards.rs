@@ -295,7 +295,7 @@ impl Kernel {
     pub fn ktk_deliver(&self, bytes: &[u8]) {
         let Some(ctx) = self.shard_ctx() else { return };
         let Ok((src, free, msg)) = KtkMsg::from_bytes(bytes) else {
-            self.counters.ktk_bad_messages.incr();
+            self.count(self.counters.ktk_bad_messages);
             return;
         };
         // Piggybacked load feed: every message refreshes the sender's
@@ -339,8 +339,7 @@ impl Kernel {
     /// (unless fire-and-forget).
     async fn ktk_handle(&self, ctx: &Rc<ShardCtx>, src: u32, msg: KtkMsg) {
         self.sim.sleep(costs::KTK_DISPATCH).await;
-        self.counters.ktk_requests.incr();
-        self.sim.metrics().incr(self.pe, m3_sim::keys::KERNEL_OPS);
+        self.count(self.counters.ktk_requests);
         let outcome = match msg {
             KtkMsg::PlaceVpe { req_id, name, want } => {
                 Some((req_id, self.ktk_place_vpe(&name, want).await))
@@ -599,7 +598,7 @@ impl Kernel {
                         self.ktk_send(ctx, peer, &KtkMsg::RevokeVpe { vpe: vpe_raw });
                         return Err(e);
                     }
-                    self.counters.remote_placements.incr();
+                    self.count(self.counters.remote_placements);
                     let mut os = OStream::new();
                     os.push_u32(vpe_raw).push_u32(pe.raw());
                     return Ok(os.into_bytes());

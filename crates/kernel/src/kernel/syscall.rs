@@ -64,11 +64,10 @@ impl Kernel {
             // Free the slot right away; the reply info lives in `msg`.
             let _ = self.dtu.ack(keps::SYSC);
             self.sim.sleep(costs::DISPATCH).await;
-            self.counters.syscalls.incr();
-            // Per-kernel-PE operation counter: local syscalls here, plus
-            // ktk requests served for peers in `ktk_deliver` — so a sharded
-            // multikernel's throughput sums per shard (fig10).
-            self.sim.metrics().incr(self.pe, m3_sim::keys::KERNEL_OPS);
+            // Counted on this kernel's PE, like the ktk requests served for
+            // peers in `ktk_deliver`, so a sharded multikernel's throughput
+            // sums per shard (fig10).
+            self.count(self.counters.syscalls);
 
             let caller = VpeId::new(msg.header.label as u32);
             let call = match Syscall::from_bytes(&msg.payload) {

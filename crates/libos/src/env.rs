@@ -78,10 +78,12 @@ impl ProgramRegistry {
 struct EnvInner {
     kernel: Kernel,
     sim: Sim,
-    /// The simulation's metrics bag and the handle of the PE-busy counter
-    /// every [`Env::compute`] bumps.
+    /// The simulation's metrics bag and the handles of the PE-busy counter
+    /// every [`Env::compute`] bumps and the application-cycle counter of
+    /// [`Env::compute_app`].
     metrics: Metrics,
     pe_busy: MetricHandle,
+    app_cycles: MetricHandle,
     dtu: Dtu,
     vpe: VpeId,
     pe: PeId,
@@ -118,6 +120,7 @@ impl Env {
                 kernel: kernel.clone(),
                 sim: platform.sim().clone(),
                 pe_busy: metrics.handle(m3_sim::keys::PE_BUSY),
+                app_cycles: metrics.handle(m3_sim::keys::APP_CYCLES),
                 metrics,
                 dtu: platform.dtu(info.pe),
                 vpe: info.vpe,
@@ -202,7 +205,10 @@ impl Env {
     /// Models `cycles` of *application* computation; accounted under
     /// `m3.app_cycles` for the Figure 5/7 breakdowns.
     pub async fn compute_app(&self, cycles: Cycles) {
-        self.inner.sim.stats().add("m3.app_cycles", cycles.as_u64());
+        let inner = &self.inner;
+        inner
+            .metrics
+            .add_handle(inner.pe, inner.app_cycles, cycles.as_u64());
         self.count_busy(cycles);
         self.inner.sim.sleep(cycles).await;
     }

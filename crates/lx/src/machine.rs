@@ -6,9 +6,9 @@ use std::fmt;
 use std::future::Future;
 use std::rc::Rc;
 
-use m3_base::Cycles;
+use m3_base::{Cycles, PeId};
 use m3_platform::{Cache, CoreModel, ARM, XTENSA};
-use m3_sim::{JoinHandle, Notify, Sim, Stats};
+use m3_sim::{keys, JoinHandle, MetricHandle, Metrics, Notify, Sim, Stats};
 
 use crate::costs;
 use crate::proc::LxProc;
@@ -50,6 +50,9 @@ impl LxConfig {
     }
 }
 
+/// The machine's one CPU: the PE its counters are kept on.
+const CPU: PeId = PeId::new(0);
+
 /// What a cycle charge is accounted as (for the figure breakdowns).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Charge {
@@ -77,7 +80,12 @@ pub(crate) struct Inner {
     exit_notify: Notify,
     next_pid: Cell<u32>,
     pub(crate) next_pipe: Cell<u64>,
-    stats: Stats,
+    /// The simulation's metrics and the handles of the `lx.*` counters.
+    metrics: Metrics,
+    os_cycles: MetricHandle,
+    xfer_cycles: MetricHandle,
+    app_cycles: MetricHandle,
+    ctx_switches: MetricHandle,
 }
 
 /// A simulated Linux machine: a single time-shared core with caches and an
@@ -98,6 +106,7 @@ impl fmt::Debug for LxMachine {
 impl LxMachine {
     /// Creates a machine inside `sim`.
     pub fn new(sim: &Sim, cfg: LxConfig) -> LxMachine {
+        let metrics = sim.metrics();
         LxMachine {
             inner: Rc::new(Inner {
                 sim: sim.clone(),
@@ -113,7 +122,11 @@ impl LxMachine {
                 exit_notify: Notify::new(),
                 next_pid: Cell::new(1),
                 next_pipe: Cell::new(0),
-                stats: sim.stats(),
+                os_cycles: metrics.handle(keys::LX_OS_CYCLES),
+                xfer_cycles: metrics.handle(keys::LX_XFER_CYCLES),
+                app_cycles: metrics.handle(keys::LX_APP_CYCLES),
+                ctx_switches: metrics.handle(keys::LX_CTX_SWITCHES),
+                metrics,
             }),
         }
     }
@@ -123,10 +136,15 @@ impl LxMachine {
         &self.inner.sim
     }
 
-    /// Shared statistics (`lx.os_cycles`, `lx.xfer_cycles`,
-    /// `lx.app_cycles`, `lx.ctx_switches`).
+    /// The totals view of the simulation's metrics (`lx.os_cycles`,
+    /// `lx.xfer_cycles`, `lx.app_cycles`, `lx.ctx_switches`, ...).
     pub fn stats(&self) -> Stats {
-        self.inner.stats.clone()
+        Stats::of(&self.inner.metrics)
+    }
+
+    /// Adds `n` to counter `key` of this machine's CPU (PE 0).
+    pub fn count(&self, key: &'static str, n: u64) {
+        self.inner.metrics.add(CPU, key, n);
     }
 
     /// The configuration.
@@ -178,7 +196,7 @@ impl LxMachine {
             };
             match switched {
                 Some(true) => {
-                    self.inner.stats.incr("lx.ctx_switches");
+                    self.inner.metrics.incr_handle(CPU, self.inner.ctx_switches);
                     self.charge(costs::CTX_SWITCH, Charge::Os).await;
                     return;
                 }
@@ -196,12 +214,13 @@ impl LxMachine {
 
     /// Charges simulated cycles under the given accounting bucket.
     pub(crate) async fn charge(&self, cycles: Cycles, kind: Charge) {
-        let key = match kind {
-            Charge::Os => "lx.os_cycles",
-            Charge::Xfer => "lx.xfer_cycles",
-            Charge::App => "lx.app_cycles",
+        let inner = &self.inner;
+        let counter = match kind {
+            Charge::Os => inner.os_cycles,
+            Charge::Xfer => inner.xfer_cycles,
+            Charge::App => inner.app_cycles,
         };
-        self.inner.stats.add(key, cycles.as_u64());
+        inner.metrics.add_handle(CPU, counter, cycles.as_u64());
         self.inner.sim.sleep(cycles).await;
     }
 

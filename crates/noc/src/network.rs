@@ -7,9 +7,7 @@ use std::rc::Rc;
 use m3_base::cycles::{transfer_time, Cycles};
 use m3_base::PeId;
 use m3_fault::FaultPlane;
-use m3_sim::{
-    keys, Component, Event, EventKind, MetricHandle, Metrics, Recorder, StatHandle, Stats,
-};
+use m3_sim::{keys, Component, Event, EventKind, MetricHandle, Metrics, Recorder, Stats};
 
 use crate::topology::{Coord, Topology};
 
@@ -70,12 +68,6 @@ struct NocInner {
     /// [`port_slot`]: one entry per grid position (occupied or not, since
     /// XY routes may cross empty positions) and output port.
     busy_until: Vec<Cycles>,
-    stats: Stats,
-    /// Handles for the three counters bumped on every transfer, resolved
-    /// once so `schedule` skips the string-keyed map lookups.
-    stat_transfers: StatHandle,
-    stat_bytes: StatHandle,
-    stat_wait: StatHandle,
     /// Event sink; a detached (disabled) recorder until [`Noc::attach`].
     tracer: Recorder,
     /// Per-PE metrics; a detached bag until [`Noc::attach`].
@@ -85,10 +77,12 @@ struct NocInner {
     faults: Option<Rc<FaultPlane>>,
 }
 
-/// The metrics bag a NoC reports into, with the handles of the two
-/// counters every transfer bumps.
+/// The metrics bag a NoC reports into, with the handles of the four
+/// counters every transfer bumps at its source node.
 struct NocMetrics {
     bag: Metrics,
+    transfers: MetricHandle,
+    bytes: MetricHandle,
     link_busy: MetricHandle,
     wait: MetricHandle,
 }
@@ -96,6 +90,8 @@ struct NocMetrics {
 impl NocMetrics {
     fn new(bag: Metrics) -> NocMetrics {
         NocMetrics {
+            transfers: bag.handle(keys::NOC_TRANSFERS),
+            bytes: bag.handle(keys::NOC_BYTES),
             link_busy: bag.handle(keys::NOC_LINK_BUSY),
             wait: bag.handle(keys::NOC_WAIT),
             bag,
@@ -139,17 +135,12 @@ impl fmt::Debug for Noc {
 impl Noc {
     /// Creates a NoC over `topo` with the given configuration.
     pub fn new(topo: Topology, cfg: NocConfig) -> Noc {
-        let stats = Stats::new();
         let ports = (topo.width() * topo.height()) as usize * PORTS;
         Noc {
             inner: Rc::new(RefCell::new(NocInner {
                 topo,
                 cfg,
                 busy_until: vec![Cycles::ZERO; ports],
-                stat_transfers: stats.handle("noc.transfers"),
-                stat_bytes: stats.handle("noc.bytes"),
-                stat_wait: stats.handle("noc.wait_cycles"),
-                stats,
                 tracer: Recorder::new(),
                 metrics: NocMetrics::new(Metrics::new()),
                 faults: None,
@@ -184,9 +175,10 @@ impl Noc {
         self.inner.borrow().cfg.clone()
     }
 
-    /// Shared statistics (`noc.transfers`, `noc.bytes`, `noc.wait_cycles`).
+    /// The totals view of the metrics bag this NoC reports into
+    /// (`noc.transfers`, `noc.bytes`, `noc.wait_cycles`, ...).
     pub fn stats(&self) -> Stats {
-        self.inner.borrow().stats.clone()
+        Stats::of(&self.inner.borrow().metrics.bag)
     }
 
     /// Schedules a transfer of `bytes` payload bytes from `src` to `dst`
@@ -292,12 +284,11 @@ impl Noc {
         }
         let completes_at = arrival + duration + fault_delay;
 
-        inner.stats.incr_handle(inner.stat_transfers);
-        inner.stats.add_handle(inner.stat_bytes, bytes);
-        inner.stats.add_handle(inner.stat_wait, waited.as_u64());
         // Each of the hops+1 links (injection port included) is reserved
         // for the wire duration; attribute that to the sourcing node.
         let m = &inner.metrics;
+        m.bag.incr_handle(src, m.transfers);
+        m.bag.add_handle(src, m.bytes, bytes);
         m.bag.add_handle(
             src,
             m.link_busy,

@@ -150,7 +150,6 @@ struct Inner {
     /// it in the (now empty) queue, so FIFO order is that of a one-by-one
     /// drain. Kept here so its allocation is reused.
     batch: VecDeque<TaskId>,
-    stats: Stats,
     /// Host-side gauges, merged into [`gauges`] after every run/settle call
     /// and on drop. `reported` remembers what was already contributed so
     /// repeated flushes only add the delta.
@@ -302,7 +301,6 @@ impl Sim {
                 unarmed: VecDeque::new(),
                 polling: None,
                 batch: VecDeque::new(),
-                stats: Stats::new(),
                 spawned: 0,
                 polls: 0,
                 timers_scheduled: 0,
@@ -322,9 +320,10 @@ impl Sim {
         self.inner.borrow().now
     }
 
-    /// Access to the shared statistics counters.
+    /// The totals view of [`Sim::metrics`]: each counter summed over all
+    /// PEs.
     pub fn stats(&self) -> Stats {
-        self.inner.borrow().stats.clone()
+        Stats::of(&self.metrics)
     }
 
     /// The shared event recorder. Components clone this to emit typed
@@ -334,7 +333,8 @@ impl Sim {
         self.recorder.clone()
     }
 
-    /// The shared per-PE metrics bag (always on).
+    /// The simulation's one counter registry: per-PE counters and
+    /// histograms (always on).
     pub fn metrics(&self) -> Metrics {
         self.metrics.clone()
     }

@@ -6,9 +6,10 @@
 //!
 //! - [`Event`] — a typed trace record `(cycle, duration, PE, component,
 //!   kind)`. Components emit events through a shared [`Recorder`].
-//! - [`Metrics`] — per-PE counters and power-of-two histograms (PE busy
-//!   cycles, DTU ring-buffer occupancy, drops, credit stalls, NoC link
-//!   utilisation).
+//! - [`Metrics`] — a simulation's one counter registry: per-PE counters
+//!   and power-of-two histograms (PE busy cycles, DTU messages, bytes and
+//!   ring-buffer occupancy, drops, credit stalls, NoC transfers and link
+//!   utilisation, kernel operations), each under a [`keys`] name.
 //! - [`chrome`] — a Chrome `trace_event` JSON exporter (one "process" per
 //!   PE, one "thread" per component) for chrome://tracing and Perfetto.
 //! - [`fmt`] — a line-oriented native trace format that round-trips through
@@ -497,7 +498,8 @@ impl Recorder {
     }
 }
 
-/// Metric names used across the stack; components and tests agree on these.
+/// The name of every counter and histogram a simulation records, each
+/// defined once; components write them per PE and readers look them up.
 pub mod keys {
     /// Cycles a PE spent computing (`Env::compute`) — the numerator of the
     /// utilisation gauge.
@@ -530,10 +532,41 @@ pub mod keys {
     /// Latency histogram of request latencies in the serving tier, measured
     /// from the request's scheduled arrival to its completion.
     pub const SERVE_LATENCY: &str = "serve.req_latency";
-    /// Kernel operations handled by the kernel running on this PE: local
-    /// syscalls plus kernel-to-kernel requests served for peer shards. Keyed
-    /// per kernel PE so a sharded multikernel's throughput sums per shard.
-    pub const KERNEL_OPS: &str = "kernel.ops";
+    /// Messages sent (not replies) by this PE's DTU.
+    pub const DTU_MSGS_SENT: &str = "dtu.msgs_sent";
+    /// Replies sent by this PE's DTU.
+    pub const DTU_REPLIES_SENT: &str = "dtu.replies_sent";
+    /// NoC cycles of the messages and replies this PE's DTU sent.
+    pub const DTU_MSG_CYCLES: &str = "dtu.msg_cycles";
+    /// Cycles of the RDMA transfers this PE's DTU issued.
+    pub const DTU_XFER_CYCLES: &str = "dtu.xfer_cycles";
+    /// Bytes this PE's DTU read from memory endpoints.
+    pub const DTU_MEM_READ_BYTES: &str = "dtu.mem_read_bytes";
+    /// Bytes this PE's DTU wrote to memory endpoints.
+    pub const DTU_MEM_WRITE_BYTES: &str = "dtu.mem_write_bytes";
+    /// Messages deposited into a receive buffer of this PE, live or parked.
+    pub const DTU_MSGS_DELIVERED: &str = "dtu.msgs_delivered";
+    /// Messages towards this PE that were lost: a full receive buffer
+    /// ([`DTU_DROPS`]) or a crashed PE.
+    pub const DTU_MSGS_DROPPED: &str = "dtu.msgs_dropped";
+    /// Messages towards this PE that found no receive endpoint to land in.
+    pub const DTU_DEPOSIT_NO_RECV_EP: &str = "dtu.deposit_no_recv_ep";
+    /// NoC transfers this node sourced.
+    pub const NOC_TRANSFERS: &str = "noc.transfers";
+    /// Payload bytes of the NoC transfers this node sourced.
+    pub const NOC_BYTES: &str = "noc.bytes";
+    /// Syscalls the kernel on this PE dispatched.
+    pub const KERNEL_SYSCALLS: &str = "kernel.syscalls";
+    /// Kernel-to-kernel requests the kernel on this PE served for peer
+    /// shards. With [`KERNEL_SYSCALLS`], the kernel operations of one shard
+    /// (fig10).
+    pub const KTK_REQUESTS: &str = "kernel.ktk_requests";
+    /// Malformed kernel-to-kernel frames the kernel on this PE discarded.
+    pub const KTK_BAD_MESSAGES: &str = "kernel.ktk_bad_messages";
+    /// VPE exits the kernel on this PE handled.
+    pub const VPE_EXITS: &str = "kernel.vpe_exits";
+    /// VPEs the kernel on this PE placed on a peer shard.
+    pub const REMOTE_PLACEMENTS: &str = "kernel.remote_placements";
     /// Page faults the kernel pager served for VPEs on this PE
     /// (first-touch zero-fills plus page-ins).
     pub const PAGE_FAULTS: &str = "vm.page_faults";
@@ -544,6 +577,19 @@ pub mod keys {
     /// switches on this PE (the pages a full-image switch would have moved
     /// anyway are `SPM_DATA_SIZE / PAGE_SIZE` per switch).
     pub const DIRTY_PAGES_SAVED: &str = "sched.dirty_pages_saved";
+    /// Application cycles (`Env::compute_app`) of an M3 program on this PE:
+    /// fig5's and fig7's App share.
+    pub const APP_CYCLES: &str = "m3.app_cycles";
+    /// Cycles an FFT application computed on this PE (fig7).
+    pub const FFT_CYCLES: &str = "app.fft_cycles";
+    /// Linux kernel cycles, on the Linux machine's one CPU (PE 0).
+    pub const LX_OS_CYCLES: &str = "lx.os_cycles";
+    /// Linux copy and transfer cycles, on PE 0.
+    pub const LX_XFER_CYCLES: &str = "lx.xfer_cycles";
+    /// Linux application cycles, on PE 0.
+    pub const LX_APP_CYCLES: &str = "lx.app_cycles";
+    /// Linux process switches, on PE 0.
+    pub const LX_CTX_SWITCHES: &str = "lx.ctx_switches";
 }
 
 /// A power-of-two-bucket histogram with count/sum/min/max.
@@ -805,7 +851,7 @@ impl Metrics {
     }
 
     /// Sums counter `key` over all PEs.
-    pub fn total(&self, key: &'static str) -> u64 {
+    pub fn total(&self, key: &str) -> u64 {
         let inner = self.inner.borrow();
         let Some(h) = inner.index.get(key) else {
             return 0;

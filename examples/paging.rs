@@ -86,7 +86,7 @@ fn main() {
     assert_eq!(job.try_take(), Some(0));
     println!(
         "kernel: {} page faults, {} bytes written back to swap",
-        stats.get("kernel.page_faults"),
+        stats.get(keys::PAGE_FAULTS),
         sys.sim().metrics().total(keys::WRITEBACK_BYTES)
     );
 }

@@ -534,19 +534,17 @@ fn per_shard_accounting_sums_to_global() {
     for job in jobs {
         assert_eq!(job.try_take().unwrap(), 0);
     }
-    // Shard-tagged kernel-op metrics: only kernel PEs count kernel ops, so
-    // the per-shard counters must sum exactly to the global total.
+    // Shard-tagged kernel-op metrics: only kernel PEs count kernel ops
+    // (syscalls plus ktk requests), so the per-shard counters must sum
+    // exactly to the global total.
+    let (syscalls, ktk) = (m3_sim::keys::KERNEL_SYSCALLS, m3_sim::keys::KTK_REQUESTS);
     let metrics = sys.sim().metrics();
-    let total = metrics.total(m3_sim::keys::KERNEL_OPS);
-    let per_shard: u64 = sys
-        .plan()
-        .slices
-        .iter()
-        .map(|s| metrics.get(s.kernel_pe(), m3_sim::keys::KERNEL_OPS))
-        .sum();
+    let ops = |pe| metrics.get(pe, syscalls) + metrics.get(pe, ktk);
+    let total = sys.stats().get(syscalls) + sys.stats().get(ktk);
+    let per_shard: u64 = sys.plan().slices.iter().map(|s| ops(s.kernel_pe())).sum();
     assert_eq!(per_shard, total);
     for slice in &sys.plan().slices {
-        assert!(metrics.get(slice.kernel_pe(), m3_sim::keys::KERNEL_OPS) > 0);
+        assert!(ops(slice.kernel_pe()) > 0);
         // Everything released: each shard is back to kernel + fs used.
         assert_eq!(sys.kernels()[slice.shard as usize].free_pes(), 2);
     }

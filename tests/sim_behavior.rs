@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use m3_base::Cycles;
+use m3_base::{Cycles, PeId};
 use m3_sim::{channel, EventKind, Notify, Sim, SimState};
 
 #[test]
@@ -156,17 +156,19 @@ fn channels_preserve_order_across_many_tasks() {
 fn stats_survive_across_runs() {
     let sim = Sim::new();
     let stats = sim.stats();
-    stats.add("custom.counter", 2);
+    let metrics = sim.metrics();
+    metrics.add(PeId::new(0), "custom.counter", 2);
     sim.spawn("t", {
-        let stats = stats.clone();
+        let metrics = metrics.clone();
         async move {
-            stats.add("custom.counter", 3);
+            metrics.add(PeId::new(1), "custom.counter", 3);
         }
     });
     sim.run();
     assert_eq!(stats.get("custom.counter"), 5);
-    let snap = sim.stats().snapshot();
-    assert!(snap.iter().any(|(k, v)| k == "custom.counter" && *v == 5));
+    let snap = sim.metrics().snapshot();
+    assert!(snap.contains(&(PeId::new(0), "custom.counter", 2)));
+    assert!(snap.contains(&(PeId::new(1), "custom.counter", 3)));
 }
 
 #[test]

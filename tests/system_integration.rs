@@ -388,7 +388,7 @@ fn counter_totals_of_a_composed_run_and_an_lx_pipe_run_are_pinned() {
         ("dtu.xfer_cycles", 42824),
         ("kernel.ktk_bad_messages", 0),
         ("kernel.ktk_requests", 3),
-        ("kernel.page_faults", 156),
+        (keys::PAGE_FAULTS, 156),
         ("kernel.remote_placements", 0),
         ("kernel.syscalls", 532),
         ("kernel.vpe_exits", 8),
@@ -414,7 +414,7 @@ fn counter_totals_of_a_composed_run_and_an_lx_pipe_run_are_pinned() {
         ("dtu.xfer_cycles", 0),
         ("kernel.ktk_bad_messages", 0),
         ("kernel.ktk_requests", 0),
-        ("kernel.page_faults", 0),
+        (keys::PAGE_FAULTS, 0),
         ("kernel.remote_placements", 0),
         ("kernel.syscalls", 0),
         ("kernel.vpe_exits", 0),
@@ -441,12 +441,12 @@ fn counter_totals_of_a_composed_run_and_an_lx_pipe_run_are_pinned() {
     assert_eq!(got, M3);
     let metrics = sys.sim().metrics();
     assert_eq!(
-        stats.get("kernel.page_faults"),
+        stats.get(keys::PAGE_FAULTS),
         metrics.total(keys::PAGE_FAULTS)
     );
     assert_eq!(
         stats.get("kernel.syscalls") + stats.get("kernel.ktk_requests"),
-        metrics.total(keys::KERNEL_OPS)
+        metrics.total("kernel.syscalls") + metrics.total("kernel.ktk_requests")
     );
     assert_eq!(noc.get("noc.wait_cycles"), metrics.total(keys::NOC_WAIT));
 

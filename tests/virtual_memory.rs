@@ -35,7 +35,7 @@ fn demand_paging_allocates_frames_on_first_touch() {
     assert_eq!(job.try_take(), Some(0));
     // Three distinct pages were touched (0x4000, and the two spanning the
     // boundary), each costing one page fault and one 4 KiB frame.
-    assert_eq!(stats.get("kernel.page_faults"), 3);
+    assert_eq!(stats.get(m3_sim::keys::PAGE_FAULTS), 3);
     // The program exited: its frames were freed with it. (The m3fs
     // service's own region was allocated after boot, hence the offset.)
     let fs_region = SystemConfig::default().fs_blocks * 1024;
@@ -167,7 +167,7 @@ fn paging_under_pressure_is_byte_equivalent_to_flat_memory() {
         sys.run();
         assert_eq!(job.try_take(), Some(0), "seed {seed:#x}");
         assert!(
-            stats.get("kernel.page_faults") > 0,
+            stats.get(m3_sim::keys::PAGE_FAULTS) > 0,
             "the sweep must exercise the pager"
         );
     }
