@@ -48,6 +48,7 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
     let mut total_ms = 0.0;
     for entry in registry::FIGURES {
         exec::take_job_timings();
+        gauges::reset_peaks();
         let before = gauges::snapshot();
         // m3lint: allow(determinism): host wall clock; simulated cycles are produced elsewhere
         let start = Instant::now();

@@ -4,9 +4,10 @@
 //! atomics per poll) and merges the unreported delta here after every
 //! run/settle call and when the simulation is dropped (daemon tasks keep
 //! many `Sim`s alive through reference cycles, so drop alone would miss
-//! them). The perf harness snapshots the globals before and after a figure
-//! to attribute executor work to it; the atomics make that safe even when
-//! scenarios run on worker threads.
+//! them). The perf harness zeroes the peaks and snapshots the globals before
+//! a figure, and snapshots them again after it, to attribute executor work
+//! to it; the atomics make that safe even when scenarios run on worker
+//! threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,9 +31,11 @@ pub struct Gauges {
     /// for the same deadline wakes the same task — churn the dedupe in
     /// [`crate::with_deadline`] absorbed.
     pub timers_deduped: u64,
-    /// Highest number of concurrently live tasks in any single `Sim`.
+    /// Highest number of concurrently live tasks in any single `Sim`
+    /// since the last [`reset_peaks`].
     pub peak_live_tasks: u64,
-    /// Highest number of pending timers in any single `Sim`.
+    /// Highest number of pending timers in any single `Sim` since the last
+    /// [`reset_peaks`].
     pub peak_pending_timers: u64,
 }
 
@@ -61,6 +64,15 @@ pub(crate) fn merge(g: Gauges) {
     TIMERS_DEDUPED.fetch_add(g.timers_deduped, Ordering::Relaxed);
     PEAK_LIVE_TASKS.fetch_max(g.peak_live_tasks, Ordering::Relaxed);
     PEAK_PENDING_TIMERS.fetch_max(g.peak_pending_timers, Ordering::Relaxed);
+}
+
+/// Zeroes the two process-wide peaks, so later snapshots report the peaks
+/// of the simulations that ran since; the totals are untouched. A harness
+/// that attributes peaks to one stretch of work, such as one figure, calls
+/// this before it.
+pub fn reset_peaks() {
+    PEAK_LIVE_TASKS.store(0, Ordering::Relaxed);
+    PEAK_PENDING_TIMERS.store(0, Ordering::Relaxed);
 }
 
 /// Reads the current process-wide gauge values.
