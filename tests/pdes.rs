@@ -9,12 +9,21 @@
 //! scenario is pinned to golden values so silent drift in the window
 //! protocol (lookahead, merge order, termination) fails loudly.
 
+use std::sync::Mutex;
+
 use m3_bench::registry::{self, Opts};
 use m3_bench::{exec, pdes_bench};
+
+/// Held across each [`assert_figure_invariant`]: the worker count it sets
+/// is process-global, and the invariance tests run concurrently.
+static WORKER_COUNT: Mutex<()> = Mutex::new(());
 
 /// Renders one registered figure's smoke sweep serially, then under 1, 2
 /// and 4 sim workers, and requires all four tables to be byte-identical.
 fn assert_figure_invariant(name: &str) {
+    // A failed test poisons the lock; each step below sets the mode it
+    // renders under, so the other tests can still run.
+    let _serial = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
     let entry = registry::find(name).unwrap_or_else(|| panic!("{name} is not registered"));
     let render = || {
         (entry.render)(Opts {
