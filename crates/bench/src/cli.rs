@@ -1,6 +1,6 @@
 //! The one command line of the harness binaries.
 //!
-//! `figure <name> [options]` renders any [`registry`](crate::registry)
+//! `figure <name> [options]` renders any [`registry`]
 //! entry and `perf` times all of them. Both parse the host-parallelism
 //! flags through [`Harness`], so `--serial`, `--sim-workers N` and
 //! `--compare-serial` mean the same everywhere.

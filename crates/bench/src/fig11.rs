@@ -4,7 +4,7 @@
 //! repository adds for the paper's §7 future work ("we want to support
 //! virtual memory to enable copy-on-write, demand paging, etc."). One
 //! program touches a fixed working set of `WORKING_SET` pages through a
-//! demand-paged [`AddrSpace`][m3_libos::addrspace::AddrSpace] while the
+//! demand-paged [`AddrSpace`] while the
 //! kernel pager caps its resident DRAM frames at a fraction of that set.
 //! Accesses are a seeded random read/write mix, so below 1.0 the pager
 //! constantly evicts (clean pages first) and pages back in from the
