@@ -6,10 +6,8 @@
 //!
 //! - `--smoke`: the reduced sweep, where the entry has one.
 //! - `--out <path>`: also write the table to a file.
-//! - `--serial`, `--sim-workers N`: host parallelism (scenario threads and
-//!   PDES island workers); `M3_BENCH_SERIAL` and `M3_SIM_WORKERS` work too.
-//! - `--compare-serial`: render serially first, then in parallel; fail
-//!   unless both tables are byte-identical, and report the speedup.
+//! - `--sim-workers N`: host parallelism (scenario threads and PDES island
+//!   workers); `M3_SIM_WORKERS` works too.
 //! - `--trace`, `--trace-tsv`, `--metrics`, `--latency-tsv <path>`
 //!   (traced entries): re-run one scenario under tracing and write the
 //!   Chrome trace, native trace, metrics snapshot or latency table.
@@ -21,7 +19,6 @@ use std::time::Instant;
 
 use m3_bench::cli::{self, Command, FigureArgs};
 use m3_bench::exec;
-use m3_bench::registry::Rendered;
 
 fn main() -> ExitCode {
     match cli::parse_figure(std::env::args().skip(1)) {
@@ -44,42 +41,15 @@ fn main() -> ExitCode {
     }
 }
 
-fn timed_render(args: &FigureArgs) -> (Rendered, f64) {
+fn run(args: &FigureArgs) -> Result<(), String> {
+    let name = args.entry.name;
+    exec::set_sim_workers(args.sim_workers);
     // m3lint: allow(determinism): host wall clock, printed to stderr only
     let start = Instant::now();
     let out = (args.entry.render)(args.opts);
-    (out, start.elapsed().as_secs_f64() * 1e3)
-}
-
-fn run(args: &FigureArgs) -> Result<(), String> {
-    let name = args.entry.name;
-    args.harness.apply();
-    // The serial pass runs first, so the parallel pass claims the
-    // longest scenarios first (exec's per-label cost record).
-    let serial = if args.harness.compare_serial && !args.harness.serial {
-        exec::set_serial(true);
-        let pass = timed_render(args);
-        exec::set_serial(false);
-        Some(pass)
-    } else {
-        None
-    };
-    let (out, ms) = timed_render(args);
+    let ms = start.elapsed().as_secs_f64() * 1e3;
     print!("{}", out.table);
-    match serial {
-        Some((serial, serial_ms)) => {
-            if serial.table != out.table {
-                return Err("serial and parallel tables differ".to_string());
-            }
-            eprintln!(
-                "{name}: serial {serial_ms:.1} ms -> parallel {ms:.1} ms, speedup {:.2}x \
-                 (up to {} workers, tables identical)",
-                serial_ms / ms,
-                exec::workers_for(usize::MAX)
-            );
-        }
-        None => eprintln!("{name}: {ms:.1} ms host wall clock"),
-    }
+    eprintln!("{name}: {ms:.1} ms host wall clock");
 
     if let Some(path) = &args.out {
         write(path, &out.table)?;

@@ -10,31 +10,42 @@
 //!
 //! Flags:
 //! - `--label <name>`: output file suffix (default `local`).
-//! - `--serial`: run scenarios and PDES islands on one thread (same
-//!   results, no overlap).
 //! - `--sim-workers <N>`: pin the worker count (also settable via the
-//!   `M3_SIM_WORKERS` environment variable).
-//! - `--compare-serial`: run the suite serially first, then in parallel,
-//!   and report per-figure and total speedups. The serial pass seeds the
-//!   per-scenario cost registry, so the parallel pass claims the longest
-//!   scenarios first. Both passes land in the JSON as serial + parallel
-//!   rows.
-//! - `--baseline <path>`: compare the suite total against an earlier
-//!   `BENCH_*.json` and fail if it regressed more than 1.5x.
+//!   `M3_SIM_WORKERS` environment variable). To measure what threading
+//!   buys, compare a `--sim-workers 1` run with a default one, each in a
+//!   process of its own.
+//! - `--baseline <path>`: compare against an earlier `BENCH_*.json`. Fails
+//!   if the suite total regressed more than 1.5x, or if any figure's
+//!   deterministic work counters rose above its baseline row.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 // m3lint: allow(determinism): this binary's whole purpose is host wall-clock measurement
 use std::time::Instant;
 
-use m3_bench::cli::Harness;
+use m3_bench::cli;
 use m3_bench::exec;
 use m3_bench::registry::{self, Opts};
 use m3_sim::gauges::{self, Gauges};
 
 /// CI fails when the suite takes more than this multiple of the baseline.
 const REGRESSION_LIMIT: f64 = 1.5;
+
+/// Every gauge `perf` records per figure, in JSON order. The first
+/// [`GATED`] count simulated work, so they are the same on every host and
+/// for every worker count; `--baseline` gates them per figure.
+fn counters(g: &Gauges) -> [(&'static str, u64); 6] {
+    [
+        ("tasks_spawned", g.tasks_spawned),
+        ("task_polls", g.task_polls),
+        ("timers_scheduled", g.timers_scheduled),
+        ("timers_deduped", g.timers_deduped),
+        ("peak_live_tasks", g.peak_live_tasks),
+        ("peak_pending_timers", g.peak_pending_timers),
+    ]
+}
+
+const GATED: usize = 3;
 
 struct FigureRun {
     name: &'static str,
@@ -67,69 +78,71 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
     (runs, total_ms)
 }
 
-fn to_json(
-    label: &str,
-    serial: bool,
-    runs: &[FigureRun],
-    total_ms: f64,
-    serial_pass: Option<(&[FigureRun], f64)>,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
-    let _ = writeln!(out, "  \"serial\": {serial},");
-    let _ = writeln!(out, "  \"workers\": {},", exec::workers_for(usize::MAX));
-    let _ = writeln!(out, "  \"total_ms\": {total_ms:.3},");
-    if let Some((_, serial_ms)) = serial_pass {
-        let _ = writeln!(out, "  \"serial_total_ms\": {serial_ms:.3},");
-        let _ = writeln!(out, "  \"speedup\": {:.3},", serial_ms / total_ms);
-    }
-    out.push_str("  \"figures\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", run.name);
-        let _ = writeln!(out, "      \"wall_ms\": {:.3},", run.wall_ms);
-        if let Some((serial_runs, _)) = serial_pass {
-            let serial_ms = serial_runs[i].wall_ms;
-            let _ = writeln!(out, "      \"serial_wall_ms\": {serial_ms:.3},");
-            let _ = writeln!(out, "      \"speedup\": {:.3},", serial_ms / run.wall_ms);
-        }
-        let scenarios: Vec<String> = run
-            .scenario_ms
-            .iter()
-            .map(|ms| format!("{ms:.3}"))
-            .collect();
-        let _ = writeln!(out, "      \"scenario_ms\": [{}],", scenarios.join(", "));
-        let g = &run.gauges;
-        let _ = writeln!(out, "      \"tasks_spawned\": {},", g.tasks_spawned);
-        let _ = writeln!(out, "      \"task_polls\": {},", g.task_polls);
-        let _ = writeln!(out, "      \"timers_scheduled\": {},", g.timers_scheduled);
-        let _ = writeln!(out, "      \"timers_deduped\": {},", g.timers_deduped);
-        let _ = writeln!(out, "      \"peak_live_tasks\": {},", g.peak_live_tasks);
-        let _ = writeln!(
-            out,
-            "      \"peak_pending_timers\": {}",
-            g.peak_pending_timers
-        );
-        out.push_str(if i + 1 < runs.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn to_json(label: &str, runs: &[FigureRun], total_ms: f64) -> String {
+    let rows: Vec<String> = runs
+        .iter()
+        .map(|run| {
+            let scenarios: Vec<String> = run
+                .scenario_ms
+                .iter()
+                .map(|ms| format!("{ms:.3}"))
+                .collect();
+            let mut fields = vec![
+                format!("\"name\": \"{}\"", run.name),
+                format!("\"wall_ms\": {:.3}", run.wall_ms),
+                format!("\"scenario_ms\": [{}]", scenarios.join(", ")),
+            ];
+            fields.extend(counters(&run.gauges).map(|(key, n)| format!("\"{key}\": {n}")));
+            format!("    {{\n      {}\n    }}", fields.join(",\n      "))
+        })
+        .collect();
+    format!(
+        "{{\n  \"label\": \"{label}\",\n  \"workers\": {},\n  \"total_ms\": {total_ms:.3},\n  \
+         \"figures\": [\n{}\n  ]\n}}\n",
+        exec::workers_for(usize::MAX),
+        rows.join(",\n")
+    )
 }
 
-/// Minimal extractor for the one numeric field the regression gate needs;
-/// the JSON is machine-written, so a full parser is not warranted.
-fn extract_total_ms(json: &str) -> Option<f64> {
-    let rest = &json[json.find("\"total_ms\":")? + "\"total_ms\":".len()..];
-    let rest = rest.trim_start();
+/// The number after the first `"key":` in `json`. The JSON is
+/// machine-written, so a full parser is not warranted.
+fn extract(json: &str, key: &str) -> Option<f64> {
+    let field = format!("\"{key}\":");
+    let rest = json[json.find(&field)? + field.len()..].trim_start();
     let end = rest
         .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// Compares every figure's gated counters with the baseline row of the
+/// same name. Returns the figures the baseline has no row for, and one
+/// message per counter that rose above its baseline value.
+fn compare_counters(runs: &[FigureRun], base: &str) -> (Vec<&'static str>, Vec<String>) {
+    // Each figure row starts at its name and runs up to the next one.
+    let rows: Vec<(&str, &str)> = base
+        .split("\"name\": \"")
+        .skip(1)
+        .filter_map(|row| row.split_once('"'))
+        .collect();
+    let mut missing = Vec::new();
+    let mut rose = Vec::new();
+    for run in runs {
+        let Some((_, row)) = rows.iter().find(|(name, _)| *name == run.name) else {
+            missing.push(run.name);
+            continue;
+        };
+        for (key, now) in &counters(&run.gauges)[..GATED] {
+            match extract(row, key) {
+                Some(was) if *now as f64 > was => {
+                    rose.push(format!("{} {key} rose from {was} to {now}", run.name));
+                }
+                Some(_) => {}
+                None => rose.push(format!("{} baseline row has no {key}", run.name)),
+            }
+        }
+    }
+    (missing, rose)
 }
 
 fn repo_root() -> PathBuf {
@@ -139,7 +152,6 @@ fn repo_root() -> PathBuf {
 fn main() -> ExitCode {
     let mut label = String::from("local");
     let mut baseline: Option<String> = None;
-    let mut harness = Harness::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -151,31 +163,18 @@ fn main() -> ExitCode {
                 Some(p) => baseline = Some(p),
                 None => return usage("--baseline needs a path"),
             },
-            other => match harness.take(other, &mut args) {
-                Ok(true) => {}
-                Ok(false) => return usage(&format!("unknown argument {other}")),
+            "--sim-workers" => match cli::sim_workers(&mut args) {
+                Ok(n) => exec::set_sim_workers(Some(n)),
                 Err(msg) => return usage(&msg),
             },
+            other => return usage(&format!("unknown argument {other}")),
         }
     }
-    harness.apply();
 
-    // The serial pass runs first so its per-scenario costs seed the
-    // longest-first claim order of the parallel pass.
-    let serial_pass = if harness.compare_serial && !harness.serial {
-        exec::set_serial(true);
-        let pass = run_suite();
-        exec::set_serial(false);
-        Some(pass)
-    } else {
-        None
-    };
-
-    let serial = harness.serial || exec::workers_for(usize::MAX) == 1;
     let (runs, total_ms) = run_suite();
 
     println!("== perf: host wall clock per registered figure ==");
-    for (i, run) in runs.iter().enumerate() {
+    for run in &runs {
         println!(
             "{:>10}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  peak {} live / {} timers",
             run.name,
@@ -186,65 +185,102 @@ fn main() -> ExitCode {
             run.gauges.peak_live_tasks,
             run.gauges.peak_pending_timers,
         );
-        if let Some((serial_runs, _)) = &serial_pass {
-            println!(
-                "            serial {:>7.1} ms -> speedup {:.2}x",
-                serial_runs[i].wall_ms,
-                serial_runs[i].wall_ms / run.wall_ms
-            );
-        }
     }
-    println!("{:>10}  {total_ms:>10.1} ms", "total");
-    if let Some((_, serial_ms)) = &serial_pass {
-        println!(
-            "{:>10}  {serial_ms:>10.1} ms -> parallel speedup {:.2}x ({} workers)",
-            "serial",
-            serial_ms / total_ms,
-            exec::workers_for(usize::MAX)
-        );
-    }
+    println!(
+        "{:>10}  {total_ms:>10.1} ms  ({} workers)",
+        "total",
+        exec::workers_for(usize::MAX)
+    );
 
     let path = repo_root().join(format!("BENCH_{label}.json"));
-    let json = to_json(
-        &label,
-        serial,
-        &runs,
-        total_ms,
-        serial_pass.as_ref().map(|(r, ms)| (r.as_slice(), *ms)),
-    );
-    if let Err(e) = std::fs::write(&path, &json) {
+    if let Err(e) = std::fs::write(&path, to_json(&label, &runs, total_ms)) {
         eprintln!("perf: cannot write {}: {e}", path.display());
         return ExitCode::FAILURE;
     }
     println!("wrote {}", path.display());
 
-    if let Some(base_path) = baseline {
-        let base = match std::fs::read_to_string(&base_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("perf: cannot read baseline {base_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(base_ms) = extract_total_ms(&base) else {
-            eprintln!("perf: no total_ms in baseline {base_path}");
-            return ExitCode::FAILURE;
-        };
-        let ratio = total_ms / base_ms;
-        println!("baseline {base_ms:.1} ms -> ratio {ratio:.2}x (limit {REGRESSION_LIMIT}x)");
-        if ratio > REGRESSION_LIMIT {
-            eprintln!("perf: suite regressed {ratio:.2}x over baseline {base_path}");
+    if let Some(path) = baseline {
+        if let Err(msg) = gate(&runs, total_ms, &path) {
+            eprintln!("perf: {msg}");
             return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
 }
 
+/// Checks this run against the baseline at `path`: the suite total within
+/// [`REGRESSION_LIMIT`] and no gated counter above its figure's row.
+fn gate(runs: &[FigureRun], total_ms: f64, path: &str) -> Result<(), String> {
+    let base =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let base_ms =
+        extract(&base, "total_ms").ok_or_else(|| format!("no total_ms in baseline {path}"))?;
+    let ratio = total_ms / base_ms;
+    println!("baseline {base_ms:.1} ms -> ratio {ratio:.2}x (limit {REGRESSION_LIMIT}x)");
+    let (missing, mut failures) = compare_counters(runs, &base);
+    for name in missing {
+        println!("{name} has no row in baseline {path}; its counters are not gated");
+    }
+    if ratio > REGRESSION_LIMIT {
+        failures.push(format!("suite regressed {ratio:.2}x over baseline {path}"));
+    }
+    if failures.is_empty() {
+        println!("counters: no figure above its baseline row");
+        Ok(())
+    } else {
+        Err(failures.join("\nperf: "))
+    }
+}
+
 fn usage(msg: &str) -> ExitCode {
     eprintln!("perf: {msg}");
     eprintln!(
         "usage: perf [--label <name>] [--baseline <json>] {}",
-        Harness::USAGE
+        cli::SIM_WORKERS_USAGE
     );
     ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(name: &'static str, tasks_spawned: u64, task_polls: u64) -> FigureRun {
+        FigureRun {
+            name,
+            wall_ms: 1.0,
+            scenario_ms: Vec::new(),
+            gauges: Gauges {
+                tasks_spawned,
+                task_polls,
+                timers_scheduled: 7,
+                ..Gauges::default()
+            },
+        }
+    }
+
+    #[test]
+    fn counters_gate_against_the_row_of_the_same_figure() {
+        let runs = [run("fig3", 10, 20), run("fig4", 30, 40)];
+        let base = to_json("base", &runs, 2.0);
+        assert_eq!(extract(&base, "total_ms"), Some(2.0));
+        assert_eq!(compare_counters(&runs, &base), (vec![], vec![]));
+
+        // Lower work passes; one count above its own row fails, even
+        // when another figure's row has a higher value.
+        let now = [run("fig3", 9, 20), run("fig4", 30, 41)];
+        assert_eq!(
+            compare_counters(&now, &base),
+            (
+                vec![],
+                vec!["fig4 task_polls rose from 40 to 41".to_string()]
+            )
+        );
+        let now = [run("fig3", 11, 20)];
+        assert_eq!(compare_counters(&now, &base).1.len(), 1);
+
+        // A figure the baseline lacks is reported, not failed.
+        let now = [run("fig3", 10, 20), run("fig12", 999, 999)];
+        assert_eq!(compare_counters(&now, &base), (vec!["fig12"], vec![]));
+    }
 }

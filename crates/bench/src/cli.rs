@@ -1,56 +1,23 @@
 //! The one command line of the harness binaries.
 //!
 //! `figure <name> [options]` renders any [`registry`]
-//! entry and `perf` times all of them. Both parse the host-parallelism
-//! flags through [`Harness`], so `--serial`, `--sim-workers N` and
-//! `--compare-serial` mean the same everywhere.
+//! entry and `perf` times all of them. Both take `--sim-workers N`, the
+//! one host-parallelism flag, parsed by [`sim_workers`].
 
 use std::fmt::Write as _;
 
-use crate::exec;
 use crate::registry::{self, Entry, Opts};
 
-/// The host-parallelism flags every harness binary takes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Harness {
-    /// `--serial`: run every scenario and island on the calling thread.
-    pub serial: bool,
-    /// `--sim-workers N`: pin the worker-thread count.
-    pub sim_workers: Option<usize>,
-    /// `--compare-serial`: run serially first, then in parallel, and
-    /// report the speedup.
-    pub compare_serial: bool,
-}
+/// The usage text of the host-parallelism flag.
+pub const SIM_WORKERS_USAGE: &str = "[--sim-workers N]";
 
-impl Harness {
-    /// The usage text of the harness flags.
-    pub const USAGE: &'static str = "[--serial] [--sim-workers N] [--compare-serial]";
-
-    /// Consumes `flag`, plus its value from `rest`, if it is a harness flag.
-    /// Returns `Ok(false)` for any other flag.
-    ///
-    /// # Errors
-    ///
-    /// A value that is missing or not a positive count.
-    pub fn take(
-        &mut self,
-        flag: &str,
-        rest: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match flag {
-            "--serial" => self.serial = true,
-            "--sim-workers" => self.sim_workers = Some(count(flag, rest, 1)? as usize),
-            "--compare-serial" => self.compare_serial = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Installs the flags in [`exec`].
-    pub fn apply(&self) {
-        exec::set_serial(self.serial);
-        exec::set_sim_workers(self.sim_workers);
-    }
+/// The value of `--sim-workers`: a worker count of at least one.
+///
+/// # Errors
+///
+/// A value that is missing or not a positive count.
+pub fn sim_workers(rest: &mut impl Iterator<Item = String>) -> Result<usize, String> {
+    Ok(count("--sim-workers", rest, 1)? as usize)
 }
 
 /// The value following `flag`.
@@ -74,8 +41,8 @@ pub struct FigureArgs {
     pub entry: &'static Entry,
     /// Sweep size and the entry's own parameter.
     pub opts: Opts,
-    /// Host-parallelism flags.
-    pub harness: Harness,
+    /// `--sim-workers N`: pin the host worker-thread count.
+    pub sim_workers: Option<usize>,
     /// `--out <path>`: also write the table to a file.
     pub out: Option<String>,
     /// `--trace <path>`: Chrome `trace_event` JSON of the traced re-run.
@@ -124,7 +91,7 @@ pub fn parse_figure(args: impl IntoIterator<Item = String>) -> Result<Command, S
     let mut parsed = FigureArgs {
         entry,
         opts: Opts::default(),
-        harness: Harness::default(),
+        sim_workers: None,
         out: None,
         trace: None,
         trace_tsv: None,
@@ -133,11 +100,9 @@ pub fn parse_figure(args: impl IntoIterator<Item = String>) -> Result<Command, S
     };
     let traced = entry.traced.is_some();
     while let Some(flag) = rest.next() {
-        if parsed.harness.take(&flag, &mut rest)? {
-            continue;
-        }
         match flag.as_str() {
             "--smoke" => parsed.opts.smoke = true,
+            "--sim-workers" => parsed.sim_workers = Some(sim_workers(&mut rest)?),
             "--out" => parsed.out = Some(value(&flag, &mut rest)?),
             "--trace" if traced => parsed.trace = Some(value(&flag, &mut rest)?),
             "--trace-tsv" if traced => parsed.trace_tsv = Some(value(&flag, &mut rest)?),
@@ -159,7 +124,7 @@ pub fn figure_usage() -> String {
         "usage: figure <name> [--smoke] [--out <path>] {}\n       figure --list\n\
          entries marked * also take [--trace <json>] [--trace-tsv <tsv>] [--metrics <txt>] [--latency-tsv <tsv>]\n\
          figures:\n",
-        Harness::USAGE
+        SIM_WORKERS_USAGE
     );
     for e in registry::FIGURES {
         let mark = if e.traced.is_some() { '*' } else { ' ' };
@@ -189,17 +154,15 @@ mod tests {
     #[test]
     fn harness_flags_parse_for_every_figure() {
         for e in registry::FIGURES {
-            let a = run(&[e.name, "--serial", "--sim-workers", "3", "--compare-serial"]);
+            let a = run(&[e.name, "--sim-workers", "3"]);
             assert_eq!(a.entry.name, e.name);
-            assert_eq!(
-                a.harness,
-                Harness {
-                    serial: true,
-                    sim_workers: Some(3),
-                    compare_serial: true
-                }
-            );
+            assert_eq!(a.sim_workers, Some(3));
             assert_eq!(a.opts, Opts::default());
+            for gone in ["--serial", "--compare-serial"] {
+                assert!(parse(&[e.name, gone])
+                    .unwrap_err()
+                    .contains(&format!("takes no flag {gone}")));
+            }
         }
     }
 

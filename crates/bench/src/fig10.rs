@@ -315,14 +315,14 @@ impl Fig10 {
 }
 
 /// Runs the sweep at every PE count in `pe_counts`, each point on
-/// [`exec::island_workers`] threads.
+/// [`exec::workers_for`] threads.
 pub fn run(pe_counts: &[u32]) -> Fig10 {
     let sweeps = pe_counts
         .iter()
         .map(|&pes| {
             let points = shard_counts_for(pes)
                 .into_iter()
-                .map(|s| run_point(pes, s, exec::island_workers(s as usize)))
+                .map(|s| run_point(pes, s, exec::workers_for(s as usize)))
                 .collect();
             (pes, points)
         })

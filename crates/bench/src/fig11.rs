@@ -120,7 +120,7 @@ pub fn run_sweep(eighths: &[u64]) -> Series {
         .iter()
         .map(|&e| -> Job<PagingRun> { Box::new(move || paging_run(e)) })
         .collect();
-    let runs = exec::run_labeled_jobs("fig11", jobs);
+    let runs = exec::run_jobs(jobs);
     let rows = runs
         .iter()
         .map(|r| {

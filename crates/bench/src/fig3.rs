@@ -392,7 +392,7 @@ pub fn run() -> Figure {
         Box::new(|| lx_pipe(LxConfig::xtensa(), "Lx")),
         Box::new(|| lx_pipe(LxConfig::xtensa_warm(), "Lx-$")),
     ];
-    let mut bars = exec::run_labeled_jobs("fig3", jobs).into_iter();
+    let mut bars = exec::run_jobs(jobs).into_iter();
     let mut group = |name: &str| Group {
         name: name.to_string(),
         bars: bars.by_ref().take(3).collect(),

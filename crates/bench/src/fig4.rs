@@ -103,7 +103,7 @@ pub fn run() -> Series {
     for bpe in BLOCKS_PER_EXTENT {
         jobs.push(Box::new(move || write_time(bpe)));
     }
-    let vals = exec::run_labeled_jobs("fig4", jobs);
+    let vals = exec::run_jobs(jobs);
     let mut rows = Vec::new();
     for (i, bpe) in BLOCKS_PER_EXTENT.into_iter().enumerate() {
         rows.push((

@@ -216,7 +216,7 @@ pub fn run() -> Figure {
             lx_bar(kind, LxConfig::xtensa_warm(), "Lx-$")
         }));
     }
-    let mut bars = exec::run_labeled_jobs("fig5", jobs).into_iter();
+    let mut bars = exec::run_jobs(jobs).into_iter();
     let mut groups = Vec::new();
     for kind in BenchKind::ALL {
         groups.push(Group {

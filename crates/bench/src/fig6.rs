@@ -113,7 +113,7 @@ pub fn run() -> Series {
             jobs.push(Box::new(move || avg_instance_time(kind, n as usize)));
         }
     }
-    let raw = exec::run_labeled_jobs("fig6", jobs);
+    let raw = exec::run_jobs(jobs);
     // INSTANCES[0] == 1, so the first row is the per-benchmark base.
     let base = &raw[..kinds.len()];
     let mut rows = Vec::new();

@@ -112,7 +112,7 @@ pub fn run() -> Figure {
             .to_string(),
         groups: vec![Group {
             name: "fft-pipeline".to_string(),
-            bars: exec::run_labeled_jobs("fig7", jobs),
+            bars: exec::run_jobs(jobs),
         }],
     }
 }

@@ -192,7 +192,7 @@ pub fn run() -> Series {
         jobs.push(Box::new(move || overcommit_run(f, true)));
         jobs.push(Box::new(move || dirty_overcommit_run(f)));
     }
-    let runs = exec::run_labeled_jobs("fig8", jobs);
+    let runs = exec::run_jobs(jobs);
     let rows = runs
         .chunks(2)
         .map(|pair| {

@@ -124,7 +124,7 @@ pub fn run_sweep(clients: &[u64]) -> Fig9 {
             ]
         })
         .collect();
-    let runs = exec::run_labeled_jobs("fig9", jobs);
+    let runs = exec::run_jobs(jobs);
     let pairs: Vec<(u64, &ServeRun, &ServeRun)> = clients
         .iter()
         .zip(runs.chunks(2))

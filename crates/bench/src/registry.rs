@@ -249,7 +249,7 @@ pub static FIGURES: &[Entry] = &[
         }),
         render: |opts| {
             let islands = opts.param.unwrap_or(if opts.smoke { 2 } else { 4 });
-            let run = pdes_bench::run(islands, exec::island_workers(islands as usize));
+            let run = pdes_bench::run(islands, exec::workers_for(islands as usize));
             Rendered {
                 table: run.render(),
                 cycles: run.report.end_time.as_u64(),

@@ -163,26 +163,29 @@ struct Inner {
 }
 
 impl Inner {
-    /// Pushes a timer entry, tagging it with the next scheduling sequence
-    /// number. Both the initial registration and the re-queue paths (limit
-    /// reached in `run_inner`, slack exceeded in `settle`) go through here,
-    /// so the (deadline, sequence) ordering semantics cannot drift apart.
-    fn push_timer(&mut self, deadline: Cycles, entry: TimerEntry) {
+    /// Registers a new timer that fires `entry` at `deadline`, tagged with
+    /// the next scheduling sequence number. This is the only way onto the
+    /// wheel: an entry keeps its sequence number until it fires, so
+    /// same-cycle timers fire in the order they were armed.
+    fn arm(&mut self, deadline: Cycles, entry: TimerEntry) {
+        self.timers_scheduled += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.timers.push(Reverse((deadline, seq, entry)));
         self.peak_timers = self.peak_timers.max(self.timers.len() as u64);
     }
 
-    /// Pops the earliest timer entry.
-    fn pop_timer(&mut self) -> Option<(Cycles, u64, TimerEntry)> {
-        self.timers.pop().map(|Reverse(entry)| entry)
-    }
-
-    /// Registers a new timer that fires `entry` at `deadline`.
-    fn arm(&mut self, deadline: Cycles, entry: TimerEntry) {
-        self.timers_scheduled += 1;
-        self.push_timer(deadline, entry);
+    /// Pops the earliest timer entry if its deadline is at most `limit`.
+    /// A later entry stays queued where it is, so a run stopped at `limit`
+    /// resumes in the same order as one that never stopped.
+    fn pop_due(&mut self, limit: Cycles) -> Option<(Cycles, TimerEntry)> {
+        match self.timers.peek() {
+            Some(Reverse((deadline, _, _))) if *deadline <= limit => {}
+            _ => return None,
+        }
+        self.timers
+            .pop()
+            .map(|Reverse((deadline, _, entry))| (deadline, entry))
     }
 
     /// The earliest moment something can happen: `now` while tasks are
@@ -599,11 +602,9 @@ impl Sim {
         loop {
             self.drain_ready();
             let mut inner = self.inner.borrow_mut();
-            match inner.timers.peek() {
-                Some(Reverse((deadline, _, _))) if *deadline <= end => {}
-                _ => return,
-            }
-            let (deadline, _, entry) = inner.pop_timer().expect("timer peeked above");
+            let Some((deadline, entry)) = inner.pop_due(end) else {
+                return;
+            };
             debug_assert!(deadline >= inner.now, "time must be monotonic");
             let from = inner.now;
             inner.now = deadline;
@@ -644,13 +645,9 @@ impl Sim {
         loop {
             self.drain_ready();
             let mut inner = self.inner.borrow_mut();
-            let Some((deadline, _, entry)) = inner.pop_timer() else {
+            let Some((deadline, entry)) = inner.pop_due(limit) else {
                 return;
             };
-            if deadline > limit {
-                inner.push_timer(deadline, entry);
-                return;
-            }
             inner.now = deadline;
             drop(inner);
             self.fire(entry);
@@ -764,7 +761,18 @@ impl Sim {
             if inner.live_regular == 0 {
                 return SimState::Finished;
             }
-            let Some((deadline, _, entry)) = inner.pop_timer() else {
+            let Some((deadline, entry)) = inner.pop_due(limit.unwrap_or(Cycles::new(u64::MAX)))
+            else {
+                // A timer still queued is due after `limit`; it stays
+                // there for a future run call.
+                if let Some(limit) = limit.filter(|_| !inner.timers.is_empty()) {
+                    // Advance to the limit, but never move the clock
+                    // backward: a limit below `now` must leave time alone.
+                    if limit > inner.now {
+                        inner.now = limit;
+                    }
+                    return SimState::TimeLimit;
+                }
                 let stalled = inner
                     .slots
                     .iter()
@@ -774,18 +782,6 @@ impl Sim {
                     .collect();
                 return SimState::Stalled(stalled);
             };
-            if let Some(limit) = limit {
-                if deadline > limit {
-                    // Advance to the limit, but never move the clock
-                    // backward: a limit below `now` must leave time alone.
-                    if limit > inner.now {
-                        inner.now = limit;
-                    }
-                    // Put the timer back for a future run call.
-                    inner.push_timer(deadline, entry);
-                    return SimState::TimeLimit;
-                }
-            }
             debug_assert!(deadline >= inner.now, "time must be monotonic");
             let from = inner.now;
             inner.now = deadline;
@@ -962,6 +958,31 @@ mod tests {
         }
         sim.run();
         assert_eq!(&*log.borrow(), &["first", "second", "third"]);
+    }
+
+    #[test]
+    fn same_cycle_order_survives_a_stopped_run() {
+        // Stopping short of a deadline, by `run_until` or by `settle`'s
+        // slack, must leave the pending timers in their original order.
+        for stop in [
+            |sim: &Sim| assert_eq!(sim.run_until(Cycles::new(50)), SimState::TimeLimit),
+            |sim: &Sim| sim.settle(Cycles::new(50)),
+        ] {
+            let sim = Sim::new();
+            let log: Rc<RefCell<Vec<&str>>> = Rc::new(RefCell::new(Vec::new()));
+            for name in ["first", "second", "third"] {
+                let sim2 = sim.clone();
+                let log = log.clone();
+                sim.spawn(name, async move {
+                    sim2.sleep(Cycles::new(100)).await;
+                    log.borrow_mut().push(name);
+                });
+            }
+            stop(&sim);
+            assert!(log.borrow().is_empty());
+            assert_eq!(sim.run(), SimState::Finished);
+            assert_eq!(&*log.borrow(), &["first", "second", "third"]);
+        }
     }
 
     #[test]

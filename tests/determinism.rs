@@ -290,11 +290,16 @@ fn fig9_traced_serving_run_is_identical_across_runs() {
 fn fig9_sweep_is_byte_identical_serial_vs_parallel() {
     // The harness parallelises only across independent Sims; the assembled
     // figure — rows, quantiles, capacity verdicts — must not know or care.
-    // (The serial flag is process-global; run the parallel pass first.)
-    let parallel = m3_bench::fig9::run_sweep(&[8, 24]).render();
-    m3_bench::exec::set_serial(true);
-    let serial = m3_bench::fig9::run_sweep(&[8, 24]).render();
-    m3_bench::exec::set_serial(false);
+    // (The worker count is process-global; a concurrent test that runs a
+    // figure only gets another thread count, which cannot change its output.)
+    let render = |workers| {
+        m3_bench::exec::set_sim_workers(Some(workers));
+        let table = m3_bench::fig9::run_sweep(&[8, 24]).render();
+        m3_bench::exec::set_sim_workers(None);
+        table
+    };
+    let serial = render(1);
+    let parallel = render(4);
     assert_eq!(parallel, serial, "fig9 render depends on the harness mode");
 }
 

@@ -18,29 +18,28 @@ use m3_bench::{exec, pdes_bench};
 /// is process-global, and the invariance tests run concurrently.
 static WORKER_COUNT: Mutex<()> = Mutex::new(());
 
-/// Renders one registered figure's smoke sweep serially, then under 1, 2
-/// and 4 sim workers, and requires all four tables to be byte-identical.
+/// Renders one registered figure's smoke sweep with 1 sim worker, then
+/// with 2 and 4, and requires all three tables to be byte-identical.
 fn assert_figure_invariant(name: &str) {
-    // A failed test poisons the lock; each step below sets the mode it
-    // renders under, so the other tests can still run.
+    // A failed test poisons the lock; each render below sets the worker
+    // count it runs under, so the other tests can still run.
     let _serial = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
     let entry = registry::find(name).unwrap_or_else(|| panic!("{name} is not registered"));
-    let render = || {
-        (entry.render)(Opts {
+    let render = |workers| {
+        exec::set_sim_workers(Some(workers));
+        let table = (entry.render)(Opts {
             smoke: true,
             param: None,
         })
-        .table
-    };
-    exec::set_serial(true);
-    let serial = render();
-    exec::set_serial(false);
-    for workers in [1usize, 2, 4] {
-        exec::set_sim_workers(Some(workers));
-        let out = render();
+        .table;
         exec::set_sim_workers(None);
+        table
+    };
+    let reference = render(1);
+    for workers in [2usize, 4] {
         assert_eq!(
-            out, serial,
+            render(workers),
+            reference,
             "{name} render diverged under {workers} sim workers"
         );
     }
