@@ -17,16 +17,16 @@ use std::process::ExitCode;
 // m3lint: allow(determinism): host wall clock, printed to stderr only; tables carry no time
 use std::time::Instant;
 
-use m3_bench::cli::{self, Command, FigureArgs};
+use m3_bench::cli::{self, Action, FigureArgs};
 use m3_bench::exec;
 
 fn main() -> ExitCode {
     match cli::parse_figure(std::env::args().skip(1)) {
-        Ok(Command::Usage) => {
+        Ok(Action::Usage) => {
             print!("{}", cli::figure_usage());
             ExitCode::SUCCESS
         }
-        Ok(Command::Run(args)) => match run(&args) {
+        Ok(Action::Run(args)) => match run(&args) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("{}: {msg}", args.entry.name);
@@ -43,6 +43,7 @@ fn main() -> ExitCode {
 
 fn run(args: &FigureArgs) -> Result<(), String> {
     let name = args.entry.name;
+    exec::env_sim_workers()?;
     exec::set_sim_workers(args.sim_workers);
     // m3lint: allow(determinism): host wall clock, printed to stderr only
     let start = Instant::now();

@@ -170,6 +170,9 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument {other}")),
         }
     }
+    if let Err(msg) = exec::env_sim_workers() {
+        return usage(&msg);
+    }
 
     let (runs, total_ms) = run_suite();
 

@@ -27,11 +27,22 @@ fn value(flag: &str, rest: &mut impl Iterator<Item = String>) -> Result<String, 
 
 /// The count following `flag`, at least `min`.
 fn count(flag: &str, rest: &mut impl Iterator<Item = String>, min: u32) -> Result<u32, String> {
-    value(flag, rest)?
+    parse_count(flag, &value(flag, rest)?, min)
+}
+
+/// Parses `value` as a count of at least `min`; `name` is the flag or
+/// environment variable it came from. The one parser of `--sim-workers`
+/// and `M3_SIM_WORKERS`.
+///
+/// # Errors
+///
+/// `value` is not a count >= `min`.
+pub fn parse_count(name: &str, value: &str, min: u32) -> Result<u32, String> {
+    value
         .parse()
         .ok()
         .filter(|n| *n >= min)
-        .ok_or_else(|| format!("{flag} needs a count >= {min}"))
+        .ok_or_else(|| format!("{name} needs a count >= {min}"))
 }
 
 /// A parsed `figure` invocation.
@@ -67,7 +78,7 @@ impl FigureArgs {
 
 /// What the `figure` binary was asked to do.
 #[derive(Debug)]
-pub enum Command {
+pub enum Action {
     /// `--list`, `--help` or no arguments: print the usage.
     Usage,
     /// Render one entry.
@@ -80,11 +91,11 @@ pub enum Command {
 ///
 /// An unknown figure, an unknown flag or a flag the figure does not take,
 /// and a missing or malformed value.
-pub fn parse_figure(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+pub fn parse_figure(args: impl IntoIterator<Item = String>) -> Result<Action, String> {
     let mut rest = args.into_iter();
     let name = match rest.next() {
-        None => return Ok(Command::Usage),
-        Some(a) if matches!(a.as_str(), "--list" | "--help" | "-h") => return Ok(Command::Usage),
+        None => return Ok(Action::Usage),
+        Some(a) if matches!(a.as_str(), "--list" | "--help" | "-h") => return Ok(Action::Usage),
         Some(a) => a,
     };
     let entry = registry::find(&name).ok_or_else(|| format!("no figure named {name}"))?;
@@ -115,7 +126,7 @@ pub fn parse_figure(args: impl IntoIterator<Item = String>) -> Result<Command, S
             f => return Err(format!("{name} takes no flag {f}")),
         }
     }
-    Ok(Command::Run(Box::new(parsed)))
+    Ok(Action::Run(Box::new(parsed)))
 }
 
 /// The `figure` usage text, listing every registered entry and its flags.
@@ -140,13 +151,13 @@ pub fn figure_usage() -> String {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Command, String> {
+    fn parse(args: &[&str]) -> Result<Action, String> {
         parse_figure(args.iter().map(|s| s.to_string()))
     }
 
     fn run(args: &[&str]) -> FigureArgs {
         match parse(args) {
-            Ok(Command::Run(a)) => *a,
+            Ok(Action::Run(a)) => *a,
             other => panic!("{args:?} parsed as {other:?}"),
         }
     }
@@ -200,9 +211,26 @@ mod tests {
     }
 
     #[test]
+    fn counts_parse_alike_from_flags_and_the_environment() {
+        let var = crate::exec::SIM_WORKERS_VAR;
+        assert_eq!(parse_count(var, "3", 1), Ok(3));
+        for bad in ["0", "four", ""] {
+            assert_eq!(
+                parse_count(var, bad, 1),
+                Err("M3_SIM_WORKERS needs a count >= 1".to_string()),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            sim_workers(&mut ["four".to_string()].into_iter()),
+            Err("--sim-workers needs a count >= 1".to_string())
+        );
+    }
+
+    #[test]
     fn usage_and_errors() {
-        assert!(matches!(parse(&[]), Ok(Command::Usage)));
-        assert!(matches!(parse(&["--list"]), Ok(Command::Usage)));
+        assert!(matches!(parse(&[]), Ok(Action::Usage)));
+        assert!(matches!(parse(&["--list"]), Ok(Action::Usage)));
         assert!(parse(&["fig12"])
             .unwrap_err()
             .contains("no figure named fig12"));

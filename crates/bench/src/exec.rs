@@ -20,6 +20,8 @@ use std::sync::Mutex;
 // m3lint: allow(determinism): host wall-clock measurement only; no simulated time derives from it
 use std::time::Instant;
 
+use crate::cli;
+
 /// One scenario measurement, boxed so figures can mix closures.
 pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
 
@@ -42,14 +44,31 @@ pub fn set_sim_workers(workers: Option<usize>) {
     SIM_WORKERS.store(workers.unwrap_or(0), Ordering::Relaxed);
 }
 
+/// The environment variable that pins the worker count.
+pub const SIM_WORKERS_VAR: &str = "M3_SIM_WORKERS";
+
+/// The worker count [`SIM_WORKERS_VAR`] pins, if it is set, parsed like
+/// `--sim-workers` ([`cli::parse_count`]).
+///
+/// # Errors
+///
+/// The variable is set but is not a count >= 1.
+pub fn env_sim_workers() -> Result<Option<usize>, String> {
+    std::env::var_os(SIM_WORKERS_VAR)
+        .map(|v| cli::parse_count(SIM_WORKERS_VAR, &v.to_string_lossy(), 1).map(|n| n as usize))
+        .transpose()
+}
+
 /// The pinned worker count, if any: [`set_sim_workers`] wins, then the
 /// `M3_SIM_WORKERS` environment variable.
+///
+/// # Panics
+///
+/// Panics if the variable is set but malformed; the `figure` and `perf`
+/// binaries reject that at start-up instead.
 pub fn sim_workers() -> Option<usize> {
     match SIM_WORKERS.load(Ordering::Relaxed) {
-        0 => std::env::var("M3_SIM_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0),
+        0 => env_sim_workers().unwrap_or_else(|msg| panic!("{msg}")),
         n => Some(n),
     }
 }

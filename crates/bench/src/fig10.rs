@@ -29,12 +29,11 @@ use m3_base::error::Code;
 use m3_base::{Cycles, PeId};
 use m3_kernel::protocol::PeRequest;
 use m3_libos::Vpe;
-use m3_noc::{IslandMap, NocConfig, Topology};
 use m3_platform::PeType;
 use m3_sim::keys;
 use m3_sim::pdes::{self, IslandBuilder, IslandFinish, PdesConfig};
 
-use crate::exec;
+use crate::{exec, pdes_bench};
 
 /// Placer programs per shard (enough concurrency to keep one kernel busy).
 pub const PLACERS: usize = 4;
@@ -68,25 +67,6 @@ pub fn shard_counts_for(pes: u32) -> Vec<u32> {
         .copied()
         .filter(|s| pes / s >= MIN_PES_PER_SHARD && pes.is_multiple_of(*s))
         .collect()
-}
-
-/// The inter-shard NoC: long-haul links between chip-level islands, an
-/// order of magnitude slower than the intra-island mesh (same model as
-/// `pdes_bench`).
-fn shard_noc() -> NocConfig {
-    NocConfig {
-        hop_latency: Cycles::new(48),
-        ..NocConfig::default()
-    }
-}
-
-/// The conservative window width for `shards` islands.
-pub fn lookahead(shards: u32) -> Cycles {
-    let map = IslandMap::columns(
-        Topology::new(shards.max(1), 1, shards.max(1)),
-        shards.max(1),
-    );
-    map.lookahead(&shard_noc())
 }
 
 /// One sweep point: `pes` total PEs carved into `shards` kernel shards.
@@ -235,7 +215,7 @@ pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
     );
     let per = (pes / shards) as usize;
     let cfg = PdesConfig {
-        lookahead: lookahead(shards),
+        lookahead: pdes_bench::lookahead(shards),
         workers,
     };
     let builders: Vec<IslandBuilder> = (0..shards)
@@ -246,13 +226,6 @@ pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
     let serve: u64 = report.outputs.iter().map(|l| field(l, "serve")).sum();
     let xplace: u64 = report.outputs.iter().map(|l| field(l, "xplace")).sum();
     let end = report.end_time;
-    let digest = format!(
-        "{}|windows={}|events={}|end={}",
-        report.outputs.join(";"),
-        report.windows,
-        report.events,
-        end.as_u64(),
-    );
     Fig10Point {
         pes,
         shards,
@@ -261,7 +234,7 @@ pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
         xplace,
         end,
         ops_per_kcycle: ops as f64 * 1e3 / end.as_u64().max(1) as f64,
-        digest,
+        digest: pdes_bench::digest(&report),
     }
 }
 

@@ -38,11 +38,12 @@ const ISLAND_PES: usize = 6;
 /// Concurrent file-I/O programs per island.
 const ISLAND_JOBS: usize = 4;
 
-/// The inter-island NoC: long-haul links between chip-level islands, an
-/// order of magnitude slower than the intra-island mesh. A wider minimum
-/// latency means a wider conservative window, so the engine synchronizes
-/// less often. Intra-island traffic still uses [`NocConfig::default`].
-fn ring_noc() -> NocConfig {
+/// The inter-island NoC of this ring and of fig10's shards: long-haul
+/// links between chip-level islands, an order of magnitude slower than the
+/// intra-island mesh. A wider minimum latency means a wider conservative
+/// window, so the engine synchronizes less often. Intra-island traffic
+/// still uses [`NocConfig::default`].
+fn inter_island_noc() -> NocConfig {
     NocConfig {
         hop_latency: Cycles::new(48),
         ..NocConfig::default()
@@ -58,14 +59,26 @@ pub struct PdesBenchRun {
     pub digest: String,
 }
 
-/// The window width for `islands` ring nodes: the minimum cross-island
-/// NoC latency, derived from the routing model over one column per island.
+/// The window width for `islands` islands: the minimum cross-island NoC
+/// latency, derived from the routing model over one column per island.
 pub fn lookahead(islands: u32) -> Cycles {
     let map = IslandMap::columns(
         Topology::new(islands.max(1), 1, islands.max(1)),
         islands.max(1),
     );
-    map.lookahead(&ring_noc())
+    map.lookahead(&inter_island_noc())
+}
+
+/// A run's deterministic digest: every island's output, then the window
+/// and event counts and the final clock.
+pub(crate) fn digest(report: &PdesReport) -> String {
+    format!(
+        "{}|windows={}|events={}|end={}",
+        report.outputs.join(";"),
+        report.windows,
+        report.events,
+        report.end_time.as_u64(),
+    )
 }
 
 fn island_builder(id: u32, islands: u32) -> IslandBuilder {
@@ -178,13 +191,7 @@ pub fn run(islands: u32, workers: usize) -> PdesBenchRun {
     };
     let builders: Vec<IslandBuilder> = (0..islands).map(|i| island_builder(i, islands)).collect();
     let report = pdes::run(&cfg, builders);
-    let digest = format!(
-        "{}|windows={}|events={}|end={}",
-        report.outputs.join(";"),
-        report.windows,
-        report.events,
-        report.end_time.as_u64(),
-    );
+    let digest = digest(&report);
     PdesBenchRun { report, digest }
 }
 

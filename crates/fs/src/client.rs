@@ -123,7 +123,7 @@ impl M3FsFileSystem {
                 env,
                 MetaRequest::Open {
                     path: path.to_string(),
-                    flags: flags_bits(flags),
+                    flags: flags.bits(),
                 },
             )
             .await?;
@@ -144,23 +144,6 @@ impl M3FsFileSystem {
             closed: Cell::new(false),
         })
     }
-}
-
-fn flags_bits(flags: OpenFlags) -> u32 {
-    let mut bits = 0;
-    if flags.readable() {
-        bits |= 0b0001;
-    }
-    if flags.writable() {
-        bits |= 0b0010;
-    }
-    if flags.create() {
-        bits |= 0b0100;
-    }
-    if flags.trunc() {
-        bits |= 0b1000;
-    }
-    bits
 }
 
 struct CachedExtent {

@@ -15,6 +15,7 @@ use m3_base::marshal::{IStream, OStream};
 use m3_base::{Cycles, Perm, SelId};
 use m3_kernel::protocol::Syscall;
 use m3_libos::serv::{self, Handler};
+use m3_libos::vfs::OpenFlags;
 use m3_libos::{Env, MemGate, RecvGate};
 use m3_sim::{Component, Event, EventKind};
 
@@ -275,7 +276,7 @@ fn handle_meta(state: &Rc<RefCell<State>>, ident: u64, req: MetaRequest) -> (Met
     match req {
         MetaRequest::Open { path, flags } => {
             let mut cost = fscosts::OPEN + lookup_cost(&path);
-            let flags = OpenFlagsCompat(flags);
+            let flags = OpenFlags::from_bits(flags);
             let result = (|| -> Result<Vec<u8>> {
                 let ino = match st.core.resolve(&path) {
                     Ok(ino) => {
@@ -401,21 +402,6 @@ fn reply_of(result: Result<Vec<u8>>) -> MetaReply {
     match result {
         Ok(data) => MetaReply::ok_with(data),
         Err(e) => MetaReply::err(e.code()),
-    }
-}
-
-/// Minimal view of the libos flag bits without a cyclic dependency.
-struct OpenFlagsCompat(u32);
-
-impl OpenFlagsCompat {
-    fn writable(&self) -> bool {
-        self.0 & 0b0010 != 0
-    }
-    fn create(&self) -> bool {
-        self.0 & 0b0100 != 0
-    }
-    fn trunc(&self) -> bool {
-        self.0 & 0b1000 != 0
     }
 }
 

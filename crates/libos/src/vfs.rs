@@ -37,6 +37,16 @@ impl OpenFlags {
         OpenFlags(self.0 | other.0)
     }
 
+    /// The flags' wire encoding: bit 0 read, 1 write, 2 create, 3 truncate.
+    pub fn bits(self) -> u32 {
+        self.0
+    }
+
+    /// The flags a [`OpenFlags::bits`] value encodes.
+    pub fn from_bits(bits: u32) -> OpenFlags {
+        OpenFlags(bits)
+    }
+
     /// Whether reads are permitted.
     pub fn readable(self) -> bool {
         self.0 & 0b0001 != 0
@@ -479,5 +489,16 @@ mod tests {
         assert!(OpenFlags::TRUNC.trunc());
         let rw = OpenFlags::R.or(OpenFlags::W);
         assert!(rw.readable() && rw.writable());
+    }
+
+    #[test]
+    fn flag_bits_are_the_wire_encoding() {
+        let created = OpenFlags::CREATE.or(OpenFlags::TRUNC);
+        assert_eq!(OpenFlags::R.bits(), 0b0001);
+        assert_eq!(OpenFlags::RW.bits(), 0b0011);
+        assert_eq!(created.bits(), 0b1110);
+        let back = OpenFlags::from_bits(created.bits());
+        assert_eq!(back, created);
+        assert!(!back.readable() && back.writable() && back.create() && back.trunc());
     }
 }

@@ -36,51 +36,23 @@ pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str,
     if !matches!(class.krate.as_str(), "dtu" | "noc" | "sched") || class.is_harness() {
         return;
     }
-    let funcs: Vec<(usize, Vec<String>)> = tree
-        .functions
-        .iter()
-        .map(|f| (0, body_idents(tree, f)))
-        .collect();
-    let names: Vec<&str> = tree.functions.iter().map(|f| f.name.as_str()).collect();
-
-    // Fixpoint: a fn charges if its own name is a primitive, its body names
-    // a primitive, or its body names a same-file fn that charges.
-    let mut charges: Vec<bool> = tree
-        .functions
-        .iter()
-        .zip(&funcs)
-        .map(|(f, (_, idents))| {
-            CHARGE_IDENTS.contains(&f.name.as_str())
-                || idents.iter().any(|id| CHARGE_IDENTS.contains(&id.as_str()))
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for (i, (_, idents)) in funcs.iter().enumerate() {
-            if charges[i] {
-                continue;
-            }
-            let reaches = idents.iter().any(|id| {
-                names
-                    .iter()
-                    .enumerate()
-                    .any(|(j, n)| *n == id && charges[j] && j != i)
-            });
-            if reaches {
-                charges[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let idents = tree.body_idents();
+    // A fn charges if its own name is a primitive, its body names a
+    // primitive, or its body names a same-file fn that charges.
+    let charges = tree.reaches(
+        &idents,
+        |i| {
+            CHARGE_IDENTS.contains(&tree.functions[i].name.as_str())
+                || idents[i].iter().any(|id| CHARGE_IDENTS.contains(id))
+        },
+        |_| false,
+    );
 
     for (i, f) in tree.functions.iter().enumerate() {
         if !f.is_pub || f.in_test || f.body.is_none() || charges[i] {
             continue;
         }
-        if !mutates(tree, f, &funcs[i].1) {
+        if !mutates(tree, f, &idents[i]) {
             continue;
         }
         push(
@@ -97,21 +69,10 @@ pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str,
     }
 }
 
-/// All identifier texts in a fn's body.
-fn body_idents(tree: &Tree, f: &Function) -> Vec<String> {
-    let Some((open, close)) = f.body else {
-        return Vec::new();
-    };
-    (open..=close.min(tree.code.len().saturating_sub(1)))
-        .filter(|&i| tree.code[i].kind == Kind::Ident)
-        .map(|i| tree.text(i).to_string())
-        .collect()
-}
-
 /// Whether the fn writes state: a `&mut self` receiver or a `borrow_mut`
 /// call in the body.
-fn mutates(tree: &Tree, f: &Function, idents: &[String]) -> bool {
-    if idents.iter().any(|id| id == "borrow_mut") {
+fn mutates(tree: &Tree, f: &Function, idents: &[&str]) -> bool {
+    if idents.contains(&"borrow_mut") {
         return true;
     }
     // Look for `& [lifetime] mut self` in the signature (between the fn

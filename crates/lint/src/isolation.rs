@@ -55,8 +55,9 @@ pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str,
     if class.is_harness() || matches!(class.krate.as_str(), "kernel" | "lint") {
         return;
     }
+    let idents = tree.body_idents();
     if class.krate == "dtu" {
-        check_dtu_backdoors(tree, push);
+        check_dtu_backdoors(tree, &idents, push);
         return;
     }
 
@@ -80,18 +81,11 @@ pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str,
 
     // 2. Wrappers: a pub fn whose body names a gated identifier leaks the
     // capability outward even if the use site itself were justified.
-    for f in &tree.functions {
+    for (f, idents) in tree.functions.iter().zip(&idents) {
         if !f.is_pub || f.in_test {
             continue;
         }
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        let used = (open..=close.min(tree.code.len().saturating_sub(1)))
-            .filter(|&i| tree.code[i].kind == Kind::Ident)
-            .map(|i| tree.text(i))
-            .find(|t| GATED_IDENTS.contains(t));
-        if let Some(used) = used {
+        if let Some(used) = idents.iter().find(|t| GATED_IDENTS.contains(t)) {
             push(
                 "isolation",
                 f.sig_line,
@@ -107,55 +101,22 @@ pub fn check(tree: &Tree, class: &FileClass, push: &mut impl FnMut(&'static str,
 
 /// Inside `crates/dtu`: a pub fn off `impl KernelToken` must not reach a
 /// gated mutator through same-file calls.
-fn check_dtu_backdoors(tree: &Tree, push: &mut impl FnMut(&'static str, usize, String)) {
-    let body_idents: Vec<Vec<String>> = tree
-        .functions
-        .iter()
-        .map(|f| match f.body {
-            Some((open, close)) => (open..=close.min(tree.code.len().saturating_sub(1)))
-                .filter(|&i| tree.code[i].kind == Kind::Ident)
-                .map(|i| tree.text(i).to_string())
-                .collect(),
-            None => Vec::new(),
-        })
-        .collect();
-
+fn check_dtu_backdoors(
+    tree: &Tree,
+    idents: &[Vec<&str>],
+    push: &mut impl FnMut(&'static str, usize, String),
+) {
     let is_token_fn = |idx: usize| -> bool {
         let f = &tree.functions[idx];
         f.impl_of.as_deref() == Some("KernelToken") || f.name == "claim_kernel_token"
     };
-
-    // Fixpoint over non-token fns: reaches a mutator directly or via a
-    // same-file non-token fn that does.
-    let mut reaches: Vec<bool> = (0..tree.functions.len())
-        .map(|i| {
-            !is_token_fn(i)
-                && body_idents[i]
-                    .iter()
-                    .any(|id| GATED_MUTATORS.contains(&id.as_str()))
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..tree.functions.len() {
-            if reaches[i] || is_token_fn(i) {
-                continue;
-            }
-            let hit = body_idents[i].iter().any(|id| {
-                tree.functions
-                    .iter()
-                    .enumerate()
-                    .any(|(j, g)| g.name == *id && reaches[j] && !is_token_fn(j))
-            });
-            if hit {
-                reaches[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    // A non-token fn reaches a mutator directly or via a same-file
+    // non-token fn that does.
+    let reaches = tree.reaches(
+        idents,
+        |i| idents[i].iter().any(|id| GATED_MUTATORS.contains(id)),
+        is_token_fn,
+    );
 
     for (i, f) in tree.functions.iter().enumerate() {
         if !f.is_pub || f.in_test || is_token_fn(i) || !reaches[i] {

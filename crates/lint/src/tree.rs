@@ -113,6 +113,57 @@ impl<'s> Tree<'s> {
         self.code[i].text(self.src)
     }
 
+    /// The identifiers in each function's body, in [`Tree::functions`]
+    /// order (none for a bodiless declaration).
+    pub fn body_idents(&self) -> Vec<Vec<&'s str>> {
+        let last = self.code.len().saturating_sub(1);
+        self.functions
+            .iter()
+            .map(|f| match f.body {
+                Some((open, close)) => (open..=close.min(last))
+                    .filter(|&i| self.code[i].kind == Kind::Ident)
+                    .map(|i| self.text(i))
+                    .collect(),
+                None => Vec::new(),
+            })
+            .collect()
+    }
+
+    /// Which functions reach a seed through same-file calls, given their
+    /// [`Tree::body_idents`]: fn `i` does if `seed(i)` holds or its body
+    /// names a function that does. A `barrier` fn never reaches, so
+    /// nothing reaches through it either.
+    pub fn reaches(
+        &self,
+        idents: &[Vec<&str>],
+        seed: impl Fn(usize) -> bool,
+        barrier: impl Fn(usize) -> bool,
+    ) -> Vec<bool> {
+        let n = self.functions.len();
+        let mut reached: Vec<bool> = (0..n).map(|i| !barrier(i) && seed(i)).collect();
+        loop {
+            let mut changed = false;
+            for i in 0..n {
+                if reached[i] || barrier(i) {
+                    continue;
+                }
+                let names_reached = |id: &&str| {
+                    self.functions
+                        .iter()
+                        .zip(&reached)
+                        .any(|(g, &r)| r && g.name == *id)
+                };
+                if idents[i].iter().any(names_reached) {
+                    reached[i] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return reached;
+            }
+        }
+    }
+
     /// Whether code token `i` is the identifier `name`.
     pub fn is_ident(&self, i: usize, name: &str) -> bool {
         self.code[i].kind == Kind::Ident && self.text(i) == name

@@ -31,16 +31,6 @@ struct TaskId {
     gen: u32,
 }
 
-impl TaskId {
-    /// Not a task: the ready-queue marker of one [`Sim::call_at`]. The
-    /// callback's timer is armed where the marker is drained, exactly where
-    /// the equivalent detached task would have been polled first.
-    const ARM_CALL: TaskId = TaskId {
-        slot: u32::MAX,
-        gen: u32::MAX,
-    };
-}
-
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 /// The shared ready-queue the wakers push into.
@@ -136,10 +126,6 @@ struct Inner {
     /// `BinaryHeap` a min-heap; the sequence number keeps same-cycle events in
     /// scheduling order, which is what makes runs deterministic.
     timers: BinaryHeap<Reverse<(Cycles, u64, TimerEntry)>>,
-    /// [`Sim::call_at`] callbacks whose timer is not armed yet, in call
-    /// order; one [`TaskId::ARM_CALL`] marker per entry waits in the ready
-    /// queue.
-    unarmed: VecDeque<(Cycles, Callback)>,
     /// The task [`Sim::poll_task`] is polling and the identity (data and
     /// vtable pointers, what `Waker::will_wake` compares) of the waker its
     /// context carries. A [`Sleep`] polled under exactly that waker arms a
@@ -234,9 +220,9 @@ enum TimerEntry {
     /// Runs a [`Sim::call_at`] callback: an event without a task.
     Call(Callback),
     /// Polls the task directly. Armed by a [`Sleep`] polled under the
-    /// waker of the task being polled; sound because every run, settle and
-    /// window loop pops a timer only after draining the ready queue, so
-    /// the task is polled exactly where a wake-up would have put it.
+    /// waker of the task being polled; sound because every run loop calls
+    /// [`Sim::fire_due`] only with the ready queue drained, so the task is
+    /// polled exactly where a wake-up would have put it.
     Task(TaskId),
     /// Wakes a waker the executor does not own (a foreign context, a
     /// sub-future's waker, [`Sim::schedule_wake`]).
@@ -301,7 +287,6 @@ impl Sim {
                 slots: Vec::new(),
                 free: Vec::new(),
                 timers: BinaryHeap::new(),
-                unarmed: VecDeque::new(),
                 polling: None,
                 batch: VecDeque::new(),
                 spawned: 0,
@@ -461,40 +446,15 @@ impl Sim {
     /// polls, no waker — for the DTU's deliveries and credit refills and
     /// the kernel's ktk wire hops.
     ///
-    /// Fires in exactly the order a detached task
-    /// `async { sim.sleep_until(at).await; f() }` spawned in its place
-    /// would: a marker takes the task's place in the ready queue and arms
-    /// the timer (one `timers_scheduled`) where that task would first be
-    /// polled.
-    /// A pending callback keeps [`Sim::run`] going like a regular task.
+    /// The timer (one `timers_scheduled`) is armed here, at call time, so
+    /// it fires behind every same-cycle timer armed before this call and
+    /// ahead of every one armed after it. A pending callback keeps
+    /// [`Sim::run`] going like a regular task.
     pub fn call_at(&self, at: Cycles, f: impl FnOnce() + 'static) {
         let mut inner = self.inner.borrow_mut();
-        inner.unarmed.push_back((at, Box::new(f)));
-        inner.live_regular += 1;
-        drop(inner);
-        self.ready.lock().push_back(TaskId::ARM_CALL);
-    }
-
-    /// Arms the timer of the oldest unarmed [`Sim::call_at`] callback.
-    fn arm_call(&self) {
-        let mut inner = self.inner.borrow_mut();
-        let (at, f) = inner.unarmed.pop_front().expect("one callback per marker");
         let deadline = at.max(inner.now);
-        inner.arm(deadline, TimerEntry::Call(f));
-    }
-
-    /// Fires a popped timer entry. The ready queue is empty whenever a
-    /// loop pops a timer, so polling a task here is what waking it and
-    /// draining the queue would do.
-    fn fire(&self, entry: TimerEntry) {
-        match entry {
-            TimerEntry::Call(f) => {
-                self.inner.borrow_mut().live_regular -= 1;
-                f();
-            }
-            TimerEntry::Task(id) => self.poll_task(id),
-            TimerEntry::Wake(waker) => waker.wake(),
-        }
+        inner.arm(deadline, TimerEntry::Call(Box::new(f)));
+        inner.live_regular += 1;
     }
 
     /// Registers `waker` to fire `delay` cycles from now.
@@ -601,24 +561,9 @@ impl Sim {
     pub fn run_window(&self, end: Cycles) {
         loop {
             self.drain_ready();
-            let mut inner = self.inner.borrow_mut();
-            let Some((deadline, entry)) = inner.pop_due(end) else {
+            if !self.fire_due(end, true) {
                 return;
-            };
-            debug_assert!(deadline >= inner.now, "time must be monotonic");
-            let from = inner.now;
-            inner.now = deadline;
-            if from != deadline {
-                self.recorder.record_with(|| Event {
-                    at: deadline,
-                    dur: Cycles::ZERO,
-                    pe: None,
-                    comp: Component::Sched,
-                    kind: EventKind::ClockAdvance { from },
-                });
             }
-            drop(inner);
-            self.fire(entry);
         }
     }
 
@@ -626,7 +571,7 @@ impl Sim {
     /// process-wide totals. Run/settle calls do this automatically; a
     /// window-stepped island (which never goes through them) flushes here
     /// when its run ends.
-    pub fn flush_gauges(&self) {
+    pub(crate) fn flush_gauges(&self) {
         self.inner.borrow_mut().flush_gauges();
     }
 
@@ -636,22 +581,48 @@ impl Sim {
     /// pass `now + slack`. Daemons blocked on notifications leave no timers,
     /// so this terminates.
     pub fn settle(&self, slack: Cycles) {
-        self.settle_inner(slack);
-        self.inner.borrow_mut().flush_gauges();
-    }
-
-    fn settle_inner(&self, slack: Cycles) {
         let limit = self.now() + slack;
         loop {
             self.drain_ready();
-            let mut inner = self.inner.borrow_mut();
-            let Some((deadline, entry)) = inner.pop_due(limit) else {
-                return;
-            };
-            inner.now = deadline;
-            drop(inner);
-            self.fire(entry);
+            if !self.fire_due(limit, false) {
+                break;
+            }
         }
+        self.flush_gauges();
+    }
+
+    /// The step every run loop repeats once its ready queue is drained:
+    /// pops the earliest timer due by `limit`, moves the clock to its
+    /// deadline (traced as a `ClockAdvance` if `record_advance`) and fires
+    /// it. Returns `false`, touching nothing, when no timer is due.
+    fn fire_due(&self, limit: Cycles, record_advance: bool) -> bool {
+        let mut inner = self.inner.borrow_mut();
+        let Some((deadline, entry)) = inner.pop_due(limit) else {
+            return false;
+        };
+        debug_assert!(deadline >= inner.now, "time must be monotonic");
+        let from = std::mem::replace(&mut inner.now, deadline);
+        drop(inner);
+        if record_advance && from != deadline {
+            self.recorder.record_with(|| Event {
+                at: deadline,
+                dur: Cycles::ZERO,
+                pe: None,
+                comp: Component::Sched,
+                kind: EventKind::ClockAdvance { from },
+            });
+        }
+        // The ready queue is empty, so polling a task here is what waking
+        // it and draining the queue would do.
+        match entry {
+            TimerEntry::Call(f) => {
+                self.inner.borrow_mut().live_regular -= 1;
+                f();
+            }
+            TimerEntry::Task(id) => self.poll_task(id),
+            TimerEntry::Wake(waker) => waker.wake(),
+        }
+        true
     }
 
     /// Polls ready tasks until the queue stays empty. Each round swaps the
@@ -666,11 +637,7 @@ impl Sim {
                 break;
             }
             for id in batch.drain(..) {
-                if id == TaskId::ARM_CALL {
-                    self.arm_call();
-                } else {
-                    self.poll_task(id);
-                }
+                self.poll_task(id);
             }
         }
         self.inner.borrow_mut().batch = batch;
@@ -747,7 +714,7 @@ impl Sim {
 
     fn run_inner(&self, limit: Option<Cycles>) -> SimState {
         let state = self.run_loop(limit);
-        self.inner.borrow_mut().flush_gauges();
+        self.flush_gauges();
         state
     }
 
@@ -755,48 +722,25 @@ impl Sim {
         loop {
             // Drain the ready queue first: all work at the current instant.
             self.drain_ready();
-
-            // No task is runnable: advance the clock to the next timer.
-            let mut inner = self.inner.borrow_mut();
-            if inner.live_regular == 0 {
+            if self.live_regular() == 0 {
                 return SimState::Finished;
             }
-            let Some((deadline, entry)) = inner.pop_due(limit.unwrap_or(Cycles::new(u64::MAX)))
-            else {
-                // A timer still queued is due after `limit`; it stays
-                // there for a future run call.
-                if let Some(limit) = limit.filter(|_| !inner.timers.is_empty()) {
-                    // Advance to the limit, but never move the clock
-                    // backward: a limit below `now` must leave time alone.
-                    if limit > inner.now {
-                        inner.now = limit;
-                    }
-                    return SimState::TimeLimit;
-                }
-                let stalled = inner
-                    .slots
-                    .iter()
-                    .filter_map(|s| s.task.as_ref())
-                    .filter(|t| !t.daemon)
-                    .map(|t| t.name.to_string())
-                    .collect();
-                return SimState::Stalled(stalled);
-            };
-            debug_assert!(deadline >= inner.now, "time must be monotonic");
-            let from = inner.now;
-            inner.now = deadline;
-            if from != deadline {
-                self.recorder.record_with(|| Event {
-                    at: deadline,
-                    dur: Cycles::ZERO,
-                    pe: None,
-                    comp: Component::Sched,
-                    kind: EventKind::ClockAdvance { from },
-                });
+            // No task is runnable: advance the clock to the next timer.
+            if !self.fire_due(limit.unwrap_or(Cycles::new(u64::MAX)), true) {
+                break;
             }
-            drop(inner);
-            self.fire(entry);
         }
+        // A timer still queued is due after `limit`; it stays there for a
+        // future run call.
+        let mut inner = self.inner.borrow_mut();
+        if let Some(limit) = limit.filter(|_| !inner.timers.is_empty()) {
+            // Advance to the limit, but never move the clock backward: a
+            // limit below `now` must leave time alone.
+            inner.now = inner.now.max(limit);
+            return SimState::TimeLimit;
+        }
+        drop(inner);
+        SimState::Stalled(self.regular_task_names())
     }
 }
 
@@ -1425,20 +1369,8 @@ mod tests {
         assert_eq!(&*names[0], "t-1");
     }
 
-    /// One event schedule, run with each deferred-action form: the old
-    /// detached task (`sleep_until` then act) or a `call_at` callback.
-    fn deferred_log(detached: bool) -> Vec<(u64, &'static str)> {
-        fn defer(sim: &Sim, detached: bool, at: u64, f: impl FnOnce() + 'static) {
-            if detached {
-                let sim2 = sim.clone();
-                sim.spawn_detached("deferred", async move {
-                    sim2.sleep_until(Cycles::new(at)).await;
-                    f();
-                });
-            } else {
-                sim.call_at(Cycles::new(at), f);
-            }
-        }
+    #[test]
+    fn call_at_fires_in_the_order_it_was_armed() {
         let sim = Sim::new();
         let log: Rc<RefCell<Vec<(u64, &'static str)>>> = Rc::default();
         let note = |name: &'static str| {
@@ -1446,8 +1378,8 @@ mod tests {
             move || log.borrow_mut().push((sim.now().as_u64(), name))
         };
         // "caller" defers e1 to 10, then sleeps to the same deadline;
-        // "other", polled behind it in the same batch, sleeps to 10 before
-        // e1's timer is armed.
+        // "other", polled behind it in the same batch, sleeps to 10 after
+        // both timers were armed.
         {
             let (sim2, e1, e2, e3, me) = (
                 sim.clone(),
@@ -1458,12 +1390,12 @@ mod tests {
             );
             let chained = note("chained");
             sim.spawn("caller", async move {
-                defer(&sim2, detached, 10, e1);
-                defer(&sim2, detached, 0, e2);
+                sim2.call_at(Cycles::new(10), e1);
+                sim2.call_at(Cycles::new(0), e2);
                 let sim3 = sim2.clone();
-                defer(&sim2, detached, 20, move || {
+                sim2.call_at(Cycles::new(20), move || {
                     e3();
-                    defer(&sim3, detached, 20, chained);
+                    sim3.call_at(Cycles::new(20), chained);
                 });
                 sim2.sleep_until(Cycles::new(10)).await;
                 me();
@@ -1478,23 +1410,16 @@ mod tests {
             });
         }
         assert_eq!(sim.run(), SimState::Finished);
-        let out = log.borrow().clone();
-        out
-    }
-
-    #[test]
-    fn call_at_fires_in_the_order_of_the_detached_task_it_replaces() {
-        let calls = deferred_log(false);
-        assert_eq!(calls, deferred_log(true));
-        // e1 was armed after both same-deadline sleeps of the first batch,
-        // so it fires last at cycle 10; a past deadline fires at once.
+        // Same-cycle timers fire in the order they were armed, and
+        // `call_at` arms at call time: e1 precedes both sleeps to 10. A
+        // past deadline fires at once, behind the ready tasks.
         assert_eq!(
-            calls,
+            *log.borrow(),
             [
                 (0, "e2-past"),
+                (10, "e1"),
                 (10, "caller"),
                 (10, "other"),
-                (10, "e1"),
                 (20, "e3"),
                 (20, "chained")
             ]

@@ -26,7 +26,6 @@
 //! assert_eq!(handle.try_take().unwrap(), Cycles::new(100));
 //! ```
 
-mod channel;
 mod deadline;
 mod executor;
 pub mod gauges;
@@ -35,7 +34,6 @@ mod notify;
 pub mod pdes;
 mod stats;
 
-pub use channel::{channel, Receiver, Sender};
 pub use deadline::with_deadline;
 pub use executor::{JoinHandle, Sim, SimState};
 pub use m3_trace::{

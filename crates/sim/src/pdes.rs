@@ -49,9 +49,11 @@
 //! coordinator runs on a thread of its own (never the caller's) and hosts
 //! the *last* chunk itself: each window it sends the other chunks' events
 //! to their remote worker threads, runs its own islands inline, and then
-//! collects one reply per remote worker, covering its whole chunk. A run
-//! therefore uses `N` threads, and with one worker there is no channel
-//! and no per-window thread handoff at all.
+//! collects one reply per remote worker, covering its whole chunk. The
+//! protocol is plain data: a worker receives `Some((end, events))` per
+//! window and `None` to finish, and returns its islands' outputs from its
+//! thread. A run therefore uses `N` threads, and with one worker there is
+//! no channel and no per-window thread handoff at all.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -315,29 +317,18 @@ impl PortRx {
     }
 }
 
-enum Command {
-    /// Run one window up to `end`, delivering `events` first: one list per
-    /// island of the chunk, in chunk order, each already in merge order.
-    Window {
-        end: Cycles,
-        events: Vec<Vec<PdesEvent>>,
-    },
-    Finish,
-}
+/// What the coordinator sends a remote worker: `Some((end, events))` runs
+/// one window up to `end`, delivering `events` first (one list per island
+/// of the chunk, in chunk order, each already in merge order); `None`
+/// finishes the chunk.
+type Window = Option<(Cycles, Vec<Vec<PdesEvent>>)>;
 
+/// One island's state after a window (or before the first).
 struct WindowReply {
     next: Option<Cycles>,
     live: usize,
     out: Vec<PdesEvent>,
     stalled: Vec<String>,
-}
-
-/// A remote worker's answer to one [`Command`], covering its whole chunk.
-enum Reply {
-    /// One report per island, in chunk order.
-    Window(Vec<WindowReply>),
-    /// Each island's output and residency, in chunk order.
-    Finished(Vec<(String, IslandStats)>),
 }
 
 struct WorkerIsland {
@@ -443,20 +434,34 @@ impl Chunk {
 }
 
 /// A remote worker: reports its freshly built chunk, then answers each
-/// command with one reply until told to finish or its command channel
-/// closes (the coordinator is gone).
-fn worker(mut chunk: Chunk, commands: mpsc::Receiver<Command>, replies: mpsc::Sender<Reply>) {
-    let _ = replies.send(Reply::Window(chunk.report()));
-    while let Ok(cmd) = commands.recv() {
-        match cmd {
-            Command::Window { end, events } => {
-                let _ = replies.send(Reply::Window(chunk.run_window(end, events)));
-            }
-            Command::Finish => {
-                let _ = replies.send(Reply::Finished(chunk.finish()));
-                return;
-            }
-        }
+/// window with one reply per island. Told to finish, it returns each
+/// island's output and residency, in chunk order. If its window channel
+/// closes first (the coordinator panicked), it returns `None` without
+/// running the finish closures.
+fn worker(
+    mut chunk: Chunk,
+    windows: mpsc::Receiver<Window>,
+    replies: mpsc::Sender<Vec<WindowReply>>,
+) -> Option<Vec<(String, IslandStats)>> {
+    let _ = replies.send(chunk.report());
+    while let Some((end, events)) = windows.recv().ok()? {
+        let _ = replies.send(chunk.run_window(end, events));
+    }
+    Some(chunk.finish())
+}
+
+/// The coordinator's handle on one remote worker and its chunk.
+struct Remote<'scope> {
+    first: u32,
+    len: usize,
+    windows: mpsc::Sender<Window>,
+    replies: mpsc::Receiver<Vec<WindowReply>>,
+    thread: std::thread::ScopedJoinHandle<'scope, Option<Vec<(String, IslandStats)>>>,
+}
+
+impl Remote<'_> {
+    fn replies(&self) -> Vec<WindowReply> {
+        self.replies.recv().expect("island worker died")
     }
 }
 
@@ -502,13 +507,6 @@ impl Horizon {
     }
 }
 
-fn window_replies(rx: &mpsc::Receiver<Reply>) -> Vec<WindowReply> {
-    match rx.recv().expect("island worker died") {
-        Reply::Window(r) => r,
-        Reply::Finished(_) => unreachable!("finish not requested yet"),
-    }
-}
-
 /// Runs `builders.len()` islands to completion under the window protocol
 /// and returns their outputs and residency.
 ///
@@ -551,53 +549,44 @@ fn coordinate<'scope>(
     builders: Vec<IslandBuilder>,
 ) -> PdesReport {
     let islands = builders.len();
+    let total = islands as u32;
     let workers = cfg.workers.clamp(1, islands);
     let (base, extra) = (islands / workers, islands % workers);
-    // Chunk `w` holds islands `starts[w]..starts[w + 1]`.
-    let mut starts = vec![0u32];
-    let mut chunk_of = Vec::with_capacity(islands);
-    for w in 0..workers {
-        let take = base + usize::from(w < extra);
-        chunk_of.extend(std::iter::repeat_n(w, take));
-        starts.push(starts[w] + take as u32);
-    }
-    let own = workers - 1;
-
     let mut builders = builders.into_iter();
+    let mut first = 0u32;
     // One reply channel per worker: a worker that dies (panic in an
     // island) closes its channel, so the coordinator fails fast instead
     // of waiting forever on a channel the healthy workers keep open.
-    let mut remotes = Vec::with_capacity(own);
-    for w in 0..own {
-        let len = (starts[w + 1] - starts[w]) as usize;
+    let mut remotes = Vec::with_capacity(workers - 1);
+    for w in 0..workers - 1 {
+        let len = base + usize::from(w < extra);
         let chunk: Vec<IslandBuilder> = builders.by_ref().take(len).collect();
-        let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
-        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-        let (first, total, lookahead) = (starts[w], islands as u32, cfg.lookahead);
-        std::thread::Builder::new()
+        let (windows, window_rx) = mpsc::channel();
+        let (reply_tx, replies) = mpsc::channel();
+        let lookahead = cfg.lookahead;
+        let thread = std::thread::Builder::new()
             .name(format!("pdes-worker-{w}"))
             .spawn_scoped(scope, move || {
-                worker(
-                    Chunk::build(first, total, lookahead, chunk),
-                    cmd_rx,
-                    reply_tx,
-                )
+                let chunk = Chunk::build(first, total, lookahead, chunk);
+                worker(chunk, window_rx, reply_tx)
             })
             .expect("spawn a pdes worker");
-        remotes.push((cmd_tx, reply_rx));
+        remotes.push(Remote {
+            first,
+            len,
+            windows,
+            replies,
+            thread,
+        });
+        first += len as u32;
     }
-    let mut local = Chunk::build(
-        starts[own],
-        islands as u32,
-        cfg.lookahead,
-        builders.collect(),
-    );
+    let mut local = Chunk::build(first, total, cfg.lookahead, builders.collect());
 
     let mut horizon = Horizon::new(islands);
-    for (w, (_, rx)) in remotes.iter().enumerate() {
-        horizon.absorb(starts[w], window_replies(rx), None);
+    for r in &remotes {
+        horizon.absorb(r.first, r.replies(), None);
     }
-    horizon.absorb(starts[own], local.report(), None);
+    horizon.absorb(first, local.report(), None);
 
     let mut windows = 0u64;
     let mut delivered = 0u64;
@@ -608,39 +597,36 @@ fn coordinate<'scope>(
         };
         let end = window_base + cfg.lookahead - Cycles::new(1);
 
-        // Due events go straight to their island's slot in its chunk.
-        let mut buckets: Vec<Vec<Vec<PdesEvent>>> = starts
-            .windows(2)
-            .map(|w| vec![Vec::new(); (w[1] - w[0]) as usize])
-            .collect();
+        // Due events go to their island's list; the lists then split by
+        // chunk, in island order.
+        let mut due: Vec<Vec<PdesEvent>> = vec![Vec::new(); islands];
         while horizon.pending.first().is_some_and(|e| e.at <= end) {
             let ev = horizon.pending.pop_first().expect("checked first");
             delivered += 1;
-            let c = chunk_of[ev.dst as usize];
-            buckets[c][(ev.dst - starts[c]) as usize].push(ev);
+            due[ev.dst as usize].push(ev);
         }
-        let local_events = buckets.pop().expect("the coordinator's chunk");
-        for ((tx, _), events) in remotes.iter().zip(buckets) {
-            tx.send(Command::Window { end, events })
+        let mut due = due.into_iter();
+        for r in &remotes {
+            let events = due.by_ref().take(r.len).collect();
+            r.windows
+                .send(Some((end, events)))
                 .expect("island worker died");
         }
-        let local_replies = local.run_window(end, local_events);
-        for (w, (_, rx)) in remotes.iter().enumerate() {
-            horizon.absorb(starts[w], window_replies(rx), Some(end));
+        let local_replies = local.run_window(end, due.collect());
+        for r in &remotes {
+            horizon.absorb(r.first, r.replies(), Some(end));
         }
-        horizon.absorb(starts[own], local_replies, Some(end));
+        horizon.absorb(first, local_replies, Some(end));
         windows += 1;
     }
 
-    for (tx, _) in &remotes {
-        tx.send(Command::Finish).expect("island worker died");
+    for r in &remotes {
+        r.windows.send(None).expect("island worker died");
     }
     let mut finished = Vec::with_capacity(islands);
-    for (_, rx) in &remotes {
-        match rx.recv().expect("island worker died") {
-            Reply::Finished(f) => finished.extend(f),
-            Reply::Window(_) => unreachable!("windows are all collected"),
-        }
+    for r in remotes {
+        let chunk = r.thread.join().ok().flatten();
+        finished.extend(chunk.expect("island worker died"));
     }
     finished.extend(local.finish());
     let (outputs, stats): (Vec<String>, Vec<IslandStats>) = finished.into_iter().unzip();
@@ -980,12 +966,24 @@ mod tests {
         );
     }
 
+    /// An island that panics at cycle 20, in its third window.
+    fn doomed() -> IslandBuilder {
+        Box::new(|ctx: &IslandCtx| {
+            let sim = ctx.sim().clone();
+            ctx.sim().spawn("doomed", async move {
+                sim.sleep(Cycles::new(20)).await;
+                panic!("island 1 gave up at {}", sim.now());
+            });
+            Box::new(|_: &IslandCtx| String::new())
+        })
+    }
+
     #[test]
     fn a_coordinator_island_panic_ends_the_run_and_releases_the_worker() {
         // Island 0, on the remote worker, would run forever; island 1, on
-        // the coordinator, panics in its third window. `run` only returns
-        // once its scope has joined every thread, so getting the panic
-        // back at all means the worker saw its command channel close.
+        // the coordinator, panics. `run` only returns once its scope has
+        // joined every thread, so getting the panic back at all means the
+        // worker saw its window channel close.
         let endless: IslandBuilder = Box::new(|ctx: &IslandCtx| {
             let sim = ctx.sim().clone();
             ctx.sim().spawn("endless", async move {
@@ -995,18 +993,35 @@ mod tests {
             });
             Box::new(|_: &IslandCtx| String::new())
         });
-        let doomed: IslandBuilder = Box::new(|ctx: &IslandCtx| {
-            let sim = ctx.sim().clone();
-            ctx.sim().spawn("doomed", async move {
-                sim.sleep(Cycles::new(20)).await;
-                panic!("island 1 gave up at {}", sim.now());
-            });
-            Box::new(|_: &IslandCtx| String::new())
-        });
         let msg = panic_message(|| {
-            run(&cfg(2), vec![endless, doomed]);
+            run(&cfg(2), vec![endless, doomed()]);
         });
         assert_eq!(msg, "island 1 gave up at 20");
+    }
+
+    #[test]
+    fn a_coordinator_island_panic_skips_the_remote_finish() {
+        // The remote island's work ends at 10, before the coordinator's
+        // island panics; its finish closure must still never run.
+        let finished = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let remote: IslandBuilder = {
+            let finished = finished.clone();
+            Box::new(move |ctx: &IslandCtx| {
+                let sim = ctx.sim().clone();
+                ctx.sim().spawn("short", async move {
+                    sim.sleep(Cycles::new(10)).await;
+                });
+                Box::new(move |_: &IslandCtx| {
+                    finished.store(true, std::sync::atomic::Ordering::Relaxed);
+                    String::new()
+                })
+            })
+        };
+        let msg = panic_message(|| {
+            run(&cfg(2), vec![remote, doomed()]);
+        });
+        assert_eq!(msg, "island 1 gave up at 20");
+        assert!(!finished.load(std::sync::atomic::Ordering::Relaxed));
     }
 
     #[test]

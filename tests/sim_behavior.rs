@@ -1,11 +1,11 @@
 //! Extra behavioural tests of the simulation engine: the guarantees the
 //! rest of the workspace silently relies on.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use m3_base::{Cycles, PeId};
-use m3_sim::{channel, EventKind, Notify, Sim, SimState};
+use m3_sim::{EventKind, Notify, Sim, SimState};
 
 #[test]
 fn settle_drains_daemon_timers_but_not_waits() {
@@ -114,42 +114,6 @@ async fn futures_poll_once<F: std::future::Future + Unpin>(fut: &mut F) {
         }
     }
     Once(fut).await
-}
-
-#[test]
-fn channels_preserve_order_across_many_tasks() {
-    let sim = Sim::new();
-    let (tx, rx) = channel::<(u32, u32)>();
-    for producer in 0..4u32 {
-        let tx = tx.clone();
-        let sim2 = sim.clone();
-        sim.spawn(format!("p{producer}"), async move {
-            for seq in 0..50u32 {
-                tx.send((producer, seq)).unwrap();
-                sim2.sleep(Cycles::new((producer as u64 + 1) * 3)).await;
-            }
-        });
-    }
-    drop(tx);
-    let seen: Rc<RefCell<Vec<(u32, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-    let seen2 = seen.clone();
-    sim.spawn("consumer", async move {
-        while let Ok(v) = rx.recv().await {
-            seen2.borrow_mut().push(v);
-        }
-    });
-    assert_eq!(sim.run(), SimState::Finished);
-    let seen = seen.borrow();
-    assert_eq!(seen.len(), 200);
-    // Per-producer order is preserved.
-    for producer in 0..4u32 {
-        let seqs: Vec<u32> = seen
-            .iter()
-            .filter(|(p, _)| *p == producer)
-            .map(|(_, s)| *s)
-            .collect();
-        assert_eq!(seqs, (0..50).collect::<Vec<u32>>());
-    }
 }
 
 #[test]
