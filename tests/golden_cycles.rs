@@ -28,11 +28,22 @@ fn fig4_fragmentation_sweep_endpoints() {
 }
 
 #[test]
-fn fig5_cat_tr_totals() {
+fn fig5_totals() {
+    // Every bar of Figure 5: a change to any workload body or to either
+    // OS binding moves a row here.
     let fig = m3_bench::fig5::run();
-    assert_eq!(fig.bar("cat+tr", "M3").total, 174_682);
-    assert_eq!(fig.bar("cat+tr", "Lx").total, 576_280);
-    assert_eq!(fig.bar("cat+tr", "Lx-$").total, 406_552);
+    let rows: [(&str, [u64; 3]); 5] = [
+        ("cat+tr", [174_682, 576_280, 406_552]),
+        ("tar", [478_170, 3_640_578, 1_637_928]),
+        ("untar", [484_026, 3_632_683, 1_628_369]),
+        ("find", [52_619, 48_620, 48_620]),
+        ("sqlite", [4_826_414, 4_857_172, 4_843_860]),
+    ];
+    for (bench, totals) in rows {
+        for (os, total) in ["M3", "Lx", "Lx-$"].into_iter().zip(totals) {
+            assert_eq!(fig.bar(bench, os).total, total, "{bench} on {os}");
+        }
+    }
 }
 
 #[test]
