@@ -115,7 +115,7 @@ pub async fn tar_create(env: &Env, dir: &str, archive: &str) -> Result<u64> {
         let info = vfs::stat(env, &path).await?;
         let tar_name = path.trim_start_matches('/').to_string();
         let header = tarfmt::header(&tar_name, info.size, entry.is_dir);
-        out.write(&header).await?;
+        write_all(&mut *out, &header).await?;
         total += tarfmt::BLOCK as u64;
         if entry.is_dir {
             continue;
@@ -136,14 +136,26 @@ pub async fn tar_create(env: &Env, dir: &str, archive: &str) -> Result<u64> {
         file.close().await?;
         let pad = (tarfmt::padded_size(copied) - copied) as usize;
         if pad > 0 {
-            out.write(&vec![0u8; pad]).await?;
+            write_all(&mut *out, &vec![0u8; pad]).await?;
         }
         total += tarfmt::padded_size(copied);
     }
-    out.write(&[0u8; 2 * tarfmt::BLOCK]).await?;
+    write_all(&mut *out, &[0u8; 2 * tarfmt::BLOCK]).await?;
     total += 2 * tarfmt::BLOCK as u64;
     out.close().await?;
     Ok(total)
+}
+
+/// Writes all of `data`: an m3fs write stops at the end of an extent.
+async fn write_all(file: &mut dyn vfs::File, data: &[u8]) -> Result<()> {
+    let mut written = 0;
+    while written < data.len() {
+        match file.write(&data[written..]).await? {
+            0 => return Err(Error::new(Code::NoSpace)),
+            n => written += n,
+        }
+    }
+    Ok(())
 }
 
 /// untar (§5.6): unpacks `archive` under `dest` (a directory that must

@@ -98,6 +98,44 @@ fn m3_tar_untar_roundtrip() {
 }
 
 #[test]
+fn tar_archive_holds_every_byte_tar_reports() {
+    // m3fs writes stop at the end of an extent. A 261,120-byte file puts
+    // the end-of-archive blocks across the archive's first extent
+    // boundary, where a single unchecked write used to drop the second.
+    let crafted = workload::TreeSpec {
+        dirs: vec!["/src".to_string()],
+        files: vec![("/src/f.dat".to_string(), vec![7u8; 261_120])],
+    };
+    for spec in [workload::tar_input(22), crafted] {
+        let sys = m3_system(spec.to_setup(), 6);
+        let h = sys.run_program("tar", |env| async move {
+            mount_m3fs(&env).await.unwrap();
+            let total = m3app::tar_create(&env, "/src", "/a.tar").await.unwrap();
+            let size = vfs::stat(&env, "/a.tar").await.unwrap().size;
+            assert_eq!(size, total, "m3fs archive size");
+            0
+        });
+        sys.run();
+        assert_eq!(h.try_take().unwrap(), 0);
+
+        let sim = Sim::new();
+        let machine = LxMachine::new(&sim, LxConfig::xtensa());
+        spec.preload_lx(&machine);
+        let (_, h) = machine.spawn_proc("tar", |p| async move {
+            let total = lxapp::tar_create(&p, "/src", "/a.tar").await.unwrap();
+            assert_eq!(
+                p.stat("/a.tar").await.unwrap().size,
+                total,
+                "tmpfs archive size"
+            );
+            0
+        });
+        sim.run();
+        assert_eq!(h.try_take().unwrap(), 0);
+    }
+}
+
+#[test]
 fn lx_tar_untar_roundtrip() {
     let spec = workload::tar_input(22);
     let sim = Sim::new();
