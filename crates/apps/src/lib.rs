@@ -1,20 +1,26 @@
-//! The evaluation workloads of the paper's §5, implemented natively for
-//! both operating systems.
+//! The evaluation workloads of the paper's §5, run on both operating
+//! systems.
 //!
-//! The paper implements cat+tr by hand for both systems and replays strace
-//! recordings of BusyBox tar/untar/find and sqlite on M3 (§5.6). Here every
-//! workload is implemented once as *pure logic* (tar byte format, FFT math,
-//! SQL engine, tree generation) plus two thin OS bindings:
+//! The paper implements cat+tr by hand for both systems and replays one
+//! strace recording of BusyBox tar/untar/find and sqlite on M3 and on
+//! Linux (§5.6). Here the *pure logic* (tar byte format, FFT math, SQL
+//! engine, tree generation) lives in its own modules, and:
 //!
-//! - [`m3app`] — against libm3 (VPEs, pipes, the m3fs VFS),
-//! - [`lxapp`] — against the Linux model (fork, pipes, tmpfs, sendfile).
+//! - [`os::OsApi`] is the POSIX-like call set, implemented once for libm3
+//!   and once for the Linux model;
+//! - [`fsapps`] holds tar, untar, find and sqlite, one generic body each;
+//! - [`m3app`] and [`lxapp`] re-export those bodies and hold the two
+//!   workloads that spawn a child with a pipe (cat+tr, the FFT pipeline),
+//!   which stay split: M3 starts a VPE, Linux forks.
 //!
-//! A syscall-trace [`trace`] replayer mirrors the paper's methodology as
-//! an alternative path.
+//! A syscall-trace [`trace`] replayer, generic over [`os::OsApi`], mirrors
+//! the paper's methodology as an alternative path.
 
 pub mod fft;
+pub mod fsapps;
 pub mod lxapp;
 pub mod m3app;
+pub mod os;
 pub mod sqlwork;
 pub mod tarfmt;
 pub mod timer_dev;

@@ -1,4 +1,9 @@
 //! The benchmark applications on M3 (libm3 + m3fs + pipes + VPEs).
+//!
+//! tar, untar, find and sqlite are the [`crate::fsapps`] bodies on [`Env`].
+//! cat+tr and the FFT pipeline stay split from [`crate::lxapp`]: here the
+//! child is a VPE that mounts m3fs or `exec`s a registered program, where
+//! Linux forks.
 
 use m3_base::cfg::BENCH_BUF_SIZE;
 use m3_base::error::{Code, Error, Result};
@@ -6,21 +11,18 @@ use m3_base::Cycles;
 use m3_fs::mount_m3fs;
 use m3_kernel::protocol::PeRequest;
 use m3_libos::pipe::{self, PipeDesc, PipeReader, PipeRole, PipeWriter};
-use m3_libos::vfs::{self, OpenFlags, SeekMode};
+use m3_libos::vfs::{self, OpenFlags};
 use m3_libos::{Env, ProgramRegistry, Vpe};
 use m3_platform::accel::{fft_accel_cycles, fft_sw_cycles};
 use m3_platform::PeType;
 use m3_sim::keys;
 
 use crate::fft;
-use crate::sqlwork;
-use crate::tarfmt;
+pub use crate::fsapps::{find, sqlite, tar_create, tar_extract};
+use crate::os::OsApi;
 
 /// Cycles per byte of the `tr` substitution loop.
 pub const TR_CYCLES_PER_BYTE: u64 = 2;
-
-/// Cycles to match one directory entry name in `find`.
-pub const FIND_MATCH_CYCLES: u64 = 50;
 
 /// cat+tr (§5.6): a child VPE writes `input` into a pipe; the caller reads
 /// the pipe, replaces every `a` with `b`, and writes the result to
@@ -84,10 +86,7 @@ pub async fn cat_tr(env: &Env, input: &str, output: &str) -> Result<u64> {
                 *b = b'b';
             }
         }
-        let mut written = 0;
-        while written < n {
-            written += out.write(&buf[written..n]).await?;
-        }
+        OsApi::write_all(env, &mut out, &buf[..n]).await?;
         total += n as u64;
     }
     out.close().await?;
@@ -96,198 +95,6 @@ pub async fn cat_tr(env: &Env, input: &str, output: &str) -> Result<u64> {
         return Err(Error::new(Code::Internal).with_msg(format!("cat child exited {code}")));
     }
     Ok(total)
-}
-
-/// tar (§5.6): packs every file under `dir` into `archive`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub async fn tar_create(env: &Env, dir: &str, archive: &str) -> Result<u64> {
-    env.trace_mark("tar_create");
-    let mut out = vfs::open(env, archive, OpenFlags::CREATE.or(OpenFlags::TRUNC)).await?;
-    let mut entries = vfs::read_dir(env, dir).await?;
-    entries.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut buf = vec![0u8; BENCH_BUF_SIZE];
-    let mut total = 0u64;
-    for entry in entries {
-        let path = format!("{dir}/{}", entry.name);
-        let info = vfs::stat(env, &path).await?;
-        let tar_name = path.trim_start_matches('/').to_string();
-        let header = tarfmt::header(&tar_name, info.size, entry.is_dir);
-        write_all(&mut *out, &header).await?;
-        total += tarfmt::BLOCK as u64;
-        if entry.is_dir {
-            continue;
-        }
-        let mut file = vfs::open(env, &path, OpenFlags::R).await?;
-        let mut copied = 0u64;
-        loop {
-            let n = file.read(&mut buf).await?;
-            if n == 0 {
-                break;
-            }
-            let mut written = 0;
-            while written < n {
-                written += out.write(&buf[written..n]).await?;
-            }
-            copied += n as u64;
-        }
-        file.close().await?;
-        let pad = (tarfmt::padded_size(copied) - copied) as usize;
-        if pad > 0 {
-            write_all(&mut *out, &vec![0u8; pad]).await?;
-        }
-        total += tarfmt::padded_size(copied);
-    }
-    write_all(&mut *out, &[0u8; 2 * tarfmt::BLOCK]).await?;
-    total += 2 * tarfmt::BLOCK as u64;
-    out.close().await?;
-    Ok(total)
-}
-
-/// Writes all of `data`: an m3fs write stops at the end of an extent.
-async fn write_all(file: &mut dyn vfs::File, data: &[u8]) -> Result<()> {
-    let mut written = 0;
-    while written < data.len() {
-        match file.write(&data[written..]).await? {
-            0 => return Err(Error::new(Code::NoSpace)),
-            n => written += n,
-        }
-    }
-    Ok(())
-}
-
-/// untar (§5.6): unpacks `archive` under `dest` (a directory that must
-/// exist).
-///
-/// # Errors
-///
-/// Propagates filesystem errors and archive format violations
-/// ([`Code::BadMessage`]).
-pub async fn tar_extract(env: &Env, archive: &str, dest: &str) -> Result<u64> {
-    env.trace_mark("tar_extract");
-    let mut ar = vfs::open(env, archive, OpenFlags::R).await?;
-    let mut header = vec![0u8; tarfmt::BLOCK];
-    let mut buf = vec![0u8; BENCH_BUF_SIZE];
-    let mut total = 0u64;
-    loop {
-        let mut got = 0;
-        while got < tarfmt::BLOCK {
-            let n = ar.read(&mut header[got..]).await?;
-            if n == 0 {
-                return Ok(total); // archive ended without zero blocks
-            }
-            got += n;
-        }
-        let entry =
-            tarfmt::parse_header(&header).map_err(|e| Error::new(Code::BadMessage).with_msg(e))?;
-        let Some(entry) = entry else {
-            return Ok(total); // end-of-archive marker
-        };
-        let out_path = format!("{dest}/{}", entry.name.split('/').next_back().unwrap());
-        if entry.is_dir {
-            vfs::mkdir(env, &out_path).await?;
-            continue;
-        }
-        let mut out = vfs::open(env, &out_path, OpenFlags::CREATE.or(OpenFlags::TRUNC)).await?;
-        let mut remaining = entry.size;
-        while remaining > 0 {
-            let want = (remaining as usize).min(buf.len());
-            let n = ar.read(&mut buf[..want]).await?;
-            if n == 0 {
-                return Err(Error::new(Code::BadMessage).with_msg("truncated archive"));
-            }
-            let mut written = 0;
-            while written < n {
-                written += out.write(&buf[written..n]).await?;
-            }
-            remaining -= n as u64;
-        }
-        out.close().await?;
-        total += entry.size;
-        // Skip the padding.
-        let pad = (tarfmt::padded_size(entry.size) - entry.size) as i64;
-        if pad > 0 {
-            ar.seek(pad, SeekMode::Cur).await?;
-        }
-    }
-}
-
-/// find (§5.6): walks the tree under `root`, stat-ing every item, and
-/// returns the paths whose name contains `pattern`. "find consists mostly
-/// of stat calls."
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub async fn find(env: &Env, root: &str, pattern: &str) -> Result<Vec<String>> {
-    env.trace_mark("find");
-    let mut matches = Vec::new();
-    let mut stack = vec![root.to_string()];
-    while let Some(dir) = stack.pop() {
-        let entries = vfs::read_dir(env, &dir).await?;
-        for entry in entries {
-            let path = if dir == "/" {
-                format!("/{}", entry.name)
-            } else {
-                format!("{dir}/{}", entry.name)
-            };
-            let _info = vfs::stat(env, &path).await?;
-            env.compute_app(Cycles::new(FIND_MATCH_CYCLES)).await;
-            if entry.name.contains(pattern) {
-                matches.push(path.clone());
-            }
-            if entry.is_dir {
-                stack.push(path);
-            }
-        }
-    }
-    matches.sort();
-    Ok(matches)
-}
-
-/// sqlite (§5.6): creates a table, inserts 8 entries, selects them. Mostly
-/// computation, with database page writes in between.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub async fn sqlite(env: &Env, db_path: &str) -> Result<usize> {
-    env.trace_mark("sqlite");
-    let mut db = vfs::open(
-        env,
-        db_path,
-        OpenFlags::CREATE.or(OpenFlags::TRUNC).or(OpenFlags::R),
-    )
-    .await?;
-    let mut rows = 0;
-    for op in sqlwork::workload() {
-        env.compute_app(op.compute).await;
-        if let Some(page) = &op.page {
-            let mut written = 0;
-            while written < page.len() {
-                written += db.write(&page[written..]).await?;
-            }
-        }
-        if op.read_back > 0 {
-            db.seek(0, SeekMode::Set).await?;
-            let mut data = Vec::new();
-            let mut buf = vec![0u8; BENCH_BUF_SIZE];
-            loop {
-                let n = db.read(&mut buf).await?;
-                if n == 0 {
-                    break;
-                }
-                data.extend_from_slice(&buf[..n]);
-            }
-            rows = sqlwork::decode_rows(&data)
-                .map_err(|e| Error::new(Code::BadMessage).with_msg(e))?
-                .len();
-        }
-    }
-    db.close().await?;
-    Ok(rows)
 }
 
 /// Registers the FFT child executable under `/bin/fft`. The same program

@@ -6,7 +6,7 @@ use m3_apps::{fft, lxapp, m3app, sqlwork, tarfmt, trace, workload};
 use m3_fs::{mount_m3fs, SetupNode};
 use m3_libos::vfs;
 use m3_lx::{LxConfig, LxMachine};
-use m3_sim::Sim;
+use m3_sim::{keys, Sim};
 
 fn m3_system(setup: Vec<SetupNode>, pes: usize) -> System {
     System::boot(SystemConfig {
@@ -287,22 +287,36 @@ fn lx_fft_pipeline_produces_the_spectrum() {
 }
 
 #[test]
-fn trace_replay_runs_on_m3() {
+fn trace_replay_runs_on_both_systems() {
+    // One recorded trace, replayed through `OsApi` on M3 and on Linux. Its
+    // `Wait` is the only application time on either system.
     let spec = workload::cat_tr_input(5);
+    let mut ops = trace::file_read_trace("/input.txt", 64 * 1024, 4096);
+    ops.extend(trace::file_write_trace("/copy.txt", 64 * 1024, 4096));
+    ops.push(trace::TraceOp::Stat("/copy.txt".to_string()));
+    ops.push(trace::TraceOp::Wait(10_000));
+
     let sys = m3_system(spec.to_setup(), 6);
+    let m3_ops = ops.clone();
     let h = sys.run_program("replay", |env| async move {
         mount_m3fs(&env).await.unwrap();
-        let mut ops = trace::file_read_trace("/input.txt", 64 * 1024, 4096);
-        ops.extend(trace::file_write_trace("/copy.txt", 64 * 1024, 4096));
-        ops.push(trace::TraceOp::Stat {
-            path: "/copy.txt".to_string(),
-        });
-        ops.push(trace::TraceOp::Wait { cycles: 10_000 });
-        trace::replay_m3(&env, &ops).await.unwrap();
+        trace::replay(&env, &m3_ops).await.unwrap();
         vfs::stat(&env, "/copy.txt").await.unwrap().size as i64
     });
     sys.run();
     assert_eq!(h.try_take().unwrap(), 64 * 1024);
+    assert_eq!(sys.stats().get(keys::APP_CYCLES), 10_000);
+
+    let sim = Sim::new();
+    let machine = LxMachine::new(&sim, LxConfig::xtensa());
+    spec.preload_lx(&machine);
+    let (_, h) = machine.spawn_proc("replay", move |p| async move {
+        trace::replay(&p, &ops).await.unwrap();
+        p.stat("/copy.txt").await.unwrap().size as i64
+    });
+    sim.run();
+    assert_eq!(h.try_take().unwrap(), 64 * 1024);
+    assert_eq!(machine.stats().get(keys::LX_APP_CYCLES), 10_000);
 }
 
 #[test]

@@ -304,6 +304,11 @@ impl LxFile {
         self.pos
     }
 
+    /// The file's current size.
+    pub fn size(&self) -> u64 {
+        self.proc.m.inner.fs.borrow().size(self.ino)
+    }
+
     /// Reads up to `len` bytes at the current position.
     ///
     /// Costs: syscall entry/exit + fd lookup + page-cache work per 4 KiB
