@@ -79,7 +79,7 @@ impl KvOp {
     ///
     /// # Errors
     ///
-    /// [`Code::InvArgs`] for malformed bytes.
+    /// [`Code::BadMessage`] for malformed bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<KvOp> {
         let mut is = IStream::new(bytes);
         Ok(match is.pop_u8()? {
@@ -90,7 +90,7 @@ impl KvOp {
             },
             3 => KvOp::Scan,
             other => {
-                return Err(Error::new(Code::InvArgs).with_msg(format!("bad kv opcode {other}")))
+                return Err(Error::new(Code::BadMessage).with_msg(format!("bad kv opcode {other}")))
             }
         })
     }
@@ -130,7 +130,7 @@ impl KvReply {
     ///
     /// # Errors
     ///
-    /// [`Code::InvArgs`] for malformed bytes.
+    /// [`Code::BadMessage`] for malformed bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<KvReply> {
         let mut is = IStream::new(bytes);
         Ok(KvReply {
