@@ -9,8 +9,15 @@
 //!
 //! All integers are little-endian. Strings are a `u32` length followed by the
 //! UTF-8 bytes. Byte slices are encoded the same way.
+//!
+//! Message types declare their layout once, with [`wire!`](crate::wire):
+//! each variant's tag, trace name and fields in wire order. The macro
+//! derives the type, its [`Wire`] codec and its `name()` from that one
+//! declaration.
 
 use crate::error::{Code, Error, Result};
+use crate::ids::{EpId, SelId};
+use crate::perm::Perm;
 
 /// An output stream that marshals values into a byte buffer.
 ///
@@ -216,6 +223,252 @@ impl<'a> IStream<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+}
+
+/// A value with a fixed wire layout: a field of a [`wire!`](crate::wire)
+/// message, or such a message itself.
+pub trait Wire: Sized {
+    /// Appends the value's encoding.
+    fn put(&self, os: &mut OStream);
+
+    /// Reads a value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Code::BadMessage`] if the bytes are truncated or malformed.
+    fn take(is: &mut IStream<'_>) -> Result<Self>;
+}
+
+macro_rules! wire_via {
+    ($($ty:ty: $push:ident($to:expr), $pop:ident($from:expr);)*) => {
+        $(impl Wire for $ty {
+            fn put(&self, os: &mut OStream) {
+                os.$push($to(self));
+            }
+
+            fn take(is: &mut IStream<'_>) -> Result<Self> {
+                is.$pop().map($from)
+            }
+        })*
+    };
+}
+
+wire_via! {
+    u8: push_u8(|v: &u8| *v), pop_u8(|v| v);
+    u32: push_u32(|v: &u32| *v), pop_u32(|v| v);
+    u64: push_u64(|v: &u64| *v), pop_u64(|v| v);
+    i64: push_i64(|v: &i64| *v), pop_i64(|v| v);
+    bool: push_bool(|v: &bool| *v), pop_bool(|v| v);
+    String: push_str(String::as_str), pop_str(|v| v);
+    Vec<u8>: push_bytes(Vec::as_slice), pop_bytes(<[u8]>::to_vec);
+    SelId: push_u32(|v: &SelId| v.raw()), pop_u32(SelId::new);
+    EpId: push_u32(|v: &EpId| v.raw()), pop_u32(EpId::new);
+    Perm: push_u8(|v: &Perm| v.bits()), pop_u8(Perm::from_bits);
+}
+
+/// The error code of a reply: `0` for success, otherwise the code's raw
+/// value.
+impl Wire for Option<Code> {
+    fn put(&self, os: &mut OStream) {
+        os.push_u32(self.map_or(0, Code::as_raw));
+    }
+
+    fn take(is: &mut IStream<'_>) -> Result<Self> {
+        Ok(match is.pop_u32()? {
+            0 => None,
+            raw => Some(Code::from_raw(raw)),
+        })
+    }
+}
+
+/// Appends a `u32` count followed by each item: the layout of a
+/// `[max N]` field of a [`wire!`](crate::wire) message.
+pub fn put_list<T: Wire>(os: &mut OStream, items: &[T]) {
+    os.push_u32(items.len() as u32);
+    for item in items {
+        item.put(os);
+    }
+}
+
+/// Reads a list written by [`put_list`].
+///
+/// # Errors
+///
+/// Returns [`Code::BadMessage`] if the count exceeds `max` or an item is
+/// truncated or malformed.
+pub fn take_list<T: Wire>(is: &mut IStream<'_>, max: usize) -> Result<Vec<T>> {
+    let n = is.pop_u32()? as usize;
+    if n > max {
+        return Err(Error::new(Code::BadMessage).with_msg("list too long"));
+    }
+    (0..n).map(|_| T::take(is)).collect()
+}
+
+/// Encodes `value` into a fresh buffer.
+pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
+    let mut os = OStream::with_capacity(64);
+    value.put(&mut os);
+    os.into_bytes()
+}
+
+/// Decodes a `T` from the start of `bytes`.
+///
+/// # Errors
+///
+/// Returns [`Code::BadMessage`] if the bytes are truncated or malformed.
+pub fn decode<T: Wire>(bytes: &[u8]) -> Result<T> {
+    T::take(&mut IStream::new(bytes))
+}
+
+/// Declares a message type and its wire layout in one place.
+///
+/// An enum lists each variant once, as `tag => Variant`, optionally
+/// followed by a trace name (the variant's identifier otherwise), then its
+/// fields in wire order. The encoding is the tag (of the type named after
+/// the enum's colon), then each field's [`Wire`] encoding. A field marked
+/// `[max N]` is a `Vec` encoded as a `u32` count and its items; a count
+/// above `N` decodes to [`Code::BadMessage`], as does an unknown tag. A
+/// variant with one unnamed field names it for the codec:
+/// `1 => Type(ty: PeType)`.
+///
+/// A struct is its fields in order, without a tag.
+///
+/// The macro generates the type, its [`Wire`] impl and, for enums,
+/// `name()`. It also generates inherent `to_bytes` and `from_bytes`,
+/// unless the declaration starts with `#[wire(part)]`: a part travels
+/// inside other messages, or behind a prefix its own code writes.
+///
+/// # Examples
+///
+/// ```
+/// use m3_base::marshal::{self, Wire};
+///
+/// m3_base::wire! {
+///     #[derive(Debug, PartialEq)]
+///     pub enum Req: u8 {
+///         0 => Ping,
+///         1 => Read "read" { off: u64, tags: Vec<u32> [max 4] },
+///     }
+/// }
+///
+/// let req = Req::Read { off: 9, tags: vec![7] };
+/// assert_eq!(req.name(), "read");
+/// let bytes = req.to_bytes();
+/// assert_eq!(bytes.len(), 1 + 8 + 4 + 4);
+/// assert_eq!(Req::from_bytes(&bytes).unwrap(), req);
+/// assert_eq!(Req::Ping.name(), "Ping");
+/// assert!(Req::from_bytes(&[2]).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire {
+    (@item [$($bytes:ident)?]
+        $(#[$meta:meta])*
+        $vis:vis enum $Name:ident: $Tag:ty {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $Variant:ident $($tname:literal)?
+                    $(($tf:ident: $tty:ty))?
+                    $({
+                        $($(#[$fmeta:meta])* $f:ident: $fty:ty $([max $max:expr])?),* $(,)?
+                    })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $Name {
+            $(
+                $(#[$vmeta])*
+                $Variant $(($tty))? $({ $($(#[$fmeta])* $f: $fty),* })?,
+            )*
+        }
+
+        impl $Name {
+            /// The message name, for tracing and diagnostics.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Self::$Variant { .. } => $crate::wire!(@name $Variant $($tname)?),)*
+                }
+            }
+        }
+
+        impl $crate::marshal::Wire for $Name {
+            fn put(&self, os: &mut $crate::marshal::OStream) {
+                match self {
+                    $(Self::$Variant { $(0: $tf)? $($($f),*)? } => {
+                        <$Tag as $crate::marshal::Wire>::put(&$tag, os);
+                        $($crate::marshal::Wire::put($tf, os);)?
+                        $($($crate::wire!(@put os $f $(, $max)?);)*)?
+                    })*
+                }
+            }
+
+            fn take(is: &mut $crate::marshal::IStream<'_>) -> $crate::error::Result<Self> {
+                Ok(match <$Tag as $crate::marshal::Wire>::take(is)? {
+                    $($tag => Self::$Variant {
+                        $(0: <$tty as $crate::marshal::Wire>::take(is)?)?
+                        $($($f: $crate::wire!(@take is $fty $(, $max)?)),*)?
+                    },)*
+                    _ => {
+                        return Err($crate::error::Error::new($crate::error::Code::BadMessage)
+                            .with_msg(concat!("unknown ", stringify!($Name), " tag")))
+                    }
+                })
+            }
+        }
+
+        $crate::wire!(@bytes [$($bytes)?] $Name);
+    };
+    (@item [$($bytes:ident)?]
+        $(#[$meta:meta])*
+        $vis:vis struct $Name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $f:ident: $fty:ty $([max $max:expr])?),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $Name {
+            $($(#[$fmeta])* $fvis $f: $fty),*
+        }
+
+        impl $crate::marshal::Wire for $Name {
+            fn put(&self, os: &mut $crate::marshal::OStream) {
+                $($crate::wire!(@put os (&self.$f) $(, $max)?);)*
+            }
+
+            fn take(is: &mut $crate::marshal::IStream<'_>) -> $crate::error::Result<Self> {
+                Ok(Self {
+                    $($f: $crate::wire!(@take is $fty $(, $max)?)),*
+                })
+            }
+        }
+
+        $crate::wire!(@bytes [$($bytes)?] $Name);
+    };
+    (@name $Variant:ident) => { stringify!($Variant) };
+    (@name $Variant:ident $tname:literal) => { $tname };
+    (@put $os:ident $v:expr) => { $crate::marshal::Wire::put($v, $os) };
+    (@put $os:ident $v:expr, $max:expr) => { $crate::marshal::put_list($os, $v) };
+    (@take $is:ident $ty:ty) => { <$ty as $crate::marshal::Wire>::take($is)? };
+    (@take $is:ident $ty:ty, $max:expr) => { $crate::marshal::take_list($is, $max)? };
+    (@bytes [] $Name:ident) => {};
+    (@bytes [bytes] $Name:ident) => {
+        impl $Name {
+            /// Marshals the message into payload bytes.
+            pub fn to_bytes(&self) -> Vec<u8> {
+                $crate::marshal::encode(self)
+            }
+
+            /// Unmarshals a message from payload bytes.
+            ///
+            /// # Errors
+            ///
+            /// Returns `BadMessage` if the bytes are truncated or malformed.
+            pub fn from_bytes(bytes: &[u8]) -> $crate::error::Result<Self> {
+                $crate::marshal::decode(bytes)
+            }
+        }
+    };
+    (#[wire(part)] $($item:tt)*) => { $crate::wire!(@item [] $($item)*); };
+    ($($item:tt)*) => { $crate::wire!(@item [bytes] $($item)*); };
 }
 
 #[cfg(test)]

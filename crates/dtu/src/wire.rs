@@ -10,6 +10,7 @@
 //! for identical messages so inter-island event streams can be compared
 //! and merged deterministically.
 
+use m3_base::marshal::{IStream, OStream};
 use m3_base::{EpId, PeId};
 
 use crate::message::{Header, Message, ReplyInfo};
@@ -44,23 +45,25 @@ const REPLY_BLOCK: usize = 4 + 4 + 8 + 4 + 8;
 ///     payload: (b"ping").into(),
 /// };
 /// let bytes = wire::encode(&msg);
+/// assert_eq!(bytes, b"\x07\0\0\0\0\0\0\0\x01\0\0\0\x02\0\0\0\0ping");
 /// assert_eq!(wire::decode(&bytes), Some(msg));
 /// ```
 pub fn encode(msg: &Message) -> Vec<u8> {
     let h = &msg.header;
     let reply_len = if h.reply.is_some() { REPLY_BLOCK } else { 0 };
-    let mut out = Vec::with_capacity(PREFIX + reply_len + msg.payload.len());
-    out.extend_from_slice(&h.label.to_le_bytes());
-    out.extend_from_slice(&h.sender_pe.raw().to_le_bytes());
-    out.extend_from_slice(&h.sender_ep.raw().to_le_bytes());
-    out.push(if h.reply.is_some() { FLAG_REPLY } else { 0 });
+    let mut os = OStream::with_capacity(PREFIX + reply_len + msg.payload.len());
+    os.push_u64(h.label)
+        .push_u32(h.sender_pe.raw())
+        .push_u32(h.sender_ep.raw())
+        .push_u8(if h.reply.is_some() { FLAG_REPLY } else { 0 });
     if let Some(r) = &h.reply {
-        out.extend_from_slice(&r.pe.raw().to_le_bytes());
-        out.extend_from_slice(&r.ep.raw().to_le_bytes());
-        out.extend_from_slice(&r.label.to_le_bytes());
-        out.extend_from_slice(&r.credit_ep.raw().to_le_bytes());
-        out.extend_from_slice(&r.ctx.to_le_bytes());
+        os.push_u32(r.pe.raw())
+            .push_u32(r.ep.raw())
+            .push_u64(r.label)
+            .push_u32(r.credit_ep.raw())
+            .push_u64(r.ctx);
     }
+    let mut out = os.into_bytes();
     out.extend_from_slice(&msg.payload);
     out
 }
@@ -71,26 +74,26 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 /// boundary buffers are machine-written, so any mismatch is a bug in the
 /// handoff, not input to be repaired.
 pub fn decode(bytes: &[u8]) -> Option<Message> {
-    let mut r = Reader(bytes);
-    let label = r.u64()?;
-    let sender_pe = PeId::new(r.u32()?);
-    let sender_ep = EpId::new(r.u32()?);
-    let flags = r.u8()?;
+    let mut is = IStream::new(bytes);
+    let label = is.pop_u64().ok()?;
+    let sender_pe = PeId::new(is.pop_u32().ok()?);
+    let sender_ep = EpId::new(is.pop_u32().ok()?);
+    let flags = is.pop_u8().ok()?;
     if flags & !FLAG_REPLY != 0 {
         return None;
     }
     let reply = if flags & FLAG_REPLY != 0 {
         Some(ReplyInfo {
-            pe: PeId::new(r.u32()?),
-            ep: EpId::new(r.u32()?),
-            label: r.u64()?,
-            credit_ep: EpId::new(r.u32()?),
-            ctx: r.u64()?,
+            pe: PeId::new(is.pop_u32().ok()?),
+            ep: EpId::new(is.pop_u32().ok()?),
+            label: is.pop_u64().ok()?,
+            credit_ep: EpId::new(is.pop_u32().ok()?),
+            ctx: is.pop_u64().ok()?,
         })
     } else {
         None
     };
-    let payload = r.0;
+    let payload = &bytes[bytes.len() - is.remaining()..];
     Some(Message {
         header: Header {
             label,
@@ -101,29 +104,6 @@ pub fn decode(bytes: &[u8]) -> Option<Message> {
         },
         payload: payload.into(),
     })
-}
-
-/// Cursor over the remaining undecoded bytes.
-struct Reader<'a>(&'a [u8]);
-
-impl Reader<'_> {
-    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
-        let (head, rest) = self.0.split_at_checked(N)?;
-        self.0 = rest;
-        head.try_into().ok()
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take::<1>().map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take::<4>().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take::<8>().map(u64::from_le_bytes)
-    }
 }
 
 #[cfg(test)]

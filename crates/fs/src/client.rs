@@ -89,7 +89,7 @@ impl M3FsFileSystem {
     async fn meta(&self, env: &Env, req: MetaRequest) -> Result<Vec<u8>> {
         env.compute(m3_libos::costs::RPC_PREP).await;
         let msg = self.inner.sgate.call(&req.to_bytes()).await?;
-        MetaReply::parse(&msg.payload)
+        MetaReply::from_bytes(&msg.payload)?.into_result()
     }
 
     /// Runs a consistency check on the service side; returns
@@ -323,7 +323,7 @@ impl RegularFile {
             .sgate
             .call(&MetaRequest::Close { fd: self.fd, size }.to_bytes())
             .await?;
-        MetaReply::parse(&msg.payload)?;
+        MetaReply::from_bytes(&msg.payload)?.into_result()?;
         Ok(())
     }
 }

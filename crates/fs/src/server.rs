@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use m3_base::cfg::{FS_ALLOC_BLOCKS, FS_BLOCK_SIZE};
 use m3_base::error::{Code, Error, Result};
-use m3_base::marshal::{IStream, OStream};
+use m3_base::marshal::{IStream, OStream, Wire};
 use m3_base::{Cycles, Perm, SelId};
 use m3_kernel::protocol::Syscall;
 use m3_libos::serv::{self, Handler};
@@ -445,7 +445,7 @@ impl Handler for M3FsHandler {
                 Ok((vec![sel], Vec::new()))
             }
             OBTAIN_LOCATE => {
-                let la = LocateArgs::from_stream(&mut is)?;
+                let la = LocateArgs::take(&mut is)?;
                 let mut cost = fscosts::LOCATE;
                 // Resolve the extent under the lock, then perform the
                 // capability syscall without holding it.

@@ -24,115 +24,69 @@
 //! preserved for any worker count.
 
 use m3_base::error::{Code, Error, Result};
-use m3_base::marshal::{IStream, OStream};
+use m3_base::marshal::{IStream, OStream, Wire};
 use m3_base::Perm;
 
 use crate::protocol::{PeRequest, MAX_EXCHANGE_CAPS};
 
-/// A self-contained description of a capability that may cross a shard
-/// boundary. The receiving kernel re-wraps the descriptor into a kernel
-/// object of its own; the hardware address (PE, offset / endpoint) stays
-/// authoritative, so access goes straight over the NoC without involving
-/// the owning shard again.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CapDesc {
-    /// A memory region on some node (DRAM module or a PE's SPM). Never
-    /// marked owned on the receiving side: the region's allocator lives
-    /// with the origin shard.
-    Mem {
-        /// The node whose memory this names.
-        pe: u32,
-        /// Start offset within that node's memory.
-        offset: u64,
-        /// Region size in bytes.
-        size: u64,
-        /// Access permissions.
-        perm: Perm,
-    },
-    /// An *activated* send gate: the receive gate it targets is pinned to
-    /// `(pe, ep)`, so a foreign VPE can be given a send endpoint to it
-    /// without the origin shard mediating each message.
-    SGate {
-        /// PE of the activated receive gate.
-        pe: u32,
-        /// Endpoint of the activated receive gate.
-        ep: u32,
-        /// Label stamped into every message.
-        label: u64,
-        /// Credit budget; `0` encodes unlimited.
-        credits: u32,
-        /// Maximum payload bytes per message.
-        max_payload: u32,
-    },
-}
-
-impl CapDesc {
-    fn encode(&self, os: &mut OStream) {
-        match self {
-            CapDesc::Mem {
-                pe,
-                offset,
-                size,
-                perm,
-            } => {
-                os.push_u8(0);
-                os.push_u32(*pe)
-                    .push_u64(*offset)
-                    .push_u64(*size)
-                    .push_u8(perm.bits());
-            }
-            CapDesc::SGate {
-                pe,
-                ep,
-                label,
-                credits,
-                max_payload,
-            } => {
-                os.push_u8(1);
-                os.push_u32(*pe)
-                    .push_u32(*ep)
-                    .push_u64(*label)
-                    .push_u32(*credits)
-                    .push_u32(*max_payload);
-            }
-        }
-    }
-
-    fn decode(is: &mut IStream<'_>) -> Result<CapDesc> {
-        match is.pop_u8()? {
-            0 => Ok(CapDesc::Mem {
-                pe: is.pop_u32()?,
-                offset: is.pop_u64()?,
-                size: is.pop_u64()?,
-                perm: Perm::from_bits(is.pop_u8()?),
-            }),
-            1 => Ok(CapDesc::SGate {
-                pe: is.pop_u32()?,
-                ep: is.pop_u32()?,
-                label: is.pop_u64()?,
-                credits: is.pop_u32()?,
-                max_payload: is.pop_u32()?,
-            }),
-            _ => Err(Error::new(Code::BadMessage).with_msg("bad CapDesc tag")),
-        }
+m3_base::wire! {
+    #[wire(part)]
+    /// A self-contained description of a capability that may cross a shard
+    /// boundary. The receiving kernel re-wraps the descriptor into a kernel
+    /// object of its own; the hardware address (PE, offset / endpoint) stays
+    /// authoritative, so access goes straight over the NoC without involving
+    /// the owning shard again.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum CapDesc: u8 {
+        /// A memory region on some node (DRAM module or a PE's SPM). Never
+        /// marked owned on the receiving side: the region's allocator lives
+        /// with the origin shard.
+        0 => Mem {
+            /// The node whose memory this names.
+            pe: u32,
+            /// Start offset within that node's memory.
+            offset: u64,
+            /// Region size in bytes.
+            size: u64,
+            /// Access permissions.
+            perm: Perm,
+        },
+        /// An *activated* send gate: the receive gate it targets is pinned
+        /// to `(pe, ep)`, so a foreign VPE can be given a send endpoint to
+        /// it without the origin shard mediating each message.
+        1 => SGate {
+            /// PE of the activated receive gate.
+            pe: u32,
+            /// Endpoint of the activated receive gate.
+            ep: u32,
+            /// Label stamped into every message.
+            label: u64,
+            /// Credit budget; `0` encodes unlimited.
+            credits: u32,
+            /// Maximum payload bytes per message.
+            max_payload: u32,
+        },
     }
 }
 
-/// A peer's reply to a ktk request. `a`/`b` carry the two scalar results a
-/// request can produce (e.g. VPE id + PE id for `PlaceVpe`, the exit code
-/// for `WaitVpe`, the session ident for `OpenSess`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KtkReply {
-    /// `None` means the peer accepted the request.
-    pub code: Option<Code>,
-    /// First scalar result.
-    pub a: u64,
-    /// Second scalar result.
-    pub b: u64,
-    /// Capability descriptors handed back (obtain direction).
-    pub caps: Vec<CapDesc>,
-    /// Service-specific reply bytes (session exchanges).
-    pub args: Vec<u8>,
+m3_base::wire! {
+    #[wire(part)]
+    /// A peer's reply to a ktk request. `a`/`b` carry the two scalar
+    /// results a request can produce (e.g. VPE id + PE id for `PlaceVpe`,
+    /// the exit code for `WaitVpe`, the session ident for `OpenSess`).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct KtkReply {
+        /// `None` means the peer accepted the request.
+        pub code: Option<Code>,
+        /// First scalar result.
+        pub a: u64,
+        /// Second scalar result.
+        pub b: u64,
+        /// Capability descriptors handed back (obtain direction).
+        pub caps: Vec<CapDesc> [max MAX_EXCHANGE_CAPS],
+        /// Service-specific reply bytes (session exchanges).
+        pub args: Vec<u8>,
+    }
 }
 
 impl KtkReply {
@@ -151,10 +105,7 @@ impl KtkReply {
     pub fn err(code: Code) -> KtkReply {
         KtkReply {
             code: Some(code),
-            a: 0,
-            b: 0,
-            caps: Vec::new(),
-            args: Vec::new(),
+            ..KtkReply::ok(0, 0)
         }
     }
 
@@ -169,253 +120,116 @@ impl KtkReply {
             Some(code) => Err(Error::new(code)),
         }
     }
-
-    fn encode(&self, os: &mut OStream) {
-        os.push_u32(self.code.map_or(0, |c| c.as_raw()));
-        os.push_u64(self.a).push_u64(self.b);
-        os.push_u32(self.caps.len() as u32);
-        for c in &self.caps {
-            c.encode(os);
-        }
-        os.push_bytes(&self.args);
-    }
-
-    fn decode(is: &mut IStream<'_>) -> Result<KtkReply> {
-        let raw = is.pop_u32()?;
-        let code = if raw == 0 {
-            None
-        } else {
-            Some(Code::from_raw(raw))
-        };
-        let a = is.pop_u64()?;
-        let b = is.pop_u64()?;
-        let caps = decode_descs(is)?;
-        let args = is.pop_bytes()?.to_vec();
-        Ok(KtkReply {
-            code,
-            a,
-            b,
-            caps,
-            args,
-        })
-    }
 }
 
-fn encode_descs(os: &mut OStream, descs: &[CapDesc]) {
-    os.push_u32(descs.len() as u32);
-    for d in descs {
-        d.encode(os);
+m3_base::wire! {
+    #[wire(part)]
+    /// A kernel-to-kernel message. Requests carry a sender-chosen `req_id`;
+    /// the peer answers with a [`KtkMsg::Reply`] echoing it. `RevokeVpe` and
+    /// `RevokeCap` are fire-and-forget: revocation is idempotent and the
+    /// sender holds no state that depends on the answer.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum KtkMsg: u32 {
+        /// Load announcement; the header's free-PE count is the payload.
+        0 => Hello "hello",
+        /// Place a VPE on one of the receiver's PEs (cross-shard `CreateVpe`
+        /// spill-over). The sender resolves `Same` to a concrete type before
+        /// forwarding — the receiver cannot know the caller's PE.
+        1 => PlaceVpe "place_vpe" {
+            /// Request id echoed by the reply.
+            req_id: u64,
+            /// Requested PE type.
+            want: PeRequest,
+            /// Human-readable VPE name.
+            name: String,
+        },
+        /// Start a VPE previously placed via `PlaceVpe`.
+        2 => StartVpe "start_vpe" {
+            /// Request id echoed by the reply.
+            req_id: u64,
+            /// The receiver-side VPE id.
+            vpe: u32,
+        },
+        /// Wait for a remotely placed VPE to exit; the reply's `a` carries
+        /// the exit code as `i64` bits.
+        3 => WaitVpe "wait_vpe" {
+            /// Request id echoed by the reply.
+            req_id: u64,
+            /// The receiver-side VPE id.
+            vpe: u32,
+        },
+        /// Destroy a remotely placed VPE (fire-and-forget; the cross-shard
+        /// mirror of revoking a VPE capability, §4.5.5).
+        4 => RevokeVpe "revoke_vpe" {
+            /// The receiver-side VPE id.
+            vpe: u32,
+        },
+        /// Install a capability descriptor into a remotely placed VPE's
+        /// table (cross-shard delegation, §4.5.3 first option).
+        5 => DelegateCap "delegate_cap" {
+            /// Request id echoed by the reply.
+            req_id: u64,
+            /// The receiver-side VPE id.
+            vpe: u32,
+            /// Receiver-side selector to fill.
+            sel: u32,
+            /// What to install.
+            desc: CapDesc,
+        },
+        /// Remove a previously delegated capability (fire-and-forget leg of
+        /// a cross-shard recursive revoke, §4.5.3).
+        6 => RevokeCap "revoke_cap" {
+            /// The receiver-side VPE id.
+            vpe: u32,
+            /// Receiver-side selector to revoke.
+            sel: u32,
+        },
+        /// Open a session with a service registered at the receiver (remote
+        /// mount path). The reply's `a` carries the session ident.
+        7 => OpenSess "open_sess" {
+            /// Request id echoed by the reply.
+            req_id: u64,
+            /// Global service name (e.g. `"m3fs"`).
+            name: String,
+            /// Client-provided argument.
+            arg: u64,
+        },
+        /// A capability exchange over a remotely opened session: the
+        /// receiver forwards to its local service and descriptor-izes the
+        /// result.
+        8 => ExchangeSess "exchange_sess" {
+            /// Request id echoed by the reply.
+            req_id: u64,
+            /// Service name (sessions are stateless on the origin side).
+            serv: String,
+            /// The service-chosen session identifier.
+            ident: u64,
+            /// `true` = obtain (service -> caller), `false` = delegate.
+            obtain: bool,
+            /// Number of capabilities the client offers/requests.
+            cap_count: u32,
+            /// Descriptors of the caller's capabilities (delegate direction).
+            descs: Vec<CapDesc> [max MAX_EXCHANGE_CAPS],
+            /// Service-specific request bytes.
+            args: Vec<u8>,
+        },
+        /// The answer to a request, echoing its `req_id`.
+        9 => Reply "reply" {
+            /// The request this answers.
+            req_id: u64,
+            /// The outcome.
+            reply: KtkReply,
+        },
     }
-}
-
-fn decode_descs(is: &mut IStream<'_>) -> Result<Vec<CapDesc>> {
-    let n = is.pop_u32()? as usize;
-    if n > MAX_EXCHANGE_CAPS {
-        return Err(Error::new(Code::BadMessage).with_msg("too many cap descriptors"));
-    }
-    let mut descs = Vec::with_capacity(n);
-    for _ in 0..n {
-        descs.push(CapDesc::decode(is)?);
-    }
-    Ok(descs)
-}
-
-/// A kernel-to-kernel message. Requests carry a sender-chosen `req_id`;
-/// the peer answers with a [`KtkMsg::Reply`] echoing it. `RevokeVpe` and
-/// `RevokeCap` are fire-and-forget: revocation is idempotent and the
-/// sender holds no state that depends on the answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KtkMsg {
-    /// Load announcement; the header's free-PE count is the payload.
-    Hello,
-    /// Place a VPE on one of the receiver's PEs (cross-shard `CreateVpe`
-    /// spill-over). The sender resolves `Same` to a concrete type before
-    /// forwarding — the receiver cannot know the caller's PE.
-    PlaceVpe {
-        /// Request id echoed by the reply.
-        req_id: u64,
-        /// Human-readable VPE name.
-        name: String,
-        /// Requested PE type.
-        want: PeRequest,
-    },
-    /// Start a VPE previously placed via `PlaceVpe`.
-    StartVpe {
-        /// Request id echoed by the reply.
-        req_id: u64,
-        /// The receiver-side VPE id.
-        vpe: u32,
-    },
-    /// Wait for a remotely placed VPE to exit; the reply's `a` carries the
-    /// exit code as `i64` bits.
-    WaitVpe {
-        /// Request id echoed by the reply.
-        req_id: u64,
-        /// The receiver-side VPE id.
-        vpe: u32,
-    },
-    /// Destroy a remotely placed VPE (fire-and-forget; the cross-shard
-    /// mirror of revoking a VPE capability, §4.5.5).
-    RevokeVpe {
-        /// The receiver-side VPE id.
-        vpe: u32,
-    },
-    /// Install a capability descriptor into a remotely placed VPE's table
-    /// (cross-shard delegation, §4.5.3 first option).
-    DelegateCap {
-        /// Request id echoed by the reply.
-        req_id: u64,
-        /// The receiver-side VPE id.
-        vpe: u32,
-        /// Receiver-side selector to fill.
-        sel: u32,
-        /// What to install.
-        desc: CapDesc,
-    },
-    /// Remove a previously delegated capability (fire-and-forget leg of a
-    /// cross-shard recursive revoke, §4.5.3).
-    RevokeCap {
-        /// The receiver-side VPE id.
-        vpe: u32,
-        /// Receiver-side selector to revoke.
-        sel: u32,
-    },
-    /// Open a session with a service registered at the receiver (remote
-    /// mount path). The reply's `a` carries the session ident.
-    OpenSess {
-        /// Request id echoed by the reply.
-        req_id: u64,
-        /// Global service name (e.g. `"m3fs"`).
-        name: String,
-        /// Client-provided argument.
-        arg: u64,
-    },
-    /// A capability exchange over a remotely opened session: the receiver
-    /// forwards to its local service and descriptor-izes the result.
-    ExchangeSess {
-        /// Request id echoed by the reply.
-        req_id: u64,
-        /// Service name (sessions are stateless on the origin side).
-        serv: String,
-        /// The service-chosen session identifier.
-        ident: u64,
-        /// `true` = obtain (service -> caller), `false` = delegate.
-        obtain: bool,
-        /// Number of capabilities the client offers/requests.
-        cap_count: u32,
-        /// Descriptors of the caller's capabilities (delegate direction).
-        descs: Vec<CapDesc>,
-        /// Service-specific request bytes.
-        args: Vec<u8>,
-    },
-    /// The answer to a request, echoing its `req_id`.
-    Reply {
-        /// The request this answers.
-        req_id: u64,
-        /// The outcome.
-        reply: KtkReply,
-    },
-}
-
-mod op {
-    pub const HELLO: u32 = 0;
-    pub const PLACE_VPE: u32 = 1;
-    pub const START_VPE: u32 = 2;
-    pub const WAIT_VPE: u32 = 3;
-    pub const REVOKE_VPE: u32 = 4;
-    pub const DELEGATE_CAP: u32 = 5;
-    pub const REVOKE_CAP: u32 = 6;
-    pub const OPEN_SESS: u32 = 7;
-    pub const EXCHANGE_SESS: u32 = 8;
-    pub const REPLY: u32 = 9;
 }
 
 impl KtkMsg {
-    /// The operation name, for tracing and diagnostics.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KtkMsg::Hello => "hello",
-            KtkMsg::PlaceVpe { .. } => "place_vpe",
-            KtkMsg::StartVpe { .. } => "start_vpe",
-            KtkMsg::WaitVpe { .. } => "wait_vpe",
-            KtkMsg::RevokeVpe { .. } => "revoke_vpe",
-            KtkMsg::DelegateCap { .. } => "delegate_cap",
-            KtkMsg::RevokeCap { .. } => "revoke_cap",
-            KtkMsg::OpenSess { .. } => "open_sess",
-            KtkMsg::ExchangeSess { .. } => "exchange_sess",
-            KtkMsg::Reply { .. } => "reply",
-        }
-    }
-
     /// Marshals the message with its shard header: the sending shard's id
     /// and its current free-PE count (the passive load feed).
     pub fn to_bytes(&self, src_shard: u32, free_pes: u32) -> Vec<u8> {
         let mut os = OStream::with_capacity(64);
         os.push_u32(src_shard).push_u32(free_pes);
-        match self {
-            KtkMsg::Hello => {
-                os.push_u32(op::HELLO);
-            }
-            KtkMsg::PlaceVpe { req_id, name, want } => {
-                os.push_u32(op::PLACE_VPE);
-                os.push_u64(*req_id);
-                want.encode(&mut os);
-                os.push_str(name);
-            }
-            KtkMsg::StartVpe { req_id, vpe } => {
-                os.push_u32(op::START_VPE);
-                os.push_u64(*req_id).push_u32(*vpe);
-            }
-            KtkMsg::WaitVpe { req_id, vpe } => {
-                os.push_u32(op::WAIT_VPE);
-                os.push_u64(*req_id).push_u32(*vpe);
-            }
-            KtkMsg::RevokeVpe { vpe } => {
-                os.push_u32(op::REVOKE_VPE);
-                os.push_u32(*vpe);
-            }
-            KtkMsg::DelegateCap {
-                req_id,
-                vpe,
-                sel,
-                desc,
-            } => {
-                os.push_u32(op::DELEGATE_CAP);
-                os.push_u64(*req_id).push_u32(*vpe).push_u32(*sel);
-                desc.encode(&mut os);
-            }
-            KtkMsg::RevokeCap { vpe, sel } => {
-                os.push_u32(op::REVOKE_CAP);
-                os.push_u32(*vpe).push_u32(*sel);
-            }
-            KtkMsg::OpenSess { req_id, name, arg } => {
-                os.push_u32(op::OPEN_SESS);
-                os.push_u64(*req_id).push_str(name).push_u64(*arg);
-            }
-            KtkMsg::ExchangeSess {
-                req_id,
-                serv,
-                ident,
-                obtain,
-                cap_count,
-                descs,
-                args,
-            } => {
-                os.push_u32(op::EXCHANGE_SESS);
-                os.push_u64(*req_id)
-                    .push_str(serv)
-                    .push_u64(*ident)
-                    .push_bool(*obtain)
-                    .push_u32(*cap_count);
-                encode_descs(&mut os, descs);
-                os.push_bytes(args);
-            }
-            KtkMsg::Reply { req_id, reply } => {
-                os.push_u32(op::REPLY);
-                os.push_u64(*req_id);
-                reply.encode(&mut os);
-            }
-        }
+        self.put(&mut os);
         os.into_bytes()
     }
 
@@ -426,55 +240,7 @@ impl KtkMsg {
     /// Returns [`Code::BadMessage`] on truncated or malformed payloads.
     pub fn from_bytes(bytes: &[u8]) -> Result<(u32, u32, KtkMsg)> {
         let mut is = IStream::new(bytes);
-        let src_shard = is.pop_u32()?;
-        let free_pes = is.pop_u32()?;
-        let msg = match is.pop_u32()? {
-            op::HELLO => KtkMsg::Hello,
-            op::PLACE_VPE => KtkMsg::PlaceVpe {
-                req_id: is.pop_u64()?,
-                want: PeRequest::decode(&mut is)?,
-                name: is.pop_str()?,
-            },
-            op::START_VPE => KtkMsg::StartVpe {
-                req_id: is.pop_u64()?,
-                vpe: is.pop_u32()?,
-            },
-            op::WAIT_VPE => KtkMsg::WaitVpe {
-                req_id: is.pop_u64()?,
-                vpe: is.pop_u32()?,
-            },
-            op::REVOKE_VPE => KtkMsg::RevokeVpe { vpe: is.pop_u32()? },
-            op::DELEGATE_CAP => KtkMsg::DelegateCap {
-                req_id: is.pop_u64()?,
-                vpe: is.pop_u32()?,
-                sel: is.pop_u32()?,
-                desc: CapDesc::decode(&mut is)?,
-            },
-            op::REVOKE_CAP => KtkMsg::RevokeCap {
-                vpe: is.pop_u32()?,
-                sel: is.pop_u32()?,
-            },
-            op::OPEN_SESS => KtkMsg::OpenSess {
-                req_id: is.pop_u64()?,
-                name: is.pop_str()?,
-                arg: is.pop_u64()?,
-            },
-            op::EXCHANGE_SESS => KtkMsg::ExchangeSess {
-                req_id: is.pop_u64()?,
-                serv: is.pop_str()?,
-                ident: is.pop_u64()?,
-                obtain: is.pop_bool()?,
-                cap_count: is.pop_u32()?,
-                descs: decode_descs(&mut is)?,
-                args: is.pop_bytes()?.to_vec(),
-            },
-            op::REPLY => KtkMsg::Reply {
-                req_id: is.pop_u64()?,
-                reply: KtkReply::decode(&mut is)?,
-            },
-            _ => return Err(Error::new(Code::BadMessage).with_msg("unknown ktk opcode")),
-        };
-        Ok((src_shard, free_pes, msg))
+        Ok((is.pop_u32()?, is.pop_u32()?, KtkMsg::take(&mut is)?))
     }
 }
 
@@ -584,28 +350,6 @@ mod tests {
             req_id: 15,
             reply: KtkReply::err(Code::NoFreePe),
         });
-    }
-
-    #[test]
-    fn truncated_message_is_bad_message() {
-        let bytes = KtkMsg::OpenSess {
-            req_id: 1,
-            name: "m3fs".to_string(),
-            arg: 0,
-        }
-        .to_bytes(0, 0);
-        let err = KtkMsg::from_bytes(&bytes[..bytes.len() - 2]).unwrap_err();
-        assert_eq!(err.code(), Code::BadMessage);
-    }
-
-    #[test]
-    fn unknown_opcode_is_bad_message() {
-        let mut os = OStream::new();
-        os.push_u32(0).push_u32(0).push_u32(0xffff);
-        assert_eq!(
-            KtkMsg::from_bytes(os.as_bytes()).unwrap_err().code(),
-            Code::BadMessage
-        );
     }
 
     #[test]

@@ -4,31 +4,29 @@ use std::fmt;
 
 use crate::core_model::{CoreModel, ARM, XTENSA};
 
-/// The kind of core behind a DTU.
-///
-/// The whole point of the DTU is that the OS does not care what is behind it
-/// (paper §2.2: "a general-purpose core, a DSP, an ASIC, an FPGA, etc.");
-/// the type matters only for (a) picking a suitable PE when an application
-/// requests one (§4.5.5: "the application can request a specific type of
-/// PE") and (b) the compute-cost model.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum PeType {
-    /// A general-purpose Xtensa RISC core (no privileged mode, no MMU, §4.1).
-    Xtensa,
-    /// An ARM Cortex-A15 class core (used for the §5.2 cross-check).
-    Arm,
-    /// An Xtensa core with FFT instruction-set extensions (§5.8).
-    FftAccel,
+m3_base::wire! {
+    #[wire(part)]
+    /// The kind of core behind a DTU.
+    ///
+    /// The whole point of the DTU is that the OS does not care what is behind it
+    /// (paper §2.2: "a general-purpose core, a DSP, an ASIC, an FPGA, etc.");
+    /// the type matters only for (a) picking a suitable PE when an application
+    /// requests one (§4.5.5: "the application can request a specific type of
+    /// PE") and (b) the compute-cost model.
+    #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+    pub enum PeType: u8 {
+        /// A general-purpose Xtensa RISC core (no privileged mode, no MMU, §4.1).
+        0 => Xtensa "xtensa",
+        /// An ARM Cortex-A15 class core (used for the §5.2 cross-check).
+        1 => Arm "arm",
+        /// An Xtensa core with FFT instruction-set extensions (§5.8).
+        2 => FftAccel "fft-accel",
+    }
 }
 
 impl fmt::Display for PeType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            PeType::Xtensa => "xtensa",
-            PeType::Arm => "arm",
-            PeType::FftAccel => "fft-accel",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

@@ -14,8 +14,6 @@
 //! travel in messages).
 
 use m3_apps::sqlwork::PAGE_SIZE;
-use m3_base::error::{Code, Error, Result};
-use m3_base::marshal::{IStream, OStream};
 
 /// Path of the database file (on m3fs and on the lx tmpfs).
 pub const DB_PATH: &str = "/kv.db";
@@ -29,80 +27,36 @@ pub const PAGES: u64 = KEYS + 1;
 /// Capability-exchange tag: obtain a send gate to the request channel.
 pub const OBTAIN_REQ_GATE: u8 = 1;
 
-/// One client request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KvOp {
-    /// Read the row at `key`.
-    Get {
-        /// Row key, `0..KEYS`.
-        key: u64,
-    },
-    /// Overwrite the row at `key` with a row stamped `tag`.
-    Put {
-        /// Row key, `0..KEYS`.
-        key: u64,
-        /// Value stamp written into the row name.
-        tag: u32,
-    },
-    /// Read every page of the store.
-    Scan,
-}
-
-impl KvOp {
-    /// Stable operation name for traces and summaries.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KvOp::Get { .. } => "Get",
-            KvOp::Put { .. } => "Put",
-            KvOp::Scan => "Scan",
-        }
-    }
-
-    /// Serializes the request.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut os = OStream::with_capacity(16);
-        match self {
-            KvOp::Get { key } => {
-                os.push_u8(1).push_u64(*key);
-            }
-            KvOp::Put { key, tag } => {
-                os.push_u8(2).push_u64(*key).push_u32(*tag);
-            }
-            KvOp::Scan => {
-                os.push_u8(3);
-            }
-        }
-        os.into_bytes()
-    }
-
-    /// Parses a request.
-    ///
-    /// # Errors
-    ///
-    /// [`Code::BadMessage`] for malformed bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<KvOp> {
-        let mut is = IStream::new(bytes);
-        Ok(match is.pop_u8()? {
-            1 => KvOp::Get { key: is.pop_u64()? },
-            2 => KvOp::Put {
-                key: is.pop_u64()?,
-                tag: is.pop_u32()?,
-            },
-            3 => KvOp::Scan,
-            other => {
-                return Err(Error::new(Code::BadMessage).with_msg(format!("bad kv opcode {other}")))
-            }
-        })
+m3_base::wire! {
+    /// One client request.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum KvOp: u8 {
+        /// Read the row at `key`.
+        1 => Get {
+            /// Row key, `0..KEYS`.
+            key: u64,
+        },
+        /// Overwrite the row at `key` with a row stamped `tag`.
+        2 => Put {
+            /// Row key, `0..KEYS`.
+            key: u64,
+            /// Value stamp written into the row name.
+            tag: u32,
+        },
+        /// Read every page of the store.
+        3 => Scan,
     }
 }
 
-/// The server's reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KvReply {
-    /// `0` for success, otherwise an [`Code`] discriminant.
-    pub status: u8,
-    /// Database bytes the request touched (read or written).
-    pub bytes: u64,
+m3_base::wire! {
+    /// The server's reply.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct KvReply {
+        /// `0` for success, otherwise an [`Code`](m3_base::Code) discriminant.
+        pub status: u8,
+        /// Database bytes the request touched (read or written).
+        pub bytes: u64,
+    }
 }
 
 impl KvReply {
@@ -117,26 +71,6 @@ impl KvReply {
             status: 1,
             bytes: 0,
         }
-    }
-
-    /// Serializes the reply.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut os = OStream::with_capacity(16);
-        os.push_u8(self.status).push_u64(self.bytes);
-        os.into_bytes()
-    }
-
-    /// Parses a reply.
-    ///
-    /// # Errors
-    ///
-    /// [`Code::BadMessage`] for malformed bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<KvReply> {
-        let mut is = IStream::new(bytes);
-        Ok(KvReply {
-            status: is.pop_u8()?,
-            bytes: is.pop_u64()?,
-        })
     }
 }
 

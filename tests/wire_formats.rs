@@ -6,15 +6,20 @@
 //! variant of every system-call, kernel-to-kernel, m3fs and kv message,
 //! checks that each pinned encoding decodes back to its value, and pins
 //! the error code a decoder returns for an unknown tag, an empty buffer
-//! and an over-long capability list.
+//! and an over-long capability list. Seeded properties then check every
+//! codec on random values and random bytes.
 
 use std::fmt::Debug;
 
 use m3_base::error::{Code, Result};
+use m3_base::marshal::{self, Wire};
+use m3_base::rand::Rng;
 use m3_base::{EpId, Perm, SelId};
 use m3_fs::proto::{LocateArgs, LocateReply, MetaReply, MetaRequest};
 use m3_kernel::ktk::{CapDesc, KtkMsg, KtkReply};
-use m3_kernel::protocol::{PeRequest, ServiceReply, ServiceRequest, Syscall, SyscallReply};
+use m3_kernel::protocol::{
+    PeRequest, ServiceReply, ServiceRequest, Syscall, SyscallReply, MAX_EXCHANGE_CAPS,
+};
 use m3_platform::PeType;
 use m3_serve::{KvOp, KvReply};
 
@@ -556,4 +561,249 @@ fn kv_messages_are_pinned() {
     reply(KvReply::ok(4096), "000010000000000000");
     reply(KvReply::err(), "010000000000000000");
     assert_eq!(code(KvReply::from_bytes(&[])), Code::BadMessage);
+}
+
+/// Random values of a wire type, for the decode properties below.
+trait Arb: Sized {
+    fn arb(r: &mut Rng) -> Self;
+}
+
+fn arb<T: Arb>(r: &mut Rng) -> T {
+    T::arb(r)
+}
+
+/// Up to `max` random items.
+fn list<T: Arb>(r: &mut Rng, max: usize) -> Vec<T> {
+    (0..r.next_below(max as u64 + 1)).map(|_| arb(r)).collect()
+}
+
+macro_rules! arb_via {
+    ($($ty:ty = |$r:ident| $e:expr;)*) => {
+        $(impl Arb for $ty {
+            fn arb($r: &mut Rng) -> Self {
+                $e
+            }
+        })*
+    };
+}
+
+arb_via! {
+    u8 = |r| r.next_u64() as u8;
+    u32 = |r| r.next_u64() as u32;
+    u64 = |r| r.next_u64();
+    i64 = |r| r.next_u64() as i64;
+    bool = |r| r.next_below(2) == 1;
+    String = |r| (0..r.next_below(6)).map(|_| ['m', '3', '/', 'é'][r.next_below(4) as usize]).collect();
+    Vec<u8> = |r| (0..r.next_below(12)).map(|_| arb(r)).collect();
+    SelId = |r| SelId::new(arb(r));
+    EpId = |r| EpId::new(arb(r));
+    Perm = |r| Perm::from_bits(arb(r));
+    Option<Code> = |r| (r.next_below(2) == 1).then(|| Code::from_raw(1 + r.next_below(25) as u32));
+    PeType = |r| [PeType::Xtensa, PeType::Arm, PeType::FftAccel][r.next_below(3) as usize];
+    PeRequest = |r| match r.next_below(3) {
+        0 => PeRequest::Any,
+        1 => PeRequest::Type(arb(r)),
+        _ => PeRequest::Same,
+    };
+    CapDesc = |r| match r.next_below(2) {
+        0 => CapDesc::Mem { pe: arb(r), offset: arb(r), size: arb(r), perm: arb(r) },
+        _ => CapDesc::SGate {
+            pe: arb(r),
+            ep: arb(r),
+            label: arb(r),
+            credits: arb(r),
+            max_payload: arb(r),
+        },
+    };
+    KtkReply = |r| KtkReply {
+        code: arb(r),
+        a: arb(r),
+        b: arb(r),
+        caps: list(r, MAX_EXCHANGE_CAPS),
+        args: arb(r),
+    };
+    Syscall = |r| match r.next_below(17) {
+        0 => Syscall::Noop,
+        1 => Syscall::CreateRGate { dst: arb(r), slots: arb(r), slot_size: arb(r) },
+        2 => Syscall::CreateSGate { dst: arb(r), rgate: arb(r), label: arb(r), credits: arb(r) },
+        3 => Syscall::AllocMem { dst: arb(r), size: arb(r), perm: arb(r) },
+        4 => Syscall::DeriveMem {
+            dst: arb(r),
+            src: arb(r),
+            offset: arb(r),
+            size: arb(r),
+            perm: arb(r),
+        },
+        5 => Syscall::CreateVpe { dst: arb(r), mem_dst: arb(r), pe: arb(r), name: arb(r) },
+        6 => Syscall::VpeStart { vpe: arb(r) },
+        7 => Syscall::VpeWait { vpe: arb(r) },
+        8 => Syscall::Activate { vpe: arb(r), ep: arb(r), gate: arb(r) },
+        9 => Syscall::CreateSrv { dst: arb(r), rgate: arb(r), name: arb(r) },
+        10 => Syscall::OpenSess { dst: arb(r), name: arb(r), arg: arb(r) },
+        11 => Syscall::ExchangeSess {
+            sess: arb(r),
+            obtain: arb(r),
+            caps: list(r, MAX_EXCHANGE_CAPS),
+            args: arb(r),
+        },
+        12 => Syscall::Exchange { vpe: arb(r), own: arb(r), other: arb(r), obtain: arb(r) },
+        13 => Syscall::Revoke { sel: arb(r) },
+        14 => Syscall::Exit { code: arb(r) },
+        15 => Syscall::PageFault { dst: arb(r), virt: arb(r), access: arb(r) },
+        _ => Syscall::Unmap { virt: arb(r) },
+    };
+    SyscallReply = |r| SyscallReply { error: arb(r), data: arb(r) };
+    ServiceRequest = |r| match r.next_below(3) {
+        0 => ServiceRequest::Open { arg: arb(r) },
+        1 => ServiceRequest::Exchange {
+            ident: arb(r),
+            obtain: arb(r),
+            cap_count: arb(r),
+            args: arb(r),
+        },
+        _ => ServiceRequest::Close { ident: arb(r) },
+    };
+    ServiceReply = |r| ServiceReply {
+        error: arb(r),
+        ident: arb(r),
+        caps: list(r, MAX_EXCHANGE_CAPS),
+        args: arb(r),
+    };
+    KtkMsg = |r| match r.next_below(10) {
+        0 => KtkMsg::Hello,
+        1 => KtkMsg::PlaceVpe { req_id: arb(r), want: arb(r), name: arb(r) },
+        2 => KtkMsg::StartVpe { req_id: arb(r), vpe: arb(r) },
+        3 => KtkMsg::WaitVpe { req_id: arb(r), vpe: arb(r) },
+        4 => KtkMsg::RevokeVpe { vpe: arb(r) },
+        5 => KtkMsg::DelegateCap { req_id: arb(r), vpe: arb(r), sel: arb(r), desc: arb(r) },
+        6 => KtkMsg::RevokeCap { vpe: arb(r), sel: arb(r) },
+        7 => KtkMsg::OpenSess { req_id: arb(r), name: arb(r), arg: arb(r) },
+        8 => KtkMsg::ExchangeSess {
+            req_id: arb(r),
+            serv: arb(r),
+            ident: arb(r),
+            obtain: arb(r),
+            cap_count: arb(r),
+            descs: list(r, MAX_EXCHANGE_CAPS),
+            args: arb(r),
+        },
+        _ => KtkMsg::Reply { req_id: arb(r), reply: arb(r) },
+    };
+    MetaRequest = |r| match r.next_below(9) {
+        0 => MetaRequest::Open { path: arb(r), flags: arb(r) },
+        1 => MetaRequest::Close { fd: arb(r), size: arb(r) },
+        2 => MetaRequest::Stat { path: arb(r) },
+        3 => MetaRequest::Mkdir { path: arb(r) },
+        4 => MetaRequest::Rmdir { path: arb(r) },
+        5 => MetaRequest::Unlink { path: arb(r) },
+        6 => MetaRequest::Link { old: arb(r), new: arb(r) },
+        7 => MetaRequest::ReadDir { path: arb(r), start: arb(r) },
+        _ => MetaRequest::Fsck,
+    };
+    LocateArgs = |r| LocateArgs {
+        fd: arb(r),
+        offset: arb(r),
+        write: arb(r),
+        want_blocks: arb(r),
+    };
+    LocateReply = |r| LocateReply { ext_file_off: arb(r), ext_bytes: arb(r) };
+    KvOp = |r| match r.next_below(3) {
+        0 => KvOp::Get { key: arb(r) },
+        1 => KvOp::Put { key: arb(r), tag: arb(r) },
+        _ => KvOp::Scan,
+    };
+    KvReply = |r| KvReply { status: arb(r), bytes: arb(r) };
+}
+
+/// Random values per codec, and random byte strings per codec.
+const CASES: usize = 300;
+
+/// Checks the decode properties of one codec, given its encoder and
+/// decoder: random values round-trip, every strict prefix of an encoding
+/// is `BadMessage`, and neither random bytes nor a valid encoding with one
+/// byte overwritten panics the decoder or fails it with another code.
+fn decode_properties<T: Arb + PartialEq + Debug>(
+    seed: u64,
+    encode: impl Fn(&T) -> Vec<u8>,
+    decode: impl Fn(&[u8]) -> Result<T>,
+) {
+    let mut r = Rng::new(seed);
+    for _ in 0..CASES {
+        let value = T::arb(&mut r);
+        let bytes = encode(&value);
+        assert_eq!(decode(&bytes).unwrap(), value, "round trip of {value:?}");
+        for cut in 0..bytes.len() {
+            let short = decode(&bytes[..cut]);
+            assert_eq!(code(short), Code::BadMessage, "{value:?} cut at {cut}");
+        }
+        let mut mutated = bytes.clone();
+        let at = r.next_below(mutated.len() as u64) as usize;
+        mutated[at] = arb(&mut r);
+        let mut junk = vec![0; r.next_below(48) as usize];
+        r.fill_bytes(&mut junk);
+        for input in [mutated, junk] {
+            if let Err(e) = decode(&input) {
+                assert_eq!(e.code(), Code::BadMessage, "decoding {}", hex(&input));
+            }
+        }
+    }
+}
+
+fn wire_properties<T: Wire + Arb + PartialEq + Debug>(seed: u64) {
+    decode_properties(seed, marshal::encode::<T>, marshal::decode::<T>);
+}
+
+#[test]
+fn every_codec_round_trips_and_rejects_truncation() {
+    wire_properties::<PeType>(1);
+    wire_properties::<PeRequest>(2);
+    wire_properties::<CapDesc>(3);
+    wire_properties::<KtkReply>(4);
+    wire_properties::<LocateArgs>(5);
+    decode_properties(6, Syscall::to_bytes, Syscall::from_bytes);
+    decode_properties(7, SyscallReply::to_bytes, SyscallReply::from_bytes);
+    decode_properties(8, ServiceRequest::to_bytes, ServiceRequest::from_bytes);
+    decode_properties(9, ServiceReply::to_bytes, ServiceReply::from_bytes);
+    decode_properties(10, ktk_bytes, |b| {
+        KtkMsg::from_bytes(b).map(|(_, _, msg)| msg)
+    });
+    decode_properties(11, MetaRequest::to_bytes, MetaRequest::from_bytes);
+    decode_properties(12, LocateReply::to_bytes, LocateReply::from_bytes);
+    decode_properties(13, KvOp::to_bytes, KvOp::from_bytes);
+    decode_properties(14, KvReply::to_bytes, KvReply::from_bytes);
+}
+
+#[test]
+fn every_unknown_tag_is_bad_message() {
+    // One-byte tags: every value no variant uses, followed by enough bytes
+    // for any variant's fields.
+    let unknown_u8 = |decode: &dyn Fn(&[u8]) -> bool, used: &[u8]| {
+        for tag in (0..=u8::MAX).filter(|t| !used.contains(t)) {
+            let mut bytes = vec![0; 64];
+            bytes[0] = tag;
+            assert!(decode(&bytes), "tag {tag}");
+        }
+    };
+    let bad = |r: Result<()>| r.is_err_and(|e| e.code() == Code::BadMessage);
+    unknown_u8(&|b| bad(marshal::decode::<PeType>(b).map(drop)), &[0, 1, 2]);
+    unknown_u8(
+        &|b| bad(marshal::decode::<PeRequest>(b).map(drop)),
+        &[0, 1, 2],
+    );
+    unknown_u8(&|b| bad(marshal::decode::<CapDesc>(b).map(drop)), &[0, 1]);
+    unknown_u8(
+        &|b| bad(MetaRequest::from_bytes(b).map(drop)),
+        &[0, 1, 2, 3, 4, 5, 6, 7, 8],
+    );
+    unknown_u8(&|b| bad(KvOp::from_bytes(b).map(drop)), &[1, 2, 3]);
+    // Four-byte tags: the first unused values and the largest.
+    for tag in [17, 18, 0xffff, u32::MAX] {
+        let mut bytes = vec![0; 64];
+        bytes[..4].copy_from_slice(&tag.to_le_bytes());
+        assert_eq!(code(Syscall::from_bytes(&bytes)), Code::BadMessage);
+        assert_eq!(code(ServiceRequest::from_bytes(&bytes)), Code::BadMessage);
+        let mut framed = vec![0; 8];
+        framed.extend_from_slice(&bytes);
+        assert_eq!(code(KtkMsg::from_bytes(&framed)), Code::BadMessage);
+    }
 }
