@@ -6,7 +6,7 @@
 
 use m3_base::cfg::BENCH_BUF_SIZE;
 use m3_base::error::{Code, Error, Result};
-use m3_base::Cycles;
+use m3_base::{Cycles, Perm};
 use m3_lx::LxProc;
 use m3_platform::accel::fft_sw_cycles;
 use m3_sim::keys;
@@ -26,7 +26,7 @@ pub async fn cat_tr(p: &LxProc, input: &str, output: &str) -> Result<u64> {
     let input_path = input.to_string();
     let child = p
         .fork("cat", move |c| async move {
-            let Ok(mut file) = c.open(&input_path, false, false, false).await else {
+            let Ok(mut file) = c.open(&input_path, Perm::R, false, false).await else {
                 return 1;
             };
             loop {
@@ -45,7 +45,7 @@ pub async fn cat_tr(p: &LxProc, input: &str, output: &str) -> Result<u64> {
         })
         .await;
 
-    let mut out = p.open(output, true, true, true).await?;
+    let mut out = p.open(output, Perm::W, true, true).await?;
     let mut total = 0u64;
     loop {
         let mut data = rx.read(p, BENCH_BUF_SIZE).await?;
@@ -102,7 +102,7 @@ pub async fn fft_pipeline(p: &LxProc, out: &str) -> Result<()> {
             c.machine().count(keys::FFT_CYCLES, cost.as_u64());
             fft::fft_in_place(&mut re, &mut im);
             let out_bytes = fft::pack(&re, &im);
-            let Ok(mut f) = c.open(&out_path, true, true, true).await else {
+            let Ok(mut f) = c.open(&out_path, Perm::W, true, true).await else {
                 return 1;
             };
             if f.write(&out_bytes).await.is_err() {

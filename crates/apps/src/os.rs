@@ -7,7 +7,7 @@
 
 use m3_base::cfg::BENCH_BUF_SIZE;
 use m3_base::error::{Code, Error, Result};
-use m3_base::Cycles;
+use m3_base::{Cycles, Perm};
 use m3_libos::vfs::{self, DirEntry, File, FileInfo, OpenFlags, SeekMode};
 use m3_libos::Env;
 use m3_lx::{LxFile, LxProc};
@@ -135,7 +135,17 @@ impl OsApi for LxProc {
     type File = LxFile;
 
     async fn open(&self, path: &str, flags: OpenFlags) -> Result<LxFile> {
-        LxProc::open(self, path, flags.writable(), flags.create(), flags.trunc()).await
+        let read = if flags.readable() {
+            Perm::R
+        } else {
+            Perm::NONE
+        };
+        let write = if flags.writable() {
+            Perm::W
+        } else {
+            Perm::NONE
+        };
+        LxProc::open(self, path, read | write, flags.create(), flags.trunc()).await
     }
 
     async fn read(&self, file: &mut LxFile, buf: &mut [u8]) -> Result<usize> {

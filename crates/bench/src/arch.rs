@@ -11,6 +11,7 @@ use std::rc::Rc;
 
 use m3_apps::workload;
 use m3_base::cfg::BENCH_BUF_SIZE;
+use m3_base::Perm;
 use m3_lx::{LxConfig, LxMachine};
 use m3_sim::Sim;
 
@@ -42,7 +43,7 @@ fn lx_create(cfg: LxConfig) -> u64 {
     let out = Rc::new(Cell::new(0u64));
     let out2 = out.clone();
     machine.spawn_proc("create", move |p| async move {
-        let mut f = p.open("/new", true, true, true).await.unwrap();
+        let mut f = p.open("/new", Perm::W, true, true).await.unwrap();
         let t0 = p.machine().sim().now().as_u64();
         let chunk = vec![0x61u8; BENCH_BUF_SIZE];
         let mut left = XFER_BYTES;
@@ -72,8 +73,8 @@ fn lx_copy(cfg: LxConfig) -> u64 {
     let out = Rc::new(Cell::new(0u64));
     let out2 = out.clone();
     machine.spawn_proc("copy", move |p| async move {
-        let mut src = p.open("/src", false, false, false).await.unwrap();
-        let mut dst = p.open("/dst", true, true, true).await.unwrap();
+        let mut src = p.open("/src", Perm::R, false, false).await.unwrap();
+        let mut dst = p.open("/dst", Perm::W, true, true).await.unwrap();
         let t0 = p.machine().sim().now().as_u64();
         loop {
             let data = src.read(BENCH_BUF_SIZE).await.unwrap();

@@ -11,6 +11,7 @@ use std::rc::Rc;
 use m3::{System, SystemConfig};
 use m3_apps::workload;
 use m3_base::cfg::BENCH_BUF_SIZE;
+use m3_base::Perm;
 use m3_fs::{mount_m3fs, SetupNode};
 use m3_kernel::protocol::Syscall;
 use m3_libos::pipe::{self, PipeRole, PipeWriter};
@@ -230,7 +231,7 @@ fn lx_file(cfg: LxConfig, label: &str, read: bool) -> Bar {
         let sim = p.machine().sim().clone();
         let stats = p.machine().stats();
         if read {
-            let mut f = p.open("/data", false, false, false).await.unwrap();
+            let mut f = p.open("/data", Perm::R, false, false).await.unwrap();
             let t0 = sim.now().as_u64();
             let x0 = stats.get(keys::LX_XFER_CYCLES);
             loop {
@@ -245,7 +246,7 @@ fn lx_file(cfg: LxConfig, label: &str, read: bool) -> Bar {
             ));
             f.close().await;
         } else {
-            let mut f = p.open("/new", true, true, true).await.unwrap();
+            let mut f = p.open("/new", Perm::W, true, true).await.unwrap();
             let t0 = sim.now().as_u64();
             let x0 = stats.get(keys::LX_XFER_CYCLES);
             let chunk = vec![0x61u8; BENCH_BUF_SIZE];

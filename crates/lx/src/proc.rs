@@ -3,7 +3,7 @@
 use std::future::Future;
 
 use m3_base::error::{Code, Error, Result};
-use m3_base::Cycles;
+use m3_base::{Cycles, Perm};
 
 use crate::costs;
 use crate::machine::{Charge, LxMachine};
@@ -76,7 +76,8 @@ impl LxProc {
             .await;
     }
 
-    /// Opens a file.
+    /// Opens a file for the accesses in `access` ([`Perm::R`] and/or
+    /// [`Perm::W`]).
     ///
     /// # Errors
     ///
@@ -85,7 +86,7 @@ impl LxProc {
     pub async fn open(
         &self,
         path: &str,
-        writable: bool,
+        access: Perm,
         create: bool,
         trunc: bool,
     ) -> Result<LxFile> {
@@ -99,7 +100,7 @@ impl LxProc {
                     if fs.is_dir(ino) {
                         return Err(Error::new(Code::IsDir).with_msg(path.to_string()));
                     }
-                    if trunc && writable {
+                    if trunc && access.contains(Perm::W) {
                         fs.truncate(ino, 0)?;
                     }
                     ino
@@ -112,7 +113,7 @@ impl LxProc {
             proc: self.clone(),
             ino,
             pos: 0,
-            writable,
+            access,
         })
     }
 
@@ -249,8 +250,12 @@ impl LxProc {
     ///
     /// # Errors
     ///
-    /// Standard filesystem errors.
+    /// [`Code::NoAccess`] if `src` is not readable or `dst` not writable;
+    /// filesystem errors otherwise.
     pub async fn sendfile(&self, dst: &mut LxFile, src: &mut LxFile, len: u64) -> Result<u64> {
+        if !src.access.contains(Perm::R) || !dst.access.contains(Perm::W) {
+            return Err(Error::new(Code::NoAccess));
+        }
         self.syscall_entry().await;
         self.m.charge(costs::FD_LOOKUP * 2, Charge::Os).await;
         let mut moved = 0u64;
@@ -295,7 +300,7 @@ pub struct LxFile {
     proc: LxProc,
     ino: Ino,
     pos: u64,
-    writable: bool,
+    access: Perm,
 }
 
 impl LxFile {
@@ -317,8 +322,11 @@ impl LxFile {
     ///
     /// # Errors
     ///
-    /// Standard filesystem errors.
+    /// [`Code::NoAccess`] if not readable; filesystem errors otherwise.
     pub async fn read(&mut self, len: usize) -> Result<Vec<u8>> {
+        if !self.access.contains(Perm::R) {
+            return Err(Error::new(Code::NoAccess));
+        }
         let m = &self.proc.m;
         m.charge(costs::SYSCALL_ENTRY_EXIT, Charge::Os).await;
         m.charge(costs::FD_LOOKUP, Charge::Os).await;
@@ -345,7 +353,7 @@ impl LxFile {
     ///
     /// [`Code::NoAccess`] if not writable; filesystem errors otherwise.
     pub async fn write(&mut self, data: &[u8]) -> Result<usize> {
-        if !self.writable {
+        if !self.access.contains(Perm::W) {
             return Err(Error::new(Code::NoAccess));
         }
         let m = &self.proc.m;
@@ -425,7 +433,7 @@ mod tests {
     fn file_write_read_roundtrip() {
         let (sim, m) = machine();
         let (_, h) = m.spawn_proc("p", |p| async move {
-            let mut f = p.open("/data", true, true, false).await.unwrap();
+            let mut f = p.open("/data", Perm::RW, true, false).await.unwrap();
             f.write(b"hello tmpfs").await.unwrap();
             f.seek(0).await;
             let back = f.read(64).await.unwrap();
@@ -440,13 +448,33 @@ mod tests {
     }
 
     #[test]
+    fn access_outside_the_open_mode_fails_before_charging() {
+        let (sim, m) = machine();
+        let (_, h) = m.spawn_proc("p", |p| async move {
+            let mut w = p.open("/f", Perm::W, true, false).await.unwrap();
+            w.write(b"data").await.unwrap();
+            let mut r = p.open("/f", Perm::R, false, false).await.unwrap();
+            let start = p.machine().sim().now();
+            assert_eq!(w.read(4).await.unwrap_err().code(), Code::NoAccess);
+            assert_eq!(r.write(b"x").await.unwrap_err().code(), Code::NoAccess);
+            let err = p.sendfile(&mut r, &mut w, 4).await.unwrap_err();
+            assert_eq!(err.code(), Code::NoAccess);
+            assert_eq!(p.machine().sim().now(), start);
+            assert_eq!(r.read(8).await.unwrap(), b"data");
+            0
+        });
+        sim.run();
+        assert_eq!(h.try_take().unwrap(), 0);
+    }
+
+    #[test]
     fn read_overhead_matches_paper_decomposition() {
         // One 4 KiB read with a warm cache should cost entry/exit + fd
         // lookup + one page-cache op + the raw copy loop.
         let sim = Sim::new();
         let m = LxMachine::new(&sim, LxConfig::xtensa_warm());
         let (_, h) = m.spawn_proc("p", |p| async move {
-            let mut f = p.open("/f", true, true, false).await.unwrap();
+            let mut f = p.open("/f", Perm::RW, true, false).await.unwrap();
             f.write(&vec![7u8; 8192]).await.unwrap();
             f.seek(0).await;
             let start = p.machine().sim().now();
@@ -465,7 +493,7 @@ mod tests {
             let sim = Sim::new();
             let m = LxMachine::new(&sim, cfg);
             let (_, h) = m.spawn_proc("p", |p| async move {
-                let mut f = p.open("/f", true, true, false).await.unwrap();
+                let mut f = p.open("/f", Perm::RW, true, false).await.unwrap();
                 let big = vec![1u8; 256 * 1024];
                 f.write(&big).await.unwrap();
                 f.seek(0).await;
@@ -512,10 +540,10 @@ mod tests {
     fn sendfile_copies_without_user_buffers() {
         let (sim, m) = machine();
         let (_, h) = m.spawn_proc("p", |p| async move {
-            let mut src = p.open("/src", true, true, false).await.unwrap();
+            let mut src = p.open("/src", Perm::RW, true, false).await.unwrap();
             src.write(&vec![3u8; 10_000]).await.unwrap();
             src.seek(0).await;
-            let mut dst = p.open("/dst", true, true, false).await.unwrap();
+            let mut dst = p.open("/dst", Perm::RW, true, false).await.unwrap();
             let n = p.sendfile(&mut dst, &mut src, 10_000).await.unwrap();
             assert_eq!(n, 10_000);
             dst.seek(0).await;
@@ -532,7 +560,7 @@ mod tests {
         let (sim, m) = machine();
         let (_, h) = m.spawn_proc("p", |p| async move {
             p.mkdir("/d").await.unwrap();
-            let mut f = p.open("/d/f", true, true, false).await.unwrap();
+            let mut f = p.open("/d/f", Perm::RW, true, false).await.unwrap();
             f.write(b"x").await.unwrap();
             f.close().await;
             p.link("/d/f", "/d/g").await.unwrap();

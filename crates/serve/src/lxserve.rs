@@ -8,7 +8,7 @@
 //! where the service owns a PE and requests arrive via the DTU.
 
 use m3_apps::sqlwork::PAGE_SIZE;
-use m3_base::PeId;
+use m3_base::{PeId, Perm};
 use m3_lx::{LxConfig, LxMachine, LxPipeReader, LxPipeWriter, LxProc};
 use m3_sim::{keys, Sim};
 
@@ -47,7 +47,7 @@ async fn write_frame(proc: &LxProc, tx: &mut LxPipeWriter, payload: &[u8]) -> bo
 }
 
 async fn serve_proc(proc: LxProc, mut rx: LxPipeReader, mut tx: LxPipeWriter) -> i64 {
-    let Ok(mut db) = proc.open(DB_PATH, true, false, false).await else {
+    let Ok(mut db) = proc.open(DB_PATH, Perm::RW, false, false).await else {
         return 1;
     };
     while let Some(frame) = read_frame(&proc, &mut rx).await {
@@ -98,7 +98,7 @@ pub fn run_lx(plan: &ServePlan) -> ServeRun {
     let (_, handle) = machine.spawn_proc("kv-driver", move |proc| async move {
         // Materialise the database on the tmpfs before the server opens it.
         let mut dbfile = proc
-            .open(DB_PATH, true, true, true)
+            .open(DB_PATH, Perm::W, true, true)
             .await
             .expect("create db");
         let image = initial_db();

@@ -48,8 +48,11 @@ enum Op {
         len: usize,
         seed: u64,
     },
+    /// Reads up to `len` bytes; a write-only open must fail the read
+    /// with `NoAccess` on both systems.
     ReadAt {
         path: String,
+        flags: OpenFlags,
         off: u64,
         len: usize,
     },
@@ -96,6 +99,7 @@ fn generate(seed: u64) -> Vec<Op> {
             },
             8 | 9 => Op::ReadAt {
                 path: pick(&mut rng, false),
+                flags: [OpenFlags::R, OpenFlags::RW, OpenFlags::W][rng.next_below(3) as usize],
                 off: rng.next_below(2 * MAX_WRITE),
                 len: 1 + rng.next_below(MAX_WRITE) as usize,
             },
@@ -150,8 +154,13 @@ async fn apply<O: OsApi>(os: &O, op: &Op) -> Result<Outcome> {
             os.close(file).await?;
             res.map(|()| Outcome::Done)
         }
-        Op::ReadAt { path, off, len } => {
-            let mut file = os.open(path, OpenFlags::R).await?;
+        Op::ReadAt {
+            path,
+            flags,
+            off,
+            len,
+        } => {
+            let mut file = os.open(path, *flags).await?;
             let res = read_at(os, &mut file, *off, *len).await;
             os.close(file).await?;
             res.map(Outcome::Bytes)
