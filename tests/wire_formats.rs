@@ -593,7 +593,10 @@ arb_via! {
     u64 = |r| r.next_u64();
     i64 = |r| r.next_u64() as i64;
     bool = |r| r.next_below(2) == 1;
-    String = |r| (0..r.next_below(6)).map(|_| ['m', '3', '/', 'é'][r.next_below(4) as usize]).collect();
+    String = |r| {
+        let chars = ['m', '3', '/', 'é'];
+        (0..r.next_below(6)).map(|_| chars[r.next_below(4) as usize]).collect()
+    };
     Vec<u8> = |r| (0..r.next_below(12)).map(|_| arb(r)).collect();
     SelId = |r| SelId::new(arb(r));
     EpId = |r| EpId::new(arb(r));
