@@ -1,5 +1,7 @@
 //! Golden cycle-count snapshots: one representative scenario from each of
-//! fig3–fig9, asserted against *exact* simulated totals.
+//! fig3–fig11, asserted against *exact* simulated totals. The bar figures
+//! (fig3, fig5, fig7) and the §5.2 cross-check are pinned in full: every
+//! part of every bar, every cell of the table.
 //!
 //! The figure shape tests check ratios and trends; this suite pins the raw
 //! numbers, so any change to simulated semantics — however plausible its
@@ -8,14 +10,58 @@
 //! these bit-identical.
 
 use m3_bench::fig5::BenchKind;
+use m3_bench::Figure;
+
+/// Asserts a bar's total and every part, in render order.
+fn assert_bar(fig: &Figure, group: &str, label: &str, total: u64, parts: &[u64]) {
+    let bar = fig.bar(group, label);
+    let got: Vec<u64> = bar.parts.iter().map(|(_, v)| *v).collect();
+    assert_eq!(
+        (bar.total, got.as_slice()),
+        (total, parts),
+        "{group} on {label}"
+    );
+}
 
 #[test]
 fn fig3_syscall_and_file_read_totals() {
+    // Every bar of Figure 3 as (total, [Xfers, Other]).
     let fig = m3_bench::fig3::run();
-    assert_eq!(fig.bar("syscall", "M3").total, 199);
-    assert_eq!(fig.bar("read", "M3").total, 366_158);
-    assert_eq!(fig.bar("read", "Lx").total, 3_437_580);
-    assert_eq!(fig.bar("read", "Lx-$").total, 1_730_316);
+    let rows: [(&str, [(u64, [u64; 2]); 3]); 4] = [
+        (
+            "syscall",
+            [(199, [29, 170]), (410, [0, 410]), (410, [0, 410])],
+        ),
+        (
+            "read",
+            [
+                (366_158, [280_576, 85_582]),
+                (3_437_580, [2_755_840, 681_740]),
+                (1_730_316, [1_048_576, 681_740]),
+            ],
+        ),
+        (
+            "write",
+            [
+                (406_920, [275_456, 131_464]),
+                (4_485_786, [3_804_416, 681_370]),
+                (2_778_522, [2_097_152, 681_370]),
+            ],
+        ),
+        (
+            "pipe",
+            [
+                (315_186, [315_186, 0]),
+                (2_924_200, [2_150_400, 773_800]),
+                (2_870_952, [2_097_152, 773_800]),
+            ],
+        ),
+    ];
+    for (op, bars) in rows {
+        for (os, (total, parts)) in ["M3", "Lx", "Lx-$"].into_iter().zip(bars) {
+            assert_bar(&fig, op, os, total, &parts);
+        }
+    }
 }
 
 #[test]
@@ -29,19 +75,54 @@ fn fig4_fragmentation_sweep_endpoints() {
 
 #[test]
 fn fig5_totals() {
-    // Every bar of Figure 5: a change to any workload body or to either
-    // OS binding moves a row here.
+    // Every bar of Figure 5 as (total, [App, Xfers, OS]): a change to any
+    // workload body or to either OS binding moves a row here.
     let fig = m3_bench::fig5::run();
-    let rows: [(&str, [u64; 3]); 5] = [
-        ("cat+tr", [174_682, 576_280, 406_552]),
-        ("tar", [478_170, 3_640_578, 1_637_928]),
-        ("untar", [484_026, 3_632_683, 1_628_369]),
-        ("find", [52_619, 48_620, 48_620]),
-        ("sqlite", [4_826_414, 4_857_172, 4_843_860]),
+    let rows: [(&str, [(u64, [u64; 3]); 3]); 5] = [
+        (
+            "cat+tr",
+            [
+                (174_682, [131_072, 38_094, 5_516]),
+                (576_280, [131_072, 333_568, 111_640]),
+                (406_552, [131_072, 163_840, 111_640]),
+            ],
+        ),
+        (
+            "tar",
+            [
+                (478_170, [0, 326_689, 151_481]),
+                (3_640_578, [0, 3_235_548, 405_030]),
+                (1_637_928, [0, 1_232_898, 405_030]),
+            ],
+        ),
+        (
+            "untar",
+            [
+                (484_026, [0, 326_364, 157_662]),
+                (3_632_683, [0, 3_236_443, 396_240]),
+                (1_628_369, [0, 1_232_129, 396_240]),
+            ],
+        ),
+        (
+            "find",
+            [
+                (52_619, [2_000, 0, 50_619]),
+                (48_620, [2_000, 0, 46_620]),
+                (48_620, [2_000, 0, 46_620]),
+            ],
+        ),
+        (
+            "sqlite",
+            [
+                (4_826_414, [4_810_000, 2_646, 13_768]),
+                (4_857_172, [4_810_000, 28_672, 18_500]),
+                (4_843_860, [4_810_000, 15_360, 18_500]),
+            ],
+        ),
     ];
-    for (bench, totals) in rows {
-        for (os, total) in ["M3", "Lx", "Lx-$"].into_iter().zip(totals) {
-            assert_eq!(fig.bar(bench, os).total, total, "{bench} on {os}");
+    for (bench, bars) in rows {
+        for (os, (total, parts)) in ["M3", "Lx", "Lx-$"].into_iter().zip(bars) {
+            assert_bar(&fig, bench, os, total, &parts);
         }
     }
 }
@@ -62,10 +143,33 @@ fn fig6_find_scaling_average() {
 
 #[test]
 fn fig7_fft_pipeline_totals() {
+    // Every bar of Figure 7 as (total, [FFT, Xfers, OS]).
     let fig = m3_bench::fig7::run();
-    assert_eq!(fig.bar("fft-pipeline", "Linux").total, 1_532_358);
-    assert_eq!(fig.bar("fft-pipeline", "M3").total, 1_298_537);
-    assert_eq!(fig.bar("fft-pipeline", "M3+accel").total, 110_895);
+    let bars: [(&str, u64, [u64; 3]); 3] = [
+        ("Linux", 1_532_358, [1_228_800, 153_600, 149_958]),
+        ("M3", 1_298_537, [1_228_800, 16_805, 52_932]),
+        ("M3+accel", 110_895, [40_960, 16_895, 53_040]),
+    ];
+    for (label, total, parts) in bars {
+        assert_bar(&fig, "fft-pipeline", label, total, &parts);
+    }
+}
+
+#[test]
+fn arch_cross_check_cells() {
+    // All nine §5.2 cells: rows are Linux on Xtensa (0), Linux on ARM (1)
+    // and M3 (2); columns are the null syscall, 2 MiB create and 2 MiB copy.
+    let s = m3_bench::arch::run();
+    let rows: [[u64; 3]; 3] = [
+        [410, 4_485_786, 7_920_448],
+        [320, 1_992_602, 3_461_184],
+        [198, 409_941, 776_694],
+    ];
+    for (row, cells) in rows.into_iter().enumerate() {
+        for (col, want) in s.columns.iter().zip(cells) {
+            assert_eq!(s.value(row as u64, col), want as f64, "row {row}, {col}");
+        }
+    }
 }
 
 #[test]
