@@ -307,20 +307,19 @@ fn m3_pipe() -> Bar {
             .await
             .unwrap();
 
-        let stats = env.sim().stats();
+        // Only the reader's transfers: the writer's run on its own PE,
+        // overlapped with the reader's elapsed time.
+        let xfers = || env.sim().metrics().get(env.pe(), keys::DTU_XFER_CYCLES);
         let mut buf = vec![0u8; BENCH_BUF_SIZE];
         let t0 = env.sim().now().as_u64();
-        let x0 = stats.get(keys::DTU_XFER_CYCLES);
+        let x0 = xfers();
         loop {
             let n = reader.read(&mut buf).await.unwrap();
             if n == 0 {
                 break;
             }
         }
-        out2.set((
-            env.sim().now().as_u64() - t0,
-            stats.get(keys::DTU_XFER_CYCLES) - x0,
-        ));
+        out2.set((env.sim().now().as_u64() - t0, xfers() - x0));
         child.wait().await.unwrap();
         0
     });
@@ -441,5 +440,14 @@ mod tests {
         let read = fig.bar("read", "M3");
         let xfers = read.parts.iter().find(|(n, _)| n == "Xfers").unwrap().1;
         assert!(xfers * 2 > read.total, "transfers should dominate M3 read");
+    }
+
+    #[test]
+    fn m3_pipe_bar_counts_only_the_readers_transfers() {
+        // The writer's transfers overlap the reader's elapsed time; counting
+        // both PEs' would exceed the bar's total and leave no `Other`.
+        let bar = m3_pipe();
+        let other = bar.parts.iter().find(|(n, _)| n == "Other").unwrap().1;
+        assert!(other > 0, "M3 pipe: {:?}", bar.parts);
     }
 }

@@ -51,7 +51,7 @@ fn fig3_syscall_and_file_read_totals() {
         (
             "pipe",
             [
-                (315_186, [315_186, 0]),
+                (315_186, [277_504, 37_682]),
                 (2_924_200, [2_150_400, 773_800]),
                 (2_870_952, [2_097_152, 773_800]),
             ],
