@@ -27,12 +27,7 @@ use crate::report::{Bar, Figure, Group};
 pub const XFER_BYTES: usize = 2 * 1024 * 1024;
 
 fn bar(label: &str, total: u64, xfer: u64) -> Bar {
-    Bar::with_remainder(
-        label,
-        total,
-        vec![("Xfers".to_string(), xfer.min(total))],
-        "Other",
-    )
+    Bar::with_remainder(label, total, vec![("Xfers".to_string(), xfer)], "Other")
 }
 
 fn m3_syscall() -> Bar {

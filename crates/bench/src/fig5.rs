@@ -129,8 +129,6 @@ fn m3_bar(kind: BenchKind) -> Bar {
     });
     sys.run();
     let (total, app, xfer) = out.get();
-    let app = app.min(total);
-    let xfer = xfer.min(total - app);
     Bar::with_remainder(
         "M3",
         total,
@@ -193,8 +191,6 @@ fn lx_bar(kind: BenchKind, cfg: LxConfig, label: &str) -> Bar {
     });
     sim.run();
     let (total, app, xfer) = out.get();
-    let app = app.min(total);
-    let xfer = xfer.min(total - app);
     Bar::with_remainder(
         label,
         total,

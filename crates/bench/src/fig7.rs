@@ -50,8 +50,6 @@ fn m3_bar(accel: bool) -> Bar {
     });
     sys.run();
     let (total, fft, xfer) = out.get();
-    let fft = fft.min(total);
-    let xfer = xfer.min(total - fft);
     Bar::with_remainder(
         if accel { "M3+accel" } else { "M3" },
         total,
@@ -87,8 +85,6 @@ fn lx_bar() -> Bar {
     });
     sim.run();
     let (total, fft, xfer) = out.get();
-    let fft = fft.min(total);
-    let xfer = xfer.min(total - fft);
     Bar::with_remainder(
         "Linux",
         total,

@@ -17,17 +17,27 @@ pub struct Bar {
 }
 
 impl Bar {
-    /// Creates a bar whose final "Other" part absorbs the remainder.
+    /// Creates a bar whose final part, `remainder_name`, is what the named
+    /// `parts` leave of `total`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the bar, if the parts sum to more than `total`: a
+    /// cycle counted twice must fail rather than print a zero remainder.
     pub fn with_remainder(
         label: impl Into<String>,
         total: u64,
         mut parts: Vec<(String, u64)>,
         remainder_name: &str,
     ) -> Bar {
+        let label = label.into();
         let accounted: u64 = parts.iter().map(|(_, v)| *v).sum();
-        parts.push((remainder_name.to_string(), total.saturating_sub(accounted)));
+        let rest = total.checked_sub(accounted).unwrap_or_else(|| {
+            panic!("bar {label}: parts {parts:?} sum to {accounted}, above its total {total}")
+        });
+        parts.push((remainder_name.to_string(), rest));
         Bar {
-            label: label.into(),
+            label,
             total,
             parts,
             note: None,
@@ -192,6 +202,13 @@ mod tests {
     fn bar_remainder() {
         let bar = Bar::with_remainder("M3", 100, vec![("Xfers".into(), 30)], "Other");
         assert_eq!(bar.parts[1], ("Other".to_string(), 70));
+    }
+
+    #[test]
+    #[should_panic(expected = "bar M3: parts")]
+    fn parts_above_the_total_panic() {
+        let parts = vec![("App".into(), 60), ("Xfers".into(), 50)];
+        Bar::with_remainder("M3", 100, parts, "OS");
     }
 
     #[test]
