@@ -12,6 +12,9 @@
 use m3_bench::fig5::BenchKind;
 use m3_bench::Figure;
 
+/// The M3, Lx and Lx-$ bars of one group, each as (total, parts).
+type Bars<const N: usize> = [(u64, [u64; N]); 3];
+
 /// Asserts a bar's total and every part, in render order.
 fn assert_bar(fig: &Figure, group: &str, label: &str, total: u64, parts: &[u64]) {
     let bar = fig.bar(group, label);
@@ -27,7 +30,7 @@ fn assert_bar(fig: &Figure, group: &str, label: &str, total: u64, parts: &[u64])
 fn fig3_syscall_and_file_read_totals() {
     // Every bar of Figure 3 as (total, [Xfers, Other]).
     let fig = m3_bench::fig3::run();
-    let rows: [(&str, [(u64, [u64; 2]); 3]); 4] = [
+    let rows: [(&str, Bars<2>); 4] = [
         (
             "syscall",
             [(199, [29, 170]), (410, [0, 410]), (410, [0, 410])],
@@ -78,7 +81,7 @@ fn fig5_totals() {
     // Every bar of Figure 5 as (total, [App, Xfers, OS]): a change to any
     // workload body or to either OS binding moves a row here.
     let fig = m3_bench::fig5::run();
-    let rows: [(&str, [(u64, [u64; 3]); 3]); 5] = [
+    let rows: [(&str, Bars<3>); 5] = [
         (
             "cat+tr",
             [
