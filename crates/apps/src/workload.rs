@@ -4,7 +4,7 @@
 //! - find: "a directory tree of 40 items" (§5.6).
 
 use m3_base::rand::Rng;
-use m3_fs::SetupNode;
+use m3_fs::{SetupKind, SetupNode};
 use m3_lx::LxMachine;
 
 /// A neutral description of a file tree, convertible to both systems.
@@ -37,21 +37,26 @@ impl TreeSpec {
         );
         out
     }
+}
 
-    /// Pre-populates a Linux machine's tmpfs (no cycles charged; this is
-    /// benchmark setup, not measurement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tree conflicts with existing content.
-    pub fn preload_lx(&self, machine: &LxMachine) {
-        let mut fs = machine.fs().borrow_mut();
-        for d in &self.dirs {
-            fs.mkdir(d).expect("preload dir");
-        }
-        for (p, c) in &self.files {
-            let ino = fs.create(p).expect("preload file");
-            fs.write(ino, 0, c).expect("preload content");
+/// Pre-populates a Linux machine's tmpfs with the nodes m3fs boots from
+/// (no cycles charged; this is benchmark setup, not measurement). The
+/// tmpfs has no extents, so a forced extent size has nothing to force.
+///
+/// # Panics
+///
+/// Panics if a node conflicts with existing content.
+pub fn preload_lx(machine: &LxMachine, setup: &[SetupNode]) {
+    let mut fs = machine.fs().borrow_mut();
+    for node in setup {
+        match &node.kind {
+            SetupKind::Dir => {
+                fs.mkdir(&node.path).expect("preload dir");
+            }
+            SetupKind::File { content, .. } => {
+                let ino = fs.create(&node.path).expect("preload file");
+                fs.write(ino, 0, content).expect("preload content");
+            }
         }
     }
 }
@@ -199,7 +204,7 @@ mod tests {
         let sim = m3_sim::Sim::new();
         let machine = LxMachine::new(&sim, m3_lx::LxConfig::xtensa());
         let spec = find_tree(9);
-        spec.preload_lx(&machine);
+        preload_lx(&machine, &spec.to_setup());
         let fs = machine.fs().borrow();
         for d in &spec.dirs {
             assert!(fs.resolve(d).is_ok(), "missing dir {d}");

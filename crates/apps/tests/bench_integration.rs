@@ -51,7 +51,7 @@ fn lx_cat_tr_translates_the_file() {
     let spec = workload::cat_tr_input(11);
     let sim = Sim::new();
     let machine = LxMachine::new(&sim, LxConfig::xtensa());
-    spec.preload_lx(&machine);
+    workload::preload_lx(&machine, &spec.to_setup());
     let (_, h) = machine.spawn_proc("cat_tr", |p| async move {
         lxapp::cat_tr(&p, "/input.txt", "/output.txt")
             .await
@@ -120,7 +120,7 @@ fn tar_archive_holds_every_byte_tar_reports() {
 
         let sim = Sim::new();
         let machine = LxMachine::new(&sim, LxConfig::xtensa());
-        spec.preload_lx(&machine);
+        workload::preload_lx(&machine, &spec.to_setup());
         let (_, h) = machine.spawn_proc("tar", |p| async move {
             let total = lxapp::tar_create(&p, "/src", "/a.tar").await.unwrap();
             assert_eq!(
@@ -140,10 +140,9 @@ fn lx_tar_untar_roundtrip() {
     let spec = workload::tar_input(22);
     let sim = Sim::new();
     let machine = LxMachine::new(&sim, LxConfig::xtensa());
-    spec.preload_lx(&machine);
-    {
-        machine.fs().borrow_mut().mkdir("/out").unwrap();
-    }
+    let mut setup = spec.to_setup();
+    setup.push(SetupNode::dir("/out"));
+    workload::preload_lx(&machine, &setup);
     let spec2 = spec.clone();
     let (_, h) = machine.spawn_proc("tar", move |p| async move {
         lxapp::tar_create(&p, "/src", "/archive.tar").await.unwrap();
@@ -181,7 +180,7 @@ fn find_results_agree_between_systems() {
     // Linux.
     let sim = Sim::new();
     let machine = LxMachine::new(&sim, LxConfig::xtensa());
-    spec.preload_lx(&machine);
+    workload::preload_lx(&machine, &spec.to_setup());
     let (_, h) = machine.spawn_proc("find", |p| async move {
         lxapp::find(&p, "/", "log").await.unwrap().len() as i64
     });
@@ -309,7 +308,7 @@ fn trace_replay_runs_on_both_systems() {
 
     let sim = Sim::new();
     let machine = LxMachine::new(&sim, LxConfig::xtensa());
-    spec.preload_lx(&machine);
+    workload::preload_lx(&machine, &spec.to_setup());
     let (_, h) = machine.spawn_proc("replay", move |p| async move {
         trace::replay(&p, &ops).await.unwrap();
         p.stat("/copy.txt").await.unwrap().size as i64

@@ -13,21 +13,20 @@
 //! - **endpoint pressure**: with only 8 EPs per DTU, gate multiplexing
 //!   (§4.5.4) turns surplus gates into kernel round trips.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use m3::{System, SystemConfig};
 use m3_apps::workload;
 use m3_base::cfg::BENCH_BUF_SIZE;
 use m3_base::Perm;
-use m3_fs::{mount_m3fs, SetupNode};
-use m3_kernel::protocol::{PeRequest, Syscall};
+use m3_fs::mount_m3fs;
+use m3_kernel::protocol::PeRequest;
 use m3_libos::pipe::{self, PipeRole, PipeWriter};
 use m3_libos::vfs::{self, OpenFlags};
 use m3_libos::{MemGate, Vpe};
 use m3_noc::NocConfig;
 
-use crate::fig3::XFER_BYTES;
+use crate::measure::{self, on_m3, BenchOs, XFER_BYTES};
 use crate::report::Series;
 
 /// Sweep: DTU/NoC bandwidth in bytes per cycle; measures a 2 MiB file read.
@@ -37,29 +36,23 @@ pub fn dtu_bandwidth() -> Series {
         let sys = System::boot(SystemConfig {
             pes: 4,
             fs_blocks: 16 * 1024,
-            fs_setup: vec![SetupNode::file(
-                "/data",
-                workload::file_content(1, XFER_BYTES),
-            )],
+            fs_setup: vec![measure::data_file("/data")],
             noc: NocConfig {
                 bytes_per_cycle: bw,
                 ..NocConfig::default()
             },
             ..SystemConfig::default()
         });
-        let out = Rc::new(Cell::new(0u64));
-        let out2 = out.clone();
-        sys.run_program("read", move |env| async move {
+        // The file stays open: the read loop alone is the measurement.
+        let t = on_m3(&sys, "read", |env| async move {
             mount_m3fs(&env).await.unwrap();
             let mut file = vfs::open(&env, "/data", OpenFlags::R).await.unwrap();
             let mut buf = vec![0u8; BENCH_BUF_SIZE];
-            let t0 = env.sim().now().as_u64();
+            let t0 = env.now();
             while file.read(&mut buf).await.unwrap() > 0 {}
-            out2.set(env.sim().now().as_u64() - t0);
-            0
+            env.now() - t0
         });
-        sys.run();
-        rows.push((bw, vec![out.get() as f64]));
+        rows.push((bw, vec![t as f64]));
     }
     Series {
         title: "Ablation: DTU/NoC bandwidth vs 2 MiB read time".to_string(),
@@ -80,19 +73,11 @@ pub fn hop_latency() -> Series {
             },
             ..SystemConfig::default()
         });
-        let out = Rc::new(Cell::new(0u64));
-        let out2 = out.clone();
-        sys.run_program("sysc", move |env| async move {
-            env.syscall(Syscall::Noop).await.unwrap();
-            let t0 = env.sim().now().as_u64();
-            for _ in 0..50 {
-                env.syscall(Syscall::Noop).await.unwrap();
-            }
-            out2.set((env.sim().now().as_u64() - t0) / 50);
-            0
+        let t = on_m3(&sys, "sysc", |env| async move {
+            env.null_syscall().await; // warm up
+            measure::null_syscalls(&env, 50).await.total
         });
-        sys.run();
-        rows.push((lat, vec![out.get() as f64]));
+        rows.push((lat, vec![t as f64]));
     }
     Series {
         title: "Ablation: NoC hop latency vs null-syscall time".to_string(),
@@ -111,9 +96,7 @@ pub fn pipe_credits() -> Series {
             pes: 5,
             ..SystemConfig::default()
         });
-        let out = Rc::new(Cell::new(0u64));
-        let out2 = out.clone();
-        sys.run_program("pipe", move |env| async move {
+        let t = on_m3(&sys, "pipe", move |env| async move {
             let child = Vpe::new(&env, "writer", PeRequest::Same).await.unwrap();
             let (end, desc) = pipe::create_with(&env, &child, PipeRole::Writer, 64 * 1024, slots)
                 .await
@@ -127,11 +110,8 @@ pub fn pipe_credits() -> Series {
                         return 1;
                     };
                     let chunk = vec![7u8; BENCH_BUF_SIZE];
-                    let mut left = XFER_BYTES;
-                    while left > 0 {
-                        let n = chunk.len().min(left);
-                        w.write(&chunk[..n]).await.unwrap();
-                        left -= n;
+                    for _ in 0..XFER_BYTES / BENCH_BUF_SIZE {
+                        w.write(&chunk).await.unwrap();
                     }
                     w.close().await.unwrap();
                     0
@@ -139,14 +119,13 @@ pub fn pipe_credits() -> Series {
                 .await
                 .unwrap();
             let mut buf = vec![0u8; BENCH_BUF_SIZE];
-            let t0 = env.sim().now().as_u64();
+            let t0 = env.now();
             while reader.read(&mut buf).await.unwrap() > 0 {}
-            out2.set(env.sim().now().as_u64() - t0);
+            let t = env.now() - t0;
             child.wait().await.unwrap();
-            0
+            t
         });
-        sys.run();
-        rows.push((slots as u64, vec![out.get() as f64]));
+        rows.push((slots as u64, vec![t as f64]));
     }
     Series {
         title: "Ablation: pipe credit depth vs 2 MiB transfer time".to_string(),
@@ -162,9 +141,7 @@ pub fn ep_pressure() -> Series {
     let mut rows = Vec::new();
     for gates in [2u64, 4, 6, 8, 10, 12] {
         let sys = System::boot(SystemConfig::default());
-        let out = Rc::new(Cell::new(0u64));
-        let out2 = out.clone();
-        sys.run_program("gates", move |env| async move {
+        let t = on_m3(&sys, "gates", move |env| async move {
             let mut mgs = Vec::new();
             for _ in 0..gates {
                 mgs.push(MemGate::alloc(&env, 4096, Perm::RW).await.unwrap());
@@ -175,17 +152,15 @@ pub fn ep_pressure() -> Series {
             }
             // Measured rounds: round-robin over all gates.
             const ROUNDS: u64 = 10;
-            let t0 = env.sim().now().as_u64();
+            let t0 = env.now();
             for _ in 0..ROUNDS {
                 for g in &mgs {
                     g.read(0, 1).await.unwrap();
                 }
             }
-            out2.set((env.sim().now().as_u64() - t0) / (ROUNDS * gates));
-            0
+            (env.now() - t0) / (ROUNDS * gates)
         });
-        sys.run();
-        rows.push((gates, vec![out.get() as f64]));
+        rows.push((gates, vec![t as f64]));
     }
     Series {
         title: "Ablation: live memory gates vs avg access time (8 EPs, 6 free)".to_string(),

@@ -5,72 +5,71 @@
 //! buffers, and piping 2 MiB between two processes/VPEs. Bars split into
 //! "Xfers" (data/message transfers) and "Other" (OS + library overhead).
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use m3::{System, SystemConfig};
-use m3_apps::workload;
 use m3_base::cfg::BENCH_BUF_SIZE;
-use m3_base::Perm;
 use m3_fs::{mount_m3fs, SetupNode};
-use m3_kernel::protocol::Syscall;
 use m3_libos::pipe::{self, PipeRole, PipeWriter};
-use m3_libos::vfs::{self, OpenFlags};
 use m3_libos::Vpe;
-use m3_lx::{LxConfig, LxMachine};
-use m3_sim::{keys, Event, Sim};
+use m3_lx::{LxConfig, LxProc};
+use m3_sim::{keys, Event};
 
 use crate::exec::{self, Job};
+use crate::measure::{self, on_lx, on_m3, BenchOs, Split, XFER_BYTES};
 use crate::report::{Bar, Figure, Group};
 
-/// Transfer size of the file/pipe micro-benchmarks (2 MiB, §5.4).
-pub const XFER_BYTES: usize = 2 * 1024 * 1024;
+fn bar(label: &str, s: Split) -> Bar {
+    Bar::with_remainder(label, s.total, vec![("Xfers".to_string(), s.xfer)], "Other")
+}
 
-fn bar(label: &str, total: u64, xfer: u64) -> Bar {
-    Bar::with_remainder(label, total, vec![("Xfers".to_string(), xfer)], "Other")
+/// The M3 bar `label` of `s`, annotated with `sys`'s per-PE metrics.
+fn m3_bar(sys: &System, s: Split) -> Bar {
+    bar("M3", s).with_note(sys.sim().metrics().summary_line(sys.now()))
+}
+
+/// One warm-up call, then the mean of 100 null system calls.
+async fn syscall<O: BenchOs>(os: &O) -> Split {
+    os.null_syscall().await;
+    measure::null_syscalls(os, 100).await
 }
 
 fn m3_syscall() -> Bar {
     let sys = System::boot(SystemConfig::default());
-    let out = Rc::new(Cell::new((0u64, 0u64)));
-    let out2 = out.clone();
-    sys.run_program("syscall-bench", move |env| async move {
-        env.syscall(Syscall::Noop).await.unwrap(); // warm up
-        let stats = env.sim().stats();
-        let t0 = env.sim().now().as_u64();
-        let x0 = stats.get(keys::DTU_MSG_CYCLES);
-        const N: u64 = 100;
-        for _ in 0..N {
-            env.syscall(Syscall::Noop).await.unwrap();
-        }
-        let total = (env.sim().now().as_u64() - t0) / N;
-        let xfer = (stats.get(keys::DTU_MSG_CYCLES) - x0) / N;
-        out2.set((total, xfer));
-        0
-    });
-    sys.run();
-    let (total, xfer) = out.get();
-    let note = sys.sim().metrics().summary_line(sys.sim().now());
-    bar("M3", total, xfer).with_note(note)
+    let s = on_m3(
+        &sys,
+        "syscall-bench",
+        |env| async move { syscall(&env).await },
+    );
+    m3_bar(&sys, s)
 }
 
 fn lx_syscall(cfg: LxConfig, label: &str) -> Bar {
-    let sim = Sim::new();
-    let machine = LxMachine::new(&sim, cfg);
-    let out = Rc::new(Cell::new(0u64));
-    let out2 = out.clone();
-    machine.spawn_proc("syscall-bench", move |p| async move {
-        p.syscall_null().await; // warm up
-        let t0 = p.machine().sim().now().as_u64();
-        const N: u64 = 100;
-        for _ in 0..N {
-            p.syscall_null().await;
-        }
-        out2.set((p.machine().sim().now().as_u64() - t0) / N);
-        0
-    });
-    sim.run();
-    bar(label, out.get(), 0)
+    bar(
+        label,
+        on_lx(
+            cfg,
+            &[],
+            "syscall-bench",
+            |p| async move { syscall(&p).await },
+        ),
+    )
+}
+
+/// The file a read finds at boot; a write starts from an empty file system.
+fn file_setup(read: bool) -> Vec<SetupNode> {
+    if read {
+        vec![measure::data_file("/data")]
+    } else {
+        Vec::new()
+    }
+}
+
+/// Reads `/data` or writes `/new`.
+async fn file_op<O: BenchOs>(os: &O, read: bool) -> Split {
+    if read {
+        measure::read_file(os, "/data").await
+    } else {
+        measure::write_file(os, "/new").await
+    }
 }
 
 fn m3_file(read: bool) -> Bar {
@@ -135,134 +134,33 @@ fn m3_file_run(
     trace: bool,
     fault: Option<m3_fault::FaultPlan>,
 ) -> (Bar, Vec<Event>, String) {
-    let setup = if read {
-        vec![SetupNode::file(
-            "/data",
-            workload::file_content(1, XFER_BYTES),
-        )]
-    } else {
-        Vec::new()
-    };
     let faulted = fault.is_some();
     let sys = System::boot(SystemConfig {
         pes: 4,
         fs_blocks: 16 * 1024,
-        fs_setup: setup,
+        fs_setup: file_setup(read),
         fault_plan: fault,
         ..SystemConfig::default()
     });
     if trace {
         sys.sim().enable_trace();
     }
-    let out = Rc::new(Cell::new((0u64, 0u64)));
-    let out2 = out.clone();
-    sys.run_program("file-bench", move |env| async move {
+    let s = on_m3(&sys, "file-bench", move |env| async move {
         if faulted {
             env.set_recovery(Some(m3_fault::RecoveryPolicy::standard(0x4d31_f1f3)));
         }
         mount_m3fs(&env).await.unwrap();
-        let stats = env.sim().stats();
-        let mut buf = vec![0u8; BENCH_BUF_SIZE];
-        if read {
-            let mut file = vfs::open(&env, "/data", OpenFlags::R).await.unwrap();
-            let t0 = env.sim().now().as_u64();
-            let x0 = stats.get(keys::DTU_XFER_CYCLES);
-            loop {
-                let n = file.read(&mut buf).await.unwrap();
-                if n == 0 {
-                    break;
-                }
-            }
-            out2.set((
-                env.sim().now().as_u64() - t0,
-                stats.get(keys::DTU_XFER_CYCLES) - x0,
-            ));
-            file.close().await.unwrap();
-        } else {
-            let mut file = vfs::open(&env, "/new", OpenFlags::CREATE.or(OpenFlags::TRUNC))
-                .await
-                .unwrap();
-            let t0 = env.sim().now().as_u64();
-            let x0 = stats.get(keys::DTU_XFER_CYCLES);
-            let mut left = XFER_BYTES;
-            while left > 0 {
-                let n = buf.len().min(left);
-                let mut written = 0;
-                while written < n {
-                    written += file.write(&buf[written..n]).await.unwrap();
-                }
-                left -= n;
-            }
-            file.close().await.unwrap();
-            out2.set((
-                env.sim().now().as_u64() - t0,
-                stats.get(keys::DTU_XFER_CYCLES) - x0,
-            ));
-        }
-        0
+        file_op(&env, read).await
     });
-    sys.run();
-    let (total, xfer) = out.get();
-    let sim = sys.sim();
-    let metrics = sim.metrics().render(sim.now());
-    let note = sim.metrics().summary_line(sim.now());
-    let events = sim.trace();
-    (bar("M3", total, xfer).with_note(note), events, metrics)
+    let metrics = sys.sim().metrics().render(sys.now());
+    (m3_bar(&sys, s), sys.sim().trace(), metrics)
 }
 
 fn lx_file(cfg: LxConfig, label: &str, read: bool) -> Bar {
-    let sim = Sim::new();
-    let machine = LxMachine::new(&sim, cfg);
-    if read {
-        let mut fs = machine.fs().borrow_mut();
-        let ino = fs.create("/data").unwrap();
-        fs.write(ino, 0, &workload::file_content(1, XFER_BYTES))
-            .unwrap();
-    }
-    let stats = machine.stats();
-    let out = Rc::new(Cell::new((0u64, 0u64)));
-    let out2 = out.clone();
-    machine.spawn_proc("file-bench", move |p| async move {
-        let sim = p.machine().sim().clone();
-        let stats = p.machine().stats();
-        if read {
-            let mut f = p.open("/data", Perm::R, false, false).await.unwrap();
-            let t0 = sim.now().as_u64();
-            let x0 = stats.get(keys::LX_XFER_CYCLES);
-            loop {
-                let d = f.read(BENCH_BUF_SIZE).await.unwrap();
-                if d.is_empty() {
-                    break;
-                }
-            }
-            out2.set((
-                sim.now().as_u64() - t0,
-                stats.get(keys::LX_XFER_CYCLES) - x0,
-            ));
-            f.close().await;
-        } else {
-            let mut f = p.open("/new", Perm::W, true, true).await.unwrap();
-            let t0 = sim.now().as_u64();
-            let x0 = stats.get(keys::LX_XFER_CYCLES);
-            let chunk = vec![0x61u8; BENCH_BUF_SIZE];
-            let mut left = XFER_BYTES;
-            while left > 0 {
-                let n = chunk.len().min(left);
-                f.write(&chunk[..n]).await.unwrap();
-                left -= n;
-            }
-            f.close().await;
-            out2.set((
-                sim.now().as_u64() - t0,
-                stats.get(keys::LX_XFER_CYCLES) - x0,
-            ));
-        }
-        0
+    let s = on_lx(cfg, &file_setup(read), "file-bench", move |p| async move {
+        file_op(&p, read).await
     });
-    sim.run();
-    let _ = stats;
-    let (total, xfer) = out.get();
-    bar(label, total, xfer)
+    bar(label, s)
 }
 
 fn m3_pipe() -> Bar {
@@ -270,9 +168,7 @@ fn m3_pipe() -> Bar {
         pes: 5,
         ..SystemConfig::default()
     });
-    let out = Rc::new(Cell::new((0u64, 0u64)));
-    let out2 = out.clone();
-    sys.run_program("pipe-bench", move |env| async move {
+    let s = on_m3(&sys, "pipe-bench", |env| async move {
         let child = Vpe::new(&env, "writer", m3_kernel::protocol::PeRequest::Same)
             .await
             .unwrap();
@@ -288,13 +184,10 @@ fn m3_pipe() -> Bar {
                     return 1;
                 };
                 let chunk = vec![0x61u8; BENCH_BUF_SIZE];
-                let mut left = XFER_BYTES;
-                while left > 0 {
-                    let n = chunk.len().min(left);
-                    if writer.write(&chunk[..n]).await.is_err() {
+                for _ in 0..XFER_BYTES / BENCH_BUF_SIZE {
+                    if writer.write(&chunk).await.is_err() {
                         return 1;
                     }
-                    left -= n;
                 }
                 writer.close().await.unwrap();
                 0
@@ -306,65 +199,41 @@ fn m3_pipe() -> Bar {
         // overlapped with the reader's elapsed time.
         let xfers = || env.sim().metrics().get(env.pe(), keys::DTU_XFER_CYCLES);
         let mut buf = vec![0u8; BENCH_BUF_SIZE];
-        let t0 = env.sim().now().as_u64();
-        let x0 = xfers();
-        loop {
-            let n = reader.read(&mut buf).await.unwrap();
-            if n == 0 {
-                break;
-            }
-        }
-        out2.set((env.sim().now().as_u64() - t0, xfers() - x0));
+        let (t0, x0) = (env.now(), xfers());
+        while reader.read(&mut buf).await.unwrap() > 0 {}
+        let s = Split {
+            total: env.now() - t0,
+            app: 0,
+            xfer: xfers() - x0,
+        };
         child.wait().await.unwrap();
-        0
+        s
     });
-    sys.run();
-    let (total, xfer) = out.get();
-    let note = sys.sim().metrics().summary_line(sys.sim().now());
-    bar("M3", total, xfer).with_note(note)
+    m3_bar(&sys, s)
 }
 
 fn lx_pipe(cfg: LxConfig, label: &str) -> Bar {
-    let sim = Sim::new();
-    let machine = LxMachine::new(&sim, cfg);
-    let out = Rc::new(Cell::new((0u64, 0u64)));
-    let out2 = out.clone();
-    machine.spawn_proc("pipe-bench", move |p| async move {
+    let s = on_lx(cfg, &[], "pipe-bench", |p| async move {
         let (mut rx, mut tx) = p.pipe().await;
         p.fork("writer", move |c| async move {
             let chunk = vec![0x61u8; BENCH_BUF_SIZE];
-            let mut left = XFER_BYTES;
-            while left > 0 {
-                let n = chunk.len().min(left);
-                if tx.write(&c, &chunk[..n]).await.is_err() {
+            for _ in 0..XFER_BYTES / BENCH_BUF_SIZE {
+                if tx.write(&c, &chunk).await.is_err() {
                     return 1;
                 }
-                left -= n;
             }
             tx.close();
             0
         })
         .await;
-        let sim = p.machine().sim().clone();
-        let stats = p.machine().stats();
-        let t0 = sim.now().as_u64();
-        let x0 = stats.get(keys::LX_XFER_CYCLES);
-        loop {
-            let d = rx.read(&p, BENCH_BUF_SIZE).await.unwrap();
-            if d.is_empty() {
-                break;
-            }
-        }
-        out2.set((
-            sim.now().as_u64() - t0,
-            stats.get(keys::LX_XFER_CYCLES) - x0,
-        ));
+        let s = measure::split(&p, LxProc::APP, LxProc::XFER, async {
+            while !rx.read(&p, BENCH_BUF_SIZE).await.unwrap().is_empty() {}
+        })
+        .await;
         rx.close();
-        0
+        s
     });
-    sim.run();
-    let (total, xfer) = out.get();
-    bar(label, total, xfer)
+    bar(label, s)
 }
 
 /// Runs the complete Figure 3 reproduction.

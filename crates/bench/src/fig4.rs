@@ -5,90 +5,49 @@
 //! further memory capabilities (§5.5). The paper finds the sweet spot at
 //! 256 blocks and uses it as the append-allocation unit.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use m3::{System, SystemConfig};
 use m3_apps::workload;
-use m3_base::cfg::BENCH_BUF_SIZE;
 use m3_fs::{mount_m3fs, M3FsFileSystem, SetupNode};
-use m3_libos::vfs::{self, OpenFlags};
+use m3_libos::vfs::{File, OpenFlags};
 
 use crate::exec::{self, Job};
-use crate::fig3::XFER_BYTES;
+use crate::measure::{self, on_m3, XFER_BYTES};
 use crate::report::Series;
 
 /// The swept extent sizes (blocks per extent), as in the paper's x-axis.
 pub const BLOCKS_PER_EXTENT: [u64; 8] = [16, 32, 64, 128, 256, 512, 1024, 2048];
 
-fn read_time(bpe: u64) -> u64 {
-    let sys = System::boot(SystemConfig {
+fn system(setup: Vec<SetupNode>) -> System {
+    System::boot(SystemConfig {
         pes: 4,
         fs_blocks: 16 * 1024,
-        fs_setup: vec![SetupNode::fragmented_file(
-            "/data",
-            workload::file_content(1, XFER_BYTES),
-            bpe,
-        )],
+        fs_setup: setup,
         ..SystemConfig::default()
-    });
-    let out = Rc::new(Cell::new(0u64));
-    let out2 = out.clone();
-    sys.run_program("read-bench", move |env| async move {
+    })
+}
+
+fn read_time(bpe: u64) -> u64 {
+    let data = workload::file_content(1, XFER_BYTES);
+    let sys = system(vec![SetupNode::fragmented_file("/data", data, bpe)]);
+    on_m3(&sys, "read-bench", |env| async move {
         mount_m3fs(&env).await.unwrap();
-        let mut file = vfs::open(&env, "/data", OpenFlags::R).await.unwrap();
-        let mut buf = vec![0u8; BENCH_BUF_SIZE];
-        let t0 = env.sim().now().as_u64();
-        loop {
-            let n = file.read(&mut buf).await.unwrap();
-            if n == 0 {
-                break;
-            }
-        }
-        out2.set(env.sim().now().as_u64() - t0);
-        file.close().await.unwrap();
-        0
-    });
-    sys.run();
-    out.get()
+        measure::read_file(&env, "/data").await.total
+    })
 }
 
 fn write_time(bpe: u64) -> u64 {
-    let sys = System::boot(SystemConfig {
-        pes: 4,
-        fs_blocks: 16 * 1024,
-        ..SystemConfig::default()
-    });
-    let out = Rc::new(Cell::new(0u64));
-    let out2 = out.clone();
-    sys.run_program("write-bench", move |env| async move {
+    on_m3(&system(Vec::new()), "write-bench", move |env| async move {
         // "For writing we let the application allocate the corresponding
         // number of blocks at once" (§5.5): the allocation hint replaces
         // the 256-block default.
         let fs = M3FsFileSystem::connect(&env).await.unwrap();
-        let mut file = fs
+        let file = fs
             .open_file(&env, "/new", OpenFlags::CREATE.or(OpenFlags::TRUNC), bpe)
             .await
             .unwrap();
-        let buf = vec![0x61u8; BENCH_BUF_SIZE];
-        let t0 = env.sim().now().as_u64();
-        let mut left = XFER_BYTES;
-        while left > 0 {
-            let n = buf.len().min(left);
-            let mut written = 0;
-            while written < n {
-                written += m3_libos::vfs::File::write(&mut file, &buf[written..n])
-                    .await
-                    .unwrap();
-            }
-            left -= n;
-        }
-        m3_libos::vfs::File::close(&mut file).await.unwrap();
-        out2.set(env.sim().now().as_u64() - t0);
-        0
-    });
-    sys.run();
-    out.get()
+        let file: Box<dyn File> = Box::new(file);
+        measure::fill(&env, file).await.total
+    })
 }
 
 /// Runs the complete Figure 4 reproduction.

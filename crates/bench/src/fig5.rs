@@ -4,16 +4,16 @@
 //! without cache misses (`Lx-$`), broken down into application time, data
 //! transfers, and OS overhead.
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::future::Future;
 
 use m3::{System, SystemConfig};
-use m3_apps::{lxapp, m3app, tarfmt, workload};
+use m3_apps::{fsapps, lxapp, m3app, tarfmt, workload};
+use m3_base::error::Result;
 use m3_fs::{mount_m3fs, SetupNode};
-use m3_lx::{LxConfig, LxMachine};
-use m3_sim::{keys, Sim};
+use m3_lx::LxConfig;
 
 use crate::exec::{self, Job};
+use crate::measure::{self, on_lx, on_m3, BenchOs, Split};
 use crate::report::{Bar, Figure, Group};
 
 /// The five §5.6 benchmarks.
@@ -54,7 +54,7 @@ impl BenchKind {
 }
 
 /// Builds the untar input: the reference archive of the tar tree.
-fn untar_archive() -> Vec<u8> {
+pub(crate) fn untar_archive() -> Vec<u8> {
     let spec = workload::tar_input(22);
     let entries: Vec<(&str, &[u8], bool)> = spec
         .files
@@ -64,7 +64,8 @@ fn untar_archive() -> Vec<u8> {
     tarfmt::build_archive(&entries)
 }
 
-fn m3_setup(kind: BenchKind) -> (Vec<SetupNode>, usize) {
+/// The file system `kind` starts from, on both systems, and the M3 PE count.
+fn setup(kind: BenchKind) -> (Vec<SetupNode>, usize) {
     match kind {
         BenchKind::CatTr => (workload::cat_tr_input(11).to_setup(), 5),
         BenchKind::Tar => (workload::tar_input(22).to_setup(), 4),
@@ -80,123 +81,61 @@ fn m3_setup(kind: BenchKind) -> (Vec<SetupNode>, usize) {
     }
 }
 
+/// Runs `kind` on `os` and splits it into App/Xfers/OS. cat+tr starts a
+/// child, which differs per system, so the caller passes it in.
+async fn bench<O: BenchOs, F>(os: &O, kind: BenchKind, cat_tr: impl FnOnce() -> F) -> Split
+where
+    F: Future<Output = Result<u64>>,
+{
+    measure::split(os, O::APP, O::XFER, async {
+        match kind {
+            BenchKind::CatTr => {
+                cat_tr().await.unwrap();
+            }
+            BenchKind::Tar => {
+                fsapps::tar_create(os, "/src", "/archive.tar")
+                    .await
+                    .unwrap();
+            }
+            BenchKind::Untar => {
+                fsapps::tar_extract(os, "/archive.tar", "/out")
+                    .await
+                    .unwrap();
+            }
+            BenchKind::Find => {
+                assert!(!fsapps::find(os, "/", "log").await.unwrap().is_empty());
+            }
+            BenchKind::Sqlite => {
+                assert_eq!(fsapps::sqlite(os, "/test.db").await.unwrap(), 8);
+            }
+        }
+    })
+    .await
+}
+
 fn m3_bar(kind: BenchKind) -> Bar {
-    let (setup, pes) = m3_setup(kind);
+    let (setup, pes) = setup(kind);
     let sys = System::boot(SystemConfig {
         pes,
         fs_blocks: 16 * 1024,
         fs_setup: setup,
         ..SystemConfig::default()
     });
-    let out = Rc::new(Cell::new((0u64, 0u64, 0u64)));
-    let out2 = out.clone();
-    sys.run_program("bench", move |env| async move {
+    let s = on_m3(&sys, "bench", move |env| async move {
         mount_m3fs(&env).await.unwrap();
-        let stats = env.sim().stats();
-        let t0 = env.sim().now().as_u64();
-        let app0 = stats.get(keys::APP_CYCLES);
-        let x0 = stats.get(keys::DTU_XFER_CYCLES);
-        match kind {
-            BenchKind::CatTr => {
-                m3app::cat_tr(&env, "/input.txt", "/output.txt")
-                    .await
-                    .unwrap();
-            }
-            BenchKind::Tar => {
-                m3app::tar_create(&env, "/src", "/archive.tar")
-                    .await
-                    .unwrap();
-            }
-            BenchKind::Untar => {
-                m3app::tar_extract(&env, "/archive.tar", "/out")
-                    .await
-                    .unwrap();
-            }
-            BenchKind::Find => {
-                let found = m3app::find(&env, "/", "log").await.unwrap();
-                assert!(!found.is_empty());
-            }
-            BenchKind::Sqlite => {
-                assert_eq!(m3app::sqlite(&env, "/test.db").await.unwrap(), 8);
-            }
-        }
-        out2.set((
-            env.sim().now().as_u64() - t0,
-            stats.get(keys::APP_CYCLES) - app0,
-            stats.get(keys::DTU_XFER_CYCLES) - x0,
-        ));
-        0
+        bench(&env, kind, || {
+            m3app::cat_tr(&env, "/input.txt", "/output.txt")
+        })
+        .await
     });
-    sys.run();
-    let (total, app, xfer) = out.get();
-    Bar::with_remainder(
-        "M3",
-        total,
-        vec![("App".to_string(), app), ("Xfers".to_string(), xfer)],
-        "OS",
-    )
+    s.bar("M3", "App")
 }
 
 fn lx_bar(kind: BenchKind, cfg: LxConfig, label: &str) -> Bar {
-    let sim = Sim::new();
-    let machine = LxMachine::new(&sim, cfg);
-    match kind {
-        BenchKind::CatTr => workload::cat_tr_input(11).preload_lx(&machine),
-        BenchKind::Tar => workload::tar_input(22).preload_lx(&machine),
-        BenchKind::Untar => {
-            let mut fs = machine.fs().borrow_mut();
-            let ino = fs.create("/archive.tar").unwrap();
-            fs.write(ino, 0, &untar_archive()).unwrap();
-            fs.mkdir("/out").unwrap();
-        }
-        BenchKind::Find => workload::find_tree(33).preload_lx(&machine),
-        BenchKind::Sqlite => {}
-    }
-    let out = Rc::new(Cell::new((0u64, 0u64, 0u64)));
-    let out2 = out.clone();
-    machine.spawn_proc("bench", move |p| async move {
-        let sim = p.machine().sim().clone();
-        let stats = p.machine().stats();
-        let t0 = sim.now().as_u64();
-        let app0 = stats.get(keys::LX_APP_CYCLES);
-        let x0 = stats.get(keys::LX_XFER_CYCLES);
-        match kind {
-            BenchKind::CatTr => {
-                lxapp::cat_tr(&p, "/input.txt", "/output.txt")
-                    .await
-                    .unwrap();
-            }
-            BenchKind::Tar => {
-                lxapp::tar_create(&p, "/src", "/archive.tar").await.unwrap();
-            }
-            BenchKind::Untar => {
-                lxapp::tar_extract(&p, "/archive.tar", "/out")
-                    .await
-                    .unwrap();
-            }
-            BenchKind::Find => {
-                let found = lxapp::find(&p, "/", "log").await.unwrap();
-                assert!(!found.is_empty());
-            }
-            BenchKind::Sqlite => {
-                assert_eq!(lxapp::sqlite(&p, "/test.db").await.unwrap(), 8);
-            }
-        }
-        out2.set((
-            sim.now().as_u64() - t0,
-            stats.get(keys::LX_APP_CYCLES) - app0,
-            stats.get(keys::LX_XFER_CYCLES) - x0,
-        ));
-        0
+    let s = on_lx(cfg, &setup(kind).0, "bench", move |p| async move {
+        bench(&p, kind, || lxapp::cat_tr(&p, "/input.txt", "/output.txt")).await
     });
-    sim.run();
-    let (total, app, xfer) = out.get();
-    Bar::with_remainder(
-        label,
-        total,
-        vec![("App".to_string(), app), ("Xfers".to_string(), xfer)],
-        "OS",
-    )
+    s.bar(label, "App")
 }
 
 /// Runs the complete Figure 5 reproduction.

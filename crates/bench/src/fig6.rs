@@ -11,12 +11,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use m3::{System, SystemConfig};
-use m3_apps::{m3app, tarfmt, workload};
+use m3_apps::{m3app, workload};
 use m3_fs::{mount_m3fs, SetupNode};
 use m3_noc::NocConfig;
 
 use crate::exec::{self, Job};
-use crate::fig5::BenchKind;
+use crate::fig5::{self, BenchKind};
 use crate::report::Series;
 
 /// Instance counts of the sweep (cat+tr starts at 2 PEs per instance, so
@@ -28,14 +28,7 @@ fn setup_for(kind: BenchKind, max_instances: usize) -> Vec<SetupNode> {
         BenchKind::CatTr => workload::cat_tr_input(11).to_setup(),
         BenchKind::Tar => workload::tar_input(22).to_setup(),
         BenchKind::Untar => {
-            let spec = workload::tar_input(22);
-            let entries: Vec<(&str, &[u8], bool)> = spec
-                .files
-                .iter()
-                .map(|(p, c)| (p.trim_start_matches('/'), c.as_slice(), false))
-                .collect();
-            let archive = tarfmt::build_archive(&entries);
-            let mut setup = vec![SetupNode::file("/archive.tar", archive)];
+            let mut setup = vec![SetupNode::file("/archive.tar", fig5::untar_archive())];
             for i in 0..max_instances {
                 setup.push(SetupNode::dir(&format!("/out{i}")));
             }

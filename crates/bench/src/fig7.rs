@@ -6,91 +6,54 @@
 //! configurations: Linux with the software FFT, M3 with the software FFT,
 //! and M3 with the FFT accelerator core.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use m3::{System, SystemConfig};
 use m3_apps::{lxapp, m3app};
 use m3_fs::{mount_m3fs, SetupNode};
-use m3_lx::{LxConfig, LxMachine};
+use m3_libos::Env;
+use m3_lx::{LxConfig, LxProc};
 use m3_platform::PeType;
-use m3_sim::{keys, Sim};
+use m3_sim::keys;
 
 use crate::exec::{self, Job};
+use crate::measure::{on_lx, on_m3, split, BenchOs};
 use crate::report::{Bar, Figure, Group};
+
+/// The FFT executable the child is loaded from, on both systems.
+fn setup() -> Vec<SetupNode> {
+    vec![
+        SetupNode::dir("/bin"),
+        SetupNode::file("/bin/fft", vec![0x7f; 16 * 1024]),
+    ]
+}
 
 fn m3_bar(accel: bool) -> Bar {
     let sys = System::boot(SystemConfig {
         pes: 5,
         accel_pes: 1,
         fs_blocks: 8 * 1024,
-        fs_setup: vec![
-            SetupNode::dir("/bin"),
-            SetupNode::file("/bin/fft", vec![0x7f; 16 * 1024]),
-        ],
+        fs_setup: setup(),
         ..SystemConfig::default()
     });
     m3app::register_fft_program(sys.registry());
-    let out = Rc::new(Cell::new((0u64, 0u64, 0u64)));
-    let out2 = out.clone();
-    sys.run_program("fft-bench", move |env| async move {
+    let s = on_m3(&sys, "fft-bench", move |env| async move {
         mount_m3fs(&env).await.unwrap();
-        let stats = env.sim().stats();
-        let t0 = env.sim().now().as_u64();
-        let f0 = stats.get(keys::FFT_CYCLES);
-        let x0 = stats.get(keys::DTU_XFER_CYCLES);
-        let pe = if accel { Some(PeType::FftAccel) } else { None };
-        m3app::fft_pipeline(&env, pe, "/result.bin").await.unwrap();
-        out2.set((
-            env.sim().now().as_u64() - t0,
-            stats.get(keys::FFT_CYCLES) - f0,
-            stats.get(keys::DTU_XFER_CYCLES) - x0,
-        ));
-        0
+        let pe = accel.then_some(PeType::FftAccel);
+        split(&env, keys::FFT_CYCLES, Env::XFER, async {
+            m3app::fft_pipeline(&env, pe, "/result.bin").await.unwrap();
+        })
+        .await
     });
-    sys.run();
-    let (total, fft, xfer) = out.get();
-    Bar::with_remainder(
-        if accel { "M3+accel" } else { "M3" },
-        total,
-        vec![("FFT".to_string(), fft), ("Xfers".to_string(), xfer)],
-        "OS",
-    )
+    s.bar(if accel { "M3+accel" } else { "M3" }, "FFT")
 }
 
 fn lx_bar() -> Bar {
-    let sim = Sim::new();
-    let machine = LxMachine::new(&sim, LxConfig::xtensa());
-    {
-        let mut fs = machine.fs().borrow_mut();
-        fs.mkdir("/bin").unwrap();
-        let ino = fs.create("/bin/fft").unwrap();
-        fs.write(ino, 0, &vec![0x7f; 16 * 1024]).unwrap();
-    }
-    let out = Rc::new(Cell::new((0u64, 0u64, 0u64)));
-    let out2 = out.clone();
-    machine.spawn_proc("fft-bench", move |p| async move {
-        let sim = p.machine().sim().clone();
-        let stats = p.machine().stats();
-        let t0 = sim.now().as_u64();
-        let f0 = stats.get(keys::FFT_CYCLES);
-        let x0 = stats.get(keys::LX_XFER_CYCLES);
-        lxapp::fft_pipeline(&p, "/result.bin").await.unwrap();
-        out2.set((
-            sim.now().as_u64() - t0,
-            stats.get(keys::FFT_CYCLES) - f0,
-            stats.get(keys::LX_XFER_CYCLES) - x0,
-        ));
-        0
+    let s = on_lx(LxConfig::xtensa(), &setup(), "fft-bench", |p| async move {
+        split(&p, keys::FFT_CYCLES, LxProc::XFER, async {
+            lxapp::fft_pipeline(&p, "/result.bin").await.unwrap();
+        })
+        .await
     });
-    sim.run();
-    let (total, fft, xfer) = out.get();
-    Bar::with_remainder(
-        "Linux",
-        total,
-        vec![("FFT".to_string(), fft), ("Xfers".to_string(), xfer)],
-        "OS",
-    )
+    s.bar("Linux", "FFT")
 }
 
 /// Runs the complete Figure 7 reproduction.
