@@ -43,7 +43,9 @@ pub fn dtu_bandwidth() -> Series {
             },
             ..SystemConfig::default()
         });
-        // The file stays open: the read loop alone is the measurement.
+        // Unlike `measure::read_file`, the sweep leaves the file open: a
+        // close would add m3fs requests to the task, poll and timer counts
+        // that `perf --baseline` gates on.
         let t = on_m3(&sys, "read", |env| async move {
             mount_m3fs(&env).await.unwrap();
             let mut file = vfs::open(&env, "/data", OpenFlags::R).await.unwrap();

@@ -21,7 +21,7 @@ fn bar(label: &str, s: Split) -> Bar {
     Bar::with_remainder(label, s.total, vec![("Xfers".to_string(), s.xfer)], "Other")
 }
 
-/// The M3 bar `label` of `s`, annotated with `sys`'s per-PE metrics.
+/// The M3 bar of `s`, annotated with `sys`'s per-PE metrics.
 fn m3_bar(sys: &System, s: Split) -> Bar {
     bar("M3", s).with_note(sys.sim().metrics().summary_line(sys.now()))
 }
@@ -43,15 +43,13 @@ fn m3_syscall() -> Bar {
 }
 
 fn lx_syscall(cfg: LxConfig, label: &str) -> Bar {
-    bar(
-        label,
-        on_lx(
-            cfg,
-            &[],
-            "syscall-bench",
-            |p| async move { syscall(&p).await },
-        ),
-    )
+    let s = on_lx(
+        cfg,
+        &[],
+        "syscall-bench",
+        |p| async move { syscall(&p).await },
+    );
+    bar(label, s)
 }
 
 /// The file a read finds at boot; a write starts from an empty file system.

@@ -24,7 +24,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod measure;
+mod measure;
 pub mod pdes_bench;
 pub mod registry;
 pub mod report;
