@@ -146,6 +146,9 @@ struct Inner {
     peak_tasks: u64,
     peak_timers: u64,
     reported: gauges::Gauges,
+    /// Set by [`Sim::shutdown`]: the simulation is over and may not be
+    /// driven again.
+    closed: bool,
 }
 
 impl Inner {
@@ -154,6 +157,7 @@ impl Inner {
     /// wheel: an entry keeps its sequence number until it fires, so
     /// same-cycle timers fire in the order they were armed.
     fn arm(&mut self, deadline: Cycles, entry: TimerEntry) {
+        self.assert_open();
         self.timers_scheduled += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -187,9 +191,18 @@ impl Inner {
         (self.slots.len() - self.free.len()) as u64
     }
 
+    /// Panics once [`Sim::shutdown`] has run: nothing may be spawned,
+    /// armed or run in a simulation that is over.
+    fn assert_open(&self) {
+        assert!(
+            !self.closed,
+            "Sim used after shutdown: its System was dropped"
+        );
+    }
+
     /// Contributes everything not yet reported to the process-wide gauges.
-    /// Runs after every run/settle call (a `Sim` kept alive by daemon-task
-    /// reference cycles would otherwise never report) and again on drop.
+    /// Runs after every run/settle call, so the totals are current while a
+    /// `Sim` is still alive, and again on drop.
     fn flush_gauges(&mut self) {
         let totals = gauges::Gauges {
             tasks_spawned: self.spawned,
@@ -296,6 +309,7 @@ impl Sim {
                 peak_tasks: 0,
                 peak_timers: 0,
                 reported: gauges::Gauges::default(),
+                closed: false,
             })),
             ready: Arc::new(ReadyQueue::default()),
             recorder: Recorder::new(),
@@ -396,6 +410,7 @@ impl Sim {
 
     fn spawn_task(&self, name: TaskName, future: BoxFuture, daemon: bool) {
         let mut inner = self.inner.borrow_mut();
+        inner.assert_open();
         let idx = match inner.free.pop() {
             Some(idx) => idx,
             None => {
@@ -523,7 +538,9 @@ impl Sim {
     /// across islands to place the next window barrier.
     pub fn next_event_time(&self) -> Option<Cycles> {
         let ready_empty = self.ready.lock().is_empty();
-        self.inner.borrow().next_event_time(ready_empty)
+        let inner = self.inner.borrow();
+        inner.assert_open();
+        inner.next_event_time(ready_empty)
     }
 
     /// Number of live non-daemon tasks plus pending [`Sim::call_at`]
@@ -559,6 +576,7 @@ impl Sim {
     /// too. The PDES coordinator ([`crate::pdes`]) owns the
     /// all-islands-finished decision.
     pub fn run_window(&self, end: Cycles) {
+        self.inner.borrow().assert_open();
         loop {
             self.drain_ready();
             if !self.fire_due(end, true) {
@@ -581,6 +599,7 @@ impl Sim {
     /// pass `now + slack`. Daemons blocked on notifications leave no timers,
     /// so this terminates.
     pub fn settle(&self, slack: Cycles) {
+        self.inner.borrow().assert_open();
         let limit = self.now() + slack;
         loop {
             self.drain_ready();
@@ -589,6 +608,38 @@ impl Sim {
             }
         }
         self.flush_gauges();
+    }
+
+    /// Ends the simulation. Every task, pending timer and queued wake-up is
+    /// taken out and dropped; then the `Sim` is closed, and a later spawn,
+    /// [`Sim::call_at`], sleep or run call panics. The clock, metrics and
+    /// trace stay readable. Calling it again does nothing.
+    ///
+    /// Tasks hold clones of the `Sim` that owns them, so a simulation with
+    /// a task left (a daemon, say) is never freed without this; an M3
+    /// `System` calls it when dropped.
+    pub fn shutdown(&self) {
+        loop {
+            // Taken under the borrow, dropped outside it: a future's or a
+            // callback's destructor may call back into the simulation.
+            let (slots, timers) = {
+                let mut inner = self.inner.borrow_mut();
+                inner.free.clear();
+                inner.batch.clear();
+                inner.polling = None;
+                inner.live_regular = 0;
+                (
+                    std::mem::take(&mut inner.slots),
+                    std::mem::take(&mut inner.timers),
+                )
+            };
+            self.ready.lock().clear();
+            if slots.is_empty() && timers.is_empty() {
+                break;
+            }
+            drop((slots, timers));
+        }
+        self.inner.borrow_mut().closed = true;
     }
 
     /// The step every run loop repeats once its ready queue is drained:
@@ -713,6 +764,7 @@ impl Sim {
     }
 
     fn run_inner(&self, limit: Option<Cycles>) -> SimState {
+        self.inner.borrow().assert_open();
         let state = self.run_loop(limit);
         self.flush_gauges();
         state
@@ -1564,6 +1616,92 @@ mod tests {
         assert_eq!(pending_timer_kinds(&sim), ["task"]);
         assert_eq!(sim.run(), SimState::Finished);
         assert_eq!(sim.now(), Cycles::new(40));
+    }
+
+    /// Spawns a task on drop: a destructor that re-enters the simulation.
+    struct SpawnOnDrop {
+        sim: Sim,
+        token: Option<Rc<()>>,
+    }
+
+    impl Drop for SpawnOnDrop {
+        fn drop(&mut self) {
+            let token = self.token.take();
+            self.sim.spawn_daemon("respawned", async move {
+                let _token = token;
+                std::future::pending::<()>().await;
+            });
+        }
+    }
+
+    #[test]
+    fn shutdown_drops_every_task_timer_and_callback() {
+        let sim = Sim::new();
+        let token = Rc::new(());
+        {
+            let (sim2, token) = (sim.clone(), token.clone());
+            sim.spawn_daemon("parked", async move {
+                let _token = token;
+                sim2.sleep(Cycles::new(1_000)).await;
+                std::future::pending::<()>().await;
+            });
+        }
+        {
+            let (sim2, token) = (sim.clone(), token.clone());
+            sim.spawn("regular", async move {
+                let _token = token;
+                sim2.sleep(Cycles::new(500)).await;
+            });
+        }
+        {
+            let token = token.clone();
+            sim.call_at(Cycles::new(2_000), move || drop(token));
+        }
+        {
+            let guard = SpawnOnDrop {
+                sim: sim.clone(),
+                token: Some(token.clone()),
+            };
+            sim.spawn_daemon("respawner", async move {
+                let _guard = guard;
+                std::future::pending::<()>().await;
+            });
+        }
+        assert_eq!(sim.run_until(Cycles::new(100)), SimState::TimeLimit);
+        let weak = Rc::downgrade(&token);
+        drop(token);
+        assert!(weak.upgrade().is_some());
+        sim.shutdown();
+        assert!(weak.upgrade().is_none(), "shutdown left a task alive");
+        assert_eq!(sim.live_regular(), 0);
+        assert_eq!(sim.now(), Cycles::new(100));
+        assert!(Rc::strong_count(&sim.inner) == 1, "a task kept the Sim");
+        // A second shutdown is a no-op.
+        sim.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "System was dropped")]
+    fn spawn_after_shutdown_panics() {
+        let sim = Sim::new();
+        sim.shutdown();
+        sim.spawn("late", async {});
+    }
+
+    #[test]
+    #[should_panic(expected = "System was dropped")]
+    fn run_after_shutdown_panics() {
+        let sim = Sim::new();
+        sim.shutdown();
+        sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "System was dropped")]
+    fn call_at_after_shutdown_panics() {
+        let sim = Sim::new();
+        sim.shutdown();
+        sim.call_at(Cycles::new(1), || {});
     }
 
     use std::cell::Cell;

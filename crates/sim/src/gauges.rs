@@ -2,12 +2,12 @@
 //!
 //! Each [`crate::Sim`] keeps plain per-run counters on its hot paths (no
 //! atomics per poll) and merges the unreported delta here after every
-//! run/settle call and when the simulation is dropped (daemon tasks keep
-//! many `Sim`s alive through reference cycles, so drop alone would miss
-//! them). The perf harness zeroes the peaks and snapshots the globals before
-//! a figure, and snapshots them again after it, to attribute executor work
-//! to it; the atomics make that safe even when scenarios run on worker
-//! threads.
+//! run/settle call and when the simulation is dropped. Merging per call
+//! keeps the totals current while a `Sim` is still alive, as it is when a
+//! harness reads its counters before dropping its `System`. The perf
+//! harness zeroes the peaks and snapshots the globals before a figure, and
+//! snapshots them again after it, to attribute executor work to it; the
+//! atomics make that safe even when scenarios run on worker threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

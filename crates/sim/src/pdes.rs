@@ -383,10 +383,14 @@ impl WorkerIsland {
         reply
     }
 
+    /// Runs the finish closure, then shuts the island's `Sim` down: its
+    /// tasks hold the island's context, so it would never be freed.
     fn finish(mut self) -> (String, IslandStats) {
         let output = (self.finish)(&self.ctx);
-        self.stats.final_now = self.ctx.sim().now();
-        self.ctx.sim().flush_gauges();
+        let sim = self.ctx.sim();
+        sim.shutdown();
+        self.stats.final_now = sim.now();
+        sim.flush_gauges();
         (output, self.stats)
     }
 }
@@ -648,6 +652,8 @@ fn coordinate<'scope>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn cfg(workers: usize) -> PdesConfig {
         PdesConfig {
@@ -770,6 +776,44 @@ mod tests {
         // `Sim::run` abandons daemon timers once regular tasks are done.
         assert_eq!(report.islands[0].final_now, Cycles::new(15));
         assert_eq!(report.end_time, Cycles::new(15));
+    }
+
+    #[test]
+    fn finished_islands_are_freed() {
+        // A daemon holding the island's context (and through it the
+        // `Sim`) outlives the run's last window; the shutdown after the
+        // finish closure must free it with its island.
+        let freed = Arc::new(AtomicUsize::new(0));
+        let builders = (0..2)
+            .map(|_| {
+                let freed = freed.clone();
+                Box::new(move |ctx: &IslandCtx| {
+                    let guard = CountOnDrop(freed);
+                    let (ctx2, port) = (ctx.clone(), ctx.port(0));
+                    ctx.sim().spawn_daemon("holder", async move {
+                        let _guard = guard;
+                        let _ctx = ctx2;
+                        port.recv().await;
+                    });
+                    let sim = ctx.sim().clone();
+                    ctx.sim().spawn("work", async move {
+                        sim.sleep(Cycles::new(20)).await;
+                    });
+                    Box::new(|_: &IslandCtx| String::new()) as IslandFinish
+                }) as IslandBuilder
+            })
+            .collect();
+        run(&cfg(2), builders);
+        assert_eq!(freed.load(Ordering::Relaxed), 2);
+    }
+
+    /// Counts its drop.
+    struct CountOnDrop(Arc<AtomicUsize>);
+
+    impl Drop for CountOnDrop {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     #[test]
