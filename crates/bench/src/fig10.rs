@@ -169,6 +169,8 @@ fn island_builder(id: u32, shards: u32, pes_per_shard: usize) -> IslandBuilder {
             placed
         });
 
+        // The finish closure owns the System: dropping it ends the
+        // island's simulation, so it must live past the last window.
         let finish: IslandFinish = Box::new(move |ctx| {
             let created: i64 = jobs
                 .iter()
@@ -177,7 +179,7 @@ fn island_builder(id: u32, shards: u32, pes_per_shard: usize) -> IslandBuilder {
             let placed = spill
                 .try_take()
                 .expect("spiller finished before termination");
-            let stats = ctx.sim().stats();
+            let stats = sys.stats();
             let ops = stats.get(keys::KERNEL_SYSCALLS) + stats.get(keys::KTK_REQUESTS);
             let xplace = stats.get(keys::REMOTE_PLACEMENTS);
             format!(
@@ -186,7 +188,7 @@ fn island_builder(id: u32, shards: u32, pes_per_shard: usize) -> IslandBuilder {
                 ops,
                 created + placed,
                 xplace,
-                ctx.sim().now().as_u64(),
+                sys.now().as_u64(),
             )
         });
         finish

@@ -165,6 +165,8 @@ fn island_builder(id: u32, islands: u32) -> IslandBuilder {
             });
         }
 
+        // The finish closure owns the System: dropping it ends the
+        // island's simulation, so it must live past the last window.
         let finish: IslandFinish = Box::new(move |ctx| {
             let job_total: i64 = jobs
                 .iter()
@@ -176,7 +178,7 @@ fn island_builder(id: u32, islands: u32) -> IslandBuilder {
                 job_total,
                 rx_count.get(),
                 rx_sum.get(),
-                ctx.sim().now().as_u64(),
+                sys.now().as_u64(),
             )
         });
         finish

@@ -113,7 +113,12 @@ impl Default for SystemConfig {
 
 /// A booted M3 system: platform, one kernel and one m3fs per shard, ready
 /// to run programs.
-#[derive(Clone)]
+///
+/// A `System` owns its simulation: dropping it shuts the [`Sim`] down
+/// ([`Sim::shutdown`]), releases every [`Env`] built for it
+/// ([`ProgramRegistry::release_envs`]) and unwires the shard kernels
+/// ([`Kernel::release_shard`]), which frees the platform, its DRAM and
+/// every task. The `Sim` cannot be driven afterwards.
 pub struct System {
     platform: Platform,
     kernels: Vec<Kernel>,
@@ -314,6 +319,16 @@ impl System {
     /// Current simulated time.
     pub fn now(&self) -> Cycles {
         self.sim().now()
+    }
+}
+
+impl Drop for System {
+    fn drop(&mut self) {
+        self.sim().shutdown();
+        self.registry.release_envs();
+        for kernel in &self.kernels {
+            kernel.release_shard();
+        }
     }
 }
 

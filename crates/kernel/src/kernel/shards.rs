@@ -130,6 +130,16 @@ impl Kernel {
         }));
     }
 
+    /// Leaves the multikernel: drops the shard context and with it the ktk
+    /// transport. The transport [`Kernel::connect_shards`] builds holds
+    /// this kernel and its peers, so wired kernels keep each other alive
+    /// until this runs. Call it once the simulation is shut down (an M3
+    /// `System` does when dropped).
+    pub fn release_shard(&self) {
+        let ctx = self.shard.borrow_mut().take();
+        drop(ctx);
+    }
+
     /// Wires `kernels` (one per shard, all inside one `Sim`) into a sharded
     /// multikernel: shard ids follow slice order, and ktk messages ride the
     /// NoC between the kernel PEs, charged like any other transfer. With a

@@ -4,7 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::future::Future;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use m3_base::error::{Code, Error, Result};
 use m3_base::{Cycles, PeId, SelId, VpeId};
@@ -32,9 +32,14 @@ pub type ProgramFn = dyn Fn(Env, Vec<String>) -> BoxFuture<'static, i64>;
 /// This is the simulation's stand-in for executable files: `exec` still
 /// *reads* the named file through the VFS (charging the load transfer), then
 /// runs the registered entry point.
+///
+/// The registry also remembers, weakly, every [`Env`] built with it, so the
+/// owner of a simulation can break their reference cycles when it ends
+/// ([`ProgramRegistry::release_envs`]).
 #[derive(Clone, Default)]
 pub struct ProgramRegistry {
     map: Rc<RefCell<BTreeMap<String, Rc<ProgramFn>>>>,
+    envs: Rc<RefCell<Vec<Weak<EnvInner>>>>,
 }
 
 impl fmt::Debug for ProgramRegistry {
@@ -72,6 +77,39 @@ impl ProgramRegistry {
             .get(path)
             .cloned()
             .ok_or_else(|| Error::new(Code::NoSuchFile).with_msg(path.to_string()))
+    }
+
+    /// Remembers `env` for [`ProgramRegistry::release_envs`]. Dead entries
+    /// are pruned whenever the list would grow, so it stays proportional
+    /// to the live `Env`s.
+    fn track(&self, env: &Rc<EnvInner>) {
+        let mut envs = self.envs.borrow_mut();
+        if envs.len() == envs.capacity() {
+            envs.retain(|e| e.strong_count() > 0);
+        }
+        envs.push(Rc::downgrade(env));
+    }
+
+    /// Clears the mount table and the reply gate of every [`Env`] built
+    /// with this registry that is still alive. The gates behind both hold
+    /// their `Env`, so an `Env` that mounted a filesystem or made an RPC
+    /// call is otherwise never freed. Call it once the simulation is shut
+    /// down (an M3 `System` does when dropped): the cleared `Env`s can no
+    /// longer reach a filesystem.
+    pub fn release_envs(&self) {
+        let envs: Vec<Rc<EnvInner>> = self
+            .envs
+            .borrow_mut()
+            .drain(..)
+            .filter_map(|e| e.upgrade())
+            .collect();
+        for env in &envs {
+            // Taken out, then dropped outside the borrows: a gate's
+            // destructor releases its endpoint through the same `Env`.
+            let mounts = std::mem::take(&mut *env.vfs.borrow_mut());
+            let gate = env.reply_gate.borrow_mut().take();
+            drop((mounts, gate));
+        }
     }
 }
 
@@ -115,24 +153,24 @@ impl Env {
     pub fn new(kernel: &Kernel, info: &VpeBootInfo, programs: ProgramRegistry) -> Env {
         let platform = kernel.platform();
         let metrics = platform.sim().metrics();
-        Env {
-            inner: Rc::new(EnvInner {
-                kernel: kernel.clone(),
-                sim: platform.sim().clone(),
-                pe_busy: metrics.handle(m3_sim::keys::PE_BUSY),
-                app_cycles: metrics.handle(m3_sim::keys::APP_CYCLES),
-                metrics,
-                dtu: platform.dtu(info.pe),
-                vpe: info.vpe,
-                pe: info.pe,
-                next_sel: Cell::new(FIRST_USER_SEL),
-                epmux: RefCell::new(EpMux::new()),
-                vfs: RefCell::new(Vfs::new()),
-                programs,
-                reply_gate: RefCell::new(None),
-                recovery: RefCell::new(None),
-            }),
-        }
+        let inner = Rc::new(EnvInner {
+            kernel: kernel.clone(),
+            sim: platform.sim().clone(),
+            pe_busy: metrics.handle(m3_sim::keys::PE_BUSY),
+            app_cycles: metrics.handle(m3_sim::keys::APP_CYCLES),
+            metrics,
+            dtu: platform.dtu(info.pe),
+            vpe: info.vpe,
+            pe: info.pe,
+            next_sel: Cell::new(FIRST_USER_SEL),
+            epmux: RefCell::new(EpMux::new()),
+            vfs: RefCell::new(Vfs::new()),
+            programs,
+            reply_gate: RefCell::new(None),
+            recovery: RefCell::new(None),
+        });
+        inner.programs.track(&inner);
+        Env { inner }
     }
 
     /// The simulation this VPE runs in.

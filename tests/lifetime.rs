@@ -281,3 +281,24 @@ fn pdes_island_systems_are_freed() {
         "pdes islands: something outlived its System"
     );
 }
+
+#[test]
+#[should_panic(expected = "System was dropped")]
+fn island_whose_system_dropped_early_fails_loudly() {
+    // The System goes out of scope at the end of the builder while its
+    // island still has work: the engine's first look at the island must
+    // say so instead of reporting a stall.
+    let early: IslandBuilder = Box::new(|ctx| {
+        let sys = System::boot_in(ctx.sim().clone(), SystemConfig::default());
+        sys.run_program("orphan", |env| async move {
+            env.compute(Cycles::new(100)).await;
+            0
+        });
+        Box::new(|_ctx| String::new())
+    });
+    let cfg = PdesConfig {
+        lookahead: Cycles::new(1_000),
+        workers: 1,
+    };
+    pdes::run(&cfg, vec![early]);
+}
