@@ -222,11 +222,17 @@ impl System {
         }
 
         let registry = ProgramRegistry::new();
-        for kernel in &kernels {
+        let mut fs_setup = cfg.fs_setup;
+        for (i, kernel) in kernels.iter().enumerate() {
             let info = kernel.create_root("m3fs", None).expect("PE for m3fs");
             let env = Env::new(kernel, &info, registry.clone());
             let blocks = cfg.fs_blocks;
-            let setup = cfg.fs_setup.clone();
+            // The last shard's m3fs takes the tree; only the others copy it.
+            let setup = if i + 1 < kernels.len() {
+                fs_setup.clone()
+            } else {
+                std::mem::take(&mut fs_setup)
+            };
             let name = match kernels.len() {
                 1 => "m3fs".to_string(),
                 _ => format!("m3fs@{}", kernel.pe()),
