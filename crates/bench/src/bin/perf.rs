@@ -6,7 +6,9 @@
 //! `m3_sim::gauges`, and writes `BENCH_<label>.json` at the repo root so the
 //! host-performance trajectory is recorded alongside the cycle-accurate
 //! results. Simulated cycle counts are untouched — this measures only how
-//! fast the host produces them.
+//! fast the host produces them. The process's peak resident set (`VmHWM`,
+//! Linux only) is printed on the total line and written as `peak_rss_mib`;
+//! it is reported, never gated.
 //!
 //! Flags:
 //! - `--label <name>`: output file suffix (default `local`).
@@ -78,7 +80,27 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
     (runs, total_ms)
 }
 
-fn to_json(label: &str, runs: &[FigureRun], total_ms: f64) -> String {
+/// The `VmHWM` (peak resident set) line of a `/proc/<pid>/status` text, in
+/// MiB.
+fn vm_hwm_mib(status: &str) -> Option<f64> {
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
+}
+
+/// This process's peak resident set in MiB; `None` where
+/// `/proc/self/status` does not exist (off Linux).
+fn peak_rss_mib() -> Option<f64> {
+    vm_hwm_mib(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+fn to_json(label: &str, runs: &[FigureRun], total_ms: f64, peak_rss: Option<f64>) -> String {
     let rows: Vec<String> = runs
         .iter()
         .map(|run| {
@@ -96,9 +118,10 @@ fn to_json(label: &str, runs: &[FigureRun], total_ms: f64) -> String {
             format!("    {{\n      {}\n    }}", fields.join(",\n      "))
         })
         .collect();
+    let peak_rss = peak_rss.map_or("null".to_string(), |mib| format!("{mib:.3}"));
     format!(
         "{{\n  \"label\": \"{label}\",\n  \"workers\": {},\n  \"total_ms\": {total_ms:.3},\n  \
-         \"figures\": [\n{}\n  ]\n}}\n",
+         \"peak_rss_mib\": {peak_rss},\n  \"figures\": [\n{}\n  ]\n}}\n",
         exec::workers_for(usize::MAX),
         rows.join(",\n")
     )
@@ -189,14 +212,16 @@ fn main() -> ExitCode {
             run.gauges.peak_pending_timers,
         );
     }
+    let peak_rss = peak_rss_mib();
     println!(
-        "{:>10}  {total_ms:>10.1} ms  ({} workers)",
+        "{:>10}  {total_ms:>10.1} ms  ({} workers)  peak RSS {}",
         "total",
-        exec::workers_for(usize::MAX)
+        exec::workers_for(usize::MAX),
+        peak_rss.map_or("n/a".to_string(), |mib| format!("{mib:.1} MiB")),
     );
 
     let path = repo_root().join(format!("BENCH_{label}.json"));
-    if let Err(e) = std::fs::write(&path, to_json(&label, &runs, total_ms)) {
+    if let Err(e) = std::fs::write(&path, to_json(&label, &runs, total_ms, peak_rss)) {
         eprintln!("perf: cannot write {}: {e}", path.display());
         return ExitCode::FAILURE;
     }
@@ -265,7 +290,7 @@ mod tests {
     #[test]
     fn counters_gate_against_the_row_of_the_same_figure() {
         let runs = [run("fig3", 10, 20), run("fig4", 30, 40)];
-        let base = to_json("base", &runs, 2.0);
+        let base = to_json("base", &runs, 2.0, None);
         assert_eq!(extract(&base, "total_ms"), Some(2.0));
         assert_eq!(compare_counters(&runs, &base), (vec![], vec![]));
 
@@ -285,5 +310,28 @@ mod tests {
         // A figure the baseline lacks is reported, not failed.
         let now = [run("fig3", 10, 20), run("fig12", 999, 999)];
         assert_eq!(compare_counters(&now, &base), (vec!["fig12"], vec![]));
+    }
+
+    #[test]
+    fn peak_rss_is_read_from_vm_hwm_and_written_to_the_json() {
+        let status = "Name:\tperf\nVmPeak:\t  400000 kB\nVmHWM:\t   86016 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(vm_hwm_mib(status), Some(84.0));
+        assert_eq!(vm_hwm_mib("Name:\tperf\n"), None);
+        let runs = [run("fig3", 10, 20)];
+        let json = to_json("now", &runs, 2.0, Some(84.0));
+        assert_eq!(extract(&json, "peak_rss_mib"), Some(84.0));
+        assert_eq!(extract(&json, "total_ms"), Some(2.0));
+        // Without a reading the field is null, and the counters still gate.
+        let json = to_json("now", &runs, 2.0, None);
+        assert!(json.contains("\"peak_rss_mib\": null"));
+        assert_eq!(compare_counters(&runs, &json), (vec![], vec![]));
+    }
+
+    #[test]
+    fn the_committed_baseline_stays_readable() {
+        let base = std::fs::read_to_string(repo_root().join("BENCH_baseline.json"))
+            .expect("BENCH_baseline.json");
+        assert!(extract(&base, "total_ms").is_some());
+        assert!(compare_counters(&[], &base).0.is_empty());
     }
 }
