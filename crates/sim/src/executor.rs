@@ -576,7 +576,6 @@ impl Sim {
     /// too. The PDES coordinator ([`crate::pdes`]) owns the
     /// all-islands-finished decision.
     pub fn run_window(&self, end: Cycles) {
-        self.inner.borrow().assert_open();
         loop {
             self.drain_ready();
             if !self.fire_due(end, true) {
@@ -599,7 +598,6 @@ impl Sim {
     /// pass `now + slack`. Daemons blocked on notifications leave no timers,
     /// so this terminates.
     pub fn settle(&self, slack: Cycles) {
-        self.inner.borrow().assert_open();
         let limit = self.now() + slack;
         loop {
             self.drain_ready();
@@ -610,36 +608,32 @@ impl Sim {
         self.flush_gauges();
     }
 
-    /// Ends the simulation. Every task, pending timer and queued wake-up is
-    /// taken out and dropped; then the `Sim` is closed, and a later spawn,
-    /// [`Sim::call_at`], sleep or run call panics. The clock, metrics and
-    /// trace stay readable. Calling it again does nothing.
+    /// Ends the simulation: closes the `Sim` and drops every task, pending
+    /// timer and queued wake-up. A later spawn, [`Sim::call_at`], sleep or
+    /// run call panics. The clock, metrics and trace stay readable. Calling
+    /// it again does nothing.
     ///
     /// Tasks hold clones of the `Sim` that owns them, so a simulation with
     /// a task left (a daemon, say) is never freed without this; an M3
     /// `System` calls it when dropped.
     pub fn shutdown(&self) {
-        loop {
-            // Taken under the borrow, dropped outside it: a future's or a
-            // callback's destructor may call back into the simulation.
-            let (slots, timers) = {
-                let mut inner = self.inner.borrow_mut();
-                inner.free.clear();
-                inner.batch.clear();
-                inner.polling = None;
-                inner.live_regular = 0;
-                (
-                    std::mem::take(&mut inner.slots),
-                    std::mem::take(&mut inner.timers),
-                )
-            };
-            self.ready.lock().clear();
-            if slots.is_empty() && timers.is_empty() {
-                break;
-            }
-            drop((slots, timers));
-        }
-        self.inner.borrow_mut().closed = true;
+        // Taken out under the borrow, dropped outside it: a future's or a
+        // callback's destructor may call back into the simulation, and
+        // one that spawns or arms a timer meets the closed `Sim`.
+        let dead = {
+            let mut inner = self.inner.borrow_mut();
+            inner.closed = true;
+            inner.free.clear();
+            inner.batch.clear();
+            inner.polling = None;
+            inner.live_regular = 0;
+            (
+                std::mem::take(&mut inner.slots),
+                std::mem::take(&mut inner.timers),
+            )
+        };
+        self.ready.lock().clear();
+        drop(dead);
     }
 
     /// The step every run loop repeats once its ready queue is drained:
@@ -681,7 +675,13 @@ impl Sim {
     /// queue up behind the batch, exactly where a one-at-a-time drain
     /// would have found them.
     fn drain_ready(&self) {
-        let mut batch = std::mem::take(&mut self.inner.borrow_mut().batch);
+        let mut batch = {
+            let mut inner = self.inner.borrow_mut();
+            // Every run loop starts here: a shut-down `Sim` has no tasks,
+            // so it would otherwise report `Finished` in silence.
+            inner.assert_open();
+            std::mem::take(&mut inner.batch)
+        };
         loop {
             std::mem::swap(&mut *self.ready.lock(), &mut batch);
             if batch.is_empty() {
@@ -764,7 +764,6 @@ impl Sim {
     }
 
     fn run_inner(&self, limit: Option<Cycles>) -> SimState {
-        self.inner.borrow().assert_open();
         let state = self.run_loop(limit);
         self.flush_gauges();
         state
@@ -1618,22 +1617,6 @@ mod tests {
         assert_eq!(sim.now(), Cycles::new(40));
     }
 
-    /// Spawns a task on drop: a destructor that re-enters the simulation.
-    struct SpawnOnDrop {
-        sim: Sim,
-        token: Option<Rc<()>>,
-    }
-
-    impl Drop for SpawnOnDrop {
-        fn drop(&mut self) {
-            let token = self.token.take();
-            self.sim.spawn_daemon("respawned", async move {
-                let _token = token;
-                std::future::pending::<()>().await;
-            });
-        }
-    }
-
     #[test]
     fn shutdown_drops_every_task_timer_and_callback() {
         let sim = Sim::new();
@@ -1656,16 +1639,6 @@ mod tests {
         {
             let token = token.clone();
             sim.call_at(Cycles::new(2_000), move || drop(token));
-        }
-        {
-            let guard = SpawnOnDrop {
-                sim: sim.clone(),
-                token: Some(token.clone()),
-            };
-            sim.spawn_daemon("respawner", async move {
-                let _guard = guard;
-                std::future::pending::<()>().await;
-            });
         }
         assert_eq!(sim.run_until(Cycles::new(100)), SimState::TimeLimit);
         let weak = Rc::downgrade(&token);
