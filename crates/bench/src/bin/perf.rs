@@ -8,7 +8,10 @@
 //! results. Simulated cycle counts are untouched — this measures only how
 //! fast the host produces them. The process's peak resident set (`VmHWM`,
 //! Linux only) is printed on the total line and written as `peak_rss_mib`;
-//! it is reported, never gated.
+//! it is reported, never gated. So are each figure's `cpu_ms` (user plus
+//! system time, in 10 ms ticks) and `minor_faults`, the change in
+//! `/proc/self/stat` across the figure, worker threads included; both are
+//! `null` off Linux.
 //!
 //! Flags:
 //! - `--label <name>`: output file suffix (default `local`).
@@ -54,6 +57,49 @@ struct FigureRun {
     wall_ms: f64,
     scenario_ms: Vec<f64>,
     gauges: Gauges,
+    /// Host CPU time and minor faults the figure cost; `None` off Linux.
+    usage: Option<Usage>,
+}
+
+/// What the process has cost the host so far, from `/proc/self/stat`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Usage {
+    /// User plus system CPU time.
+    cpu_ms: f64,
+    minor_faults: u64,
+}
+
+impl Usage {
+    fn since(self, before: Usage) -> Usage {
+        Usage {
+            cpu_ms: self.cpu_ms - before.cpu_ms,
+            minor_faults: self.minor_faults - before.minor_faults,
+        }
+    }
+}
+
+/// Clock ticks per second of the times in `/proc/<pid>/stat` (`USER_HZ`),
+/// which Linux fixes at 100 for user space.
+const TICKS_PER_S: u64 = 100;
+
+/// The CPU time (`utime` + `stime`) and minor faults (`minflt`) of a
+/// `/proc/<pid>/stat` line.
+fn stat_usage(stat: &str) -> Option<Usage> {
+    // The command name is parenthesised and may hold spaces or parentheses
+    // itself; the fields after the last `)` start at field 3, the state.
+    let fields: Vec<&str> = stat[stat.rfind(')')? + 1..].split_whitespace().collect();
+    let field = |n: usize| -> Option<u64> { fields.get(n - 3)?.parse().ok() };
+    let ticks = field(14)? + field(15)?;
+    Some(Usage {
+        cpu_ms: (ticks * 1000 / TICKS_PER_S) as f64,
+        minor_faults: field(10)?,
+    })
+}
+
+/// This process's usage so far; `None` where `/proc/self/stat` does not
+/// exist (off Linux).
+fn process_usage() -> Option<Usage> {
+    stat_usage(&std::fs::read_to_string("/proc/self/stat").ok()?)
 }
 
 fn run_suite() -> (Vec<FigureRun>, f64) {
@@ -63,18 +109,23 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
         exec::take_job_timings();
         gauges::reset_peaks();
         let before = gauges::snapshot();
+        let usage_before = process_usage();
         // m3lint: allow(determinism): host wall clock; simulated cycles are produced elsewhere
         let start = Instant::now();
         // Only the time matters; the table is discarded.
         let _ = (entry.render)(Opts::default());
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let delta = gauges::snapshot().since(&before);
+        let usage = process_usage()
+            .zip(usage_before)
+            .map(|(now, was)| now.since(was));
         total_ms += wall_ms;
         runs.push(FigureRun {
             name: entry.name,
             wall_ms,
             scenario_ms: exec::take_job_timings(),
             gauges: delta,
+            usage,
         });
     }
     (runs, total_ms)
@@ -115,6 +166,11 @@ fn to_json(label: &str, runs: &[FigureRun], total_ms: f64, peak_rss: Option<f64>
                 format!("\"scenario_ms\": [{}]", scenarios.join(", ")),
             ];
             fields.extend(counters(&run.gauges).map(|(key, n)| format!("\"{key}\": {n}")));
+            let (cpu_ms, faults) = run.usage.map_or(("null".into(), "null".into()), |u| {
+                (format!("{:.0}", u.cpu_ms), u.minor_faults.to_string())
+            });
+            fields.push(format!("\"cpu_ms\": {cpu_ms}"));
+            fields.push(format!("\"minor_faults\": {faults}"));
             format!("    {{\n      {}\n    }}", fields.join(",\n      "))
         })
         .collect();
@@ -201,8 +257,11 @@ fn main() -> ExitCode {
 
     println!("== perf: host wall clock per registered figure ==");
     for run in &runs {
+        let usage = run.usage.map_or("cpu n/a".to_string(), |u| {
+            format!("cpu {:>5.0} ms  {:>7} faults", u.cpu_ms, u.minor_faults)
+        });
         println!(
-            "{:>10}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  peak {} live / {} timers",
+            "{:>10}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  peak {} live / {} timers  {usage}",
             run.name,
             run.wall_ms,
             run.scenario_ms.len(),
@@ -284,6 +343,7 @@ mod tests {
                 timers_scheduled: 7,
                 ..Gauges::default()
             },
+            usage: None,
         }
     }
 
@@ -324,6 +384,39 @@ mod tests {
         // Without a reading the field is null, and the counters still gate.
         let json = to_json("now", &runs, 2.0, None);
         assert!(json.contains("\"peak_rss_mib\": null"));
+        assert_eq!(compare_counters(&runs, &json), (vec![], vec![]));
+    }
+
+    #[test]
+    fn cpu_time_and_minor_faults_are_read_from_stat_and_written_to_the_json() {
+        // pid, a command name with a space and a parenthesis, then fields 3
+        // (state) through 15 (stime) and some of the rest.
+        let stat = "4242 (perf (x) 1) R 1 4242 4242 0 -1 4194560 18474 3 0 0 70 54 0 0 20 0\n";
+        let usage = stat_usage(stat);
+        assert_eq!(
+            usage,
+            Some(Usage {
+                cpu_ms: 1240.0,
+                minor_faults: 18474
+            })
+        );
+        assert_eq!(stat_usage("4242 (perf) R 1"), None);
+        assert_eq!(stat_usage("no fields"), None);
+
+        let mut runs = [run("fig3", 10, 20), run("fig4", 30, 40)];
+        runs[0].usage = usage.map(|u| {
+            u.since(Usage {
+                cpu_ms: 1000.0,
+                minor_faults: 18000,
+            })
+        });
+        let json = to_json("now", &runs, 2.0, None);
+        assert_eq!(extract(&json, "cpu_ms"), Some(240.0));
+        assert_eq!(extract(&json, "minor_faults"), Some(474.0));
+        // A figure without a reading has nulls, and the counters still gate.
+        let fig4 = &json[json.find("\"fig4\"").expect("fig4 row")..];
+        assert!(fig4.contains("\"cpu_ms\": null"));
+        assert!(fig4.contains("\"minor_faults\": null"));
         assert_eq!(compare_counters(&runs, &json), (vec![], vec![]));
     }
 

@@ -14,6 +14,7 @@ use m3_noc::Noc;
 use m3_sim::{keys, Component, Event, EventKind, MetricHandle, Metrics, Notify, Recorder, Sim};
 
 use crate::endpoint::EpConfig;
+use crate::memory::Memory;
 use crate::message::{Header, Message, ReplyInfo};
 use crate::ringbuf::RingBuf;
 use crate::timing;
@@ -230,14 +231,15 @@ impl SavedCtx {
     }
 }
 
-struct Memory {
+/// A memory exposed at a NoC node: its kind and its backing store.
+struct MemNode {
     kind: MemKind,
-    data: Rc<RefCell<Vec<u8>>>,
+    store: Rc<Memory>,
 }
 
 struct SystemInner {
     pes: RefCell<Vec<PeState>>,
-    mems: RefCell<BTreeMap<PeId, Memory>>,
+    mems: RefCell<BTreeMap<PeId, MemNode>>,
     /// Save areas of switched-out contexts, keyed by (PE, context id).
     /// Deposits and credit refills for a context that is not live on its PE
     /// land here instead of the live endpoint registers.
@@ -389,23 +391,23 @@ impl DtuSystem {
 
     /// Exposes `size` bytes of memory at node `pe` (DRAM module or a PE's
     /// SPM), making it addressable by memory endpoints. Returns the backing
-    /// store.
+    /// store, which allocates no page until one is written.
     // m3lint: allow(cycle-accounting): platform construction: memories are attached before the simulation starts, not by a DTU command
-    pub fn add_memory(&self, pe: PeId, kind: MemKind, size: usize) -> Rc<RefCell<Vec<u8>>> {
-        let data = Rc::new(RefCell::new(vec![0u8; size]));
+    pub fn add_memory(&self, pe: PeId, kind: MemKind, size: usize) -> Rc<Memory> {
+        let store = Rc::new(Memory::new(size));
         self.inner.mems.borrow_mut().insert(
             pe,
-            Memory {
+            MemNode {
                 kind,
-                data: data.clone(),
+                store: store.clone(),
             },
         );
-        data
+        store
     }
 
     /// The backing store of the memory exposed at `pe`, if any.
-    pub fn memory(&self, pe: PeId) -> Option<Rc<RefCell<Vec<u8>>>> {
-        self.inner.mems.borrow().get(&pe).map(|m| m.data.clone())
+    pub fn memory(&self, pe: PeId) -> Option<Rc<Memory>> {
+        self.inner.mems.borrow().get(&pe).map(|m| m.store.clone())
     }
 
     fn mem_latency(&self, pe: PeId) -> Cycles {
@@ -573,7 +575,9 @@ impl DtuSystem {
     ///   credits than its configuration grants;
     /// - **ring-buffer occupancy** — a receive EP never holds more
     ///   messages than it has slots, and its buffer geometry matches its
-    ///   endpoint register.
+    ///   endpoint register;
+    /// - **memory backing** — no memory has a page allocated beyond its
+    ///   size, or more pages than its size holds (constant time each).
     ///
     /// Purely a host-side assertion: no simulated cycles pass, so enabling
     /// the feature cannot perturb any modelled timing.
@@ -584,6 +588,9 @@ impl DtuSystem {
         }
         for ((pe, ctx), sc) in self.inner.saved.borrow().iter() {
             sc.regs.sanitize(pe.idx(), *ctx);
+        }
+        for (pe, mem) in self.inner.mems.borrow().iter() {
+            mem.store.sanitize(pe.idx());
         }
     }
 
@@ -1071,7 +1078,7 @@ impl Dtu {
     /// Same as [`Dtu::read_mem`].
     pub async fn read_mem_into(&self, ep: EpId, offset: u64, buf: &mut [u8]) -> Result<()> {
         let len = buf.len();
-        self.rdma(ep, offset, len, false, |region| buf.copy_from_slice(region))
+        self.rdma(ep, offset, len, false, |mem, at| mem.read(at, buf))
             .await
     }
 
@@ -1084,23 +1091,22 @@ impl Dtu {
     /// - [`Code::NoPerm`] if the endpoint lacks write permission.
     /// - [`Code::InvArgs`] if the access exceeds the region.
     pub async fn write_mem(&self, ep: EpId, offset: u64, data: &[u8]) -> Result<()> {
-        self.rdma(ep, offset, data.len(), true, |region| {
-            region.copy_from_slice(data)
-        })
-        .await
+        self.rdma(ep, offset, data.len(), true, |mem, at| mem.write(at, data))
+            .await
     }
 
     /// The RDMA pipeline behind [`Dtu::read_mem_into`] and
     /// [`Dtu::write_mem`]: endpoint check, fault gate, target check,
     /// command issue, the transfer, its accounting, and finally `access` on
-    /// the `len` bytes of the region the transfer reached.
+    /// the target memory and the offset in it of the `len` bytes the
+    /// transfer reached.
     async fn rdma(
         &self,
         ep: EpId,
         offset: u64,
         len: usize,
         write: bool,
-        access: impl FnOnce(&mut [u8]),
+        access: impl FnOnce(&Memory, usize),
     ) -> Result<()> {
         let need = if write { Perm::W } else { Perm::R };
         let (pe, base) = self.check_mem_access(ep, offset, len, need)?;
@@ -1148,17 +1154,15 @@ impl Dtu {
         // memory behind it: a region the kernel placed past the end of the
         // node's memory fails like a node without one.
         let mems = self.sys.inner.mems.borrow();
-        let mut data = mems.get(&pe).map(|mem| mem.data.borrow_mut());
-        let region = data.as_mut().and_then(|data| {
+        let target = mems.get(&pe).and_then(|mem| {
             let start = usize::try_from(base.checked_add(offset)?).ok()?;
-            data.get_mut(start..start.checked_add(len)?)
+            (start.checked_add(len)? <= mem.store.len()).then_some((&mem.store, start))
         });
-        let Some(region) = region else {
+        let Some((store, start)) = target else {
             return Err(Error::new(Code::InvArgs)
                 .with_msg(format!("no memory at {pe} for [{base} + {offset}, +{len})")));
         };
-        access(region);
-        drop(data);
+        access(store, start);
         drop(mems);
         if !write {
             // The fetched bytes land in this PE's SPM: dirty the pages under
@@ -1955,7 +1959,7 @@ mod tests {
     fn memory_endpoint_read_write() {
         let (sim, sys) = setup(3);
         let mem = sys.add_memory(PeId::new(2), MemKind::Dram, 4096);
-        mem.borrow_mut()[100..104].copy_from_slice(&[1, 2, 3, 4]);
+        mem.write(100, &[1, 2, 3, 4]);
         let kernel = sys.dtu(PeId::new(0)).claim_kernel_token().unwrap();
         kernel
             .configure(
@@ -1977,7 +1981,9 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), vec![1, 2, 3, 4]);
-        assert_eq!(&mem.borrow()[200..202], &[9, 8]);
+        let mut written = [0; 2];
+        mem.read(200, &mut written);
+        assert_eq!(written, [9, 8]);
     }
 
     #[test]
@@ -2020,7 +2026,7 @@ mod tests {
     fn memory_region_window_is_offset_relative() {
         let (sim, sys) = setup(3);
         let mem = sys.add_memory(PeId::new(2), MemKind::Dram, 4096);
-        mem.borrow_mut()[2048] = 0x5a;
+        mem.write(2048, &[0x5a]);
         let kernel = sys.dtu(PeId::new(0)).claim_kernel_token().unwrap();
         kernel
             .configure(
@@ -2060,7 +2066,9 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), (Code::InvArgs, Code::InvArgs, true));
-        assert!(mem.borrow()[4000..].iter().all(|&b| b == 0));
+        let mut tail = [0xff; 96];
+        mem.read(4000, &mut tail);
+        assert!(tail.iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 mod dtu;
 mod endpoint;
+mod memory;
 mod message;
 mod ringbuf;
 pub mod timing;
@@ -33,5 +34,6 @@ pub mod wire;
 
 pub use dtu::{Dtu, DtuSystem, KernelToken, MemKind, NO_CTX};
 pub use endpoint::EpConfig;
+pub use memory::{Memory, PAGE_SIZE};
 pub use message::{Header, Message, Payload, ReplyInfo};
 pub use ringbuf::RingBuf;

@@ -211,13 +211,7 @@ impl Kernel {
         let owned: Vec<PeId> = (0..platform.pe_count())
             .map(|i| PeId::new(i as u32))
             .collect();
-        let dram = platform
-            .dtu_system()
-            .memory(platform.dram_pe())
-            // m3lint: allow(no-unwrap): boot-time; the documented panic for a platform without DRAM
-            .expect("dram")
-            .borrow()
-            .len() as u64;
+        let dram = platform.dram_size() as u64;
         Self::start_partition(
             platform,
             kernel_pe,

@@ -16,12 +16,11 @@ use super::{Kernel, PAGE_SIZE};
 impl Kernel {
     /// Copies `len` bytes between two offsets of the DRAM store — the
     /// page-move primitive of the pager (swap-in, write-back). Pure data
-    /// movement; the caller charges the time via
-    /// [`Kernel::charge_page_move`].
+    /// movement, page by page in the host store; the caller charges the
+    /// time via [`Kernel::charge_page_move`].
     fn dram_copy(&self, src: u64, dst: u64, len: usize) {
         if let Some(dram) = self.platform.dtu_system().memory(self.platform.dram_pe()) {
-            let mut store = dram.borrow_mut();
-            store.copy_within(src as usize..src as usize + len, dst as usize);
+            dram.copy_within(src as usize, dst as usize, len);
         }
     }
 
@@ -178,9 +177,7 @@ impl Kernel {
                 // been used before; like m3fs, zeroing happens off the
                 // application's critical path, §5.4).
                 if let Some(dram) = self.platform.dtu_system().memory(self.platform.dram_pe()) {
-                    let mut store = dram.borrow_mut();
-                    let start = frame as usize;
-                    store[start..start + PAGE_SIZE as usize].fill(0);
+                    dram.zero(frame as usize, PAGE_SIZE as usize);
                 }
             }
         }

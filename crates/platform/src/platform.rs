@@ -175,7 +175,8 @@ mod tests {
         let p = Platform::new(PlatformConfig::xtensa(3));
         assert_eq!(p.dram_pe(), PeId::new(3));
         let mem = p.dtu_system().memory(p.dram_pe()).unwrap();
-        assert_eq!(mem.borrow().len(), DRAM_SIZE);
+        assert_eq!(mem.len(), DRAM_SIZE);
+        assert_eq!(p.dram_size(), DRAM_SIZE);
     }
 
     #[test]
@@ -183,7 +184,7 @@ mod tests {
         let p = Platform::new(PlatformConfig::xtensa(4));
         for i in 0..4 {
             let spm = p.dtu_system().memory(PeId::new(i)).unwrap();
-            assert_eq!(spm.borrow().len(), SPM_DATA_SIZE);
+            assert_eq!(spm.len(), SPM_DATA_SIZE);
         }
     }
 

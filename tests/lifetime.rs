@@ -7,11 +7,11 @@
 //! backing store and the token to be gone: nothing the System built may
 //! outlive it.
 
-use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
 use m3::{System, SystemConfig};
 use m3_base::{Cycles, PeId, Perm};
+use m3_dtu::Memory;
 use m3_fault::{CycleWindow, FaultPlan, RecoveryPolicy};
 use m3_fs::{mount_m3fs, SetupNode};
 use m3_kernel::protocol::PeRequest;
@@ -23,7 +23,7 @@ use m3_sim::{Notify, SimState};
 
 /// Weak references to what a dropped System must free.
 struct Witness {
-    dram: Weak<RefCell<Vec<u8>>>,
+    dram: Weak<Memory>,
     token: Weak<()>,
 }
 

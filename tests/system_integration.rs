@@ -458,3 +458,25 @@ fn counter_totals_of_a_composed_run_and_an_lx_pipe_run_are_pinned() {
         .collect();
     assert_eq!(got, LX);
 }
+
+#[test]
+fn an_island_sized_boot_backs_no_spm_page() {
+    // One shards-pdes island: 32 PEs and a 1024-block m3fs. Booting and
+    // settling it writes the file system into DRAM, but nothing lands in
+    // any PE's SPM, so the paged store allocates none of their pages.
+    let sys = System::boot(SystemConfig {
+        pes: 32,
+        fs_blocks: 1024,
+        ..SystemConfig::default()
+    });
+    assert_eq!(sys.run(), SimState::Finished);
+    let platform = sys.platform();
+    let dtus = platform.dtu_system();
+    assert_eq!(platform.pe_count(), 32);
+    let spm_pages: usize = (0..platform.pe_count() as u32)
+        .map(|i| dtus.memory(PeId::new(i)).expect("SPM").pages_allocated())
+        .sum();
+    assert_eq!(spm_pages, 0);
+    let dram = dtus.memory(platform.dram_pe()).expect("DRAM");
+    assert!(dram.pages_allocated() * m3_dtu::PAGE_SIZE < dram.len() / 64);
+}
