@@ -144,6 +144,10 @@ pub fn run_jobs<T: Send>(jobs: Vec<Job<T>>) -> Vec<T> {
 mod tests {
     use super::*;
 
+    /// Held by each test that sets the worker count: it is process-global,
+    /// and the tests of one binary run concurrently.
+    static WORKER_COUNT: Mutex<()> = Mutex::new(());
+
     #[test]
     fn results_are_in_submission_order() {
         let jobs: Vec<Job<usize>> = (0..32)
@@ -160,6 +164,7 @@ mod tests {
 
     #[test]
     fn one_worker_runs_everything() {
+        let _serial = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
         set_sim_workers(Some(1));
         let jobs: Vec<Job<u32>> = (0..8)
             .map(|i| -> Job<u32> { Box::new(move || i * i) })
@@ -200,6 +205,7 @@ mod tests {
     fn sim_workers_override_wins() {
         // Note: racy against env in principle, but the suite never sets
         // M3_SIM_WORKERS, and the setter takes precedence anyway.
+        let _serial = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
         set_sim_workers(Some(2));
         assert_eq!(sim_workers(), Some(2));
         assert_eq!(workers_for(64), 2);

@@ -115,10 +115,11 @@ impl Default for SystemConfig {
 /// to run programs.
 ///
 /// A `System` owns its simulation: dropping it shuts the [`Sim`] down
-/// ([`Sim::shutdown`]), releases every [`Env`] built for it
-/// ([`ProgramRegistry::release_envs`]) and unwires the shard kernels
-/// ([`Kernel::release_shard`]), which frees the platform, its DRAM and
-/// every task. The `Sim` cannot be driven afterwards.
+/// ([`Sim::shutdown`]), which drops every task and with them the last
+/// clones of the kernels and [`Env`]s. Nothing an `Env` or a `Kernel` owns
+/// holds that `Env` or `Kernel`, so the platform, its DRAM and everything
+/// else are then freed by ordinary drop. The `Sim` cannot be driven
+/// afterwards.
 pub struct System {
     platform: Platform,
     kernels: Vec<Kernel>,
@@ -331,10 +332,6 @@ impl System {
 impl Drop for System {
     fn drop(&mut self) {
         self.sim().shutdown();
-        self.registry.release_envs();
-        for kernel in &self.kernels {
-            kernel.release_shard();
-        }
     }
 }
 

@@ -131,30 +131,45 @@ pub struct KernelConfig {
 /// [`Kernel::start`] boots it: it configures its own syscall endpoints,
 /// downgrades every other DTU (establishing NoC-level isolation), and spawns
 /// the syscall dispatch loop as a daemon task.
+///
+/// Cheaply cloneable; clones share the kernel's state.
 #[derive(Clone)]
-pub struct Kernel {
+pub struct Kernel(Rc<KernelInner>);
+
+/// The state every clone of a [`Kernel`] shares. Its fields are private
+/// to the kernel; `Kernel` derefs to it so that kernel code reads them
+/// through any handle.
+pub struct KernelInner {
     sim: Sim,
     platform: Platform,
     dtu: Dtu,
     /// The capability handle over the privileged DTU interface, claimed at
     /// boot while this kernel's PE was still privileged (paper §3).
-    ktok: Rc<KernelToken>,
+    ktok: KernelToken,
     pe: PeId,
-    state: Rc<RefCell<KState>>,
+    state: RefCell<KState>,
     /// Run queues of the time-multiplexed PEs (overcommit mode, m3-sched).
-    sched: Rc<RefCell<Scheduler>>,
+    sched: RefCell<Scheduler>,
     /// Boot-time policy, fixed for the kernel's lifetime.
     cfg: KernelConfig,
     /// PEs that are never multiplexed: boot-time roots (services, drivers)
     /// keep their PE exclusively even in overcommit mode.
-    pinned: Rc<RefCell<BTreeSet<PeId>>>,
+    pinned: RefCell<BTreeSet<PeId>>,
     /// Cycle at which the current resident of each multiplexed PE was
     /// installed (start of its slice).
-    resumed_at: Rc<RefCell<BTreeMap<PeId, Cycles>>>,
+    resumed_at: RefCell<BTreeMap<PeId, Cycles>>,
     /// Sharded-multikernel context (§7), set by [`Kernel::set_shard`];
     /// `None` for a standalone kernel.
-    shard: Rc<RefCell<Option<Rc<ShardCtx>>>>,
+    shard: RefCell<Option<Rc<ShardCtx>>>,
     counters: Counters,
+}
+
+impl std::ops::Deref for Kernel {
+    type Target = KernelInner;
+
+    fn deref(&self) -> &KernelInner {
+        &self.0
+    }
 }
 
 /// Handles of the kernel's per-operation counters in the simulation's
@@ -288,13 +303,13 @@ impl Kernel {
             .map(|i| platform.desc(PeId::new(i as u32)).clone())
             .collect();
 
-        let kernel = Kernel {
+        let kernel = Kernel(Rc::new(KernelInner {
             sim: sim.clone(),
             platform: platform.clone(),
             dtu,
-            ktok: Rc::new(ktok),
+            ktok,
             pe: kernel_pe,
-            state: Rc::new(RefCell::new(KState {
+            state: RefCell::new(KState {
                 tables: BTreeMap::new(),
                 ringbuf_bytes: BTreeMap::new(),
                 ep_owners: BTreeMap::new(),
@@ -308,14 +323,14 @@ impl Kernel {
                 next_req: 1,
                 pending: BTreeMap::new(),
                 next_serv_ep: keps::FIRST_SERV,
-            })),
-            sched: Rc::new(RefCell::new(Scheduler::new())),
+            }),
+            sched: RefCell::new(Scheduler::new()),
             cfg,
-            pinned: Rc::new(RefCell::new(BTreeSet::new())),
-            resumed_at: Rc::new(RefCell::new(BTreeMap::new())),
-            shard: Rc::new(RefCell::new(None)),
+            pinned: RefCell::new(BTreeSet::new()),
+            resumed_at: RefCell::new(BTreeMap::new()),
+            shard: RefCell::new(None),
             counters: Counters::new(&sim.metrics()),
-        };
+        }));
 
         let k = kernel.clone();
         sim.spawn_daemon(

@@ -4,7 +4,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use m3_base::cfg::SPM_DATA_SIZE;
 use m3_base::error::{Code, Error, Result};
@@ -19,7 +19,7 @@ use crate::ktk::{self, CapDesc, KtkMsg, KtkReply};
 use crate::protocol::{PeRequest, ServiceRequest};
 use crate::vpe::{wait_exit, VpeObj};
 
-use super::{take_when_ready, Kernel};
+use super::{take_when_ready, Kernel, KernelInner};
 
 struct KtkPending {
     slot: Rc<RefCell<Option<KtkReply>>>,
@@ -130,16 +130,6 @@ impl Kernel {
         }));
     }
 
-    /// Leaves the multikernel: drops the shard context and with it the ktk
-    /// transport. The transport [`Kernel::connect_shards`] builds holds
-    /// this kernel and its peers, so wired kernels keep each other alive
-    /// until this runs. Call it once the simulation is shut down (an M3
-    /// `System` does when dropped).
-    pub fn release_shard(&self) {
-        let ctx = self.shard.borrow_mut().take();
-        drop(ctx);
-    }
-
     /// Wires `kernels` (one per shard, all inside one `Sim`) into a sharded
     /// multikernel: shard ids follow slice order, and ktk messages ride the
     /// NoC between the kernel PEs, charged like any other transfer. With a
@@ -162,11 +152,12 @@ impl Kernel {
         for (i, k) in kernels.iter().enumerate() {
             let id = i as u32;
             let peers: Vec<(u32, PeId)> = all.iter().filter(|(s, _)| *s != id).copied().collect();
-            let by_shard: BTreeMap<u32, Kernel> = kernels
+            // Weak: the wired kernels must not keep each other alive.
+            let by_shard: BTreeMap<u32, Weak<KernelInner>> = kernels
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .map(|(j, other)| (j as u32, other.clone()))
+                .map(|(j, other)| (j as u32, Rc::downgrade(&other.0)))
                 .collect();
             let schedule = k
                 .dtu
@@ -184,24 +175,17 @@ impl Kernel {
                         .map(|(_, at)| (*s, *at))
                 })
                 .collect();
-            let src = k.clone();
+            let (sim, noc, src_pe) = (k.sim.clone(), k.dtu.system().noc().clone(), k.pe);
             let send = Box::new(move |dst: u32, bytes: Vec<u8>| {
-                let Some(dst_k) = by_shard.get(&dst) else {
+                let Some(dst_k) = by_shard.get(&dst).and_then(Weak::upgrade).map(Kernel) else {
                     return;
                 };
-                let sim = src.sim.clone();
                 // A crashed kernel PE neither sends nor receives.
                 if src_crash.is_some_and(|at| sim.now() >= at) {
                     return;
                 }
-                let t = src.dtu.system().noc().schedule(
-                    sim.now(),
-                    src.pe,
-                    dst_k.pe,
-                    bytes.len() as u64,
-                );
+                let t = noc.schedule(sim.now(), src_pe, dst_k.pe, bytes.len() as u64);
                 let dst_crash = crash_of.get(&dst).copied();
-                let dst_k = dst_k.clone();
                 let sim2 = sim.clone();
                 sim.call_at(t.completes_at, move || {
                     if dst_crash.is_some_and(|at| sim2.now() >= at) {

@@ -32,14 +32,9 @@ pub type ProgramFn = dyn Fn(Env, Vec<String>) -> BoxFuture<'static, i64>;
 /// This is the simulation's stand-in for executable files: `exec` still
 /// *reads* the named file through the VFS (charging the load transfer), then
 /// runs the registered entry point.
-///
-/// The registry also remembers, weakly, every [`Env`] built with it, so the
-/// owner of a simulation can break their reference cycles when it ends
-/// ([`ProgramRegistry::release_envs`]).
 #[derive(Clone, Default)]
 pub struct ProgramRegistry {
     map: Rc<RefCell<BTreeMap<String, Rc<ProgramFn>>>>,
-    envs: Rc<RefCell<Vec<Weak<EnvInner>>>>,
 }
 
 impl fmt::Debug for ProgramRegistry {
@@ -78,39 +73,6 @@ impl ProgramRegistry {
             .cloned()
             .ok_or_else(|| Error::new(Code::NoSuchFile).with_msg(path.to_string()))
     }
-
-    /// Remembers `env` for [`ProgramRegistry::release_envs`]. Dead entries
-    /// are pruned whenever the list would grow, so it stays proportional
-    /// to the live `Env`s.
-    fn track(&self, env: &Rc<EnvInner>) {
-        let mut envs = self.envs.borrow_mut();
-        if envs.len() == envs.capacity() {
-            envs.retain(|e| e.strong_count() > 0);
-        }
-        envs.push(Rc::downgrade(env));
-    }
-
-    /// Clears the mount table and the reply gate of every [`Env`] built
-    /// with this registry that is still alive. The gates behind both hold
-    /// their `Env`, so an `Env` that mounted a filesystem or made an RPC
-    /// call is otherwise never freed. Call it once the simulation is shut
-    /// down (an M3 `System` does when dropped): the cleared `Env`s can no
-    /// longer reach a filesystem.
-    pub fn release_envs(&self) {
-        let envs: Vec<Rc<EnvInner>> = self
-            .envs
-            .borrow_mut()
-            .drain(..)
-            .filter_map(|e| e.upgrade())
-            .collect();
-        for env in &envs {
-            // Taken out, then dropped outside the borrows: a gate's
-            // destructor releases its endpoint through the same `Env`.
-            let mounts = std::mem::take(&mut *env.vfs.borrow_mut());
-            let gate = env.reply_gate.borrow_mut().take();
-            drop((mounts, gate));
-        }
-    }
 }
 
 struct EnvInner {
@@ -148,7 +110,43 @@ impl fmt::Debug for Env {
     }
 }
 
+/// A handle to an [`Env`] that does not keep it alive: what gates and
+/// sessions hold. An `Env` owns its reply gate and, through its mount
+/// table, the sessions and gates of its filesystems; were those to hold
+/// the `Env`, it would never be freed.
+#[derive(Clone, Debug)]
+pub(crate) struct WeakEnv(Weak<EnvInner>);
+
+impl WeakEnv {
+    /// The `Env`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `Env` is gone: a gate or session was used after the
+    /// last clone of its `Env` was dropped.
+    pub(crate) fn get(&self) -> Env {
+        let inner = self
+            .0
+            .upgrade()
+            .expect("gate or session used after its Env was dropped");
+        Env { inner }
+    }
+
+    /// Frees `ep` in the endpoint multiplexer, unless the `Env` (and the
+    /// multiplexer with it) is already gone.
+    pub(crate) fn release(&self, ep: m3_base::EpId) {
+        if let Some(inner) = self.0.upgrade() {
+            inner.epmux.borrow_mut().release(ep);
+        }
+    }
+}
+
 impl Env {
+    /// A handle to this `Env` that does not keep it alive.
+    pub(crate) fn downgrade(&self) -> WeakEnv {
+        WeakEnv(Rc::downgrade(&self.inner))
+    }
+
     /// Creates the environment of a VPE from its boot info.
     pub fn new(kernel: &Kernel, info: &VpeBootInfo, programs: ProgramRegistry) -> Env {
         let platform = kernel.platform();
@@ -169,7 +167,6 @@ impl Env {
             reply_gate: RefCell::new(None),
             recovery: RefCell::new(None),
         });
-        inner.programs.track(&inner);
         Env { inner }
     }
 

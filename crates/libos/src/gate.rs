@@ -20,16 +20,37 @@ use m3_base::{Perm, SelId};
 use m3_dtu::Message;
 use m3_kernel::protocol::Syscall;
 
-use crate::env::Env;
+use crate::env::{Env, WeakEnv};
 use crate::epmux::EpCell;
 
 /// The self-VPE capability selector (used as the `vpe` of `Activate`).
 const SELF_VPE: SelId = SelId::new(0);
 
+/// The endpoint a send or memory gate `sel` is multiplexed onto: the one
+/// `cell` holds, or a fresh one the gate is first activated on.
+async fn ensure_ep(env: &Env, cell: &EpCell, sel: SelId) -> Result<m3_base::EpId> {
+    if let Some(ep) = cell.get() {
+        env.epmux().borrow_mut().touch(ep);
+        return Ok(ep);
+    }
+    let ep = env
+        .epmux()
+        .borrow_mut()
+        .acquire(cell)
+        .ok_or_else(|| Error::new(Code::InvEp).with_msg("out of endpoints"))?;
+    env.syscall(Syscall::Activate {
+        vpe: SELF_VPE,
+        ep,
+        gate: sel,
+    })
+    .await?;
+    Ok(ep)
+}
+
 /// A receive gate bound to a dedicated endpoint.
 #[derive(Debug)]
 pub struct RecvGate {
-    env: Env,
+    env: WeakEnv,
     sel: SelId,
     ep: m3_base::EpId,
     slot_size: u32,
@@ -62,7 +83,7 @@ impl RecvGate {
         })
         .await?;
         Ok(RecvGate {
-            env: env.clone(),
+            env: env.downgrade(),
             sel,
             ep,
             slot_size,
@@ -90,8 +111,9 @@ impl RecvGate {
     ///
     /// Propagates DTU errors.
     pub async fn recv(&self) -> Result<Message> {
-        let msg = self.env.recv_on(self.ep).await?;
-        self.env.dtu().ack(self.ep)?;
+        let env = self.env.get();
+        let msg = env.recv_on(self.ep).await?;
+        env.dtu().ack(self.ep)?;
         Ok(msg)
     }
 
@@ -104,8 +126,9 @@ impl RecvGate {
     /// and propagates DTU errors (including [`Code::Unreachable`] when this
     /// PE has crashed under an injected fault plane).
     pub async fn recv_timeout(&self, deadline: m3_base::Cycles) -> Result<Message> {
-        let msg = self.env.recv_timeout_on(self.ep, deadline).await?;
-        self.env.dtu().ack(self.ep)?;
+        let env = self.env.get();
+        let msg = env.recv_timeout_on(self.ep, deadline).await?;
+        env.dtu().ack(self.ep)?;
         Ok(msg)
     }
 
@@ -115,9 +138,10 @@ impl RecvGate {
     ///
     /// Propagates DTU errors.
     pub fn fetch(&self) -> Result<Option<Message>> {
-        match self.env.dtu().fetch(self.ep)? {
+        let env = self.env.get();
+        match env.dtu().fetch(self.ep)? {
             Some(msg) => {
-                self.env.dtu().ack(self.ep)?;
+                env.dtu().ack(self.ep)?;
                 Ok(Some(msg))
             }
             None => Ok(None),
@@ -130,20 +154,20 @@ impl RecvGate {
     ///
     /// Fails with [`Code::NoPerm`] if the message permits no reply.
     pub async fn reply(&self, msg: &Message, payload: &[u8]) -> Result<()> {
-        self.env.dtu().reply(msg, payload).await
+        self.env.get().dtu().reply(msg, payload).await
     }
 }
 
 impl Drop for RecvGate {
     fn drop(&mut self) {
-        self.env.epmux().borrow_mut().release(self.ep);
+        self.env.release(self.ep);
     }
 }
 
 /// A send gate, multiplexed onto endpoints on demand.
 #[derive(Debug)]
 pub struct SendGate {
-    env: Env,
+    env: WeakEnv,
     sel: SelId,
     ep: EpCell,
 }
@@ -170,7 +194,7 @@ impl SendGate {
     /// Wraps an existing (e.g. delegated or obtained) send capability.
     pub fn bind(env: &Env, sel: SelId) -> SendGate {
         SendGate {
-            env: env.clone(),
+            env: env.downgrade(),
             sel,
             ep: Rc::new(Cell::new(None)),
         }
@@ -181,27 +205,6 @@ impl SendGate {
         self.sel
     }
 
-    async fn ensure_ep(&self) -> Result<m3_base::EpId> {
-        if let Some(ep) = self.ep.get() {
-            self.env.epmux().borrow_mut().touch(ep);
-            return Ok(ep);
-        }
-        let ep = self
-            .env
-            .epmux()
-            .borrow_mut()
-            .acquire(&self.ep)
-            .ok_or_else(|| Error::new(Code::InvEp).with_msg("out of endpoints"))?;
-        self.env
-            .syscall(Syscall::Activate {
-                vpe: SELF_VPE,
-                ep,
-                gate: self.sel,
-            })
-            .await?;
-        Ok(ep)
-    }
-
     /// Sends `payload`; `reply` names a local receive gate (and label) the
     /// receiver may reply to.
     ///
@@ -210,9 +213,9 @@ impl SendGate {
     /// Propagates DTU errors ([`Code::NoCredits`] when the budget is used
     /// up) and activation failures.
     pub async fn send(&self, payload: &[u8], reply: Option<(&RecvGate, Label)>) -> Result<()> {
-        let ep = self.ensure_ep().await?;
-        self.env
-            .dtu()
+        let env = self.env.get();
+        let ep = ensure_ep(&env, &self.ep, self.sel).await?;
+        env.dtu()
             .send(ep, payload, reply.map(|(rg, l)| (rg.ep(), l)))
             .await
     }
@@ -231,7 +234,8 @@ impl SendGate {
         reply: Option<(&RecvGate, Label)>,
         deadline: m3_base::Cycles,
     ) -> Result<()> {
-        match m3_sim::with_deadline(self.env.sim(), deadline, self.send(payload, reply)).await {
+        let env = self.env.get();
+        match m3_sim::with_deadline(env.sim(), deadline, self.send(payload, reply)).await {
             Some(r) => r,
             None => Err(Error::new(Code::Timeout).with_msg("send deadline passed")),
         }
@@ -254,21 +258,19 @@ impl SendGate {
     ///
     /// Propagates send errors and transport failures.
     pub async fn call(&self, payload: &[u8]) -> Result<Message> {
-        let rgate = self.env.reply_gate().await?;
-        let Some(policy) = self.env.recovery() else {
+        let env = self.env.get();
+        let rgate = env.reply_gate().await?;
+        let Some(policy) = env.recovery() else {
             self.send(payload, Some((&rgate, 0))).await?;
             return rgate.recv().await;
         };
         for attempt in 0..=policy.max_retries {
             if attempt > 0 {
-                self.env.compute(crate::costs::RETRY_PREP).await;
-                self.env
-                    .sim()
-                    .sleep(policy.backoff.delay(attempt - 1))
-                    .await;
-                let at = self.env.sim().now();
-                let pe = self.env.pe();
-                self.env.sim().tracer().record_with(|| m3_sim::Event {
+                env.compute(crate::costs::RETRY_PREP).await;
+                env.sim().sleep(policy.backoff.delay(attempt - 1)).await;
+                let at = env.sim().now();
+                let pe = env.pe();
+                env.sim().tracer().record_with(|| m3_sim::Event {
                     at,
                     dur: m3_base::Cycles::ZERO,
                     pe: Some(pe),
@@ -283,7 +285,7 @@ impl SendGate {
             // while we were backing off.
             while rgate.fetch()?.is_some() {}
             self.send(payload, Some((&rgate, 0))).await?;
-            let deadline = self.env.sim().now() + policy.timeout;
+            let deadline = env.sim().now() + policy.timeout;
             match rgate.recv_timeout(deadline).await {
                 Ok(msg) => return Ok(msg),
                 Err(e) if e.code() == Code::Timeout => continue,
@@ -297,7 +299,7 @@ impl SendGate {
 impl Drop for SendGate {
     fn drop(&mut self) {
         if let Some(ep) = self.ep.get() {
-            self.env.epmux().borrow_mut().release(ep);
+            self.env.release(ep);
         }
     }
 }
@@ -305,7 +307,7 @@ impl Drop for SendGate {
 /// A memory gate: RDMA access to a region of PE-external memory.
 #[derive(Debug)]
 pub struct MemGate {
-    env: Env,
+    env: WeakEnv,
     sel: SelId,
     ep: EpCell,
     size: Option<u64>,
@@ -330,7 +332,7 @@ impl MemGate {
         let mut is = IStream::new(&data);
         let _global_offset = is.pop_u64()?;
         Ok(MemGate {
-            env: env.clone(),
+            env: env.downgrade(),
             sel,
             ep: Rc::new(Cell::new(None)),
             size: Some(size),
@@ -340,7 +342,7 @@ impl MemGate {
     /// Wraps an existing (delegated or obtained) memory capability.
     pub fn bind(env: &Env, sel: SelId) -> MemGate {
         MemGate {
-            env: env.clone(),
+            env: env.downgrade(),
             sel,
             ep: Rc::new(Cell::new(None)),
             size: None,
@@ -363,16 +365,16 @@ impl MemGate {
     ///
     /// Fails if the range or permissions exceed this gate's.
     pub async fn derive(&self, offset: u64, size: u64, perm: Perm) -> Result<MemGate> {
-        let sel = self.env.alloc_sel();
-        self.env
-            .syscall(Syscall::DeriveMem {
-                dst: sel,
-                src: self.sel,
-                offset,
-                size,
-                perm,
-            })
-            .await?;
+        let env = self.env.get();
+        let sel = env.alloc_sel();
+        env.syscall(Syscall::DeriveMem {
+            dst: sel,
+            src: self.sel,
+            offset,
+            size,
+            perm,
+        })
+        .await?;
         Ok(MemGate {
             env: self.env.clone(),
             sel,
@@ -381,35 +383,15 @@ impl MemGate {
         })
     }
 
-    async fn ensure_ep(&self) -> Result<m3_base::EpId> {
-        if let Some(ep) = self.ep.get() {
-            self.env.epmux().borrow_mut().touch(ep);
-            return Ok(ep);
-        }
-        let ep = self
-            .env
-            .epmux()
-            .borrow_mut()
-            .acquire(&self.ep)
-            .ok_or_else(|| Error::new(Code::InvEp).with_msg("out of endpoints"))?;
-        self.env
-            .syscall(Syscall::Activate {
-                vpe: SELF_VPE,
-                ep,
-                gate: self.sel,
-            })
-            .await?;
-        Ok(ep)
-    }
-
     /// Reads `len` bytes at `offset`.
     ///
     /// # Errors
     ///
     /// Propagates permission and bounds errors from the DTU.
     pub async fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let ep = self.ensure_ep().await?;
-        self.env.dtu().read_mem(ep, offset, len).await
+        let env = self.env.get();
+        let ep = ensure_ep(&env, &self.ep, self.sel).await?;
+        env.dtu().read_mem(ep, offset, len).await
     }
 
     /// Reads `buf.len()` bytes at `offset` into `buf`, without allocating —
@@ -419,8 +401,9 @@ impl MemGate {
     ///
     /// Propagates permission and bounds errors from the DTU.
     pub async fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let ep = self.ensure_ep().await?;
-        self.env.dtu().read_mem_into(ep, offset, buf).await
+        let env = self.env.get();
+        let ep = ensure_ep(&env, &self.ep, self.sel).await?;
+        env.dtu().read_mem_into(ep, offset, buf).await
     }
 
     /// Writes `data` at `offset`.
@@ -429,8 +412,9 @@ impl MemGate {
     ///
     /// Propagates permission and bounds errors from the DTU.
     pub async fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let ep = self.ensure_ep().await?;
-        self.env.dtu().write_mem(ep, offset, data).await
+        let env = self.env.get();
+        let ep = ensure_ep(&env, &self.ep, self.sel).await?;
+        env.dtu().write_mem(ep, offset, data).await
     }
 
     /// Revokes the capability (and everything derived from it).
@@ -439,7 +423,8 @@ impl MemGate {
     ///
     /// Propagates kernel errors.
     pub async fn revoke(self) -> Result<()> {
-        self.env.syscall(Syscall::Revoke { sel: self.sel }).await?;
+        let env = self.env.get();
+        env.syscall(Syscall::Revoke { sel: self.sel }).await?;
         Ok(())
     }
 }
@@ -447,7 +432,7 @@ impl MemGate {
 impl Drop for MemGate {
     fn drop(&mut self) {
         if let Some(ep) = self.ep.get() {
-            self.env.epmux().borrow_mut().release(ep);
+            self.env.release(ep);
         }
     }
 }
@@ -464,6 +449,36 @@ mod tests {
         let platform = Platform::new(PlatformConfig::xtensa(pes));
         let kernel = Kernel::start(&platform, PeId::new(0));
         (platform, kernel)
+    }
+
+    #[test]
+    fn gate_dropped_after_its_env_is_gone() {
+        // Gates hold their Env without owning it. Once the program ends,
+        // and with it the last Env clone (and the Env's own reply gate), a
+        // gate it handed out must still drop without panicking and without
+        // touching the freed endpoint multiplexer.
+        let (platform, kernel) = boot(3);
+        let out = Rc::new(std::cell::RefCell::new(None));
+        let slot = out.clone();
+        let h = start_program(
+            &kernel,
+            "app",
+            None,
+            ProgramRegistry::new(),
+            |env| async move {
+                let reply = Rc::downgrade(&env.reply_gate().await.unwrap());
+                let mem = MemGate::alloc(&env, 4096, Perm::RW).await.unwrap();
+                mem.write(0, &[1]).await.unwrap();
+                *slot.borrow_mut() = Some((mem, reply));
+                0
+            },
+        );
+        platform.sim().run();
+        assert_eq!(h.try_take(), Some(0));
+        let (mem, reply) = out.borrow_mut().take().unwrap();
+        assert!(reply.upgrade().is_none(), "the Env outlived its program");
+        assert!(mem.ep.get().is_some(), "the gate holds no endpoint");
+        drop(mem);
     }
 
     #[test]

@@ -6,11 +6,11 @@ use m3_base::error::Result;
 use m3_base::SelId;
 use m3_kernel::protocol::Syscall;
 
-use crate::env::Env;
+use crate::env::{Env, WeakEnv};
 
 /// A session with a named service, opened through the kernel.
 pub struct ClientSession {
-    env: Env,
+    env: WeakEnv,
     sel: SelId,
 }
 
@@ -47,7 +47,7 @@ impl ClientSession {
             {
                 Ok(_) => {
                     return Ok(ClientSession {
-                        env: env.clone(),
+                        env: env.downgrade(),
                         sel,
                     })
                 }
@@ -73,9 +73,9 @@ impl ClientSession {
     ///
     /// Returns the service's denial code, or transport errors.
     pub async fn obtain(&self, n: usize, args: &[u8]) -> Result<(Vec<SelId>, Vec<u8>)> {
-        let caps: Vec<SelId> = (0..n).map(|_| self.env.alloc_sel()).collect();
-        let reply = self
-            .env
+        let env = self.env.get();
+        let caps: Vec<SelId> = (0..n).map(|_| env.alloc_sel()).collect();
+        let reply = env
             .syscall(Syscall::ExchangeSess {
                 sess: self.sel,
                 obtain: true,
@@ -94,6 +94,7 @@ impl ClientSession {
     /// Returns the service's denial code, or transport errors.
     pub async fn delegate(&self, caps: &[SelId], args: &[u8]) -> Result<Vec<u8>> {
         self.env
+            .get()
             .syscall(Syscall::ExchangeSess {
                 sess: self.sel,
                 obtain: false,
@@ -109,7 +110,8 @@ impl ClientSession {
     ///
     /// Propagates kernel errors.
     pub async fn close(self) -> Result<()> {
-        self.env.syscall(Syscall::Revoke { sel: self.sel }).await?;
+        let env = self.env.get();
+        env.syscall(Syscall::Revoke { sel: self.sel }).await?;
         Ok(())
     }
 }

@@ -1,23 +1,28 @@
 //! Dropping a `System` frees its simulation.
 //!
-//! Every task future holds clones of its `Sim` and `Env` while the `Sim`
-//! owns the tasks, and an `Env`'s mount table and reply gate hold that same
-//! `Env`. Each case below boots a System of one kind, lets a task capture
-//! an `Rc` token, runs it, drops it, and then requires both the DRAM
-//! backing store and the token to be gone: nothing the System built may
-//! outlive it.
+//! Every task future holds clones of its `Sim`, `Env` and `Kernel` while the
+//! `Sim` owns the tasks; `Sim::shutdown` drops them. Nothing else may hold
+//! what owns it: an `Env`'s reply gate and mounted filesystems, and a
+//! kernel's ktk transport to its peer shards, hold their `Env` or `Kernel`
+//! without owning it. Each case below boots a System of one kind, lets a
+//! task capture an `Rc` token, runs it, drops it, and then requires both
+//! the DRAM backing store and the token to be gone: nothing the System
+//! built may outlive it. The last case wires two kernels by hand, with no
+//! System, and requires the same after `Sim::shutdown`.
 
+use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
 use m3::{System, SystemConfig};
 use m3_base::{Cycles, PeId, Perm};
 use m3_dtu::Memory;
 use m3_fault::{CycleWindow, FaultPlan, RecoveryPolicy};
-use m3_fs::{mount_m3fs, SetupNode};
+use m3_fs::{mount_m3fs, run_m3fs, SetupNode};
 use m3_kernel::protocol::PeRequest;
-use m3_kernel::PAGE_SIZE;
+use m3_kernel::{Kernel, KernelConfig, PAGE_SIZE};
 use m3_libos::addrspace::AddrSpace;
-use m3_libos::{vfs, Env, MemGate, Vpe};
+use m3_libos::{start_program, vfs, Env, MemGate, ProgramRegistry, Vpe};
+use m3_platform::{Platform, PlatformConfig};
 use m3_sim::pdes::{self, IslandBuilder, IslandFinish, PdesConfig};
 use m3_sim::{Notify, SimState};
 
@@ -32,14 +37,18 @@ impl Witness {
     /// finishes holds one clone of the token, so only the System's drop can
     /// free it; the returned clone is for the case's own task to capture.
     fn of(sys: &System) -> (Witness, Rc<()>) {
-        let platform = sys.platform();
+        Witness::watch(sys.platform())
+    }
+
+    /// [`Witness::of`] for a platform outside a System.
+    fn watch(platform: &Platform) -> (Witness, Rc<()>) {
         let dram = platform
             .dtu_system()
             .memory(platform.dram_pe())
             .expect("DRAM backing store");
         let token = Rc::new(());
         let parked = token.clone();
-        sys.sim().spawn_daemon("parked", async move {
+        platform.sim().spawn_daemon("parked", async move {
             let _token = parked;
             std::future::pending::<()>().await;
         });
@@ -65,7 +74,7 @@ impl Witness {
     fn assert_freed(&self, case: &str) {
         assert!(
             self.alive().is_empty(),
-            "{case}: still alive after the System was dropped: {:?}",
+            "{case}: still alive after the drop: {:?}",
             self.alive()
         );
     }
@@ -301,4 +310,79 @@ fn island_whose_system_dropped_early_fails_loudly() {
         workers: 1,
     };
     pdes::run(&cfg, vec![early]);
+}
+
+#[test]
+fn env_with_its_own_registry_is_freed() {
+    // A daemon over an `Env` built with a program registry of its own, as
+    // tests/multikernel.rs builds one: the System never sees this `Env`.
+    let sys = System::boot(SystemConfig::default());
+    let (witness, token) = Witness::of(&sys);
+    let info = sys
+        .kernel()
+        .create_root("daemon", None)
+        .expect("a PE for the daemon");
+    let env = Env::new(sys.kernel(), &info, ProgramRegistry::new());
+    let serving = Rc::new(Cell::new(false));
+    let flag = serving.clone();
+    let forever = Notify::new();
+    sys.sim().spawn_daemon("daemon", async move {
+        let _token = token;
+        mount_m3fs(&env).await.unwrap();
+        env.reply_gate().await.unwrap();
+        flag.set(true);
+        loop {
+            forever.wait().await;
+        }
+    });
+    assert_eq!(sys.run(), SimState::Finished);
+    assert!(serving.get(), "the daemon never mounted m3fs");
+    drop(sys);
+    witness.assert_freed("daemon over an Env with its own registry");
+}
+
+#[test]
+fn kernels_wired_outside_a_system_are_freed() {
+    // Two partition kernels joined by `Kernel::connect_shards`, m3fs on the
+    // second and a program on the first that mounts it across the shards.
+    let platform = Platform::new(PlatformConfig::xtensa(8));
+    let (witness, token) = Witness::watch(&platform);
+    let half = platform.dram_size() as u64 / 2;
+    let kernels: Vec<Kernel> = (0..2u32)
+        .map(|shard| {
+            let owned: Vec<PeId> = (shard * 4..shard * 4 + 4).map(PeId::new).collect();
+            let base = u64::from(shard) * half;
+            Kernel::start_partition(
+                &platform,
+                owned[0],
+                &owned,
+                base,
+                half,
+                KernelConfig::default(),
+            )
+        })
+        .collect();
+    Kernel::connect_shards(&kernels);
+    let info = kernels[1].create_root("m3fs", None).expect("a PE for m3fs");
+    let fs_env = Env::new(&kernels[1], &info, ProgramRegistry::new());
+    platform.sim().spawn_daemon("m3fs", async move {
+        run_m3fs(fs_env, 1024, Vec::new()).await.unwrap();
+    });
+    let job = start_program(
+        &kernels[0],
+        "remote-mount",
+        None,
+        ProgramRegistry::new(),
+        |env| async move {
+            let _token = token;
+            mount_m3fs(&env).await.unwrap();
+            vfs::write_all(&env, "/x", b"across").await.unwrap();
+            vfs::read_to_vec(&env, "/x").await.unwrap().len() as i64
+        },
+    );
+    assert_eq!(platform.sim().run(), SimState::Finished);
+    assert_eq!(job.try_take(), Some(6));
+    platform.sim().shutdown();
+    drop((kernels, platform));
+    witness.assert_freed("two kernels wired by connect_shards");
 }
