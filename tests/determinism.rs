@@ -43,6 +43,22 @@ fn trace_digest(events: &[Event]) -> u64 {
     hash
 }
 
+/// [`trace_digest`] of the Figure 3 tar scenario below, recorded before the
+/// executor resumed sleeping tasks in place. A change to the executor, the
+/// DTU or anything else that reorders events fails here even when two runs
+/// of the new code still agree with each other.
+const FIG3_TAR_TRACE_DIGEST: u64 = 0x0563_c09a_f2a6_ccac;
+
+/// [`trace_digest`] of the traced Figure 3 file read
+/// (`m3_bench::fig3::traced_file_read`), recorded alongside
+/// [`FIG3_TAR_TRACE_DIGEST`].
+const FIG3_READ_TRACE_DIGEST: u64 = 0x7c44_3dcd_23e9_88e5;
+
+/// [`trace_digest`] of the traced 32-client serving run
+/// (`m3_bench::fig9::traced_serve_run(32)`), recorded alongside
+/// [`FIG3_TAR_TRACE_DIGEST`].
+const FIG9_SERVE_TRACE_DIGEST: u64 = 0xe21e_ed4b_c80f_1bea;
+
 #[test]
 fn figure3_cycle_counts_are_identical_across_runs() {
     let first = cycle_rows(&m3_bench::fig3::run());
@@ -86,6 +102,10 @@ fn figure3_workload_event_trace_is_identical_across_runs() {
         digest_a, digest_b,
         "event-trace digests diverged: the scheduler is nondeterministic"
     );
+    assert_eq!(
+        digest_a, FIG3_TAR_TRACE_DIGEST,
+        "the fig3 tar trace moved off its golden digest: events were reordered"
+    );
 }
 
 #[test]
@@ -94,6 +114,11 @@ fn chrome_export_of_fig3_read_is_bit_identical_across_runs() {
     let (events_b, metrics_b) = m3_bench::fig3::traced_file_read();
     assert!(!events_a.is_empty(), "traced run produced no events");
     assert_eq!(metrics_a, metrics_b, "metrics snapshots diverged");
+    assert_eq!(
+        trace_digest(&events_a),
+        FIG3_READ_TRACE_DIGEST,
+        "the fig3 read trace moved off its golden digest: events were reordered"
+    );
 
     let json_a = m3_trace::chrome::export(&events_a);
     let json_b = m3_trace::chrome::export(&events_b);
@@ -282,6 +307,10 @@ fn fig9_traced_serving_run_is_identical_across_runs() {
     let (total_b, digest_b, metrics_b, lat_b) = run_once();
     assert_eq!(total_a, total_b, "serving makespans diverged");
     assert_eq!(digest_a, digest_b, "serving traces diverged");
+    assert_eq!(
+        digest_a, FIG9_SERVE_TRACE_DIGEST,
+        "the serving trace moved off its golden digest: events were reordered"
+    );
     assert_eq!(metrics_a, metrics_b, "metrics renders diverged");
     assert_eq!(lat_a, lat_b, "latency tables diverged");
 }
