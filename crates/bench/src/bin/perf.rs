@@ -38,13 +38,16 @@ const REGRESSION_LIMIT: f64 = 1.5;
 
 /// Every gauge `perf` records per figure, in JSON order. The first
 /// [`GATED`] count simulated work, so they are the same on every host and
-/// for every worker count; `--baseline` gates them per figure.
-fn counters(g: &Gauges) -> [(&'static str, u64); 6] {
+/// for every worker count; `--baseline` gates them per figure. The rest
+/// are reported only: `timers_inlined` (timers whose task resumed in
+/// place) is deterministic too, but a rise is an improvement.
+fn counters(g: &Gauges) -> [(&'static str, u64); 7] {
     [
         ("tasks_spawned", g.tasks_spawned),
         ("task_polls", g.task_polls),
         ("timers_scheduled", g.timers_scheduled),
         ("timers_deduped", g.timers_deduped),
+        ("timers_inlined", g.timers_inlined),
         ("peak_live_tasks", g.peak_live_tasks),
         ("peak_pending_timers", g.peak_pending_timers),
     ]
@@ -261,12 +264,14 @@ fn main() -> ExitCode {
             format!("cpu {:>5.0} ms  {:>7} faults", u.cpu_ms, u.minor_faults)
         });
         println!(
-            "{:>10}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  peak {} live / {} timers  {usage}",
+            "{:>10}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  {:>9} timers ({:>9} in place)  peak {} live / {} timers  {usage}",
             run.name,
             run.wall_ms,
             run.scenario_ms.len(),
             run.gauges.tasks_spawned,
             run.gauges.task_polls,
+            run.gauges.timers_scheduled,
+            run.gauges.timers_inlined,
             run.gauges.peak_live_tasks,
             run.gauges.peak_pending_timers,
         );
@@ -341,6 +346,7 @@ mod tests {
                 tasks_spawned,
                 task_polls,
                 timers_scheduled: 7,
+                timers_inlined: 5,
                 ..Gauges::default()
             },
             usage: None,
@@ -352,7 +358,13 @@ mod tests {
         let runs = [run("fig3", 10, 20), run("fig4", 30, 40)];
         let base = to_json("base", &runs, 2.0, None);
         assert_eq!(extract(&base, "total_ms"), Some(2.0));
+        assert_eq!(extract(&base, "timers_inlined"), Some(5.0));
         assert_eq!(compare_counters(&runs, &base), (vec![], vec![]));
+
+        // More timers resumed in place is not a rise in work.
+        let mut more_inlined = [run("fig3", 10, 20), run("fig4", 30, 40)];
+        more_inlined[1].gauges.timers_inlined = 7;
+        assert_eq!(compare_counters(&more_inlined, &base), (vec![], vec![]));
 
         // Lower work passes; one count above its own row fails, even
         // when another figure's row has a higher value.

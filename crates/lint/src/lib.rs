@@ -18,7 +18,10 @@
 //!    across an `.await` point (the single-threaded analogue of a data
 //!    race);
 //! 6. **cycle-accounting** — `pub` fns in dtu/noc/sched that write
-//!    architectural state must reach a cycle-charging call.
+//!    architectural state must reach a cycle-charging call;
+//! 7. **child-poll** — no combinator polls a child future outside
+//!    `crates/sim`, where it could not turn the executor's resumption in
+//!    place off around the child's poll.
 //!
 //! Violations can be suppressed inline with a mandatory justification:
 //!

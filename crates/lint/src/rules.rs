@@ -1,6 +1,6 @@
 //! The repo-specific rule set and the per-file checking engine.
 //!
-//! Seven rule families (DESIGN.md "Static analysis & invariants" and §5g):
+//! Eight rule families (DESIGN.md "Static analysis & invariants" and §5g):
 //!
 //! - **determinism** — simulation code must be bit-for-bit reproducible
 //!   (DESIGN.md §4.1), so nondeterministically ordered collections, wall
@@ -19,6 +19,11 @@
 //! - **cycle-accounting** — `pub` fns in dtu/noc/sched that write
 //!   architectural state must reach a cycle-charging call; see
 //!   [`crate::cycles`].
+//! - **child-poll** — no combinator polls a child future outside
+//!   `crates/sim` (no `poll_fn`, no `.poll(..)` call): the executor
+//!   resumes a sleeping task in place only while no combinator is polling
+//!   children (DESIGN.md §5d), and only `m3_sim`'s combinators turn that
+//!   off around their child's poll.
 //! - **suppression** — pseudo-rule for malformed suppressions themselves,
 //!   and for justified ones that suppress no finding.
 //!
@@ -64,6 +69,7 @@ pub const RULES: &[&str] = &[
     "isolation",
     "borrow-across-await",
     "cycle-accounting",
+    "child-poll",
 ];
 
 /// Crates whose code runs inside the simulation and must be deterministic.
@@ -271,6 +277,9 @@ pub fn check_file(path: &Path, source: &str) -> Vec<Finding> {
     // conservative window protocol keeps simulated time deterministic
     // (DESIGN.md §5i). Everywhere else in sim scope OS threads stay banned.
     let pdes_coordinator = class.krate == "sim" && file_name == "pdes.rs";
+    // Child polls: simulation source outside crates/sim, whose combinators
+    // cannot turn resumption in place off around the child's poll.
+    let child_poll_applies = sim_scope && class.krate != "sim" && !class.is_harness();
 
     for (i, tok) in tree.code.iter().enumerate() {
         if tree.test_mask[i] || tok.kind != Kind::Ident {
@@ -325,6 +334,27 @@ pub fn check_file(path: &Path, source: &str) -> Vec<Finding> {
                     class.krate
                 ),
             );
+        }
+
+        if child_poll_applies {
+            let method_call = text == "poll"
+                && i > 0
+                && tree.is_punct(i - 1, '.')
+                && i + 1 < tree.code.len()
+                && tree.code[i + 1].kind == Kind::OpenParen;
+            if text == "poll_fn" || method_call {
+                let what = if method_call { ".poll()" } else { "poll_fn" };
+                push(
+                    "child-poll",
+                    tok.line,
+                    format!(
+                        "`{what}` polls a child future outside m3_sim: the executor may \
+                         resume a sleep inside it in place, past anything the combinator \
+                         does after `Pending`; write the combinator in crates/sim and poll \
+                         the child under `Sim::poll_child` (DESIGN.md §5d)"
+                    ),
+                );
+            }
         }
     }
 
@@ -501,6 +531,27 @@ mod tests {
             rules_of(&check("crates/noc/src/pdes.rs", src)),
             vec!["determinism"]
         );
+    }
+
+    // ---------------- child-poll ----------------
+
+    #[test]
+    fn child_poll_flags_combinators_outside_the_sim_crate() {
+        let src = "fn race(cx: &mut Context) {\n\
+                   let _ = std::future::poll_fn(|_| Poll::Ready(()));\n\
+                   let _ = fut.as_mut().poll(cx);\n}\n";
+        let f = check("crates/serve/src/race.rs", src);
+        assert_eq!(rules_of(&f), vec!["child-poll", "child-poll"]);
+        assert_eq!((f[0].line, f[1].line), (2, 3));
+        // crates/sim polls its children under its own guard, and test
+        // code is exempt.
+        assert!(check("crates/sim/src/deadline.rs", src).is_empty());
+        assert!(check("tests/sim_behavior.rs", src).is_empty());
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(check("crates/serve/src/race.rs", &in_test).is_empty());
+        // A function named `poll`, or a field, is not a call on a child.
+        let decl = "fn poll(self: Pin<&mut Self>) {}\nlet p = x.poll;\n";
+        assert!(check("crates/serve/src/race.rs", decl).is_empty());
     }
 
     #[test]

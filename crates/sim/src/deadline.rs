@@ -33,7 +33,9 @@ pub async fn with_deadline<F: Future>(sim: &Sim, deadline: Cycles, fut: F) -> Op
     let sim = sim.clone();
     let mut armed: Option<Waker> = None;
     std::future::poll_fn(move |cx| {
-        if let Poll::Ready(v) = fut.as_mut().poll(cx) {
+        // The deadline timer is armed only once the child is pending, so
+        // the child must not resume in place past it.
+        if let Poll::Ready(v) = sim.poll_child(|| fut.as_mut().poll(cx)) {
             return Poll::Ready(Some(v));
         }
         let now = sim.now();
@@ -140,6 +142,25 @@ mod tests {
         }
         assert_eq!(sim.run(), SimState::Finished);
         assert_eq!(out.get(), Some((None, Cycles::new(100))));
+    }
+
+    #[test]
+    fn a_lone_sleep_past_the_deadline_times_out_at_the_deadline() {
+        // Nothing else is pending when the child sleep is first polled, so
+        // it would resume in place at 10 if the race did not turn that off
+        // while it polls the child: its own timer to 5 is armed only once
+        // the child is pending.
+        let sim = Sim::new();
+        let out = Rc::new(Cell::new(None));
+        {
+            let (sim2, out) = (sim.clone(), out.clone());
+            sim.spawn("racer", async move {
+                let got = with_deadline(&sim2, Cycles::new(5), sim2.sleep(Cycles::new(10))).await;
+                out.set(Some((got, sim2.now())));
+            });
+        }
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(out.get(), Some((None, Cycles::new(5))));
     }
 
     #[test]

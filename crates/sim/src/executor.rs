@@ -7,7 +7,7 @@ use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, RawWakerVTable, Wake, Waker};
 
@@ -40,6 +40,11 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 #[derive(Default)]
 struct ReadyQueue {
     queue: Mutex<VecDeque<TaskId>>,
+    /// The queue's length, written under the lock, so the run loops and
+    /// the in-place check see an empty queue without taking it. `Relaxed`
+    /// suffices: it publishes no data (the entries are read under the
+    /// lock), and the wakers run on the executor's own thread.
+    len: AtomicUsize,
 }
 
 impl ReadyQueue {
@@ -48,6 +53,32 @@ impl ReadyQueue {
     /// leaves the queue intact, so recovering the guard is sound.
     fn lock(&self) -> MutexGuard<'_, VecDeque<TaskId>> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, id: TaskId) {
+        let mut queue = self.lock();
+        queue.push_back(id);
+        self.len.store(queue.len(), Ordering::Relaxed);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len.load(Ordering::Relaxed) == 0
+    }
+
+    /// Moves the whole queue into the empty `batch` under one lock; an
+    /// empty queue is not locked at all.
+    fn take_into(&self, batch: &mut VecDeque<TaskId>) {
+        if self.is_empty() {
+            return;
+        }
+        let mut queue = self.lock();
+        std::mem::swap(&mut *queue, batch);
+        self.len.store(queue.len(), Ordering::Relaxed);
+    }
+
+    fn clear(&self) {
+        self.lock().clear();
+        self.len.store(0, Ordering::Relaxed);
     }
 }
 
@@ -65,7 +96,7 @@ impl Wake for TaskWaker {
 
     fn wake_by_ref(self: &Arc<Self>) {
         if !self.queued.swap(true, Ordering::Relaxed) {
-            self.ready.lock().push_back(self.task);
+            self.ready.push(self.task);
         }
     }
 }
@@ -91,6 +122,22 @@ impl Task {
             .get_or_insert_with(|| self.name.render())
             .clone()
     }
+
+    /// Starts a poll at `at`, from the run loop or in place: clears the
+    /// `queued` flag, so a wake-up from here on queues the task again, and
+    /// traces the poll.
+    fn begin_poll(&mut self, at: Cycles, recorder: &Recorder) {
+        self.waker_state.queued.store(false, Ordering::Relaxed);
+        recorder.record_with(|| Event {
+            at,
+            dur: Cycles::ZERO,
+            pe: None,
+            comp: Component::Sched,
+            kind: EventKind::TaskPoll {
+                name: self.trace_name(),
+            },
+        });
+    }
 }
 
 /// One slab slot: the current generation plus the task occupying it (if
@@ -112,6 +159,40 @@ pub enum SimState {
     TimeLimit,
 }
 
+/// What the running loop does with timers, which decides whether a
+/// sleeping task may resume in place.
+#[derive(Copy, Clone)]
+struct Bound {
+    /// The latest deadline the loop fires: `run_until`'s limit,
+    /// `run_window`'s end or `settle`'s limit (`u64::MAX` under `run`).
+    limit: Cycles,
+    /// Whether a clock jump is traced as a `ClockAdvance` (not under
+    /// `settle`).
+    record_advance: bool,
+    /// Whether the loop returns [`SimState::Finished`] before firing a
+    /// timer once no regular task is left (`run` and `run_until`).
+    needs_regular: bool,
+}
+
+/// The task [`Sim::poll_task`] is polling and what it may do in place.
+#[derive(Copy, Clone)]
+struct Polling {
+    id: TaskId,
+    /// The identity (data and vtable pointers, what `Waker::will_wake`
+    /// compares) of the waker the poll's context carries.
+    waker: (*const (), *const RawWakerVTable),
+    /// No task waits behind this one in the batch being drained, and no
+    /// combinator is polling one of its children.
+    inline: bool,
+    bound: Bound,
+}
+
+impl Polling {
+    fn owns(&self, waker: &Waker) -> bool {
+        std::ptr::eq(waker.data(), self.waker.0) && std::ptr::eq(waker.vtable(), self.waker.1)
+    }
+}
+
 struct Inner {
     now: Cycles,
     next_seq: u64,
@@ -126,11 +207,16 @@ struct Inner {
     /// `BinaryHeap` a min-heap; the sequence number keeps same-cycle events in
     /// scheduling order, which is what makes runs deterministic.
     timers: BinaryHeap<Reverse<(Cycles, u64, TimerEntry)>>,
-    /// The task [`Sim::poll_task`] is polling and the identity (data and
-    /// vtable pointers, what `Waker::will_wake` compares) of the waker its
-    /// context carries. A [`Sleep`] polled under exactly that waker arms a
-    /// [`TimerEntry::Task`] instead of cloning the waker.
-    polling: Option<(TaskId, *const (), *const RawWakerVTable)>,
+    /// The task [`Sim::poll_task`] is polling. A [`Sleep`] polled under
+    /// exactly its waker resumes it in place when its deadline is the
+    /// next event, and arms a [`TimerEntry::Task`] instead of cloning the
+    /// waker otherwise.
+    polling: Option<Polling>,
+    /// Where wakers queue their tasks.
+    ready: Arc<ReadyQueue>,
+    /// The shared event recorder, here so a [`Sleep`] resuming its task in
+    /// place traces what the run loop would have.
+    recorder: Recorder,
     /// The batch the run loops poll: the ready queue is swapped into it
     /// under one lock, and wake-ups issued while it is polled land behind
     /// it in the (now empty) queue, so FIFO order is that of a one-by-one
@@ -143,6 +229,7 @@ struct Inner {
     polls: u64,
     timers_scheduled: u64,
     timers_deduped: u64,
+    timers_inlined: u64,
     peak_tasks: u64,
     peak_timers: u64,
     reported: gauges::Gauges,
@@ -158,11 +245,66 @@ impl Inner {
     /// same-cycle timers fire in the order they were armed.
     fn arm(&mut self, deadline: Cycles, entry: TimerEntry) {
         self.assert_open();
+        let seq = self.number_timer();
+        self.timers.push(Reverse((deadline, seq, entry)));
+    }
+
+    /// Counts a new timer, armed or resumed in place, as one modelled
+    /// delay (and one pending timer for the peak) and returns its sequence
+    /// number.
+    fn number_timer(&mut self) -> u64 {
         self.timers_scheduled += 1;
+        self.peak_timers = self.peak_timers.max(self.timers.len() as u64 + 1);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.timers.push(Reverse((deadline, seq, entry)));
-        self.peak_timers = self.peak_timers.max(self.timers.len() as u64);
+        seq
+    }
+
+    /// Whether the task `p` polls, about to sleep until `deadline`, may
+    /// resume in place: its task timer would be the next event of the
+    /// running loop. The ready queue is empty and no task waits behind it
+    /// in the batch, every pending timer is due strictly later (a
+    /// same-cycle one armed earlier fires first), the loop fires
+    /// `deadline`, and under `run` a regular task is left (else the loop
+    /// returns before firing a daemon's timer).
+    fn may_resume_in_place(&self, p: &Polling, deadline: Cycles) -> bool {
+        p.inline
+            && deadline <= p.bound.limit
+            && self.ready.is_empty()
+            && (self.live_regular > 0 || !p.bound.needs_regular)
+            && self
+                .timers
+                .peek()
+                .is_none_or(|Reverse((next, _, _))| *next > deadline)
+    }
+
+    /// Does what arming the task timer, firing it and polling the task
+    /// would have done, in that order, without the heap, the `Pending`
+    /// and the re-poll from the root of the task's future.
+    fn resume_in_place(&mut self, p: &Polling, deadline: Cycles) {
+        self.number_timer();
+        self.timers_inlined += 1;
+        self.advance(deadline, p.bound.record_advance);
+        self.polls += 1;
+        if let Some(task) = self.slots[p.id.slot as usize].task.as_mut() {
+            task.begin_poll(self.now, &self.recorder);
+        }
+    }
+
+    /// Moves the clock to `to`, traced as a `ClockAdvance` if `record` and
+    /// the clock moves.
+    fn advance(&mut self, to: Cycles, record: bool) {
+        debug_assert!(to >= self.now, "time must be monotonic");
+        let from = std::mem::replace(&mut self.now, to);
+        if record && from != to {
+            self.recorder.record_with(|| Event {
+                at: to,
+                dur: Cycles::ZERO,
+                pe: None,
+                comp: Component::Sched,
+                kind: EventKind::ClockAdvance { from },
+            });
+        }
     }
 
     /// Pops the earliest timer entry if its deadline is at most `limit`.
@@ -180,8 +322,8 @@ impl Inner {
 
     /// The earliest moment something can happen: `now` while tasks are
     /// still queued ready, otherwise the next timer deadline.
-    fn next_event_time(&self, ready_empty: bool) -> Option<Cycles> {
-        if !ready_empty {
+    fn next_event_time(&self) -> Option<Cycles> {
+        if !self.ready.is_empty() {
             return Some(self.now);
         }
         self.timers.peek().map(|Reverse((d, _, _))| *d)
@@ -209,6 +351,7 @@ impl Inner {
             task_polls: self.polls,
             timers_scheduled: self.timers_scheduled,
             timers_deduped: self.timers_deduped,
+            timers_inlined: self.timers_inlined,
             peak_live_tasks: self.peak_tasks,
             peak_pending_timers: self.peak_timers,
         };
@@ -267,8 +410,6 @@ impl Ord for TimerEntry {
 #[derive(Clone)]
 pub struct Sim {
     inner: Rc<RefCell<Inner>>,
-    ready: Arc<ReadyQueue>,
-    recorder: Recorder,
     metrics: Metrics,
 }
 
@@ -301,18 +442,19 @@ impl Sim {
                 free: Vec::new(),
                 timers: BinaryHeap::new(),
                 polling: None,
+                ready: Arc::new(ReadyQueue::default()),
+                recorder: Recorder::new(),
                 batch: VecDeque::new(),
                 spawned: 0,
                 polls: 0,
                 timers_scheduled: 0,
                 timers_deduped: 0,
+                timers_inlined: 0,
                 peak_tasks: 0,
                 peak_timers: 0,
                 reported: gauges::Gauges::default(),
                 closed: false,
             })),
-            ready: Arc::new(ReadyQueue::default()),
-            recorder: Recorder::new(),
             metrics: Metrics::new(),
         }
     }
@@ -332,7 +474,7 @@ impl Sim {
     /// events; it is disabled (and therefore free) until
     /// [`Sim::enable_trace`] is called.
     pub fn tracer(&self) -> Recorder {
-        self.recorder.clone()
+        self.inner.borrow().recorder.clone()
     }
 
     /// The simulation's one counter registry: per-PE counters and
@@ -344,12 +486,12 @@ impl Sim {
     /// Turns on event tracing across all components that share this
     /// simulation's [`Recorder`].
     pub fn enable_trace(&self) {
-        self.recorder.enable();
+        self.inner.borrow().recorder.enable();
     }
 
     /// Returns (a copy of) the recorded trace; empty when tracing is off.
     pub fn trace(&self) -> Vec<Event> {
-        self.recorder.events()
+        self.inner.borrow().recorder.events()
     }
 
     /// Spawns a task and returns a handle to its eventual result.
@@ -424,7 +566,7 @@ impl Sim {
         };
         let waker_state = Arc::new(TaskWaker {
             task: id,
-            ready: self.ready.clone(),
+            ready: inner.ready.clone(),
             queued: AtomicBool::new(true), // starts queued
         });
         let mut task = Task {
@@ -435,7 +577,7 @@ impl Sim {
             daemon,
         };
         let at = inner.now;
-        self.recorder.record_with(|| Event {
+        inner.recorder.record_with(|| Event {
             at,
             dur: Cycles::ZERO,
             pe: None,
@@ -452,8 +594,7 @@ impl Sim {
         inner.spawned += 1;
         let live = inner.live_tasks();
         inner.peak_tasks = inner.peak_tasks.max(live);
-        drop(inner);
-        self.ready.lock().push_back(id);
+        inner.ready.push(id);
     }
 
     /// Runs `f` once the clock reaches `at` (at once, behind the ready
@@ -537,10 +678,9 @@ impl Sim {
     /// This is the quantity a conservative PDES coordinator aggregates
     /// across islands to place the next window barrier.
     pub fn next_event_time(&self) -> Option<Cycles> {
-        let ready_empty = self.ready.lock().is_empty();
         let inner = self.inner.borrow();
         inner.assert_open();
-        inner.next_event_time(ready_empty)
+        inner.next_event_time()
     }
 
     /// Number of live non-daemon tasks plus pending [`Sim::call_at`]
@@ -576,9 +716,14 @@ impl Sim {
     /// too. The PDES coordinator ([`crate::pdes`]) owns the
     /// all-islands-finished decision.
     pub fn run_window(&self, end: Cycles) {
+        let bound = Bound {
+            limit: end,
+            record_advance: true,
+            needs_regular: false,
+        };
         loop {
-            self.drain_ready();
-            if !self.fire_due(end, true) {
+            self.drain_ready(bound);
+            if !self.fire_due(bound) {
                 return;
             }
         }
@@ -598,10 +743,14 @@ impl Sim {
     /// pass `now + slack`. Daemons blocked on notifications leave no timers,
     /// so this terminates.
     pub fn settle(&self, slack: Cycles) {
-        let limit = self.now() + slack;
+        let bound = Bound {
+            limit: self.now() + slack,
+            record_advance: false,
+            needs_regular: false,
+        };
         loop {
-            self.drain_ready();
-            if !self.fire_due(limit, false) {
+            self.drain_ready(bound);
+            if !self.fire_due(bound) {
                 break;
             }
         }
@@ -627,36 +776,27 @@ impl Sim {
             inner.batch.clear();
             inner.polling = None;
             inner.live_regular = 0;
+            inner.ready.clear();
             (
                 std::mem::take(&mut inner.slots),
                 std::mem::take(&mut inner.timers),
             )
         };
-        self.ready.lock().clear();
         drop(dead);
     }
 
     /// The step every run loop repeats once its ready queue is drained:
-    /// pops the earliest timer due by `limit`, moves the clock to its
-    /// deadline (traced as a `ClockAdvance` if `record_advance`) and fires
-    /// it. Returns `false`, touching nothing, when no timer is due.
-    fn fire_due(&self, limit: Cycles, record_advance: bool) -> bool {
+    /// pops the earliest timer due by the bound's limit, moves the clock to
+    /// its deadline (traced as a `ClockAdvance` if the bound records
+    /// advances) and fires it. Returns `false`, touching nothing, when no
+    /// timer is due.
+    fn fire_due(&self, bound: Bound) -> bool {
         let mut inner = self.inner.borrow_mut();
-        let Some((deadline, entry)) = inner.pop_due(limit) else {
+        let Some((deadline, entry)) = inner.pop_due(bound.limit) else {
             return false;
         };
-        debug_assert!(deadline >= inner.now, "time must be monotonic");
-        let from = std::mem::replace(&mut inner.now, deadline);
+        inner.advance(deadline, bound.record_advance);
         drop(inner);
-        if record_advance && from != deadline {
-            self.recorder.record_with(|| Event {
-                at: deadline,
-                dur: Cycles::ZERO,
-                pe: None,
-                comp: Component::Sched,
-                kind: EventKind::ClockAdvance { from },
-            });
-        }
         // The ready queue is empty, so polling a task here is what waking
         // it and draining the queue would do.
         match entry {
@@ -664,7 +804,7 @@ impl Sim {
                 self.inner.borrow_mut().live_regular -= 1;
                 f();
             }
-            TimerEntry::Task(id) => self.poll_task(id),
+            TimerEntry::Task(id) => self.poll_task(id, bound, true),
             TimerEntry::Wake(waker) => waker.wake(),
         }
         true
@@ -673,8 +813,9 @@ impl Sim {
     /// Polls ready tasks until the queue stays empty. Each round swaps the
     /// whole queue into the batch under one lock; tasks woken meanwhile
     /// queue up behind the batch, exactly where a one-at-a-time drain
-    /// would have found them.
-    fn drain_ready(&self) {
+    /// would have found them. Only the batch's last task may resume in
+    /// place.
+    fn drain_ready(&self, bound: Bound) {
         let mut batch = {
             let mut inner = self.inner.borrow_mut();
             // Every run loop starts here: a shut-down `Sim` has no tasks,
@@ -683,18 +824,39 @@ impl Sim {
             std::mem::take(&mut inner.batch)
         };
         loop {
-            std::mem::swap(&mut *self.ready.lock(), &mut batch);
-            if batch.is_empty() {
+            self.inner.borrow().ready.take_into(&mut batch);
+            let Some(last) = batch.len().checked_sub(1) else {
                 break;
-            }
-            for id in batch.drain(..) {
-                self.poll_task(id);
+            };
+            for (i, id) in batch.drain(..).enumerate() {
+                self.poll_task(id, bound, i == last);
             }
         }
         self.inner.borrow_mut().batch = batch;
     }
 
-    fn poll_task(&self, id: TaskId) {
+    /// Runs `poll`, a combinator's poll of one of its children, with
+    /// resumption in place off. A combinator that acts after its child
+    /// returns `Pending` (as [`crate::with_deadline`] arms its deadline
+    /// timer) must poll the child under this: a child resumed in place
+    /// past that act would never return `Pending` at all.
+    pub(crate) fn poll_child<R>(&self, poll: impl FnOnce() -> R) -> R {
+        let set_inline = |on: bool| {
+            let mut inner = self.inner.borrow_mut();
+            inner
+                .polling
+                .as_mut()
+                .is_some_and(|p| std::mem::replace(&mut p.inline, on))
+        };
+        let was = set_inline(false);
+        let out = poll();
+        set_inline(was);
+        out
+    }
+
+    /// Polls task `id` if it is still live. `last` says no task waits
+    /// behind it in the batch being drained, so it may resume in place.
+    fn poll_task(&self, id: TaskId, bound: Bound, last: bool) {
         let (mut future, waker) = {
             let mut guard = self.inner.borrow_mut();
             let inner = &mut *guard;
@@ -713,18 +875,13 @@ impl Sim {
             let Some(run) = task.run.take() else {
                 return;
             };
-            task.waker_state.queued.store(false, Ordering::Relaxed);
+            task.begin_poll(inner.now, &inner.recorder);
             inner.polls += 1;
-            inner.polling = Some((id, run.1.data(), run.1.vtable()));
-            let at = inner.now;
-            self.recorder.record_with(|| Event {
-                at,
-                dur: Cycles::ZERO,
-                pe: None,
-                comp: Component::Sched,
-                kind: EventKind::TaskPoll {
-                    name: task.trace_name(),
-                },
+            inner.polling = Some(Polling {
+                id,
+                waker: (run.1.data(), run.1.vtable()),
+                inline: last,
+                bound,
             });
             run
         };
@@ -751,7 +908,7 @@ impl Sim {
                 inner.live_regular -= 1;
             }
             let at = inner.now;
-            self.recorder.record_with(|| Event {
+            inner.recorder.record_with(|| Event {
                 at,
                 dur: Cycles::ZERO,
                 pe: None,
@@ -770,14 +927,19 @@ impl Sim {
     }
 
     fn run_loop(&self, limit: Option<Cycles>) -> SimState {
+        let bound = Bound {
+            limit: limit.unwrap_or(Cycles::new(u64::MAX)),
+            record_advance: true,
+            needs_regular: true,
+        };
         loop {
             // Drain the ready queue first: all work at the current instant.
-            self.drain_ready();
+            self.drain_ready(bound);
             if self.live_regular() == 0 {
                 return SimState::Finished;
             }
             // No task is runnable: advance the clock to the next timer.
-            if !self.fire_due(limit.unwrap_or(Cycles::new(u64::MAX)), true) {
+            if !self.fire_due(bound) {
                 break;
             }
         }
@@ -803,6 +965,12 @@ impl Sim {
 /// still completes it at the right cycle. The first poll arms that timer
 /// for the task being polled when the context carries that task's own
 /// waker, and for a clone of the context's waker otherwise.
+///
+/// Under the task's own waker, when that timer would be the running loop's
+/// next event ([`Inner::may_resume_in_place`]), the first poll instead
+/// moves the clock to the deadline and returns `Ready`: the task resumes
+/// in place, exactly where the loop would have popped the timer and
+/// polled it, at the cost of no heap entry and no re-poll.
 pub struct Sleep {
     /// The executor state only (clock and timer wheel), not a whole [`Sim`].
     inner: Rc<RefCell<Inner>>,
@@ -835,23 +1003,31 @@ impl Future for Sleep {
                 }
             }
             None => {
-                let deadline = {
-                    let mut inner = self.inner.borrow_mut();
-                    let deadline = inner.now + self.delay;
-                    let w = cx.waker();
-                    let entry = match inner.polling {
-                        Some((id, data, vtable))
-                            if std::ptr::eq(w.data(), data) && std::ptr::eq(w.vtable(), vtable) =>
-                        {
-                            TimerEntry::Task(id)
+                let mut inner = self.inner.borrow_mut();
+                let deadline = inner.now + self.delay;
+                let w = cx.waker();
+                let resumed = match inner.polling {
+                    Some(p) if p.owns(w) => {
+                        let inline = inner.may_resume_in_place(&p, deadline);
+                        if inline {
+                            inner.resume_in_place(&p, deadline);
+                        } else {
+                            inner.arm(deadline, TimerEntry::Task(p.id));
                         }
-                        _ => TimerEntry::Wake(w.clone()),
-                    };
-                    inner.arm(deadline, entry);
-                    deadline
+                        inline
+                    }
+                    _ => {
+                        inner.arm(deadline, TimerEntry::Wake(w.clone()));
+                        false
+                    }
                 };
+                drop(inner);
                 self.deadline = Some(deadline);
-                Poll::Pending
+                if resumed {
+                    Poll::Ready(())
+                } else {
+                    Poll::Pending
+                }
             }
         }
     }
@@ -1675,6 +1851,202 @@ mod tests {
         let sim = Sim::new();
         sim.shutdown();
         sim.call_at(Cycles::new(1), || {});
+    }
+
+    /// Counts the polls that reach the root of a task's future.
+    struct CountPolls<F> {
+        fut: Pin<Box<F>>,
+        polls: Rc<Cell<u64>>,
+    }
+
+    impl<F: Future> Future for CountPolls<F> {
+        type Output = F::Output;
+
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+            let this = self.get_mut();
+            this.polls.set(this.polls.get() + 1);
+            this.fut.as_mut().poll(cx)
+        }
+    }
+
+    /// Spawns `body` as a task (a daemon if `daemon`) whose root polls are
+    /// counted in the returned cell.
+    fn spawn_counted<F>(sim: &Sim, name: &'static str, daemon: bool, body: F) -> Rc<Cell<u64>>
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        let polls = Rc::new(Cell::new(0));
+        let fut = CountPolls {
+            fut: Box::pin(body),
+            polls: polls.clone(),
+        };
+        if daemon {
+            sim.spawn_daemon(name, fut);
+        } else {
+            sim.spawn(name, fut);
+        }
+        polls
+    }
+
+    /// A task that sleeps `delay` cycles `k` times.
+    fn sleeps(sim: &Sim, k: u64, delay: u64) -> impl Future<Output = ()> + 'static {
+        let sim = sim.clone();
+        async move {
+            for _ in 0..k {
+                sim.sleep(Cycles::new(delay)).await;
+            }
+        }
+    }
+
+    /// (`polls`, `timers_scheduled`, `timers_inlined`) so far.
+    fn poll_counts(sim: &Sim) -> (u64, u64, u64) {
+        let inner = sim.inner.borrow();
+        (inner.polls, inner.timers_scheduled, inner.timers_inlined)
+    }
+
+    #[test]
+    fn a_lone_sleep_chain_resumes_in_place() {
+        let sim = Sim::new();
+        sim.enable_trace();
+        let root_polls = spawn_counted(&sim, "chain", false, sleeps(&sim, 4, 10));
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(sim.now(), Cycles::new(40));
+        // One poll from the root; each sleep still counts as one timer and
+        // one resumption.
+        assert_eq!(root_polls.get(), 1);
+        assert_eq!(poll_counts(&sim), (5, 4, 4));
+        assert_eq!(sim.inner.borrow().peak_timers, 1);
+        // The trace is the one the heap path records.
+        let tags: Vec<&str> = sim.trace().iter().map(|e| e.kind.tag()).collect();
+        let mut want = vec!["task_spawn", "task_poll"];
+        for _ in 0..4 {
+            want.extend(["clock_advance", "task_poll"]);
+        }
+        want.push("task_complete");
+        assert_eq!(tags, want);
+    }
+
+    #[test]
+    fn only_the_last_task_of_a_batch_resumes_in_place() {
+        // "a" and "b" share the first batch: "a" has "b" behind it and
+        // arms a timer; "b" sleeps past "a"'s deadline, so it arms one too.
+        // Once "a" resumes from the heap it is alone, and its second sleep
+        // (to 20, still before "b"'s 30) resumes in place.
+        let sim = Sim::new();
+        let a = spawn_counted(&sim, "a", false, sleeps(&sim, 2, 10));
+        let b = spawn_counted(&sim, "b", false, sleeps(&sim, 1, 30));
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!((a.get(), b.get()), (2, 2));
+        assert_eq!(poll_counts(&sim), (5, 3, 1));
+    }
+
+    #[test]
+    fn a_task_woken_before_the_sleep_runs_first() {
+        // "parent" is alone in its batch but spawns "child" (queued ready)
+        // before it sleeps, so its timer is not the next event.
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<(&str, u64)>>> = Rc::default();
+        {
+            let (sim2, log) = (sim.clone(), log.clone());
+            sim.spawn("parent", async move {
+                let (sim3, log2) = (sim2.clone(), log.clone());
+                sim2.spawn("child", async move {
+                    log2.borrow_mut().push(("child", sim3.now().as_u64()));
+                });
+                sim2.sleep(Cycles::new(10)).await;
+                log.borrow_mut().push(("parent", sim2.now().as_u64()));
+            });
+        }
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(*log.borrow(), [("child", 0), ("parent", 10)]);
+        assert_eq!(poll_counts(&sim), (3, 1, 0));
+    }
+
+    #[test]
+    fn a_call_armed_earlier_at_the_same_deadline_fires_first() {
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<&str>>> = Rc::default();
+        {
+            let (sim2, log) = (sim.clone(), log.clone());
+            sim.spawn("caller", async move {
+                let log2 = log.clone();
+                sim2.call_at(Cycles::new(10), move || log2.borrow_mut().push("call"));
+                sim2.sleep(Cycles::new(10)).await;
+                log.borrow_mut().push("task");
+                // Alone now, with nothing pending: this one resumes in
+                // place.
+                sim2.sleep(Cycles::new(10)).await;
+                log.borrow_mut().push("task-again");
+            });
+        }
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(*log.borrow(), ["call", "task", "task-again"]);
+        assert_eq!(sim.now(), Cycles::new(20));
+        assert_eq!(poll_counts(&sim), (3, 3, 1));
+    }
+
+    #[test]
+    fn run_until_and_run_window_never_resume_past_their_bound() {
+        let sim = Sim::new();
+        let root_polls = spawn_counted(&sim, "chain", false, sleeps(&sim, 3, 50));
+        // The limit is inclusive: the sleep to 50 resumes in place, the one
+        // to 100 stays on the heap.
+        assert_eq!(sim.run_until(Cycles::new(50)), SimState::TimeLimit);
+        assert_eq!(sim.now(), Cycles::new(50));
+        assert_eq!(pending_timer_kinds(&sim), ["task"]);
+        assert_eq!(poll_counts(&sim), (2, 2, 1));
+
+        sim.run_window(Cycles::new(99));
+        assert_eq!(sim.now(), Cycles::new(50));
+        assert_eq!(poll_counts(&sim), (2, 2, 1));
+        // The window fires 100 from the heap and stops short of 150.
+        sim.run_window(Cycles::new(149));
+        assert_eq!(sim.now(), Cycles::new(100));
+        assert_eq!(pending_timer_kinds(&sim), ["task"]);
+        assert_eq!(poll_counts(&sim), (3, 3, 1));
+        assert_eq!(root_polls.get(), 2);
+
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(sim.now(), Cycles::new(150));
+    }
+
+    #[test]
+    fn run_finishes_without_resuming_a_lone_daemon() {
+        let sim = Sim::new();
+        let root_polls = spawn_counted(&sim, "daemon", true, sleeps(&sim, 3, 10));
+        // The heap path returns before firing a daemon's timer once no
+        // regular task is left; resuming in place must not run past that.
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(sim.now(), Cycles::ZERO);
+        assert_eq!(pending_timer_kinds(&sim), ["task"]);
+        assert_eq!(poll_counts(&sim), (1, 1, 0));
+        // `settle` does fire daemon timers, and resumes them in place.
+        sim.settle(Cycles::new(100));
+        assert_eq!(sim.now(), Cycles::new(30));
+        assert_eq!(root_polls.get(), 2);
+        assert_eq!(poll_counts(&sim), (4, 3, 2));
+    }
+
+    #[test]
+    fn settle_traces_no_clock_advance_in_place() {
+        let sim = Sim::new();
+        sim.enable_trace();
+        spawn_counted(&sim, "daemon", true, sleeps(&sim, 2, 10));
+        assert_eq!(sim.run(), SimState::Finished);
+        sim.settle(Cycles::new(100));
+        assert_eq!(sim.now(), Cycles::new(20));
+        assert_eq!(poll_counts(&sim), (3, 2, 1));
+        let tags: Vec<&str> = sim.trace().iter().map(|e| e.kind.tag()).collect();
+        assert_eq!(
+            tags,
+            [
+                "task_spawn",
+                "task_poll",
+                "task_poll",
+                "task_poll",
+                "task_complete"
+            ]
+        );
     }
 
     use std::cell::Cell;

@@ -15,6 +15,7 @@ static TASKS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 static TASK_POLLS: AtomicU64 = AtomicU64::new(0);
 static TIMERS_SCHEDULED: AtomicU64 = AtomicU64::new(0);
 static TIMERS_DEDUPED: AtomicU64 = AtomicU64::new(0);
+static TIMERS_INLINED: AtomicU64 = AtomicU64::new(0);
 static PEAK_LIVE_TASKS: AtomicU64 = AtomicU64::new(0);
 static PEAK_PENDING_TIMERS: AtomicU64 = AtomicU64::new(0);
 
@@ -31,6 +32,10 @@ pub struct Gauges {
     /// for the same deadline wakes the same task — churn the dedupe in
     /// [`crate::with_deadline`] absorbed.
     pub timers_deduped: u64,
+    /// Timers among `timers_scheduled` that never went onto the heap: the
+    /// sleeping task's wake-up was the next event, so it resumed in place.
+    /// A rise is good; it is reported, not gated.
+    pub timers_inlined: u64,
     /// Highest number of concurrently live tasks in any single `Sim`
     /// since the last [`reset_peaks`].
     pub peak_live_tasks: u64,
@@ -50,6 +55,7 @@ impl Gauges {
             task_polls: self.task_polls.wrapping_sub(earlier.task_polls),
             timers_scheduled: self.timers_scheduled.wrapping_sub(earlier.timers_scheduled),
             timers_deduped: self.timers_deduped.wrapping_sub(earlier.timers_deduped),
+            timers_inlined: self.timers_inlined.wrapping_sub(earlier.timers_inlined),
             peak_live_tasks: self.peak_live_tasks,
             peak_pending_timers: self.peak_pending_timers,
         }
@@ -62,6 +68,7 @@ pub(crate) fn merge(g: Gauges) {
     TASK_POLLS.fetch_add(g.task_polls, Ordering::Relaxed);
     TIMERS_SCHEDULED.fetch_add(g.timers_scheduled, Ordering::Relaxed);
     TIMERS_DEDUPED.fetch_add(g.timers_deduped, Ordering::Relaxed);
+    TIMERS_INLINED.fetch_add(g.timers_inlined, Ordering::Relaxed);
     PEAK_LIVE_TASKS.fetch_max(g.peak_live_tasks, Ordering::Relaxed);
     PEAK_PENDING_TIMERS.fetch_max(g.peak_pending_timers, Ordering::Relaxed);
 }
@@ -86,6 +93,7 @@ pub fn snapshot() -> Gauges {
         task_polls: TASK_POLLS.load(Ordering::Relaxed),
         timers_scheduled: TIMERS_SCHEDULED.load(Ordering::Relaxed),
         timers_deduped: TIMERS_DEDUPED.load(Ordering::Relaxed),
+        timers_inlined: TIMERS_INLINED.load(Ordering::Relaxed),
         peak_live_tasks: PEAK_LIVE_TASKS.load(Ordering::Relaxed),
         peak_pending_timers: PEAK_PENDING_TIMERS.load(Ordering::Relaxed),
     }

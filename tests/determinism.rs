@@ -43,19 +43,18 @@ fn trace_digest(events: &[Event]) -> u64 {
     hash
 }
 
-/// [`trace_digest`] of the Figure 3 tar scenario below, recorded before the
-/// executor resumed sleeping tasks in place. A change to the executor, the
-/// DTU or anything else that reorders events fails here even when two runs
-/// of the new code still agree with each other.
+/// The golden [`trace_digest`] of the Figure 3 tar scenario below. A change
+/// that reorders events, in the executor, the DTU or anywhere else, fails
+/// here even when two runs of the new code still agree with each other.
 const FIG3_TAR_TRACE_DIGEST: u64 = 0x0563_c09a_f2a6_ccac;
 
 /// [`trace_digest`] of the traced Figure 3 file read
-/// (`m3_bench::fig3::traced_file_read`), recorded alongside
+/// (`m3_bench::fig3::traced_file_read`), golden like
 /// [`FIG3_TAR_TRACE_DIGEST`].
 const FIG3_READ_TRACE_DIGEST: u64 = 0x7c44_3dcd_23e9_88e5;
 
 /// [`trace_digest`] of the traced 32-client serving run
-/// (`m3_bench::fig9::traced_serve_run(32)`), recorded alongside
+/// (`m3_bench::fig9::traced_serve_run(32)`), golden like
 /// [`FIG3_TAR_TRACE_DIGEST`].
 const FIG9_SERVE_TRACE_DIGEST: u64 = 0xe21e_ed4b_c80f_1bea;
 

@@ -5,7 +5,8 @@
 //! refills the sender's credit. All three are timer callbacks
 //! (`Sim::call_at`), not tasks: they spawn nothing and are never polled.
 //! What a round trip still costs is the two programs' own polls and one
-//! timer per modelled delay. The pin compares runs of `ROUNDS` and
+//! timer per modelled delay, most of which resume their task in place
+//! instead of going onto the timer heap. The pin compares runs of `ROUNDS` and
 //! `2 * ROUNDS` round trips, so set-up costs cancel and only the
 //! per-round-trip cost remains; any task, poll or timer added to the
 //! message path fails it.
@@ -29,6 +30,11 @@ const POLLS_PER_ROUND_TRIP: u64 = 8;
 /// Timers per round trip: one per modelled delay (command issues, fetch
 /// polls, deliveries, credit refill).
 const TIMERS_PER_ROUND_TRIP: u64 = 9;
+
+/// Of those timers, the ones whose task resumed in place because its
+/// wake-up was the next event: the programs' own sleeps. The deliveries
+/// and the credit refill are callbacks and stay on the heap.
+const TIMERS_INLINED_PER_ROUND_TRIP: u64 = 6;
 
 /// Runs `rounds` ping-pong round trips between a client program on PE1
 /// and a server program on PE2 and returns the executor gauges the run
@@ -104,4 +110,5 @@ fn a_round_trip_spawns_no_task_and_costs_pinned_polls_and_timers() {
     assert_eq!(per(|g| g.tasks_spawned), TASKS_PER_ROUND_TRIP);
     assert_eq!(per(|g| g.task_polls), POLLS_PER_ROUND_TRIP);
     assert_eq!(per(|g| g.timers_scheduled), TIMERS_PER_ROUND_TRIP);
+    assert_eq!(per(|g| g.timers_inlined), TIMERS_INLINED_PER_ROUND_TRIP);
 }
