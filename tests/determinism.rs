@@ -58,6 +58,14 @@ const FIG3_READ_TRACE_DIGEST: u64 = 0x7c44_3dcd_23e9_88e5;
 /// [`FIG3_TAR_TRACE_DIGEST`].
 const FIG9_SERVE_TRACE_DIGEST: u64 = 0xe21e_ed4b_c80f_1bea;
 
+/// [`trace_digest`] of the traced 2x overcommit run
+/// (`m3_bench::fig8::traced_overcommit_run(2)`) with its `TaskPoll`
+/// events left out, and the `CtxSwitch` count of that trace. How often a
+/// waiting task is polled is host work; every other event is the modelled
+/// schedule, which a change to how parked VPEs are woken must not move.
+const FIG8_OVERCOMMIT_TRACE_DIGEST: u64 = 0x97f9_62c6_c0bc_f6b4;
+const FIG8_OVERCOMMIT_CTX_SWITCHES: usize = 114;
+
 #[test]
 fn figure3_cycle_counts_are_identical_across_runs() {
     let first = cycle_rows(&m3_bench::fig3::run());
@@ -187,6 +195,32 @@ fn fig8_two_x_overcommit_run_is_identical_across_runs() {
     let b = m3_bench::fig8::overcommit_run(2, true);
     assert_eq!(a, b, "overcommit scenario diverged between runs");
     assert!(a.ctx_switches > 0, "2x must multiplex");
+}
+
+#[test]
+fn fig8_overcommit_trace_holds_its_golden_digest() {
+    let (run, events, _) = m3_bench::fig8::traced_overcommit_run(2);
+    let modelled: Vec<Event> = events
+        .into_iter()
+        .filter(|e| !matches!(e.kind, m3_trace::EventKind::TaskPoll { .. }))
+        .collect();
+    let switches = modelled
+        .iter()
+        .filter(|e| matches!(e.kind, m3_trace::EventKind::CtxSwitch { .. }))
+        .count();
+    assert_eq!(
+        switches as u64, run.ctx_switches,
+        "trace and counter disagree"
+    );
+    assert_eq!(
+        switches, FIG8_OVERCOMMIT_CTX_SWITCHES,
+        "the 2x overcommit run switched a different number of times"
+    );
+    assert_eq!(
+        trace_digest(&modelled),
+        FIG8_OVERCOMMIT_TRACE_DIGEST,
+        "the 2x overcommit trace (task polls left out) moved off its golden digest"
+    );
 }
 
 #[test]
