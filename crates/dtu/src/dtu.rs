@@ -244,6 +244,11 @@ struct SystemInner {
     /// Deposits and credit refills for a context that is not live on its PE
     /// land here instead of the live endpoint registers.
     saved: RefCell<BTreeMap<(PeId, u64), SavedCtx>>,
+    /// Doorbells of time-multiplexed contexts, keyed like `saved`: a
+    /// deposit into a context's save area rings its doorbell, so the kernel
+    /// waits for one parked VPE's messages without waking on every arrival
+    /// at its PE.
+    doorbells: RefCell<BTreeMap<(PeId, u64), Notify>>,
     /// Fault-injection plane; `None` (the default) keeps every hot path on
     /// the exact pre-fault code, so a disabled plane costs zero cycles.
     faults: RefCell<Option<Rc<FaultPlane>>>,
@@ -329,6 +334,7 @@ impl DtuSystem {
                 pes: RefCell::new((0..count).map(|_| PeState::new()).collect()),
                 mems: RefCell::new(BTreeMap::new()),
                 saved: RefCell::new(BTreeMap::new()),
+                doorbells: RefCell::new(BTreeMap::new()),
                 faults: RefCell::new(None),
             }),
         }
@@ -484,9 +490,9 @@ impl DtuSystem {
                     .get_mut(&(pe, c))
                     .map_or(Deposit::NoRecvEp, |sc| sc.regs.deposit(ep, msg)),
             };
-            // Arrival pings the PE's notify for parked deposits too: the
-            // kernel waits there for messages on behalf of switched-out
-            // contexts.
+            // Arrival pings the PE's notify for parked deposits too; a
+            // parked deposit then rings its context's doorbell, where the
+            // kernel waits on behalf of that switched-out VPE.
             let arrival = state.arrival.clone();
             drop(saved);
             drop(pes);
@@ -496,6 +502,12 @@ impl DtuSystem {
                     self.metrics
                         .observe_handle(pe, self.hot.ring_occupancy, occupied as u64);
                     arrival.notify_all();
+                    if let Some(c) = parked {
+                        let bell = self.inner.doorbells.borrow().get(&(pe, c)).cloned();
+                        if let Some(bell) = bell {
+                            bell.notify_all();
+                        }
+                    }
                 }
                 Deposit::Dropped => {
                     self.metrics.incr_handle(pe, self.hot.msgs_dropped);
@@ -1490,8 +1502,9 @@ impl KernelToken {
             .is_some_and(RingBuf::has_message)
     }
 
-    /// Discards the save area of `(target, ctx)` (the VPE died while
-    /// switched out). Returns whether one existed.
+    /// Discards what the DTU keeps for context `(target, ctx)` once its VPE
+    /// died: its save area, if it was switched out, and its doorbell.
+    /// Returns whether a save area existed.
     ///
     /// # Errors
     ///
@@ -1499,19 +1512,38 @@ impl KernelToken {
     // m3lint: allow(cycle-accounting): KernelToken config-plane: context teardown bookkeeping inside the kernel's charged exit path
     pub fn drop_saved(&self, target: PeId, ctx: u64) -> Result<bool> {
         self.dtu.require_privileged()?;
+        let inner = &self.dtu.sys.inner;
+        inner.doorbells.borrow_mut().remove(&(target, ctx));
+        Ok(inner.saved.borrow_mut().remove(&(target, ctx)).is_some())
+    }
+
+    /// The doorbell of context `(target, ctx)`, made on first use: rung
+    /// after the PE's arrival notify whenever a message is deposited into
+    /// the context's save area (never for live deposits). The kernel waits
+    /// on it for a switched-out VPE, so of the PE's messages only that
+    /// VPE's own wake it. [`KernelToken::drop_saved`] forgets it.
+    ///
+    /// # Errors
+    ///
+    /// [`Code::NoPerm`] if this DTU has been downgraded.
+    // m3lint: allow(cycle-accounting): KernelToken config-plane: registers a host-side wake signal inside the kernel's charged CREATE_VPE path
+    pub fn ctx_doorbell(&self, target: PeId, ctx: u64) -> Result<Notify> {
+        self.dtu.require_privileged()?;
         Ok(self
             .dtu
             .sys
             .inner
-            .saved
+            .doorbells
             .borrow_mut()
-            .remove(&(target, ctx))
-            .is_some())
+            .entry((target, ctx))
+            .or_default()
+            .clone())
     }
 
     /// The arrival notify of the DTU at `target` — woken on every message
-    /// deposit for that PE, live or saved. The kernel's scheduler shares it
-    /// as the per-PE wake signal.
+    /// deposit for that PE, live or saved. The kernel's scheduler rings it
+    /// on every transition of a time-multiplexed PE, so a resident blocked
+    /// in place re-polls as after a message.
     ///
     /// # Errors
     ///

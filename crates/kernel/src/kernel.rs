@@ -649,14 +649,18 @@ impl Kernel {
                 }
             }
         }
+        if let Removal::Removed { .. } = removal {
+            // A multiplexed VPE's save area (if it was switched out) and
+            // its doorbell go with it.
+            let _ = self.ktok.drop_saved(pe, u64::from(id.raw()));
+        }
         match removal {
             Removal::Removed {
                 was_resident: false,
                 ..
             } => {
-                // Switched out: its endpoints live in the save area, not on
-                // the PE — discard the area instead of the live registers.
-                let _ = self.ktok.drop_saved(pe, u64::from(id.raw()));
+                // Switched out: its endpoints lived in the save area, not
+                // on the PE, so no live register is touched.
             }
             _ => {
                 if let Removal::Removed { .. } = removal {

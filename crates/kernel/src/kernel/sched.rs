@@ -6,7 +6,8 @@ use m3_base::cfg::SPM_DATA_SIZE;
 use m3_base::error::{Code, Error, Result};
 use m3_base::{EpId, PeId, VpeId};
 use m3_platform::PeType;
-use m3_sim::{Component, Event, EventKind, TaskName};
+use m3_sched::Scheduler;
+use m3_sim::{Component, Event, EventKind, Notify, TaskName};
 
 use crate::protocol::PeRequest;
 
@@ -66,6 +67,10 @@ impl Kernel {
     /// re-polls with exactly the cycle pattern of the unmanaged path.
     /// Unmanaged VPEs return immediately.
     ///
+    /// While switched out, `vpe` waits on its own doorbell, which rings for
+    /// deposits into its save area and for every schedule transition of
+    /// its PE: the only events after which its next check can act.
+    ///
     /// # Errors
     ///
     /// Propagates DTU errors from the save/restore transfers.
@@ -75,7 +80,7 @@ impl Kernel {
             Switch(VpeId),
             Restore,
             WaitOnce,
-            Wait,
+            Wait(Notify),
         }
         loop {
             let (pe, act) = {
@@ -97,11 +102,15 @@ impl Kernel {
                     Act::Restore
                 } else {
                     // Switched out: a message in the save area makes this
-                    // VPE runnable again.
-                    if self.ktok.saved_has_message(pe, u64::from(vpe.raw()), ep) {
-                        sched.unpark(vpe);
+                    // VPE runnable again. Check at once whether it may
+                    // claim a vacant PE: nothing else would ring for it on
+                    // a PE whose resident has exited.
+                    if self.ktok.saved_has_message(pe, u64::from(vpe.raw()), ep)
+                        && sched.unpark(vpe)
+                    {
+                        continue;
                     }
-                    Act::Wait
+                    Act::Wait(Self::doorbell(&sched, vpe)?)
                 };
                 (pe, act)
             };
@@ -113,7 +122,7 @@ impl Kernel {
                     self.ktok.arrival_notify(pe)?.wait().await;
                     return Ok(());
                 }
-                Act::Wait => self.ktok.arrival_notify(pe)?.wait().await,
+                Act::Wait(bell) => bell.wait().await,
             }
         }
     }
@@ -142,7 +151,7 @@ impl Kernel {
         enum Act {
             Ready,
             Restore,
-            Wait,
+            Wait(Notify),
         }
         loop {
             let (pe, act) = {
@@ -156,16 +165,23 @@ impl Kernel {
                 } else if sched.resident_of(pe).is_none() && sched.claim_vacant(vpe) {
                     Act::Restore
                 } else {
-                    Act::Wait
+                    Act::Wait(Self::doorbell(&sched, vpe)?)
                 };
                 (pe, act)
             };
             match act {
                 Act::Ready => return Ok(()),
                 Act::Restore => self.spawn_switch(pe, None, vpe),
-                Act::Wait => self.ktok.arrival_notify(pe)?.wait().await,
+                Act::Wait(bell) => bell.wait().await,
             }
         }
+    }
+
+    /// The doorbell a managed `vpe` waits on while it does not hold its PE.
+    fn doorbell(sched: &Scheduler, vpe: VpeId) -> Result<Notify> {
+        sched
+            .doorbell(vpe)
+            .ok_or_else(|| Error::new(Code::VpeGone).with_msg(format!("{vpe} has no doorbell")))
     }
 
     /// Voluntarily offers `vpe`'s slice (`Env::yield_now`): if another VPE

@@ -372,14 +372,16 @@ impl Kernel {
             st.tree.insert_root((caller, mem_dst));
             // In overcommit mode every multiplexable child joins its PE's
             // run queue (accelerators and pinned PEs stay exclusive). The
-            // PE's DTU arrival notify doubles as the scheduler wake signal.
+            // PE's DTU arrival notify is the scheduler's wake signal for
+            // the resident, the context's DTU doorbell the child's own.
             let mut queued = false;
             if self.cfg.overcommit
                 && !st.pemng.desc(pe).is_fft_accel()
                 && !self.pinned.borrow().contains(&pe)
             {
                 let wake = self.ktok.arrival_notify(pe)?;
-                if self.sched.borrow_mut().admit(id, pe, wake) == Admission::Queued {
+                let doorbell = self.ktok.ctx_doorbell(pe, u64::from(id.raw()))?;
+                if self.sched.borrow_mut().admit(id, pe, wake, doorbell) == Admission::Queued {
                     queued = true;
                 }
             }

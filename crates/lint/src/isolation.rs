@@ -35,6 +35,7 @@ const GATED_IDENTS: &[&str] = &[
     "drop_saved",
     "saved_has_message",
     "arrival_notify",
+    "ctx_doorbell",
     "ep_config",
 ];
 
@@ -47,6 +48,7 @@ const GATED_MUTATORS: &[&str] = &[
     "stash_config",
     "set_current_ctx",
     "drop_saved",
+    "ctx_doorbell",
     "configure",
 ];
 
@@ -153,7 +155,13 @@ mod tests {
 
     #[test]
     fn extended_surface_is_gated() {
-        for ident in ["save_state", "restore_state", "stash_config", "drop_saved"] {
+        for ident in [
+            "save_state",
+            "restore_state",
+            "stash_config",
+            "drop_saved",
+            "ctx_doorbell",
+        ] {
             let src = format!("fn f(t: &T) {{ t.{ident}(); }}\n");
             let f = check("crates/libos/src/gate.rs", &src);
             assert!(!iso(&f).is_empty(), "{ident}");

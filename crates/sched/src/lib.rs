@@ -7,6 +7,11 @@
 //! message yields its slice (it is *parked*); message arrival at a parked
 //! VPE's endpoint marks it runnable again.
 //!
+//! Every admitted VPE brings a *doorbell*, the notify its waiting task
+//! sleeps on; every schedule transition of a PE rings the PE's wake notify
+//! and then the doorbell of each VPE on that PE, so a waiter learns of any
+//! change to its PE's schedule without watching the PE's other traffic.
+//!
 //! The scheduler holds no DTU or timing state — the kernel drives the actual
 //! DTU save/restore transfers and charges their cycles. This split keeps the
 //! policy deterministic and unit-testable: all state lives in `BTreeMap`,
@@ -66,9 +71,13 @@ struct Slot {
     switching: bool,
     ready: VecDeque<VpeId>,
     parked: BTreeSet<VpeId>,
-    /// Woken on every scheduling transition (shared with the PE's DTU
-    /// arrival notify, so one wait covers both message and schedule events).
+    /// Rung first on every scheduling transition. The kernel passes the
+    /// PE's DTU arrival notify, so a resident blocked in place re-polls
+    /// after a transition as it does after a message.
     wake: Notify,
+    /// The doorbell of every VPE scheduled on the PE, rung after `wake` on
+    /// every transition.
+    doorbells: BTreeMap<VpeId, Notify>,
 }
 
 impl Slot {
@@ -80,6 +89,16 @@ impl Slot {
             ready: VecDeque::new(),
             parked: BTreeSet::new(),
             wake,
+            doorbells: BTreeMap::new(),
+        }
+    }
+
+    /// Announces a transition: the PE's wake notify, then every doorbell in
+    /// VPE-id order.
+    fn ring(&self) {
+        self.wake.notify_all();
+        for bell in self.doorbells.values() {
+            bell.notify_all();
         }
     }
 
@@ -121,6 +140,12 @@ impl Scheduler {
     /// The PE a managed VPE is scheduled on.
     pub fn pe_of(&self, vpe: VpeId) -> Option<PeId> {
         self.vpes.get(&vpe).copied()
+    }
+
+    /// The doorbell `vpe` was admitted with, which its waiter sleeps on.
+    pub fn doorbell(&self, vpe: VpeId) -> Option<Notify> {
+        let pe = self.pe_of(vpe)?;
+        self.slots.get(&pe)?.doorbells.get(&vpe).cloned()
     }
 
     /// The VPE currently resident on `pe` (none while vacant or mid-switch).
@@ -165,17 +190,22 @@ impl Scheduler {
             .collect()
     }
 
-    /// Admits `vpe` to `pe`. `wake` is the notify woken on every transition
-    /// of this PE's schedule (the kernel passes the PE's DTU arrival notify
-    /// so one wait covers message arrival and scheduling changes alike).
+    /// Admits `vpe` to `pe`. Every transition of this PE's schedule rings
+    /// `wake` and then the `doorbell` of each VPE on the PE. The PE's first
+    /// admission fixes `wake` (the kernel passes the PE's DTU arrival
+    /// notify, which the resident waits on); `doorbell` is the VPE's own
+    /// (the kernel passes its context's DTU doorbell, which also rings for
+    /// messages deposited into its save area), so a switched-out VPE waits
+    /// on it alone.
     ///
     /// # Panics
     ///
     /// Panics if `vpe` is already managed.
     // m3lint: allow(cycle-accounting): scheduler table bookkeeping: the kernel charges the switch protocol (CTX_SAVE/RESTORE + state transfer) around this transition
-    pub fn admit(&mut self, vpe: VpeId, pe: PeId, wake: Notify) -> Admission {
+    pub fn admit(&mut self, vpe: VpeId, pe: PeId, wake: Notify, doorbell: Notify) -> Admission {
         assert!(self.vpes.insert(vpe, pe).is_none(), "{vpe} admitted twice");
         let slot = self.slots.entry(pe).or_insert_with(|| Slot::new(wake));
+        slot.doorbells.insert(vpe, doorbell);
         if slot.resident.is_none() && !slot.switching && slot.ready.is_empty() {
             slot.resident = Some(vpe);
             slot.blocked = false;
@@ -183,7 +213,7 @@ impl Scheduler {
             Admission::Resident
         } else {
             slot.ready.push_back(vpe);
-            slot.wake.notify_all();
+            slot.ring();
             Admission::Queued
         }
     }
@@ -243,7 +273,7 @@ impl Scheduler {
         };
         if slot.parked.remove(&vpe) {
             slot.ready.push_back(vpe);
-            slot.wake.notify_all();
+            slot.ring();
             return true;
         }
         if slot.resident == Some(vpe) {
@@ -300,7 +330,7 @@ impl Scheduler {
             slot.resident = Some(vpe);
             slot.blocked = false;
         }
-        slot.wake.notify_all();
+        slot.ring();
         installed
     }
 
@@ -318,7 +348,7 @@ impl Scheduler {
                 slot.ready.push_front(v);
             }
         }
-        slot.wake.notify_all();
+        slot.ring();
     }
 
     /// Removes a VPE from scheduling (it exited or was revoked). An empty
@@ -346,7 +376,10 @@ impl Scheduler {
             slot.switching = false;
         }
         let now_empty = slot.is_empty();
-        slot.wake.notify_all();
+        // The removed VPE's doorbell rings too: its waiter must learn that
+        // it is no longer managed.
+        slot.ring();
+        slot.doorbells.remove(&vpe);
         if now_empty {
             self.slots.remove(&pe);
         }
@@ -377,6 +410,7 @@ pub fn least_loaded<I: Copy>(items: impl IntoIterator<Item = (I, usize)>) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::future::Future;
 
     fn v(id: u32) -> VpeId {
         VpeId::new(id)
@@ -389,7 +423,7 @@ mod tests {
     fn sched_with(pe: u32, vpes: &[u32]) -> Scheduler {
         let mut s = Scheduler::new();
         for id in vpes {
-            s.admit(v(*id), p(pe), Notify::new());
+            s.admit(v(*id), p(pe), Notify::new(), Notify::new());
         }
         s
     }
@@ -397,9 +431,18 @@ mod tests {
     #[test]
     fn first_admission_is_resident_rest_queue() {
         let mut s = Scheduler::new();
-        assert_eq!(s.admit(v(1), p(3), Notify::new()), Admission::Resident);
-        assert_eq!(s.admit(v(2), p(3), Notify::new()), Admission::Queued);
-        assert_eq!(s.admit(v(3), p(3), Notify::new()), Admission::Queued);
+        assert_eq!(
+            s.admit(v(1), p(3), Notify::new(), Notify::new()),
+            Admission::Resident
+        );
+        assert_eq!(
+            s.admit(v(2), p(3), Notify::new(), Notify::new()),
+            Admission::Queued
+        );
+        assert_eq!(
+            s.admit(v(3), p(3), Notify::new(), Notify::new()),
+            Admission::Queued
+        );
         assert_eq!(s.resident_of(p(3)), Some(v(1)));
         assert_eq!(s.ready_depth(p(3)), 2);
         assert_eq!(s.load(p(3)), 3);
@@ -545,18 +588,90 @@ mod tests {
     #[test]
     fn loads_track_multiple_pes() {
         let mut s = Scheduler::new();
-        s.admit(v(1), p(4), Notify::new());
-        s.admit(v(2), p(3), Notify::new());
-        s.admit(v(3), p(3), Notify::new());
+        s.admit(v(1), p(4), Notify::new(), Notify::new());
+        s.admit(v(2), p(3), Notify::new(), Notify::new());
+        s.admit(v(3), p(3), Notify::new(), Notify::new());
         assert_eq!(s.loads(), vec![(p(3), 2), (p(4), 1)]);
         assert_eq!(s.pe_of(v(3)), Some(p(3)));
+    }
+
+    /// Runs `step` with one waiter armed on each of `notifies`; returns
+    /// which of them it notified.
+    fn rung_by(
+        s: &mut Scheduler,
+        notifies: &[&Notify],
+        step: impl FnOnce(&mut Scheduler),
+    ) -> Vec<bool> {
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        let mut waits: Vec<_> = notifies.iter().map(|n| Box::pin(n.wait())).collect();
+        for w in &mut waits {
+            assert!(
+                w.as_mut().poll(&mut cx).is_pending(),
+                "a fresh wait is pending"
+            );
+        }
+        step(s);
+        waits
+            .iter_mut()
+            .map(|w| w.as_mut().poll(&mut cx).is_ready())
+            .collect()
+    }
+
+    #[test]
+    fn every_transition_rings_every_doorbell_of_its_slot() {
+        let (wake0, wake1) = (Notify::new(), Notify::new());
+        let bells: Vec<Notify> = (0..4).map(|_| Notify::new()).collect();
+        let mut s = Scheduler::new();
+        // VPE 1 is resident on PE 0; VPE 3 lives on PE 1 and must never
+        // hear PE 0's transitions.
+        s.admit(v(1), p(0), wake0.clone(), bells[1].clone());
+        s.admit(v(3), p(1), wake1.clone(), bells[3].clone());
+        let all = [&wake0, &bells[1], &bells[2], &wake1, &bells[3]];
+        let pe0 = vec![true, true, true, false, false];
+        let silent = vec![false; all.len()];
+        // Admission behind the resident; the newcomer's doorbell rings too.
+        let admit = |s: &mut Scheduler| {
+            assert_eq!(
+                s.admit(v(2), p(0), wake0.clone(), bells[2].clone()),
+                Admission::Queued
+            );
+        };
+        assert_eq!(rung_by(&mut s, &all, admit), pe0);
+        // Switch 1 → 2: parking is silent, finishing rings.
+        let park = |s: &mut Scheduler| assert_eq!(s.park_resident(v(1)), Some(v(2)));
+        assert_eq!(rung_by(&mut s, &all, park), silent);
+        let finish = |s: &mut Scheduler| assert!(s.finish_switch(p(0), v(2)));
+        assert_eq!(rung_by(&mut s, &all, finish), pe0);
+        // A parked VPE becomes ready.
+        assert_eq!(rung_by(&mut s, &all, |s| assert!(s.unpark(v(1)))), pe0);
+        // An aborted switch puts 1 back at the head.
+        let park = |s: &mut Scheduler| assert_eq!(s.park_resident(v(2)), Some(v(1)));
+        assert_eq!(rung_by(&mut s, &all, park), silent);
+        let abort = |s: &mut Scheduler| s.abort_switch(p(0), Some(v(1)));
+        assert_eq!(rung_by(&mut s, &all, abort), pe0);
+        // Removal rings the removed VPE's own doorbell as well, then
+        // forgets it.
+        let remove = |s: &mut Scheduler| assert!(matches!(s.remove(v(2)), Removal::Removed { .. }));
+        assert_eq!(rung_by(&mut s, &all, remove), pe0);
+        assert!(s.doorbell(v(2)).is_none());
+        let last = rung_by(&mut s, &all, |s| {
+            assert!(matches!(
+                s.remove(v(1)),
+                Removal::Removed {
+                    now_empty: true,
+                    ..
+                }
+            ));
+        });
+        assert_eq!(last, vec![true, true, false, false, false]);
+        assert_eq!(bells[3].waiter_count(), 0, "dropped waits deregister");
     }
 
     #[test]
     #[should_panic(expected = "admitted twice")]
     fn double_admission_panics() {
         let mut s = sched_with(0, &[1]);
-        s.admit(v(1), p(1), Notify::new());
+        s.admit(v(1), p(1), Notify::new(), Notify::new());
     }
 
     /// Seeded property: under random park/unpark/yield/exit traffic every
@@ -569,7 +684,7 @@ mod tests {
             let n = 2 + rng.next_below(6) as u32;
             let mut s = Scheduler::new();
             for id in 1..=n {
-                s.admit(v(id), p(0), Notify::new());
+                s.admit(v(id), p(0), Notify::new(), Notify::new());
             }
             let mut turns: BTreeMap<u32, u64> = (1..=n).map(|id| (id, 0)).collect();
             for _ in 0..400 {
@@ -632,11 +747,11 @@ mod tests {
     fn scheduler_least_loaded_pe_matches_loads() {
         let mut s = Scheduler::new();
         assert_eq!(s.least_loaded_pe(), None);
-        s.admit(v(1), p(2), Notify::new());
-        s.admit(v(2), p(2), Notify::new());
-        s.admit(v(3), p(5), Notify::new());
+        s.admit(v(1), p(2), Notify::new(), Notify::new());
+        s.admit(v(2), p(2), Notify::new(), Notify::new());
+        s.admit(v(3), p(5), Notify::new(), Notify::new());
         assert_eq!(s.least_loaded_pe(), Some(p(5)));
-        s.admit(v(4), p(5), Notify::new());
+        s.admit(v(4), p(5), Notify::new(), Notify::new());
         // Tie between PE 2 and PE 5: lowest PE id wins.
         assert_eq!(s.least_loaded_pe(), Some(p(2)));
     }
