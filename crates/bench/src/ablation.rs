@@ -26,13 +26,24 @@ use m3_libos::vfs::{self, OpenFlags};
 use m3_libos::{MemGate, Vpe};
 use m3_noc::NocConfig;
 
+use crate::exec::{self, Job};
 use crate::measure::{self, on_m3, BenchOs, XFER_BYTES};
 use crate::report::Series;
 
+/// Measures `point` at each parameter of a sweep, one [`exec::run_jobs`]
+/// job per point, and returns the rows `(param, [cycles])` in sweep order.
+fn sweep(params: &[u64], point: fn(u64) -> u64) -> Vec<(u64, Vec<f64>)> {
+    let jobs = params
+        .iter()
+        .map(|&p| -> Job<u64> { Box::new(move || point(p)) })
+        .collect();
+    let cycles = exec::run_jobs(jobs).into_iter().map(|t| vec![t as f64]);
+    params.iter().copied().zip(cycles).collect()
+}
+
 /// Sweep: DTU/NoC bandwidth in bytes per cycle; measures a 2 MiB file read.
 pub fn dtu_bandwidth() -> Series {
-    let mut rows = Vec::new();
-    for bw in [1u64, 2, 4, 8, 16] {
+    let rows = sweep(&[1, 2, 4, 8, 16], |bw| {
         let sys = System::boot(SystemConfig {
             pes: 4,
             fs_blocks: 16 * 1024,
@@ -46,16 +57,15 @@ pub fn dtu_bandwidth() -> Series {
         // Unlike `measure::read_file`, the sweep leaves the file open: a
         // close would add m3fs requests to the task, poll and timer counts
         // that `perf --baseline` gates on.
-        let t = on_m3(&sys, "read", |env| async move {
+        on_m3(&sys, "read", |env| async move {
             mount_m3fs(&env).await.unwrap();
             let mut file = vfs::open(&env, "/data", OpenFlags::R).await.unwrap();
             let mut buf = vec![0u8; BENCH_BUF_SIZE];
             let t0 = env.now();
             while file.read(&mut buf).await.unwrap() > 0 {}
             env.now() - t0
-        });
-        rows.push((bw, vec![t as f64]));
-    }
+        })
+    });
     Series {
         title: "Ablation: DTU/NoC bandwidth vs 2 MiB read time".to_string(),
         param: "bytes/cycle".to_string(),
@@ -66,8 +76,7 @@ pub fn dtu_bandwidth() -> Series {
 
 /// Sweep: NoC per-hop router latency; measures the null system call.
 pub fn hop_latency() -> Series {
-    let mut rows = Vec::new();
-    for lat in [1u64, 3, 8, 16, 32] {
+    let rows = sweep(&[1, 3, 8, 16, 32], |lat| {
         let sys = System::boot(SystemConfig {
             noc: NocConfig {
                 hop_latency: m3_base::Cycles::new(lat),
@@ -75,12 +84,11 @@ pub fn hop_latency() -> Series {
             },
             ..SystemConfig::default()
         });
-        let t = on_m3(&sys, "sysc", |env| async move {
+        on_m3(&sys, "sysc", |env| async move {
             env.null_syscall().await; // warm up
             measure::null_syscalls(&env, 50).await.total
-        });
-        rows.push((lat, vec![t as f64]));
-    }
+        })
+    });
     Series {
         title: "Ablation: NoC hop latency vs null-syscall time".to_string(),
         param: "cycles/hop".to_string(),
@@ -92,14 +100,14 @@ pub fn hop_latency() -> Series {
 /// Sweep: pipe credit depth (in-flight chunks); measures a 2 MiB pipe
 /// transfer between two PEs.
 pub fn pipe_credits() -> Series {
-    let mut rows = Vec::new();
-    for slots in [1u32, 2, 4, 8, 16] {
+    let rows = sweep(&[1, 2, 4, 8, 16], |slots| {
         let sys = System::boot(SystemConfig {
             pes: 5,
             ..SystemConfig::default()
         });
-        let t = on_m3(&sys, "pipe", move |env| async move {
+        on_m3(&sys, "pipe", move |env| async move {
             let child = Vpe::new(&env, "writer", PeRequest::Same).await.unwrap();
+            let slots = slots as u32;
             let (end, desc) = pipe::create_with(&env, &child, PipeRole::Writer, 64 * 1024, slots)
                 .await
                 .unwrap();
@@ -126,9 +134,8 @@ pub fn pipe_credits() -> Series {
             let t = env.now() - t0;
             child.wait().await.unwrap();
             t
-        });
-        rows.push((slots as u64, vec![t as f64]));
-    }
+        })
+    });
     Series {
         title: "Ablation: pipe credit depth vs 2 MiB transfer time".to_string(),
         param: "credits".to_string(),
@@ -140,10 +147,9 @@ pub fn pipe_credits() -> Series {
 /// Sweep: live memory gates; measures the average access time as gates
 /// start to outnumber the 6 multiplexable endpoints.
 pub fn ep_pressure() -> Series {
-    let mut rows = Vec::new();
-    for gates in [2u64, 4, 6, 8, 10, 12] {
+    let rows = sweep(&[2, 4, 6, 8, 10, 12], |gates| {
         let sys = System::boot(SystemConfig::default());
-        let t = on_m3(&sys, "gates", move |env| async move {
+        on_m3(&sys, "gates", move |env| async move {
             let mut mgs = Vec::new();
             for _ in 0..gates {
                 mgs.push(MemGate::alloc(&env, 4096, Perm::RW).await.unwrap());
@@ -161,9 +167,8 @@ pub fn ep_pressure() -> Series {
                 }
             }
             (env.now() - t0) / (ROUNDS * gates)
-        });
-        rows.push((gates, vec![t as f64]));
-    }
+        })
+    });
     Series {
         title: "Ablation: live memory gates vs avg access time (8 EPs, 6 free)".to_string(),
         param: "gates".to_string(),
@@ -211,15 +216,23 @@ pub fn multikernel_scaling() -> Series {
         times.iter().sum::<u64>() as f64 / times.len() as f64
     };
 
-    let base = run(1, 1);
-    let one_kernel_16 = run(1, 16) / base;
-    let two_kernels_16 = run(2, 8) / base;
+    let jobs: Vec<Job<f64>> = vec![
+        Box::new(move || run(1, 1)),
+        Box::new(move || run(1, 16)),
+        Box::new(move || run(2, 8)),
+    ];
+    let [base, one_kernel_16, two_kernels_16] = exec::run_jobs(jobs)[..] else {
+        unreachable!("three jobs, three results")
+    };
     Series {
         title: "Extension (§7): 16 find instances, 1 vs 2 kernel+m3fs partitions (normalized)"
             .to_string(),
         param: "kernels".to_string(),
         columns: vec!["norm. avg instance time".to_string()],
-        rows: vec![(1, vec![one_kernel_16]), (2, vec![two_kernels_16])],
+        rows: vec![
+            (1, vec![one_kernel_16 / base]),
+            (2, vec![two_kernels_16 / base]),
+        ],
     }
 }
 

@@ -10,6 +10,7 @@ use m3::{System, SystemConfig};
 use m3_fs::mount_m3fs;
 use m3_lx::LxConfig;
 
+use crate::exec::{self, Job};
 use crate::measure::{self, on_lx, on_m3, BenchOs};
 use crate::report::Series;
 
@@ -51,13 +52,15 @@ fn m3_row() -> Vec<f64> {
 }
 
 /// Runs the Xtensa-vs-ARM comparison (rows 0/1 = Linux on Xtensa/ARM,
-/// row 2 = M3, which is core-independent).
+/// row 2 = M3, which is core-independent), one [`exec::run_jobs`] job per
+/// row.
 pub fn run() -> Series {
-    let rows = vec![
-        (0, lx_row(LxConfig::xtensa())),
-        (1, lx_row(LxConfig::arm())),
-        (2, m3_row()),
+    let jobs: Vec<Job<Vec<f64>>> = vec![
+        Box::new(|| lx_row(LxConfig::xtensa())),
+        Box::new(|| lx_row(LxConfig::arm())),
+        Box::new(m3_row),
     ];
+    let rows = (0..).zip(exec::run_jobs(jobs)).collect();
     Series {
         title: "§5.2 cross-check: Linux on Xtensa (0) vs ARM (1) vs M3, core-independent (2)"
             .to_string(),

@@ -1,19 +1,19 @@
 //! Host-parallel scenario execution.
 //!
-//! Every bar/row of every figure is measured in its own single-threaded
-//! [`m3_sim::Sim`], so scenarios are independent and can run on separate OS
-//! threads. The jobs are handed out through a shared counter, but each
-//! result is written to the slot matching its job index, so the assembled
-//! output is in submission order — byte-identical to a one-worker run — no
-//! matter which worker finished first. Simulated cycle counts cannot change:
-//! threading only overlaps *host* time.
+//! Every bar/row/point of every registry entry is measured in its own
+//! [`m3_sim::Sim`] (or, for fig10 and `pdes_bench`, its own PDES run), so
+//! scenarios are independent and can run on separate OS threads. Workers
+//! claim jobs from one queue, and the results are sorted back into
+//! submission order, so the assembled output is byte-identical to a
+//! one-worker run no matter which worker finished first. Simulated cycle
+//! counts cannot change: threading only overlaps *host* time.
 //!
 //! Worker count: [`set_sim_workers`] (the harness `--sim-workers N` flag)
 //! or the `M3_SIM_WORKERS` environment variable pin the thread count;
-//! otherwise every available core is used. The same knob feeds the PDES
-//! engine's island workers ([`workers_for`], called by fig10 and
-//! `pdes_bench`), so one flag controls both levels of host parallelism,
-//! and `--sim-workers 1` runs everything on the calling thread.
+//! otherwise every available core is used. The same knob sets the PDES
+//! island workers of `pdes_bench` ([`workers_for`]), the one entry that
+//! asks for them, and `--sim-workers 1` runs everything on the calling
+//! thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -99,43 +99,37 @@ fn timed<T>(job: Job<T>) -> (T, f64) {
 ///
 /// # Panics
 ///
-/// Propagates a panic from any job, like a one-worker run would.
+/// Propagates a panic from any job, with the job's own payload, like a
+/// one-worker run would.
 pub fn run_jobs<T: Send>(jobs: Vec<Job<T>>) -> Vec<T> {
-    let n = jobs.len();
-    let workers = workers_for(n);
-    let (out, ms): (Vec<T>, Vec<f64>) = if workers == 1 {
-        jobs.into_iter().map(timed).unzip()
+    let workers = workers_for(jobs.len());
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    // Claims jobs until the queue is empty; the lock is released before
+    // the claimed job runs.
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("job queue lock").next();
+            let Some((i, job)) = next else { return done };
+            let (out, ms) = timed(job);
+            done.push((i, out, ms));
+        }
+    };
+    let mut done: Vec<(usize, T, f64)> = if workers == 1 {
+        drain()
     } else {
-        let next = AtomicUsize::new(0);
-        let jobs: Vec<Mutex<Option<Job<T>>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let results: Vec<Mutex<Option<(T, f64)>>> = (0..n).map(|_| Mutex::new(None)).collect();
         // m3lint: allow(determinism): scenario-level parallelism; every Sim stays single-threaded inside
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = jobs[i]
-                        .lock()
-                        .expect("job slot lock")
-                        .take()
-                        .expect("each job is claimed once");
-                    *results[i].lock().expect("result slot lock") = Some(timed(job));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot lock")
-                    .expect("every claimed job stores a result")
-            })
-            .unzip()
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            joined
+                .into_iter()
+                .flat_map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+                .collect()
+        })
     };
+    done.sort_unstable_by_key(|&(i, ..)| i);
+    let (out, ms): (Vec<T>, Vec<f64>) = done.into_iter().map(|(_, out, ms)| (out, ms)).unzip();
     JOB_TIMINGS.lock().expect("timings lock").extend(ms);
     out
 }
@@ -172,6 +166,17 @@ mod tests {
         let out = run_jobs(jobs);
         set_sim_workers(None);
         assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+    }
+
+    #[test]
+    fn a_job_panic_keeps_its_payload_across_workers() {
+        let _serial = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
+        set_sim_workers(Some(2));
+        let jobs: Vec<Job<()>> = vec![Box::new(|| ()), Box::new(|| panic!("job 1 failed"))];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_jobs(jobs)));
+        set_sim_workers(None);
+        let payload = caught.expect_err("the job's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 1 failed"));
     }
 
     #[test]

@@ -33,7 +33,8 @@ use m3_platform::PeType;
 use m3_sim::keys;
 use m3_sim::pdes::{self, IslandBuilder, IslandFinish, PdesConfig};
 
-use crate::{exec, pdes_bench};
+use crate::exec::{self, Job};
+use crate::pdes_bench;
 
 /// Placer programs per shard (enough concurrency to keep one kernel busy).
 pub const PLACERS: usize = 4;
@@ -289,17 +290,21 @@ impl Fig10 {
     }
 }
 
-/// Runs the sweep at every PE count in `pe_counts`, each point on
-/// [`exec::workers_for`] threads.
+/// Runs the sweep at every PE count in `pe_counts`: one
+/// [`exec::run_jobs`] job per (PEs, shards) point, each running its
+/// islands on one thread.
 pub fn run(pe_counts: &[u32]) -> Fig10 {
+    let jobs: Vec<Job<Fig10Point>> = pe_counts
+        .iter()
+        .flat_map(|&pes| shard_counts_for(pes).into_iter().map(move |s| (pes, s)))
+        .map(|(pes, s)| -> Job<Fig10Point> { Box::new(move || run_point(pes, s, 1)) })
+        .collect();
+    let mut points = exec::run_jobs(jobs).into_iter();
     let sweeps = pe_counts
         .iter()
         .map(|&pes| {
-            let points = shard_counts_for(pes)
-                .into_iter()
-                .map(|s| run_point(pes, s, exec::workers_for(s as usize)))
-                .collect();
-            (pes, points)
+            let n = shard_counts_for(pes).len();
+            (pes, points.by_ref().take(n).collect())
         })
         .collect();
     Fig10 { sweeps }

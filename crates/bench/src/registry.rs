@@ -249,7 +249,10 @@ pub static FIGURES: &[Entry] = &[
         }),
         render: |opts| {
             let islands = opts.param.unwrap_or(if opts.smoke { 2 } else { 4 });
-            let run = pdes_bench::run(islands, exec::workers_for(islands as usize));
+            // One configuration, so one job; it alone asks for island workers.
+            let workers = exec::workers_for(islands as usize);
+            let job: exec::Job<_> = Box::new(move || pdes_bench::run(islands, workers));
+            let run = exec::run_jobs(vec![job]).remove(0);
             Rendered {
                 table: run.render(),
                 cycles: run.report.end_time.as_u64(),

@@ -84,6 +84,29 @@ fn every_registered_figure_has_an_invariance_test() {
 }
 
 #[test]
+fn every_registered_figure_runs_its_scenarios_as_jobs() {
+    // Holding the lock keeps the other renders of this binary from
+    // running while the timings are read.
+    let _serial = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = exec::take_job_timings();
+    let silent: Vec<&str> = registry::FIGURES
+        .iter()
+        .filter(|entry| {
+            (entry.render)(Opts {
+                smoke: true,
+                param: None,
+            });
+            exec::take_job_timings().is_empty()
+        })
+        .map(|entry| entry.name)
+        .collect();
+    assert!(
+        silent.is_empty(),
+        "{silent:?} recorded no scenario: every entry runs its work through exec::run_jobs"
+    );
+}
+
+#[test]
 fn pdes_ring_digest_is_identical_for_every_worker_count() {
     let serial = pdes_bench::run(4, 1);
     for workers in [2usize, 4, 8] {
