@@ -91,25 +91,27 @@ impl PipeDesc {
         let bad = || Error::new(Code::InvArgs).with_msg(format!("bad pipe descriptor: {s}"));
         let rest = s.strip_prefix("pipe:").ok_or_else(bad)?;
         let parts: Vec<&str> = rest.split(',').collect();
-        if parts.len() != 6 {
+        let [role, mem_sel, sgate_sel, notify_ep, buf_size, slots] = parts[..] else {
             return Err(bad());
-        }
-        let role = match parts[0] {
+        };
+        let role = match role {
             "r" => PipeRole::Reader,
             "w" => PipeRole::Writer,
             _ => return Err(bad()),
         };
-        let parse_i64 = |p: &str| p.parse::<i64>().map_err(|_| bad());
-        let mem_sel = SelId::new(parse_i64(parts[1])? as u32);
-        let sgate = parse_i64(parts[2])?;
-        let notify = parse_i64(parts[3])?;
+        let raw = |p: &str| p.parse::<u32>().map_err(|_| bad());
+        // `-1` is the one spelling of "none".
+        let opt_raw = |p: &str| match p {
+            "-1" => Ok(None),
+            p => raw(p).map(Some),
+        };
         Ok(PipeDesc {
             role,
-            mem_sel,
-            sgate_sel: (sgate >= 0).then(|| SelId::new(sgate as u32)),
-            notify_ep: (notify >= 0).then(|| EpId::new(notify as u32)),
-            buf_size: parse_i64(parts[4])? as u64,
-            slots: parse_i64(parts[5])? as u32,
+            mem_sel: SelId::new(raw(mem_sel)?),
+            sgate_sel: opt_raw(sgate_sel)?.map(SelId::new),
+            notify_ep: opt_raw(notify_ep)?.map(EpId::new),
+            buf_size: buf_size.parse::<u64>().map_err(|_| bad())?,
+            slots: raw(slots)?,
         })
     }
 }
@@ -641,6 +643,40 @@ mod tests {
 
         assert!(PipeDesc::decode("nonsense").is_err());
         assert!(PipeDesc::decode("pipe:r,1,2").is_err());
+
+        let max = PipeDesc {
+            role: PipeRole::Writer,
+            mem_sel: SelId::new(u32::MAX),
+            sgate_sel: Some(SelId::new(u32::MAX)),
+            notify_ep: Some(EpId::new(u32::MAX)),
+            buf_size: u64::MAX,
+            slots: u32::MAX,
+        };
+        let decoded = PipeDesc::decode(&max.encode()).unwrap();
+        assert_eq!(decoded.mem_sel, max.mem_sel);
+        assert_eq!(decoded.sgate_sel, max.sgate_sel);
+        assert_eq!(decoded.notify_ep, max.notify_ep);
+        assert_eq!(decoded.buf_size, max.buf_size);
+        assert_eq!(decoded.slots, max.slots);
+
+        // Each field is its own unsigned type; only `-1` means "none", and
+        // only in the two optional fields. Nothing wraps.
+        for bad in [
+            "pipe:r,-5,-1,-1,4096,4",
+            "pipe:r,-1,-1,-1,4096,4",
+            "pipe:r,4294967296,-1,-1,4096,4",
+            "pipe:w,1,-2,-1,4096,4",
+            "pipe:w,1,4294967296,-1,4096,4",
+            "pipe:r,1,-1,-7,4096,4",
+            "pipe:r,1,-1,-1,-4096,4",
+            "pipe:r,1,-1,-1,18446744073709551616,4",
+            "pipe:r,1,-1,-1,4096,-1",
+            "pipe:r,1,-1,-1,4096,4294967300",
+            "pipe:x,1,-1,-1,4096,4",
+            "pipe:r,1,-1,-1,4096,4,5",
+        ] {
+            assert!(PipeDesc::decode(bad).is_err(), "{bad} must not decode");
+        }
     }
 
     #[test]

@@ -7,9 +7,16 @@
 //! <at>\t<dur>\t<pe|->\t<component>\t<kind>\t<field>...
 //! ```
 //!
-//! String fields escape backslash, tab, and newline, so the format
-//! round-trips arbitrary task names and marker text. The `m3-trace` CLI
-//! reads this format; [`write_events`] and [`parse`] are exact inverses.
+//! The fields follow in the order the kind's entry in the one
+//! [`EventKind`] declaration (`event_kinds!`) lists them, each written and
+//! read by its `Column` codec: numbers and ids in decimal, a `bool` as
+//! `r`/`w` (`Rw`) or `0`/`1` (`Flag`), nothing else. String fields escape
+//! backslash, tab, and newline, so the format round-trips arbitrary task
+//! names and marker text. The `m3-trace` CLI reads this format;
+//! [`write_events`] and [`parse`] are exact inverses.
+
+use std::fmt::{Display, Write as _};
+use std::rc::Rc;
 
 use m3_base::{Cycles, EpId, PeId};
 
@@ -18,8 +25,45 @@ use crate::{Component, Event, EventKind};
 /// The header line identifying the format version.
 pub const HEADER: &str = "# m3-trace v1";
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// How one field is written as a column and read back. Each field type is
+/// its own codec; a `bool` field names one ([`Rw`] or [`Flag`]).
+pub(crate) trait Column {
+    /// The field's type.
+    type Value;
+
+    /// Appends `v`'s column text.
+    fn put(v: &Self::Value, out: &mut String);
+
+    /// Reads a column; `None` if `raw` is malformed.
+    fn take(raw: &str) -> Option<Self::Value>;
+}
+
+macro_rules! number_columns {
+    ($($ty:ty: $raw:ty, $to:expr, $from:expr;)*) => {
+        $(impl Column for $ty {
+            type Value = $ty;
+
+            fn put(v: &$ty, out: &mut String) {
+                let _ = write!(out, "{}", $to(*v));
+            }
+
+            fn take(raw: &str) -> Option<$ty> {
+                raw.parse::<$raw>().ok().map($from)
+            }
+        })*
+    };
+}
+
+number_columns! {
+    u64: u64, |v| v, |v| v;
+    u32: u32, |v| v, |v| v;
+    Cycles: u64, Cycles::as_u64, Cycles::new;
+    PeId: u32, PeId::raw, PeId::new;
+    EpId: u32, EpId::raw, EpId::new;
+}
+
+/// A string column: backslash, tab and newline are escaped.
+fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -28,7 +72,6 @@ fn escape(s: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 fn unescape(s: &str) -> String {
@@ -49,109 +92,139 @@ fn unescape(s: &str) -> String {
     out
 }
 
-fn kind_fields(kind: &EventKind) -> Vec<String> {
-    match kind {
-        EventKind::TaskSpawn { name, daemon } => {
-            vec![escape(name), u8::from(*daemon).to_string()]
+macro_rules! string_columns {
+    ($($ty:ty),*) => {
+        $(impl Column for $ty {
+            type Value = $ty;
+
+            fn put(v: &$ty, out: &mut String) {
+                escape(v, out);
+            }
+
+            fn take(raw: &str) -> Option<$ty> {
+                Some(unescape(raw).into())
+            }
+        })*
+    };
+}
+
+string_columns!(String, Rc<str>);
+
+/// An optional column: `-` for `None`.
+impl<C: Column> Column for Option<C> {
+    type Value = Option<C::Value>;
+
+    fn put(v: &Self::Value, out: &mut String) {
+        match v {
+            Some(v) => C::put(v, out),
+            None => out.push('-'),
         }
-        EventKind::TaskPoll { name } => vec![escape(name)],
-        EventKind::TaskComplete { name } => vec![escape(name)],
-        EventKind::ClockAdvance { from } => vec![from.as_u64().to_string()],
-        EventKind::MsgSend {
-            ep,
-            dst_pe,
-            dst_ep,
-            bytes,
-        } => vec![
-            ep.raw().to_string(),
-            dst_pe.raw().to_string(),
-            dst_ep.raw().to_string(),
-            bytes.to_string(),
-        ],
-        EventKind::MsgReply { dst_pe, bytes } => {
-            vec![dst_pe.raw().to_string(), bytes.to_string()]
-        }
-        EventKind::MsgDrop { ep } => vec![ep.raw().to_string()],
-        EventKind::CreditStall { ep } => vec![ep.raw().to_string()],
-        EventKind::MemXfer { write, bytes } => {
-            vec![
-                if *write { "w" } else { "r" }.to_string(),
-                bytes.to_string(),
-            ]
-        }
-        EventKind::NocXfer {
-            src,
-            dst,
-            bytes,
-            hops,
-            waited,
-        } => vec![
-            src.raw().to_string(),
-            dst.raw().to_string(),
-            bytes.to_string(),
-            hops.to_string(),
-            waited.as_u64().to_string(),
-        ],
-        EventKind::Syscall { opcode } => vec![escape(opcode)],
-        EventKind::FsRequest { op } => vec![escape(op)],
-        EventKind::PipeXfer { write, bytes } => {
-            vec![
-                if *write { "w" } else { "r" }.to_string(),
-                bytes.to_string(),
-            ]
-        }
-        EventKind::AppMark { what } => vec![escape(what)],
-        EventKind::FaultInject { fault, target } => {
-            vec![escape(fault), target.raw().to_string()]
-        }
-        EventKind::Recovery { action, attempt } => {
-            vec![escape(action), attempt.to_string()]
-        }
-        EventKind::ServeReq { client, op } => {
-            vec![client.to_string(), escape(op)]
-        }
-        EventKind::CtxSwitch { from, to, bytes } => {
-            vec![from.to_string(), to.to_string(), bytes.to_string()]
-        }
-        EventKind::IslandWindow {
-            island,
-            advanced,
-            waited,
-        } => vec![
-            island.to_string(),
-            advanced.as_u64().to_string(),
-            waited.as_u64().to_string(),
-        ],
-        EventKind::PageFault { virt, write } => {
-            vec![virt.to_string(), if *write { "w" } else { "r" }.to_string()]
-        }
-        EventKind::PageIn { virt, bytes } => {
-            vec![virt.to_string(), bytes.to_string()]
-        }
-        EventKind::WriteBack { virt, bytes } => {
-            vec![virt.to_string(), bytes.to_string()]
-        }
-        EventKind::ShardOp { shard, peer, op } => {
-            vec![shard.to_string(), peer.to_string(), escape(op)]
+    }
+
+    fn take(raw: &str) -> Option<Self::Value> {
+        match raw {
+            "-" => Some(None),
+            raw => C::take(raw).map(Some),
         }
     }
 }
 
+/// A `bool` column written as one character: `T` for true, `F` for false.
+/// Any other text is malformed.
+pub(crate) struct Bool<const T: char, const F: char>;
+
+/// A transfer's direction: `w` for a write, `r` for a read.
+pub(crate) type Rw = Bool<'w', 'r'>;
+
+/// A yes/no flag: `1` or `0`.
+pub(crate) type Flag = Bool<'1', '0'>;
+
+impl<const T: char, const F: char> Column for Bool<T, F> {
+    type Value = bool;
+
+    fn put(v: &bool, out: &mut String) {
+        out.push(if *v { T } else { F });
+    }
+
+    fn take(raw: &str) -> Option<bool> {
+        let mut chars = raw.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) if c == T => Some(true),
+            (Some(c), None) if c == F => Some(false),
+            _ => None,
+        }
+    }
+}
+
+/// Declares [`EventKind`] once: each variant with its docs, its tag and
+/// its fields, in column order. A `bool` field names its codec with
+/// `as Rw` or `as Flag`; every other field is its own [`Column`]. The
+/// macro generates the enum, `tag()`, and the field writer and parser
+/// behind [`to_line`] and [`parse_line`].
+macro_rules! event_kinds {
+    (@codec $ty:ty) => { $ty };
+    (@codec $ty:ty as $codec:ty) => { $codec };
+    (
+        $(#[$meta:meta])*
+        pub enum $Name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $Variant:ident $tag:literal {
+                    $($(#[$fmeta:meta])* $f:ident: $fty:ty $(as $codec:ty)?),* $(,)?
+                }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $Name {
+            $($(#[$vmeta])* $Variant { $($(#[$fmeta])* $f: $fty),* },)*
+        }
+
+        impl $Name {
+            /// Stable snake-case tag, used by the native format and summaries.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $(Self::$Variant { .. } => $tag,)*
+                }
+            }
+
+            /// Appends each field as a tab-led column.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(Self::$Variant { $($f),* } => {
+                        $(
+                            out.push('\t');
+                            <$crate::fmt::event_kinds!(@codec $fty $(as $codec)?)
+                                as $crate::fmt::Column>::put($f, out);
+                        )*
+                    })*
+                }
+            }
+
+            /// Reads the fields of the kind tagged `tag`.
+            fn parse_fields(tag: &str, cols: &mut $crate::fmt::Cols<'_>) -> Result<Self, String> {
+                Ok(match tag {
+                    $($tag => Self::$Variant {
+                        $($f: cols.next::<$crate::fmt::event_kinds!(@codec $fty $(as $codec)?)>(
+                            stringify!($f),
+                        )?),*
+                    },)*
+                    other => return Err(cols.error(format_args!("unknown event kind {other:?}"))),
+                })
+            }
+        }
+    };
+}
+
+pub(crate) use event_kinds;
+
 /// Serializes one event to its line (without trailing newline).
 pub fn to_line(event: &Event) -> String {
-    let pe = match event.pe {
-        Some(pe) => pe.raw().to_string(),
-        None => "-".to_string(),
-    };
-    let mut cols = vec![
-        event.at.as_u64().to_string(),
-        event.dur.as_u64().to_string(),
-        pe,
-        event.comp.name().to_string(),
-        event.kind.tag().to_string(),
-    ];
-    cols.extend(kind_fields(&event.kind));
-    cols.join("\t")
+    let mut out = format!("{}\t{}\t", event.at.as_u64(), event.dur.as_u64());
+    Option::<PeId>::put(&event.pe, &mut out);
+    let _ = write!(out, "\t{}\t{}", event.comp.name(), event.kind.tag());
+    event.kind.write_fields(&mut out);
+    out
 }
 
 /// Serializes a whole trace, header included.
@@ -166,29 +239,28 @@ pub fn write_events(events: &[Event]) -> String {
     out
 }
 
-fn field<'a>(cols: &'a [&str], idx: usize, line_no: usize) -> Result<&'a str, String> {
-    cols.get(idx)
-        .copied()
-        .ok_or_else(|| format!("line {line_no}: missing field {idx}"))
+/// The columns of one line, read left to right.
+pub(crate) struct Cols<'a> {
+    cols: std::str::Split<'a, char>,
+    line_no: usize,
 }
 
-fn num(cols: &[&str], idx: usize, line_no: usize) -> Result<u64, String> {
-    field(cols, idx, line_no)?
-        .parse::<u64>()
-        .map_err(|_| format!("line {line_no}: field {idx} is not a number"))
-}
+impl<'a> Cols<'a> {
+    /// An error on this line.
+    pub(crate) fn error(&self, msg: impl Display) -> String {
+        format!("line {}: {msg}", self.line_no)
+    }
 
-fn num32(cols: &[&str], idx: usize, line_no: usize) -> Result<u32, String> {
-    field(cols, idx, line_no)?
-        .parse::<u32>()
-        .map_err(|_| format!("line {line_no}: field {idx} is not a u32"))
-}
+    fn raw(&mut self, what: &str) -> Result<&'a str, String> {
+        self.cols
+            .next()
+            .ok_or_else(|| self.error(format_args!("missing {what}")))
+    }
 
-fn rw(cols: &[&str], idx: usize, line_no: usize) -> Result<bool, String> {
-    match field(cols, idx, line_no)? {
-        "w" => Ok(true),
-        "r" => Ok(false),
-        other => Err(format!("line {line_no}: expected r|w, got {other:?}")),
+    /// Reads the next column, named `what` in errors, with codec `C`.
+    pub(crate) fn next<C: Column>(&mut self, what: &str) -> Result<C::Value, String> {
+        let raw = self.raw(what)?;
+        C::take(raw).ok_or_else(|| self.error(format_args!("bad {what} {raw:?}")))
     }
 }
 
@@ -196,116 +268,23 @@ fn rw(cols: &[&str], idx: usize, line_no: usize) -> Result<bool, String> {
 ///
 /// # Errors
 ///
-/// Describes the first malformed field, with the given line number.
+/// Describes the first missing, malformed or extra column, with the given
+/// line number.
 pub fn parse_line(line: &str, line_no: usize) -> Result<Event, String> {
-    let cols: Vec<&str> = line.split('\t').collect();
-    let at = Cycles::new(num(&cols, 0, line_no)?);
-    let dur = Cycles::new(num(&cols, 1, line_no)?);
-    let pe = match field(&cols, 2, line_no)? {
-        "-" => None,
-        raw => Some(PeId::new(
-            raw.parse::<u32>()
-                .map_err(|_| format!("line {line_no}: bad PE id {raw:?}"))?,
-        )),
+    let mut cols = Cols {
+        cols: line.split('\t'),
+        line_no,
     };
-    let comp = Component::parse(field(&cols, 3, line_no)?)
-        .ok_or_else(|| format!("line {line_no}: unknown component"))?;
-    let f = &cols[5..];
-    let kind = match field(&cols, 4, line_no)? {
-        "task_spawn" => EventKind::TaskSpawn {
-            name: unescape(field(f, 0, line_no)?).into(),
-            daemon: field(f, 1, line_no)? == "1",
-        },
-        "task_poll" => EventKind::TaskPoll {
-            name: unescape(field(f, 0, line_no)?).into(),
-        },
-        "task_complete" => EventKind::TaskComplete {
-            name: unescape(field(f, 0, line_no)?).into(),
-        },
-        "clock_advance" => EventKind::ClockAdvance {
-            from: Cycles::new(num(f, 0, line_no)?),
-        },
-        "msg_send" => EventKind::MsgSend {
-            ep: EpId::new(num32(f, 0, line_no)?),
-            dst_pe: PeId::new(num32(f, 1, line_no)?),
-            dst_ep: EpId::new(num32(f, 2, line_no)?),
-            bytes: num(f, 3, line_no)?,
-        },
-        "msg_reply" => EventKind::MsgReply {
-            dst_pe: PeId::new(num32(f, 0, line_no)?),
-            bytes: num(f, 1, line_no)?,
-        },
-        "msg_drop" => EventKind::MsgDrop {
-            ep: EpId::new(num32(f, 0, line_no)?),
-        },
-        "credit_stall" => EventKind::CreditStall {
-            ep: EpId::new(num32(f, 0, line_no)?),
-        },
-        "mem_xfer" => EventKind::MemXfer {
-            write: rw(f, 0, line_no)?,
-            bytes: num(f, 1, line_no)?,
-        },
-        "noc_xfer" => EventKind::NocXfer {
-            src: PeId::new(num32(f, 0, line_no)?),
-            dst: PeId::new(num32(f, 1, line_no)?),
-            bytes: num(f, 2, line_no)?,
-            hops: num32(f, 3, line_no)?,
-            waited: Cycles::new(num(f, 4, line_no)?),
-        },
-        "syscall" => EventKind::Syscall {
-            opcode: unescape(field(f, 0, line_no)?),
-        },
-        "fs_req" => EventKind::FsRequest {
-            op: unescape(field(f, 0, line_no)?),
-        },
-        "pipe_xfer" => EventKind::PipeXfer {
-            write: rw(f, 0, line_no)?,
-            bytes: num(f, 1, line_no)?,
-        },
-        "app_mark" => EventKind::AppMark {
-            what: unescape(field(f, 0, line_no)?),
-        },
-        "fault_inject" => EventKind::FaultInject {
-            fault: unescape(field(f, 0, line_no)?),
-            target: PeId::new(num32(f, 1, line_no)?),
-        },
-        "recovery" => EventKind::Recovery {
-            action: unescape(field(f, 0, line_no)?),
-            attempt: num32(f, 1, line_no)?,
-        },
-        "serve_req" => EventKind::ServeReq {
-            client: num(f, 0, line_no)?,
-            op: unescape(field(f, 1, line_no)?),
-        },
-        "ctx_switch" => EventKind::CtxSwitch {
-            from: num32(f, 0, line_no)?,
-            to: num32(f, 1, line_no)?,
-            bytes: num(f, 2, line_no)?,
-        },
-        "island_window" => EventKind::IslandWindow {
-            island: num32(f, 0, line_no)?,
-            advanced: Cycles::new(num(f, 1, line_no)?),
-            waited: Cycles::new(num(f, 2, line_no)?),
-        },
-        "page_fault" => EventKind::PageFault {
-            virt: num(f, 0, line_no)?,
-            write: rw(f, 1, line_no)?,
-        },
-        "page_in" => EventKind::PageIn {
-            virt: num(f, 0, line_no)?,
-            bytes: num(f, 1, line_no)?,
-        },
-        "write_back" => EventKind::WriteBack {
-            virt: num(f, 0, line_no)?,
-            bytes: num(f, 1, line_no)?,
-        },
-        "shard_op" => EventKind::ShardOp {
-            shard: num32(f, 0, line_no)?,
-            peer: num32(f, 1, line_no)?,
-            op: unescape(field(f, 2, line_no)?),
-        },
-        other => return Err(format!("line {line_no}: unknown event kind {other:?}")),
-    };
+    let at = cols.next::<Cycles>("at")?;
+    let dur = cols.next::<Cycles>("dur")?;
+    let pe = cols.next::<Option<PeId>>("pe")?;
+    let comp = cols.raw("component")?;
+    let comp = Component::parse(comp)
+        .ok_or_else(|| cols.error(format_args!("unknown component {comp:?}")))?;
+    let kind = EventKind::parse_fields(cols.raw("kind")?, &mut cols)?;
+    if let Some(extra) = cols.cols.next() {
+        return Err(cols.error(format_args!("extra column {extra:?}")));
+    }
     Ok(Event {
         at,
         dur,
@@ -484,12 +463,93 @@ mod tests {
                     bytes: 4096,
                 },
             },
+            Event {
+                at: Cycles::new(130),
+                dur: Cycles::new(3),
+                pe: None,
+                comp: Component::Sched,
+                kind: EventKind::TaskPoll {
+                    name: "poll\nme".into(),
+                },
+            },
+            Event {
+                at: Cycles::new(131),
+                dur: Cycles::ZERO,
+                pe: None,
+                comp: Component::Sched,
+                kind: EventKind::TaskComplete { name: "".into() },
+            },
+            Event {
+                at: Cycles::new(140),
+                dur: Cycles::ZERO,
+                pe: None,
+                comp: Component::Sched,
+                kind: EventKind::ClockAdvance {
+                    from: Cycles::new(u64::MAX),
+                },
+            },
+            Event {
+                at: Cycles::new(150),
+                dur: Cycles::new(40),
+                pe: Some(PeId::new(2)),
+                comp: Component::Dtu,
+                kind: EventKind::MsgReply {
+                    dst_pe: PeId::new(u32::MAX),
+                    bytes: 64,
+                },
+            },
+            Event {
+                at: Cycles::new(160),
+                dur: Cycles::ZERO,
+                pe: Some(PeId::new(2)),
+                comp: Component::Dtu,
+                kind: EventKind::MsgDrop { ep: EpId::new(7) },
+            },
+            Event {
+                at: Cycles::new(170),
+                dur: Cycles::ZERO,
+                pe: Some(PeId::new(2)),
+                comp: Component::Dtu,
+                kind: EventKind::CreditStall { ep: EpId::new(0) },
+            },
+            Event {
+                at: Cycles::new(180),
+                dur: Cycles::new(300),
+                pe: Some(PeId::new(5)),
+                comp: Component::Dtu,
+                kind: EventKind::MemXfer {
+                    write: true,
+                    bytes: 2 << 20,
+                },
+            },
+            Event {
+                at: Cycles::new(190),
+                dur: Cycles::ZERO,
+                pe: Some(PeId::new(5)),
+                comp: Component::App,
+                kind: EventKind::AppMark {
+                    what: "phase\\1".to_string(),
+                },
+            },
+            Event {
+                at: Cycles::new(200),
+                dur: Cycles::new(1000),
+                pe: None,
+                comp: Component::Sched,
+                kind: EventKind::IslandWindow {
+                    island: 3,
+                    advanced: Cycles::new(900),
+                    waited: Cycles::new(100),
+                },
+            },
         ]
     }
 
     #[test]
     fn roundtrip_preserves_every_event() {
         let events = sample_events();
+        let tags: std::collections::BTreeSet<&str> = events.iter().map(|e| e.kind.tag()).collect();
+        assert_eq!(tags.len(), 23, "one sample per event kind: {tags:?}");
         let text = write_events(&events);
         assert!(text.starts_with(HEADER));
         let parsed = parse(&text).unwrap();
@@ -499,7 +559,10 @@ mod tests {
     #[test]
     fn escaping_roundtrips_awkward_strings() {
         for s in ["plain", "a\tb", "a\\b", "a\nb", "\\t", ""] {
-            assert_eq!(unescape(&escape(s)), s, "string {s:?}");
+            let mut col = String::new();
+            escape(s, &mut col);
+            assert!(!col.contains(['\t', '\n']), "column {col:?}");
+            assert_eq!(unescape(&col), s, "string {s:?}");
         }
     }
 
@@ -509,5 +572,44 @@ mod tests {
         assert!(err.contains("line 2"), "{err}");
         let err = parse("0\t0\t-\tbogus\ttask_poll\tx").unwrap_err();
         assert!(err.contains("unknown component"), "{err}");
+        let err = parse("\n\n0\t0\t-\tdtu\tmsg_drop\t-1").unwrap_err();
+        assert!(err.starts_with("line 3:"), "{err}");
+        let err = parse("0\t0\t1\tdtu\tmsg_drop\t3\tstray").unwrap_err();
+        assert!(err.starts_with("line 1: extra column"), "{err}");
+    }
+
+    #[test]
+    fn a_short_line_is_an_error_not_a_panic() {
+        for line in [
+            "0",
+            "0\t0\t-",
+            "0\t0\t-\tsched",
+            "0\t0\t-\tdtu\tmsg_send\t1\t2",
+        ] {
+            let err = parse_line(line, 9).unwrap_err();
+            assert!(err.starts_with("line 9: missing"), "{line:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn bool_columns_accept_only_their_two_spellings() {
+        let spawn = |flag: &str| parse_line(&format!("0\t0\t-\tsched\ttask_spawn\tt\t{flag}"), 4);
+        assert!(matches!(
+            spawn("1").unwrap().kind,
+            EventKind::TaskSpawn { daemon: true, .. }
+        ));
+        assert!(matches!(
+            spawn("0").unwrap().kind,
+            EventKind::TaskSpawn { daemon: false, .. }
+        ));
+        for bad in ["yes", "2", "", "10", "w"] {
+            let err = spawn(bad).unwrap_err();
+            assert!(err.starts_with("line 4:"), "{bad:?}: {err}");
+        }
+        let xfer = |rw: &str| parse_line(&format!("0\t0\t0\tdtu\tmem_xfer\t{rw}\t8"), 5);
+        assert!(xfer("w").is_ok() && xfer("r").is_ok());
+        for bad in ["W", "1", "rw", ""] {
+            assert!(xfer(bad).unwrap_err().starts_with("line 5:"), "{bad:?}");
+        }
     }
 }

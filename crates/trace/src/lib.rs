@@ -5,7 +5,10 @@
 //! observability layer that makes those cycles inspectable:
 //!
 //! - [`Event`] — a typed trace record `(cycle, duration, PE, component,
-//!   kind)`. Components emit events through a shared [`Recorder`].
+//!   kind)`. Components emit events through a shared [`Recorder`]. Each
+//!   [`EventKind`] is declared once, with its tag and fields, in one
+//!   table below; the enum, [`EventKind::tag`] and the [`fmt`] columns
+//!   are generated from it.
 //! - [`Metrics`] — a simulation's one counter registry: per-PE counters
 //!   and power-of-two histograms (PE busy cycles, DTU messages, bytes and
 //!   ring-buffer occupancy, drops, credit stalls, NoC transfers and link
@@ -29,6 +32,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use m3_base::{Cycles, EpId, PeId};
+
+use crate::fmt::{Flag, Rw};
 
 pub mod chrome;
 pub mod diff;
@@ -81,18 +86,7 @@ impl Component {
 
     /// Parses the output of [`Component::name`].
     pub fn parse(s: &str) -> Option<Component> {
-        Some(match s {
-            "sched" => Component::Sched,
-            "dtu" => Component::Dtu,
-            "noc" => Component::Noc,
-            "kernel" => Component::Kernel,
-            "fs" => Component::Fs,
-            "pipe" => Component::Pipe,
-            "app" => Component::App,
-            "serve" => Component::Serve,
-            "vm" => Component::Vm,
-            _ => return None,
-        })
+        Component::all().iter().copied().find(|c| c.name() == s)
     }
 
     /// All components, in thread-id order.
@@ -112,217 +106,188 @@ impl Component {
     }
 }
 
-/// What happened. The payload carries the fields the figures need to
-/// attribute cycles (bytes moved, hops crossed, opcode names, …).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// A task was spawned.
-    TaskSpawn {
-        /// Task name, interned so per-poll events clone a pointer, not the
-        /// characters.
-        name: Rc<str>,
-        /// Whether it is a daemon (does not keep the simulation alive).
-        daemon: bool,
-    },
-    /// A task was polled by the executor.
-    TaskPoll {
-        /// Task name (interned).
-        name: Rc<str>,
-    },
-    /// A task ran to completion.
-    TaskComplete {
-        /// Task name (interned).
-        name: Rc<str>,
-    },
-    /// The clock advanced to fire a timer.
-    ClockAdvance {
-        /// The previous time.
-        from: Cycles,
-    },
-    /// A DTU accepted a send command; the span covers the NoC transfer.
-    MsgSend {
-        /// Sending endpoint.
-        ep: EpId,
-        /// Destination PE.
-        dst_pe: PeId,
-        /// Destination endpoint.
-        dst_ep: EpId,
-        /// Wire bytes (header + payload).
-        bytes: u64,
-    },
-    /// A DTU accepted a reply command.
-    MsgReply {
-        /// Destination PE (the original sender).
-        dst_pe: PeId,
-        /// Wire bytes (header + payload).
-        bytes: u64,
-    },
-    /// A message was dropped at the receiver (ring buffer full/oversized).
-    MsgDrop {
-        /// Receiving endpoint.
-        ep: EpId,
-    },
-    /// A send failed because the endpoint was out of credits.
-    CreditStall {
-        /// Sending endpoint.
-        ep: EpId,
-    },
-    /// An RDMA transfer through a memory endpoint.
-    MemXfer {
-        /// `true` for a write, `false` for a read.
-        write: bool,
-        /// Bytes moved.
-        bytes: u64,
-    },
-    /// A NoC transfer (one wormhole burst across the route).
-    NocXfer {
-        /// Source node.
-        src: PeId,
-        /// Destination node.
-        dst: PeId,
-        /// Payload bytes.
-        bytes: u64,
-        /// Hops crossed.
-        hops: u32,
-        /// Cycles spent waiting for busy links.
-        waited: Cycles,
-    },
-    /// The kernel dispatched a system call.
-    Syscall {
-        /// Opcode name (e.g. `"Noop"`, `"CreateVpe"`).
-        opcode: String,
-    },
-    /// The m3fs service handled a meta request; the span covers its cost.
-    FsRequest {
-        /// Request name (e.g. `"Open"`, `"Stat"`).
-        op: String,
-    },
-    /// One pipe chunk moved between a writer and a reader.
-    PipeXfer {
-        /// `true` on the writer side, `false` on the reader side.
-        write: bool,
-        /// Bytes moved.
-        bytes: u64,
-    },
-    /// An application-level phase marker.
-    AppMark {
-        /// Free-form marker text.
-        what: String,
-    },
-    /// The fault plane injected a fault (drop, delay, partition, crash, …).
-    FaultInject {
-        /// Fault kind, e.g. `"msg_drop"`, `"partition"`, `"pe_crash"`.
-        fault: String,
-        /// The PE the fault acts on (the source PE for link faults).
-        target: PeId,
-    },
-    /// A recovery action fired (retry, backoff wait, dead-PE teardown).
-    Recovery {
-        /// Action name, e.g. `"retry"`, `"backoff"`, `"dead_pe"`.
-        action: String,
-        /// Which attempt this is (0-based; teardown actions use 0).
-        attempt: u32,
-    },
-    /// The serving tier completed one client request; the span runs from the
-    /// request's *scheduled* arrival to its completion, so queueing delay is
-    /// part of the recorded latency (coordinated-omission correction).
-    ServeReq {
-        /// Client id within the load generator.
-        client: u64,
-        /// Operation name (e.g. `"Get"`, `"Put"`, `"Scan"`).
-        op: String,
-    },
-    /// The kernel switched the resident VPE of a PE: the outgoing VPE's DTU
-    /// state went to its DRAM save area and the incoming VPE's came back,
-    /// both through the DTU. The span covers the whole switch.
-    CtxSwitch {
-        /// Raw id of the VPE switched out; `0` when the PE was idle.
-        from: u32,
-        /// Raw id of the VPE switched in; `0` when the PE goes idle.
-        to: u32,
-        /// Architectural-state bytes moved to/from the save area.
-        bytes: u64,
-    },
-    /// One conservative-PDES synchronization window as executed by one
-    /// island: how far the island's local clock moved inside the window
-    /// (busy residency) and how long it idled between its last local event
-    /// and the window barrier. Both are simulated quantities, so the event
-    /// stream is identical for every worker count.
-    IslandWindow {
-        /// Island id within the partition.
-        island: u32,
-        /// Cycles the island's clock advanced inside the window.
-        advanced: Cycles,
-        /// Cycles between the island's final local time and the barrier.
-        waited: Cycles,
-    },
-    /// A page fault reached the kernel pager: the faulting PE's DTU sent a
-    /// typed fault message and the kernel walked the page table (§7 demand
-    /// paging as messages). The span covers the kernel-side handling.
-    PageFault {
-        /// Faulting virtual address.
-        virt: u64,
-        /// `true` for a write-access fault.
-        write: bool,
-    },
-    /// The pager copied a swap slot back into a DRAM frame to serve a
-    /// fault on an evicted page.
-    PageIn {
-        /// Virtual address of the page.
-        virt: u64,
-        /// Bytes copied (one page).
-        bytes: u64,
-    },
-    /// The pager wrote a dirty victim page back to the VPE's DRAM swap
-    /// region before reusing its frame.
-    WriteBack {
-        /// Virtual address of the evicted page.
-        virt: u64,
-        /// Bytes written back (one page).
-        bytes: u64,
-    },
-    /// One leg of a kernel-to-kernel operation in a sharded multikernel:
-    /// emitted by the sending shard when a request leaves and by the
-    /// receiving shard when it is handled (§7 multiple kernels).
-    ShardOp {
-        /// The shard attributing the event (sender on send, receiver on
-        /// delivery).
-        shard: u32,
-        /// The peer shard on the other end of the gate.
-        peer: u32,
-        /// Operation name (e.g. `"place_vpe"`, `"delegate_cap"`).
-        op: String,
-    },
-}
-
-impl EventKind {
-    /// Stable snake-case tag, used by the native format and summaries.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::TaskSpawn { .. } => "task_spawn",
-            EventKind::TaskPoll { .. } => "task_poll",
-            EventKind::TaskComplete { .. } => "task_complete",
-            EventKind::ClockAdvance { .. } => "clock_advance",
-            EventKind::MsgSend { .. } => "msg_send",
-            EventKind::MsgReply { .. } => "msg_reply",
-            EventKind::MsgDrop { .. } => "msg_drop",
-            EventKind::CreditStall { .. } => "credit_stall",
-            EventKind::MemXfer { .. } => "mem_xfer",
-            EventKind::NocXfer { .. } => "noc_xfer",
-            EventKind::Syscall { .. } => "syscall",
-            EventKind::FsRequest { .. } => "fs_req",
-            EventKind::PipeXfer { .. } => "pipe_xfer",
-            EventKind::AppMark { .. } => "app_mark",
-            EventKind::FaultInject { .. } => "fault_inject",
-            EventKind::Recovery { .. } => "recovery",
-            EventKind::ServeReq { .. } => "serve_req",
-            EventKind::CtxSwitch { .. } => "ctx_switch",
-            EventKind::IslandWindow { .. } => "island_window",
-            EventKind::PageFault { .. } => "page_fault",
-            EventKind::PageIn { .. } => "page_in",
-            EventKind::WriteBack { .. } => "write_back",
-            EventKind::ShardOp { .. } => "shard_op",
-        }
+fmt::event_kinds! {
+    /// What happened. The payload carries the fields the figures need to
+    /// attribute cycles (bytes moved, hops crossed, opcode names, …).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum EventKind {
+        /// A task was spawned.
+        TaskSpawn "task_spawn" {
+            /// Task name, interned so per-poll events clone a pointer, not the
+            /// characters.
+            name: Rc<str>,
+            /// Whether it is a daemon (does not keep the simulation alive).
+            daemon: bool as Flag,
+        },
+        /// A task was polled by the executor.
+        TaskPoll "task_poll" {
+            /// Task name (interned).
+            name: Rc<str>,
+        },
+        /// A task ran to completion.
+        TaskComplete "task_complete" {
+            /// Task name (interned).
+            name: Rc<str>,
+        },
+        /// The clock advanced to fire a timer.
+        ClockAdvance "clock_advance" {
+            /// The previous time.
+            from: Cycles,
+        },
+        /// A DTU accepted a send command; the span covers the NoC transfer.
+        MsgSend "msg_send" {
+            /// Sending endpoint.
+            ep: EpId,
+            /// Destination PE.
+            dst_pe: PeId,
+            /// Destination endpoint.
+            dst_ep: EpId,
+            /// Wire bytes (header + payload).
+            bytes: u64,
+        },
+        /// A DTU accepted a reply command.
+        MsgReply "msg_reply" {
+            /// Destination PE (the original sender).
+            dst_pe: PeId,
+            /// Wire bytes (header + payload).
+            bytes: u64,
+        },
+        /// A message was dropped at the receiver (ring buffer full/oversized).
+        MsgDrop "msg_drop" {
+            /// Receiving endpoint.
+            ep: EpId,
+        },
+        /// A send failed because the endpoint was out of credits.
+        CreditStall "credit_stall" {
+            /// Sending endpoint.
+            ep: EpId,
+        },
+        /// An RDMA transfer through a memory endpoint.
+        MemXfer "mem_xfer" {
+            /// `true` for a write, `false` for a read.
+            write: bool as Rw,
+            /// Bytes moved.
+            bytes: u64,
+        },
+        /// A NoC transfer (one wormhole burst across the route).
+        NocXfer "noc_xfer" {
+            /// Source node.
+            src: PeId,
+            /// Destination node.
+            dst: PeId,
+            /// Payload bytes.
+            bytes: u64,
+            /// Hops crossed.
+            hops: u32,
+            /// Cycles spent waiting for busy links.
+            waited: Cycles,
+        },
+        /// The kernel dispatched a system call.
+        Syscall "syscall" {
+            /// Opcode name (e.g. `"Noop"`, `"CreateVpe"`).
+            opcode: String,
+        },
+        /// The m3fs service handled a meta request; the span covers its cost.
+        FsRequest "fs_req" {
+            /// Request name (e.g. `"Open"`, `"Stat"`).
+            op: String,
+        },
+        /// One pipe chunk moved between a writer and a reader.
+        PipeXfer "pipe_xfer" {
+            /// `true` on the writer side, `false` on the reader side.
+            write: bool as Rw,
+            /// Bytes moved.
+            bytes: u64,
+        },
+        /// An application-level phase marker.
+        AppMark "app_mark" {
+            /// Free-form marker text.
+            what: String,
+        },
+        /// The fault plane injected a fault (drop, delay, partition, crash, …).
+        FaultInject "fault_inject" {
+            /// Fault kind, e.g. `"msg_drop"`, `"partition"`, `"pe_crash"`.
+            fault: String,
+            /// The PE the fault acts on (the source PE for link faults).
+            target: PeId,
+        },
+        /// A recovery action fired (retry, backoff wait, dead-PE teardown).
+        Recovery "recovery" {
+            /// Action name, e.g. `"retry"`, `"backoff"`, `"dead_pe"`.
+            action: String,
+            /// Which attempt this is (0-based; teardown actions use 0).
+            attempt: u32,
+        },
+        /// The serving tier completed one client request; the span runs from the
+        /// request's *scheduled* arrival to its completion, so queueing delay is
+        /// part of the recorded latency (coordinated-omission correction).
+        ServeReq "serve_req" {
+            /// Client id within the load generator.
+            client: u64,
+            /// Operation name (e.g. `"Get"`, `"Put"`, `"Scan"`).
+            op: String,
+        },
+        /// The kernel switched the resident VPE of a PE: the outgoing VPE's DTU
+        /// state went to its DRAM save area and the incoming VPE's came back,
+        /// both through the DTU. The span covers the whole switch.
+        CtxSwitch "ctx_switch" {
+            /// Raw id of the VPE switched out; `0` when the PE was idle.
+            from: u32,
+            /// Raw id of the VPE switched in; `0` when the PE goes idle.
+            to: u32,
+            /// Architectural-state bytes moved to/from the save area.
+            bytes: u64,
+        },
+        /// One conservative-PDES synchronization window as executed by one
+        /// island: how far the island's local clock moved inside the window
+        /// (busy residency) and how long it idled between its last local event
+        /// and the window barrier. Both are simulated quantities, so the event
+        /// stream is identical for every worker count.
+        IslandWindow "island_window" {
+            /// Island id within the partition.
+            island: u32,
+            /// Cycles the island's clock advanced inside the window.
+            advanced: Cycles,
+            /// Cycles between the island's final local time and the barrier.
+            waited: Cycles,
+        },
+        /// A page fault reached the kernel pager: the faulting PE's DTU sent a
+        /// typed fault message and the kernel walked the page table (§7 demand
+        /// paging as messages). The span covers the kernel-side handling.
+        PageFault "page_fault" {
+            /// Faulting virtual address.
+            virt: u64,
+            /// `true` for a write-access fault.
+            write: bool as Rw,
+        },
+        /// The pager copied a swap slot back into a DRAM frame to serve a
+        /// fault on an evicted page.
+        PageIn "page_in" {
+            /// Virtual address of the page.
+            virt: u64,
+            /// Bytes copied (one page).
+            bytes: u64,
+        },
+        /// The pager wrote a dirty victim page back to the VPE's DRAM swap
+        /// region before reusing its frame.
+        WriteBack "write_back" {
+            /// Virtual address of the evicted page.
+            virt: u64,
+            /// Bytes written back (one page).
+            bytes: u64,
+        },
+        /// One leg of a kernel-to-kernel operation in a sharded multikernel:
+        /// emitted by the sending shard when a request leaves and by the
+        /// receiving shard when it is handled (§7 multiple kernels).
+        ShardOp "shard_op" {
+            /// The shard attributing the event (sender on send, receiver on
+            /// delivery).
+            shard: u32,
+            /// The peer shard on the other end of the gate.
+            peer: u32,
+            /// Operation name (e.g. `"place_vpe"`, `"delegate_cap"`).
+            op: String,
+        },
     }
 }
 
