@@ -576,10 +576,7 @@ mod tests {
         assert!(err.starts_with("line 3:"), "{err}");
         let err = parse("0\t0\t1\tdtu\tmsg_drop\t3\tstray").unwrap_err();
         assert!(err.starts_with("line 1: extra column"), "{err}");
-    }
-
-    #[test]
-    fn a_short_line_is_an_error_not_a_panic() {
+        // A short line is an error, not a panic.
         for line in [
             "0",
             "0\t0\t-",
