@@ -78,6 +78,8 @@ struct KState {
     /// endpoints (§7).
     addr_spaces: BTreeMap<VpeId, AddrSpaceObj>,
     tree: DerivationTree,
+    /// The record of every VPE that is alive or still named by a
+    /// capability ([`VpeObj::names`]); [`Kernel::reap_vpe`] frees the rest.
     vpes: BTreeMap<VpeId, Rc<RefCell<VpeObj>>>,
     next_vpe: u32,
     pemng: PeMng,
@@ -95,7 +97,10 @@ impl KState {
     fn new_vpe(&mut self, name: &str, pe: PeId) -> Result<(VpeId, Rc<RefCell<VpeObj>>)> {
         let id = VpeId::new(self.next_vpe);
         self.next_vpe += 1;
-        let vpe = Rc::new(RefCell::new(VpeObj::new(id, name, pe)));
+        let mut obj = VpeObj::new(id, name, pe);
+        // The self capability below.
+        obj.names = 1;
+        let vpe = Rc::new(RefCell::new(obj));
         self.vpes.insert(id, vpe.clone());
         let mut table = CapTable::new();
         table.insert(SelId::new(0), Capability::new(KObject::Vpe(vpe.clone())))?;
@@ -512,8 +517,15 @@ impl Kernel {
             })),
             other => other,
         };
+        let named = match &obj {
+            KObject::Vpe(v) => Some(v.clone()),
+            _ => None,
+        };
         Self::table(&mut st, dst.0)?.insert(dst.1, Capability::new(obj))?;
         st.tree.insert_child(src, dst);
+        if let Some(v) = named {
+            v.borrow_mut().names += 1;
+        }
         Ok(())
     }
 
@@ -573,6 +585,7 @@ impl Kernel {
             // of the VPE capability could revoke it to let the kernel reset
             // the associated PE").
             if let KObject::Vpe(vobj) = &cap.obj {
+                vobj.borrow_mut().names -= 1;
                 dead_vpes.push(vobj.clone());
             }
         }
@@ -597,11 +610,14 @@ impl Kernel {
     }
 
     /// Tears a VPE down: marks it dead, revokes everything it held, frees
-    /// its PE, and invalidates its syscall channel. Idempotent.
+    /// its PE, and invalidates its syscall channel. Idempotent. Either way
+    /// its record is freed if nothing names it any more.
     fn destroy_vpe(&self, vpe_obj: &Rc<RefCell<VpeObj>>, code: i64) {
         let (id, pe) = {
             let mut v = vpe_obj.borrow_mut();
             if !v.is_alive() {
+                drop(v);
+                self.reap_vpe(vpe_obj);
                 return;
             }
             v.state = VpeState::Dead(code);
@@ -682,6 +698,28 @@ impl Kernel {
         }
         vpe_obj.borrow().exited.notify_all();
         self.count(self.counters.vpe_exits);
+        self.reap_vpe(vpe_obj);
+    }
+
+    /// Frees the kernel record of a VPE once nothing can name it: the VPE
+    /// is dead, its teardown is over, and no capability names it
+    /// ([`VpeObj::names`]). Until then its exit code stays readable through
+    /// `VpeWait` and ktk `WaitVpe`. Entries keyed by the VPE go with the
+    /// record; its scheduler entry, DTU save area and doorbell went at its
+    /// death.
+    fn reap_vpe(&self, vpe_obj: &Rc<RefCell<VpeObj>>) {
+        let (id, named) = {
+            let v = vpe_obj.borrow();
+            (v.id, v.is_alive() || v.names > 0)
+        };
+        let mut st = self.state.borrow_mut();
+        // `destroy_vpe` drops the table after revoking everything in it,
+        // so a VPE whose teardown is still running keeps its table.
+        if named || st.tables.contains_key(&id) {
+            return;
+        }
+        st.vpes.remove(&id);
+        st.ep_owners.retain(|(target, _), _| *target != id);
     }
 
     /// Counts one operation under `counter` on this kernel's PE.
@@ -706,7 +744,8 @@ impl Kernel {
             .ok_or_else(|| Error::new(Code::VpeGone).with_msg(format!("{vpe} has no table")))
     }
 
-    /// Looks up a VPE object (used by libos glue to spawn programs).
+    /// The record of VPE `vpe`, while the kernel keeps it: the VPE is
+    /// alive, or dead and still named by a capability (diagnostics).
     pub fn vpe_obj(&self, vpe: VpeId) -> Option<Rc<RefCell<VpeObj>>> {
         self.state.borrow().vpes.get(&vpe).cloned()
     }
@@ -737,7 +776,7 @@ mod tests {
         (platform, kernel, root)
     }
 
-    async fn syscall(dtu: &Dtu, call: Syscall) -> SyscallReply {
+    pub(super) async fn syscall(dtu: &Dtu, call: Syscall) -> SyscallReply {
         dtu.send(
             std_eps::SYSC_SEND,
             &call.to_bytes(),
@@ -1406,5 +1445,357 @@ mod tests {
         assert_eq!(h.try_take().unwrap().error, Some(Code::Unreachable));
         // All retries were spent before the error came back.
         assert!(sim.now().as_u64() >= 3 * costs::SERVICE_TIMEOUT.as_u64());
+    }
+}
+
+#[cfg(test)]
+mod lifetime {
+    //! Kernel-record lifetime: a consistency check over the kernel's state,
+    //! and create/revoke cases that run it after every step, on one kernel and
+    //! on two shards whose every child spills to the peer.
+    //!
+    //! The check holds when every derivation-tree node is an entry in some
+    //! capability table, every table entry is in the tree, and every VPE
+    //! record is alive or named by a capability: a local one, or a peer
+    //! shard's `RemoteVpe` proxy.
+
+    use super::tests::syscall;
+    use super::*;
+    use crate::protocol::{Syscall, SyscallReply};
+    use m3_platform::PlatformConfig;
+
+    /// The sizes of the kernel state that must follow the live objects.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct Census {
+        vpes: usize,
+        tables: usize,
+        caps: usize,
+        tree: usize,
+        ep_owners: usize,
+        free_pes: usize,
+    }
+
+    fn census(k: &Kernel) -> Census {
+        let st = k.state.borrow();
+        Census {
+            vpes: st.vpes.len(),
+            tables: st.tables.len(),
+            caps: st.tables.values().map(CapTable::len).sum(),
+            tree: st.tree.len(),
+            ep_owners: st.ep_owners.len(),
+            free_pes: st.pemng.free_count(),
+        }
+    }
+
+    /// Asserts the consistency of `kernels`: one kernel, or the shards of one
+    /// multikernel in shard-id order. Call it when no ktk message is in
+    /// flight, so that every `RevokeVpe` sent has arrived.
+    fn assert_consistent(kernels: &[Kernel]) {
+        // `(home shard, VPE)` of every proxy, over all shards.
+        let mut proxies: BTreeSet<(u32, u32)> = BTreeSet::new();
+        for k in kernels {
+            let st = k.state.borrow();
+            for table in st.tables.values() {
+                for sel in table.selectors() {
+                    if let KObject::RemoteVpe(r) = &table.get(sel).unwrap().obj {
+                        proxies.insert((r.shard, r.vpe));
+                    }
+                }
+            }
+        }
+        for k in kernels {
+            let shard = k.shard_ctx().map_or(0, |ctx| ctx.id());
+            let st = k.state.borrow();
+            let mut caps = 0;
+            let mut names: BTreeMap<VpeId, u32> = BTreeMap::new();
+            for (id, table) in &st.tables {
+                for sel in table.selectors() {
+                    caps += 1;
+                    assert!(
+                        st.tree.contains((*id, sel)),
+                        "{id}:{sel} is not in the derivation tree"
+                    );
+                    if let KObject::Vpe(v) = &table.get(sel).unwrap().obj {
+                        let named = v.borrow().id;
+                        assert!(
+                            st.vpes.get(&named).is_some_and(|r| Rc::ptr_eq(r, v)),
+                            "{id}:{sel} names {named}, whose record is gone"
+                        );
+                        *names.entry(named).or_default() += 1;
+                    }
+                }
+            }
+            // Every table entry is a distinct tree node, so equal sizes leave
+            // no tree node outside the tables.
+            assert_eq!(st.tree.len(), caps, "tree nodes without a table entry");
+            for (id, v) in &st.vpes {
+                let v = v.borrow();
+                // Copies of a proxy count once: any of them cuts the VPE.
+                let proxied = u32::from(proxies.contains(&(shard, id.raw())));
+                assert_eq!(
+                    v.names,
+                    names.get(id).copied().unwrap_or(0) + proxied,
+                    "name count of {id}"
+                );
+                assert!(v.is_alive() || v.names > 0, "dead {id} named by nothing");
+                assert_eq!(st.tables.contains_key(id), v.is_alive(), "table of {id}");
+                if !v.is_alive() {
+                    assert!(!k.sched.borrow().manages(*id), "dead {id} still scheduled");
+                }
+            }
+            for id in st.tables.keys() {
+                assert!(st.vpes.contains_key(id), "table of {id} without a record");
+            }
+            for (target, ep) in st.ep_owners.keys() {
+                assert!(
+                    st.vpes.contains_key(target),
+                    "owner of {target}:{ep} outlives it"
+                );
+            }
+        }
+        for (shard, vpe) in &proxies {
+            let home = kernels[*shard as usize].state.borrow();
+            assert!(
+                home.vpes.contains_key(&VpeId::new(*vpe)),
+                "a proxy names V{vpe} of shard {shard}, whose record is gone"
+            );
+        }
+    }
+
+    /// Kernels on one platform with a root VPE on the first, driven one
+    /// syscall at a time; every step runs the simulation until it settles and
+    /// then checks the kernels.
+    struct Rig {
+        platform: Platform,
+        kernels: Vec<Kernel>,
+        root: PeId,
+    }
+
+    impl Rig {
+        /// One kernel on four PEs: room for two children besides the root.
+        fn single() -> Rig {
+            let platform = Platform::new(PlatformConfig::xtensa(4));
+            let kernel = Kernel::start(&platform, PeId::new(0));
+            Rig::with_root(platform, vec![kernel])
+        }
+
+        /// Two shards: shard 0 owns its kernel's PE and the root's, so every
+        /// child the root creates is placed by shard 1, on one of its two
+        /// application PEs.
+        fn spilled() -> Rig {
+            let platform = Platform::new(PlatformConfig::xtensa(5));
+            let half = platform.dram_size() as u64 / 2;
+            let pes = |r: std::ops::Range<u32>| r.map(PeId::new).collect::<Vec<_>>();
+            let cfg = KernelConfig::default();
+            let kernels = vec![
+                Kernel::start_partition(&platform, PeId::new(0), &pes(0..2), 0, half, cfg),
+                Kernel::start_partition(&platform, PeId::new(2), &pes(2..5), half, half, cfg),
+            ];
+            Kernel::connect_shards(&kernels);
+            Rig::with_root(platform, kernels)
+        }
+
+        fn with_root(platform: Platform, kernels: Vec<Kernel>) -> Rig {
+            let root = kernels[0].create_root("root", None).unwrap().pe;
+            let rig = Rig {
+                platform,
+                kernels,
+                root,
+            };
+            rig.settle();
+            rig
+        }
+
+        /// Runs the step, then lets the kernels finish what it left in flight
+        /// (an exit has no reply, a `RevokeVpe` is fire-and-forget).
+        fn settle(&self) {
+            let sim = self.platform.sim();
+            sim.run();
+            sim.settle(Cycles::new(1_000_000));
+            assert_consistent(&self.kernels);
+        }
+
+        fn call(&self, pe: PeId, call: Syscall) -> SyscallReply {
+            let dtu = self.platform.dtu(pe);
+            let h = self
+                .platform
+                .sim()
+                .spawn("step", async move { syscall(&dtu, call).await });
+            self.settle();
+            h.try_take().expect("the syscall was answered")
+        }
+
+        fn ok(&self, pe: PeId, call: Syscall) -> Vec<u8> {
+            let reply = self.call(pe, call);
+            assert_eq!(reply.error, None);
+            reply.data
+        }
+
+        /// The child on `pe` exits with `code`; exit has no reply.
+        fn exit(&self, pe: PeId, code: i64) {
+            let dtu = self.platform.dtu(pe);
+            self.platform.sim().spawn("exit", async move {
+                let call = Syscall::Exit { code }.to_bytes();
+                dtu.send(std_eps::SYSC_SEND, &call, None).await.unwrap();
+            });
+            self.settle();
+        }
+
+        /// Creates a child into selectors 1 (VPE) and 2 (its SPM) of the root
+        /// and starts it; returns its id (in its kernel's namespace) and PE.
+        fn create_child(&self) -> (VpeId, PeId) {
+            let data = self.ok(
+                self.root,
+                Syscall::CreateVpe {
+                    dst: SelId::new(1),
+                    mem_dst: SelId::new(2),
+                    pe: PeRequest::Same,
+                    name: "child".to_string(),
+                },
+            );
+            self.ok(self.root, Syscall::VpeStart { vpe: SelId::new(1) });
+            let mut is = m3_base::marshal::IStream::new(&data);
+            (
+                VpeId::new(is.pop_u32().unwrap()),
+                PeId::new(is.pop_u32().unwrap()),
+            )
+        }
+
+        fn wait_child(&self) -> i64 {
+            let data = self.ok(self.root, Syscall::VpeWait { vpe: SelId::new(1) });
+            m3_base::marshal::IStream::new(&data).pop_i64().unwrap()
+        }
+
+        fn revoke_child(&self) {
+            for sel in [1, 2] {
+                self.ok(
+                    self.root,
+                    Syscall::Revoke {
+                        sel: SelId::new(sel),
+                    },
+                );
+            }
+        }
+
+        /// One create/revoke round: the child pins a receive gate on one of
+        /// its endpoints (an `ep_owners` entry keyed by it), exits, is waited
+        /// on and revoked.
+        fn round(&self) {
+            let (_, pe) = self.create_child();
+            self.ok(
+                pe,
+                Syscall::CreateRGate {
+                    dst: SelId::new(1),
+                    slots: 2,
+                    slot_size: 256,
+                },
+            );
+            self.ok(
+                pe,
+                Syscall::Activate {
+                    vpe: SelId::new(0),
+                    ep: EpId::new(std_eps::FIRST_FREE),
+                    gate: SelId::new(1),
+                },
+            );
+            self.exit(pe, 7);
+            assert_eq!(self.wait_child(), 7);
+            self.revoke_child();
+        }
+
+        fn censuses(&self) -> Vec<Census> {
+            self.kernels.iter().map(census).collect()
+        }
+
+        /// Further rounds after the first leave every kernel's state the size
+        /// the first left it.
+        fn assert_rounds_leave_sizes_unchanged(&self) {
+            self.round();
+            let after_one = self.censuses();
+            for _ in 0..3 {
+                self.round();
+            }
+            assert_eq!(self.censuses(), after_one);
+        }
+    }
+
+    #[test]
+    fn rounds_leave_one_kernel_the_same_size() {
+        Rig::single().assert_rounds_leave_sizes_unchanged();
+    }
+
+    #[test]
+    fn spilled_rounds_leave_both_shards_the_same_size() {
+        let rig = Rig::spilled();
+        rig.assert_rounds_leave_sizes_unchanged();
+        assert_eq!(
+            rig.platform.sim().stats().get("kernel.remote_placements"),
+            4
+        );
+    }
+
+    #[test]
+    fn exited_local_child_is_waited_on_then_freed_by_its_parents_revoke() {
+        let rig = Rig::single();
+        let kernel = &rig.kernels[0];
+        let (id, pe) = rig.create_child();
+        rig.exit(pe, 3);
+        // Exit revoked the child's own capabilities; the parent's still names it.
+        let record = kernel
+            .vpe_obj(id)
+            .expect("the parent's capability keeps the record");
+        assert_eq!(record.borrow().exit_code(), Some(3));
+        assert_eq!(rig.wait_child(), 3);
+        assert_eq!(rig.wait_child(), 3, "a second wait reads the same code");
+        rig.ok(rig.root, Syscall::Revoke { sel: SelId::new(1) });
+        assert!(kernel.vpe_obj(id).is_none());
+    }
+
+    #[test]
+    fn spilled_child_exit_code_is_readable_until_revoke_vpe_frees_it() {
+        let rig = Rig::spilled();
+        let home = &rig.kernels[1];
+        let (id, pe) = rig.create_child();
+        assert!(home.vpe_obj(id).is_some(), "shard 1 placed the child");
+        rig.exit(pe, 5);
+        // The exit revoked the child's self capability on shard 1; shard 0's
+        // proxy still names it, so ktk `WaitVpe` still finds the exit code.
+        assert_eq!(home.vpe_obj(id).unwrap().borrow().exit_code(), Some(5));
+        assert_eq!(rig.wait_child(), 5);
+        rig.ok(rig.root, Syscall::Revoke { sel: SelId::new(1) });
+        assert!(home.vpe_obj(id).is_none(), "RevokeVpe freed the record");
+    }
+
+    #[test]
+    fn create_vpe_into_a_taken_selector_places_nothing() {
+        let rig = Rig::single();
+        let kernel = &rig.kernels[0];
+        rig.ok(
+            rig.root,
+            Syscall::AllocMem {
+                dst: SelId::new(1),
+                size: 4096,
+                perm: m3_base::Perm::RW,
+            },
+        );
+        let (free, before) = (kernel.free_pes(), census(kernel));
+        for (dst, mem_dst) in [(1, 2), (2, 1), (3, 3)] {
+            let reply = rig.call(
+                rig.root,
+                Syscall::CreateVpe {
+                    dst: SelId::new(dst),
+                    mem_dst: SelId::new(mem_dst),
+                    pe: PeRequest::Same,
+                    name: "child".to_string(),
+                },
+            );
+            assert_eq!(
+                reply.error,
+                Some(Code::Exists),
+                "dst {dst}, mem_dst {mem_dst}"
+            );
+            assert_eq!(kernel.free_pes(), free, "dst {dst}, mem_dst {mem_dst}");
+            assert_eq!(census(kernel), before, "dst {dst}, mem_dst {mem_dst}");
+        }
     }
 }

@@ -47,8 +47,9 @@ impl Kernel {
     /// a dirty victim is written back to the VPE's swap region before its
     /// frame is reused. The victim's frame capability is revoked so the
     /// faulting PE is cut off the frame at the NoC level before the frame
-    /// backs someone else's page.
-    async fn evict_if_needed(&self, caller: VpeId) -> Result<()> {
+    /// backs someone else's page. `pe` is the caller's PE, looked up while
+    /// it was alive: a caller that dies during a page move may be freed.
+    async fn evict_if_needed(&self, caller: VpeId, pe: PeId) -> Result<()> {
         loop {
             let plan = {
                 let st = self.state.borrow();
@@ -87,7 +88,6 @@ impl Kernel {
                 };
                 self.dram_copy(plan.frame, addr, PAGE_SIZE as usize);
                 self.charge_page_move().await;
-                let pe = self.vpe_pe(caller);
                 self.sim
                     .metrics()
                     .add(pe, m3_sim::keys::WRITEBACK_BYTES, PAGE_SIZE);
@@ -264,7 +264,7 @@ impl Kernel {
                 (frame, perm, old.filter(|s| *s != dst))
             }
             FaultKind::SwapIn(_) | FaultKind::Zero => {
-                self.evict_if_needed(caller).await?;
+                self.evict_if_needed(caller, pe).await?;
                 let frame = self.state.borrow_mut().mem.alloc(PAGE_SIZE)?;
                 // Anything failing past this point (typically: the caller
                 // crashed during a page-move await and teardown removed its

@@ -383,7 +383,8 @@ impl Kernel {
     /// setup, and the syscall channel work exactly like a local
     /// `CreateVpe`, but the parent lives in the requesting shard, so the
     /// child's self capability is a local root — the parent edge is the
-    /// requester's `RemoteVpe` proxy, cut via `RevokeVpe`.
+    /// requester's `RemoteVpe` proxy, cut via `RevokeVpe`. The proxy names
+    /// the VPE, so its record outlives its exit until `RevokeVpe` arrives.
     async fn ktk_place_vpe(&self, name: &str, want: PeRequest) -> Result<KtkReply> {
         self.sim.sleep(costs::CREATE_VPE).await;
         let (id, pe) = {
@@ -391,7 +392,8 @@ impl Kernel {
             // `Same` cannot cross shards (the sender resolves it first); a
             // stray one falls back to the base compute type.
             let pe = st.pemng.alloc(want, PeType::Xtensa)?;
-            let (id, _) = st.new_vpe(name, pe)?;
+            let (id, vpe) = st.new_vpe(name, pe)?;
+            vpe.borrow_mut().names += 1;
             st.tree.insert_root((id, SelId::new(0)));
             (id, pe)
         };
@@ -422,9 +424,15 @@ impl Kernel {
         Ok(KtkReply::ok(code as u64, 0))
     }
 
+    /// The requester's proxy is gone (`RevokeVpe`): the VPE dies if it
+    /// still runs, and its record is freed, since nothing names it any
+    /// more (every local capability to it derives from its self
+    /// capability, which the teardown revoked). A repeated `RevokeVpe`,
+    /// one per revoked copy of the proxy, finds no record.
     fn ktk_revoke_vpe(&self, vpe: u32) {
         let vpe_obj = self.state.borrow().vpes.get(&VpeId::new(vpe)).cloned();
         if let Some(v) = vpe_obj {
+            v.borrow_mut().names -= 1;
             self.destroy_vpe(&v, -1);
         }
     }

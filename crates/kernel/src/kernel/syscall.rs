@@ -340,6 +340,14 @@ impl Kernel {
                 .borrow()
                 .pe;
             let caller_ty = st.pemng.desc(caller_pe).ty;
+            // Both selectors must be free before anything is placed: a
+            // taken one found later would strand the PE and the VPE.
+            let table = Self::table(&mut st, caller)?;
+            if dst == mem_dst || table.get(dst).is_ok() || table.get(mem_dst).is_ok() {
+                return Err(
+                    Error::new(Code::Exists).with_msg(format!("{dst} or {mem_dst} already in use"))
+                );
+            }
             let pe = match st.pemng.alloc(req, caller_ty) {
                 // Overcommit: with every matching PE taken, time-multiplex
                 // the least-loaded one instead of failing (§4.1/§7 future
@@ -357,6 +365,7 @@ impl Kernel {
             // The caller owns the root VPE capability; the child's self
             // capability (selector 0) derives from it, so revoking the
             // parent's handle resets the child — not the other way around.
+            vpe.borrow_mut().names += 1;
             Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::Vpe(vpe)))?;
             st.tree.insert_root((caller, dst));
             st.tree.insert_child((caller, dst), (id, SelId::new(0)));

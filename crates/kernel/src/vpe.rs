@@ -35,6 +35,11 @@ pub struct VpeObj {
     pub state: VpeState,
     /// Notified when the VPE dies (used by `VpeWait`).
     pub exited: Notify,
+    /// How many capabilities name this VPE: its self capability, its
+    /// parent's VPE capability and their copies, plus one while a peer
+    /// shard's proxy names a VPE placed for that shard. The kernel frees
+    /// the VPE's record once the VPE is dead and this is zero.
+    pub names: u32,
 }
 
 impl VpeObj {
@@ -46,6 +51,7 @@ impl VpeObj {
             pe,
             state: VpeState::Init,
             exited: Notify::new(),
+            names: 0,
         }
     }
 
