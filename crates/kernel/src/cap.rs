@@ -324,6 +324,12 @@ impl DerivationTree {
         removed
     }
 
+    /// The capability `cap` was derived from; `None` for a root or an
+    /// untracked capability.
+    pub fn parent(&self, cap: CapRef) -> Option<CapRef> {
+        self.nodes.get(&cap).and_then(|n| n.parent)
+    }
+
     /// Whether `cap` is tracked.
     pub fn contains(&self, cap: CapRef) -> bool {
         self.nodes.contains_key(&cap)

@@ -1455,9 +1455,12 @@ mod lifetime {
     //! on two shards whose every child spills to the peer.
     //!
     //! The check holds when every derivation-tree node is an entry in some
-    //! capability table, every table entry is in the tree, and every VPE
-    //! record is alive or named by a capability: a local one, or a peer
-    //! shard's `RemoteVpe` proxy.
+    //! capability table, every table entry is in the tree, every VPE record
+    //! is alive or named by a capability (a local one, or a peer shard's
+    //! `RemoteVpe` proxy), and every capability to a PE's SPM derives from a
+    //! VPE capability or proxy, so that revoking the VPE revokes it too. A
+    //! shard that a peer declared dead is left out: its state froze when its
+    //! kernel PE crashed.
 
     use super::tests::syscall;
     use super::*;
@@ -1491,9 +1494,18 @@ mod lifetime {
     /// multikernel in shard-id order. Call it when no ktk message is in
     /// flight, so that every `RevokeVpe` sent has arrived.
     fn assert_consistent(kernels: &[Kernel]) {
-        // `(home shard, VPE)` of every proxy, over all shards.
+        let dead = |shard: usize| {
+            kernels
+                .iter()
+                .any(|k| k.shard_ctx().is_some_and(|ctx| ctx.is_dead(shard as u32)))
+        };
+        let live: Vec<&Kernel> = (0..kernels.len())
+            .filter(|s| !dead(*s))
+            .map(|s| &kernels[s])
+            .collect();
+        // `(home shard, VPE)` of every proxy, over the live shards.
         let mut proxies: BTreeSet<(u32, u32)> = BTreeSet::new();
-        for k in kernels {
+        for k in &live {
             let st = k.state.borrow();
             for table in st.tables.values() {
                 for sel in table.selectors() {
@@ -1503,7 +1515,7 @@ mod lifetime {
                 }
             }
         }
-        for k in kernels {
+        for k in &live {
             let shard = k.shard_ctx().map_or(0, |ctx| ctx.id());
             let st = k.state.borrow();
             let mut caps = 0;
@@ -1515,13 +1527,21 @@ mod lifetime {
                         st.tree.contains((*id, sel)),
                         "{id}:{sel} is not in the derivation tree"
                     );
-                    if let KObject::Vpe(v) = &table.get(sel).unwrap().obj {
-                        let named = v.borrow().id;
-                        assert!(
-                            st.vpes.get(&named).is_some_and(|r| Rc::ptr_eq(r, v)),
-                            "{id}:{sel} names {named}, whose record is gone"
-                        );
-                        *names.entry(named).or_default() += 1;
+                    match &table.get(sel).unwrap().obj {
+                        KObject::Vpe(v) => {
+                            let named = v.borrow().id;
+                            assert!(
+                                st.vpes.get(&named).is_some_and(|r| Rc::ptr_eq(r, v)),
+                                "{id}:{sel} names {named}, whose record is gone"
+                            );
+                            *names.entry(named).or_default() += 1;
+                        }
+                        KObject::MGate(m) if m.pe != k.platform.dram_pe() => assert!(
+                            derives_from_a_vpe(&st, (*id, sel)),
+                            "{id}:{sel} reaches the SPM of {} past its VPE's revoke",
+                            m.pe
+                        ),
+                        _ => {}
                     }
                 }
             }
@@ -1554,12 +1574,29 @@ mod lifetime {
             }
         }
         for (shard, vpe) in &proxies {
+            if dead(*shard as usize) {
+                continue;
+            }
             let home = kernels[*shard as usize].state.borrow();
             assert!(
                 home.vpes.contains_key(&VpeId::new(*vpe)),
                 "a proxy names V{vpe} of shard {shard}, whose record is gone"
             );
         }
+    }
+
+    /// Whether a VPE capability or `RemoteVpe` proxy is among the ancestors
+    /// of `cap` in the derivation tree.
+    fn derives_from_a_vpe(st: &KState, cap: (VpeId, SelId)) -> bool {
+        let mut at = st.tree.parent(cap);
+        while let Some((vpe, sel)) = at {
+            let obj = st.tables.get(&vpe).and_then(|t| t.get(sel).ok());
+            if obj.is_some_and(|c| matches!(c.obj, KObject::Vpe(_) | KObject::RemoteVpe(_))) {
+                return true;
+            }
+            at = st.tree.parent((vpe, sel));
+        }
+        false
     }
 
     /// Kernels on one platform with a root VPE on the first, driven one
@@ -1569,38 +1606,64 @@ mod lifetime {
         platform: Platform,
         kernels: Vec<Kernel>,
         root: PeId,
+        root_vpe: VpeId,
     }
 
     impl Rig {
         /// One kernel on four PEs: room for two children besides the root.
         fn single() -> Rig {
-            let platform = Platform::new(PlatformConfig::xtensa(4));
+            Rig::single_of(4)
+        }
+
+        /// One kernel on `pes` PEs: room for `pes - 2` children.
+        fn single_of(pes: usize) -> Rig {
+            let platform = Platform::new(PlatformConfig::xtensa(pes));
             let kernel = Kernel::start(&platform, PeId::new(0));
             Rig::with_root(platform, vec![kernel])
         }
 
-        /// Two shards: shard 0 owns its kernel's PE and the root's, so every
-        /// child the root creates is placed by shard 1, on one of its two
-        /// application PEs.
+        /// Two shards on five PEs: shard 0 owns its kernel's PE and the
+        /// root's, so every child the root creates is placed by shard 1, on
+        /// one of its two application PEs.
         fn spilled() -> Rig {
-            let platform = Platform::new(PlatformConfig::xtensa(5));
+            Rig::spilled_of(5, None)
+        }
+
+        /// Two shards on `pes` PEs, as [`Rig::spilled`] with `pes - 3`
+        /// application PEs on shard 1. With `crash`, shard 0's kernel PE
+        /// crashes at that cycle and shard 1's watchdog declares it dead.
+        fn spilled_of(pes: u32, crash: Option<Cycles>) -> Rig {
+            let platform = Platform::new(PlatformConfig::xtensa(pes as usize));
+            let plane = crash.map(|at| {
+                let plan = m3_fault::FaultPlan::new().crash_pe(PeId::new(0), at);
+                Rc::new(m3_fault::FaultPlane::new(plan))
+            });
+            if let Some(plane) = &plane {
+                platform.dtu_system().set_faults(plane.clone());
+            }
             let half = platform.dram_size() as u64 / 2;
-            let pes = |r: std::ops::Range<u32>| r.map(PeId::new).collect::<Vec<_>>();
+            let range = |r: std::ops::Range<u32>| r.map(PeId::new).collect::<Vec<_>>();
             let cfg = KernelConfig::default();
             let kernels = vec![
-                Kernel::start_partition(&platform, PeId::new(0), &pes(0..2), 0, half, cfg),
-                Kernel::start_partition(&platform, PeId::new(2), &pes(2..5), half, half, cfg),
+                Kernel::start_partition(&platform, PeId::new(0), &range(0..2), 0, half, cfg),
+                Kernel::start_partition(&platform, PeId::new(2), &range(2..pes), half, half, cfg),
             ];
             Kernel::connect_shards(&kernels);
+            if let Some(plane) = &plane {
+                for k in &kernels {
+                    k.attach_faults(plane);
+                }
+            }
             Rig::with_root(platform, kernels)
         }
 
         fn with_root(platform: Platform, kernels: Vec<Kernel>) -> Rig {
-            let root = kernels[0].create_root("root", None).unwrap().pe;
+            let root = kernels[0].create_root("root", None).unwrap();
             let rig = Rig {
                 platform,
                 kernels,
-                root,
+                root: root.pe,
+                root_vpe: root.vpe,
             };
             rig.settle();
             rig
@@ -1615,14 +1678,22 @@ mod lifetime {
             assert_consistent(&self.kernels);
         }
 
-        fn call(&self, pe: PeId, call: Syscall) -> SyscallReply {
-            let dtu = self.platform.dtu(pe);
+        /// Runs `body` on the DTU of `pe` as one step; returns its result.
+        fn on<F: std::future::Future + 'static>(
+            &self,
+            pe: PeId,
+            body: impl FnOnce(Dtu) -> F,
+        ) -> F::Output {
             let h = self
                 .platform
                 .sim()
-                .spawn("step", async move { syscall(&dtu, call).await });
+                .spawn("step", body(self.platform.dtu(pe)));
             self.settle();
-            h.try_take().expect("the syscall was answered")
+            h.try_take().expect("the step finished")
+        }
+
+        fn call(&self, pe: PeId, call: Syscall) -> SyscallReply {
+            self.on(pe, |dtu| async move { syscall(&dtu, call).await })
         }
 
         fn ok(&self, pe: PeId, call: Syscall) -> Vec<u8> {
@@ -1661,20 +1732,27 @@ mod lifetime {
             )
         }
 
+        /// Lets the simulated clock run to `at` with no step in flight.
+        fn idle_until(&self, at: Cycles) {
+            let sim = self.platform.sim().clone();
+            self.on(self.root, move |_| async move { sim.sleep_until(at).await });
+        }
+
         fn wait_child(&self) -> i64 {
             let data = self.ok(self.root, Syscall::VpeWait { vpe: SelId::new(1) });
             m3_base::marshal::IStream::new(&data).pop_i64().unwrap()
         }
 
+        /// Revokes the child's VPE capability (selector 1), which takes the
+        /// capability to its SPM (selector 2) with it.
         fn revoke_child(&self) {
-            for sel in [1, 2] {
-                self.ok(
-                    self.root,
-                    Syscall::Revoke {
-                        sel: SelId::new(sel),
-                    },
-                );
-            }
+            self.ok(self.root, Syscall::Revoke { sel: SelId::new(1) });
+            let st = self.kernels[0].state.borrow();
+            let table = &st.tables[&self.root_vpe];
+            assert!(
+                table.get(SelId::new(2)).is_err(),
+                "the SPM capability outlived its VPE"
+            );
         }
 
         /// One create/revoke round: the child pins a receive gate on one of
@@ -1797,5 +1875,81 @@ mod lifetime {
             assert_eq!(kernel.free_pes(), free, "dst {dst}, mem_dst {mem_dst}");
             assert_eq!(census(kernel), before, "dst {dst}, mem_dst {mem_dst}");
         }
+    }
+
+    /// The root creates `v`, activates `v`'s SPM capability on one of its
+    /// endpoints and revokes `v`'s VPE capability alone. `w`, created next,
+    /// lands on `v`'s PE, the only free one. Neither that endpoint nor the
+    /// SPM selector may reach `w`'s SPM any more.
+    fn assert_revoked_spm_cannot_reach_the_next_child(rig: &Rig) {
+        let sel = SelId::new;
+        let stale_ep = EpId::new(std_eps::FIRST_FREE);
+        let fresh_ep = EpId::new(std_eps::FIRST_FREE + 1);
+        let activate = move |ep, gate| Syscall::Activate {
+            vpe: sel(0),
+            ep,
+            gate: sel(gate),
+        };
+        let (_, v_pe) = rig.create_child();
+        rig.ok(rig.root, activate(stale_ep, 2));
+        rig.ok(rig.root, Syscall::Revoke { sel: sel(1) });
+        let data = rig.ok(
+            rig.root,
+            Syscall::CreateVpe {
+                dst: sel(3),
+                mem_dst: sel(4),
+                pe: PeRequest::Same,
+                name: "w".to_string(),
+            },
+        );
+        let mut is = m3_base::marshal::IStream::new(&data);
+        is.pop_u32().unwrap();
+        assert_eq!(PeId::new(is.pop_u32().unwrap()), v_pe, "w reuses v's PE");
+        rig.ok(rig.root, activate(fresh_ep, 4));
+        let (stale, reused, spm) = rig.on(rig.root, |dtu| async move {
+            dtu.write_mem(fresh_ep, 0, b"fresh!").await.unwrap();
+            let stale = dtu
+                .write_mem(stale_ep, 0, b"stale!")
+                .await
+                .map_err(|e| e.code());
+            let reused = syscall(&dtu, activate(stale_ep, 2)).await.error;
+            (stale, reused, dtu.read_mem(fresh_ep, 0, 6).await.unwrap())
+        });
+        assert_eq!(stale, Err(Code::InvEp), "v's endpoint still reaches {v_pe}");
+        assert_eq!(reused, Some(Code::InvCap), "v's SPM selector outlived v");
+        assert_eq!(spm, b"fresh!");
+    }
+
+    #[test]
+    fn isolation_revoked_child_spm_cannot_reach_the_next_child() {
+        assert_revoked_spm_cannot_reach_the_next_child(&Rig::single_of(3));
+    }
+
+    #[test]
+    fn isolation_spilled_child_spm_cannot_reach_the_next_child() {
+        assert_revoked_spm_cannot_reach_the_next_child(&Rig::spilled_of(4, None));
+    }
+
+    #[test]
+    fn dead_requester_shard_has_its_spilled_child_reclaimed() {
+        let crash = Cycles::new(5_000_000);
+        let rig = Rig::spilled_of(5, Some(crash));
+        let home = &rig.kernels[1];
+        let free = home.free_pes();
+        let (id, _) = rig.create_child();
+        let child = home.vpe_obj(id).expect("shard 1 placed the child");
+        assert!(child.borrow().is_alive());
+        assert_eq!(home.free_pes(), free - 1);
+        assert!(rig.platform.sim().now() < crash, "placed before the crash");
+        // No `RevokeVpe` can come from the dead requester; its death ends
+        // the proxy's name instead.
+        rig.idle_until(crash + Cycles::new(100_000));
+        assert!(
+            home.shard_ctx().unwrap().is_dead(0),
+            "shard 0 declared dead"
+        );
+        assert!(!child.borrow().is_alive(), "the child was destroyed");
+        assert!(home.vpe_obj(id).is_none(), "the child's record was freed");
+        assert_eq!(home.free_pes(), free);
     }
 }

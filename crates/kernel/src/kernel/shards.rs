@@ -336,7 +336,7 @@ impl Kernel {
         self.count(self.counters.ktk_requests);
         let outcome = match msg {
             KtkMsg::PlaceVpe { req_id, name, want } => {
-                Some((req_id, self.ktk_place_vpe(&name, want).await))
+                Some((req_id, self.ktk_place_vpe(src, &name, want).await))
             }
             KtkMsg::StartVpe { req_id, vpe } => Some((req_id, self.ktk_start_vpe(vpe))),
             KtkMsg::WaitVpe { req_id, vpe } => Some((req_id, self.ktk_wait_vpe(vpe).await)),
@@ -384,8 +384,9 @@ impl Kernel {
     /// `CreateVpe`, but the parent lives in the requesting shard, so the
     /// child's self capability is a local root — the parent edge is the
     /// requester's `RemoteVpe` proxy, cut via `RevokeVpe`. The proxy names
-    /// the VPE, so its record outlives its exit until `RevokeVpe` arrives.
-    async fn ktk_place_vpe(&self, name: &str, want: PeRequest) -> Result<KtkReply> {
+    /// the VPE, so its record outlives its exit until `RevokeVpe` arrives,
+    /// or until the requester `src` is declared dead.
+    async fn ktk_place_vpe(&self, src: u32, name: &str, want: PeRequest) -> Result<KtkReply> {
         self.sim.sleep(costs::CREATE_VPE).await;
         let (id, pe) = {
             let mut st = self.state.borrow_mut();
@@ -393,7 +394,10 @@ impl Kernel {
             // stray one falls back to the base compute type.
             let pe = st.pemng.alloc(want, PeType::Xtensa)?;
             let (id, vpe) = st.new_vpe(name, pe)?;
-            vpe.borrow_mut().names += 1;
+            let mut v = vpe.borrow_mut();
+            v.names += 1;
+            v.placed_for = Some(src);
+            drop(v);
             st.tree.insert_root((id, SelId::new(0)));
             (id, pe)
         };
@@ -428,7 +432,8 @@ impl Kernel {
     /// still runs, and its record is freed, since nothing names it any
     /// more (every local capability to it derives from its self
     /// capability, which the teardown revoked). A repeated `RevokeVpe`,
-    /// one per revoked copy of the proxy, finds no record.
+    /// one per revoked copy of the proxy, finds no record. A requester's
+    /// death ends the proxy's name the same way ([`Kernel::on_peer_shard_dead`]).
     fn ktk_revoke_vpe(&self, vpe: u32) {
         let vpe_obj = self.state.borrow().vpes.get(&VpeId::new(vpe)).cloned();
         if let Some(v) = vpe_obj {
@@ -518,9 +523,9 @@ impl Kernel {
 
     /// Cross-shard `CreateVpe` spill-over (requesting side): tries peer
     /// shards most-free-first until one admits the VPE, then installs a
-    /// `RemoteVpe` proxy plus the child-SPM memory gate — the same two
-    /// capabilities a local `CreateVpe` yields, so the caller's session
-    /// keeps working transparently.
+    /// `RemoteVpe` proxy plus the child-SPM memory gate derived from it —
+    /// the same two capabilities a local `CreateVpe` yields, so the
+    /// caller's session keeps working transparently.
     #[allow(clippy::too_many_arguments)]
     pub(super) async fn create_vpe_remote(
         &self,
@@ -591,7 +596,9 @@ impl Kernel {
                                 }
                                 return Err(e);
                             }
-                            st.tree.insert_root((caller, mem_dst));
+                            // Derived from the proxy, as a local child's SPM
+                            // capability is from its VPE capability.
+                            st.tree.insert_child((caller, dst), (caller, mem_dst));
                             Ok(())
                         })()
                     };
@@ -776,8 +783,9 @@ impl Kernel {
 
     /// Severs a dead peer shard: marks it dead, fails the in-flight
     /// requests addressed to it with `Unreachable`, drops its delegation
-    /// edges, and revokes every proxy capability pointing into it (so
-    /// cross-shard access is actually cut, not just orphaned).
+    /// edges, revokes every proxy capability pointing into it (so
+    /// cross-shard access is actually cut, not just orphaned), and reclaims
+    /// every VPE placed for it, as the `RevokeVpe` it owed would have.
     pub(super) fn on_peer_shard_dead(&self, peer: u32) {
         let Some(ctx) = self.shard_ctx() else { return };
         if !ctx.dead.borrow_mut().insert(peer) {
@@ -833,6 +841,17 @@ impl Kernel {
         });
         for (v, s) in refs {
             self.revoke_cap(v, s);
+        }
+        let orphans: Vec<u32> = self
+            .state
+            .borrow()
+            .vpes
+            .iter()
+            .filter(|(_, v)| v.borrow().placed_for == Some(peer))
+            .map(|(id, _)| id.raw())
+            .collect();
+        for vpe in orphans {
+            self.ktk_revoke_vpe(vpe);
         }
     }
 }

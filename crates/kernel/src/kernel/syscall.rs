@@ -378,7 +378,10 @@ impl Kernel {
             });
             Self::table(&mut st, caller)?
                 .insert(mem_dst, Capability::new(KObject::MGate(mgate)))?;
-            st.tree.insert_root((caller, mem_dst));
+            // The SPM capability derives from the VPE capability too: a
+            // revoke of the VPE must not leave access to a PE that the next
+            // `CreateVpe` hands to someone else.
+            st.tree.insert_child((caller, dst), (caller, mem_dst));
             // In overcommit mode every multiplexable child joins its PE's
             // run queue (accelerators and pinned PEs stay exclusive). The
             // PE's DTU arrival notify is the scheduler's wake signal for

@@ -40,6 +40,11 @@ pub struct VpeObj {
     /// shard's proxy names a VPE placed for that shard. The kernel frees
     /// the VPE's record once the VPE is dead and this is zero.
     pub names: u32,
+    /// The peer shard this VPE was placed for (ktk `PlaceVpe`), whose
+    /// proxy is the name counted in [`VpeObj::names`]; `None` for a VPE
+    /// whose parent is local. If that shard dies, no `RevokeVpe` will come,
+    /// so the watchdog reclaims the VPE instead.
+    pub placed_for: Option<u32>,
 }
 
 impl VpeObj {
@@ -52,6 +57,7 @@ impl VpeObj {
             state: VpeState::Init,
             exited: Notify::new(),
             names: 0,
+            placed_for: None,
         }
     }
 
