@@ -268,12 +268,12 @@ fn fig10_two_shard_sweep_point_golden_pin() {
     assert_eq!(p.ops, 83 + 91, "kernel-op total drifted");
     assert_eq!(p.serve, 72, "admission count drifted");
     assert_eq!(p.xplace, 4, "cross-shard placement count drifted");
-    assert_eq!(p.end.as_u64(), 13_906, "end time drifted");
+    assert_eq!(p.end.as_u64(), 14_806, "end time drifted");
     assert_eq!(
         p.digest,
-        "i0:ops=83:serve=36:xplace=4:end=13906;\
-         i1:ops=91:serve=36:xplace=0:end=12347\
-         |windows=135|events=14|end=13906",
+        "i0:ops=83:serve=36:xplace=4:end=14806;\
+         i1:ops=91:serve=36:xplace=0:end=13247\
+         |windows=142|events=14|end=14806",
         "fig10 golden digest drifted"
     );
 }
