@@ -326,7 +326,8 @@ impl DerivationTree {
 
     /// The capability `cap` was derived from; `None` for a root or an
     /// untracked capability.
-    pub fn parent(&self, cap: CapRef) -> Option<CapRef> {
+    #[cfg(test)]
+    pub(crate) fn parent(&self, cap: CapRef) -> Option<CapRef> {
         self.nodes.get(&cap).and_then(|n| n.parent)
     }
 
