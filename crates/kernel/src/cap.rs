@@ -285,13 +285,17 @@ impl DerivationTree {
     /// # Panics
     ///
     /// Panics if `child` is already in the tree (a selector can only be
-    /// filled once) — the kernel checks table occupancy first.
+    /// filled once) — the kernel checks table occupancy first — or if
+    /// `parent` is not: every parent is a capability the kernel minted.
     pub fn insert_child(&mut self, parent: CapRef, child: CapRef) {
         assert!(
             !self.nodes.contains_key(&child),
             "{child:?} already tracked"
         );
-        self.nodes.entry(parent).or_default().children.push(child);
+        let Some(node) = self.nodes.get_mut(&parent) else {
+            panic!("parent {parent:?} not tracked");
+        };
+        node.children.push(child);
         self.nodes.insert(
             child,
             TreeNode {
@@ -444,6 +448,13 @@ mod tests {
         let mut tree = DerivationTree::new();
         tree.insert_root(r(0, 1));
         tree.insert_child(r(0, 1), r(1, 1));
+        tree.insert_child(r(0, 1), r(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "not tracked")]
+    fn insert_child_of_an_untracked_parent_panics() {
+        let mut tree = DerivationTree::new();
         tree.insert_child(r(0, 1), r(1, 1));
     }
 }

@@ -8,15 +8,16 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
+use m3_base::cfg::SPM_DATA_SIZE;
 use m3_base::error::{Code, Error, Result};
-use m3_base::{Cycles, EpId, PeId, SelId, VpeId};
+use m3_base::{Cycles, EpId, PeId, Perm, SelId, VpeId};
 use m3_dtu::{Dtu, EpConfig, KernelToken};
 use m3_platform::{PeType, Platform};
 use m3_sched::{Removal, Scheduler};
 use m3_sim::{keys, Component, Event, EventKind, MetricHandle, Metrics, Notify, Sim};
 use m3_vm::AddrSpaceObj;
 
-use crate::cap::{CapTable, Capability, DerivationTree, KObject, MGateObj};
+use crate::cap::{CapRef, CapTable, Capability, DerivationTree, KObject, MGateObj};
 use crate::costs;
 use crate::ktk::KtkMsg;
 use crate::mem::MemAlloc;
@@ -91,21 +92,85 @@ struct KState {
 }
 
 impl KState {
+    /// Mints `obj` into `(owner, sel)`: the one place a capability enters a
+    /// table, the derivation tree (a root, or a child of `parent`) and, for
+    /// a VPE capability, [`VpeObj::names`]; [`Kernel::revoke_cap`] is the
+    /// one place it leaves them. Refuses a taken selector ([`Code::Exists`])
+    /// or a gone owner ([`Code::VpeGone`]) before touching anything.
+    fn mint(&mut self, (owner, sel): CapRef, obj: KObject, parent: Option<CapRef>) -> Result<()> {
+        let named = match &obj {
+            KObject::Vpe(v) => Some(v.clone()),
+            _ => None,
+        };
+        Kernel::table(self, owner)?.insert(sel, Capability::new(obj))?;
+        if let Some(v) = named {
+            v.borrow_mut().names += 1;
+        }
+        match parent {
+            Some(parent) => self.tree.insert_child(parent, (owner, sel)),
+            None => self.tree.insert_root((owner, sel)),
+        }
+        Ok(())
+    }
+
     /// Creates VPE `name` on `pe` in the init state, with a capability
-    /// table holding its self capability at selector 0. Where that
-    /// capability hangs in the derivation tree is the caller's choice.
-    fn new_vpe(&mut self, name: &str, pe: PeId) -> Result<(VpeId, Rc<RefCell<VpeObj>>)> {
+    /// table holding its self capability at selector 0. That capability
+    /// is a root, or derives from the `creator`'s capability to the VPE,
+    /// minted first: revoking the creator's handle resets the VPE.
+    fn new_vpe(
+        &mut self,
+        name: &str,
+        pe: PeId,
+        creator: Option<CapRef>,
+    ) -> Result<(VpeId, Rc<RefCell<VpeObj>>)> {
         let id = VpeId::new(self.next_vpe);
         self.next_vpe += 1;
-        let mut obj = VpeObj::new(id, name, pe);
-        // The self capability below.
-        obj.names = 1;
-        let vpe = Rc::new(RefCell::new(obj));
+        let vpe = Rc::new(RefCell::new(VpeObj::new(id, name, pe)));
         self.vpes.insert(id, vpe.clone());
-        let mut table = CapTable::new();
-        table.insert(SelId::new(0), Capability::new(KObject::Vpe(vpe.clone())))?;
-        self.tables.insert(id, table);
+        self.tables.insert(id, CapTable::new());
+        if let Some(cap) = creator {
+            self.mint(cap, KObject::Vpe(vpe.clone()), None)?;
+        }
+        self.mint((id, SelId::new(0)), KObject::Vpe(vpe.clone()), creator)?;
         Ok((id, vpe))
+    }
+
+    /// Refuses with [`Code::Exists`] unless `sels` are distinct and free
+    /// in `owner`'s table: the check a handler makes before it takes a PE,
+    /// a name or an endpoint that a refused `mint` would strand.
+    fn sels_free(&mut self, owner: VpeId, sels: &[SelId]) -> Result<()> {
+        let table = Kernel::table(self, owner)?;
+        for (i, sel) in sels.iter().enumerate() {
+            if sels[..i].contains(sel) || table.get(*sel).is_ok() {
+                return Err(Error::new(Code::Exists).with_msg(format!("{sel} already in use")));
+            }
+        }
+        Ok(())
+    }
+
+    /// Mints what a `CreateVpe` yields once both selectors are free: `vpe`
+    /// mints the VPE capability (or `RemoteVpe` proxy) at `(caller, dst)`,
+    /// and the capability to the SPM of its PE `pe` at `(caller, mem_dst)`
+    /// derives from it, so that no access to the PE outlives its revoke.
+    fn mint_vpe_pair<T>(
+        &mut self,
+        caller: VpeId,
+        dst: SelId,
+        mem_dst: SelId,
+        pe: PeId,
+        vpe: impl FnOnce(&mut KState, CapRef) -> Result<T>,
+    ) -> Result<T> {
+        self.sels_free(caller, &[dst, mem_dst])?;
+        let made = vpe(self, (caller, dst))?;
+        let spm = KObject::MGate(Rc::new(MGateObj {
+            pe,
+            offset: 0,
+            size: SPM_DATA_SIZE as u64,
+            perm: Perm::RW,
+            owned: false,
+        }));
+        self.mint((caller, mem_dst), spm, Some((caller, dst)))?;
+        Ok(made)
     }
 }
 
@@ -445,9 +510,8 @@ impl Kernel {
             }
             None => st.pemng.alloc(PeRequest::Any, PeType::Xtensa)?,
         };
-        let (id, vpe) = st.new_vpe(name, pe)?;
+        let (id, vpe) = st.new_vpe(name, pe, None)?;
         vpe.borrow_mut().state = VpeState::Running;
-        st.tree.insert_root((id, SelId::new(0)));
         drop(st);
         // Boot-time roots (services, benchmark drivers) are never
         // multiplexed; their PE stays exclusive even in overcommit mode.
@@ -517,16 +581,7 @@ impl Kernel {
             })),
             other => other,
         };
-        let named = match &obj {
-            KObject::Vpe(v) => Some(v.clone()),
-            _ => None,
-        };
-        Self::table(&mut st, dst.0)?.insert(dst.1, Capability::new(obj))?;
-        st.tree.insert_child(src, dst);
-        if let Some(v) = named {
-            v.borrow_mut().names += 1;
-        }
-        Ok(())
+        st.mint(dst, obj, Some(src))
     }
 
     /// Revokes `(vpe, sel)` recursively; returns the number of removed caps.
@@ -1626,13 +1681,14 @@ mod lifetime {
         /// root's, so every child the root creates is placed by shard 1, on
         /// one of its two application PEs.
         fn spilled() -> Rig {
-            Rig::spilled_of(5, None)
+            Rig::two_shards(2, 5, None)
         }
 
-        /// Two shards on `pes` PEs, as [`Rig::spilled`] with `pes - 3`
-        /// application PEs on shard 1. With `crash`, shard 0's kernel PE
-        /// crashes at that cycle and shard 1's watchdog declares it dead.
-        fn spilled_of(pes: u32, crash: Option<Cycles>) -> Rig {
+        /// Two shards on `pes` PEs: shard 0 owns the first `split`, its
+        /// kernel's and the root's among them, and shard 1 the rest, its
+        /// kernel on the first. With `crash`, shard 0's kernel PE crashes at
+        /// that cycle and shard 1's watchdog declares it dead.
+        fn two_shards(split: u32, pes: u32, crash: Option<Cycles>) -> Rig {
             let platform = Platform::new(PlatformConfig::xtensa(pes as usize));
             let plane = crash.map(|at| {
                 let plan = m3_fault::FaultPlan::new().crash_pe(PeId::new(0), at);
@@ -1645,8 +1701,15 @@ mod lifetime {
             let range = |r: std::ops::Range<u32>| r.map(PeId::new).collect::<Vec<_>>();
             let cfg = KernelConfig::default();
             let kernels = vec![
-                Kernel::start_partition(&platform, PeId::new(0), &range(0..2), 0, half, cfg),
-                Kernel::start_partition(&platform, PeId::new(2), &range(2..pes), half, half, cfg),
+                Kernel::start_partition(&platform, PeId::new(0), &range(0..split), 0, half, cfg),
+                Kernel::start_partition(
+                    &platform,
+                    PeId::new(split),
+                    &range(split..pes),
+                    half,
+                    half,
+                    cfg,
+                ),
             ];
             Kernel::connect_shards(&kernels);
             if let Some(plane) = &plane {
@@ -1844,37 +1907,157 @@ mod lifetime {
         assert!(home.vpe_obj(id).is_none(), "RevokeVpe freed the record");
     }
 
+    /// Every syscall that mints a capability refuses a taken selector with
+    /// `Exists` and leaves the kernel as it found it: no PE, DRAM, table
+    /// entry, tree node, VPE name or service name is taken. The root's
+    /// selector 1 is taken. Both `Exchange` rows move a VPE capability: the
+    /// root's to the child's taken selector 0, and the child's self
+    /// capability to the root's selector 1.
     #[test]
-    fn create_vpe_into_a_taken_selector_places_nothing() {
+    fn minting_into_a_taken_selector_changes_nothing() {
         let rig = Rig::single();
         let kernel = &rig.kernels[0];
+        let sel = SelId::new;
+        let create_vpe = |dst, mem_dst| Syscall::CreateVpe {
+            dst: sel(dst),
+            mem_dst: sel(mem_dst),
+            pe: PeRequest::Same,
+            name: "child".to_string(),
+        };
+        let create_srv = |dst| Syscall::CreateSrv {
+            dst: sel(dst),
+            rgate: sel(2),
+            name: "srv".to_string(),
+        };
+        let rgate = |dst| Syscall::CreateRGate {
+            dst: sel(dst),
+            slots: 2,
+            slot_size: 256,
+        };
+        let mem = Syscall::AllocMem {
+            dst: sel(1),
+            size: 4096,
+            perm: Perm::RW,
+        };
+        rig.ok(rig.root, mem.clone());
+        rig.ok(rig.root, rgate(2));
+        rig.ok(
+            rig.root,
+            Syscall::Activate {
+                vpe: sel(0),
+                ep: EpId::new(std_eps::FIRST_FREE),
+                gate: sel(2),
+            },
+        );
+        rig.ok(rig.root, create_vpe(3, 4));
+        let exchange = |own, obtain| Syscall::Exchange {
+            vpe: sel(3),
+            own: sel(own),
+            other: sel(0),
+            obtain,
+        };
+        let calls = [
+            create_vpe(1, 5),
+            create_vpe(5, 1),
+            create_vpe(5, 5),
+            rgate(1),
+            Syscall::CreateSGate {
+                dst: sel(1),
+                rgate: sel(2),
+                label: 0,
+                credits: 1,
+            },
+            mem,
+            Syscall::DeriveMem {
+                dst: sel(1),
+                src: sel(1),
+                offset: 0,
+                size: 4096,
+                perm: Perm::R,
+            },
+            create_srv(1),
+            exchange(3, false),
+            exchange(1, true),
+        ];
+        let (pes, dram, before) = (kernel.free_pes(), kernel.free_mem(), census(kernel));
+        for call in calls {
+            let what = format!("{call:?}");
+            assert_eq!(rig.call(rig.root, call).error, Some(Code::Exists), "{what}");
+            assert_eq!(kernel.free_pes(), pes, "{what}");
+            assert_eq!(kernel.free_mem(), dram, "{what}");
+            assert_eq!(census(kernel), before, "{what}");
+        }
+        rig.ok(rig.root, create_srv(5));
+    }
+
+    /// A spilled `CreateVpe` checks its selectors twice: before placing,
+    /// and once the placement is back, since handlers that run beside the
+    /// syscall loop (`ExchangeSess`, a peer's `DelegateCap`) can fill them
+    /// during the round trip. Here the root delegates into the SPM
+    /// selector of its child `A` while `A`'s `PlaceVpe` is in flight; the
+    /// syscall loop is busy with `A`'s call, so the delegation runs on the
+    /// kernel directly. `A` gets `Exists` and keeps the delegated
+    /// capability, and shard 1 frees what it placed.
+    #[test]
+    fn spilled_create_vpe_into_a_selector_filled_in_flight_places_nothing() {
+        let rig = Rig::two_shards(3, 5, None);
+        let (home, peer) = (&rig.kernels[0], &rig.kernels[1]);
+        let sim = rig.platform.sim().clone();
+        let sel = SelId::new;
+        let (a, a_pe) = rig.create_child();
+        assert!(home.vpe_obj(a).is_some(), "shard 0 placed A");
         rig.ok(
             rig.root,
             Syscall::AllocMem {
-                dst: SelId::new(1),
+                dst: sel(3),
                 size: 4096,
-                perm: m3_base::Perm::RW,
+                perm: Perm::RW,
             },
         );
-        let (free, before) = (kernel.free_pes(), census(kernel));
-        for (dst, mem_dst) in [(1, 2), (2, 1), (3, 3)] {
-            let reply = rig.call(
-                rig.root,
-                Syscall::CreateVpe {
-                    dst: SelId::new(dst),
-                    mem_dst: SelId::new(mem_dst),
+        let peer_before = census(peer);
+        let ktk_requests = {
+            let sim = sim.clone();
+            move || sim.stats().get("kernel.ktk_requests")
+        };
+        let served = ktk_requests();
+        let create = sim.spawn("a-create", {
+            let dtu = rig.platform.dtu(a_pe);
+            async move {
+                let call = Syscall::CreateVpe {
+                    dst: sel(1),
+                    mem_dst: sel(2),
                     pe: PeRequest::Same,
-                    name: "child".to_string(),
-                },
-            );
-            assert_eq!(
-                reply.error,
-                Some(Code::Exists),
-                "dst {dst}, mem_dst {mem_dst}"
-            );
-            assert_eq!(kernel.free_pes(), free, "dst {dst}, mem_dst {mem_dst}");
-            assert_eq!(census(kernel), before, "dst {dst}, mem_dst {mem_dst}");
-        }
+                    name: "b".to_string(),
+                };
+                syscall(&dtu, call).await
+            }
+        });
+        let delegate = sim.spawn("root-delegate", {
+            let (k, sim, root) = (home.clone(), sim.clone(), rig.root_vpe);
+            async move {
+                // Shard 1 has taken up the `PlaceVpe`, so `A` is past its
+                // first check; the placement takes longer than `CAP_OP`.
+                while ktk_requests() == served {
+                    sim.sleep(Cycles::new(10)).await;
+                }
+                sim.sleep(costs::CAP_OP).await;
+                k.copy_cap((root, sel(3)), (a, sel(2)))
+            }
+        });
+        rig.settle();
+        assert_eq!(delegate.try_take().unwrap().map_err(|e| e.code()), Ok(()));
+        assert_eq!(create.try_take().unwrap().error, Some(Code::Exists));
+        assert_eq!(
+            home.state.borrow().tables[&a].selectors(),
+            [sel(0), sel(2)],
+            "A holds its self capability and the delegated one"
+        );
+        assert_eq!(
+            sim.stats().get("kernel.ktk_requests"),
+            served + 2,
+            "shard 1 served the PlaceVpe and the RevokeVpe"
+        );
+        assert_eq!(census(peer), peer_before, "shard 1 freed the placed VPE");
     }
 
     /// The root creates `v`, activates `v`'s SPM capability on one of its
@@ -1927,13 +2110,13 @@ mod lifetime {
 
     #[test]
     fn isolation_spilled_child_spm_cannot_reach_the_next_child() {
-        assert_revoked_spm_cannot_reach_the_next_child(&Rig::spilled_of(4, None));
+        assert_revoked_spm_cannot_reach_the_next_child(&Rig::two_shards(2, 4, None));
     }
 
     #[test]
     fn dead_requester_shard_has_its_spilled_child_reclaimed() {
         let crash = Cycles::new(5_000_000);
-        let rig = Rig::spilled_of(5, Some(crash));
+        let rig = Rig::two_shards(2, 5, Some(crash));
         let home = &rig.kernels[1];
         let free = home.free_pes();
         let (id, _) = rig.create_child();

@@ -9,7 +9,7 @@ use m3_base::{Cycles, PeId, Perm, SelId, VpeId};
 use m3_sim::{Component, Event, EventKind};
 use m3_vm::{AddrSpaceObj, FaultKind, SwapRegion};
 
-use crate::cap::{Capability, KObject, MGateObj};
+use crate::cap::{KObject, MGateObj};
 
 use super::{Kernel, PAGE_SIZE};
 
@@ -294,8 +294,7 @@ impl Kernel {
             owned: false, // the page table owns the frame
         });
         let mut st = self.state.borrow_mut();
-        Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::MGate(mgate)))?;
-        st.tree.insert_root((caller, dst));
+        st.mint((caller, dst), KObject::MGate(mgate), None)?;
         let mut os = OStream::new();
         os.push_u64(page * PAGE_SIZE);
         Ok(os.into_bytes())

@@ -6,14 +6,13 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::{Rc, Weak};
 
-use m3_base::cfg::SPM_DATA_SIZE;
 use m3_base::error::{Code, Error, Result};
 use m3_base::marshal::OStream;
-use m3_base::{Cycles, EpId, PeId, Perm, SelId, VpeId};
+use m3_base::{Cycles, EpId, PeId, SelId, VpeId};
 use m3_platform::PeType;
 use m3_sim::{Component, Event, EventKind, Notify, TaskName};
 
-use crate::cap::{Capability, KObject, MGateObj, RemoteSessObj, RemoteVpeObj, XSGateObj};
+use crate::cap::{KObject, MGateObj, RemoteSessObj, RemoteVpeObj, XSGateObj};
 use crate::costs;
 use crate::ktk::{self, CapDesc, KtkMsg, KtkReply};
 use crate::protocol::{PeRequest, ServiceRequest};
@@ -393,12 +392,10 @@ impl Kernel {
             // `Same` cannot cross shards (the sender resolves it first); a
             // stray one falls back to the base compute type.
             let pe = st.pemng.alloc(want, PeType::Xtensa)?;
-            let (id, vpe) = st.new_vpe(name, pe)?;
+            let (id, vpe) = st.new_vpe(name, pe, None)?;
             let mut v = vpe.borrow_mut();
             v.names += 1;
             v.placed_for = Some(src);
-            drop(v);
-            st.tree.insert_root((id, SelId::new(0)));
             (id, pe)
         };
         self.setup_sysc_channel(id, pe)?;
@@ -567,41 +564,19 @@ impl Kernel {
                 Ok(r) => {
                     let vpe_raw = r.a as u32;
                     let pe = PeId::new(r.b as u32);
-                    let install = {
-                        let mut st = self.state.borrow_mut();
-                        (|| -> Result<()> {
-                            let robj = Rc::new(RemoteVpeObj {
-                                shard: peer,
-                                vpe: vpe_raw,
-                                pe,
-                            });
-                            Self::table(&mut st, caller)?
-                                .insert(dst, Capability::new(KObject::RemoteVpe(robj)))?;
-                            st.tree.insert_root((caller, dst));
-                            let mgate = Rc::new(MGateObj {
-                                pe,
-                                offset: 0,
-                                size: SPM_DATA_SIZE as u64,
-                                perm: Perm::RW,
-                                owned: false,
-                            });
-                            if let Err(e) = Self::table(&mut st, caller)?
-                                .insert(mem_dst, Capability::new(KObject::MGate(mgate)))
-                            {
-                                // Roll the proxy back out so the caller's
-                                // table is unchanged on failure.
-                                st.tree.revoke((caller, dst));
-                                if let Some(t) = st.tables.get_mut(&caller) {
-                                    t.remove(dst);
-                                }
-                                return Err(e);
-                            }
-                            // Derived from the proxy, as a local child's SPM
-                            // capability is from its VPE capability.
-                            st.tree.insert_child((caller, dst), (caller, mem_dst));
-                            Ok(())
-                        })()
+                    let proxy = RemoteVpeObj {
+                        shard: peer,
+                        vpe: vpe_raw,
+                        pe,
                     };
+                    // The caller may have lost a selector or its table meanwhile.
+                    let install = self.state.borrow_mut().mint_vpe_pair(
+                        caller,
+                        dst,
+                        mem_dst,
+                        pe,
+                        |st, cap| st.mint(cap, KObject::RemoteVpe(Rc::new(proxy)), None),
+                    );
                     if let Err(e) = install {
                         // The placement would leak on the peer; take it back.
                         self.ktk_send(ctx, peer, &KtkMsg::RevokeVpe { vpe: vpe_raw });
@@ -648,9 +623,7 @@ impl Kernel {
                         ident: r.a,
                     });
                     let mut st = self.state.borrow_mut();
-                    Self::table(&mut st, caller)?
-                        .insert(dst, Capability::new(KObject::RemoteSess(sess)))?;
-                    st.tree.insert_root((caller, dst));
+                    st.mint((caller, dst), KObject::RemoteSess(sess), None)?;
                     return Ok(Vec::new());
                 }
                 // This peer does not host it either; keep looking.
@@ -775,10 +748,7 @@ impl Kernel {
                 max_payload: *max_payload as usize,
             })),
         };
-        let mut st = self.state.borrow_mut();
-        Self::table(&mut st, vpe)?.insert(sel, Capability::new(obj))?;
-        st.tree.insert_root((vpe, sel));
-        Ok(())
+        self.state.borrow_mut().mint((vpe, sel), obj, None)
     }
 
     /// Severs a dead peer shard: marks it dead, fails the in-flight

@@ -4,7 +4,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use m3_base::cfg::SPM_DATA_SIZE;
 use m3_base::error::{Code, Error, Result};
 use m3_base::marshal::OStream;
 use m3_base::{EpId, Perm, SelId, VpeId};
@@ -12,7 +11,7 @@ use m3_dtu::{EpConfig, Message};
 use m3_sched::Admission;
 use m3_sim::{Component, Event, EventKind, Notify, TaskName};
 
-use crate::cap::{Capability, KObject, MGateObj, RGateObj, SGateObj};
+use crate::cap::{KObject, MGateObj, RGateObj, SGateObj};
 use crate::costs;
 use crate::ktk::KtkMsg;
 use crate::protocol::{std_eps, PeRequest, ServiceReply, ServiceRequest, Syscall, SyscallReply};
@@ -219,8 +218,7 @@ impl Kernel {
         }
         let gate = RGateObj::new(caller, slots, slot_size);
         let mut st = self.state.borrow_mut();
-        Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::RGate(gate)))?;
-        st.tree.insert_root((caller, dst));
+        st.mint((caller, dst), KObject::RGate(gate), None)?;
         Ok(Vec::new())
     }
 
@@ -246,8 +244,7 @@ impl Kernel {
             label,
             credits: if credits == 0 { None } else { Some(credits) },
         });
-        Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::SGate(sgate)))?;
-        st.tree.insert_child((caller, rgate), (caller, dst));
+        st.mint((caller, dst), KObject::SGate(sgate), Some((caller, rgate)))?;
         Ok(Vec::new())
     }
 
@@ -268,13 +265,10 @@ impl Kernel {
             perm,
             owned: true,
         });
-        if let Err(e) =
-            Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::MGate(mgate)))
-        {
+        if let Err(e) = st.mint((caller, dst), KObject::MGate(mgate), None) {
             st.mem.free(offset, size);
             return Err(e);
         }
-        st.tree.insert_root((caller, dst));
         let mut os = OStream::new();
         os.push_u64(offset);
         Ok(os.into_bytes())
@@ -314,8 +308,7 @@ impl Kernel {
             perm,
             owned: false,
         });
-        Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::MGate(child)))?;
-        st.tree.insert_child((caller, src), (caller, dst));
+        st.mint((caller, dst), KObject::MGate(child), Some((caller, src)))?;
         Ok(Vec::new())
     }
 
@@ -341,13 +334,8 @@ impl Kernel {
                 .pe;
             let caller_ty = st.pemng.desc(caller_pe).ty;
             // Both selectors must be free before anything is placed: a
-            // taken one found later would strand the PE and the VPE.
-            let table = Self::table(&mut st, caller)?;
-            if dst == mem_dst || table.get(dst).is_ok() || table.get(mem_dst).is_ok() {
-                return Err(
-                    Error::new(Code::Exists).with_msg(format!("{dst} or {mem_dst} already in use"))
-                );
-            }
+            // taken one found later would strand the PE or cost a spill.
+            st.sels_free(caller, &[dst, mem_dst])?;
             let pe = match st.pemng.alloc(req, caller_ty) {
                 // Overcommit: with every matching PE taken, time-multiplex
                 // the least-loaded one instead of failing (§4.1/§7 future
@@ -361,27 +349,9 @@ impl Kernel {
                 Ok(pe) => pe,
                 Err(e) => break 'placed Err((e, caller_ty)),
             };
-            let (id, vpe) = st.new_vpe(name, pe)?;
-            // The caller owns the root VPE capability; the child's self
-            // capability (selector 0) derives from it, so revoking the
-            // parent's handle resets the child — not the other way around.
-            vpe.borrow_mut().names += 1;
-            Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::Vpe(vpe)))?;
-            st.tree.insert_root((caller, dst));
-            st.tree.insert_child((caller, dst), (id, SelId::new(0)));
-            let mgate = Rc::new(MGateObj {
-                pe,
-                offset: 0,
-                size: SPM_DATA_SIZE as u64,
-                perm: Perm::RW,
-                owned: false,
-            });
-            Self::table(&mut st, caller)?
-                .insert(mem_dst, Capability::new(KObject::MGate(mgate)))?;
-            // The SPM capability derives from the VPE capability too: a
-            // revoke of the VPE must not leave access to a PE that the next
-            // `CreateVpe` hands to someone else.
-            st.tree.insert_child((caller, dst), (caller, mem_dst));
+            let (id, _) = st.mint_vpe_pair(caller, dst, mem_dst, pe, |st, creator| {
+                st.new_vpe(name, pe, Some(creator))
+            })?;
             // In overcommit mode every multiplexable child joins its PE's
             // run queue (accelerators and pinned PEs stay exclusive). The
             // PE's DTU arrival notify is the scheduler's wake signal for
@@ -503,6 +473,8 @@ impl Kernel {
                         .with_msg(format!("expected rgate, found {}", other.kind())))
                 }
             };
+            // Refused before the name and a kernel endpoint are taken.
+            st.sels_free(caller, &[dst])?;
             let ep = EpId::new(st.next_serv_ep);
             if ep.idx() >= m3_base::cfg::EP_COUNT {
                 return Err(Error::new(Code::OutOfMem).with_msg("kernel out of service EPs"));
@@ -533,8 +505,7 @@ impl Kernel {
         });
         let mut st = self.state.borrow_mut();
         st.services.register(serv.clone())?;
-        Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::Serv(serv)))?;
-        st.tree.insert_root((caller, dst));
+        st.mint((caller, dst), KObject::Serv(serv), None)?;
         Ok(Vec::new())
     }
 
@@ -649,8 +620,7 @@ impl Kernel {
             ident: reply.ident,
         });
         let mut st = self.state.borrow_mut();
-        Self::table(&mut st, caller)?.insert(dst, Capability::new(KObject::Sess(sess)))?;
-        st.tree.insert_root((caller, dst));
+        st.mint((caller, dst), KObject::Sess(sess), None)?;
         Ok(Vec::new())
     }
 
