@@ -4,7 +4,7 @@
 //! ([`syscall`]), VPE time-multiplexing ([`sched`]), the sharded
 //! multikernel ([`shards`]) and demand paging ([`pager`]).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -22,7 +22,7 @@ use crate::costs;
 use crate::ktk::KtkMsg;
 use crate::mem::MemAlloc;
 use crate::pemng::PeMng;
-use crate::protocol::{std_eps, PeRequest, SYSC_MSG_SIZE, SYSC_SLOTS};
+use crate::protocol::{std_eps, PeRequest, ServiceReply, SYSC_MSG_SIZE, SYSC_SLOTS};
 use crate::service::ServiceRegistry;
 use crate::vpe::{VpeObj, VpeState};
 
@@ -32,7 +32,6 @@ mod shards;
 mod syscall;
 
 pub use shards::ShardCtx;
-use syscall::PendingReply;
 
 /// Kernel endpoint assignment.
 mod keps {
@@ -86,8 +85,6 @@ struct KState {
     pemng: PeMng,
     mem: MemAlloc,
     services: ServiceRegistry,
-    next_req: u64,
-    pending: BTreeMap<u64, PendingReply>,
     next_serv_ep: u32,
 }
 
@@ -231,6 +228,8 @@ pub struct KernelInner {
     /// Sharded-multikernel context (§7), set by [`Kernel::set_shard`];
     /// `None` for a standalone kernel.
     shard: RefCell<Option<Rc<ShardCtx>>>,
+    /// Requests forwarded to services, by the owner of each service.
+    serv_requests: Outstanding<VpeId, ServiceReply>,
     counters: Counters,
 }
 
@@ -268,14 +267,94 @@ impl Counters {
     }
 }
 
-/// Waits until `slot` holds a value (`ready` fires whenever it is filled)
-/// and takes it: the wait of a request for its reply.
-async fn take_when_ready<T>(slot: &RefCell<Option<T>>, ready: &Notify) -> T {
-    loop {
-        if let Some(value) = slot.borrow_mut().take() {
-            return value;
+/// The requests a kernel sent and awaits a reply to, each with its
+/// addressee `To` (a service owner's VPE, a peer shard) and reply `T`. An
+/// entry lives from [`Outstanding::open`] until its [`Outstanding::wait`]
+/// ends. Ids travel on the wire, so each table counts its own from 1.
+struct Outstanding<To, T> {
+    next: Cell<u64>,
+    entries: RefCell<BTreeMap<u64, Request<To, T>>>,
+}
+
+struct Request<To, T> {
+    to: To,
+    reply: Option<T>,
+    ready: Notify,
+}
+
+impl<To: Copy + Eq, T: Clone> Outstanding<To, T> {
+    fn new() -> Self {
+        Outstanding {
+            next: Cell::new(1),
+            entries: RefCell::new(BTreeMap::new()),
         }
-        ready.wait().await;
+    }
+
+    /// Registers a request to `to` and returns its id.
+    fn open(&self, to: To) -> u64 {
+        let id = self.next.get();
+        self.next.set(id + 1);
+        let request = Request {
+            to,
+            reply: None,
+            ready: Notify::new(),
+        };
+        self.entries.borrow_mut().insert(id, request);
+        id
+    }
+
+    /// Hands `reply` to the wait of request `id`. A reply to an unknown
+    /// id (its wait is over) or to an answered one is ignored.
+    fn answer(&self, id: u64, reply: T) {
+        let ready = match self.entries.borrow_mut().get_mut(&id) {
+            Some(r) if r.reply.is_none() => {
+                r.reply = Some(reply);
+                r.ready.clone()
+            }
+            _ => return,
+        };
+        ready.notify_all();
+    }
+
+    /// Answers every request to `to` still unanswered with `reply`.
+    fn fail_to(&self, to: To, reply: T) {
+        let ids: Vec<u64> = self
+            .entries
+            .borrow()
+            .iter()
+            .filter(|(_, r)| r.to == to)
+            .map(|(id, _)| *id)
+            .collect();
+        for id in ids {
+            self.answer(id, reply.clone());
+        }
+    }
+
+    /// What wakes the wait of request `id` while it is unanswered.
+    fn unanswered(&self, id: u64) -> Option<Notify> {
+        let entries = self.entries.borrow();
+        let request = entries.get(&id).filter(|r| r.reply.is_none())?;
+        Some(request.ready.clone())
+    }
+
+    /// Waits for the reply to request `id` and removes the request: without
+    /// bound when `deadline` is `None` (see [`Kernel::reply_deadline`]),
+    /// else `None` once `deadline` passes unanswered.
+    async fn wait(&self, sim: &Sim, id: u64, deadline: Option<Cycles>) -> Option<T> {
+        let reply = async {
+            while let Some(ready) = self.unanswered(id) {
+                ready.wait().await;
+            }
+            self.entries.borrow_mut().remove(&id)?.reply
+        };
+        match deadline {
+            None => reply.await,
+            Some(at) => {
+                let reply = m3_sim::with_deadline(sim, at, reply).await.flatten();
+                self.entries.borrow_mut().remove(&id);
+                reply
+            }
+        }
     }
 }
 
@@ -390,8 +469,6 @@ impl Kernel {
                 pemng: PeMng::new_partition(descs, kernel_pe, owned),
                 mem: MemAlloc::new(dram_base, dram_size),
                 services: ServiceRegistry::new(),
-                next_req: 1,
-                pending: BTreeMap::new(),
                 next_serv_ep: keps::FIRST_SERV,
             }),
             sched: RefCell::new(Scheduler::new()),
@@ -399,6 +476,7 @@ impl Kernel {
             pinned: RefCell::new(BTreeSet::new()),
             resumed_at: RefCell::new(BTreeMap::new()),
             shard: RefCell::new(None),
+            serv_requests: Outstanding::new(),
             counters: Counters::new(&sim.metrics()),
         }));
 
@@ -678,6 +756,8 @@ impl Kernel {
             v.state = VpeState::Dead(code);
             (v.id, v.pe)
         };
+        self.serv_requests
+            .fail_to(id, ServiceReply::err(Code::Unreachable));
         let sels = {
             let st = self.state.borrow();
             st.tables
@@ -775,6 +855,16 @@ impl Kernel {
         }
         st.vpes.remove(&id);
         st.ep_owners.retain(|(target, _), _| *target != id);
+    }
+
+    /// The deadline of a request sent now that may wait `timeout` for its
+    /// reply: the one place a wait is bounded. With no fault plane armed
+    /// there is none, since the addressee (an on-chip service or peer
+    /// kernel) answers eventually, and a request costs what it did before
+    /// faults existed; with one armed, silence past `timeout` means the
+    /// addressee is gone.
+    fn reply_deadline(&self, timeout: Cycles) -> Option<Cycles> {
+        self.dtu.system().faults().map(|_| self.sim.now() + timeout)
     }
 
     /// Counts one operation under `counter` on this kernel's PE.
@@ -1446,7 +1536,7 @@ mod tests {
     fn unresponsive_service_yields_unreachable_under_faults() {
         use m3_fault::{FaultPlan, FaultPlane};
 
-        let (platform, _kernel, root) = boot();
+        let (platform, kernel, root) = boot();
         let sim = platform.sim().clone();
         // An armed (even empty) plane switches the kernel to bounded waits.
         platform
@@ -1500,6 +1590,7 @@ mod tests {
         assert_eq!(h.try_take().unwrap().error, Some(Code::Unreachable));
         // All retries were spent before the error came back.
         assert!(sim.now().as_u64() >= 3 * costs::SERVICE_TIMEOUT.as_u64());
+        assert!(kernel.serv_requests.entries.borrow().is_empty());
     }
 }
 
@@ -1513,9 +1604,10 @@ mod lifetime {
     //! capability table, every table entry is in the tree, every VPE record
     //! is alive or named by a capability (a local one, or a peer shard's
     //! `RemoteVpe` proxy), and every capability to a PE's SPM derives from a
-    //! VPE capability or proxy, so that revoking the VPE revokes it too. A
-    //! shard that a peer declared dead is left out: its state froze when its
-    //! kernel PE crashed.
+    //! VPE capability or proxy, so that revoking the VPE revokes it too, and
+    //! no request to a service or peer shard outlives its wait. A shard that
+    //! a peer declared dead is left out: its state froze when its kernel PE
+    //! crashed.
 
     use super::tests::syscall;
     use super::*;
@@ -1625,6 +1717,20 @@ mod lifetime {
                 assert!(
                     st.vpes.contains_key(target),
                     "owner of {target}:{ep} outlives it"
+                );
+            }
+            let serv_requests = k.serv_requests.entries.borrow();
+            assert!(
+                serv_requests.is_empty(),
+                "service requests {:?} outlived their wait",
+                serv_requests.keys()
+            );
+            if let Some(ctx) = k.shard_ctx() {
+                let ktk = ctx.requests.entries.borrow();
+                assert!(
+                    ktk.is_empty(),
+                    "ktk requests {:?} outlived their wait",
+                    ktk.keys()
                 );
             }
         }
@@ -2134,5 +2240,166 @@ mod lifetime {
         assert!(!child.borrow().is_alive(), "the child was destroyed");
         assert!(home.vpe_obj(id).is_none(), "the child's record was freed");
         assert_eq!(home.free_pes(), free);
+    }
+
+    /// A `CreateSrv` refused for an unactivated receive gate or a taken
+    /// name takes no kernel endpoint: the next one stays unconfigured and
+    /// is the one the next accepted `CreateSrv` gets.
+    #[test]
+    fn refused_create_srv_takes_no_kernel_endpoint() {
+        let rig = Rig::single();
+        let kernel = &rig.kernels[0];
+        let sel = SelId::new;
+        let create_srv = |dst| Syscall::CreateSrv {
+            dst: sel(dst),
+            rgate: sel(1),
+            name: "srv".to_string(),
+        };
+        let next_ep = || {
+            let next = kernel.state.borrow().next_serv_ep;
+            let cfg = kernel.ktok.ep_config(kernel.pe, EpId::new(next)).unwrap();
+            (next, cfg)
+        };
+        let rgate = Syscall::CreateRGate {
+            dst: sel(1),
+            slots: 2,
+            slot_size: 256,
+        };
+        rig.ok(rig.root, rgate);
+        let first = next_ep();
+        assert_eq!(first, (keps::FIRST_SERV, EpConfig::Invalid));
+        for _ in 0..3 {
+            assert_eq!(rig.call(rig.root, create_srv(2)).error, Some(Code::InvArgs));
+            assert_eq!(next_ep(), first, "an unactivated gate took an endpoint");
+        }
+        let activate = Syscall::Activate {
+            vpe: sel(0),
+            ep: EpId::new(std_eps::FIRST_FREE),
+            gate: sel(1),
+        };
+        rig.ok(rig.root, activate);
+        rig.ok(rig.root, create_srv(2));
+        let second = next_ep();
+        assert_eq!(second, (keps::FIRST_SERV + 1, EpConfig::Invalid));
+        // Selector 3 is free; the name is taken.
+        for _ in 0..3 {
+            assert_eq!(rig.call(rig.root, create_srv(3)).error, Some(Code::Exists));
+            assert_eq!(next_ep(), second, "a taken name took an endpoint");
+        }
+    }
+
+    /// The root's child registers `svc` on a receive gate it never serves;
+    /// returns the child's PE.
+    fn register_unserved_service(rig: &Rig) -> PeId {
+        let sel = SelId::new;
+        let (_, pe) = rig.create_child();
+        let setup = [
+            Syscall::CreateRGate {
+                dst: sel(1),
+                slots: 2,
+                slot_size: 256,
+            },
+            Syscall::Activate {
+                vpe: sel(0),
+                ep: EpId::new(std_eps::FIRST_FREE),
+                gate: sel(1),
+            },
+            Syscall::CreateSrv {
+                dst: sel(2),
+                rgate: sel(1),
+                name: "svc".to_string(),
+            },
+        ];
+        for call in setup {
+            rig.ok(pe, call);
+        }
+        pe
+    }
+
+    fn open_svc() -> Syscall {
+        Syscall::OpenSess {
+            dst: SelId::new(3),
+            name: "svc".to_string(),
+            arg: 0,
+        }
+    }
+
+    #[test]
+    fn service_owner_exited_before_the_request_is_unreachable() {
+        let rig = Rig::single();
+        let pe = register_unserved_service(&rig);
+        rig.exit(pe, 0);
+        assert_eq!(
+            rig.call(rig.root, open_svc()).error,
+            Some(Code::Unreachable)
+        );
+    }
+
+    #[test]
+    fn service_owner_exiting_fails_the_outstanding_request() {
+        let rig = Rig::single();
+        let pe = register_unserved_service(&rig);
+        let owner = rig.platform.dtu(pe);
+        // The owner takes the forwarded `Open` and exits without a reply.
+        rig.platform.sim().spawn("owner", async move {
+            owner.recv(EpId::new(std_eps::FIRST_FREE)).await.unwrap();
+            let call = Syscall::Exit { code: 0 }.to_bytes();
+            owner.send(std_eps::SYSC_SEND, &call, None).await.unwrap();
+        });
+        assert_eq!(
+            rig.call(rig.root, open_svc()).error,
+            Some(Code::Unreachable)
+        );
+    }
+
+    /// Under an armed fault plane, one kernel joined to a peer shard (kernel
+    /// PE 3) that never answers; with `crash`, PE 3 crashes at that cycle.
+    /// The root asks for `svc`, which no local service is named, so the
+    /// kernel asks the peer: 10,000 cycles before the crash, if any. Returns
+    /// the error and the cycles from the ask to the answer.
+    fn open_on_silent_peer(crash: Option<Cycles>) -> (Option<Code>, Cycles) {
+        let platform = Platform::new(PlatformConfig::xtensa(4));
+        let peer_pe = PeId::new(3);
+        let plan = match crash {
+            Some(at) => m3_fault::FaultPlan::new().crash_pe(peer_pe, at),
+            None => m3_fault::FaultPlan::new(),
+        };
+        let plane = Rc::new(m3_fault::FaultPlane::new(plan));
+        platform.dtu_system().set_faults(plane.clone());
+        let kernel = Kernel::start(&platform, PeId::new(0));
+        kernel.set_shard(0, 2, &[(1, peer_pe)], Box::new(|_, _| {}));
+        kernel.attach_faults(&plane);
+        let rig = Rig::with_root(platform, vec![kernel]);
+        let sim = rig.platform.sim().clone();
+        let ask = crash.map_or(sim.now(), |at| at - Cycles::new(10_000));
+        let answer = rig.on(rig.root, |dtu| async move {
+            sim.sleep_until(ask).await;
+            (syscall(&dtu, open_svc()).await.error, sim.now() - ask)
+        });
+        let ctx = rig.kernels[0].shard_ctx().unwrap();
+        assert_eq!(ctx.requests.next.get(), 2, "one attempt, no retry");
+        answer
+    }
+
+    /// A ktk request to a peer shard that is alive but silent times out,
+    /// and its entry goes with its wait.
+    #[test]
+    fn silent_peer_shard_times_out_with_no_outstanding_request() {
+        let (code, took) = open_on_silent_peer(None);
+        assert_eq!(code, Some(Code::Unreachable));
+        assert!(took >= costs::KTK_TIMEOUT, "answered after {took}");
+    }
+
+    /// A peer shard declared dead fails the request outstanding to it
+    /// long before the timeout would.
+    #[test]
+    fn silent_peer_shard_declared_dead_fails_the_outstanding_request() {
+        let (code, took) = open_on_silent_peer(Some(Cycles::new(2_000_000)));
+        assert_eq!(code, Some(Code::Unreachable));
+        let detect = Cycles::new(10_000) + costs::DEAD_PE_DETECT;
+        assert!(
+            took > detect && took < costs::KTK_TIMEOUT,
+            "answered after {took}"
+        );
     }
 }

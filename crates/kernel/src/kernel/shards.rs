@@ -2,7 +2,7 @@
 //! ktk client (requests to peer shards) and server (requests from them),
 //! and capability descriptors that cross shard boundaries.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::{Rc, Weak};
 
@@ -10,7 +10,7 @@ use m3_base::error::{Code, Error, Result};
 use m3_base::marshal::OStream;
 use m3_base::{Cycles, EpId, PeId, SelId, VpeId};
 use m3_platform::PeType;
-use m3_sim::{Component, Event, EventKind, Notify, TaskName};
+use m3_sim::{Component, Event, EventKind, TaskName};
 
 use crate::cap::{KObject, MGateObj, RemoteSessObj, RemoteVpeObj, XSGateObj};
 use crate::costs;
@@ -18,14 +18,7 @@ use crate::ktk::{self, CapDesc, KtkMsg, KtkReply};
 use crate::protocol::{PeRequest, ServiceRequest};
 use crate::vpe::{wait_exit, VpeObj};
 
-use super::{take_when_ready, Kernel, KernelInner};
-
-struct KtkPending {
-    slot: Rc<RefCell<Option<KtkReply>>>,
-    ready: Notify,
-    /// The shard the request went to, so a shard death can fail it fast.
-    to: u32,
-}
+use super::{Kernel, KernelInner, Outstanding};
 
 /// A kernel's view of the sharded multikernel it is part of (§7: "multiple
 /// kernel instances" as the scalability path). Each shard owns a disjoint
@@ -47,8 +40,8 @@ pub struct ShardCtx {
     peer_free: RefCell<BTreeMap<u32, usize>>,
     /// Peers declared dead by the shard watchdog.
     dead: RefCell<BTreeSet<u32>>,
-    next_req: Cell<u64>,
-    pending: RefCell<BTreeMap<u64, KtkPending>>,
+    /// Requests to peer shards, by shard, so a shard death fails them fast.
+    pub(super) requests: Outstanding<u32, KtkReply>,
     /// Cross-shard delegation edges: local capability -> the remote
     /// `(shard, vpe, sel)` copies it spawned, cut on revoke (§4.5.3).
     pub(super) remote_children: RefCell<BTreeMap<(VpeId, SelId), Vec<RemoteCopy>>>,
@@ -123,8 +116,7 @@ impl Kernel {
             peer_pes: peers.iter().copied().collect(),
             peer_free: RefCell::new(peer_free),
             dead: RefCell::new(BTreeSet::new()),
-            next_req: Cell::new(1),
-            pending: RefCell::new(BTreeMap::new()),
+            requests: Outstanding::new(),
             remote_children: RefCell::new(BTreeMap::new()),
         }));
     }
@@ -236,13 +228,11 @@ impl Kernel {
         (ctx.send)(dst, msg.to_bytes(ctx.id, free));
     }
 
-    /// Sends a request to shard `dst` and waits for its reply. Mirrors
-    /// [`Kernel::forward_to_service`]: with no fault plane armed the wait
-    /// is unbounded (the peer kernel is on-chip and answers eventually)
-    /// and the path is cycle-identical to a fault-free build; with faults
-    /// armed, one bounded attempt converts silence into `Unreachable` —
-    /// no retry, because cross-shard requests are not idempotent
-    /// (placement allocates).
+    /// Sends a request to shard `dst` and waits for its reply, bounded
+    /// only under an armed fault plane ([`Kernel::reply_deadline`]). One
+    /// attempt converts silence into `Unreachable`: unlike a service
+    /// forward there is no retry, because cross-shard requests are not
+    /// idempotent (placement allocates).
     pub(super) async fn ktk_request(
         &self,
         ctx: &Rc<ShardCtx>,
@@ -253,31 +243,13 @@ impl Kernel {
             return Err(Error::new(Code::Unreachable).with_msg(format!("shard {dst} is dead")));
         }
         self.sim.sleep(costs::KTK_FORWARD).await;
-        let req_id = ctx.next_req.get();
-        ctx.next_req.set(req_id + 1);
-        let slot = Rc::new(RefCell::new(None));
-        let ready = Notify::new();
-        ctx.pending.borrow_mut().insert(
-            req_id,
-            KtkPending {
-                slot: slot.clone(),
-                ready: ready.clone(),
-                to: dst,
-            },
-        );
+        let req_id = ctx.requests.open(dst);
         self.ktk_send(ctx, dst, &build(req_id));
-        if self.dtu.system().faults().is_none() {
-            return Ok(take_when_ready(&slot, &ready).await);
-        }
-        let deadline = self.sim.now() + costs::KTK_TIMEOUT;
-        let wait = take_when_ready(&slot, &ready);
-        match m3_sim::with_deadline(&self.sim, deadline, wait).await {
-            Some(reply) => Ok(reply),
-            None => {
-                ctx.pending.borrow_mut().remove(&req_id);
-                Err(Error::new(Code::Unreachable).with_msg("peer kernel did not reply"))
-            }
-        }
+        let deadline = self.reply_deadline(costs::KTK_TIMEOUT);
+        ctx.requests
+            .wait(&self.sim, req_id, deadline)
+            .await
+            .ok_or_else(|| Error::new(Code::Unreachable).with_msg("peer kernel did not reply"))
     }
 
     /// Feeds one raw ktk message into this kernel. Transports call this on
@@ -298,13 +270,7 @@ impl Kernel {
         }
         match msg {
             KtkMsg::Hello => {}
-            KtkMsg::Reply { req_id, reply } => {
-                let pending = ctx.pending.borrow_mut().remove(&req_id);
-                if let Some(p) = pending {
-                    *p.slot.borrow_mut() = Some(reply);
-                    p.ready.notify_all();
-                }
-            }
+            KtkMsg::Reply { req_id, reply } => ctx.requests.answer(req_id, reply),
             msg => {
                 let at = self.sim.now();
                 self.sim.tracer().record_with(|| Event {
@@ -762,21 +728,7 @@ impl Kernel {
             return;
         }
         ctx.peer_free.borrow_mut().remove(&peer);
-        let stuck: Vec<KtkPending> = {
-            let mut pending = ctx.pending.borrow_mut();
-            let ids: Vec<u64> = pending
-                .iter()
-                .filter(|(_, p)| p.to == peer)
-                .map(|(id, _)| *id)
-                .collect();
-            ids.into_iter()
-                .filter_map(|id| pending.remove(&id))
-                .collect()
-        };
-        for p in stuck {
-            *p.slot.borrow_mut() = Some(KtkReply::err(Code::Unreachable));
-            p.ready.notify_all();
-        }
+        ctx.requests.fail_to(peer, KtkReply::err(Code::Unreachable));
         ctx.remote_children
             .borrow_mut()
             .values_mut()

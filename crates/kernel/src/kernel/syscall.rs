@@ -1,7 +1,6 @@
 //! The syscall loop: one table that dispatches every [`Syscall`], the
 //! handlers behind it, and forwarding to services (§4.5.3).
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use m3_base::error::{Code, Error, Result};
@@ -9,7 +8,7 @@ use m3_base::marshal::OStream;
 use m3_base::{EpId, Perm, SelId, VpeId};
 use m3_dtu::{EpConfig, Message};
 use m3_sched::Admission;
-use m3_sim::{Component, Event, EventKind, Notify, TaskName};
+use m3_sim::{Component, Event, EventKind, TaskName};
 
 use crate::cap::{KObject, MGateObj, RGateObj, SGateObj};
 use crate::costs;
@@ -18,12 +17,7 @@ use crate::protocol::{std_eps, PeRequest, ServiceReply, ServiceRequest, Syscall,
 use crate::service::{ServObj, SessObj};
 use crate::vpe::wait_exit;
 
-use super::{keps, take_when_ready, Kernel, RINGBUF_SPM_BUDGET};
-
-pub(super) struct PendingReply {
-    slot: Rc<RefCell<Option<ServiceReply>>>,
-    ready: Notify,
-}
+use super::{keps, Kernel, RINGBUF_SPM_BUDGET};
 
 /// The task-name prefix of a syscall that may block, `None` for one that
 /// completes inline. A blocking call runs in a detached task so the kernel
@@ -186,7 +180,7 @@ impl Kernel {
         let _ = self.dtu.reply(msg, &reply.to_bytes()).await;
     }
 
-    /// Routes service replies (arriving at EP1) to the pending request.
+    /// Routes service replies (arriving at EP1) to their requests.
     pub(super) async fn reply_pump(&self) {
         loop {
             let msg = match self.dtu.recv(keps::SERV_REPLY).await {
@@ -194,14 +188,9 @@ impl Kernel {
                 Err(_) => return,
             };
             let _ = self.dtu.ack(keps::SERV_REPLY);
-            let req_id = msg.header.label;
-            let pending = self.state.borrow_mut().pending.remove(&req_id);
-            if let Some(p) = pending {
-                let reply = ServiceReply::from_bytes(&msg.payload)
-                    .unwrap_or_else(|e| ServiceReply::err(e.code()));
-                *p.slot.borrow_mut() = Some(reply);
-                p.ready.notify_all();
-            }
+            let reply = ServiceReply::from_bytes(&msg.payload)
+                .unwrap_or_else(|e| ServiceReply::err(e.code()));
+            self.serv_requests.answer(msg.header.label, reply);
         }
     }
 
@@ -464,27 +453,31 @@ impl Kernel {
         name: &str,
     ) -> Result<Vec<u8>> {
         self.sim.sleep(costs::CAP_OP).await;
-        let (rgate_obj, kernel_ep) = {
-            let mut st = self.state.borrow_mut();
-            let rgate_obj = match &Self::table(&mut st, caller)?.get(rgate)?.obj {
-                KObject::RGate(g) => g.clone(),
-                other => {
-                    return Err(Error::new(Code::InvCap)
-                        .with_msg(format!("expected rgate, found {}", other.kind())))
-                }
-            };
-            // Refused before the name and a kernel endpoint are taken.
-            st.sels_free(caller, &[dst])?;
-            let ep = EpId::new(st.next_serv_ep);
-            if ep.idx() >= m3_base::cfg::EP_COUNT {
-                return Err(Error::new(Code::OutOfMem).with_msg("kernel out of service EPs"));
+        let mut st = self.state.borrow_mut();
+        let rgate_obj = match &Self::table(&mut st, caller)?.get(rgate)?.obj {
+            KObject::RGate(g) => g.clone(),
+            other => {
+                return Err(Error::new(Code::InvCap)
+                    .with_msg(format!("expected rgate, found {}", other.kind())))
             }
-            st.next_serv_ep += 1;
-            (rgate_obj, ep)
         };
+        // Refused before the name and a kernel endpoint are taken.
+        st.sels_free(caller, &[dst])?;
         let Some((rpe, rep)) = *rgate_obj.activation.borrow() else {
             return Err(Error::new(Code::InvArgs).with_msg("service rgate not activated"));
         };
+        let kernel_ep = EpId::new(st.next_serv_ep);
+        if kernel_ep.idx() >= m3_base::cfg::EP_COUNT {
+            return Err(Error::new(Code::OutOfMem).with_msg("kernel out of service EPs"));
+        }
+        let serv = Rc::new(ServObj {
+            name: name.to_string(),
+            owner: caller,
+            rgate: rgate_obj,
+            kernel_ep,
+        });
+        st.services.register(serv.clone())?;
+        st.next_serv_ep += 1;
         // The kernel-service channel, created at registration (§4.5.3).
         self.ktok.configure(
             self.pe,
@@ -494,100 +487,64 @@ impl Kernel {
                 ep: rep,
                 label: 0,
                 credits: None,
-                max_payload: rgate_obj.max_payload(),
+                max_payload: serv.rgate.max_payload(),
             },
         )?;
-        let serv = Rc::new(ServObj {
-            name: name.to_string(),
-            owner: caller,
-            rgate: rgate_obj,
-            kernel_ep,
-        });
-        let mut st = self.state.borrow_mut();
-        st.services.register(serv.clone())?;
         st.mint((caller, dst), KObject::Serv(serv), None)?;
         Ok(Vec::new())
     }
 
-    fn register_pending(&self) -> (u64, Notify, Rc<RefCell<Option<ServiceReply>>>) {
-        let mut st = self.state.borrow_mut();
-        let req_id = st.next_req;
-        st.next_req += 1;
-        let slot = Rc::new(RefCell::new(None));
-        let ready = Notify::new();
-        st.pending.insert(
-            req_id,
-            PendingReply {
-                slot: slot.clone(),
-                ready: ready.clone(),
-            },
-        );
-        (req_id, ready, slot)
-    }
-
-    /// Forwards `req` to `serv` and returns the service's acceptance.
+    /// Forwards `req` to `serv` and returns the service's acceptance. Each
+    /// attempt registers a fresh request, so a late reply to an abandoned
+    /// one is ignored; only a bounded wait ([`Kernel::reply_deadline`])
+    /// ends unanswered and is retried.
     ///
     /// # Errors
     ///
-    /// A denial comes back as the service's error code; a service that
-    /// stays silent under an armed fault plane as [`Code::Unreachable`].
+    /// A denial comes back as the service's error code; a service whose
+    /// owner is gone, exits while asked or stays silent under an armed
+    /// fault plane as [`Code::Unreachable`].
     pub(super) async fn forward_to_service(
         &self,
         serv: &Rc<ServObj>,
         req: ServiceRequest,
     ) -> Result<ServiceReply> {
         self.sim.sleep(costs::SERVICE_FORWARD).await;
-        // Clean path: with no fault plane armed the kernel trusts the
-        // service to answer eventually (it is on-chip and kernel-started),
-        // and this code is cycle-identical to the pre-fault kernel.
-        if self.dtu.system().faults().is_none() {
-            let (req_id, ready, slot) = self.register_pending();
-            self.dtu
-                .send(
-                    serv.kernel_ep,
-                    &req.to_bytes(),
-                    Some((keps::SERV_REPLY, req_id)),
-                )
-                .await?;
-            return take_when_ready(&slot, &ready).await.into_result();
+        let owner = self.vpe_obj(serv.owner);
+        if !owner.is_some_and(|v| v.borrow().is_alive()) {
+            return Err(Error::new(Code::Unreachable)
+                .with_msg(format!("the owner of service {} is gone", serv.name)));
         }
-        // Faulted path: bound each attempt, retry a few times, then declare
-        // the service unreachable. Each attempt registers a fresh request id
-        // so a late reply to an abandoned attempt is simply ignored by the
-        // reply pump.
         for attempt in 0..=costs::SERVICE_RETRIES {
-            let (req_id, ready, slot) = self.register_pending();
-            if let Err(e) = self
+            let req_id = self.serv_requests.open(serv.owner);
+            let sent = self
                 .dtu
                 .send(
                     serv.kernel_ep,
                     &req.to_bytes(),
                     Some((keps::SERV_REPLY, req_id)),
                 )
-                .await
-            {
-                self.state.borrow_mut().pending.remove(&req_id);
-                return Err(e);
+                .await;
+            // A send that fails answers its own request.
+            if let Err(e) = sent {
+                self.serv_requests
+                    .answer(req_id, ServiceReply::err(e.code()));
             }
-            let deadline = self.sim.now() + costs::SERVICE_TIMEOUT;
-            let wait = take_when_ready(&slot, &ready);
-            match m3_sim::with_deadline(&self.sim, deadline, wait).await {
-                Some(reply) => return reply.into_result(),
-                None => {
-                    self.state.borrow_mut().pending.remove(&req_id);
-                    let at = self.sim.now();
-                    self.sim.tracer().record_with(|| Event {
-                        at,
-                        dur: m3_base::Cycles::ZERO,
-                        pe: Some(self.pe),
-                        comp: Component::Kernel,
-                        kind: EventKind::Recovery {
-                            action: "service_retry".to_string(),
-                            attempt,
-                        },
-                    });
-                }
+            let deadline = self.reply_deadline(costs::SERVICE_TIMEOUT);
+            if let Some(reply) = self.serv_requests.wait(&self.sim, req_id, deadline).await {
+                return reply.into_result();
             }
+            let at = self.sim.now();
+            self.sim.tracer().record_with(|| Event {
+                at,
+                dur: m3_base::Cycles::ZERO,
+                pe: Some(self.pe),
+                comp: Component::Kernel,
+                kind: EventKind::Recovery {
+                    action: "service_retry".to_string(),
+                    attempt,
+                },
+            });
         }
         Err(Error::new(Code::Unreachable).with_msg("service did not reply"))
     }
