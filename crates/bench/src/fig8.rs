@@ -151,28 +151,24 @@ fn scenario(
     sys.run();
     let total = span.borrow().expect("driver must finish");
 
-    // Merge the per-PE latency histograms and count switches.
+    // The clients' latency histograms merged across PEs; switches counted.
     let metrics = sys.sim().metrics();
-    let (mut reads, mut sum, mut lat_max, mut ctx_switches) = (0u64, 0u64, 0u64, 0u64);
-    let mut dirty_pages_saved = 0u64;
+    let lat = metrics.merged(READ_LATENCY).unwrap_or_default();
+    let (mut ctx_switches, mut dirty_pages_saved) = (0u64, 0u64);
     for pe in 3..3 + CLIENT_PES {
         let pe = PeId::new(pe as u32);
-        if let Some(h) = metrics.histogram(pe, READ_LATENCY) {
-            reads += h.count();
-            sum += h.sum();
-            lat_max = lat_max.max(h.max());
-        }
         ctx_switches += metrics.get(pe, keys::CTX_SWITCHES);
         dirty_pages_saved += metrics.get(pe, keys::DIRTY_PAGES_SAVED);
     }
+    let reads = lat.count();
     assert_eq!(reads, clients * READS as u64, "every read must complete");
     let run = OvercommitRun {
         factor,
         clients,
         total,
         reads,
-        lat_mean: sum as f64 / reads as f64,
-        lat_max,
+        lat_mean: lat.mean().unwrap_or(0.0),
+        lat_max: lat.max().unwrap_or(0),
         ctx_switches,
         dirty_pages_saved,
     };

@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn capacity_and_knee_pick_the_documented_points() {
         fn fake(clients: u64, tput: f64, p99: u64) -> (u64, ServeRun) {
-            let mut lat = m3_sim::LatencyHistogram::new();
+            let mut lat = m3_sim::Histogram::new();
             lat.observe(p99);
             let mut run = ServeRun::new(clients, 1, m3_base::Cycles::new(1), lat);
             run.throughput = tput;

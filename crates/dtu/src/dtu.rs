@@ -1926,7 +1926,7 @@ mod tests {
             .histogram(PeId::new(2), m3_sim::keys::RING_OCCUPANCY)
             .expect("receiver ring occupancy observed");
         // Deposit saw 1 slot occupied; the ack saw it drop back to 0.
-        assert_eq!(occ.max(), 1);
+        assert_eq!(occ.max(), Some(1));
         assert_eq!(occ.min(), Some(0));
         assert!(metrics.get(PeId::new(1), m3_sim::keys::DTU_BUSY) > 0);
 

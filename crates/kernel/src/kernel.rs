@@ -85,7 +85,6 @@ struct KState {
     pemng: PeMng,
     mem: MemAlloc,
     services: ServiceRegistry,
-    next_serv_ep: u32,
 }
 
 impl KState {
@@ -469,7 +468,6 @@ impl Kernel {
                 pemng: PeMng::new_partition(descs, kernel_pe, owned),
                 mem: MemAlloc::new(dram_base, dram_size),
                 services: ServiceRegistry::new(),
-                next_serv_ep: keps::FIRST_SERV,
             }),
             sched: RefCell::new(Scheduler::new()),
             cfg,
@@ -706,6 +704,15 @@ impl Kernel {
                             *used = used.saturating_sub(bytes);
                         }
                     }
+                }
+            }
+            // A service dies with its owner's capability: the name and the
+            // kernel's send endpoint to it are free for the next service.
+            if let KObject::Serv(serv) = &cap.obj {
+                if *v == serv.owner && self.state.borrow().services.unregister(serv) {
+                    let _ = self
+                        .ktok
+                        .configure(self.pe, serv.kernel_ep, EpConfig::Invalid);
                 }
             }
             // Owned memory regions return to the allocator.
@@ -2255,10 +2262,12 @@ mod lifetime {
             rgate: sel(1),
             name: "srv".to_string(),
         };
+        // The lowest unconfigured service endpoint of the kernel.
         let next_ep = || {
-            let next = kernel.state.borrow().next_serv_ep;
-            let cfg = kernel.ktok.ep_config(kernel.pe, EpId::new(next)).unwrap();
-            (next, cfg)
+            (keps::FIRST_SERV..m3_base::cfg::EP_COUNT as u32)
+                .map(|ep| (ep, kernel.ktok.ep_config(kernel.pe, EpId::new(ep)).unwrap()))
+                .find(|(_, cfg)| *cfg == EpConfig::Invalid)
+                .unwrap()
         };
         let rgate = Syscall::CreateRGate {
             dst: sel(1),
@@ -2288,8 +2297,8 @@ mod lifetime {
         }
     }
 
-    /// The root's child registers `svc` on a receive gate it never serves;
-    /// returns the child's PE.
+    /// The root's child registers `svc` on a receive gate that nothing
+    /// serves unless a test does; returns the child's PE.
     fn register_unserved_service(rig: &Rig) -> PeId {
         let sel = SelId::new;
         let (_, pe) = rig.create_child();
@@ -2324,15 +2333,104 @@ mod lifetime {
         }
     }
 
+    /// The owner on `pe` accepts one forwarded `Open`.
+    fn serve_one_open(rig: &Rig, pe: PeId) {
+        let owner = rig.platform.dtu(pe);
+        rig.platform.sim().spawn("owner", async move {
+            let msg = owner.recv(EpId::new(std_eps::FIRST_FREE)).await.unwrap();
+            let reply = ServiceReply {
+                ident: 7,
+                ..ServiceReply::ok()
+            };
+            owner.reply(&msg, &reply.to_bytes()).await.unwrap();
+        });
+    }
+
+    /// An exchange over the session `open_svc` opened.
+    fn exchange_svc() -> Syscall {
+        Syscall::ExchangeSess {
+            sess: SelId::new(3),
+            obtain: true,
+            caps: vec![SelId::new(4)],
+            args: Vec::new(),
+        }
+    }
+
     #[test]
     fn service_owner_exited_before_the_request_is_unreachable() {
         let rig = Rig::single();
         let pe = register_unserved_service(&rig);
+        serve_one_open(&rig, pe);
+        rig.ok(rig.root, open_svc());
         rig.exit(pe, 0);
         assert_eq!(
-            rig.call(rig.root, open_svc()).error,
+            rig.call(rig.root, exchange_svc()).error,
             Some(Code::Unreachable)
         );
+    }
+
+    /// After `svc`'s owner exits, its name and kernel endpoint are free:
+    /// the root registers `svc` and gets the same endpoint back, and a
+    /// session opened on the dead service stays `Unreachable` and never
+    /// reaches the new owner.
+    #[test]
+    fn dead_service_frees_its_name_and_kernel_endpoint() {
+        let rig = Rig::single();
+        let kernel = &rig.kernels[0];
+        let sel = SelId::new;
+        let ep = EpId::new(keps::FIRST_SERV);
+        let kernel_ep = || {
+            let st = kernel.state.borrow();
+            st.services.find("svc").ok().map(|s| s.kernel_ep)
+        };
+        let pe = register_unserved_service(&rig);
+        assert_eq!(kernel_ep(), Some(ep));
+        serve_one_open(&rig, pe);
+        rig.ok(rig.root, open_svc());
+        rig.exit(pe, 0);
+        assert_eq!(kernel_ep(), None, "the dead owner's name is free");
+        let cfg = kernel.ktok.ep_config(kernel.pe, ep).unwrap();
+        assert_eq!(cfg, EpConfig::Invalid);
+        let reopen = Syscall::OpenSess {
+            dst: sel(9),
+            name: "svc".to_string(),
+            arg: 0,
+        };
+        assert_eq!(rig.call(rig.root, reopen).error, Some(Code::InvService));
+        // The root takes the name over on a receive gate of its own.
+        let setup = [
+            Syscall::CreateRGate {
+                dst: sel(5),
+                slots: 2,
+                slot_size: 256,
+            },
+            Syscall::Activate {
+                vpe: sel(0),
+                ep: EpId::new(std_eps::FIRST_FREE),
+                gate: sel(5),
+            },
+            Syscall::CreateSrv {
+                dst: sel(6),
+                rgate: sel(5),
+                name: "svc".to_string(),
+            },
+        ];
+        for call in setup {
+            rig.ok(rig.root, call);
+        }
+        assert_eq!(kernel_ep(), Some(ep), "the new owner got the endpoint back");
+        let cfg = kernel.ktok.ep_config(kernel.pe, ep).unwrap();
+        assert!(
+            matches!(cfg, EpConfig::Send { pe, .. } if pe == rig.root),
+            "{cfg:?}"
+        );
+        assert_eq!(
+            rig.call(rig.root, exchange_svc()).error,
+            Some(Code::Unreachable)
+        );
+        let new_owner = rig.platform.dtu(rig.root);
+        let got = new_owner.fetch(EpId::new(std_eps::FIRST_FREE)).unwrap();
+        assert!(got.is_none(), "the old session reached the new owner");
     }
 
     #[test]
@@ -2353,15 +2451,16 @@ mod lifetime {
     }
 
     /// Under an armed fault plane, one kernel joined to a peer shard (kernel
-    /// PE 3) that never answers; with `crash`, PE 3 crashes at that cycle.
-    /// The root asks for `svc`, which no local service is named, so the
-    /// kernel asks the peer: 10,000 cycles before the crash, if any. Returns
-    /// the error and the cycles from the ask to the answer.
-    fn open_on_silent_peer(crash: Option<Cycles>) -> (Option<Code>, Cycles) {
+    /// PE 3) that never answers; with `crash = Some((at, ask))`, PE 3
+    /// crashes at `at` and the root asks at `ask`, else it asks right
+    /// away. The root asks for `svc`, which no local service is named, so
+    /// the kernel asks the peer. Returns the error, the cycles from the ask
+    /// to the answer, and the number of requests the kernel opened.
+    fn open_on_silent_peer(crash: Option<(Cycles, Cycles)>) -> (Option<Code>, Cycles, u64) {
         let platform = Platform::new(PlatformConfig::xtensa(4));
         let peer_pe = PeId::new(3);
         let plan = match crash {
-            Some(at) => m3_fault::FaultPlan::new().crash_pe(peer_pe, at),
+            Some((at, _)) => m3_fault::FaultPlan::new().crash_pe(peer_pe, at),
             None => m3_fault::FaultPlan::new(),
         };
         let plane = Rc::new(m3_fault::FaultPlane::new(plan));
@@ -2371,35 +2470,61 @@ mod lifetime {
         kernel.attach_faults(&plane);
         let rig = Rig::with_root(platform, vec![kernel]);
         let sim = rig.platform.sim().clone();
-        let ask = crash.map_or(sim.now(), |at| at - Cycles::new(10_000));
-        let answer = rig.on(rig.root, |dtu| async move {
+        let ask = crash.map_or(sim.now(), |(_, ask)| ask);
+        let (code, took) = rig.on(rig.root, |dtu| async move {
             sim.sleep_until(ask).await;
             (syscall(&dtu, open_svc()).await.error, sim.now() - ask)
         });
         let ctx = rig.kernels[0].shard_ctx().unwrap();
-        assert_eq!(ctx.requests.next.get(), 2, "one attempt, no retry");
-        answer
+        (code, took, ctx.requests.next.get() - 1)
     }
 
     /// A ktk request to a peer shard that is alive but silent times out,
     /// and its entry goes with its wait.
     #[test]
     fn silent_peer_shard_times_out_with_no_outstanding_request() {
-        let (code, took) = open_on_silent_peer(None);
+        let (code, took, opened) = open_on_silent_peer(None);
         assert_eq!(code, Some(Code::Unreachable));
         assert!(took >= costs::KTK_TIMEOUT, "answered after {took}");
+        assert_eq!(opened, 1, "one attempt, no retry");
     }
 
     /// A peer shard declared dead fails the request outstanding to it
     /// long before the timeout would.
     #[test]
     fn silent_peer_shard_declared_dead_fails_the_outstanding_request() {
-        let (code, took) = open_on_silent_peer(Some(Cycles::new(2_000_000)));
+        let crash = Cycles::new(2_000_000);
+        let (code, took, opened) = open_on_silent_peer(Some((crash, crash - Cycles::new(10_000))));
         assert_eq!(code, Some(Code::Unreachable));
         let detect = Cycles::new(10_000) + costs::DEAD_PE_DETECT;
         assert!(
             took > detect && took < costs::KTK_TIMEOUT,
             "answered after {took}"
         );
+        assert_eq!(opened, 1, "one attempt, no retry");
+    }
+
+    /// A peer declared dead while a ktk request pays its forward charge
+    /// refuses the request at once: the dead check runs after the charge,
+    /// so no request opens after `on_peer_shard_dead` failed the rest.
+    /// Asks swept across the declaration, 10 cycles apart, all answer
+    /// long before the timeout: `Unreachable` while the peer is asked,
+    /// `InvService` once it is dead before the lookup and no shard is left
+    /// to ask.
+    #[test]
+    fn peer_declared_dead_during_the_forward_charge_is_unreachable_at_once() {
+        let crash = Cycles::new(2_000_000);
+        for step in 0..=20 {
+            let ask = crash + costs::DEAD_PE_DETECT - Cycles::new(100) + Cycles::new(10 * step);
+            let (code, took, _) = open_on_silent_peer(Some((crash, ask)));
+            assert!(
+                matches!(code, Some(Code::Unreachable | Code::InvService)),
+                "ask at {ask}: {code:?}"
+            );
+            assert!(
+                took < costs::DEAD_PE_DETECT,
+                "ask at {ask} answered after {took}"
+            );
+        }
     }
 }

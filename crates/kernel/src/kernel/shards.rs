@@ -232,17 +232,20 @@ impl Kernel {
     /// only under an armed fault plane ([`Kernel::reply_deadline`]). One
     /// attempt converts silence into `Unreachable`: unlike a service
     /// forward there is no retry, because cross-shard requests are not
-    /// idempotent (placement allocates).
+    /// idempotent (placement allocates). The dead check comes right before
+    /// the open, with no await between them: a peer declared dead earlier
+    /// is refused, and one declared later finds the request open for
+    /// `on_peer_shard_dead` to fail.
     pub(super) async fn ktk_request(
         &self,
         ctx: &Rc<ShardCtx>,
         dst: u32,
         build: impl FnOnce(u64) -> KtkMsg,
     ) -> Result<KtkReply> {
+        self.sim.sleep(costs::KTK_FORWARD).await;
         if ctx.dead.borrow().contains(&dst) {
             return Err(Error::new(Code::Unreachable).with_msg(format!("shard {dst} is dead")));
         }
-        self.sim.sleep(costs::KTK_FORWARD).await;
         let req_id = ctx.requests.open(dst);
         self.ktk_send(ctx, dst, &build(req_id));
         let deadline = self.reply_deadline(costs::KTK_TIMEOUT);

@@ -466,10 +466,12 @@ impl Kernel {
         let Some((rpe, rep)) = *rgate_obj.activation.borrow() else {
             return Err(Error::new(Code::InvArgs).with_msg("service rgate not activated"));
         };
-        let kernel_ep = EpId::new(st.next_serv_ep);
-        if kernel_ep.idx() >= m3_base::cfg::EP_COUNT {
-            return Err(Error::new(Code::OutOfMem).with_msg("kernel out of service EPs"));
-        }
+        // The lowest service endpoint no registered service holds: a dead
+        // service's endpoint goes to the next one.
+        let kernel_ep = (keps::FIRST_SERV..m3_base::cfg::EP_COUNT as u32)
+            .map(EpId::new)
+            .find(|ep| !st.services.holds_ep(*ep))
+            .ok_or_else(|| Error::new(Code::OutOfMem).with_msg("kernel out of service EPs"))?;
         let serv = Rc::new(ServObj {
             name: name.to_string(),
             owner: caller,
@@ -477,7 +479,6 @@ impl Kernel {
             kernel_ep,
         });
         st.services.register(serv.clone())?;
-        st.next_serv_ep += 1;
         // The kernel-service channel, created at registration (§4.5.3).
         self.ktok.configure(
             self.pe,
@@ -510,12 +511,14 @@ impl Kernel {
         req: ServiceRequest,
     ) -> Result<ServiceReply> {
         self.sim.sleep(costs::SERVICE_FORWARD).await;
-        let owner = self.vpe_obj(serv.owner);
-        if !owner.is_some_and(|v| v.borrow().is_alive()) {
-            return Err(Error::new(Code::Unreachable)
-                .with_msg(format!("the owner of service {} is gone", serv.name)));
-        }
         for attempt in 0..=costs::SERVICE_RETRIES {
+            // A service lives until its owner's capability is revoked (the
+            // owner exited); after that its kernel endpoint may serve
+            // another service.
+            if !self.state.borrow().services.is_registered(serv) {
+                return Err(Error::new(Code::Unreachable)
+                    .with_msg(format!("service {} is gone", serv.name)));
+            }
             let req_id = self.serv_requests.open(serv.owner);
             let sent = self
                 .dtu

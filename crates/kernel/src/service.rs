@@ -76,9 +76,25 @@ impl ServiceRegistry {
             .ok_or_else(|| Error::new(Code::InvService).with_msg(name.to_string()))
     }
 
-    /// Removes a service (e.g. when its VPE dies).
-    pub fn unregister(&self, name: &str) -> Option<Rc<ServObj>> {
-        self.services.borrow_mut().remove(name)
+    /// Removes `serv` if it is the service registered under its name;
+    /// returns whether it was.
+    pub fn unregister(&self, serv: &Rc<ServObj>) -> bool {
+        let registered = self.is_registered(serv);
+        if registered {
+            self.services.borrow_mut().remove(&serv.name);
+        }
+        registered
+    }
+
+    /// Whether `serv` is the service registered under its name.
+    pub fn is_registered(&self, serv: &Rc<ServObj>) -> bool {
+        let map = self.services.borrow();
+        map.get(&serv.name).is_some_and(|s| Rc::ptr_eq(s, serv))
+    }
+
+    /// Whether a registered service holds kernel endpoint `ep`.
+    pub fn holds_ep(&self, ep: EpId) -> bool {
+        self.services.borrow().values().any(|s| s.kernel_ep == ep)
     }
 
     /// Number of registered services.
@@ -118,12 +134,20 @@ mod tests {
     #[test]
     fn register_find_unregister() {
         let reg = ServiceRegistry::new();
-        reg.register(serv("m3fs")).unwrap();
+        let m3fs = serv("m3fs");
+        reg.register(m3fs.clone()).unwrap();
         assert_eq!(reg.find("m3fs").unwrap().name, "m3fs");
         assert_eq!(reg.find("nope").unwrap_err().code(), Code::InvService);
-        assert_eq!(reg.register(serv("m3fs")).unwrap_err().code(), Code::Exists);
-        assert!(reg.unregister("m3fs").is_some());
+        assert!(reg.holds_ep(EpId::new(2)));
+        let other = serv("m3fs");
+        assert_eq!(
+            reg.register(other.clone()).unwrap_err().code(),
+            Code::Exists
+        );
+        assert!(!reg.unregister(&other), "another object of the same name");
+        assert!(reg.unregister(&m3fs));
         assert!(reg.is_empty());
+        assert!(!reg.holds_ep(EpId::new(2)));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   counts against the service instead of silently stretching the
 //!   arrival process.
 //!
-//! Latency distributions go through `m3_sim::Metrics::observe_latency`
-//! into the HDR-style [`m3_sim::LatencyHistogram`], which is what makes
+//! Latency distributions go through `m3_sim::Metrics::observe` into the
+//! registry's HDR-style [`m3_sim::Histogram`], which is what makes
 //! the p99/p999 numbers of the fig9 capacity sweep trustworthy. Everything
 //! is deterministic: same plan, same seed, same cycle counts, bit for bit.
 

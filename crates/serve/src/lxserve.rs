@@ -132,7 +132,7 @@ pub fn run_lx(plan: &ServePlan) -> ServeRun {
             let reply = KvReply::from_bytes(&frame).expect("malformed reply");
             assert_eq!(reply.status, 0, "kv request failed");
             let latency = set.complete(pending.client, pending.due, sim.now());
-            metrics.observe_latency(PeId::new(0), keys::SERVE_LATENCY, latency.as_u64());
+            metrics.observe(PeId::new(0), keys::SERVE_LATENCY, latency.as_u64());
             requests += 1;
         }
         req_tx.close();
@@ -145,7 +145,7 @@ pub fn run_lx(plan: &ServePlan) -> ServeRun {
     let total = sim.now();
     let latency = sim
         .metrics()
-        .merged_latency(keys::SERVE_LATENCY)
+        .merged(keys::SERVE_LATENCY)
         .unwrap_or_default();
     ServeRun::new(plan.clients, requests, total, latency)
 }

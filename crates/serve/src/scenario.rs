@@ -17,7 +17,7 @@ use m3_base::error::Code;
 use m3_base::Cycles;
 use m3_fs::SetupNode;
 use m3_libos::{ClientSession, Env, SendGate};
-use m3_sim::{keys, Component, Event, EventKind, LatencyHistogram};
+use m3_sim::{keys, Component, Event, EventKind, Histogram};
 
 use crate::load::{Arrivals, ClientSet, LoadPlan};
 use crate::proto::{initial_db, KvReply, DB_PATH, OBTAIN_REQ_GATE};
@@ -76,14 +76,14 @@ pub struct ServeRun {
     /// Simulated cycles from boot to the last completion.
     pub total: Cycles,
     /// The request-latency distribution (coordinated-omission-corrected).
-    pub latency: LatencyHistogram,
+    pub latency: Histogram,
     /// Completed requests per million cycles.
     pub throughput: f64,
 }
 
 impl ServeRun {
     /// Assembles a run result, deriving the throughput.
-    pub fn new(clients: u64, requests: u64, total: Cycles, latency: LatencyHistogram) -> ServeRun {
+    pub fn new(clients: u64, requests: u64, total: Cycles, latency: Histogram) -> ServeRun {
         let throughput = if total.as_u64() == 0 {
             0.0
         } else {
@@ -155,7 +155,7 @@ fn m3_scenario(plan: &ServePlan, traced: bool) -> (ServeRun, Option<ServeOutput>
     let latency = sys
         .sim()
         .metrics()
-        .merged_latency(keys::SERVE_LATENCY)
+        .merged(keys::SERVE_LATENCY)
         .unwrap_or_default();
     let run = ServeRun::new(plan.clients, requests, Cycles::new(end), latency);
     let output = traced.then(|| {
@@ -164,7 +164,7 @@ fn m3_scenario(plan: &ServePlan, traced: bool) -> (ServeRun, Option<ServeOutput>
             run: run.clone(),
             trace: m3_trace::fmt::write_events(&sys.sim().tracer().events()),
             metrics: metrics.render(Cycles::new(end)),
-            latency_tsv: metrics.latency_tsv(),
+            latency_tsv: metrics.histogram_tsv(),
         }
     });
     (run, output)
@@ -206,7 +206,7 @@ async fn drive(env: &Env, mut set: ClientSet) -> u64 {
         let latency = set.complete(pending.client, pending.due, now);
         env.sim()
             .metrics()
-            .observe_latency(env.pe(), keys::SERVE_LATENCY, latency.as_u64());
+            .observe(env.pe(), keys::SERVE_LATENCY, latency.as_u64());
         let pe = env.pe();
         env.sim().tracer().record_with(|| Event {
             at: pending.due,

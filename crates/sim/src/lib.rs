@@ -36,9 +36,7 @@ mod stats;
 
 pub use deadline::with_deadline;
 pub use executor::{JoinHandle, Sim, SimState};
-pub use m3_trace::{
-    keys, Component, Event, EventKind, Histogram, LatencyHistogram, MetricHandle, Metrics, Recorder,
-};
+pub use m3_trace::{keys, Component, Event, EventKind, Histogram, MetricHandle, Metrics, Recorder};
 pub use name::TaskName;
 pub use notify::Notify;
 pub use stats::Stats;

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::{fmt, Event, LatencyHistogram};
+use crate::{fmt, Event, Histogram};
 
 /// The result of comparing two traces.
 #[derive(Debug, PartialEq, Eq)]
@@ -24,8 +24,8 @@ fn kind_counts(events: &[Event]) -> BTreeMap<&'static str, u64> {
     counts
 }
 
-fn kind_spans(events: &[Event]) -> BTreeMap<&'static str, LatencyHistogram> {
-    let mut spans: BTreeMap<&'static str, LatencyHistogram> = BTreeMap::new();
+fn kind_spans(events: &[Event]) -> BTreeMap<&'static str, Histogram> {
+    let mut spans: BTreeMap<&'static str, Histogram> = BTreeMap::new();
     for event in events {
         if event.dur.as_u64() > 0 {
             spans
@@ -37,7 +37,7 @@ fn kind_spans(events: &[Event]) -> BTreeMap<&'static str, LatencyHistogram> {
     spans
 }
 
-fn span_stat(spans: &BTreeMap<&'static str, LatencyHistogram>, tag: &str) -> String {
+fn span_stat(spans: &BTreeMap<&'static str, Histogram>, tag: &str) -> String {
     match spans.get(tag) {
         Some(h) if !h.is_empty() => {
             let sat = if h.saturated() { " saturated" } else { "" };

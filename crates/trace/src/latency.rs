@@ -1,49 +1,49 @@
-//! The latency recorder: an HDR-style sub-bucketed histogram with
+//! The metrics registry's one histogram: HDR-style sub-buckets with
 //! quantiles.
 //!
-//! The power-of-two [`crate::Histogram`] is fine for occupancy gauges, but
-//! its buckets span a 2× range: a p99 of 600k cycles and one of 1.1M land
-//! in the same bucket, which is useless for tail-latency SLOs. This module
-//! is the quantile machinery the serving tier (m3-serve, Figure 9) reports
-//! through:
+//! Every distribution a simulation records — DTU ring occupancy, run-queue
+//! depths and slice lengths, fig8's read latency, the serving tier's
+//! request latency (Figure 9) — goes through [`Histogram`]:
 //!
-//! - **Exact below a threshold**: values below `2^exact_bits` get one
-//!   bucket per value — short latencies (syscall-scale) are recorded with
-//!   zero error.
+//! - **Exact below 2^12**: values below 4096 get one bucket per value —
+//!   occupancies, queue depths and syscall-scale latencies are recorded
+//!   with zero error.
 //! - **Sub-bucketed above it**: each power-of-two range `[2^e, 2^(e+1))` is
-//!   split into `2^sub_bits` equal sub-buckets, bounding the relative error
-//!   of any reported quantile by `2^-sub_bits` (configurable precision).
+//!   split into 2^7 equal sub-buckets, bounding the relative error of any
+//!   reported quantile by 1/128 (< 0.8 %). A plain power-of-two bucket
+//!   would span a 2× range, so a p99 of 600k cycles and one of 1M would
+//!   read the same.
 //! - **Exact edges**: `min`, `max`, `count`, and `sum` are tracked exactly,
 //!   and `quantile(0.0)` / `quantile(1.0)` return them, so figure pins on
 //!   extremes stay bit-exact.
 //! - **Mergeable**: per-PE recordings merge into a system-wide
-//!   distribution without losing precision (same bucket geometry).
+//!   distribution without losing precision (every histogram has the same
+//!   bucket geometry).
 //!
-//! Everything is deterministic: buckets live in a `BTreeMap` (sparse — a
-//! latency distribution touches a few dozen buckets out of ~10k possible),
-//! and no float ever decides which bucket a value lands in.
+//! Everything is deterministic: buckets live in a `Vec` indexed by bucket,
+//! as long as the highest bucket observed (occupancies and queue depths
+//! need a handful, a million-cycle latency about 5,000 of the ~10k
+//! possible), so an observe is one index, and no float ever decides which
+//! bucket a value lands in.
 
-use std::collections::BTreeMap;
+/// Sub-buckets per power-of-two range = `2^SUB_BITS`, bounding quantile
+/// relative error by `1/128`.
+const SUB_BITS: u32 = 7;
 
-/// Default precision: sub-buckets per power-of-two range = `2^7`, bounding
-/// quantile relative error by `1/128` (&lt; 0.8%).
-pub const DEFAULT_SUB_BITS: u32 = 7;
+/// Values below `2^EXACT_BITS = 4096` are counted exactly. At least
+/// [`SUB_BITS`], so sub-bucket widths are whole numbers.
+const EXACT_BITS: u32 = 12;
 
-/// Default exactness threshold: values below `2^12 = 4096` are counted
-/// exactly. Must be at least [`DEFAULT_SUB_BITS`] so sub-bucket widths are
-/// whole numbers.
-pub const DEFAULT_EXACT_BITS: u32 = 12;
+/// The first bucket index above the exact range.
+const EXACT_LIMIT: u64 = 1 << EXACT_BITS;
 
-/// An HDR-style latency histogram: exact low range, bounded-error tail,
-/// exact count/sum/min/max, quantiles, and lossless same-geometry merges.
+/// An HDR-style histogram: exact low range, bounded-error tail, exact
+/// count/sum/min/max, quantiles, and lossless merges.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    /// Sub-buckets per power-of-two range, as a bit count.
-    sub_bits: u32,
-    /// Values below `1 << exact_bits` are bucketed exactly.
-    exact_bits: u32,
-    /// Sparse bucket index → observation count.
-    buckets: BTreeMap<u32, u64>,
+pub struct Histogram {
+    /// Observation count per bucket index, up to the highest one observed
+    /// and never longer, so equal distributions compare equal.
+    buckets: Vec<u64>,
     count: u64,
     sum: u64,
     /// `sum` overflowed and was clamped; `mean()` would under-report.
@@ -52,38 +52,17 @@ pub struct LatencyHistogram {
     max: u64,
 }
 
-impl Default for LatencyHistogram {
-    fn default() -> LatencyHistogram {
-        LatencyHistogram::new()
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram::new()
     }
 }
 
-impl LatencyHistogram {
-    /// Creates an empty histogram with the default precision
-    /// ([`DEFAULT_SUB_BITS`] sub-bucket bits, exact below
-    /// `2^`[`DEFAULT_EXACT_BITS`]).
-    pub fn new() -> LatencyHistogram {
-        LatencyHistogram::with_precision(DEFAULT_SUB_BITS, DEFAULT_EXACT_BITS)
-    }
-
-    /// Creates an empty histogram with `sub_bits` sub-bucket bits (relative
-    /// error bound `2^-sub_bits`) and exact recording below
-    /// `2^exact_bits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exact_bits < sub_bits` (sub-bucket widths must be whole)
-    /// or the parameters leave the 64-bit range.
-    pub fn with_precision(sub_bits: u32, exact_bits: u32) -> LatencyHistogram {
-        assert!(
-            sub_bits <= exact_bits,
-            "exact_bits ({exact_bits}) must be >= sub_bits ({sub_bits})"
-        );
-        assert!(exact_bits < 63, "exact_bits must leave room for the tail");
-        LatencyHistogram {
-            sub_bits,
-            exact_bits,
-            buckets: BTreeMap::new(),
+impl Histogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Histogram {
+        Histogram {
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             saturated: false,
@@ -92,64 +71,61 @@ impl LatencyHistogram {
         }
     }
 
-    /// The sub-bucket precision, as a bit count.
-    pub fn sub_bits(&self) -> u32 {
-        self.sub_bits
-    }
-
-    /// The exactness threshold, as a bit count.
-    pub fn exact_bits(&self) -> u32 {
-        self.exact_bits
-    }
-
-    /// The relative error bound of any quantile: `2^-sub_bits`.
+    /// The relative error bound of any quantile: `2^-7`.
     pub fn error_bound(&self) -> f64 {
-        1.0 / (1u64 << self.sub_bits) as f64
+        1.0 / (1u64 << SUB_BITS) as f64
     }
 
     /// Bucket index of `value`.
-    fn bucket_of(&self, value: u64) -> u32 {
-        let exact_limit = 1u64 << self.exact_bits;
-        if value < exact_limit {
-            return value as u32;
+    fn bucket_of(value: u64) -> usize {
+        if value < EXACT_LIMIT {
+            return value as usize;
         }
-        // Power-of-two range [2^e, 2^(e+1)), split into 2^sub_bits equal
-        // sub-buckets of width 2^(e - sub_bits).
+        // Power-of-two range [2^e, 2^(e+1)), split into 2^SUB_BITS equal
+        // sub-buckets of width 2^(e - SUB_BITS).
         let e = 63 - value.leading_zeros();
-        let sub = ((value - (1u64 << e)) >> (e - self.sub_bits)) as u32;
-        let range = e - self.exact_bits;
-        (exact_limit as u32) + (range << self.sub_bits) + sub
+        let sub = ((value - (1u64 << e)) >> (e - SUB_BITS)) as usize;
+        let range = (e - EXACT_BITS) as usize;
+        EXACT_LIMIT as usize + (range << SUB_BITS) + sub
     }
 
     /// Largest value that lands in bucket `idx` — what [`Self::quantile`]
     /// reports for observations in that bucket.
-    fn bucket_upper(&self, idx: u32) -> u64 {
-        let exact_limit = 1u64 << self.exact_bits;
-        if u64::from(idx) < exact_limit {
-            return u64::from(idx);
+    fn bucket_upper(idx: usize) -> u64 {
+        if (idx as u64) < EXACT_LIMIT {
+            return idx as u64;
         }
-        let off = idx - exact_limit as u32;
-        let e = self.exact_bits + (off >> self.sub_bits);
-        let sub = u128::from(off & ((1 << self.sub_bits) - 1));
+        let off = idx - EXACT_LIMIT as usize;
+        let e = EXACT_BITS + (off >> SUB_BITS) as u32;
+        let sub = (off & ((1 << SUB_BITS) - 1)) as u128;
         // The last sub-bucket of the top range (e = 63) would overflow u64;
         // compute in u128 and clamp.
-        let upper = (1u128 << e) + ((sub + 1) << (e - self.sub_bits)) - 1;
+        let upper = (1u128 << e) + ((sub + 1) << (e - SUB_BITS)) - 1;
         upper.min(u128::from(u64::MAX)) as u64
     }
 
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
-        *self.buckets.entry(self.bucket_of(value)).or_insert(0) += 1;
+        let idx = Self::bucket_of(value);
+        if self.buckets.len() <= idx {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += 1;
         self.count += 1;
-        let (sum, overflow) = self.sum.overflowing_add(value);
+        self.add_sum(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Adds `n` to the sum, clamping and flagging on overflow.
+    fn add_sum(&mut self, n: u64) {
+        let (sum, overflow) = self.sum.overflowing_add(n);
         if overflow {
             self.sum = u64::MAX;
             self.saturated = true;
         } else {
             self.sum = sum;
         }
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
     }
 
     /// Number of observations.
@@ -191,9 +167,9 @@ impl LatencyHistogram {
 
     /// The `q`-quantile (`0.0 ..= 1.0`): the smallest recorded bucket upper
     /// bound `v` such that at least `ceil(q * count)` observations are
-    /// `<= v`. Exact for values below the exactness threshold and at the
-    /// extremes (`q = 0` returns the exact min, `q = 1` the exact max);
-    /// elsewhere the relative error is bounded by [`Self::error_bound`].
+    /// `<= v`. Exact for values below 2^12 and at the extremes (`q = 0`
+    /// returns the exact min, `q = 1` the exact max); elsewhere the
+    /// relative error is bounded by [`Self::error_bound`].
     /// `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
@@ -202,48 +178,35 @@ impl LatencyHistogram {
         let q = q.clamp(0.0, 1.0);
         // ceil without going through floats for the common edges.
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        if rank == 1 && self.buckets.len() == 1 || q == 0.0 {
+        let one_bucket = Self::bucket_of(self.min) == Self::bucket_of(self.max);
+        if rank == 1 && one_bucket || q == 0.0 {
             return Some(self.min);
         }
         if rank == self.count {
             return Some(self.max);
         }
         let mut seen = 0u64;
-        for (&idx, &n) in &self.buckets {
+        for (idx, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
                 // Clamp to the exact extremes: the first/last bucket's
                 // upper bound may overshoot the true min/max.
-                return Some(self.bucket_upper(idx).clamp(self.min, self.max));
+                return Some(Self::bucket_upper(idx).clamp(self.min, self.max));
             }
         }
         Some(self.max)
     }
 
     /// Merges `other` into `self` without precision loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histograms have different bucket geometry — precision
-    /// is a recorder-level configuration choice, so mixed-precision merges
-    /// indicate a bug, not a runtime condition.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        assert_eq!(
-            (self.sub_bits, self.exact_bits),
-            (other.sub_bits, other.exact_bits),
-            "merging histograms of different precision"
-        );
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
+    pub fn merge(&mut self, other: &Histogram) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, &n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += n;
         }
         self.count += other.count;
-        let (sum, overflow) = self.sum.overflowing_add(other.sum);
-        if overflow {
-            self.sum = u64::MAX;
-            self.saturated = true;
-        } else {
-            self.sum = sum;
-        }
+        self.add_sum(other.sum);
         self.saturated |= other.saturated;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -254,7 +217,9 @@ impl LatencyHistogram {
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
-            .map(|(&idx, &n)| (self.bucket_upper(idx), n))
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(idx, &n)| (Self::bucket_upper(idx), n))
             .collect()
     }
 
@@ -289,7 +254,7 @@ mod tests {
 
     #[test]
     fn empty_is_explicit() {
-        let h = LatencyHistogram::new();
+        let h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), None);
@@ -302,7 +267,7 @@ mod tests {
 
     #[test]
     fn single_observation_is_every_quantile() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         h.observe(123_456);
         for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
             assert_eq!(h.quantile(q), Some(123_456), "q={q}");
@@ -314,7 +279,7 @@ mod tests {
 
     #[test]
     fn exact_below_threshold() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         for v in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] {
             h.observe(v);
         }
@@ -331,7 +296,7 @@ mod tests {
         // (2^19..2^20 and 2^20..2^21 are adjacent, but 600k vs 900k do
         // share 2^19..2^20). The sub-bucketed histogram must tell them
         // apart within < 1% relative error.
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         for _ in 0..99 {
             h.observe(600_000);
         }
@@ -347,7 +312,7 @@ mod tests {
 
     #[test]
     fn saturation_is_flagged_not_silent() {
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         h.observe(u64::MAX - 10);
         assert!(!h.saturated());
         h.observe(u64::MAX - 10);
@@ -358,9 +323,9 @@ mod tests {
 
     #[test]
     fn merge_equals_observing_everything_in_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        let mut both = Histogram::new();
         for v in [3u64, 700, 4_100, 88_000, 600_000] {
             a.observe(v);
             both.observe(v);
@@ -377,27 +342,19 @@ mod tests {
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let mut a = LatencyHistogram::new();
+        let mut a = Histogram::new();
         a.observe(42);
         let before = a.clone();
-        a.merge(&LatencyHistogram::new());
+        a.merge(&Histogram::new());
         assert_eq!(a, before);
-        let mut empty = LatencyHistogram::new();
+        let mut empty = Histogram::new();
         empty.merge(&before);
         assert_eq!(empty, before);
     }
 
     #[test]
-    #[should_panic(expected = "different precision")]
-    fn mixed_precision_merge_panics() {
-        let mut a = LatencyHistogram::new();
-        let b = LatencyHistogram::with_precision(5, 12);
-        a.merge(&b);
-    }
-
-    #[test]
     fn bucket_upper_inverts_bucket_of() {
-        let h = LatencyHistogram::new();
+        let h = Histogram::new();
         for v in [
             0,
             1,
@@ -410,8 +367,8 @@ mod tests {
             u64::MAX / 2,
             u64::MAX,
         ] {
-            let idx = h.bucket_of(v);
-            let upper = h.bucket_upper(idx);
+            let idx = Histogram::bucket_of(v);
+            let upper = Histogram::bucket_upper(idx);
             assert!(upper >= v, "upper({idx})={upper} < v={v}");
             if v >= 4096 {
                 // Bounded relative error.
@@ -421,16 +378,5 @@ mod tests {
                 assert_eq!(upper, v, "exact range must be exact");
             }
         }
-    }
-
-    #[test]
-    fn coarse_precision_still_bounds_error() {
-        let mut h = LatencyHistogram::with_precision(2, 4);
-        for v in 1..=1000u64 {
-            h.observe(v);
-        }
-        let p90 = h.quantile(0.9).unwrap();
-        let err = (p90 as f64 - 900.0).abs() / 900.0;
-        assert!(err <= h.error_bound(), "p90={p90} err={err}");
     }
 }

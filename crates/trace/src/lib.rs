@@ -10,9 +10,10 @@
 //!   table below; the enum, [`EventKind::tag`] and the [`fmt`] columns
 //!   are generated from it.
 //! - [`Metrics`] — a simulation's one counter registry: per-PE counters
-//!   and power-of-two histograms (PE busy cycles, DTU messages, bytes and
+//!   and [`Histogram`]s (PE busy cycles, DTU messages, bytes and
 //!   ring-buffer occupancy, drops, credit stalls, NoC transfers and link
-//!   utilisation, kernel operations), each under a [`keys`] name.
+//!   utilisation, kernel operations, latencies), each under a [`keys`]
+//!   name.
 //! - [`chrome`] — a Chrome `trace_event` JSON exporter (one "process" per
 //!   PE, one "thread" per component) for chrome://tracing and Perfetto.
 //! - [`fmt`] — a line-oriented native trace format that round-trips through
@@ -41,7 +42,7 @@ pub mod fmt;
 pub mod latency;
 pub mod summary;
 
-pub use latency::LatencyHistogram;
+pub use latency::Histogram;
 
 /// The component of the stack that emitted an event. One Chrome "thread"
 /// per component within a PE's "process".
@@ -557,115 +558,6 @@ pub mod keys {
     pub const LX_CTX_SWITCHES: &str = "lx.ctx_switches";
 }
 
-/// A power-of-two-bucket histogram with count/sum/min/max.
-///
-/// Bucket `i` counts values whose bit length is `i` (bucket 0 holds zeros),
-/// i.e. value `v > 0` lands in bucket `64 - v.leading_zeros()`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    saturated: bool,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: vec![0; 65],
-            count: 0,
-            sum: 0,
-            saturated: false,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    fn bucket_of(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        let (sum, overflow) = self.sum.overflowing_add(value);
-        if overflow {
-            self.sum = u64::MAX;
-            self.saturated = true;
-        } else {
-            self.sum = sum;
-        }
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether nothing was observed.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Sum of all observations; clamped to `u64::MAX` on overflow, in which
-    /// case [`Histogram::saturated`] reports it instead of staying silent.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Whether the sum overflowed — [`Histogram::mean`] under-reports when
-    /// this is set.
-    pub fn saturated(&self) -> bool {
-        self.saturated
-    }
-
-    /// Smallest observation; `None` when empty (a fabricated `0` would be
-    /// indistinguishable from a genuine all-zero series).
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean observation; `None` when empty. A lower bound of the true mean
-    /// when [`Histogram::saturated`].
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// The non-empty buckets as `(upper_bound_inclusive, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| {
-                let upper = if i == 0 { 0 } else { (1u128 << i) - 1 };
-                (upper.min(u64::MAX as u128) as u64, *c)
-            })
-            .collect()
-    }
-}
-
 /// A pre-resolved handle to one metric name of a [`Metrics`] bag, from
 /// [`Metrics::handle`]. Updating through a handle indexes a dense per-PE
 /// table instead of walking a string-keyed map — for the per-event callers
@@ -699,7 +591,6 @@ struct MetricsInner {
     index: BTreeMap<&'static str, MetricHandle>,
     counters: Table<u64>,
     hists: Table<Histogram>,
-    lats: Table<LatencyHistogram>,
 }
 
 impl MetricsInner {
@@ -840,57 +731,34 @@ impl Metrics {
         inner.find(&inner.hists, pe, key).cloned()
     }
 
-    /// Records `value` into the quantile-capable latency histogram `key` of
-    /// `pe` (HDR-style sub-bucketed — use for p50/p99/p999 reporting, where
-    /// the power-of-two [`Metrics::observe`] buckets are too coarse).
-    pub fn observe_latency(&self, pe: PeId, key: &'static str, value: u64) {
-        let mut inner = self.inner.borrow_mut();
-        let h = inner.handle(key);
-        cell(&mut inner.lats, pe, h)
-            .get_or_insert_with(LatencyHistogram::new)
-            .observe(value);
-    }
-
-    /// A copy of latency histogram `key` of `pe`, if it has observations.
-    pub fn latency(&self, pe: PeId, key: &'static str) -> Option<LatencyHistogram> {
-        let inner = self.inner.borrow();
-        inner.find(&inner.lats, pe, key).cloned()
-    }
-
-    /// Latency histogram `key` merged across all PEs — the system-wide
+    /// Histogram `key` merged across all PEs — the system-wide
     /// distribution figures report quantiles from. `None` if no PE recorded
     /// under `key`.
-    pub fn merged_latency(&self, key: &'static str) -> Option<LatencyHistogram> {
+    pub fn merged(&self, key: &str) -> Option<Histogram> {
         let inner = self.inner.borrow();
-        let mut merged: Option<LatencyHistogram> = None;
-        for (_, k, h) in inner.rows(&inner.lats) {
-            if k == key {
-                merged.get_or_insert_with(LatencyHistogram::new).merge(h);
+        let h = *inner.index.get(key)?;
+        let mut merged: Option<Histogram> = None;
+        for row in &inner.hists {
+            if let Some(Some(hist)) = row.get(h.0 as usize) {
+                merged.get_or_insert_with(Histogram::new).merge(hist);
             }
         }
         merged
     }
 
-    /// Renders every latency histogram as a TSV table (one row per PE/key,
-    /// plus a `*` row per key with the cross-PE merge):
+    /// Renders every histogram as a TSV table (one row per PE/key, plus a
+    /// `*` row per key with the cross-PE merge):
     /// `pe  key  count  saturated  min  mean  p50  p99  p999  max`.
-    pub fn latency_tsv(&self) -> String {
+    pub fn histogram_tsv(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("pe\tkey\tcount\tsaturated\tmin\tmean\tp50\tp99\tp999\tmax\n");
-        let mut keys: Vec<&'static str> = Vec::new();
-        {
-            let inner = self.inner.borrow();
-            for (pe, key, h) in inner.rows(&inner.lats) {
-                let _ = writeln!(out, "{pe}\t{key}\t{}", latency_row(h));
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
-            }
+        let inner = self.inner.borrow();
+        for (pe, key, h) in inner.rows(&inner.hists) {
+            let _ = writeln!(out, "{pe}\t{key}\t{}", histogram_row(h));
         }
-        keys.sort_unstable();
-        for key in keys {
-            if let Some(h) = self.merged_latency(key) {
-                let _ = writeln!(out, "*\t{key}\t{}", latency_row(&h));
+        for key in inner.index.keys() {
+            if let Some(h) = self.merged(key) {
+                let _ = writeln!(out, "*\t{key}\t{}", histogram_row(&h));
             }
         }
         out
@@ -915,7 +783,6 @@ impl Metrics {
             .rows(&inner.counters)
             .map(|(pe, _, _)| pe)
             .chain(inner.rows(&inner.hists).map(|(pe, _, _)| pe))
-            .chain(inner.rows(&inner.lats).map(|(pe, _, _)| pe))
             .collect();
         pes.sort_unstable();
         pes.dedup();
@@ -950,21 +817,6 @@ impl Metrics {
             let inner = self.inner.borrow();
             for (row_pe, key, h) in inner.rows(&inner.hists) {
                 if row_pe == pe.raw() {
-                    let (min, mean) = match (h.min(), h.mean()) {
-                        (Some(min), Some(mean)) => (min.to_string(), format!("{mean:.1}")),
-                        _ => ("-".to_string(), "-".to_string()),
-                    };
-                    let sat = if h.saturated() { " saturated" } else { "" };
-                    let _ = write!(
-                        out,
-                        "  {key}[n={} min={min} mean={mean} max={}{sat}]",
-                        h.count(),
-                        h.max()
-                    );
-                }
-            }
-            for (row_pe, key, h) in inner.rows(&inner.lats) {
-                if row_pe == pe.raw() {
                     let _ = write!(out, "  {key}[{}]", h.summary());
                 }
             }
@@ -997,9 +849,9 @@ impl Metrics {
     }
 }
 
-/// One TSV row tail for [`Metrics::latency_tsv`]:
+/// One TSV row tail for [`Metrics::histogram_tsv`]:
 /// `count  saturated  min  mean  p50  p99  p999  max` (no trailing newline).
-fn latency_row(h: &LatencyHistogram) -> String {
+fn histogram_row(h: &Histogram) -> String {
     match (h.min(), h.mean(), h.max()) {
         (Some(min), Some(mean), Some(max)) => format!(
             "{}\t{}\t{min}\t{mean:.1}\t{}\t{}\t{}\t{max}",
@@ -1068,23 +920,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_power_of_two() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 1000] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert!(!h.is_empty());
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), 1000);
-        assert_eq!(h.sum(), 1010);
-        assert!(!h.saturated());
-        let buckets = h.nonzero_buckets();
-        // 0 -> bucket 0; 1 -> (1); 2,3 -> (2..3); 4 -> (4..7); 1000 -> (512..1023).
-        assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (7, 1), (1023, 1)]);
-    }
-
-    #[test]
     fn histogram_empty_is_explicit_and_saturation_flagged() {
         let h = Histogram::new();
         assert!(h.is_empty());
@@ -1101,19 +936,19 @@ mod tests {
     #[test]
     fn metrics_latency_per_pe_and_merged() {
         let m = Metrics::new();
-        m.observe_latency(PeId::new(1), keys::SERVE_LATENCY, 600_000);
-        m.observe_latency(PeId::new(1), keys::SERVE_LATENCY, 600_000);
-        m.observe_latency(PeId::new(3), keys::SERVE_LATENCY, 1_100_000);
-        let h1 = m.latency(PeId::new(1), keys::SERVE_LATENCY).unwrap();
+        m.observe(PeId::new(1), keys::SERVE_LATENCY, 600_000);
+        m.observe(PeId::new(1), keys::SERVE_LATENCY, 600_000);
+        m.observe(PeId::new(3), keys::SERVE_LATENCY, 1_100_000);
+        let h1 = m.histogram(PeId::new(1), keys::SERVE_LATENCY).unwrap();
         assert_eq!(h1.count(), 2);
-        assert!(m.latency(PeId::new(2), keys::SERVE_LATENCY).is_none());
-        let merged = m.merged_latency(keys::SERVE_LATENCY).unwrap();
+        assert!(m.histogram(PeId::new(2), keys::SERVE_LATENCY).is_none());
+        let merged = m.merged(keys::SERVE_LATENCY).unwrap();
         assert_eq!(merged.count(), 3);
         assert_eq!(merged.max(), Some(1_100_000));
-        let tsv = m.latency_tsv();
+        let tsv = m.histogram_tsv();
         assert!(tsv.starts_with("pe\tkey\tcount"), "{tsv}");
         assert!(tsv.contains("*\tserve.req_latency\t3"), "{tsv}");
-        assert_eq!(tsv, m.latency_tsv(), "tsv must be deterministic");
+        assert_eq!(tsv, m.histogram_tsv(), "tsv must be deterministic");
     }
 
     #[test]
@@ -1142,7 +977,7 @@ mod tests {
         m.observe(PeId::new(3), keys::RING_OCCUPANCY, 7);
         let h1 = m.histogram(PeId::new(1), keys::RING_OCCUPANCY).unwrap();
         assert_eq!(h1.count(), 2);
-        assert_eq!(h1.max(), 2);
+        assert_eq!(h1.max(), Some(2));
         assert!(m.histogram(PeId::new(2), keys::RING_OCCUPANCY).is_none());
         assert_eq!(m.pes(), vec![PeId::new(1), PeId::new(3)]);
     }

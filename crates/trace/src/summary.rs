@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use m3_base::Cycles;
 
-use crate::{Event, LatencyHistogram};
+use crate::{Event, Histogram};
 
 #[derive(Default)]
 struct KindRow {
@@ -14,7 +14,7 @@ struct KindRow {
     bytes: u64,
     /// Distribution of the per-event span lengths (events with `dur > 0`),
     /// for the latency columns of the per-kind table.
-    spans: LatencyHistogram,
+    spans: Histogram,
 }
 
 fn bytes_of(event: &Event) -> u64 {

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 
 use m3_base::rand::Rng;
 use m3_base::{Cycles, PeId};
-use m3_trace::{keys, Histogram, LatencyHistogram, Metrics};
+use m3_trace::{keys, Histogram, Metrics};
 
 /// Names in an order unlike their sorted one, so interning order and dump
 /// order differ; the last is not one of the well-known keys.
@@ -25,7 +25,6 @@ const KEYS: [&str; 6] = [
 struct Reference {
     counters: BTreeMap<(u32, &'static str), u64>,
     hists: BTreeMap<(u32, &'static str), Histogram>,
-    lats: BTreeMap<(u32, &'static str), LatencyHistogram>,
 }
 
 impl Reference {
@@ -45,29 +44,29 @@ impl Reference {
             .fold(0u64, |acc, (_, v)| acc.saturating_add(*v))
     }
 
-    fn merged_latency(&self, key: &str) -> Option<LatencyHistogram> {
-        let mut merged: Option<LatencyHistogram> = None;
-        for ((_, k), h) in &self.lats {
+    fn merged(&self, key: &str) -> Option<Histogram> {
+        let mut merged: Option<Histogram> = None;
+        for ((_, k), h) in &self.hists {
             if *k == key {
-                merged.get_or_insert_with(LatencyHistogram::new).merge(h);
+                merged.get_or_insert_with(Histogram::new).merge(h);
             }
         }
         merged
     }
 
-    fn latency_tsv(&self) -> String {
+    fn histogram_tsv(&self) -> String {
         let mut out = String::from("pe\tkey\tcount\tsaturated\tmin\tmean\tp50\tp99\tp999\tmax\n");
         let mut keys: Vec<&str> = Vec::new();
-        for ((pe, key), h) in &self.lats {
-            let _ = writeln!(out, "{pe}\t{key}\t{}", latency_row(h));
+        for ((pe, key), h) in &self.hists {
+            let _ = writeln!(out, "{pe}\t{key}\t{}", histogram_row(h));
             if !keys.contains(key) {
                 keys.push(key);
             }
         }
         keys.sort_unstable();
         for key in keys {
-            if let Some(h) = self.merged_latency(key) {
-                let _ = writeln!(out, "*\t{key}\t{}", latency_row(&h));
+            if let Some(h) = self.merged(key) {
+                let _ = writeln!(out, "*\t{key}\t{}", histogram_row(&h));
             }
         }
         out
@@ -88,7 +87,6 @@ impl Reference {
             .counters
             .keys()
             .chain(self.hists.keys())
-            .chain(self.lats.keys())
             .map(|(pe, _)| *pe)
             .collect();
         pes.sort_unstable();
@@ -117,21 +115,6 @@ impl Reference {
                 }
             }
             for ((row_pe, key), h) in &self.hists {
-                if *row_pe == pe.raw() {
-                    let (min, mean) = match (h.min(), h.mean()) {
-                        (Some(min), Some(mean)) => (min.to_string(), format!("{mean:.1}")),
-                        _ => ("-".to_string(), "-".to_string()),
-                    };
-                    let sat = if h.saturated() { " saturated" } else { "" };
-                    let _ = write!(
-                        out,
-                        "  {key}[n={} min={min} mean={mean} max={}{sat}]",
-                        h.count(),
-                        h.max()
-                    );
-                }
-            }
-            for ((row_pe, key), h) in &self.lats {
                 if *row_pe == pe.raw() {
                     let _ = write!(out, "  {key}[{}]", h.summary());
                 }
@@ -163,7 +146,7 @@ impl Reference {
     }
 }
 
-fn latency_row(h: &LatencyHistogram) -> String {
+fn histogram_row(h: &Histogram) -> String {
     match (h.min(), h.mean(), h.max()) {
         (Some(min), Some(mean), Some(max)) => format!(
             "{}\t{}\t{min}\t{mean:.1}\t{}\t{}\t{}\t{max}",
@@ -189,17 +172,19 @@ fn assert_same(m: &Metrics, r: &Reference, what: &str) {
     }
     assert_eq!(m.snapshot(), r.snapshot(), "snapshot: {what}");
     assert_eq!(m.pes(), r.pes(), "pes: {what}");
-    assert_eq!(m.latency_tsv(), r.latency_tsv(), "latency_tsv: {what}");
+    assert_eq!(
+        m.histogram_tsv(),
+        r.histogram_tsv(),
+        "histogram_tsv: {what}"
+    );
     for key in KEYS.iter().chain([&keys::CREDIT_STALLS]) {
         assert_eq!(m.total(key), r.total(key), "total {key}: {what}");
-        assert_eq!(m.merged_latency(key), r.merged_latency(key), "{what}");
+        assert_eq!(m.merged(key), r.merged(key), "merged {key}: {what}");
         for pe in 0..14 {
             let pe = PeId::new(pe);
             assert_eq!(m.get(pe, key), r.get(pe, key), "get {pe} {key}: {what}");
             let rh = r.hists.get(&(pe.raw(), *key));
             assert_eq!(m.histogram(pe, key).as_ref(), rh, "{what}");
-            let rl = r.lats.get(&(pe.raw(), *key));
-            assert_eq!(m.latency(pe, key).as_ref(), rl, "{what}");
         }
     }
 }
@@ -240,19 +225,14 @@ fn dense_tables_read_back_like_the_map() {
                     r.add(pe, key, 1);
                     continue;
                 }
-                (3, Some(h)) => {
+                (_, Some(h)) => {
                     m.observe_handle(pe, h, value);
                     r.hists.entry((pe.raw(), key)).or_default().observe(value);
                     continue;
                 }
-                (3, None) => {
+                (_, None) => {
                     m.observe(pe, key, value);
                     r.hists.entry((pe.raw(), key)).or_default().observe(value);
-                    continue;
-                }
-                _ => {
-                    m.observe_latency(pe, key, value);
-                    r.lats.entry((pe.raw(), key)).or_default().observe(value);
                     continue;
                 }
             }
