@@ -15,6 +15,7 @@ use m3_sim::{keys, Event};
 
 use crate::exec::{self, Job};
 use crate::measure::{self, on_lx, on_m3, BenchOs, Split, XFER_BYTES};
+use crate::registry::Traced;
 use crate::report::{Bar, Figure, Group};
 
 fn bar(label: &str, s: Split) -> Bar {
@@ -75,11 +76,10 @@ fn m3_file(read: bool) -> Bar {
 }
 
 /// Runs the M3 file benchmark with tracing enabled and returns the recorded
-/// events plus a rendered per-PE metrics snapshot (for export and the
-/// determinism tests).
-pub fn traced_file_read() -> (Vec<Event>, String) {
-    let (_, events, metrics) = m3_file_run(true, true, None);
-    (events, metrics)
+/// events, a rendered per-PE metrics snapshot and the histogram table (for
+/// export and the determinism tests).
+pub fn traced_file_read() -> Traced {
+    m3_file_run(true, true, None).1
 }
 
 /// Runs the Figure 3 file-read scenario under the fault schedule `plan`,
@@ -91,8 +91,8 @@ pub fn traced_file_read() -> (Vec<Event>, String) {
 /// picks a plan the workload survives (delays, partitions that heal,
 /// bounded drops); the installed policy retries through message loss.
 pub fn faulted_file_read(plan: m3_fault::FaultPlan) -> (u64, Vec<Event>) {
-    let (bar, events, _) = m3_file_run(true, true, Some(plan));
-    (bar.total, events)
+    let (bar, traced) = m3_file_run(true, true, Some(plan));
+    (bar.total, traced.events)
 }
 
 /// The fixed fault schedule pinned by the golden-cycle and determinism
@@ -127,11 +127,7 @@ pub fn golden_fault_plan() -> m3_fault::FaultPlan {
         )
 }
 
-fn m3_file_run(
-    read: bool,
-    trace: bool,
-    fault: Option<m3_fault::FaultPlan>,
-) -> (Bar, Vec<Event>, String) {
+fn m3_file_run(read: bool, trace: bool, fault: Option<m3_fault::FaultPlan>) -> (Bar, Traced) {
     let faulted = fault.is_some();
     let sys = System::boot(SystemConfig {
         pes: 4,
@@ -150,8 +146,8 @@ fn m3_file_run(
         mount_m3fs(&env).await.unwrap();
         file_op(&env, read).await
     });
-    let metrics = sys.sim().metrics().render(sys.now());
-    (m3_bar(&sys, s), sys.sim().trace(), metrics)
+    let traced = Traced::of(sys.sim());
+    (m3_bar(&sys, s), traced)
 }
 
 fn lx_file(cfg: LxConfig, label: &str, read: bool) -> Bar {

@@ -28,6 +28,7 @@ use m3_libos::vpe::Vpe;
 use m3_sim::keys;
 
 use crate::exec::{self, Job};
+use crate::registry::Traced;
 use crate::report::Series;
 
 /// Overcommit factors of the sweep (clients per application PE).
@@ -92,19 +93,14 @@ pub fn dirty_overcommit_run(factor: u64) -> OvercommitRun {
 }
 
 /// Runs the 2x-style overcommit scenario at `factor` with tracing enabled;
-/// returns the measurements, the recorded events (CtxSwitch among them),
-/// and a rendered per-PE metrics snapshot — the CI observability job
-/// exports all three as artifacts.
-pub fn traced_overcommit_run(factor: u64) -> (OvercommitRun, Vec<m3_sim::Event>, String) {
+/// returns the measurements and the traced artifacts: the recorded events
+/// (CtxSwitch among them), a rendered per-PE metrics snapshot and the
+/// histogram table.
+pub fn traced_overcommit_run(factor: u64) -> (OvercommitRun, Traced) {
     scenario(factor, true, true, false)
 }
 
-fn scenario(
-    factor: u64,
-    overcommit: bool,
-    trace: bool,
-    dirty: bool,
-) -> (OvercommitRun, Vec<m3_sim::Event>, String) {
+fn scenario(factor: u64, overcommit: bool, trace: bool, dirty: bool) -> (OvercommitRun, Traced) {
     assert!(overcommit || factor == 1, "plain runs fit the PEs");
     let sys = System::boot(SystemConfig {
         pes: 3 + CLIENT_PES as usize,
@@ -172,8 +168,7 @@ fn scenario(
         ctx_switches,
         dirty_pages_saved,
     };
-    let rendered = metrics.render(sys.sim().now());
-    (run, sys.sim().trace(), rendered)
+    (run, Traced::of(sys.sim()))
 }
 
 /// Runs the complete Figure 8 sweep: factors 1x-8x with overcommit

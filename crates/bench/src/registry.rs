@@ -7,7 +7,7 @@
 //! printed and checked for worker-count invariance; there is no other way
 //! to run a figure from the command line.
 
-use m3_sim::Event;
+use m3_sim::{Event, Sim};
 
 use crate::{ablation, arch, exec, fig10, fig11, fig3, fig4, fig5, fig6, fig7, fig8, fig9};
 use crate::{pdes_bench, Figure, Series};
@@ -70,8 +70,21 @@ pub struct Traced {
     pub events: Vec<Event>,
     /// The rendered per-PE metrics snapshot (`--metrics`).
     pub metrics: String,
-    /// The per-PE latency-histogram table (`--latency-tsv`), if recorded.
-    pub latency_tsv: Option<String>,
+    /// The histogram table of the metrics registry (`--latency-tsv`).
+    pub latency_tsv: String,
+}
+
+impl Traced {
+    /// The artifacts of the traced run `sim` has finished.
+    pub(crate) fn of(sim: &Sim) -> Traced {
+        let metrics = sim.metrics();
+        Traced {
+            note: None,
+            events: sim.trace(),
+            metrics: metrics.render(sim.now()),
+            latency_tsv: metrics.histogram_tsv(),
+        }
+    }
 }
 
 /// One registered figure.
@@ -99,15 +112,7 @@ pub static FIGURES: &[Entry] = &[
         about: "Figure 3: null syscall and 2 MiB read/write/pipe, M3 vs Linux",
         param: None,
         render: |_| fig3::run().into(),
-        traced: Some(|| {
-            let (events, metrics) = fig3::traced_file_read();
-            Traced {
-                note: None,
-                events,
-                metrics,
-                latency_tsv: None,
-            }
-        }),
+        traced: Some(fig3::traced_file_read),
     },
     Entry {
         name: "fig4",
@@ -143,15 +148,13 @@ pub static FIGURES: &[Entry] = &[
         param: None,
         render: |_| fig8::run().into(),
         traced: Some(|| {
-            let (run, events, metrics) = fig8::traced_overcommit_run(2);
+            let (run, traced) = fig8::traced_overcommit_run(2);
             Traced {
                 note: Some(format!(
                     "traced 2x run - {} context switches over {} cycles",
                     run.ctx_switches, run.total
                 )),
-                events,
-                metrics,
-                latency_tsv: None,
+                ..traced
             }
         }),
     },
@@ -180,7 +183,7 @@ pub static FIGURES: &[Entry] = &[
                 )),
                 events: m3_trace::fmt::parse(&out.trace).expect("own trace parses"),
                 metrics: out.metrics,
-                latency_tsv: Some(out.latency_tsv),
+                latency_tsv: out.latency_tsv,
             }
         }),
     },

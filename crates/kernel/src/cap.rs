@@ -8,7 +8,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::rc::Rc;
 
 use m3_base::error::{Code, Error, Result};
@@ -348,12 +347,6 @@ impl DerivationTree {
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-}
-
-impl fmt::Display for DerivationTree {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DerivationTree({} caps)", self.nodes.len())
     }
 }
 

@@ -1,16 +1,13 @@
 //! Demand paging (m3-vm, DESIGN.md §5k): page-fault and unmap syscalls,
 //! eviction with write-back, and swap-in.
 
-use std::rc::Rc;
-
 use m3_base::error::{Code, Error, Result};
 use m3_base::marshal::OStream;
-use m3_base::{Cycles, PeId, Perm, SelId, VpeId};
-use m3_sim::{Component, Event, EventKind};
-use m3_vm::{AddrSpaceObj, FaultKind, SwapRegion};
+use m3_base::{PeId, Perm, SelId, VpeId};
+use m3_sim::{Component, EventKind};
+use m3_vm::FaultKind;
 
-use crate::cap::{KObject, MGateObj};
-
+use super::state::Mapped;
 use super::{Kernel, PAGE_SIZE};
 
 impl Kernel {
@@ -32,16 +29,6 @@ impl Kernel {
         self.sim.sleep(m3_dtu::timing::DRAM_LATENCY).await;
     }
 
-    /// The PE `vpe` runs on, for per-PE paging metrics; falls back to the
-    /// kernel's own PE for callers it no longer tracks.
-    fn vpe_pe(&self, vpe: VpeId) -> PeId {
-        self.state
-            .borrow()
-            .vpes
-            .get(&vpe)
-            .map_or(self.pe, |v| v.borrow().pe)
-    }
-
     /// Frees resident frames beyond the address space's bound, clean pages
     /// first (they already match their swap copy or were never written);
     /// a dirty victim is written back to the VPE's swap region before its
@@ -50,161 +37,24 @@ impl Kernel {
     /// backs someone else's page. `pe` is the caller's PE, looked up while
     /// it was alive: a caller that dies during a page move may be freed.
     async fn evict_if_needed(&self, caller: VpeId, pe: PeId) -> Result<()> {
-        loop {
-            let plan = {
-                let st = self.state.borrow();
-                match st.addr_spaces.get(&caller) {
-                    Some(aspace) if aspace.needs_eviction() => aspace.plan_eviction(),
-                    _ => return Ok(()),
-                }
-            };
-            let Some(plan) = plan else { return Ok(()) };
-            let mut slot = None;
-            if plan.writeback {
-                let (sl, addr) = {
-                    let mut st = self.state.borrow_mut();
-                    let st = &mut *st;
-                    let aspace = st
-                        .addr_spaces
-                        .get_mut(&caller)
-                        .ok_or_else(|| Error::new(Code::InvArgs).with_msg("no address space"))?;
-                    if aspace.swap.is_none() {
-                        let bytes = SwapRegion::bytes_for(m3_vm::SWAP_PAGES_DEFAULT);
-                        let base = st.mem.alloc(bytes)?;
-                        aspace.swap = Some(SwapRegion::new(base, m3_vm::SWAP_PAGES_DEFAULT));
-                    }
-                    let existing = aspace.entry(plan.page).and_then(|e| e.swap_slot);
-                    let swap = aspace
-                        .swap
-                        .as_mut()
-                        .ok_or_else(|| Error::new(Code::Internal).with_msg("swap vanished"))?;
-                    let sl = match existing {
-                        Some(s) => s,
-                        None => swap.alloc_slot().ok_or_else(|| {
-                            Error::new(Code::NoSpace).with_msg("swap region full")
-                        })?,
-                    };
-                    (sl, swap.slot_addr(sl))
-                };
+        while let Some((plan, swap)) = self.state.next_eviction(caller)? {
+            if let Some((_, addr)) = swap {
                 self.dram_copy(plan.frame, addr, PAGE_SIZE as usize);
                 self.charge_page_move().await;
                 self.sim
                     .metrics()
                     .add(pe, m3_sim::keys::WRITEBACK_BYTES, PAGE_SIZE);
-                let now = self.sim.now();
-                self.sim.tracer().record_with(|| Event {
-                    at: now,
-                    dur: Cycles::ZERO,
-                    pe: Some(pe),
-                    comp: Component::Vm,
-                    kind: EventKind::WriteBack {
-                        virt: plan.page * PAGE_SIZE,
-                        bytes: PAGE_SIZE,
-                    },
+                self.trace(pe, Component::Vm, || EventKind::WriteBack {
+                    virt: plan.page * PAGE_SIZE,
+                    bytes: PAGE_SIZE,
                 });
-                {
-                    let mut st = self.state.borrow_mut();
-                    if let Some(aspace) = st.addr_spaces.get_mut(&caller) {
-                        aspace.writebacks += 1;
-                        aspace.writeback_bytes += PAGE_SIZE;
-                    }
-                }
-                slot = Some(sl);
             }
-            let cap = {
-                let mut st = self.state.borrow_mut();
-                let st = &mut *st;
-                let Some(aspace) = st.addr_spaces.get_mut(&caller) else {
-                    return Ok(());
-                };
-                let cap = aspace.complete_eviction(plan.page, slot);
-                st.mem.free(plan.frame, PAGE_SIZE);
-                cap
-            };
-            if let Some(sel) = cap {
-                self.revoke_charged(caller, sel).await;
+            let slot = swap.map(|(slot, _)| slot);
+            if let Some(sel) = self.state.complete_eviction(caller, plan.page, slot) {
+                self.revoke_charged((caller, sel)).await;
             }
         }
-    }
-
-    /// Fills a freshly allocated `frame` for a non-resident fault — copies
-    /// the swap slot back in (page-in) or hands it out zeroed — then maps
-    /// it and records the fault. Factored out of [`Kernel::sys_page_fault`]
-    /// so every error path can free the frame in one place.
-    #[allow(clippy::too_many_arguments)]
-    async fn fill_frame(
-        &self,
-        caller: VpeId,
-        kind: FaultKind,
-        frame: u64,
-        page: u64,
-        dst: SelId,
-        write: bool,
-        pe: PeId,
-    ) -> Result<Perm> {
-        match kind {
-            FaultKind::SwapIn(slot) => {
-                let addr = {
-                    let st = self.state.borrow();
-                    let aspace = st
-                        .addr_spaces
-                        .get(&caller)
-                        .ok_or_else(|| Error::new(Code::Internal).with_msg("lost address space"))?;
-                    let swap = aspace.swap.as_ref().ok_or_else(|| {
-                        Error::new(Code::Internal).with_msg("swap-in without swap region")
-                    })?;
-                    swap.slot_addr(slot)
-                };
-                self.dram_copy(addr, frame, PAGE_SIZE as usize);
-                self.charge_page_move().await;
-                let now = self.sim.now();
-                self.sim.tracer().record_with(|| Event {
-                    at: now,
-                    dur: Cycles::ZERO,
-                    pe: Some(pe),
-                    comp: Component::Vm,
-                    kind: EventKind::PageIn {
-                        virt: page * PAGE_SIZE,
-                        bytes: PAGE_SIZE,
-                    },
-                });
-                if let Some(aspace) = self.state.borrow_mut().addr_spaces.get_mut(&caller) {
-                    aspace.page_ins += 1;
-                }
-            }
-            _ => {
-                // Fresh frames are handed out zeroed (the frame may have
-                // been used before; like m3fs, zeroing happens off the
-                // application's critical path, §5.4).
-                if let Some(dram) = self.platform.dtu_system().memory(self.platform.dram_pe()) {
-                    dram.zero(frame as usize, PAGE_SIZE as usize);
-                }
-            }
-        }
-        let mut st = self.state.borrow_mut();
-        let aspace = st
-            .addr_spaces
-            .get_mut(&caller)
-            .ok_or_else(|| Error::new(Code::Internal).with_msg("lost address space"))?;
-        aspace.faults += 1;
-        aspace.map(page, frame, Perm::RW, Some(dst));
-        aspace.touch(page, write);
-        let perm = aspace.entry(page).map_or(Perm::RW, |e| e.perm);
-        self.sim
-            .metrics()
-            .incr_handle(pe, self.counters.page_faults);
-        let now = self.sim.now();
-        self.sim.tracer().record_with(|| Event {
-            at: now,
-            dur: Cycles::ZERO,
-            pe: Some(pe),
-            comp: Component::Vm,
-            kind: EventKind::PageFault {
-                virt: page * PAGE_SIZE,
-                write,
-            },
-        });
-        Ok(perm)
+        Ok(())
     }
 
     /// Serves a page fault (§7): walks the caller's kernel-owned page
@@ -227,74 +77,52 @@ impl Kernel {
             return Err(Error::new(Code::InvArgs).with_msg("empty fault access"));
         }
         let page = virt / PAGE_SIZE;
-        let write = access.contains(Perm::W);
-        let pe = self.vpe_pe(caller);
-
-        let kind = {
-            let mut st = self.state.borrow_mut();
-            // The table must exist before classification so a dead caller
-            // still errors on the table lookup below, not here.
-            Self::table(&mut st, caller)?;
-            let aspace = st
-                .addr_spaces
-                .entry(caller)
-                .or_insert_with(|| AddrSpaceObj::new(self.cfg.vm_resident_pages));
-            aspace.classify(page)
-        };
-
-        let (frame, perm, old_cap) = match kind {
-            FaultKind::Resident => {
-                let mut st = self.state.borrow_mut();
-                let aspace = st
-                    .addr_spaces
-                    .get_mut(&caller)
-                    .ok_or_else(|| Error::new(Code::Internal).with_msg("lost address space"))?;
-                aspace.touch(page, write);
-                let entry = aspace
-                    .entry_mut(page)
-                    .ok_or_else(|| Error::new(Code::Internal).with_msg("resident without entry"))?;
-                let frame = entry
-                    .frame
-                    .ok_or_else(|| Error::new(Code::Internal).with_msg("resident without frame"))?;
-                let perm = entry.perm;
-                // One live frame capability per page: the previous one is
-                // replaced (and revoked below) so eviction only ever has a
-                // single selector to cut.
-                let old = entry.cap.replace(dst);
-                (frame, perm, old.filter(|s| *s != dst))
+        // Per-PE paging metrics go to the caller's PE, or to the kernel's
+        // for a caller it no longer tracks.
+        let pe = self.state.vpe(caller).map_or(self.pe, |v| v.borrow().pe);
+        let limit = self.cfg.vm_resident_pages;
+        let kind = self.state.classify_fault((caller, dst), page, limit)?;
+        if kind != FaultKind::Resident {
+            self.evict_if_needed(caller, pe).await?;
+        }
+        if let FaultKind::SwapIn(_) = kind {
+            self.charge_page_move().await;
+        }
+        // The transition takes a fresh frame only now, with nothing left
+        // to await: a caller that died during a page move takes none.
+        match self.state.map_fault((caller, dst), page, access)? {
+            Mapped::Resident(Some(old)) => {
+                self.revoke_cap((caller, old));
             }
-            FaultKind::SwapIn(_) | FaultKind::Zero => {
-                self.evict_if_needed(caller, pe).await?;
-                let frame = self.state.borrow_mut().mem.alloc(PAGE_SIZE)?;
-                // Anything failing past this point (typically: the caller
-                // crashed during a page-move await and teardown removed its
-                // address space) must return the frame, or the crash path
-                // leaks DRAM.
-                match self
-                    .fill_frame(caller, kind, frame, page, dst, write, pe)
-                    .await
-                {
-                    Ok(perm) => (frame, perm, None),
-                    Err(e) => {
-                        self.state.borrow_mut().mem.free(frame, PAGE_SIZE);
-                        return Err(e);
+            Mapped::Resident(None) => {}
+            Mapped::Fresh { frame, swapped } => {
+                match swapped {
+                    Some(addr) => {
+                        self.dram_copy(addr, frame, PAGE_SIZE as usize);
+                        self.trace(pe, Component::Vm, || EventKind::PageIn {
+                            virt: page * PAGE_SIZE,
+                            bytes: PAGE_SIZE,
+                        });
+                    }
+                    // A first-touch frame is handed out zeroed (the frame
+                    // may have been used before; like m3fs, zeroing happens
+                    // off the application's critical path, §5.4).
+                    None => {
+                        let dram = self.platform.dram_pe();
+                        if let Some(dram) = self.platform.dtu_system().memory(dram) {
+                            dram.zero(frame as usize, PAGE_SIZE as usize);
+                        }
                     }
                 }
+                self.sim
+                    .metrics()
+                    .incr_handle(pe, self.counters.page_faults);
+                self.trace(pe, Component::Vm, || EventKind::PageFault {
+                    virt: page * PAGE_SIZE,
+                    write: access.contains(Perm::W),
+                });
             }
-        };
-
-        if let Some(old) = old_cap {
-            self.revoke_cap(caller, old);
         }
-        let mgate = Rc::new(MGateObj {
-            pe: self.platform.dram_pe(),
-            offset: frame,
-            size: PAGE_SIZE,
-            perm: access & perm,
-            owned: false, // the page table owns the frame
-        });
-        let mut st = self.state.borrow_mut();
-        st.mint((caller, dst), KObject::MGate(mgate), None)?;
         let mut os = OStream::new();
         os.push_u64(page * PAGE_SIZE);
         Ok(os.into_bytes())
@@ -304,29 +132,8 @@ impl Kernel {
     /// any) and revokes the handed-out frame capability.
     pub(super) async fn sys_unmap(&self, caller: VpeId, virt: u64) -> Result<Vec<u8>> {
         self.sim.sleep(m3_vm::costs::FAULT_WALK).await;
-        let page = virt / PAGE_SIZE;
-        let cap = {
-            let mut st = self.state.borrow_mut();
-            let st = &mut *st;
-            let aspace = st
-                .addr_spaces
-                .get_mut(&caller)
-                .ok_or_else(|| Error::new(Code::InvArgs).with_msg("page not mapped"))?;
-            let entry = aspace
-                .unmap(page)
-                .ok_or_else(|| Error::new(Code::InvArgs).with_msg("page not mapped"))?;
-            if let Some(frame) = entry.frame {
-                st.mem.free(frame, PAGE_SIZE);
-            }
-            if let Some(slot) = entry.swap_slot {
-                if let Some(swap) = aspace.swap.as_mut() {
-                    swap.free_slot(slot);
-                }
-            }
-            entry.cap
-        };
-        if let Some(sel) = cap {
-            self.revoke_cap(caller, sel);
+        if let Some(sel) = self.state.unmap(caller, virt / PAGE_SIZE)? {
+            self.revoke_cap((caller, sel));
         }
         Ok(Vec::new())
     }

@@ -5,48 +5,12 @@
 use m3_base::cfg::SPM_DATA_SIZE;
 use m3_base::error::{Code, Error, Result};
 use m3_base::{EpId, PeId, VpeId};
-use m3_platform::PeType;
 use m3_sched::Scheduler;
 use m3_sim::{Component, Event, EventKind, Notify, TaskName};
 
-use crate::protocol::PeRequest;
-
-use super::{KState, Kernel};
+use super::Kernel;
 
 impl Kernel {
-    /// Picks the PE a new VPE is time-multiplexed onto when no PE is free:
-    /// the least-loaded multiplexed PE matching the request (ties go to the
-    /// lowest PE id, keeping placement deterministic). Pinned PEs and
-    /// accelerators never multiplex.
-    pub(super) fn pick_overcommit_pe(
-        &self,
-        st: &KState,
-        req: PeRequest,
-        caller_ty: PeType,
-    ) -> Result<PeId> {
-        let want = match req {
-            PeRequest::Any => None,
-            PeRequest::Type(ty) => Some(ty),
-            PeRequest::Same => Some(caller_ty),
-        };
-        let sched = self.sched.borrow();
-        let pinned = self.pinned.borrow();
-        // `loads()` iterates PEs in ascending id order, so the shared
-        // least-loaded policy resolves ties to the lowest PE id — the same
-        // rule the multikernel uses to pick a peer shard.
-        m3_sched::least_loaded(sched.loads().into_iter().filter(|(pe, _)| {
-            if pinned.contains(pe) {
-                return false;
-            }
-            let desc = st.pemng.desc(*pe);
-            match want {
-                None => !desc.is_fft_accel(),
-                Some(ty) => desc.ty == ty && !desc.is_fft_accel(),
-            }
-        }))
-        .ok_or_else(|| Error::new(Code::NoFreePe).with_msg(format!("request {req:?}")))
-    }
-
     /// Whether `vpe` is under scheduler control (time-multiplexed).
     pub fn sched_manages(&self, vpe: VpeId) -> bool {
         self.sched.borrow().manages(vpe)
@@ -218,6 +182,16 @@ impl Kernel {
         });
     }
 
+    /// Records the slice of `pe`'s resident, which ends now.
+    pub(super) fn end_slice(&self, pe: PeId) {
+        if let Some(t0) = self.resumed_at.borrow_mut().remove(&pe) {
+            let cycles = (self.sim.now() - t0).as_u64();
+            self.sim
+                .metrics()
+                .observe(pe, m3_sim::keys::SLICE_CYCLES, cycles);
+        }
+    }
+
     /// Performs one context switch on `pe`: saves `from` (when the PE is
     /// not vacant) and restores `to`, moving each VPE's architectural state
     /// — endpoint registers, ring-buffer contents, unspent credits, and the
@@ -252,13 +226,7 @@ impl Kernel {
             self.sim.sleep(m3_dtu::timing::DRAM_LATENCY).await;
             self.sim.sleep(m3_sched::costs::CTX_SAVE_FIXED).await;
             bytes += saved + data;
-            if let Some(t0) = self.resumed_at.borrow_mut().remove(&pe) {
-                self.sim.metrics().observe(
-                    pe,
-                    m3_sim::keys::SLICE_CYCLES,
-                    (self.sim.now() - t0).as_u64(),
-                );
-            }
+            self.end_slice(pe);
         }
         match self.ktok.restore_state(pe, u64::from(to.raw())) {
             Ok((restored, dirty)) => {

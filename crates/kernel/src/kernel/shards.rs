@@ -9,10 +9,9 @@ use std::rc::{Rc, Weak};
 use m3_base::error::{Code, Error, Result};
 use m3_base::marshal::OStream;
 use m3_base::{Cycles, EpId, PeId, SelId, VpeId};
-use m3_platform::PeType;
-use m3_sim::{Component, Event, EventKind, TaskName};
+use m3_sim::{Component, EventKind, TaskName};
 
-use crate::cap::{KObject, MGateObj, RemoteSessObj, RemoteVpeObj, XSGateObj};
+use crate::cap::{CapRef, KObject, MGateObj, RemoteSessObj, RemoteVpeObj, XSGateObj};
 use crate::costs;
 use crate::ktk::{self, CapDesc, KtkMsg, KtkReply};
 use crate::protocol::{PeRequest, ServiceRequest};
@@ -64,11 +63,6 @@ impl ShardCtx {
     /// Whether `shard` has been declared dead by the watchdog.
     pub fn is_dead(&self, shard: u32) -> bool {
         self.dead.borrow().contains(&shard)
-    }
-
-    /// The last free-PE count `shard` advertised, if it is still alive.
-    pub fn peer_free(&self, shard: u32) -> Option<usize> {
-        self.peer_free.borrow().get(&shard).copied()
     }
 
     /// Peers not declared dead, in ascending shard-id order.
@@ -212,18 +206,11 @@ impl Kernel {
         if ctx.dead.borrow().contains(&dst) {
             return;
         }
-        let free = self.state.borrow().pemng.free_count() as u32;
-        let at = self.sim.now();
-        self.sim.tracer().record_with(|| Event {
-            at,
-            dur: m3_base::Cycles::ZERO,
-            pe: Some(self.pe),
-            comp: Component::Kernel,
-            kind: EventKind::ShardOp {
-                shard: ctx.id,
-                peer: dst,
-                op: msg.name().to_string(),
-            },
+        let free = self.state.free_pes() as u32;
+        self.trace(self.pe, Component::Kernel, || EventKind::ShardOp {
+            shard: ctx.id,
+            peer: dst,
+            op: msg.name().to_string(),
         });
         (ctx.send)(dst, msg.to_bytes(ctx.id, free));
     }
@@ -275,17 +262,10 @@ impl Kernel {
             KtkMsg::Hello => {}
             KtkMsg::Reply { req_id, reply } => ctx.requests.answer(req_id, reply),
             msg => {
-                let at = self.sim.now();
-                self.sim.tracer().record_with(|| Event {
-                    at,
-                    dur: m3_base::Cycles::ZERO,
-                    pe: Some(self.pe),
-                    comp: Component::Kernel,
-                    kind: EventKind::ShardOp {
-                        shard: ctx.id,
-                        peer: src,
-                        op: msg.name().to_string(),
-                    },
+                self.trace(self.pe, Component::Kernel, || EventKind::ShardOp {
+                    shard: ctx.id,
+                    peer: src,
+                    op: msg.name().to_string(),
                 });
                 let k = self.clone();
                 let name = TaskName::tagged("ktk-", msg.name(), "@PE", self.pe.raw().into());
@@ -309,7 +289,7 @@ impl Kernel {
             KtkMsg::StartVpe { req_id, vpe } => Some((req_id, self.ktk_start_vpe(vpe))),
             KtkMsg::WaitVpe { req_id, vpe } => Some((req_id, self.ktk_wait_vpe(vpe).await)),
             KtkMsg::RevokeVpe { vpe } => {
-                self.ktk_revoke_vpe(vpe);
+                self.ktk_revoke_vpe(VpeId::new(vpe));
                 None
             }
             KtkMsg::DelegateCap {
@@ -319,7 +299,8 @@ impl Kernel {
                 desc,
             } => Some((req_id, self.ktk_delegate_cap(vpe, sel, &desc).await)),
             KtkMsg::RevokeCap { vpe, sel } => {
-                self.revoke_charged(VpeId::new(vpe), SelId::new(sel)).await;
+                self.revoke_charged((VpeId::new(vpe), SelId::new(sel)))
+                    .await;
                 None
             }
             KtkMsg::OpenSess { req_id, name, arg } => {
@@ -356,17 +337,7 @@ impl Kernel {
     /// or until the requester `src` is declared dead.
     async fn ktk_place_vpe(&self, src: u32, name: &str, want: PeRequest) -> Result<KtkReply> {
         self.sim.sleep(costs::CREATE_VPE).await;
-        let (id, pe) = {
-            let mut st = self.state.borrow_mut();
-            // `Same` cannot cross shards (the sender resolves it first); a
-            // stray one falls back to the base compute type.
-            let pe = st.pemng.alloc(want, PeType::Xtensa)?;
-            let (id, vpe) = st.new_vpe(name, pe, None)?;
-            let mut v = vpe.borrow_mut();
-            v.names += 1;
-            v.placed_for = Some(src);
-            (id, pe)
-        };
+        let (id, pe) = self.state.place_for(src, name, want)?;
         self.setup_sysc_channel(id, pe)?;
         self.charge_ep_config(pe).await;
         Ok(KtkReply::ok(u64::from(id.raw()), u64::from(pe.raw())))
@@ -375,10 +346,7 @@ impl Kernel {
     /// The local VPE a peer shard's proxy refers to.
     fn proxied_vpe(&self, vpe: u32) -> Result<Rc<RefCell<VpeObj>>> {
         self.state
-            .borrow()
-            .vpes
-            .get(&VpeId::new(vpe))
-            .cloned()
+            .vpe(VpeId::new(vpe))
             .ok_or_else(|| Error::new(Code::VpeGone).with_msg("unknown remote VPE"))
     }
 
@@ -400,11 +368,9 @@ impl Kernel {
     /// capability, which the teardown revoked). A repeated `RevokeVpe`,
     /// one per revoked copy of the proxy, finds no record. A requester's
     /// death ends the proxy's name the same way ([`Kernel::on_peer_shard_dead`]).
-    fn ktk_revoke_vpe(&self, vpe: u32) {
-        let vpe_obj = self.state.borrow().vpes.get(&VpeId::new(vpe)).cloned();
-        if let Some(v) = vpe_obj {
-            v.borrow_mut().names -= 1;
-            self.destroy_vpe(&v, -1);
+    fn ktk_revoke_vpe(&self, vpe: VpeId) {
+        if self.state.drop_proxy_name(vpe) {
+            self.destroy_vpe(vpe, -1);
         }
     }
 
@@ -415,7 +381,7 @@ impl Kernel {
     }
 
     async fn ktk_open_sess(&self, name: &str, arg: u64) -> Result<KtkReply> {
-        let serv = self.state.borrow().services.find(name)?;
+        let serv = self.state.find_service(name)?;
         let reply = self
             .forward_to_service(&serv, ServiceRequest::Open { arg })
             .await?;
@@ -436,7 +402,7 @@ impl Kernel {
         descs: &[CapDesc],
         args: &[u8],
     ) -> Result<KtkReply> {
-        let serv = self.state.borrow().services.find(serv_name)?;
+        let serv = self.state.find_service(serv_name)?;
         let reply = self
             .forward_to_service(
                 &serv,
@@ -452,24 +418,11 @@ impl Kernel {
             return Err(Error::new(Code::BadMessage));
         }
         let owner = serv.owner;
+        let mut caps = Vec::new();
         if obtain {
-            let mut out = Vec::new();
-            {
-                let mut st = self.state.borrow_mut();
-                for serv_sel in &reply.caps {
-                    let obj = Self::table(&mut st, owner)?
-                        .get(*serv_sel)
-                        .map(|c| c.obj.clone())?;
-                    out.push(Self::desc_of_obj(&obj)?);
-                }
+            for serv_sel in &reply.caps {
+                caps.push(Self::desc_of_obj(&self.state.obj((owner, *serv_sel))?)?);
             }
-            Ok(KtkReply {
-                code: None,
-                a: 0,
-                b: 0,
-                caps: out,
-                args: reply.args,
-            })
         } else {
             if reply.caps.len() > descs.len() {
                 return Err(Error::new(Code::BadMessage));
@@ -477,14 +430,12 @@ impl Kernel {
             for (i, serv_sel) in reply.caps.iter().enumerate() {
                 self.install_desc(owner, *serv_sel, &descs[i])?;
             }
-            Ok(KtkReply {
-                code: None,
-                a: 0,
-                b: 0,
-                caps: Vec::new(),
-                args: reply.args,
-            })
         }
+        Ok(KtkReply {
+            caps,
+            args: reply.args,
+            ..KtkReply::ok(0, 0)
+        })
     }
 
     /// Cross-shard `CreateVpe` spill-over (requesting side): tries peer
@@ -492,21 +443,14 @@ impl Kernel {
     /// `RemoteVpe` proxy plus the child-SPM memory gate derived from it —
     /// the same two capabilities a local `CreateVpe` yields, so the
     /// caller's session keeps working transparently.
-    #[allow(clippy::too_many_arguments)]
     pub(super) async fn create_vpe_remote(
         &self,
         ctx: &Rc<ShardCtx>,
-        caller: VpeId,
-        dst: SelId,
+        cap: CapRef,
         mem_dst: SelId,
-        req: PeRequest,
-        caller_ty: PeType,
+        want: PeRequest,
         name: &str,
     ) -> Result<Vec<u8>> {
-        let want = match req {
-            PeRequest::Same => PeRequest::Type(caller_ty),
-            other => other,
-        };
         let mut tried: BTreeSet<u32> = BTreeSet::new();
         loop {
             let peer = {
@@ -519,7 +463,7 @@ impl Kernel {
             };
             let Some(peer) = peer else {
                 return Err(Error::new(Code::NoFreePe)
-                    .with_msg(format!("no shard can place request {req:?}")));
+                    .with_msg(format!("no shard can place request {want:?}")));
             };
             tried.insert(peer);
             let reply = self
@@ -539,14 +483,7 @@ impl Kernel {
                         pe,
                     };
                     // The caller may have lost a selector or its table meanwhile.
-                    let install = self.state.borrow_mut().mint_vpe_pair(
-                        caller,
-                        dst,
-                        mem_dst,
-                        pe,
-                        |st, cap| st.mint(cap, KObject::RemoteVpe(Rc::new(proxy)), None),
-                    );
-                    if let Err(e) = install {
+                    if let Err(e) = self.state.mint_remote_vpe(cap, mem_dst, proxy) {
                         // The placement would leak on the peer; take it back.
                         self.ktk_send(ctx, peer, &KtkMsg::RevokeVpe { vpe: vpe_raw });
                         return Err(e);
@@ -591,8 +528,8 @@ impl Kernel {
                         serv: name.to_string(),
                         ident: r.a,
                     });
-                    let mut st = self.state.borrow_mut();
-                    st.mint((caller, dst), KObject::RemoteSess(sess), None)?;
+                    self.state
+                        .mint((caller, dst), KObject::RemoteSess(sess), None)?;
                     return Ok(Vec::new());
                 }
                 // This peer does not host it either; keep looking.
@@ -618,10 +555,8 @@ impl Kernel {
         let ctx = self.shard_ctx_or_err()?;
         let mut descs = Vec::new();
         if !obtain {
-            let mut st = self.state.borrow_mut();
             for sel in caps {
-                let obj = Self::table(&mut st, caller)?.get(*sel)?.obj.clone();
-                descs.push(Self::desc_of_obj(&obj)?);
+                descs.push(Self::desc_of_obj(&self.state.obj((caller, *sel))?)?);
             }
         }
         let reply = self
@@ -717,7 +652,7 @@ impl Kernel {
                 max_payload: *max_payload as usize,
             })),
         };
-        self.state.borrow_mut().mint((vpe, sel), obj, None)
+        self.state.mint((vpe, sel), obj, None)
     }
 
     /// Severs a dead peer shard: marks it dead, fails the in-flight
@@ -736,46 +671,19 @@ impl Kernel {
             .borrow_mut()
             .values_mut()
             .for_each(|edges| edges.retain(|(s, _, _)| *s != peer));
-        let refs: Vec<(VpeId, SelId)> = {
-            let st = self.state.borrow();
-            let mut refs = Vec::new();
-            for (vid, table) in &st.tables {
-                for sel in table.selectors() {
-                    let hits = table.get(sel).is_ok_and(|cap| match &cap.obj {
-                        KObject::RemoteVpe(r) => r.shard == peer,
-                        KObject::RemoteSess(r) => r.shard == peer,
-                        _ => false,
-                    });
-                    if hits {
-                        refs.push((*vid, sel));
-                    }
-                }
-            }
-            refs
-        };
-        let at = self.sim.now();
-        self.sim.tracer().record_with(|| Event {
-            at,
-            dur: m3_base::Cycles::ZERO,
-            pe: Some(self.pe),
-            comp: Component::Kernel,
-            kind: EventKind::Recovery {
-                action: format!("dead_shard:{peer}"),
-                attempt: 0,
-            },
+        let refs = self.state.caps_where(|obj| match obj {
+            KObject::RemoteVpe(r) => r.shard == peer,
+            KObject::RemoteSess(r) => r.shard == peer,
+            _ => false,
         });
-        for (v, s) in refs {
-            self.revoke_cap(v, s);
+        self.trace(self.pe, Component::Kernel, || EventKind::Recovery {
+            action: format!("dead_shard:{peer}"),
+            attempt: 0,
+        });
+        for cap in refs {
+            self.revoke_cap(cap);
         }
-        let orphans: Vec<u32> = self
-            .state
-            .borrow()
-            .vpes
-            .iter()
-            .filter(|(_, v)| v.borrow().placed_for == Some(peer))
-            .map(|(id, _)| id.raw())
-            .collect();
-        for vpe in orphans {
+        for vpe in self.state.vpes_where(|v| v.placed_for == Some(peer)) {
             self.ktk_revoke_vpe(vpe);
         }
     }

@@ -6,9 +6,9 @@ use std::rc::Rc;
 use m3_base::error::{Code, Error, Result};
 use m3_base::marshal::OStream;
 use m3_base::{EpId, Perm, SelId, VpeId};
-use m3_dtu::{EpConfig, Message};
+use m3_dtu::Message;
 use m3_sched::Admission;
-use m3_sim::{Component, Event, EventKind, TaskName};
+use m3_sim::{Component, EventKind, TaskName};
 
 use crate::cap::{KObject, MGateObj, RGateObj, SGateObj};
 use crate::costs;
@@ -17,7 +17,8 @@ use crate::protocol::{std_eps, PeRequest, ServiceReply, ServiceRequest, Syscall,
 use crate::service::{ServObj, SessObj};
 use crate::vpe::wait_exit;
 
-use super::{keps, Kernel, RINGBUF_SPM_BUDGET};
+use super::state::{Activation, VpeCap, MGATE, RGATE, VPE};
+use super::{keps, Kernel};
 
 /// The task-name prefix of a syscall that may block, `None` for one that
 /// completes inline. A blocking call runs in a detached task so the kernel
@@ -70,15 +71,8 @@ impl Kernel {
                     continue;
                 }
             };
-            let at = self.sim.now();
-            self.sim.tracer().record_with(|| Event {
-                at,
-                dur: m3_base::Cycles::ZERO,
-                pe: Some(self.pe),
-                comp: Component::Kernel,
-                kind: EventKind::Syscall {
-                    opcode: call.name().to_string(),
-                },
+            self.trace(self.pe, Component::Kernel, || EventKind::Syscall {
+                opcode: call.name().to_string(),
             });
             match detach_prefix(&call) {
                 Some(prefix) => {
@@ -155,10 +149,13 @@ impl Kernel {
                 other,
                 obtain,
             } => self.sys_exchange(caller, vpe, own, other, obtain).await,
-            Syscall::Revoke { sel } => self.sys_revoke(caller, sel).await,
+            Syscall::Revoke { sel } => {
+                self.revoke_charged((caller, sel)).await;
+                Ok(Vec::new())
+            }
             Syscall::Exit { code } => {
                 // No reply: the VPE is gone.
-                self.sys_exit(caller, code);
+                self.destroy_vpe(caller, code);
                 return;
             }
             Syscall::PageFault { dst, virt, access } => {
@@ -206,8 +203,7 @@ impl Kernel {
             return Err(Error::new(Code::InvArgs).with_msg("bad ring buffer geometry"));
         }
         let gate = RGateObj::new(caller, slots, slot_size);
-        let mut st = self.state.borrow_mut();
-        st.mint((caller, dst), KObject::RGate(gate), None)?;
+        self.state.mint((caller, dst), KObject::RGate(gate), None)?;
         Ok(Vec::new())
     }
 
@@ -220,20 +216,14 @@ impl Kernel {
         credits: u32,
     ) -> Result<Vec<u8>> {
         self.sim.sleep(costs::CAP_OP).await;
-        let mut st = self.state.borrow_mut();
-        let rgate_obj = match &Self::table(&mut st, caller)?.get(rgate)?.obj {
-            KObject::RGate(g) => g.clone(),
-            other => {
-                return Err(Error::new(Code::InvCap)
-                    .with_msg(format!("expected rgate, found {}", other.kind())))
-            }
-        };
         let sgate = Rc::new(SGateObj {
-            rgate: rgate_obj,
+            rgate: self.state.get((caller, rgate), RGATE)?,
             label,
             credits: if credits == 0 { None } else { Some(credits) },
         });
-        st.mint((caller, dst), KObject::SGate(sgate), Some((caller, rgate)))?;
+        let sgate = KObject::SGate(sgate);
+        self.state
+            .mint((caller, dst), sgate, Some((caller, rgate)))?;
         Ok(Vec::new())
     }
 
@@ -245,19 +235,7 @@ impl Kernel {
         perm: Perm,
     ) -> Result<Vec<u8>> {
         self.sim.sleep(costs::ALLOC_MEM).await;
-        let mut st = self.state.borrow_mut();
-        let offset = st.mem.alloc(size)?;
-        let mgate = Rc::new(MGateObj {
-            pe: self.platform.dram_pe(),
-            offset,
-            size,
-            perm,
-            owned: true,
-        });
-        if let Err(e) = st.mint((caller, dst), KObject::MGate(mgate), None) {
-            st.mem.free(offset, size);
-            return Err(e);
-        }
+        let offset = self.state.alloc_mem((caller, dst), size, perm)?;
         let mut os = OStream::new();
         os.push_u64(offset);
         Ok(os.into_bytes())
@@ -273,14 +251,7 @@ impl Kernel {
         perm: Perm,
     ) -> Result<Vec<u8>> {
         self.sim.sleep(costs::CAP_OP).await;
-        let mut st = self.state.borrow_mut();
-        let parent = match &Self::table(&mut st, caller)?.get(src)?.obj {
-            KObject::MGate(m) => m.clone(),
-            other => {
-                return Err(Error::new(Code::InvCap)
-                    .with_msg(format!("expected mgate, found {}", other.kind())))
-            }
-        };
+        let parent = self.state.get((caller, src), MGATE)?;
         if !parent.perm.contains(perm) {
             return Err(Error::new(Code::NoPerm).with_msg("derived permissions exceed source"));
         }
@@ -297,7 +268,8 @@ impl Kernel {
             perm,
             owned: false,
         });
-        st.mint((caller, dst), KObject::MGate(child), Some((caller, src)))?;
+        let child = KObject::MGate(child);
+        self.state.mint((caller, dst), child, Some((caller, src)))?;
         Ok(Vec::new())
     }
 
@@ -310,71 +282,36 @@ impl Kernel {
         name: &str,
     ) -> Result<Vec<u8>> {
         self.sim.sleep(costs::CREATE_VPE).await;
-        // Placement and capability setup run under one state borrow; an
-        // out-of-PEs outcome breaks out of the block so the ktk spill-over
-        // round trip awaits with the borrow released.
-        let placed = 'placed: {
-            let mut st = self.state.borrow_mut();
-            let caller_pe = st
-                .vpes
-                .get(&caller)
-                .ok_or_else(|| Error::new(Code::VpeGone))?
-                .borrow()
-                .pe;
-            let caller_ty = st.pemng.desc(caller_pe).ty;
-            // Both selectors must be free before anything is placed: a
-            // taken one found later would strand the PE or cost a spill.
-            st.sels_free(caller, &[dst, mem_dst])?;
-            let pe = match st.pemng.alloc(req, caller_ty) {
-                // Overcommit: with every matching PE taken, time-multiplex
-                // the least-loaded one instead of failing (§4.1/§7 future
-                // work: the kernel suspends VPEs via DTU state save/restore).
-                Err(e) if e.code() == Code::NoFreePe && self.cfg.overcommit => {
-                    self.pick_overcommit_pe(&st, req, caller_ty)
-                }
-                other => other,
-            };
-            let pe = match pe {
-                Ok(pe) => pe,
-                Err(e) => break 'placed Err((e, caller_ty)),
-            };
-            let (id, _) = st.mint_vpe_pair(caller, dst, mem_dst, pe, |st, creator| {
-                st.new_vpe(name, pe, Some(creator))
-            })?;
-            // In overcommit mode every multiplexable child joins its PE's
-            // run queue (accelerators and pinned PEs stay exclusive). The
-            // PE's DTU arrival notify is the scheduler's wake signal for
-            // the resident, the context's DTU doorbell the child's own.
-            let mut queued = false;
-            if self.cfg.overcommit
-                && !st.pemng.desc(pe).is_fft_accel()
-                && !self.pinned.borrow().contains(&pe)
-            {
-                let wake = self.ktok.arrival_notify(pe)?;
-                let doorbell = self.ktok.ctx_doorbell(pe, u64::from(id.raw()))?;
-                if self.sched.borrow_mut().admit(id, pe, wake, doorbell) == Admission::Queued {
-                    queued = true;
-                }
-            }
-            Ok((id, pe, queued))
+        let want = self.state.resolve(caller, req)?;
+        let placed = {
+            let multiplexed = self.cfg.overcommit.then(|| self.sched.borrow());
+            self.state
+                .create_vpe((caller, dst), mem_dst, want, name, multiplexed.as_deref())
         };
-        let (id, pe, queued) = match placed {
-            Ok(t) => t,
+        let (id, pe) = match placed {
             // Sharded multikernel (§7): out of PEs locally, forward the
             // placement to the peer shard with the most free PEs; the
             // returned capabilities are delegated back so the caller's
             // session keeps working transparently.
-            Err((e, caller_ty)) => {
-                if e.code() == Code::NoFreePe {
-                    if let Some(ctx) = self.shard_ctx() {
-                        return self
-                            .create_vpe_remote(&ctx, caller, dst, mem_dst, req, caller_ty, name)
-                            .await;
-                    }
+            Err(e) if e.code() == Code::NoFreePe => match self.shard_ctx() {
+                Some(ctx) => {
+                    return self
+                        .create_vpe_remote(&ctx, (caller, dst), mem_dst, want, name)
+                        .await
                 }
-                return Err(e);
-            }
+                None => return Err(e),
+            },
+            placed => placed?,
         };
+        // In overcommit mode every multiplexable child joins its PE's run
+        // queue. The PE's DTU arrival notify is the scheduler's wake signal
+        // for the resident, the context's DTU doorbell the child's own.
+        let mut queued = false;
+        if self.cfg.overcommit && self.state.multiplexable(pe) {
+            let wake = self.ktok.arrival_notify(pe)?;
+            let doorbell = self.ktok.ctx_doorbell(pe, u64::from(id.raw()))?;
+            queued = self.sched.borrow_mut().admit(id, pe, wake, doorbell) == Admission::Queued;
+        }
         if queued {
             // The PE is occupied: the channel goes into the VPE's DTU save
             // area and materializes at its first restore.
@@ -394,14 +331,10 @@ impl Kernel {
     }
 
     async fn sys_vpe_start(&self, caller: VpeId, vpe: SelId) -> Result<Vec<u8>> {
-        let target = {
-            let mut st = self.state.borrow_mut();
-            Self::table(&mut st, caller)?.get(vpe)?.obj.clone()
-        };
-        match target {
-            KObject::Vpe(vpe_obj) => vpe_obj.borrow_mut().start()?,
+        match self.state.get((caller, vpe), VPE)? {
+            VpeCap::Local(vpe_obj) => vpe_obj.borrow_mut().start()?,
             // A remotely placed child is started by its own shard's kernel.
-            KObject::RemoteVpe(r) => {
+            VpeCap::Remote(r) => {
                 let ctx = self.shard_ctx_or_err()?;
                 self.ktk_request(&ctx, r.shard, |req_id| KtkMsg::StartVpe {
                     req_id,
@@ -410,24 +343,16 @@ impl Kernel {
                 .await?
                 .into_result()?;
             }
-            other => {
-                return Err(Error::new(Code::InvCap)
-                    .with_msg(format!("expected vpe, found {}", other.kind())))
-            }
         }
         Ok(Vec::new())
     }
 
     async fn sys_vpe_wait(&self, caller: VpeId, vpe: SelId) -> Result<Vec<u8>> {
-        let target = {
-            let mut st = self.state.borrow_mut();
-            Self::table(&mut st, caller)?.get(vpe)?.obj.clone()
-        };
-        let code = match target {
-            KObject::Vpe(v) => wait_exit(&v).await,
+        let code = match self.state.get((caller, vpe), VPE)? {
+            VpeCap::Local(v) => wait_exit(&v).await,
             // Wait on a remotely placed child: its shard's kernel holds
             // the exit code and replies once the VPE is gone.
-            KObject::RemoteVpe(r) => {
+            VpeCap::Remote(r) => {
                 let ctx = self.shard_ctx_or_err()?;
                 let reply = self
                     .ktk_request(&ctx, r.shard, |req_id| KtkMsg::WaitVpe {
@@ -438,7 +363,6 @@ impl Kernel {
                     .into_result()?;
                 reply.a as i64
             }
-            _ => return Err(Error::new(Code::InvCap)),
         };
         let mut os = OStream::new();
         os.push_i64(code);
@@ -453,45 +377,8 @@ impl Kernel {
         name: &str,
     ) -> Result<Vec<u8>> {
         self.sim.sleep(costs::CAP_OP).await;
-        let mut st = self.state.borrow_mut();
-        let rgate_obj = match &Self::table(&mut st, caller)?.get(rgate)?.obj {
-            KObject::RGate(g) => g.clone(),
-            other => {
-                return Err(Error::new(Code::InvCap)
-                    .with_msg(format!("expected rgate, found {}", other.kind())))
-            }
-        };
-        // Refused before the name and a kernel endpoint are taken.
-        st.sels_free(caller, &[dst])?;
-        let Some((rpe, rep)) = *rgate_obj.activation.borrow() else {
-            return Err(Error::new(Code::InvArgs).with_msg("service rgate not activated"));
-        };
-        // The lowest service endpoint no registered service holds: a dead
-        // service's endpoint goes to the next one.
-        let kernel_ep = (keps::FIRST_SERV..m3_base::cfg::EP_COUNT as u32)
-            .map(EpId::new)
-            .find(|ep| !st.services.holds_ep(*ep))
-            .ok_or_else(|| Error::new(Code::OutOfMem).with_msg("kernel out of service EPs"))?;
-        let serv = Rc::new(ServObj {
-            name: name.to_string(),
-            owner: caller,
-            rgate: rgate_obj,
-            kernel_ep,
-        });
-        st.services.register(serv.clone())?;
-        // The kernel-service channel, created at registration (§4.5.3).
-        self.ktok.configure(
-            self.pe,
-            kernel_ep,
-            EpConfig::Send {
-                pe: rpe,
-                ep: rep,
-                label: 0,
-                credits: None,
-                max_payload: serv.rgate.max_payload(),
-            },
-        )?;
-        st.mint((caller, dst), KObject::Serv(serv), None)?;
+        let (kernel_ep, channel) = self.state.create_srv((caller, dst), rgate, name)?;
+        self.ktok.configure(self.pe, kernel_ep, channel)?;
         Ok(Vec::new())
     }
 
@@ -515,7 +402,7 @@ impl Kernel {
             // A service lives until its owner's capability is revoked (the
             // owner exited); after that its kernel endpoint may serve
             // another service.
-            if !self.state.borrow().services.is_registered(serv) {
+            if !self.state.is_registered(serv) {
                 return Err(Error::new(Code::Unreachable)
                     .with_msg(format!("service {} is gone", serv.name)));
             }
@@ -537,16 +424,9 @@ impl Kernel {
             if let Some(reply) = self.serv_requests.wait(&self.sim, req_id, deadline).await {
                 return reply.into_result();
             }
-            let at = self.sim.now();
-            self.sim.tracer().record_with(|| Event {
-                at,
-                dur: m3_base::Cycles::ZERO,
-                pe: Some(self.pe),
-                comp: Component::Kernel,
-                kind: EventKind::Recovery {
-                    action: "service_retry".to_string(),
-                    attempt,
-                },
+            self.trace(self.pe, Component::Kernel, || EventKind::Recovery {
+                action: "service_retry".to_string(),
+                attempt,
             });
         }
         Err(Error::new(Code::Unreachable).with_msg("service did not reply"))
@@ -559,10 +439,7 @@ impl Kernel {
         name: &str,
         arg: u64,
     ) -> Result<Vec<u8>> {
-        // Bind before matching: the scrutinee temporary would otherwise
-        // keep the state borrowed across the remote-lookup await.
-        let found = self.state.borrow().services.find(name);
-        let serv = match found {
+        let serv = match self.state.find_service(name) {
             Ok(s) => s,
             // Remote mount (§7): a service another shard registered is
             // reachable through that shard's kernel. Unknown locally, try
@@ -579,8 +456,7 @@ impl Kernel {
             serv,
             ident: reply.ident,
         });
-        let mut st = self.state.borrow_mut();
-        st.mint((caller, dst), KObject::Sess(sess), None)?;
+        self.state.mint((caller, dst), KObject::Sess(sess), None)?;
         Ok(Vec::new())
     }
 
@@ -592,11 +468,7 @@ impl Kernel {
         caps: &[SelId],
         args: &[u8],
     ) -> Result<Vec<u8>> {
-        let target = {
-            let mut st = self.state.borrow_mut();
-            Self::table(&mut st, caller)?.get(sess)?.obj.clone()
-        };
-        let sess_obj = match target {
+        let sess_obj = match self.state.obj((caller, sess))? {
             KObject::Sess(s) => s,
             // A remotely opened session: the exchange runs through the
             // kernel of the shard that hosts the service.
@@ -629,7 +501,7 @@ impl Kernel {
             } else {
                 ((caller, caps[i]), (owner, *serv_sel))
             };
-            self.copy_cap(src, dst)?;
+            self.state.copy(src, dst)?;
         }
         Ok(reply.args)
     }
@@ -643,19 +515,15 @@ impl Kernel {
         obtain: bool,
     ) -> Result<Vec<u8>> {
         self.sim.sleep(costs::CAP_OP).await;
-        let target = {
-            let mut st = self.state.borrow_mut();
-            Self::table(&mut st, caller)?.get(vpe)?.obj.clone()
-        };
-        match target {
-            KObject::Vpe(v) => {
+        match self.state.get((caller, vpe), VPE)? {
+            VpeCap::Local(v) => {
                 let peer = v.borrow().id;
                 let (src, dst) = if obtain {
                     ((peer, other), (caller, own))
                 } else {
                     ((caller, own), (peer, other))
                 };
-                self.copy_cap(src, dst)?;
+                self.state.copy(src, dst)?;
                 Ok(Vec::new())
             }
             // Cross-shard delegation (§4.5.3): the capability is converted
@@ -663,17 +531,13 @@ impl Kernel {
             // shard. Only delegation is supported — obtaining would need
             // the remote kernel to descriptor-ize an arbitrary capability
             // the child might not even have yet.
-            KObject::RemoteVpe(r) => {
+            VpeCap::Remote(r) => {
                 if obtain {
                     return Err(Error::new(Code::NotSup)
                         .with_msg("cannot obtain from a remotely placed VPE"));
                 }
                 let ctx = self.shard_ctx_or_err()?;
-                let desc = {
-                    let mut st = self.state.borrow_mut();
-                    let obj = Self::table(&mut st, caller)?.get(own)?.obj.clone();
-                    Self::desc_of_obj(&obj)?
-                };
+                let desc = Self::desc_of_obj(&self.state.obj((caller, own))?)?;
                 self.ktk_request(&ctx, r.shard, |req_id| KtkMsg::DelegateCap {
                     req_id,
                     vpe: r.vpe,
@@ -691,8 +555,6 @@ impl Kernel {
                     .push((r.shard, r.vpe, other.raw()));
                 Ok(Vec::new())
             }
-            other_obj => Err(Error::new(Code::InvCap)
-                .with_msg(format!("expected vpe, found {}", other_obj.kind()))),
         }
     }
 
@@ -707,125 +569,15 @@ impl Kernel {
             return Err(Error::new(Code::InvEp));
         }
         self.sim.sleep(costs::ACTIVATE).await;
-        let (target, caller_pe, obj) = {
-            let mut st = self.state.borrow_mut();
-            let table = Self::table(&mut st, caller)?;
-            // Resolve the target VPE through the caller's capability.
-            let (target, target_pe) = match &table.get(vpe)?.obj {
-                KObject::Vpe(v) => (v.borrow().id, v.borrow().pe),
-                // A remote child's endpoints belong to its own shard's
-                // kernel; the parent delegates capabilities instead and the
-                // child activates them itself.
-                KObject::RemoteVpe(_) => return Err(Error::new(Code::NotSup)),
-                _ => return Err(Error::new(Code::InvCap)),
-            };
-            (target, target_pe, table.get(gate)?.obj.clone())
+        // A send gate waits for its receive gate's activation (§4.5.4);
+        // each attempt resolves it anew, so one revoked meanwhile is refused.
+        let target_pe = loop {
+            match self.state.activate(&self.ktok, (caller, gate), vpe, ep)? {
+                Activation::Done(pe) => break pe,
+                Activation::Deferred(activated) => activated.wait().await,
+            }
         };
-
-        let cfg = match &obj {
-            KObject::SGate(sg) => {
-                // Defer until the receive gate is activated somewhere
-                // (§4.5.4: "defer the reply to the system call until the
-                // receiver is ready to receive messages").
-                loop {
-                    let (act, activated) = {
-                        let g = &sg.rgate;
-                        (*g.activation.borrow(), g.activated.clone())
-                    };
-                    if let Some((rpe, rep)) = act {
-                        break EpConfig::Send {
-                            pe: rpe,
-                            ep: rep,
-                            label: sg.label,
-                            credits: sg.credits,
-                            max_payload: sg.rgate.max_payload(),
-                        };
-                    }
-                    activated.wait().await;
-                }
-            }
-            KObject::RGate(rg) => {
-                if rg.activation.borrow().is_some() {
-                    // Receive gates cannot be moved while senders exist.
-                    return Err(Error::new(Code::NotSup));
-                }
-                // Validate the buffer placement in the target SPM: the
-                // kernel ensures ring buffers do not overlap and fit the
-                // protected region before enabling replies (§4.4.4).
-                let bytes = rg.slots as u64 * rg.slot_size as u64;
-                {
-                    let mut st = self.state.borrow_mut();
-                    let used = st.ringbuf_bytes.entry(caller_pe).or_insert(0);
-                    if *used + bytes > RINGBUF_SPM_BUDGET {
-                        return Err(Error::new(Code::OutOfMem));
-                    }
-                    *used += bytes;
-                }
-                *rg.activation.borrow_mut() = Some((caller_pe, ep));
-                rg.activated.notify_all();
-                EpConfig::Receive {
-                    slots: rg.slots as usize,
-                    slot_size: rg.slot_size as usize,
-                    allow_replies: true,
-                }
-            }
-            // A cross-shard send gate is activated by construction: the
-            // descriptor only crossed the boundary because its receive gate
-            // was already pinned to `(pe, ep)`, so no deferral is needed.
-            KObject::XSGate(x) => EpConfig::Send {
-                pe: x.pe,
-                ep: x.ep,
-                label: x.label,
-                credits: x.credits,
-                max_payload: x.max_payload,
-            },
-            KObject::MGate(mg) => EpConfig::Memory {
-                pe: mg.pe,
-                offset: mg.offset,
-                len: mg.size,
-                perm: mg.perm,
-            },
-            _ => return Err(Error::new(Code::InvCap)),
-        };
-
-        self.ktok.configure(caller_pe, ep, cfg)?;
-        self.charge_ep_config(caller_pe).await;
-        // Record the activation for invalidation on revoke. A receive gate
-        // pins its endpoint for good, so it also takes the endpoint out of
-        // the record of the capability that held it before: revoking that
-        // one must not tear down the ring buffer. Multiplexed memory and
-        // send gates leave the old record in place; an invalidation of a
-        // reused frame endpoint reaches the pager as an eviction, which
-        // re-faults the page.
-        {
-            let mut st = self.state.borrow_mut();
-            let prev = st.ep_owners.insert((target, ep), (caller, gate));
-            if let (Some((v, s)), KObject::RGate(_)) = (prev, &obj) {
-                if let Some(prev) = st.tables.get_mut(&v).and_then(|t| t.get_mut(s).ok()) {
-                    prev.activations.retain(|a| *a != (caller_pe, ep));
-                }
-            }
-            if let Ok(table) = Self::table(&mut st, caller) {
-                if let Ok(cap) = table.get_mut(gate) {
-                    cap.activations.push((caller_pe, ep));
-                }
-            }
-        }
+        self.charge_ep_config(target_pe).await;
         Ok(Vec::new())
-    }
-
-    async fn sys_revoke(&self, caller: VpeId, sel: SelId) -> Result<Vec<u8>> {
-        self.revoke_charged(caller, sel).await;
-        Ok(Vec::new())
-    }
-
-    fn sys_exit(&self, caller: VpeId, code: i64) {
-        let vpe_obj = {
-            let st = self.state.borrow();
-            st.vpes.get(&caller).cloned()
-        };
-        if let Some(vpe_obj) = vpe_obj {
-            self.destroy_vpe(&vpe_obj, code);
-        }
     }
 }

@@ -27,7 +27,6 @@ use m3_base::error::{Code, Error, Result};
 pub struct MemAlloc {
     /// Free regions as (offset, size), sorted by offset, non-adjacent.
     free: Vec<(u64, u64)>,
-    total: u64,
 }
 
 impl MemAlloc {
@@ -39,7 +38,6 @@ impl MemAlloc {
             } else {
                 Vec::new()
             },
-            total: size,
         }
     }
 
@@ -104,11 +102,6 @@ impl MemAlloc {
     /// Total bytes currently free.
     pub fn free_bytes(&self) -> u64 {
         self.free.iter().map(|&(_, len)| len).sum()
-    }
-
-    /// Total bytes managed.
-    pub fn total_bytes(&self) -> u64 {
-        self.total
     }
 
     /// Number of free fragments (diagnostics; 1 means unfragmented).

@@ -5,7 +5,6 @@
 //! services; clients open *sessions*, and capability exchanges over a
 //! session are forwarded to the service, which may deny them (§4.5.3).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -40,7 +39,7 @@ pub struct SessObj {
 /// The kernel's service registry.
 #[derive(Default, Debug)]
 pub struct ServiceRegistry {
-    services: RefCell<BTreeMap<String, Rc<ServObj>>>,
+    services: BTreeMap<String, Rc<ServObj>>,
 }
 
 impl ServiceRegistry {
@@ -54,12 +53,11 @@ impl ServiceRegistry {
     /// # Errors
     ///
     /// Returns [`Code::Exists`] if the name is taken.
-    pub fn register(&self, serv: Rc<ServObj>) -> Result<()> {
-        let mut map = self.services.borrow_mut();
-        if map.contains_key(&serv.name) {
+    pub fn register(&mut self, serv: Rc<ServObj>) -> Result<()> {
+        if self.services.contains_key(&serv.name) {
             return Err(Error::new(Code::Exists).with_msg(format!("service {}", serv.name)));
         }
-        map.insert(serv.name.clone(), serv);
+        self.services.insert(serv.name.clone(), serv);
         Ok(())
     }
 
@@ -70,7 +68,6 @@ impl ServiceRegistry {
     /// Returns [`Code::InvService`] if no such service exists.
     pub fn find(&self, name: &str) -> Result<Rc<ServObj>> {
         self.services
-            .borrow()
             .get(name)
             .cloned()
             .ok_or_else(|| Error::new(Code::InvService).with_msg(name.to_string()))
@@ -78,33 +75,33 @@ impl ServiceRegistry {
 
     /// Removes `serv` if it is the service registered under its name;
     /// returns whether it was.
-    pub fn unregister(&self, serv: &Rc<ServObj>) -> bool {
+    pub fn unregister(&mut self, serv: &Rc<ServObj>) -> bool {
         let registered = self.is_registered(serv);
         if registered {
-            self.services.borrow_mut().remove(&serv.name);
+            self.services.remove(&serv.name);
         }
         registered
     }
 
     /// Whether `serv` is the service registered under its name.
     pub fn is_registered(&self, serv: &Rc<ServObj>) -> bool {
-        let map = self.services.borrow();
-        map.get(&serv.name).is_some_and(|s| Rc::ptr_eq(s, serv))
+        let registered = self.services.get(&serv.name);
+        registered.is_some_and(|s| Rc::ptr_eq(s, serv))
     }
 
     /// Whether a registered service holds kernel endpoint `ep`.
     pub fn holds_ep(&self, ep: EpId) -> bool {
-        self.services.borrow().values().any(|s| s.kernel_ep == ep)
+        self.services.values().any(|s| s.kernel_ep == ep)
     }
 
     /// Number of registered services.
     pub fn len(&self) -> usize {
-        self.services.borrow().len()
+        self.services.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.services.borrow().is_empty()
+        self.services.is_empty()
     }
 
     /// The registered service names, always in lexicographic order.
@@ -114,7 +111,7 @@ impl ServiceRegistry {
     /// one deterministic order regardless of registration order
     /// (DESIGN.md §4.1).
     pub fn names(&self) -> Vec<String> {
-        self.services.borrow().keys().cloned().collect()
+        self.services.keys().cloned().collect()
     }
 }
 
@@ -133,7 +130,7 @@ mod tests {
 
     #[test]
     fn register_find_unregister() {
-        let reg = ServiceRegistry::new();
+        let mut reg = ServiceRegistry::new();
         let m3fs = serv("m3fs");
         reg.register(m3fs.clone()).unwrap();
         assert_eq!(reg.find("m3fs").unwrap().name, "m3fs");
@@ -152,11 +149,11 @@ mod tests {
 
     #[test]
     fn listing_order_is_deterministic_and_ignores_registration_order() {
-        let forward = ServiceRegistry::new();
+        let mut forward = ServiceRegistry::new();
         for name in ["pager", "m3fs", "net", "console"] {
             forward.register(serv(name)).unwrap();
         }
-        let backward = ServiceRegistry::new();
+        let mut backward = ServiceRegistry::new();
         for name in ["console", "net", "m3fs", "pager"] {
             backward.register(serv(name)).unwrap();
         }

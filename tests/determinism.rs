@@ -117,8 +117,10 @@ fn figure3_workload_event_trace_is_identical_across_runs() {
 
 #[test]
 fn chrome_export_of_fig3_read_is_bit_identical_across_runs() {
-    let (events_a, metrics_a) = m3_bench::fig3::traced_file_read();
-    let (events_b, metrics_b) = m3_bench::fig3::traced_file_read();
+    let a = m3_bench::fig3::traced_file_read();
+    let b = m3_bench::fig3::traced_file_read();
+    let (events_a, metrics_a) = (a.events, a.metrics);
+    let (events_b, metrics_b) = (b.events, b.metrics);
     assert!(!events_a.is_empty(), "traced run produced no events");
     assert_eq!(metrics_a, metrics_b, "metrics snapshots diverged");
     assert_eq!(
@@ -199,7 +201,8 @@ fn fig8_two_x_overcommit_run_is_identical_across_runs() {
 
 #[test]
 fn fig8_overcommit_trace_holds_its_golden_digest() {
-    let (run, events, _) = m3_bench::fig8::traced_overcommit_run(2);
+    let (run, traced) = m3_bench::fig8::traced_overcommit_run(2);
+    let events = traced.events;
     let modelled: Vec<Event> = events
         .into_iter()
         .filter(|e| !matches!(e.kind, m3_trace::EventKind::TaskPoll { .. }))
