@@ -10,6 +10,7 @@
 //! - [`perm::Perm`] — read/write/execute permission sets,
 //! - [`marshal`] — the message (un)marshalling streams used by all
 //!   DTU-message based protocols (syscalls, m3fs, pipes),
+//! - [`payload::Payload`] — the shared bytes a DTU message carries,
 //! - [`cfg`](mod@cfg) — platform constants (SPM sizes, endpoint counts, …).
 //!
 //! # Examples
@@ -33,6 +34,7 @@ pub mod cycles;
 pub mod error;
 pub mod ids;
 pub mod marshal;
+pub mod payload;
 pub mod perm;
 pub mod rand;
 

@@ -15,8 +15,11 @@
 //! derives the type, its [`Wire`] codec and its `name()` from that one
 //! declaration.
 
+use std::cell::Cell;
+
 use crate::error::{Code, Error, Result};
 use crate::ids::{EpId, SelId};
+use crate::payload::Payload;
 use crate::perm::Perm;
 
 /// An output stream that marshals values into a byte buffer.
@@ -304,11 +307,25 @@ pub fn take_list<T: Wire>(is: &mut IStream<'_>, max: usize) -> Result<Vec<T>> {
     (0..n).map(|_| T::take(is)).collect()
 }
 
-/// Encodes `value` into a fresh buffer.
-pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
-    let mut os = OStream::with_capacity(64);
+thread_local! {
+    /// The buffer [`encode`] marshals into, reused by every call.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Encodes `value` into a payload: one allocation of exactly its length.
+/// The bytes are marshalled into a reused buffer first, since their length
+/// is known only once they are.
+pub fn encode<T: Wire>(value: &T) -> Payload {
+    // Taken out, not borrowed: a `put` that encodes a message of its own
+    // gets an empty buffer rather than a borrow error.
+    let mut os = OStream {
+        buf: SCRATCH.take(),
+    };
+    os.buf.clear();
     value.put(&mut os);
-    os.into_bytes()
+    let payload = Payload::from(os.as_bytes());
+    SCRATCH.set(os.buf);
+    payload
 }
 
 /// Decodes a `T` from the start of `bytes`.
@@ -453,7 +470,7 @@ macro_rules! wire {
     (@bytes [bytes] $Name:ident) => {
         impl $Name {
             /// Marshals the message into payload bytes.
-            pub fn to_bytes(&self) -> Vec<u8> {
+            pub fn to_bytes(&self) -> $crate::payload::Payload {
                 $crate::marshal::encode(self)
             }
 

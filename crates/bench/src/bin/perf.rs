@@ -11,7 +11,9 @@
 //! it is reported, never gated. So are each figure's `cpu_ms` (user plus
 //! system time, in 10 ms ticks) and `minor_faults`, the change in
 //! `/proc/self/stat` across the figure, worker threads included; both are
-//! `null` off Linux.
+//! `null` off Linux. Each figure also records `allocs` and `alloc_bytes`:
+//! the heap allocations the process made while it ran, counted by this
+//! binary's global allocator (see [`counting`]).
 //!
 //! Flags:
 //! - `--label <name>`: output file suffix (default `local`).
@@ -21,7 +23,9 @@
 //!   process of its own.
 //! - `--baseline <path>`: compare against an earlier `BENCH_*.json`. Fails
 //!   if the suite total regressed more than 1.5x, or if any figure's
-//!   deterministic work counters rose above its baseline row.
+//!   deterministic work counters rose above its baseline row. A run with
+//!   one worker also gates `allocs`; with more, thread start-up adds a
+//!   few allocations per figure, so the count is reported only.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -35,6 +39,87 @@ use m3_sim::gauges::{self, Gauges};
 
 /// CI fails when the suite takes more than this multiple of the baseline.
 const REGRESSION_LIMIT: f64 = 1.5;
+
+/// This binary's global allocator: `System`, counting every allocation.
+/// The workspace denies `unsafe_code`; implementing `GlobalAlloc` takes an
+/// `unsafe impl`, and every method only forwards to `System`.
+#[allow(unsafe_code)]
+mod counting {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    // `Relaxed`: statistics that publish no other data. Worker threads'
+    // counts are read after their scope joined them.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    static BYTES: AtomicU64 = AtomicU64::new(0);
+
+    struct Counting;
+
+    #[global_allocator]
+    static ALLOC: Counting = Counting;
+
+    fn note(bytes: usize) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    // SAFETY: every method passes its caller's arguments to `System`
+    // unchanged, so `System`'s guarantees are this allocator's; counting
+    // touches only two atomics and never allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            // SAFETY: `ptr` came from this allocator, which is `System`'s,
+            // with `layout`; the caller upholds the rest of the contract.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from this allocator, which is `System`'s,
+            // with `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) and the
+    /// bytes they asked for, over some span of the process.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct Allocs {
+        pub calls: u64,
+        pub bytes: u64,
+    }
+
+    impl Allocs {
+        /// The process's totals so far.
+        pub fn now() -> Allocs {
+            Allocs {
+                calls: CALLS.load(Ordering::Relaxed),
+                bytes: BYTES.load(Ordering::Relaxed),
+            }
+        }
+
+        pub fn since(self, before: Allocs) -> Allocs {
+            Allocs {
+                calls: self.calls - before.calls,
+                bytes: self.bytes - before.bytes,
+            }
+        }
+    }
+}
+
+use counting::Allocs;
 
 /// Every gauge `perf` records per figure, in JSON order. The first
 /// [`GATED`] count simulated work, so they are the same on every host and
@@ -62,6 +147,8 @@ struct FigureRun {
     gauges: Gauges,
     /// Host CPU time and minor faults the figure cost; `None` off Linux.
     usage: Option<Usage>,
+    /// Heap allocations made while the figure ran.
+    allocs: Allocs,
 }
 
 /// What the process has cost the host so far, from `/proc/self/stat`.
@@ -113,11 +200,13 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
         gauges::reset_peaks();
         let before = gauges::snapshot();
         let usage_before = process_usage();
+        let allocs_before = Allocs::now();
         // m3lint: allow(determinism): host wall clock; simulated cycles are produced elsewhere
         let start = Instant::now();
         // Only the time matters; the table is discarded.
         let _ = (entry.render)(Opts::default());
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        let allocs = Allocs::now().since(allocs_before);
         let delta = gauges::snapshot().since(&before);
         let usage = process_usage()
             .zip(usage_before)
@@ -129,6 +218,7 @@ fn run_suite() -> (Vec<FigureRun>, f64) {
             scenario_ms: exec::take_job_timings(),
             gauges: delta,
             usage,
+            allocs,
         });
     }
     (runs, total_ms)
@@ -174,6 +264,8 @@ fn to_json(label: &str, runs: &[FigureRun], total_ms: f64, peak_rss: Option<f64>
             });
             fields.push(format!("\"cpu_ms\": {cpu_ms}"));
             fields.push(format!("\"minor_faults\": {faults}"));
+            fields.push(format!("\"allocs\": {}", run.allocs.calls));
+            fields.push(format!("\"alloc_bytes\": {}", run.allocs.bytes));
             format!("    {{\n      {}\n    }}", fields.join(",\n      "))
         })
         .collect();
@@ -197,10 +289,15 @@ fn extract(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Compares every figure's gated counters with the baseline row of the
-/// same name. Returns the figures the baseline has no row for, and one
-/// message per counter that rose above its baseline value.
-fn compare_counters(runs: &[FigureRun], base: &str) -> (Vec<&'static str>, Vec<String>) {
+/// Compares every figure's gated counters, and its `allocs` if
+/// `gate_allocs`, with the baseline row of the same name. Returns the
+/// figures the baseline has no row for, and one message per counter that
+/// rose above its baseline value.
+fn compare_counters(
+    runs: &[FigureRun],
+    base: &str,
+    gate_allocs: bool,
+) -> (Vec<&'static str>, Vec<String>) {
     // Each figure row starts at its name and runs up to the next one.
     let rows: Vec<(&str, &str)> = base
         .split("\"name\": \"")
@@ -214,7 +311,8 @@ fn compare_counters(runs: &[FigureRun], base: &str) -> (Vec<&'static str>, Vec<S
             missing.push(run.name);
             continue;
         };
-        for (key, now) in &counters(&run.gauges)[..GATED] {
+        let allocs = gate_allocs.then_some(("allocs", run.allocs.calls));
+        for (key, now) in counters(&run.gauges)[..GATED].iter().chain(&allocs) {
             match extract(row, key) {
                 Some(was) if *now as f64 > was => {
                     rose.push(format!("{} {key} rose from {was} to {now}", run.name));
@@ -264,7 +362,7 @@ fn main() -> ExitCode {
             format!("cpu {:>5.0} ms  {:>7} faults", u.cpu_ms, u.minor_faults)
         });
         println!(
-            "{:>10}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  {:>9} timers ({:>9} in place)  peak {} live / {} timers  {usage}",
+            "{:>10}  {:>10.1} ms  {:>3} scenarios  {:>8} tasks  {:>9} polls  {:>9} timers ({:>9} in place)  peak {} live / {} timers  {:>9} allocs  {usage}",
             run.name,
             run.wall_ms,
             run.scenario_ms.len(),
@@ -274,6 +372,7 @@ fn main() -> ExitCode {
             run.gauges.timers_inlined,
             run.gauges.peak_live_tasks,
             run.gauges.peak_pending_timers,
+            run.allocs.calls,
         );
     }
     let peak_rss = peak_rss_mib();
@@ -309,7 +408,9 @@ fn gate(runs: &[FigureRun], total_ms: f64, path: &str) -> Result<(), String> {
         extract(&base, "total_ms").ok_or_else(|| format!("no total_ms in baseline {path}"))?;
     let ratio = total_ms / base_ms;
     println!("baseline {base_ms:.1} ms -> ratio {ratio:.2}x (limit {REGRESSION_LIMIT}x)");
-    let (missing, mut failures) = compare_counters(runs, &base);
+    // Thread start-up allocates, so only a one-worker count repeats.
+    let gate_allocs = exec::workers_for(usize::MAX) == 1;
+    let (missing, mut failures) = compare_counters(runs, &base, gate_allocs);
     for name in missing {
         println!("{name} has no row in baseline {path}; its counters are not gated");
     }
@@ -317,7 +418,12 @@ fn gate(runs: &[FigureRun], total_ms: f64, path: &str) -> Result<(), String> {
         failures.push(format!("suite regressed {ratio:.2}x over baseline {path}"));
     }
     if failures.is_empty() {
-        println!("counters: no figure above its baseline row");
+        let gated = if gate_allocs {
+            "counters and allocs"
+        } else {
+            "counters"
+        };
+        println!("{gated}: no figure above its baseline row");
         Ok(())
     } else {
         Err(failures.join("\nperf: "))
@@ -350,6 +456,10 @@ mod tests {
                 ..Gauges::default()
             },
             usage: None,
+            allocs: Allocs {
+                calls: 100,
+                bytes: 6400,
+            },
         }
     }
 
@@ -359,29 +469,57 @@ mod tests {
         let base = to_json("base", &runs, 2.0, None);
         assert_eq!(extract(&base, "total_ms"), Some(2.0));
         assert_eq!(extract(&base, "timers_inlined"), Some(5.0));
-        assert_eq!(compare_counters(&runs, &base), (vec![], vec![]));
+        assert_eq!(compare_counters(&runs, &base, false), (vec![], vec![]));
 
         // More timers resumed in place is not a rise in work.
         let mut more_inlined = [run("fig3", 10, 20), run("fig4", 30, 40)];
         more_inlined[1].gauges.timers_inlined = 7;
-        assert_eq!(compare_counters(&more_inlined, &base), (vec![], vec![]));
+        assert_eq!(
+            compare_counters(&more_inlined, &base, false),
+            (vec![], vec![])
+        );
 
         // Lower work passes; one count above its own row fails, even
         // when another figure's row has a higher value.
         let now = [run("fig3", 9, 20), run("fig4", 30, 41)];
         assert_eq!(
-            compare_counters(&now, &base),
+            compare_counters(&now, &base, false),
             (
                 vec![],
                 vec!["fig4 task_polls rose from 40 to 41".to_string()]
             )
         );
         let now = [run("fig3", 11, 20)];
-        assert_eq!(compare_counters(&now, &base).1.len(), 1);
+        assert_eq!(compare_counters(&now, &base, false).1.len(), 1);
 
         // A figure the baseline lacks is reported, not failed.
         let now = [run("fig3", 10, 20), run("fig12", 999, 999)];
-        assert_eq!(compare_counters(&now, &base), (vec!["fig12"], vec![]));
+        assert_eq!(
+            compare_counters(&now, &base, false),
+            (vec!["fig12"], vec![])
+        );
+    }
+
+    #[test]
+    fn allocs_gate_only_when_asked() {
+        let runs = [run("fig3", 10, 20)];
+        let base = to_json("base", &runs, 2.0, None);
+        assert_eq!(extract(&base, "allocs"), Some(100.0));
+        assert_eq!(extract(&base, "alloc_bytes"), Some(6400.0));
+        let mut more = [run("fig3", 10, 20)];
+        more[0].allocs.calls = 101;
+        assert_eq!(compare_counters(&more, &base, false), (vec![], vec![]));
+        assert_eq!(
+            compare_counters(&more, &base, true),
+            (vec![], vec!["fig3 allocs rose from 100 to 101".to_string()])
+        );
+        // Fewer allocations, or more bytes in as many, pass.
+        let mut fewer = [run("fig3", 10, 20)];
+        fewer[0].allocs = Allocs {
+            calls: 99,
+            bytes: 9999,
+        };
+        assert_eq!(compare_counters(&fewer, &base, true), (vec![], vec![]));
     }
 
     #[test]
@@ -396,7 +534,7 @@ mod tests {
         // Without a reading the field is null, and the counters still gate.
         let json = to_json("now", &runs, 2.0, None);
         assert!(json.contains("\"peak_rss_mib\": null"));
-        assert_eq!(compare_counters(&runs, &json), (vec![], vec![]));
+        assert_eq!(compare_counters(&runs, &json, false), (vec![], vec![]));
     }
 
     #[test]
@@ -429,7 +567,7 @@ mod tests {
         let fig4 = &json[json.find("\"fig4\"").expect("fig4 row")..];
         assert!(fig4.contains("\"cpu_ms\": null"));
         assert!(fig4.contains("\"minor_faults\": null"));
-        assert_eq!(compare_counters(&runs, &json), (vec![], vec![]));
+        assert_eq!(compare_counters(&runs, &json, false), (vec![], vec![]));
     }
 
     #[test]
@@ -437,6 +575,11 @@ mod tests {
         let base = std::fs::read_to_string(repo_root().join("BENCH_baseline.json"))
             .expect("BENCH_baseline.json");
         assert!(extract(&base, "total_ms").is_some());
-        assert!(compare_counters(&[], &base).0.is_empty());
+        assert!(compare_counters(&[], &base, false).0.is_empty());
+        // Allocations repeat only with one worker, and CI gates them.
+        assert_eq!(extract(&base, "workers"), Some(1.0));
+        let rows: Vec<&str> = base.split("\"name\": \"").skip(1).collect();
+        assert!(!rows.is_empty());
+        assert!(rows.iter().all(|row| extract(row, "allocs").is_some()));
     }
 }

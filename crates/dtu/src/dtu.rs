@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use m3_base::cfg::EP_COUNT;
 use m3_base::error::{Code, Error, Result};
@@ -11,13 +11,19 @@ use m3_base::ids::Label;
 use m3_base::{Cycles, EpId, PeId, Perm};
 use m3_fault::{FaultPlane, MsgVerdict};
 use m3_noc::Noc;
-use m3_sim::{keys, Component, Event, EventKind, MetricHandle, Metrics, Notify, Recorder, Sim};
+use m3_sim::{
+    keys, Component, Event, EventKind, Handler, MetricHandle, Metrics, Notify, Recorder, Sim,
+};
 
 use crate::endpoint::EpConfig;
 use crate::memory::Memory;
-use crate::message::{Header, Message, ReplyInfo};
+use crate::message::{Header, Message, Payload, ReplyInfo};
 use crate::ringbuf::RingBuf;
 use crate::timing;
+
+mod arrival;
+
+use arrival::Arrivals;
 
 /// What kind of memory a NoC node exposes; selects the access latency.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -238,6 +244,15 @@ struct MemNode {
 }
 
 struct SystemInner {
+    sim: Sim,
+    noc: Noc,
+    hot: HotMetrics,
+    tracer: Recorder,
+    metrics: Metrics,
+    /// The handler every arrival's timer fires.
+    arrive: Handler,
+    /// Deliveries and credit refills whose timers are armed.
+    arrivals: RefCell<Arrivals>,
     pes: RefCell<Vec<PeState>>,
     mems: RefCell<BTreeMap<PeId, MemNode>>,
     /// Save areas of switched-out contexts, keyed by (PE, context id).
@@ -301,11 +316,6 @@ impl HotMetrics {
 /// Cheaply cloneable; clones share all state.
 #[derive(Clone)]
 pub struct DtuSystem {
-    sim: Sim,
-    noc: Noc,
-    hot: HotMetrics,
-    tracer: Recorder,
-    metrics: Metrics,
     inner: Rc<SystemInner>,
 }
 
@@ -324,30 +334,40 @@ impl DtuSystem {
     pub fn new(sim: Sim, noc: Noc) -> DtuSystem {
         let count = noc.topology().node_count() as usize;
         noc.attach(sim.tracer(), sim.metrics());
-        DtuSystem {
-            hot: HotMetrics::new(&sim.metrics()),
-            tracer: sim.tracer(),
-            metrics: sim.metrics(),
-            sim,
-            noc,
-            inner: Rc::new(SystemInner {
+        // The handler holds the fabric weakly: the fabric holds the `Sim`.
+        let inner = Rc::new_cyclic(|weak: &Weak<SystemInner>| {
+            let weak = weak.clone();
+            let arrive = sim.handler(move |token| {
+                if let Some(inner) = weak.upgrade() {
+                    DtuSystem { inner }.arrive(token);
+                }
+            });
+            SystemInner {
+                hot: HotMetrics::new(&sim.metrics()),
+                tracer: sim.tracer(),
+                metrics: sim.metrics(),
+                sim,
+                noc,
+                arrive,
+                arrivals: RefCell::new(Arrivals::default()),
                 pes: RefCell::new((0..count).map(|_| PeState::new()).collect()),
                 mems: RefCell::new(BTreeMap::new()),
                 saved: RefCell::new(BTreeMap::new()),
                 doorbells: RefCell::new(BTreeMap::new()),
                 faults: RefCell::new(None),
-            }),
-        }
+            }
+        });
+        DtuSystem { inner }
     }
 
     /// The simulation this fabric runs in.
     pub fn sim(&self) -> &Sim {
-        &self.sim
+        &self.inner.sim
     }
 
     /// The NoC transfers are scheduled on.
     pub fn noc(&self) -> &Noc {
-        &self.noc
+        &self.inner.noc
     }
 
     /// Arms the fault-injection plane on this fabric *and* its NoC. Message
@@ -355,7 +375,7 @@ impl DtuSystem {
     /// on; without this call the fault machinery is entirely inert.
     // m3lint: allow(cycle-accounting): harness config-plane: arms the fault plane before the run; no architectural time is modelled for it
     pub fn set_faults(&self, plane: Rc<FaultPlane>) {
-        self.noc.set_faults(plane.clone());
+        self.inner.noc.set_faults(plane.clone());
         *self.inner.faults.borrow_mut() = Some(plane);
     }
 
@@ -366,8 +386,8 @@ impl DtuSystem {
 
     /// Emits a fault-injection trace event at the current time.
     fn trace_fault(&self, pe: PeId, fault: &str, dur: Cycles) {
-        let at = self.sim.now();
-        self.tracer.record_with(|| Event {
+        let at = self.inner.sim.now();
+        self.inner.tracer.record_with(|| Event {
             at,
             dur,
             pe: Some(pe),
@@ -450,8 +470,10 @@ impl DtuSystem {
             // The sender's credit is refunded just like on a ring-buffer drop,
             // because the reply path that would normally refill it is gone.
             if let Some(faults) = self.inner.faults.borrow().as_ref() {
-                if faults.crashed_at(self.sim.now(), pe).is_some() {
-                    self.metrics.incr_handle(pe, self.hot.msgs_dropped);
+                if faults.crashed_at(self.inner.sim.now(), pe).is_some() {
+                    self.inner
+                        .metrics
+                        .incr_handle(pe, self.inner.hot.msgs_dropped);
                     self.trace_fault(pe, "dst_crashed", Cycles::ZERO);
                     if let Some((sender_pe, sender_ctx, sender_ep)) = credit {
                         self.refill_credit(sender_pe, sender_ctx, sender_ep);
@@ -498,9 +520,14 @@ impl DtuSystem {
             drop(pes);
             match outcome {
                 Deposit::Stored(occupied) => {
-                    self.metrics.incr_handle(pe, self.hot.msgs_delivered);
-                    self.metrics
-                        .observe_handle(pe, self.hot.ring_occupancy, occupied as u64);
+                    self.inner
+                        .metrics
+                        .incr_handle(pe, self.inner.hot.msgs_delivered);
+                    self.inner.metrics.observe_handle(
+                        pe,
+                        self.inner.hot.ring_occupancy,
+                        occupied as u64,
+                    );
                     arrival.notify_all();
                     if let Some(c) = parked {
                         let bell = self.inner.doorbells.borrow().get(&(pe, c)).cloned();
@@ -510,10 +537,12 @@ impl DtuSystem {
                     }
                 }
                 Deposit::Dropped => {
-                    self.metrics.incr_handle(pe, self.hot.msgs_dropped);
-                    self.metrics.incr_handle(pe, self.hot.drops);
-                    let at = self.sim.now();
-                    self.tracer.record_with(|| Event {
+                    self.inner
+                        .metrics
+                        .incr_handle(pe, self.inner.hot.msgs_dropped);
+                    self.inner.metrics.incr_handle(pe, self.inner.hot.drops);
+                    let at = self.inner.sim.now();
+                    self.inner.tracer.record_with(|| Event {
                         at,
                         dur: Cycles::ZERO,
                         pe: Some(pe),
@@ -524,7 +553,10 @@ impl DtuSystem {
                         self.refill_credit(sender_pe, sender_ctx, sender_ep);
                     }
                 }
-                Deposit::NoRecvEp => self.metrics.incr_handle(pe, self.hot.deposit_no_recv_ep),
+                Deposit::NoRecvEp => self
+                    .inner
+                    .metrics
+                    .incr_handle(pe, self.inner.hot.deposit_no_recv_ep),
             }
         });
     }
@@ -542,29 +574,6 @@ impl DtuSystem {
                 sc.regs.return_credit(ep);
             }
         });
-    }
-
-    /// Deposits `msg` at `at` (see [`DtuSystem::deposit`]): a timer
-    /// callback, not a task.
-    fn deliver_at(
-        &self,
-        at: Cycles,
-        target_pe: PeId,
-        target_ep: EpId,
-        msg: Message,
-        ctx: Option<u64>,
-        credit: Option<(PeId, u64, EpId)>,
-    ) {
-        let sys = self.clone();
-        self.sim.call_at(at, move || {
-            sys.deposit(target_pe, target_ep, msg, ctx, credit);
-        });
-    }
-
-    /// Refills one credit of `(pe, ctx, ep)` at `at`.
-    fn refill_credit_at(&self, at: Cycles, pe: PeId, ctx: u64, ep: EpId) {
-        let sys = self.clone();
-        self.sim.call_at(at, move || sys.refill_credit(pe, ctx, ep));
     }
 
     /// Runs `op`, then [`DtuSystem::sanitize_check`]. Every operation that
@@ -742,14 +751,17 @@ impl Dtu {
         let Some(faults) = self.sys.faults() else {
             return Ok(());
         };
-        let now = self.sys.sim.now();
+        let now = self.sys.inner.sim.now();
         if faults.crashed_at(now, self.pe).is_some() {
             return Err(Error::new(Code::Unreachable).with_msg(format!("{} crashed", self.pe)));
         }
         if let Some(release) = faults.stall_release(now, self.pe) {
             self.sys.trace_fault(self.pe, "pe_stall", release - now);
-            self.sys.sim.sleep_until(release).await;
-            if faults.crashed_at(self.sys.sim.now(), self.pe).is_some() {
+            self.sys.inner.sim.sleep_until(release).await;
+            if faults
+                .crashed_at(self.sys.inner.sim.now(), self.pe)
+                .is_some()
+            {
                 return Err(Error::new(Code::Unreachable).with_msg(format!("{} crashed", self.pe)));
             }
         }
@@ -761,7 +773,10 @@ impl Dtu {
     /// response rather than a hang.
     fn check_target_alive(&self, target: PeId) -> Result<()> {
         if let Some(faults) = self.sys.faults() {
-            if faults.crashed_at(self.sys.sim.now(), target).is_some() {
+            if faults
+                .crashed_at(self.sys.inner.sim.now(), target)
+                .is_some()
+            {
                 return Err(Error::new(Code::Unreachable).with_msg(format!("{target} crashed")));
             }
         }
@@ -783,10 +798,16 @@ impl Dtu {
     /// - [`Code::InvEp`] if `ep` is not a send endpoint.
     /// - [`Code::NoCredits`] if the endpoint's credits are exhausted.
     /// - [`Code::InvArgs`] if the payload exceeds the channel's message size.
-    pub async fn send(&self, ep: EpId, payload: &[u8], reply: Option<(EpId, Label)>) -> Result<()> {
+    pub async fn send(
+        &self,
+        ep: EpId,
+        payload: impl Into<Payload>,
+        reply: Option<(EpId, Label)>,
+    ) -> Result<()> {
+        let payload = payload.into();
         Self::check_ep(ep)?;
         self.fault_gate().await?;
-        self.sys.sim.sleep(timing::CMD_ISSUE).await;
+        self.sys.inner.sim.sleep(timing::CMD_ISSUE).await;
 
         let (dst, label, bounded, my_ctx) = {
             let mut pes = self.sys.inner.pes.borrow_mut();
@@ -813,10 +834,11 @@ impl Dtu {
                 if *cur == 0 {
                     drop(pes);
                     self.sys
+                        .inner
                         .metrics
-                        .incr_handle(self.pe, self.sys.hot.credit_stalls);
-                    let at = self.sys.sim.now();
-                    self.sys.tracer.record_with(|| Event {
+                        .incr_handle(self.pe, self.sys.inner.hot.credit_stalls);
+                    let at = self.sys.inner.sim.now();
+                    self.sys.inner.tracer.record_with(|| Event {
                         at,
                         dur: Cycles::ZERO,
                         pe: Some(self.pe),
@@ -844,7 +866,7 @@ impl Dtu {
                     ctx: my_ctx,
                 }),
             },
-            payload: payload.into(),
+            payload,
         };
         let credit = bounded.then_some((self.pe, my_ctx, ep));
         self.transmit(Some(ep), msg, dst, None, credit);
@@ -860,12 +882,13 @@ impl Dtu {
     /// - [`Code::NoPerm`] if the message did not permit a reply (or the
     ///   receive buffer was not validated for replies).
     /// - [`Code::InvArgs`] if the payload exceeds the reply channel's size.
-    pub async fn reply(&self, msg: &Message, payload: &[u8]) -> Result<()> {
+    pub async fn reply(&self, msg: &Message, payload: impl Into<Payload>) -> Result<()> {
+        let payload = payload.into();
         let Some(rinfo) = msg.header.reply else {
             return Err(Error::new(Code::NoPerm).with_msg("message permits no reply"));
         };
         self.fault_gate().await?;
-        self.sys.sim.sleep(timing::CMD_ISSUE).await;
+        self.sys.inner.sim.sleep(timing::CMD_ISSUE).await;
 
         let reply_msg = Message {
             header: Header {
@@ -875,7 +898,7 @@ impl Dtu {
                 sender_ep: EpId::new(0),
                 reply: None,
             },
-            payload: payload.into(),
+            payload,
         };
         // Replies consume no credit, so a lost reply refunds nothing.
         let completes_at =
@@ -904,18 +927,22 @@ impl Dtu {
     ) -> Cycles {
         let sys = &self.sys;
         let wire = msg.wire_size() as u64;
-        let now = sys.sim.now();
-        let t = sys.noc.schedule(now, self.pe, dst_pe, wire);
+        let now = sys.inner.sim.now();
+        let t = sys.inner.noc.schedule(now, self.pe, dst_pe, wire);
         let busy = (t.completes_at - now).as_u64();
         let arrive = t.completes_at + timing::DELIVER;
         let sent = match send_ep {
-            Some(_) => sys.hot.msgs_sent,
-            None => sys.hot.replies_sent,
+            Some(_) => sys.inner.hot.msgs_sent,
+            None => sys.inner.hot.replies_sent,
         };
-        sys.metrics.incr_handle(self.pe, sent);
-        sys.metrics.add_handle(self.pe, sys.hot.msg_cycles, busy);
-        sys.metrics.add_handle(self.pe, sys.hot.busy, busy);
-        sys.tracer.record_with(|| Event {
+        sys.inner.metrics.incr_handle(self.pe, sent);
+        sys.inner
+            .metrics
+            .add_handle(self.pe, sys.inner.hot.msg_cycles, busy);
+        sys.inner
+            .metrics
+            .add_handle(self.pe, sys.inner.hot.busy, busy);
+        sys.inner.tracer.record_with(|| Event {
             at: now,
             dur: arrive - now,
             pe: Some(self.pe),
@@ -995,7 +1022,7 @@ impl Dtu {
     pub async fn recv(&self, ep: EpId) -> Result<Message> {
         loop {
             self.fault_gate().await?;
-            self.sys.sim.sleep(timing::FETCH_POLL).await;
+            self.sys.inner.sim.sleep(timing::FETCH_POLL).await;
             if let Some(msg) = self.fetch(ep)? {
                 return Ok(msg);
             }
@@ -1012,7 +1039,7 @@ impl Dtu {
     /// [`Code::Timeout`] if no message arrived by the deadline; otherwise
     /// as [`Dtu::recv`].
     pub async fn recv_timeout(&self, ep: EpId, deadline: Cycles) -> Result<Message> {
-        match m3_sim::with_deadline(&self.sys.sim, deadline, self.recv(ep)).await {
+        match m3_sim::with_deadline(&self.sys.inner.sim, deadline, self.recv(ep)).await {
             Some(result) => result,
             None => Err(Error::new(Code::Timeout).with_msg(format!("recv on {ep}"))),
         }
@@ -1036,9 +1063,9 @@ impl Dtu {
         match state.regs.ringbufs.get_mut(&ep) {
             Some(rb) => {
                 rb.ack();
-                self.sys.metrics.observe_handle(
+                self.sys.inner.metrics.observe_handle(
                     self.pe,
-                    self.sys.hot.ring_occupancy,
+                    self.sys.inner.hot.ring_occupancy,
                     rb.occupied() as u64,
                 );
                 Ok(())
@@ -1124,34 +1151,35 @@ impl Dtu {
         let (pe, base) = self.check_mem_access(ep, offset, len, need)?;
         self.fault_gate().await?;
         self.check_target_alive(pe)?;
-        self.sys.sim.sleep(timing::CMD_ISSUE).await;
-        let now = self.sys.sim.now();
+        self.sys.inner.sim.sleep(timing::CMD_ISSUE).await;
+        let now = self.sys.inner.sim.now();
         let lat = self.sys.mem_latency(pe);
         let done = if write {
             // The data travels to the memory, which then takes its latency.
-            let xfer = self.sys.noc.schedule(now, self.pe, pe, len as u64);
+            let xfer = self.sys.inner.noc.schedule(now, self.pe, pe, len as u64);
             xfer.completes_at + lat
         } else {
             // Request packet to the memory, then the data travels back.
-            let req = self.sys.noc.schedule(now, self.pe, pe, 0);
+            let req = self.sys.inner.noc.schedule(now, self.pe, pe, 0);
             let data = self
                 .sys
+                .inner
                 .noc
                 .schedule(req.completes_at + lat, pe, self.pe, len as u64);
             data.completes_at
         };
-        self.sys.sim.sleep_until(done).await;
+        self.sys.inner.sim.sleep_until(done).await;
         let bytes = if write {
-            self.sys.hot.mem_write_bytes
+            self.sys.inner.hot.mem_write_bytes
         } else {
-            self.sys.hot.mem_read_bytes
+            self.sys.inner.hot.mem_read_bytes
         };
         let busy = (done - now).as_u64();
-        let m = &self.sys.metrics;
+        let m = &self.sys.inner.metrics;
         m.add_handle(self.pe, bytes, len as u64);
-        m.add_handle(self.pe, self.sys.hot.xfer_cycles, busy);
-        m.add_handle(self.pe, self.sys.hot.busy, busy);
-        self.sys.tracer.record_with(|| Event {
+        m.add_handle(self.pe, self.sys.inner.hot.xfer_cycles, busy);
+        m.add_handle(self.pe, self.sys.inner.hot.busy, busy);
+        self.sys.inner.tracer.record_with(|| Event {
             at: now,
             dur: done - now,
             pe: Some(self.pe),

@@ -502,7 +502,7 @@ impl Handler for M3FsHandler {
                     ext_file_off: file_off,
                     ext_bytes: byte_len,
                 };
-                Ok((vec![sel], reply.to_bytes()))
+                Ok((vec![sel], reply.to_bytes().to_vec()))
             }
             _ => Err(Error::new(Code::InvArgs).with_msg("unknown obtain tag")),
         }

@@ -215,9 +215,7 @@ impl CapTable {
     ///
     /// Returns [`Code::InvCap`] if the selector is empty.
     pub fn get(&self, sel: SelId) -> Result<&Capability> {
-        self.caps
-            .get(&sel)
-            .ok_or_else(|| Error::new(Code::InvCap).with_msg(format!("{sel} is empty")))
+        self.find(sel).ok_or_else(|| empty(sel))
     }
 
     /// Looks up a capability mutably.
@@ -226,9 +224,18 @@ impl CapTable {
     ///
     /// Returns [`Code::InvCap`] if the selector is empty.
     pub fn get_mut(&mut self, sel: SelId) -> Result<&mut Capability> {
-        self.caps
-            .get_mut(&sel)
-            .ok_or_else(|| Error::new(Code::InvCap).with_msg(format!("{sel} is empty")))
+        self.find_mut(sel).ok_or_else(|| empty(sel))
+    }
+
+    /// The capability at `sel`, if any: a lookup whose miss builds no
+    /// error, for callers that expect empty selectors.
+    pub fn find(&self, sel: SelId) -> Option<&Capability> {
+        self.caps.get(&sel)
+    }
+
+    /// The capability at `sel` mutably, if any.
+    pub fn find_mut(&mut self, sel: SelId) -> Option<&mut Capability> {
+        self.caps.get_mut(&sel)
     }
 
     /// Removes and returns the capability at `sel`, if present.
@@ -250,6 +257,10 @@ impl CapTable {
     pub fn is_empty(&self) -> bool {
         self.caps.is_empty()
     }
+}
+
+fn empty(sel: SelId) -> Error {
+    Error::new(Code::InvCap).with_msg(format!("{sel} is empty"))
 }
 
 /// A capability's global address: (VPE, selector).

@@ -131,8 +131,30 @@ fn gone(vpe: VpeId) -> Error {
     Error::new(Code::VpeGone).with_msg(format!("{vpe} has no table"))
 }
 
+/// The refusal of a placement no PE matches.
+pub(super) fn no_free_pe(want: PeRequest) -> Error {
+    Error::new(Code::NoFreePe).with_msg(format!("request {want:?}"))
+}
+
 fn internal(what: &str) -> Error {
     Error::new(Code::Internal).with_msg(what.to_string())
+}
+
+/// Whether `(vpe, sel)` still holds the pager's capability to the frame
+/// at `frame` in DRAM `dram`. A page entry records its frame next to the
+/// selector its capability went to, but the VPE may have revoked that
+/// capability and put another one there. While the frame is allocated,
+/// only the pager's capability (or one derived from it, which dies with
+/// it) names it, so a memory capability over exactly that frame is it.
+fn holds_frame(
+    tables: &BTreeMap<VpeId, CapTable>,
+    dram: PeId,
+    (vpe, sel): CapRef,
+    frame: u64,
+) -> bool {
+    let cap = tables.get(&vpe).and_then(|t| t.find(sel));
+    matches!(cap.map(|c| &c.obj), Some(KObject::MGate(mg))
+        if mg.pe == dram && mg.offset == frame && mg.size == PAGE_SIZE && !mg.owned)
 }
 
 /// Removes `page` from `aspace` and returns its frame and swap slot to
@@ -211,7 +233,7 @@ impl State {
     fn sels_free(&self, owner: VpeId, sels: &[SelId]) -> Result<()> {
         let table = self.tables.get(&owner).ok_or_else(|| gone(owner))?;
         for (i, sel) in sels.iter().enumerate() {
-            if sels[..i].contains(sel) || table.get(*sel).is_ok() {
+            if sels[..i].contains(sel) || table.find(*sel).is_some() {
                 return Err(Error::new(Code::Exists).with_msg(format!("{sel} already in use")));
             }
         }
@@ -255,7 +277,7 @@ impl State {
             let desc = self.pemng.desc(*pe);
             !self.pinned.contains(pe) && !desc.is_fft_accel() && ty.is_none_or(|ty| desc.ty == ty)
         }))
-        .ok_or_else(|| Error::new(Code::NoFreePe).with_msg(format!("request {want:?}")))
+        .ok_or_else(|| no_free_pe(want))
     }
 }
 
@@ -315,7 +337,7 @@ impl KState {
         let mut hits = Vec::new();
         for (vpe, table) in &st.tables {
             for sel in table.selectors() {
-                if table.get(sel).is_ok_and(|cap| pred(&cap.obj)) {
+                if table.find(sel).is_some_and(|cap| pred(&cap.obj)) {
                     hits.push((*vpe, sel));
                 }
             }
@@ -520,15 +542,11 @@ impl KState {
         }
         let prev = st.ep_owners.insert((target, ep), (caller, gate));
         if let (Some((v, s)), KObject::RGate(_)) = (prev, &obj) {
-            if let Some(prev) = st.tables.get_mut(&v).and_then(|t| t.get_mut(s).ok()) {
+            if let Some(prev) = st.tables.get_mut(&v).and_then(|t| t.find_mut(s)) {
                 prev.activations.retain(|a| *a != (target_pe, ep));
             }
         }
-        if let Some(cap) = st
-            .tables
-            .get_mut(&caller)
-            .and_then(|t| t.get_mut(gate).ok())
-        {
+        if let Some(cap) = st.tables.get_mut(&caller).and_then(|t| t.find_mut(gate)) {
             cap.activations.push((target_pe, ep));
         }
         Ok(Activation::Done(target_pe))
@@ -578,7 +596,10 @@ impl KState {
         let mut st = self.0.borrow_mut();
         let pe = match pe {
             Some(pe) => st.pemng.claim(pe).map(|()| pe)?,
-            None => st.pemng.alloc(PeRequest::Any, PeType::Xtensa)?,
+            None => st
+                .pemng
+                .alloc(PeRequest::Any, PeType::Xtensa)
+                .ok_or_else(|| no_free_pe(PeRequest::Any))?,
         };
         let (id, vpe) = st.new_vpe(name, pe, None)?;
         vpe.borrow_mut().state = VpeState::Running;
@@ -603,8 +624,11 @@ impl KState {
         st.sels_free(cap.0, &[cap.1, mem_dst])?;
         // `want` is resolved, so `alloc` needs no caller type.
         let pe = match (st.pemng.alloc(want, PeType::Xtensa), multiplexed) {
-            (Err(e), Some(sched)) if e.code() == Code::NoFreePe => st.least_loaded(sched, want)?,
-            (pe, _) => pe?,
+            (Some(pe), _) => pe,
+            (None, Some(sched)) => st.least_loaded(sched, want)?,
+            // Unnamed: a sharded kernel spills the placement and drops
+            // this error; `sys_create_vpe` names the request otherwise.
+            (None, None) => return Err(Error::new(Code::NoFreePe)),
         };
         let (id, _) = st.mint_vpe_pair(cap, mem_dst, pe, |st, creator| {
             st.new_vpe(name, pe, Some(creator))
@@ -639,8 +663,12 @@ impl KState {
     ) -> Result<(VpeId, PeId)> {
         let mut st = self.0.borrow_mut();
         // `Same` cannot cross shards (the sender resolves it first); a
-        // stray one falls back to the base compute type.
-        let pe = st.pemng.alloc(want, PeType::Xtensa)?;
+        // stray one falls back to the base compute type. Unnamed: the
+        // peer's reply carries the code only.
+        let pe = st
+            .pemng
+            .alloc(want, PeType::Xtensa)
+            .ok_or(Error::new(Code::NoFreePe))?;
         let (id, vpe) = st.new_vpe(name, pe, None)?;
         let mut v = vpe.borrow_mut();
         v.names += 1;
@@ -760,7 +788,8 @@ impl KState {
                 let frame = entry
                     .frame
                     .ok_or_else(|| internal("resident without frame"))?;
-                let old = entry.cap.replace(dst).filter(|s| *s != dst);
+                let old = entry.cap.replace(dst);
+                let old = old.filter(|old| holds_frame(&st.tables, st.dram, (caller, *old), frame));
                 (frame, Mapped::Resident(old))
             }
             kind => {
@@ -840,6 +869,7 @@ impl KState {
             aspace.writeback_bytes += PAGE_SIZE;
         }
         let cap = aspace.complete_eviction(page, slot);
+        let cap = cap.filter(|sel| holds_frame(&st.tables, st.dram, (caller, *sel), frame));
         st.mem.free(frame, PAGE_SIZE);
         cap
     }
@@ -855,7 +885,10 @@ impl KState {
             .get_mut(&caller)
             .and_then(|aspace| unmap_page(&mut st.mem, aspace, page))
             .ok_or_else(|| Error::new(Code::InvArgs).with_msg("page not mapped"))?;
-        Ok(entry.cap)
+        let frame = entry.frame;
+        Ok(entry.cap.filter(|sel| {
+            frame.is_some_and(|frame| holds_frame(&st.tables, st.dram, (caller, *sel), frame))
+        }))
     }
 }
 

@@ -17,7 +17,7 @@ use crate::protocol::{std_eps, PeRequest, ServiceReply, ServiceRequest, Syscall,
 use crate::service::{ServObj, SessObj};
 use crate::vpe::wait_exit;
 
-use super::state::{Activation, VpeCap, MGATE, RGATE, VPE};
+use super::state::{no_free_pe, Activation, VpeCap, MGATE, RGATE, VPE};
 use super::{keps, Kernel};
 
 /// The task-name prefix of a syscall that may block, `None` for one that
@@ -299,7 +299,7 @@ impl Kernel {
                         .create_vpe_remote(&ctx, (caller, dst), mem_dst, want, name)
                         .await
                 }
-                None => return Err(e),
+                None => return Err(no_free_pe(want)),
             },
             placed => placed?,
         };

@@ -422,6 +422,75 @@ fn minting_into_a_taken_selector_changes_nothing() {
     rig.ok(rig.root, create_srv(5));
 }
 
+/// The pager revokes a page's frame capability only where it still sits.
+/// The root revokes the capability of a resident page's frame and puts a
+/// region at its selector; the page's `Unmap`, a re-fault of the page and
+/// its eviction each leave the region alone, and free DRAM moves only by
+/// the frames the pager takes and gives back.
+#[test]
+fn the_pager_spares_a_reused_frame_selector() {
+    let sel = SelId::new;
+    let page = 0x10_0000;
+    // Read faults: a clean victim is evicted without a swap region.
+    let fault = |dst, virt| Syscall::PageFault {
+        dst: sel(dst),
+        virt,
+        access: Perm::R,
+    };
+    let region_at = |rig: &Rig, dst, virt| {
+        rig.ok(rig.root, fault(dst, virt));
+        rig.ok(rig.root, Syscall::Revoke { sel: sel(dst) });
+        let region = Syscall::AllocMem {
+            dst: sel(dst),
+            size: 4096,
+            perm: Perm::RW,
+        };
+        rig.ok(rig.root, region);
+    };
+    let region_kept = |rig: &Rig, at| {
+        matches!(
+            rig.kernels[0].state.obj((rig.root_vpe, sel(at))),
+            Ok(KObject::MGate(m)) if m.owned
+        )
+    };
+
+    let rig = Rig::single();
+    let kernel = &rig.kernels[0];
+    let unmap = Syscall::Unmap { virt: page };
+    region_at(&rig, 5, page);
+    let dram = kernel.free_mem();
+    rig.ok(rig.root, unmap.clone());
+    assert!(region_kept(&rig, 5));
+    assert_eq!(kernel.free_mem(), dram + PAGE_SIZE);
+
+    region_at(&rig, 6, page);
+    let dram = kernel.free_mem();
+    rig.ok(rig.root, fault(7, page));
+    assert!(region_kept(&rig, 6));
+    assert_eq!(kernel.free_mem(), dram);
+    rig.ok(rig.root, unmap);
+    assert!(region_kept(&rig, 6));
+    assert!(kernel.state.obj((rig.root_vpe, sel(7))).is_err());
+    assert_eq!(kernel.free_mem(), dram + PAGE_SIZE);
+
+    // With one resident page, a fault on another evicts the page.
+    let platform = Platform::new(PlatformConfig::xtensa(4));
+    let owned: Vec<PeId> = (0..4).map(PeId::new).collect();
+    let cfg = KernelConfig {
+        vm_resident_pages: Some(1),
+        ..KernelConfig::default()
+    };
+    let dram_size = platform.dram_size() as u64;
+    let kernel = Kernel::start_partition(&platform, PeId::new(0), &owned, 0, dram_size, cfg);
+    let rig = Rig::with_root(platform, vec![kernel]);
+    let kernel = &rig.kernels[0];
+    region_at(&rig, 5, page);
+    let dram = kernel.free_mem();
+    rig.ok(rig.root, fault(6, page + PAGE_SIZE));
+    assert!(region_kept(&rig, 5));
+    assert_eq!(kernel.free_mem(), dram);
+}
+
 /// An `Activate` on a dead child's endpoint is refused: its PE goes to
 /// the next child, which the endpoint would reach past every capability.
 #[test]

@@ -39,12 +39,10 @@ impl PeMng {
     }
 
     /// Allocates a free PE matching `req`; `caller_ty` resolves
-    /// [`PeRequest::Same`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Code::NoFreePe`] if no matching PE is free.
-    pub fn alloc(&mut self, req: PeRequest, caller_ty: PeType) -> Result<PeId> {
+    /// [`PeRequest::Same`]. `None` if no matching PE is free: a sharded
+    /// kernel then spills the placement to a peer, so the miss builds no
+    /// error.
+    pub fn alloc(&mut self, req: PeRequest, caller_ty: PeType) -> Option<PeId> {
         let want = match req {
             PeRequest::Any => None,
             PeRequest::Type(ty) => Some(ty),
@@ -60,10 +58,10 @@ impl PeMng {
             };
             if matches {
                 self.used[i] = true;
-                return Ok(PeId::new(i as u32));
+                return Some(PeId::new(i as u32));
             }
         }
-        Err(Error::new(Code::NoFreePe).with_msg(format!("request {req:?}")))
+        None
     }
 
     /// Marks a specific PE used (boot-time placement of the first app).
@@ -121,10 +119,7 @@ mod tests {
             PeId::new(2)
         );
         // Only the accelerator is left; Any refuses it.
-        assert_eq!(
-            m.alloc(PeRequest::Any, PeType::Xtensa).unwrap_err().code(),
-            Code::NoFreePe
-        );
+        assert_eq!(m.alloc(PeRequest::Any, PeType::Xtensa), None);
     }
 
     #[test]

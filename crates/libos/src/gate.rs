@@ -17,7 +17,7 @@ use m3_base::error::{Code, Error, Result};
 use m3_base::ids::Label;
 use m3_base::marshal::IStream;
 use m3_base::{Perm, SelId};
-use m3_dtu::Message;
+use m3_dtu::{Message, Payload};
 use m3_kernel::protocol::Syscall;
 
 use crate::env::{Env, WeakEnv};
@@ -153,7 +153,7 @@ impl RecvGate {
     /// # Errors
     ///
     /// Fails with [`Code::NoPerm`] if the message permits no reply.
-    pub async fn reply(&self, msg: &Message, payload: &[u8]) -> Result<()> {
+    pub async fn reply(&self, msg: &Message, payload: impl Into<Payload>) -> Result<()> {
         self.env.get().dtu().reply(msg, payload).await
     }
 }
@@ -212,7 +212,11 @@ impl SendGate {
     ///
     /// Propagates DTU errors ([`Code::NoCredits`] when the budget is used
     /// up) and activation failures.
-    pub async fn send(&self, payload: &[u8], reply: Option<(&RecvGate, Label)>) -> Result<()> {
+    pub async fn send(
+        &self,
+        payload: impl Into<Payload>,
+        reply: Option<(&RecvGate, Label)>,
+    ) -> Result<()> {
         let env = self.env.get();
         let ep = ensure_ep(&env, &self.ep, self.sel).await?;
         env.dtu()
@@ -230,7 +234,7 @@ impl SendGate {
     /// completes, and propagates DTU errors.
     pub async fn send_with_deadline(
         &self,
-        payload: &[u8],
+        payload: impl Into<Payload>,
         reply: Option<(&RecvGate, Label)>,
         deadline: m3_base::Cycles,
     ) -> Result<()> {
@@ -257,7 +261,8 @@ impl SendGate {
     /// # Errors
     ///
     /// Propagates send errors and transport failures.
-    pub async fn call(&self, payload: &[u8]) -> Result<Message> {
+    pub async fn call(&self, payload: impl Into<Payload>) -> Result<Message> {
+        let payload = payload.into();
         let env = self.env.get();
         let rgate = env.reply_gate().await?;
         let Some(policy) = env.recovery() else {
@@ -284,7 +289,7 @@ impl SendGate {
             // Discard replies of abandoned earlier attempts that arrived
             // while we were backing off.
             while rgate.fetch()?.is_some() {}
-            self.send(payload, Some((&rgate, 0))).await?;
+            self.send(&payload, Some((&rgate, 0))).await?;
             let deadline = env.sim().now() + policy.timeout;
             match rgate.recv_timeout(deadline).await {
                 Ok(msg) => return Ok(msg),

@@ -19,22 +19,29 @@ use crate::scenario::{ServePlan, ServeRun};
 
 /// Reads one length-prefixed frame; `None` at EOF.
 async fn read_frame(proc: &LxProc, rx: &mut LxPipeReader) -> Option<Vec<u8>> {
-    let mut head = Vec::new();
-    while head.len() < 4 {
-        let chunk = rx.read(proc, 4 - head.len()).await.ok()?;
+    let mut head = [0u8; 4];
+    let mut got = 0;
+    while got < head.len() {
+        let chunk = rx.read(proc, head.len() - got).await.ok()?;
         if chunk.is_empty() {
             return None;
         }
-        head.extend_from_slice(&chunk);
+        head[got..got + chunk.len()].copy_from_slice(&chunk);
+        got += chunk.len();
     }
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    let mut frame = Vec::with_capacity(len);
+    let len = u32::from_le_bytes(head) as usize;
+    // The first chunk is the whole frame unless the pipe split it.
+    let mut frame = Vec::new();
     while frame.len() < len {
         let chunk = rx.read(proc, len - frame.len()).await.ok()?;
         if chunk.is_empty() {
             return None;
         }
-        frame.extend_from_slice(&chunk);
+        if frame.is_empty() {
+            frame = chunk;
+        } else {
+            frame.extend_from_slice(&chunk);
+        }
     }
     Some(frame)
 }

@@ -236,6 +236,8 @@ struct Inner {
     /// Set by [`Sim::shutdown`]: the simulation is over and may not be
     /// driven again.
     closed: bool,
+    /// The callbacks [`Sim::handler`] registered, indexed by [`Handler`].
+    handlers: Vec<Rc<dyn Fn(u64)>>,
 }
 
 impl Inner {
@@ -369,12 +371,20 @@ impl Drop for Inner {
 /// A [`Sim::call_at`] callback.
 type Callback = Box<dyn FnOnce()>;
 
+/// A callback registered once with [`Sim::handler`] and armed any number
+/// of times with [`Sim::post_at`], each time with a token it is called
+/// with: an event that allocates nothing per firing.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Handler(u32);
+
 /// What a timer does when it fires. Ordering lives in the heap's
 /// (deadline, sequence) key; the entry itself compares equal to every
 /// other, so the heap never compares wakers or closures.
 enum TimerEntry {
     /// Runs a [`Sim::call_at`] callback: an event without a task.
     Call(Callback),
+    /// Calls a registered handler with its token ([`Sim::post_at`]).
+    Post(Handler, u64),
     /// Polls the task directly. Armed by a [`Sleep`] polled under the
     /// waker of the task being polled; sound because every run loop calls
     /// [`Sim::fire_due`] only with the ready queue drained, so the task is
@@ -454,6 +464,7 @@ impl Sim {
                 peak_timers: 0,
                 reported: gauges::Gauges::default(),
                 closed: false,
+                handlers: Vec::new(),
             })),
             metrics: Metrics::new(),
         }
@@ -610,6 +621,26 @@ impl Sim {
         let mut inner = self.inner.borrow_mut();
         let deadline = at.max(inner.now);
         inner.arm(deadline, TimerEntry::Call(Box::new(f)));
+        inner.live_regular += 1;
+    }
+
+    /// Registers `f` for [`Sim::post_at`]. The simulation keeps it until
+    /// [`Sim::shutdown`], so `f` should hold what it works on weakly.
+    pub fn handler(&self, f: impl Fn(u64) + 'static) -> Handler {
+        let mut inner = self.inner.borrow_mut();
+        inner.assert_open();
+        let id = u32::try_from(inner.handlers.len()).expect("fewer than 2^32 handlers");
+        inner.handlers.push(Rc::new(f));
+        Handler(id)
+    }
+
+    /// Calls `handler` with `token` once the clock reaches `at`: a
+    /// [`Sim::call_at`] whose event is data, not a boxed closure. It is
+    /// armed, ordered and counted exactly like one.
+    pub fn post_at(&self, at: Cycles, handler: Handler, token: u64) {
+        let mut inner = self.inner.borrow_mut();
+        let deadline = at.max(inner.now);
+        inner.arm(deadline, TimerEntry::Post(handler, token));
         inner.live_regular += 1;
     }
 
@@ -780,6 +811,7 @@ impl Sim {
             (
                 std::mem::take(&mut inner.slots),
                 std::mem::take(&mut inner.timers),
+                std::mem::take(&mut inner.handlers),
             )
         };
         drop(dead);
@@ -803,6 +835,14 @@ impl Sim {
             TimerEntry::Call(f) => {
                 self.inner.borrow_mut().live_regular -= 1;
                 f();
+            }
+            TimerEntry::Post(handler, token) => {
+                let f = {
+                    let mut inner = self.inner.borrow_mut();
+                    inner.live_regular -= 1;
+                    inner.handlers[handler.0 as usize].clone()
+                };
+                f(token);
             }
             TimerEntry::Task(id) => self.poll_task(id, bound, true),
             TimerEntry::Wake(waker) => waker.wake(),
@@ -1753,6 +1793,7 @@ mod tests {
             .iter()
             .map(|Reverse((_, _, entry))| match entry {
                 TimerEntry::Call(_) => "call",
+                TimerEntry::Post(..) => "post",
                 TimerEntry::Task(_) => "task",
                 TimerEntry::Wake(_) => "wake",
             })
@@ -1851,6 +1892,42 @@ mod tests {
         let sim = Sim::new();
         sim.shutdown();
         sim.call_at(Cycles::new(1), || {});
+    }
+
+    #[test]
+    fn post_at_is_a_call_at_without_the_closure() {
+        let sim = Sim::new();
+        let log: Rc<RefCell<Vec<String>>> = Rc::default();
+        let posted = {
+            let log = log.clone();
+            sim.handler(move |token| log.borrow_mut().push(format!("post {token}")))
+        };
+        let note = |name: &'static str| {
+            let log = log.clone();
+            move || log.borrow_mut().push(name.to_string())
+        };
+        sim.call_at(Cycles::new(10), note("call at 10"));
+        sim.post_at(Cycles::new(10), posted, 1);
+        sim.call_at(Cycles::new(5), note("call at 5"));
+        sim.post_at(Cycles::new(0), posted, 2);
+        // A pending post keeps the run going like a pending call.
+        assert_eq!(sim.live_regular(), 4);
+        assert_eq!(sim.run(), SimState::Finished);
+        assert_eq!(
+            *log.borrow(),
+            ["post 2", "call at 5", "call at 10", "post 1"]
+        );
+        assert_eq!(sim.now(), Cycles::new(10));
+        assert_eq!(sim.inner.borrow().timers_scheduled, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "Sim used after shutdown")]
+    fn post_at_after_shutdown_panics() {
+        let sim = Sim::new();
+        let h = sim.handler(|_| {});
+        sim.shutdown();
+        sim.post_at(Cycles::new(1), h, 0);
     }
 
     /// Counts the polls that reach the root of a task's future.

@@ -35,7 +35,7 @@ pub mod pdes;
 mod stats;
 
 pub use deadline::with_deadline;
-pub use executor::{JoinHandle, Sim, SimState};
+pub use executor::{Handler, JoinHandle, Sim, SimState};
 pub use m3_trace::{keys, Component, Event, EventKind, Histogram, MetricHandle, Metrics, Recorder};
 pub use name::TaskName;
 pub use notify::Notify;

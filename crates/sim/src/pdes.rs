@@ -50,10 +50,11 @@
 //! the *last* chunk itself: each window it sends the other chunks' events
 //! to their remote worker threads, runs its own islands inline, and then
 //! collects one reply per remote worker, covering its whole chunk. The
-//! protocol is plain data: a worker receives `Some((end, events))` per
-//! window and `None` to finish, and returns its islands' outputs from its
-//! thread. A run therefore uses `N` threads, and with one worker there is
-//! no channel and no per-window thread handoff at all.
+//! protocol is plain data: a worker receives `Some(job)` per window, the
+//! window's end and due events, sends the job back with its islands'
+//! replies, and on `None` returns its islands' outputs from its thread.
+//! A run therefore uses `N` threads, and with one worker there is no
+//! channel and no per-window thread handoff at all.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -317,17 +318,29 @@ impl PortRx {
     }
 }
 
-/// What the coordinator sends a remote worker: `Some((end, events))` runs
-/// one window up to `end`, delivering `events` first (one list per island
-/// of the chunk, in chunk order, each already in merge order); `None`
-/// finishes the chunk.
-type Window = Option<(Cycles, Vec<Vec<PdesEvent>>)>;
+/// One exchange between the coordinator and a chunk of islands. The
+/// coordinator keeps one per chunk and passes it to the chunk and back
+/// every window, so its buffers are allocated once per run.
+#[derive(Default)]
+struct Job {
+    /// Runs a window up to this instant, delivering `events` first; `None`
+    /// runs nothing and names each island's live regular tasks, for the
+    /// panic of a stalled run.
+    end: Option<Cycles>,
+    /// Due events, one list per island of the chunk, in chunk order, each
+    /// already in merge order; the chunk drains them.
+    events: Vec<Vec<PdesEvent>>,
+    /// One reply per island of the chunk, filled by the chunk.
+    replies: Vec<WindowReply>,
+}
 
 /// One island's state after a window (or before the first).
 struct WindowReply {
     next: Option<Cycles>,
     live: usize,
     out: Vec<PdesEvent>,
+    /// The live regular tasks of a blocked island; rendered only when the
+    /// coordinator found the run stalled.
     stalled: Vec<String>,
 }
 
@@ -340,23 +353,27 @@ struct WorkerIsland {
 impl WorkerIsland {
     fn report(&self) -> WindowReply {
         let sim = self.ctx.sim();
-        let next = sim.next_event_time();
-        let live = sim.live_regular();
         WindowReply {
-            next,
-            live,
+            next: sim.next_event_time(),
+            live: sim.live_regular(),
             out: self.ctx.drain_outbox(),
-            stalled: if next.is_none() && live > 0 {
-                sim.regular_task_names()
-            } else {
-                Vec::new()
-            },
+            stalled: Vec::new(),
         }
     }
 
-    fn run_window(&mut self, end: Cycles, events: Vec<PdesEvent>) -> WindowReply {
+    /// [`WorkerIsland::report`] with the names of the live regular tasks
+    /// of an island that is blocked.
+    fn stall_report(&self) -> WindowReply {
+        let mut reply = self.report();
+        if reply.next.is_none() && reply.live > 0 {
+            reply.stalled = self.ctx.sim().regular_task_names();
+        }
+        reply
+    }
+
+    fn run_window(&mut self, end: Cycles, events: &mut Vec<PdesEvent>) -> WindowReply {
         self.stats.events_in += events.len() as u64;
-        for ev in events {
+        for ev in events.drain(..) {
             self.ctx.deposit(ev);
         }
         let sim = self.ctx.sim().clone();
@@ -419,17 +436,24 @@ impl Chunk {
         Chunk { islands }
     }
 
-    /// The horizon report before any window.
-    fn report(&self) -> Vec<WindowReply> {
-        self.islands.iter().map(WorkerIsland::report).collect()
+    /// The chunk's job, with the horizon report before any window.
+    fn first_job(&self) -> Job {
+        Job {
+            end: None,
+            events: self.islands.iter().map(|_| Vec::new()).collect(),
+            replies: self.islands.iter().map(WorkerIsland::report).collect(),
+        }
     }
 
-    fn run_window(&mut self, end: Cycles, events: Vec<Vec<PdesEvent>>) -> Vec<WindowReply> {
-        self.islands
-            .iter_mut()
-            .zip(events)
-            .map(|(isl, evs)| isl.run_window(end, evs))
-            .collect()
+    /// Does what `job` asks and fills its replies.
+    fn serve(&mut self, job: &mut Job) {
+        job.replies.clear();
+        for (isl, events) in self.islands.iter_mut().zip(&mut job.events) {
+            job.replies.push(match job.end {
+                Some(end) => isl.run_window(end, events),
+                None => isl.stall_report(),
+            });
+        }
     }
 
     fn finish(self) -> Vec<(String, IslandStats)> {
@@ -437,43 +461,35 @@ impl Chunk {
     }
 }
 
-/// A remote worker: reports its freshly built chunk, then answers each
-/// window with one reply per island. Told to finish, it returns each
-/// island's output and residency, in chunk order. If its window channel
-/// closes first (the coordinator panicked), it returns `None` without
-/// running the finish closures.
+/// A remote worker: reports its freshly built chunk, then serves each job
+/// it is sent and sends it back. Sent `None`, it returns each island's
+/// output and residency, in chunk order. If its job channel closes first
+/// (the coordinator panicked), it returns `None` without running the
+/// finish closures.
 fn worker(
     mut chunk: Chunk,
-    windows: mpsc::Receiver<Window>,
-    replies: mpsc::Sender<Vec<WindowReply>>,
+    jobs: mpsc::Receiver<Option<Job>>,
+    done: mpsc::Sender<Job>,
 ) -> Option<Vec<(String, IslandStats)>> {
-    let _ = replies.send(chunk.report());
-    while let Some((end, events)) = windows.recv().ok()? {
-        let _ = replies.send(chunk.run_window(end, events));
+    let _ = done.send(chunk.first_job());
+    while let Some(mut job) = jobs.recv().ok()? {
+        chunk.serve(&mut job);
+        let _ = done.send(job);
     }
     Some(chunk.finish())
 }
 
 /// The coordinator's handle on one remote worker and its chunk.
 struct Remote<'scope> {
-    first: u32,
-    len: usize,
-    windows: mpsc::Sender<Window>,
-    replies: mpsc::Receiver<Vec<WindowReply>>,
+    jobs: mpsc::Sender<Option<Job>>,
+    done: mpsc::Receiver<Job>,
     thread: std::thread::ScopedJoinHandle<'scope, Option<Vec<(String, IslandStats)>>>,
-}
-
-impl Remote<'_> {
-    fn replies(&self) -> Vec<WindowReply> {
-        self.replies.recv().expect("island worker died")
-    }
 }
 
 /// The coordinator's view of every island between windows.
 struct Horizon {
     next: Vec<Option<Cycles>>,
     live: Vec<usize>,
-    stalled: Vec<Vec<String>>,
     /// Exported events not yet delivered, in merge order.
     pending: BTreeSet<PdesEvent>,
 }
@@ -483,18 +499,16 @@ impl Horizon {
         Horizon {
             next: vec![None; islands],
             live: vec![0; islands],
-            stalled: vec![Vec::new(); islands],
             pending: BTreeSet::new(),
         }
     }
 
-    /// Takes in one chunk's reports; the chunk starts at island `first`.
+    /// Takes in one chunk's replies; the chunk starts at island `first`.
     /// After a window, every exported event must lie past its `end`.
-    fn absorb(&mut self, first: u32, replies: Vec<WindowReply>, window_end: Option<Cycles>) {
-        for (i, r) in (first as usize..).zip(replies) {
+    fn absorb(&mut self, first: usize, replies: &mut Vec<WindowReply>, window_end: Option<Cycles>) {
+        for (i, r) in (first..).zip(replies.drain(..)) {
             self.next[i] = r.next;
             self.live[i] = r.live;
-            self.stalled[i] = r.stalled;
             for ev in r.out {
                 if let Some(end) = window_end {
                     assert!(ev.at > end, "island {} broke lookahead", ev.src);
@@ -557,75 +571,98 @@ fn coordinate<'scope>(
     let workers = cfg.workers.clamp(1, islands);
     let (base, extra) = (islands / workers, islands % workers);
     let mut builders = builders.into_iter();
-    let mut first = 0u32;
+    // The first island of every chunk, the local one last, and each
+    // island's chunk.
+    let mut firsts = Vec::with_capacity(workers);
+    let mut chunk_of = Vec::with_capacity(islands);
     // One reply channel per worker: a worker that dies (panic in an
     // island) closes its channel, so the coordinator fails fast instead
     // of waiting forever on a channel the healthy workers keep open.
     let mut remotes = Vec::with_capacity(workers - 1);
     for w in 0..workers - 1 {
         let len = base + usize::from(w < extra);
+        let first = chunk_of.len();
+        firsts.push(first);
+        chunk_of.resize(first + len, w);
         let chunk: Vec<IslandBuilder> = builders.by_ref().take(len).collect();
-        let (windows, window_rx) = mpsc::channel();
-        let (reply_tx, replies) = mpsc::channel();
+        let (jobs, job_rx) = mpsc::channel();
+        let (done_tx, done) = mpsc::channel();
         let lookahead = cfg.lookahead;
         let thread = std::thread::Builder::new()
             .name(format!("pdes-worker-{w}"))
             .spawn_scoped(scope, move || {
-                let chunk = Chunk::build(first, total, lookahead, chunk);
-                worker(chunk, window_rx, reply_tx)
+                let chunk = Chunk::build(first as u32, total, lookahead, chunk);
+                worker(chunk, job_rx, done_tx)
             })
             .expect("spawn a pdes worker");
-        remotes.push(Remote {
-            first,
-            len,
-            windows,
-            replies,
-            thread,
-        });
-        first += len as u32;
+        remotes.push(Remote { jobs, done, thread });
     }
-    let mut local = Chunk::build(first, total, cfg.lookahead, builders.collect());
+    let local_first = chunk_of.len();
+    firsts.push(local_first);
+    chunk_of.resize(islands, workers - 1);
+    let mut local = Chunk::build(local_first as u32, total, cfg.lookahead, builders.collect());
 
     let mut horizon = Horizon::new(islands);
-    for r in &remotes {
-        horizon.absorb(r.first, r.replies(), None);
-    }
-    horizon.absorb(first, local.report(), None);
+    let mut jobs: Vec<Job> = remotes
+        .iter()
+        .map(|r| r.done.recv().expect("island worker died"))
+        .chain([local.first_job()])
+        .collect();
+    // Sends every remote chunk its job, serves the local one, and takes
+    // every job back with its replies.
+    let exchange = |jobs: &mut [Job], local: &mut Chunk| {
+        let (remote_jobs, local_job) = jobs.split_at_mut(workers - 1);
+        for (r, job) in remotes.iter().zip(remote_jobs.iter_mut()) {
+            r.jobs
+                .send(Some(std::mem::take(job)))
+                .expect("island worker died");
+        }
+        local.serve(&mut local_job[0]);
+        for (r, job) in remotes.iter().zip(remote_jobs) {
+            *job = r.done.recv().expect("island worker died");
+        }
+    };
 
     let mut windows = 0u64;
     let mut delivered = 0u64;
-    while horizon.live.iter().any(|&l| l > 0) {
+    let mut window_end = None;
+    loop {
+        for (&first, job) in firsts.iter().zip(&mut jobs) {
+            horizon.absorb(first, &mut job.replies, window_end);
+        }
+        if horizon.live.iter().all(|&l| l == 0) {
+            break;
+        }
         let Some(window_base) = horizon.base() else {
-            let names: Vec<String> = horizon.stalled.concat();
+            for job in &mut jobs {
+                job.end = None;
+            }
+            exchange(&mut jobs, &mut local);
+            let names: Vec<String> = jobs
+                .iter_mut()
+                .flat_map(|job| job.replies.drain(..).flat_map(|r| r.stalled))
+                .collect();
             panic!("pdes stalled: no island can make progress; live tasks: {names:?}");
         };
         let end = window_base + cfg.lookahead - Cycles::new(1);
-
-        // Due events go to their island's list; the lists then split by
-        // chunk, in island order.
-        let mut due: Vec<Vec<PdesEvent>> = vec![Vec::new(); islands];
+        for job in &mut jobs {
+            job.end = Some(end);
+        }
+        // Due events go to their island's list in its chunk's job.
         while horizon.pending.first().is_some_and(|e| e.at <= end) {
             let ev = horizon.pending.pop_first().expect("checked first");
             delivered += 1;
-            due[ev.dst as usize].push(ev);
+            let dst = ev.dst as usize;
+            let chunk = chunk_of[dst];
+            jobs[chunk].events[dst - firsts[chunk]].push(ev);
         }
-        let mut due = due.into_iter();
-        for r in &remotes {
-            let events = due.by_ref().take(r.len).collect();
-            r.windows
-                .send(Some((end, events)))
-                .expect("island worker died");
-        }
-        let local_replies = local.run_window(end, due.collect());
-        for r in &remotes {
-            horizon.absorb(r.first, r.replies(), Some(end));
-        }
-        horizon.absorb(first, local_replies, Some(end));
+        exchange(&mut jobs, &mut local);
+        window_end = Some(end);
         windows += 1;
     }
 
     for r in &remotes {
-        r.windows.send(None).expect("island worker died");
+        r.jobs.send(None).expect("island worker died");
     }
     let mut finished = Vec::with_capacity(islands);
     for r in remotes {
@@ -1069,7 +1106,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pdes stalled")]
     fn cross_island_deadlock_reports_stall() {
         let waiting = || -> IslandBuilder {
             Box::new(|ctx: &IslandCtx| {
@@ -1080,6 +1116,17 @@ mod tests {
                 Box::new(|_: &IslandCtx| String::new())
             })
         };
-        run(&cfg(1), vec![waiting(), waiting()]);
+        // The names are rendered only once the run stalls, from every
+        // island, the remote worker's too.
+        for workers in [1, 2] {
+            let msg = panic_message(move || {
+                run(&cfg(workers), vec![waiting(), waiting()]);
+            });
+            assert_eq!(
+                msg,
+                "pdes stalled: no island can make progress; live tasks: [\"forever\", \"forever\"]",
+                "{workers} workers"
+            );
+        }
     }
 }

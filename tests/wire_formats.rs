@@ -40,13 +40,13 @@ fn pinned(bytes: &[u8], want: &str) {
 }
 
 /// Asserts that `value` encodes to `want` and that `want` decodes back.
-fn pin<T: PartialEq + Debug>(
+fn pin<T: PartialEq + Debug, B: AsRef<[u8]>>(
     value: T,
-    encode: impl Fn(&T) -> Vec<u8>,
+    encode: impl Fn(&T) -> B,
     decode: impl Fn(&[u8]) -> Result<T>,
     want: &str,
 ) {
-    pinned(&encode(&value), want);
+    pinned(encode(&value).as_ref(), want);
     assert_eq!(decode(&unhex(want)).unwrap(), value, "decoding of {want}");
 }
 
@@ -725,15 +725,15 @@ const CASES: usize = 300;
 /// decoder: random values round-trip, every strict prefix of an encoding
 /// is `BadMessage`, and neither random bytes nor a valid encoding with one
 /// byte overwritten panics the decoder or fails it with another code.
-fn decode_properties<T: Arb + PartialEq + Debug>(
+fn decode_properties<T: Arb + PartialEq + Debug, B: AsRef<[u8]>>(
     seed: u64,
-    encode: impl Fn(&T) -> Vec<u8>,
+    encode: impl Fn(&T) -> B,
     decode: impl Fn(&[u8]) -> Result<T>,
 ) {
     let mut r = Rng::new(seed);
     for _ in 0..CASES {
         let value = T::arb(&mut r);
-        let bytes = encode(&value);
+        let bytes = encode(&value).as_ref().to_vec();
         assert_eq!(decode(&bytes).unwrap(), value, "round trip of {value:?}");
         for cut in 0..bytes.len() {
             let short = decode(&bytes[..cut]);
