@@ -218,15 +218,6 @@ impl CapTable {
         self.find(sel).ok_or_else(|| empty(sel))
     }
 
-    /// Looks up a capability mutably.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Code::InvCap`] if the selector is empty.
-    pub fn get_mut(&mut self, sel: SelId) -> Result<&mut Capability> {
-        self.find_mut(sel).ok_or_else(|| empty(sel))
-    }
-
     /// The capability at `sel`, if any: a lookup whose miss builds no
     /// error, for callers that expect empty selectors.
     pub fn find(&self, sel: SelId) -> Option<&Capability> {

@@ -10,10 +10,10 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use m3_base::error::{Code, Result};
-use m3_base::{Cycles, EpId, PeId, VpeId};
+use m3_base::{Cycles, PeId, VpeId};
 use m3_dtu::{Dtu, EpConfig, KernelToken};
 use m3_platform::Platform;
-use m3_sched::{Removal, Scheduler};
+use m3_sched::Admission;
 use m3_sim::{keys, Component, Event, EventKind, MetricHandle, Metrics, Notify, Sim};
 
 use crate::cap::{CapRef, KObject};
@@ -22,7 +22,6 @@ use crate::ktk::KtkMsg;
 use crate::mem::MemAlloc;
 use crate::pemng::PeMng;
 use crate::protocol::{std_eps, ServiceReply, SYSC_MSG_SIZE, SYSC_SLOTS};
-use crate::vpe::VpeObj;
 
 use state::KState;
 
@@ -108,13 +107,8 @@ pub struct KernelInner {
     ktok: KernelToken,
     pe: PeId,
     state: KState,
-    /// Run queues of the time-multiplexed PEs (overcommit mode, m3-sched).
-    sched: RefCell<Scheduler>,
     /// Boot-time policy, fixed for the kernel's lifetime.
     cfg: KernelConfig,
-    /// Cycle at which the current resident of each multiplexed PE was
-    /// installed (start of its slice).
-    resumed_at: RefCell<BTreeMap<PeId, Cycles>>,
     /// Sharded-multikernel context (§7), set by [`Kernel::set_shard`];
     /// `None` for a standalone kernel.
     shard: RefCell<Option<Rc<ShardCtx>>>,
@@ -341,10 +335,9 @@ impl Kernel {
                 PeMng::new_partition(descs, kernel_pe, owned),
                 MemAlloc::new(dram_base, dram_size),
                 platform.dram_pe(),
+                cfg.overcommit,
             ),
-            sched: RefCell::new(Scheduler::new()),
             cfg,
-            resumed_at: RefCell::new(BTreeMap::new()),
             shard: RefCell::new(None),
             serv_requests: Outstanding::new(),
             counters: Counters::new(&sim.metrics()),
@@ -407,21 +400,17 @@ impl Kernel {
             // proxy capability pointing into it. Attach the shard context
             // (`connect_shards`/`set_shard`) before arming the faults, or
             // the multikernel legs of the watchdog stay disarmed.
-            if let Some(ctx) = self.shard_ctx() {
-                let peer = ctx
-                    .peer_pes
-                    .iter()
-                    .find(|(_, kpe)| **kpe == pe)
-                    .map(|(s, _)| *s);
-                if let Some(peer) = peer {
-                    let k = self.clone();
-                    self.sim
-                        .spawn_daemon(format!("shard-watchdog@{pe}"), async move {
-                            k.sim.sleep_until(at + costs::DEAD_PE_DETECT).await;
-                            k.sim.sleep(costs::DISPATCH).await;
-                            k.on_peer_shard_dead(peer);
-                        });
-                }
+            let peer = self
+                .shard_ctx()
+                .and_then(|ctx| ctx.peer_pes.get(&pe).copied());
+            if let Some(peer) = peer {
+                let k = self.clone();
+                self.sim
+                    .spawn_daemon(format!("shard-watchdog@{pe}"), async move {
+                        k.sim.sleep_until(at + costs::DEAD_PE_DETECT).await;
+                        k.sim.sleep(costs::DISPATCH).await;
+                        k.on_peer_shard_dead(peer);
+                    });
             }
         }
     }
@@ -434,49 +423,37 @@ impl Kernel {
     /// Returns [`Code::NoFreePe`] if no suitable PE is free.
     pub fn create_root(&self, name: &str, pe: Option<PeId>) -> Result<VpeBootInfo> {
         let (id, pe) = self.state.create_root(name, pe)?;
-        self.setup_sysc_channel(id, pe)?;
+        self.setup_sysc_channel(id, pe, None)?;
         Ok(VpeBootInfo { vpe: id, pe })
     }
 
-    /// The syscall channel of VPE `id`: EP1 receives the kernel's replies,
-    /// EP0 sends to the kernel's syscall endpoint under label `id`.
-    fn sysc_channel(&self, id: VpeId) -> [(EpId, EpConfig); 2] {
-        [
-            (
-                std_eps::SYSC_REPLY,
-                EpConfig::Receive {
-                    slots: 2,
-                    slot_size: SYSC_MSG_SIZE + m3_base::cfg::MSG_HEADER_SIZE,
-                    allow_replies: false,
-                },
-            ),
-            (
-                std_eps::SYSC_SEND,
-                EpConfig::Send {
-                    pe: self.pe,
-                    ep: keps::SYSC,
-                    label: id.raw() as u64,
-                    credits: Some(1),
-                    max_payload: SYSC_MSG_SIZE,
-                },
-            ),
-        ]
-    }
-
-    /// Configures EP0/EP1 of `pe` as the syscall channel of VPE `id`.
-    fn setup_sysc_channel(&self, id: VpeId, pe: PeId) -> Result<()> {
-        for (ep, cfg) in self.sysc_channel(id) {
-            self.ktok.configure(pe, ep, cfg)?;
+    /// Configures the syscall channel of VPE `id` on `pe`, admitted to
+    /// its run queue as `admission` if multiplexed: EP1 receives the
+    /// kernel's replies, EP0 sends to the kernel's syscall endpoint under
+    /// label `id`. A VPE queued behind the PE's resident gets the channel
+    /// in its DTU save area, which its first restore installs.
+    fn setup_sysc_channel(&self, id: VpeId, pe: PeId, admission: Option<Admission>) -> Result<()> {
+        let reply = EpConfig::Receive {
+            slots: 2,
+            slot_size: SYSC_MSG_SIZE + m3_base::cfg::MSG_HEADER_SIZE,
+            allow_replies: false,
+        };
+        let send = EpConfig::Send {
+            pe: self.pe,
+            ep: keps::SYSC,
+            label: id.raw() as u64,
+            credits: Some(1),
+            max_payload: SYSC_MSG_SIZE,
+        };
+        let ctx = u64::from(id.raw());
+        for (ep, cfg) in [(std_eps::SYSC_REPLY, reply), (std_eps::SYSC_SEND, send)] {
+            match admission {
+                Some(Admission::Queued) => self.ktok.stash_config(pe, ctx, ep, cfg)?,
+                _ => self.ktok.configure(pe, ep, cfg)?,
+            }
         }
-        Ok(())
-    }
-
-    /// Like [`Kernel::setup_sysc_channel`], but writes the configuration
-    /// into the *save area* of VPE `id` on `pe` — used for VPEs admitted to
-    /// an occupied PE, whose endpoints must not clobber the resident's.
-    fn stash_sysc_channel(&self, id: VpeId, pe: PeId) -> Result<()> {
-        for (ep, cfg) in self.sysc_channel(id) {
-            self.ktok.stash_config(pe, u64::from(id.raw()), ep, cfg)?;
+        if admission == Some(Admission::Resident) {
+            self.ktok.set_current_ctx(pe, ctx)?;
         }
         Ok(())
     }
@@ -487,14 +464,13 @@ impl Kernel {
     fn revoke_cap(&self, cap: CapRef) -> usize {
         let revoked = self.state.revoke(cap);
         let shard = self.shard_ctx();
-        for (at, cap) in &revoked.caps {
+        for (_, cap, copies) in &revoked.caps {
             // Cross-shard legs of the recursive revoke (§4.5.3): copies
             // this capability spawned in peer shards are cut with
             // fire-and-forget revokes, and a remote-VPE proxy takes its
             // VPE down with it (§4.5.5).
             if let Some(ctx) = &shard {
-                let edges = ctx.remote_children.borrow_mut().remove(at);
-                for (peer, vpe, sel) in edges.into_iter().flatten() {
+                for &(peer, vpe, sel) in copies {
                     self.ktk_send(ctx, peer, &KtkMsg::RevokeCap { vpe, sel });
                 }
                 if let KObject::RemoteVpe(r) = &cap.obj {
@@ -511,7 +487,7 @@ impl Kernel {
         // Revoking a VPE capability resets the PE (§4.5.5: "the owner
         // of the VPE capability could revoke it to let the kernel reset
         // the associated PE").
-        for (_, cap) in &revoked.caps {
+        for (_, cap, _) in &revoked.caps {
             if let KObject::Vpe(vpe) = &cap.obj {
                 let id = vpe.borrow().id;
                 self.destroy_vpe(id, -1);
@@ -541,20 +517,11 @@ impl Kernel {
         for sel in self.state.selectors(id) {
             self.revoke_cap((id, sel));
         }
-        let removal = self.sched.borrow_mut().remove(id);
-        self.state.retire_vpe(id, pe, removal);
-        let resident = match removal {
-            Removal::NotManaged => true,
-            Removal::Removed { was_resident, .. } => {
-                // A multiplexed VPE's save area (if it was switched out)
-                // and its doorbell go with it; a resident's slice ends.
-                let _ = self.ktok.drop_saved(pe, u64::from(id.raw()));
-                if was_resident {
-                    self.end_slice(pe);
-                }
-                was_resident
-            }
-        };
+        let (resident, slice) = self.state.retire_vpe(id, pe, self.sim.now());
+        // A multiplexed VPE's save area (if it was switched out) and its
+        // doorbell go with it; the DTU keeps neither for any other VPE.
+        let _ = self.ktok.drop_saved(pe, u64::from(id.raw()));
+        self.record_slice(pe, slice);
         // A switched-out VPE's endpoints lived in its save area, not on
         // the PE, so no live register is touched.
         if resident {
@@ -604,12 +571,6 @@ impl Kernel {
             costs::EP_CONFIG_BYTES,
         );
         self.sim.sleep_until(t.completes_at).await;
-    }
-
-    /// The record of VPE `vpe`, while the kernel keeps it: the VPE is
-    /// alive, or dead and still named by a capability (diagnostics).
-    pub fn vpe_obj(&self, vpe: VpeId) -> Option<Rc<RefCell<VpeObj>>> {
-        self.state.vpe(vpe)
     }
 
     /// Number of currently free PEs (diagnostics).

@@ -1,24 +1,25 @@
-//! VPE time-multiplexing (m3-sched, DESIGN.md §5f): overcommit
-//! placement, the park/acquire/yield protocol, and the context-switch
-//! engine that moves a VPE's state through the DTU.
+//! VPE time-multiplexing (m3-sched, DESIGN.md §5f): the park/acquire/
+//! yield protocol, which carries out the decisions of the state's
+//! transitions, and the context-switch engine that moves a VPE's state
+//! through the DTU.
 
 use m3_base::cfg::SPM_DATA_SIZE;
-use m3_base::error::{Code, Error, Result};
+use m3_base::error::Result;
 use m3_base::{EpId, PeId, VpeId};
-use m3_sched::Scheduler;
-use m3_sim::{Component, Event, EventKind, Notify, TaskName};
+use m3_sim::{keys, Component, Event, EventKind, TaskName};
 
+use super::state::Act;
 use super::Kernel;
 
 impl Kernel {
     /// Whether `vpe` is under scheduler control (time-multiplexed).
     pub fn sched_manages(&self, vpe: VpeId) -> bool {
-        self.sched.borrow().manages(vpe)
+        self.state.multiplexed(vpe)
     }
 
     /// Number of context switches performed so far on `pe` (diagnostics).
     pub fn ctx_switches(&self, pe: PeId) -> u64 {
-        self.sim.metrics().get(pe, m3_sim::keys::CTX_SWITCHES)
+        self.sim.metrics().get(pe, keys::CTX_SWITCHES)
     }
 
     /// Parks `vpe` until a message can be fetched from its endpoint `ep`,
@@ -39,56 +40,8 @@ impl Kernel {
     ///
     /// Propagates DTU errors from the save/restore transfers.
     pub async fn sched_wait_msg(&self, vpe: VpeId, ep: EpId) -> Result<()> {
-        enum Act {
-            Return,
-            Switch(VpeId),
-            Restore,
-            WaitOnce,
-            Wait(Notify),
-        }
-        loop {
-            let (pe, act) = {
-                let mut sched = self.sched.borrow_mut();
-                let Some(pe) = sched.pe_of(vpe) else {
-                    return Ok(());
-                };
-                let act = if sched.is_resident(vpe) {
-                    if self.ktok.has_message(pe, ep) {
-                        sched.mark_active(vpe);
-                        Act::Return
-                    } else if let Some(next) = sched.park_resident(vpe) {
-                        Act::Switch(next)
-                    } else {
-                        // Nobody ready: blocked in place, zero switch cost.
-                        Act::WaitOnce
-                    }
-                } else if sched.resident_of(pe).is_none() && sched.claim_vacant(vpe) {
-                    Act::Restore
-                } else {
-                    // Switched out: a message in the save area makes this
-                    // VPE runnable again. Check at once whether it may
-                    // claim a vacant PE: nothing else would ring for it on
-                    // a PE whose resident has exited.
-                    if self.ktok.saved_has_message(pe, u64::from(vpe.raw()), ep)
-                        && sched.unpark(vpe)
-                    {
-                        continue;
-                    }
-                    Act::Wait(Self::doorbell(&sched, vpe)?)
-                };
-                (pe, act)
-            };
-            match act {
-                Act::Return => return Ok(()),
-                Act::Switch(next) => self.spawn_switch(pe, Some(vpe), next),
-                Act::Restore => self.spawn_switch(pe, None, vpe),
-                Act::WaitOnce => {
-                    self.ktok.arrival_notify(pe)?.wait().await;
-                    return Ok(());
-                }
-                Act::Wait(bell) => bell.wait().await,
-            }
-        }
+        let act = self.state.hold(&self.ktok, vpe, Some(ep))?;
+        self.drive(act, vpe, Some(ep)).await
     }
 
     /// Forces a parked `vpe` back onto the ready queue and waits for
@@ -100,8 +53,8 @@ impl Kernel {
     ///
     /// Propagates DTU errors from the restore transfer.
     pub async fn sched_interrupt(&self, vpe: VpeId) -> Result<()> {
-        self.sched.borrow_mut().unpark(vpe);
-        self.sched_acquire(vpe).await
+        let act = self.state.interrupt(&self.ktok, vpe)?;
+        self.drive(act, vpe, None).await
     }
 
     /// Blocks until `vpe` holds its PE, restoring it if the PE is vacant
@@ -112,40 +65,8 @@ impl Kernel {
     ///
     /// Propagates DTU errors from the restore transfer.
     pub async fn sched_acquire(&self, vpe: VpeId) -> Result<()> {
-        enum Act {
-            Ready,
-            Restore,
-            Wait(Notify),
-        }
-        loop {
-            let (pe, act) = {
-                let mut sched = self.sched.borrow_mut();
-                let Some(pe) = sched.pe_of(vpe) else {
-                    return Ok(());
-                };
-                let act = if sched.is_resident(vpe) {
-                    sched.mark_active(vpe);
-                    Act::Ready
-                } else if sched.resident_of(pe).is_none() && sched.claim_vacant(vpe) {
-                    Act::Restore
-                } else {
-                    Act::Wait(Self::doorbell(&sched, vpe)?)
-                };
-                (pe, act)
-            };
-            match act {
-                Act::Ready => return Ok(()),
-                Act::Restore => self.spawn_switch(pe, None, vpe),
-                Act::Wait(bell) => bell.wait().await,
-            }
-        }
-    }
-
-    /// The doorbell a managed `vpe` waits on while it does not hold its PE.
-    fn doorbell(sched: &Scheduler, vpe: VpeId) -> Result<Notify> {
-        sched
-            .doorbell(vpe)
-            .ok_or_else(|| Error::new(Code::VpeGone).with_msg(format!("{vpe} has no doorbell")))
+        let act = self.state.hold(&self.ktok, vpe, None)?;
+        self.drive(act, vpe, None).await
     }
 
     /// Voluntarily offers `vpe`'s slice (`Env::yield_now`): if another VPE
@@ -157,18 +78,25 @@ impl Kernel {
     ///
     /// Propagates DTU errors from the save/restore transfers.
     pub async fn sched_yield(&self, vpe: VpeId) -> Result<()> {
-        let (pe, next) = {
-            let mut sched = self.sched.borrow_mut();
-            let Some(pe) = sched.pe_of(vpe) else {
-                return Ok(());
-            };
-            match sched.yield_resident(vpe) {
-                Some(next) => (pe, next),
-                None => return Ok(()),
+        self.drive(self.state.yield_slice(vpe), vpe, None).await
+    }
+
+    /// Carries out the scheduling decision `act` for `vpe`, and each one
+    /// [`KState::hold`](super::state::KState::hold) takes after it for `vpe`
+    /// and `recv`, until one is done.
+    async fn drive(&self, mut act: Act, vpe: VpeId, recv: Option<EpId>) -> Result<()> {
+        loop {
+            match act {
+                Act::Done => return Ok(()),
+                Act::Switch(pe, from, to) => self.spawn_switch(pe, from, to),
+                Act::WaitOnce(arrival) => {
+                    arrival.wait().await;
+                    return Ok(());
+                }
+                Act::Wait(bell) => bell.wait().await,
             }
-        };
-        self.spawn_switch(pe, Some(vpe), next);
-        self.sched_acquire(vpe).await
+            act = self.state.hold(&self.ktok, vpe, recv)?;
+        }
     }
 
     /// Runs [`Kernel::perform_switch`] in a detached kernel task, so the
@@ -182,14 +110,30 @@ impl Kernel {
         });
     }
 
-    /// Records the slice of `pe`'s resident, which ends now.
-    pub(super) fn end_slice(&self, pe: PeId) {
-        if let Some(t0) = self.resumed_at.borrow_mut().remove(&pe) {
-            let cycles = (self.sim.now() - t0).as_u64();
-            self.sim
-                .metrics()
-                .observe(pe, m3_sim::keys::SLICE_CYCLES, cycles);
+    /// Records the slice of `pe`'s resident that a transition ended.
+    pub(super) fn record_slice(&self, pe: PeId, slice: Option<u64>) {
+        if let Some(cycles) = slice {
+            let metrics = self.sim.metrics();
+            metrics.observe(pe, keys::SLICE_CYCLES, cycles);
         }
+    }
+
+    /// Moves a context's `regs` bytes of DTU state and its SPM data from
+    /// `src` to `dst` through the DTU, at 8 B/cycle (§5.4): with
+    /// dirty-tracked switches the `dirty` pages the DTU dirtied since the
+    /// last save, else the whole data image (what the golden pins were
+    /// recorded with; the two agree when every page is dirty). Returns the
+    /// bytes moved.
+    async fn move_context(&self, src: PeId, dst: PeId, regs: u64, dirty: u32) -> u64 {
+        let data = if self.cfg.dirty_switches {
+            u64::from(dirty) * m3_vm::PAGE_SIZE
+        } else {
+            SPM_DATA_SIZE as u64
+        };
+        let noc = self.dtu.system().noc();
+        let t = noc.schedule(self.sim.now(), src, dst, regs + data);
+        self.sim.sleep_until(t.completes_at).await;
+        regs + data
     }
 
     /// Performs one context switch on `pe`: saves `from` (when the PE is
@@ -201,62 +145,30 @@ impl Kernel {
     async fn perform_switch(&self, pe: PeId, from: Option<VpeId>, to: VpeId) -> Result<()> {
         let started = self.sim.now();
         let dram = self.platform.dram_pe();
-        let spm = SPM_DATA_SIZE as u64;
         let mut bytes = 0u64;
         if from.is_some() {
             let (saved, dirty) = self.ktok.save_state(pe)?;
-            // Dirty-tracked switches move only the SPM pages the DTU
-            // dirtied since the last save; the conservative default moves
-            // the whole data image (what the golden pins were recorded
-            // with — the two are identical when every page is dirty).
-            let data = if self.cfg.dirty_switches {
-                self.sim
-                    .metrics()
-                    .add(pe, m3_sim::keys::DIRTY_PAGES_SAVED, u64::from(dirty));
-                u64::from(dirty) * m3_vm::PAGE_SIZE
-            } else {
-                spm
-            };
-            let t = self
-                .dtu
-                .system()
-                .noc()
-                .schedule(self.sim.now(), pe, dram, saved + data);
-            self.sim.sleep_until(t.completes_at).await;
+            if self.cfg.dirty_switches {
+                let metrics = self.sim.metrics();
+                metrics.add(pe, keys::DIRTY_PAGES_SAVED, u64::from(dirty));
+            }
+            bytes += self.move_context(pe, dram, saved, dirty).await;
             self.sim.sleep(m3_dtu::timing::DRAM_LATENCY).await;
             self.sim.sleep(m3_sched::costs::CTX_SAVE_FIXED).await;
-            bytes += saved + data;
-            self.end_slice(pe);
+            self.record_slice(pe, self.state.end_slice(pe, self.sim.now()));
         }
-        match self.ktok.restore_state(pe, u64::from(to.raw())) {
-            Ok((restored, dirty)) => {
-                // Restores mirror saves: only the pages the save-out
-                // actually transferred come back eagerly.
-                let data = if self.cfg.dirty_switches {
-                    u64::from(dirty) * m3_vm::PAGE_SIZE
-                } else {
-                    spm
-                };
-                let t = self
-                    .dtu
-                    .system()
-                    .noc()
-                    .schedule(self.sim.now(), dram, pe, restored + data);
-                self.sim.sleep_until(t.completes_at).await;
-                self.sim.sleep(m3_sched::costs::CTX_RESTORE_FIXED).await;
-                bytes += restored + data;
-            }
-            Err(_) => {
-                // The target died mid-switch (its save area is gone): the
-                // PE stays vacant for the next claimant.
-                self.sched.borrow_mut().abort_switch(pe, Some(to));
-                return Ok(());
-            }
-        }
-        if self.sched.borrow_mut().finish_switch(pe, to) {
-            self.resumed_at.borrow_mut().insert(pe, self.sim.now());
-        }
+        // A target that died mid-switch has no save area left: the PE
+        // stays vacant for the next claimant.
+        let Ok((restored, dirty)) = self.ktok.restore_state(pe, u64::from(to.raw())) else {
+            self.state.abort_switch(pe, to);
+            return Ok(());
+        };
+        // Restores mirror saves: only the pages the save-out moved come
+        // back eagerly.
+        bytes += self.move_context(dram, pe, restored, dirty).await;
+        self.sim.sleep(m3_sched::costs::CTX_RESTORE_FIXED).await;
         let now = self.sim.now();
+        let depth = self.state.finish_switch(pe, to, now) as u64;
         self.sim.tracer().record_with(|| Event {
             at: started,
             dur: now - started,
@@ -269,14 +181,9 @@ impl Kernel {
             },
         });
         let metrics = self.sim.metrics();
-        metrics.incr(pe, m3_sim::keys::CTX_SWITCHES);
-        metrics.add(
-            pe,
-            m3_sim::keys::CTX_SWITCH_CYCLES,
-            (now - started).as_u64(),
-        );
-        let depth = self.sched.borrow().ready_depth(pe) as u64;
-        metrics.observe(pe, m3_sim::keys::RUN_QUEUE_DEPTH, depth);
+        metrics.incr(pe, keys::CTX_SWITCHES);
+        metrics.add(pe, keys::CTX_SWITCH_CYCLES, (now - started).as_u64());
+        metrics.observe(pe, keys::RUN_QUEUE_DEPTH, depth);
         Ok(())
     }
 }

@@ -2,7 +2,6 @@
 //! ktk client (requests to peer shards) and server (requests from them),
 //! and capability descriptors that cross shard boundaries.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::{Rc, Weak};
 
@@ -13,9 +12,8 @@ use m3_sim::{Component, EventKind, TaskName};
 
 use crate::cap::{CapRef, KObject, MGateObj, RemoteSessObj, RemoteVpeObj, XSGateObj};
 use crate::costs;
-use crate::ktk::{self, CapDesc, KtkMsg, KtkReply};
+use crate::ktk::{CapDesc, KtkMsg, KtkReply};
 use crate::protocol::{PeRequest, ServiceRequest};
-use crate::vpe::{wait_exit, VpeObj};
 
 use super::{Kernel, KernelInner, Outstanding};
 
@@ -26,28 +24,19 @@ use super::{Kernel, KernelInner, Outstanding};
 /// NoC messages between kernel PEs inside one `Sim`, island-boundary ports
 /// across PDES islands. Absent (`None` on the kernel), every cross-shard
 /// path is compiled out of the schedule and the kernel is cycle-identical
-/// to the single-instance build.
+/// to the single-instance build. What the kernel knows of its peers (their
+/// loads and deaths, the delegation edges into them) is kernel state
+/// (DESIGN.md §5l).
 pub struct ShardCtx {
     id: u32,
     count: u32,
     send: Box<dyn Fn(u32, Vec<u8>)>,
-    /// Kernel PE of every peer shard (used to map a PE crash to a shard
-    /// death).
-    pub(super) peer_pes: BTreeMap<u32, PeId>,
-    /// Last advertised free-PE count of each live peer, refreshed
-    /// passively from the header of every incoming ktk message.
-    peer_free: RefCell<BTreeMap<u32, usize>>,
-    /// Peers declared dead by the shard watchdog.
-    dead: RefCell<BTreeSet<u32>>,
+    /// The peer shard whose kernel runs on each PE (a crash of that PE is
+    /// the shard's death).
+    pub(super) peer_pes: BTreeMap<PeId, u32>,
     /// Requests to peer shards, by shard, so a shard death fails them fast.
     pub(super) requests: Outstanding<u32, KtkReply>,
-    /// Cross-shard delegation edges: local capability -> the remote
-    /// `(shard, vpe, sel)` copies it spawned, cut on revoke (§4.5.3).
-    pub(super) remote_children: RefCell<BTreeMap<(VpeId, SelId), Vec<RemoteCopy>>>,
 }
-
-/// A remote copy a delegated capability spawned: `(shard, vpe, sel)`.
-type RemoteCopy = (u32, u32, u32);
 
 impl ShardCtx {
     /// This kernel's shard id.
@@ -58,16 +47,6 @@ impl ShardCtx {
     /// Total number of shards in the multikernel.
     pub fn count(&self) -> u32 {
         self.count
-    }
-
-    /// Whether `shard` has been declared dead by the watchdog.
-    pub fn is_dead(&self, shard: u32) -> bool {
-        self.dead.borrow().contains(&shard)
-    }
-
-    /// Peers not declared dead, in ascending shard-id order.
-    pub fn alive_peers(&self) -> Vec<u32> {
-        self.peer_free.borrow().keys().copied().collect()
     }
 }
 
@@ -81,6 +60,11 @@ impl Kernel {
     /// The shard context, if this kernel is part of a sharded multikernel.
     pub fn shard_ctx(&self) -> Option<Rc<ShardCtx>> {
         self.shard.borrow().clone()
+    }
+
+    /// Whether the shard watchdog declared peer `shard` dead.
+    pub fn shard_is_dead(&self, shard: u32) -> bool {
+        self.state.peer_dead(shard)
     }
 
     pub(super) fn shard_ctx_or_err(&self) -> Result<Rc<ShardCtx>> {
@@ -102,16 +86,13 @@ impl Kernel {
         peers: &[(u32, PeId)],
         send: Box<dyn Fn(u32, Vec<u8>)>,
     ) {
-        let peer_free = peers.iter().map(|(s, _)| (*s, 0usize)).collect();
+        self.state.join_shards(peers.iter().map(|(s, _)| *s));
         *self.shard.borrow_mut() = Some(Rc::new(ShardCtx {
             id,
             count,
             send,
-            peer_pes: peers.iter().copied().collect(),
-            peer_free: RefCell::new(peer_free),
-            dead: RefCell::new(BTreeSet::new()),
+            peer_pes: peers.iter().map(|(s, pe)| (*pe, *s)).collect(),
             requests: Outstanding::new(),
-            remote_children: RefCell::new(BTreeMap::new()),
         }));
     }
 
@@ -129,11 +110,7 @@ impl Kernel {
             return;
         }
         let n = kernels.len() as u32;
-        let all: Vec<(u32, PeId)> = kernels
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (i as u32, k.pe))
-            .collect();
+        let all: Vec<(u32, PeId)> = (0..n).zip(kernels.iter().map(|k| k.pe)).collect();
         for (i, k) in kernels.iter().enumerate() {
             let id = i as u32;
             let peers: Vec<(u32, PeId)> = all.iter().filter(|(s, _)| *s != id).copied().collect();
@@ -144,21 +121,13 @@ impl Kernel {
                 .filter(|(j, _)| *j != i)
                 .map(|(j, other)| (j as u32, Rc::downgrade(&other.0)))
                 .collect();
-            let schedule = k
-                .dtu
-                .system()
-                .faults()
-                .map(|f| f.crash_schedule())
-                .unwrap_or_default();
-            let src_crash = schedule.iter().find(|(p, _)| *p == k.pe).map(|(_, at)| *at);
+            let faults = k.dtu.system().faults();
+            let schedule = faults.map(|f| f.crash_schedule()).unwrap_or_default();
+            let crash_at = |pe: PeId| schedule.iter().find(|(p, _)| *p == pe).map(|(_, at)| *at);
+            let src_crash = crash_at(k.pe);
             let crash_of: BTreeMap<u32, Cycles> = all
                 .iter()
-                .filter_map(|(s, pe)| {
-                    schedule
-                        .iter()
-                        .find(|(p, _)| p == pe)
-                        .map(|(_, at)| (*s, *at))
-                })
+                .filter_map(|(s, pe)| Some((*s, crash_at(*pe)?)))
                 .collect();
             let (sim, noc, src_pe) = (k.sim.clone(), k.dtu.system().noc().clone(), k.pe);
             let send = Box::new(move |dst: u32, bytes: Vec<u8>| {
@@ -191,7 +160,7 @@ impl Kernel {
     /// Announces this shard's current free-PE count to every live peer.
     pub fn ktk_hello(&self) {
         if let Some(ctx) = self.shard_ctx() {
-            for peer in ctx.alive_peers() {
+            for peer in self.state.alive_peers() {
                 self.ktk_send(&ctx, peer, &KtkMsg::Hello);
             }
         }
@@ -203,7 +172,7 @@ impl Kernel {
     /// every ktk send is either fire-and-forget or tracked by a pending
     /// request that the watchdog already failed.
     pub(super) fn ktk_send(&self, ctx: &ShardCtx, dst: u32, msg: &KtkMsg) {
-        if ctx.dead.borrow().contains(&dst) {
+        if self.state.peer_dead(dst) {
             return;
         }
         let free = self.state.free_pes() as u32;
@@ -230,7 +199,7 @@ impl Kernel {
         build: impl FnOnce(u64) -> KtkMsg,
     ) -> Result<KtkReply> {
         self.sim.sleep(costs::KTK_FORWARD).await;
-        if ctx.dead.borrow().contains(&dst) {
+        if self.state.peer_dead(dst) {
             return Err(Error::new(Code::Unreachable).with_msg(format!("shard {dst} is dead")));
         }
         let req_id = ctx.requests.open(dst);
@@ -255,9 +224,7 @@ impl Kernel {
         };
         // Piggybacked load feed: every message refreshes the sender's
         // advertised free-PE count (unless the watchdog declared it dead).
-        if !ctx.dead.borrow().contains(&src) {
-            ctx.peer_free.borrow_mut().insert(src, free as usize);
-        }
+        self.state.heard_from(src, free as usize);
         match msg {
             KtkMsg::Hello => {}
             KtkMsg::Reply { req_id, reply } => ctx.requests.answer(req_id, reply),
@@ -286,8 +253,15 @@ impl Kernel {
             KtkMsg::PlaceVpe { req_id, name, want } => {
                 Some((req_id, self.ktk_place_vpe(src, &name, want).await))
             }
-            KtkMsg::StartVpe { req_id, vpe } => Some((req_id, self.ktk_start_vpe(vpe))),
-            KtkMsg::WaitVpe { req_id, vpe } => Some((req_id, self.ktk_wait_vpe(vpe).await)),
+            KtkMsg::StartVpe { req_id, vpe } => {
+                let started = self.state.start_vpe(VpeId::new(vpe));
+                Some((req_id, started.map(|()| KtkReply::ok(0, 0))))
+            }
+            KtkMsg::WaitVpe { req_id, vpe } => {
+                // The exit code travels as its i64 bit pattern.
+                let code = self.wait_exit(VpeId::new(vpe)).await;
+                Some((req_id, code.map(|code| KtkReply::ok(code as u64, 0))))
+            }
             KtkMsg::RevokeVpe { vpe } => {
                 self.ktk_revoke_vpe(VpeId::new(vpe));
                 None
@@ -297,7 +271,11 @@ impl Kernel {
                 vpe,
                 sel,
                 desc,
-            } => Some((req_id, self.ktk_delegate_cap(vpe, sel, &desc).await)),
+            } => {
+                self.sim.sleep(costs::CAP_OP).await;
+                let installed = self.install_desc(VpeId::new(vpe), SelId::new(sel), &desc);
+                Some((req_id, installed.map(|()| KtkReply::ok(0, 0))))
+            }
             KtkMsg::RevokeCap { vpe, sel } => {
                 self.revoke_charged((VpeId::new(vpe), SelId::new(sel)))
                     .await;
@@ -338,28 +316,23 @@ impl Kernel {
     async fn ktk_place_vpe(&self, src: u32, name: &str, want: PeRequest) -> Result<KtkReply> {
         self.sim.sleep(costs::CREATE_VPE).await;
         let (id, pe) = self.state.place_for(src, name, want)?;
-        self.setup_sysc_channel(id, pe)?;
+        self.setup_sysc_channel(id, pe, None)?;
         self.charge_ep_config(pe).await;
         Ok(KtkReply::ok(u64::from(id.raw()), u64::from(pe.raw())))
     }
 
-    /// The local VPE a peer shard's proxy refers to.
-    fn proxied_vpe(&self, vpe: u32) -> Result<Rc<RefCell<VpeObj>>> {
-        self.state
-            .vpe(VpeId::new(vpe))
-            .ok_or_else(|| Error::new(Code::VpeGone).with_msg("unknown remote VPE"))
-    }
-
-    fn ktk_start_vpe(&self, vpe: u32) -> Result<KtkReply> {
-        self.proxied_vpe(vpe)?.borrow_mut().start()?;
-        Ok(KtkReply::ok(0, 0))
-    }
-
-    async fn ktk_wait_vpe(&self, vpe: u32) -> Result<KtkReply> {
-        let vpe_obj = self.proxied_vpe(vpe)?;
-        let code = wait_exit(&vpe_obj).await;
-        // The exit code travels as its i64 bit pattern.
-        Ok(KtkReply::ok(code as u64, 0))
+    /// Waits until VPE `id`, which a capability or a peer shard's proxy
+    /// names, has died and returns its exit code (`VpeWait`).
+    pub(super) async fn wait_exit(&self, id: VpeId) -> Result<i64> {
+        let vpe = self.state.vpe(id);
+        let vpe = vpe.ok_or_else(|| Error::new(Code::VpeGone).with_msg("unknown VPE"))?;
+        loop {
+            let exited = vpe.borrow().exited.clone();
+            if let Some(code) = vpe.borrow().exit_code() {
+                return Ok(code);
+            }
+            exited.wait().await;
+        }
     }
 
     /// The requester's proxy is gone (`RevokeVpe`): the VPE dies if it
@@ -372,12 +345,6 @@ impl Kernel {
         if self.state.drop_proxy_name(vpe) {
             self.destroy_vpe(vpe, -1);
         }
-    }
-
-    async fn ktk_delegate_cap(&self, vpe: u32, sel: u32, desc: &CapDesc) -> Result<KtkReply> {
-        self.sim.sleep(costs::CAP_OP).await;
-        self.install_desc(VpeId::new(vpe), SelId::new(sel), desc)?;
-        Ok(KtkReply::ok(0, 0))
     }
 
     async fn ktk_open_sess(&self, name: &str, arg: u64) -> Result<KtkReply> {
@@ -453,15 +420,7 @@ impl Kernel {
     ) -> Result<Vec<u8>> {
         let mut tried: BTreeSet<u32> = BTreeSet::new();
         loop {
-            let peer = {
-                let free = ctx.peer_free.borrow();
-                ktk::choose_peer(
-                    free.iter()
-                        .filter(|(s, _)| !tried.contains(*s))
-                        .map(|(s, f)| (*s, *f)),
-                )
-            };
-            let Some(peer) = peer else {
+            let Some(peer) = self.state.choose_peer(&tried) else {
                 return Err(Error::new(Code::NoFreePe)
                     .with_msg(format!("no shard can place request {want:?}")));
             };
@@ -512,7 +471,7 @@ impl Kernel {
         arg: u64,
         local_err: Error,
     ) -> Result<Vec<u8>> {
-        for peer in ctx.alive_peers() {
+        for peer in self.state.alive_peers() {
             let reply = self
                 .ktk_request(ctx, peer, |req_id| KtkMsg::OpenSess {
                     req_id,
@@ -662,20 +621,10 @@ impl Kernel {
     /// every VPE placed for it, as the `RevokeVpe` it owed would have.
     pub(super) fn on_peer_shard_dead(&self, peer: u32) {
         let Some(ctx) = self.shard_ctx() else { return };
-        if !ctx.dead.borrow_mut().insert(peer) {
+        let Some((refs, placed)) = self.state.peer_shard_dead(peer) else {
             return;
-        }
-        ctx.peer_free.borrow_mut().remove(&peer);
+        };
         ctx.requests.fail_to(peer, KtkReply::err(Code::Unreachable));
-        ctx.remote_children
-            .borrow_mut()
-            .values_mut()
-            .for_each(|edges| edges.retain(|(s, _, _)| *s != peer));
-        let refs = self.state.caps_where(|obj| match obj {
-            KObject::RemoteVpe(r) => r.shard == peer,
-            KObject::RemoteSess(r) => r.shard == peer,
-            _ => false,
-        });
         self.trace(self.pe, Component::Kernel, || EventKind::Recovery {
             action: format!("dead_shard:{peer}"),
             attempt: 0,
@@ -683,7 +632,7 @@ impl Kernel {
         for cap in refs {
             self.revoke_cap(cap);
         }
-        for vpe in self.state.vpes_where(|v| v.placed_for == Some(peer)) {
+        for vpe in placed {
             self.ktk_revoke_vpe(vpe);
         }
     }

@@ -12,10 +12,10 @@ use std::rc::Rc;
 
 use m3_base::cfg::SPM_DATA_SIZE;
 use m3_base::error::{Code, Error, Result};
-use m3_base::{EpId, PeId, Perm, SelId, VpeId};
+use m3_base::{Cycles, EpId, PeId, Perm, SelId, VpeId};
 use m3_dtu::{EpConfig, KernelToken};
 use m3_platform::PeType;
-use m3_sched::{Removal, Scheduler};
+use m3_sched::{Admission, Removal, Scheduler};
 use m3_sim::Notify;
 use m3_vm::{AddrSpaceObj, FaultKind, PageEntry, SwapRegion, VictimPlan};
 
@@ -31,8 +31,9 @@ use crate::vpe::{VpeObj, VpeState};
 use super::{keps, PAGE_SIZE, RINGBUF_SPM_BUDGET};
 
 /// The state of one kernel: capability tables and the derivation tree,
-/// VPE records, endpoint activations, address spaces, and the PE, DRAM
-/// and service allocators.
+/// VPE records, endpoint activations, address spaces, the PE, DRAM and
+/// service allocators, the run queues of the multiplexed PEs, and the view
+/// of the peer shards with the delegation edges into them.
 pub(super) struct KState(RefCell<State>);
 
 struct State {
@@ -62,7 +63,26 @@ struct State {
     /// PEs that are never multiplexed: boot-time roots (services, drivers)
     /// keep their PE exclusively even in overcommit mode.
     pinned: BTreeSet<PeId>,
+    /// Whether a `CreateVpe` that finds no free PE multiplexes one
+    /// ([`super::KernelConfig::overcommit`]).
+    overcommit: bool,
+    /// Run queues of the time-multiplexed PEs (m3-sched, DESIGN.md §5f).
+    sched: Scheduler,
+    /// The cycle the resident of each multiplexed PE was installed at: the
+    /// start of its slice. An entry exists exactly while the PE has one.
+    resumed_at: BTreeMap<PeId, Cycles>,
+    /// Last advertised free-PE count of each live peer shard (§7), from
+    /// the header of its latest ktk message.
+    peer_free: BTreeMap<u32, usize>,
+    /// Peer shards the shard watchdog declared dead.
+    dead_peers: BTreeSet<u32>,
+    /// Cross-shard delegation edges: a local capability and the remote
+    /// copies it spawned, cut when it is revoked (§4.5.3).
+    remote_children: BTreeMap<CapRef, Vec<RemoteCopy>>,
 }
+
+/// A remote copy a delegated capability spawned: `(shard, vpe, sel)`.
+pub(super) type RemoteCopy = (u32, u32, u32);
 
 /// A capability kind a lookup asks for: its name and how to pick it out.
 pub(super) struct Kind<T>(&'static str, fn(&KObject) -> Option<T>);
@@ -81,7 +101,7 @@ pub(super) const MGATE: Kind<Rc<MGateObj>> = Kind("mgate", |obj| match obj {
 
 /// A VPE, local or placed by a peer shard.
 pub(super) const VPE: Kind<VpeCap> = Kind("vpe", |obj| match obj {
-    KObject::Vpe(v) => Some(VpeCap::Local(v.clone())),
+    KObject::Vpe(v) => Some(VpeCap::Local(v.borrow().id)),
     KObject::RemoteVpe(r) => Some(VpeCap::Remote(**r)),
     _ => None,
 });
@@ -89,7 +109,7 @@ pub(super) const VPE: Kind<VpeCap> = Kind("vpe", |obj| match obj {
 /// What a VPE capability names.
 pub(super) enum VpeCap {
     /// A VPE of this kernel.
-    Local(Rc<RefCell<VpeObj>>),
+    Local(VpeId),
     /// A VPE a peer shard placed (§7).
     Remote(RemoteVpeObj),
 }
@@ -105,8 +125,9 @@ pub(super) enum Activation {
 
 /// What a revoke removed, for the kernel to apply right after.
 pub(super) struct Revoked {
-    /// Every removed capability with its address, parents first.
-    pub(super) caps: Vec<(CapRef, Capability)>,
+    /// Every removed capability with its address and the remote copies it
+    /// spawned, parents first.
+    pub(super) caps: Vec<(CapRef, Capability, Vec<RemoteCopy>)>,
     /// The kernel endpoints of the services that died with them.
     pub(super) serv_eps: Vec<EpId>,
 }
@@ -121,6 +142,18 @@ pub(super) enum Mapped {
 
 /// An eviction victim and, for a dirty one, its swap slot and address.
 type Eviction = (VictimPlan, Option<(u64, u64)>);
+
+/// What a scheduling decision leaves the kernel to do for a VPE.
+pub(super) enum Act {
+    /// Nothing: the VPE holds its PE as asked, or is not multiplexed.
+    Done,
+    /// Switch PE `.0` from `.1` (`None`: vacant) to `.2`, then decide again.
+    Switch(PeId, Option<VpeId>, VpeId),
+    /// Wait for one arrival at the PE and return: blocked in place.
+    WaitOnce(Notify),
+    /// Wait on this doorbell, then decide again.
+    Wait(Notify),
+}
 
 /// The SPM bytes of `rg`'s ring buffer.
 fn ring_bytes(rg: &RGateObj) -> u64 {
@@ -264,26 +297,49 @@ impl State {
         Ok(made)
     }
 
-    /// The least-loaded multiplexed PE of `sched` matching the resolved
-    /// request `want`. `loads()` iterates PEs in ascending id order, so
-    /// ties go to the lowest PE id, the rule the multikernel uses to pick
-    /// a peer shard. Pinned PEs and accelerators never multiplex.
-    fn least_loaded(&self, sched: &Scheduler, want: PeRequest) -> Result<PeId> {
+    /// Whether `pe` may be multiplexed: accelerators and pinned PEs may not.
+    fn multiplexable(&self, pe: PeId) -> bool {
+        !self.pemng.desc(pe).is_fft_accel() && !self.pinned.contains(&pe)
+    }
+
+    /// The least-loaded multiplexed PE matching the resolved request
+    /// `want`. `loads()` iterates PEs in ascending id order, so ties go to
+    /// the lowest PE id, the rule the multikernel uses to pick a peer
+    /// shard.
+    fn least_loaded(&self, want: PeRequest) -> Result<PeId> {
         let ty = match want {
             PeRequest::Type(ty) => Some(ty),
             PeRequest::Any | PeRequest::Same => None,
         };
-        m3_sched::least_loaded(sched.loads().into_iter().filter(|(pe, _)| {
-            let desc = self.pemng.desc(*pe);
-            !self.pinned.contains(pe) && !desc.is_fft_accel() && ty.is_none_or(|ty| desc.ty == ty)
+        m3_sched::least_loaded(self.sched.loads().into_iter().filter(|(pe, _)| {
+            self.multiplexable(*pe) && ty.is_none_or(|ty| self.pemng.desc(*pe).ty == ty)
         }))
         .ok_or_else(|| no_free_pe(want))
+    }
+
+    /// Ends the slice of `pe`'s resident at `now`; returns its length.
+    fn end_slice(&mut self, pe: PeId, now: Cycles) -> Option<u64> {
+        let start = self.resumed_at.remove(&pe)?;
+        Some((now - start).as_u64())
+    }
+
+    /// The switch that restores a non-resident `vpe` of `pe` if the PE is
+    /// vacant and `vpe` heads its ready queue, else a wait on its doorbell.
+    fn restore_or_wait(&mut self, pe: PeId, vpe: VpeId) -> Result<Act> {
+        if self.sched.resident_of(pe).is_none() && self.sched.claim_vacant(vpe) {
+            return Ok(Act::Switch(pe, None, vpe));
+        }
+        let bell = self.sched.doorbell(vpe);
+        let bell = bell
+            .ok_or_else(|| Error::new(Code::VpeGone).with_msg(format!("{vpe} has no doorbell")))?;
+        Ok(Act::Wait(bell))
     }
 }
 
 impl KState {
-    /// The state of a kernel handing out `pemng`'s PEs and `mem`'s DRAM.
-    pub(super) fn new(pemng: PeMng, mem: MemAlloc, dram: PeId) -> KState {
+    /// The state of a kernel handing out `pemng`'s PEs and `mem`'s DRAM,
+    /// multiplexing PEs if `overcommit`.
+    pub(super) fn new(pemng: PeMng, mem: MemAlloc, dram: PeId, overcommit: bool) -> KState {
         KState(RefCell::new(State {
             tables: BTreeMap::new(),
             ringbuf_bytes: BTreeMap::new(),
@@ -297,6 +353,12 @@ impl KState {
             dram,
             services: ServiceRegistry::new(),
             pinned: BTreeSet::new(),
+            overcommit,
+            sched: Scheduler::new(),
+            resumed_at: BTreeMap::new(),
+            peer_free: BTreeMap::new(),
+            dead_peers: BTreeSet::new(),
+            remote_children: BTreeMap::new(),
         }))
     }
 
@@ -355,12 +417,6 @@ impl KState {
             PeRequest::Same => PeRequest::Type(st.pemng.desc(vpe.borrow().pe).ty),
             other => other,
         })
-    }
-
-    /// Whether `pe` may be multiplexed: accelerators and pinned PEs may not.
-    pub(super) fn multiplexable(&self, pe: PeId) -> bool {
-        let st = self.0.borrow();
-        !st.pemng.desc(pe).is_fft_accel() && !st.pinned.contains(&pe)
     }
 
     /// The service registered as `name`.
@@ -425,7 +481,8 @@ impl KState {
     }
 
     /// Revokes `cap` and its subtree from the tables and the tree, with the
-    /// ring buffers, services, owned regions and VPE names they held.
+    /// ring buffers, services, owned regions, VPE names and delegation
+    /// edges they held.
     pub(super) fn revoke(&self, cap: CapRef) -> Revoked {
         let mut st = self.0.borrow_mut();
         let st = &mut *st;
@@ -458,7 +515,8 @@ impl KState {
                 KObject::Vpe(vpe) => vpe.borrow_mut().names -= 1,
                 _ => {}
             }
-            revoked.caps.push((at, cap));
+            let copies = st.remote_children.remove(&at).unwrap_or_default();
+            revoked.caps.push((at, cap, copies));
         }
         revoked
     }
@@ -478,14 +536,17 @@ impl KState {
         ep: EpId,
     ) -> Result<Activation> {
         let mut st = self.0.borrow_mut();
-        let (target, target_pe) = match st.get((caller, vpe), VPE)? {
-            // A dead VPE's PE may already run the next one.
-            VpeCap::Local(v) if !v.borrow().is_alive() => return Err(Error::new(Code::VpeGone)),
-            VpeCap::Local(v) => (v.borrow().id, v.borrow().pe),
+        let target = match st.get((caller, vpe), VPE)? {
+            VpeCap::Local(id) => id,
             // A remote child's endpoints belong to its own shard's kernel;
             // the parent delegates capabilities instead and the child
             // activates them itself.
             VpeCap::Remote(_) => return Err(Error::new(Code::NotSup)),
+        };
+        let target_pe = match st.vpes.get(&target).map(|v| v.borrow()) {
+            Some(v) if v.is_alive() => v.pe,
+            // A dead VPE's PE may already run the next one.
+            _ => return Err(Error::new(Code::VpeGone)),
         };
         let obj = st.obj((caller, gate))?;
         let cfg = match &obj {
@@ -609,31 +670,44 @@ impl KState {
 
     /// Creates VPE `name` with its capability at `cap` and the one to its
     /// SPM at `mem_dst`, on a free PE matching the resolved `want`, or else
-    /// on the least-loaded PE `multiplexed` runs (overcommit, §4.1/§7).
+    /// (overcommit, §4.1/§7) on the least-loaded multiplexed PE. In
+    /// overcommit mode a VPE on a multiplexable PE joins its run queue,
+    /// waking on the PE's DTU arrival notify while resident and on its
+    /// context's DTU doorbell while switched out; a resident's slice
+    /// starts `now`.
     pub(super) fn create_vpe(
         &self,
-        cap: CapRef,
-        mem_dst: SelId,
+        ktok: &KernelToken,
+        (cap, mem_dst): (CapRef, SelId),
         want: PeRequest,
         name: &str,
-        multiplexed: Option<&Scheduler>,
-    ) -> Result<(VpeId, PeId)> {
+        now: Cycles,
+    ) -> Result<(VpeId, PeId, Option<Admission>)> {
         let mut st = self.0.borrow_mut();
         // Both selectors must be free before anything is placed: a taken
         // one found later would strand the PE or cost a spill.
         st.sels_free(cap.0, &[cap.1, mem_dst])?;
         // `want` is resolved, so `alloc` needs no caller type.
-        let pe = match (st.pemng.alloc(want, PeType::Xtensa), multiplexed) {
-            (Some(pe), _) => pe,
-            (None, Some(sched)) => st.least_loaded(sched, want)?,
+        let pe = match st.pemng.alloc(want, PeType::Xtensa) {
+            Some(pe) => pe,
+            None if st.overcommit => st.least_loaded(want)?,
             // Unnamed: a sharded kernel spills the placement and drops
             // this error; `sys_create_vpe` names the request otherwise.
-            (None, None) => return Err(Error::new(Code::NoFreePe)),
+            None => return Err(Error::new(Code::NoFreePe)),
         };
         let (id, _) = st.mint_vpe_pair(cap, mem_dst, pe, |st, creator| {
             st.new_vpe(name, pe, Some(creator))
         })?;
-        Ok((id, pe))
+        if !st.overcommit || !st.multiplexable(pe) {
+            return Ok((id, pe, None));
+        }
+        let wake = ktok.arrival_notify(pe)?;
+        let doorbell = ktok.ctx_doorbell(pe, u64::from(id.raw()))?;
+        let admission = st.sched.admit(id, pe, wake, doorbell);
+        if admission == Admission::Resident {
+            st.resumed_at.insert(pe, now);
+        }
+        Ok((id, pe, Some(admission)))
     }
 
     /// Mints the `RemoteVpe` proxy of a VPE a peer shard placed at `cap`,
@@ -687,6 +761,17 @@ impl KState {
         true
     }
 
+    /// Starts VPE `id`: [`VpeObj::start`].
+    pub(super) fn start_vpe(&self, id: VpeId) -> Result<()> {
+        let st = self.0.borrow();
+        let mut vpe = st
+            .vpes
+            .get(&id)
+            .ok_or(Error::new(Code::VpeGone))?
+            .borrow_mut();
+        vpe.start()
+    }
+
     /// Marks live VPE `id` dead with `code`; returns its PE and exit notify.
     pub(super) fn kill_vpe(&self, id: VpeId, code: i64) -> Option<(PeId, Notify)> {
         let st = self.0.borrow();
@@ -698,21 +783,30 @@ impl KState {
         Some((v.pe, v.exited.clone()))
     }
 
-    /// Retires dead VPE `id` once its capabilities are revoked: drops its
-    /// table and address space, and frees its PE at once if it held it
-    /// alone, else with the last VPE the scheduler's `removal` leaves.
-    pub(super) fn retire_vpe(&self, id: VpeId, pe: PeId, removal: Removal) {
+    /// Retires dead VPE `id` of `pe` at `now`, once its capabilities are
+    /// revoked: takes it off its run queue, drops its table and address
+    /// space, and frees its PE at once if it held it alone, else with the
+    /// last VPE of its run queue. Returns whether it held its PE, whose
+    /// endpoints are then its own, and the slice it ended there.
+    pub(super) fn retire_vpe(&self, id: VpeId, pe: PeId, now: Cycles) -> (bool, Option<u64>) {
         let mut st = self.0.borrow_mut();
         let st = &mut *st;
         st.tables.remove(&id);
-        let last = matches!(
-            removal,
+        let (resident, last) = match st.sched.remove(id) {
+            Removal::NotManaged => (true, true),
             Removal::Removed {
-                now_empty: true,
+                was_resident,
+                now_empty,
                 ..
-            }
-        );
-        if last || removal == Removal::NotManaged {
+            } => (was_resident, now_empty),
+        };
+        // An unmultiplexed PE has no slice to end.
+        let slice = if resident {
+            st.end_slice(pe, now)
+        } else {
+            None
+        };
+        if last {
             st.pemng.free(pe);
             st.pinned.remove(&pe);
         }
@@ -724,6 +818,7 @@ impl KState {
                 st.mem.free(swap.base, swap.size_bytes());
             }
         }
+        (resident, slice)
     }
 
     /// Frees the record of VPE `id`, and the entries keyed by it, once it is
@@ -743,6 +838,161 @@ impl KState {
         }
         st.vpes.remove(&id);
         st.ep_owners.retain(|(target, _), _| *target != id);
+    }
+
+    /// Whether `vpe` is time-multiplexed.
+    pub(super) fn multiplexed(&self, vpe: VpeId) -> bool {
+        self.0.borrow().sched.manages(vpe)
+    }
+
+    /// What multiplexed `vpe` does to hold its PE and, with `recv`, to
+    /// receive at that endpoint, whose DTU `ktok` reads. Resident, it is
+    /// done unless it waits for a message, in which case it parks and
+    /// hands the PE to the next ready VPE, or with none ready stays
+    /// blocked in place. Switched out, it claims its PE if vacant, else
+    /// waits on its doorbell, ready first if its save area holds a message.
+    pub(super) fn hold(&self, ktok: &KernelToken, vpe: VpeId, recv: Option<EpId>) -> Result<Act> {
+        let mut st = self.0.borrow_mut();
+        let Some(pe) = st.sched.pe_of(vpe) else {
+            return Ok(Act::Done);
+        };
+        if st.sched.is_resident(vpe) {
+            if recv.is_none_or(|ep| ktok.has_message(pe, ep)) {
+                st.sched.mark_active(vpe);
+                return Ok(Act::Done);
+            }
+            return match st.sched.park_resident(vpe) {
+                Some(next) => Ok(Act::Switch(pe, Some(vpe), next)),
+                None => Ok(Act::WaitOnce(ktok.arrival_notify(pe)?)),
+            };
+        }
+        // Nothing else rings for a ready VPE on a PE whose resident exited,
+        // so one that just became ready claims the vacancy at once.
+        let act = st.restore_or_wait(pe, vpe)?;
+        let saved = |ep| ktok.saved_has_message(pe, u64::from(vpe.raw()), ep);
+        if matches!(act, Act::Wait(_)) && recv.is_some_and(saved) && st.sched.unpark(vpe) {
+            return st.restore_or_wait(pe, vpe);
+        }
+        Ok(act)
+    }
+
+    /// Forces a parked `vpe` back onto the ready queue, then holds its PE.
+    pub(super) fn interrupt(&self, ktok: &KernelToken, vpe: VpeId) -> Result<Act> {
+        self.0.borrow_mut().sched.unpark(vpe);
+        self.hold(ktok, vpe, None)
+    }
+
+    /// Offers resident `vpe`'s slice: the switch to the next ready VPE of
+    /// its PE, which queues `vpe` behind the others, or nothing if none is
+    /// ready.
+    pub(super) fn yield_slice(&self, vpe: VpeId) -> Act {
+        let mut st = self.0.borrow_mut();
+        let Some(pe) = st.sched.pe_of(vpe) else {
+            return Act::Done;
+        };
+        match st.sched.yield_resident(vpe) {
+            Some(next) => Act::Switch(pe, Some(vpe), next),
+            None => Act::Done,
+        }
+    }
+
+    /// Ends the slice of `pe`'s resident at `now`, as its state is saved;
+    /// returns its length.
+    pub(super) fn end_slice(&self, pe: PeId, now: Cycles) -> Option<u64> {
+        self.0.borrow_mut().end_slice(pe, now)
+    }
+
+    /// Leaves `pe` vacant after the restore of `to` failed.
+    pub(super) fn abort_switch(&self, pe: PeId, to: VpeId) {
+        self.0.borrow_mut().sched.abort_switch(pe, Some(to));
+    }
+
+    /// Completes a switch of `pe` to `to` at `now`, which starts its
+    /// slice unless it died meanwhile; returns the depth of the PE's ready
+    /// queue.
+    pub(super) fn finish_switch(&self, pe: PeId, to: VpeId, now: Cycles) -> usize {
+        let mut st = self.0.borrow_mut();
+        if st.sched.finish_switch(pe, to) {
+            st.resumed_at.insert(pe, now);
+        }
+        st.sched.ready_depth(pe)
+    }
+
+    /// Joins the shards `peers` (§7), none of them heard from or dead yet.
+    pub(super) fn join_shards(&self, peers: impl Iterator<Item = u32>) {
+        let mut st = self.0.borrow_mut();
+        st.peer_free = peers.map(|s| (s, 0)).collect();
+        st.dead_peers.clear();
+        st.remote_children.clear();
+    }
+
+    /// Whether the shard watchdog declared peer `shard` dead.
+    pub(super) fn peer_dead(&self, shard: u32) -> bool {
+        self.0.borrow().dead_peers.contains(&shard)
+    }
+
+    /// Peers not declared dead, in ascending shard-id order.
+    pub(super) fn alive_peers(&self) -> Vec<u32> {
+        self.0.borrow().peer_free.keys().copied().collect()
+    }
+
+    /// Records the free-PE count live peer `shard` advertised.
+    pub(super) fn heard_from(&self, shard: u32, free: usize) {
+        let mut st = self.0.borrow_mut();
+        if !st.dead_peers.contains(&shard) {
+            st.peer_free.insert(shard, free);
+        }
+    }
+
+    /// The live peer not in `tried` that advertised the most free PEs.
+    pub(super) fn choose_peer(&self, tried: &BTreeSet<u32>) -> Option<u32> {
+        let st = self.0.borrow();
+        let untried = st.peer_free.iter().filter(|(s, _)| !tried.contains(*s));
+        crate::ktk::choose_peer(untried.map(|(s, f)| (*s, *f)))
+    }
+
+    /// Records that delegating `src`, which held `obj` when its descriptor
+    /// was taken, installed `copy`, so that revoking `src` cuts the copy
+    /// too. Refuses a `src` revoked or replaced since.
+    pub(super) fn add_remote_copy(
+        &self,
+        src: CapRef,
+        obj: &KObject,
+        copy: RemoteCopy,
+    ) -> Result<()> {
+        let mut st = self.0.borrow_mut();
+        let same = match (st.obj(src)?, obj) {
+            (KObject::MGate(a), KObject::MGate(b)) => Rc::ptr_eq(&a, b),
+            (KObject::SGate(a), KObject::SGate(b)) => Rc::ptr_eq(&a, b),
+            (KObject::XSGate(a), KObject::XSGate(b)) => Rc::ptr_eq(&a, b),
+            _ => false,
+        };
+        if !same {
+            return Err(Error::new(Code::InvCap).with_msg("delegated capability replaced"));
+        }
+        st.remote_children.entry(src).or_default().push(copy);
+        Ok(())
+    }
+
+    /// Declares peer `shard` dead, dropping the delegation edges into it;
+    /// returns the local capabilities that proxy its objects and the VPEs
+    /// placed for it, or `None` if it was declared dead before.
+    pub(super) fn peer_shard_dead(&self, shard: u32) -> Option<(Vec<CapRef>, Vec<VpeId>)> {
+        let mut st = self.0.borrow_mut();
+        if !st.dead_peers.insert(shard) {
+            return None;
+        }
+        st.peer_free.remove(&shard);
+        for copies in st.remote_children.values_mut() {
+            copies.retain(|(s, _, _)| *s != shard);
+        }
+        drop(st);
+        let proxies = self.caps_where(|obj| match obj {
+            KObject::RemoteVpe(r) => r.shard == shard,
+            KObject::RemoteSess(r) => r.shard == shard,
+            _ => false,
+        });
+        Some((proxies, self.vpes_where(|v| v.placed_for == Some(shard))))
     }
 
     /// The first step of a page fault of `caller` on `page`, whose frame
@@ -926,6 +1176,11 @@ mod checks {
             }
         }
 
+        /// Whether `vpe` is the resident of its multiplexed PE.
+        pub(in crate::kernel) fn resident(&self, vpe: VpeId) -> bool {
+            self.0.borrow().sched.is_resident(vpe)
+        }
+
         /// `(home shard, VPE)` of every `RemoteVpe` proxy in the tables.
         pub(in crate::kernel) fn proxies(&self) -> Vec<(u32, u32)> {
             let st = self.0.borrow();
@@ -943,14 +1198,14 @@ mod checks {
         /// Asserts that every derivation-tree node is an entry in some
         /// capability table and every table entry is in the tree, that
         /// every VPE record is alive or named by a capability (a local
-        /// one, or a peer shard's proxy: `proxied`), that no dead VPE is
-        /// `scheduled`, and that every capability to a PE's SPM derives
-        /// from a VPE capability or proxy.
-        pub(in crate::kernel) fn assert_consistent(
-            &self,
-            proxied: impl Fn(VpeId) -> bool,
-            scheduled: impl Fn(VpeId) -> bool,
-        ) {
+        /// one, or a peer shard's proxy: `proxied`), that every capability
+        /// to a PE's SPM derives from a VPE capability or proxy, that
+        /// every multiplexed VPE is alive and resident, ready or parked on
+        /// the PE its record names, that a slice start exists exactly for
+        /// each PE with a resident, and that every delegation edge is
+        /// keyed by a capability in some table. Call it with no context
+        /// switch in flight.
+        pub(in crate::kernel) fn assert_consistent(&self, proxied: impl Fn(VpeId) -> bool) {
             let st = self.0.borrow();
             let mut caps = 0;
             let mut names: BTreeMap<VpeId, u32> = BTreeMap::new();
@@ -992,9 +1247,31 @@ mod checks {
                 );
                 assert!(v.is_alive() || v.names > 0, "dead {id} named by nothing");
                 assert_eq!(st.tables.contains_key(id), v.is_alive(), "table of {id}");
-                if !v.is_alive() {
-                    assert!(!scheduled(*id), "dead {id} still scheduled");
+                if let Some(pe) = st.sched.pe_of(*id) {
+                    assert!(v.is_alive(), "dead {id} still scheduled");
+                    assert_eq!(pe, v.pe, "{id} scheduled off its PE");
+                    assert!(
+                        st.sched.is_resident(*id) || st.sched.is_queued(*id),
+                        "{id} is neither resident, ready nor parked"
+                    );
                 }
+            }
+            for (pe, _) in st.sched.loads() {
+                assert_eq!(
+                    st.resumed_at.contains_key(&pe),
+                    st.sched.resident_of(pe).is_some(),
+                    "slice start of {pe}"
+                );
+            }
+            for pe in st.resumed_at.keys() {
+                assert!(st.sched.resident_of(*pe).is_some(), "slice of vacant {pe}");
+            }
+            for (src, copies) in &st.remote_children {
+                let held = st
+                    .tables
+                    .get(&src.0)
+                    .is_some_and(|t| t.find(src.1).is_some());
+                assert!(held, "edges {copies:?} of {}:{} outlive it", src.0, src.1);
             }
             for id in st.tables.keys() {
                 assert!(st.vpes.contains_key(id), "table of {id} without a record");

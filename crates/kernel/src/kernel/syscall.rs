@@ -7,7 +7,6 @@ use m3_base::error::{Code, Error, Result};
 use m3_base::marshal::OStream;
 use m3_base::{EpId, Perm, SelId, VpeId};
 use m3_dtu::Message;
-use m3_sched::Admission;
 use m3_sim::{Component, EventKind, TaskName};
 
 use crate::cap::{KObject, MGateObj, RGateObj, SGateObj};
@@ -15,7 +14,6 @@ use crate::costs;
 use crate::ktk::KtkMsg;
 use crate::protocol::{std_eps, PeRequest, ServiceReply, ServiceRequest, Syscall, SyscallReply};
 use crate::service::{ServObj, SessObj};
-use crate::vpe::wait_exit;
 
 use super::state::{no_free_pe, Activation, VpeCap, MGATE, RGATE, VPE};
 use super::{keps, Kernel};
@@ -283,12 +281,9 @@ impl Kernel {
     ) -> Result<Vec<u8>> {
         self.sim.sleep(costs::CREATE_VPE).await;
         let want = self.state.resolve(caller, req)?;
-        let placed = {
-            let multiplexed = self.cfg.overcommit.then(|| self.sched.borrow());
-            self.state
-                .create_vpe((caller, dst), mem_dst, want, name, multiplexed.as_deref())
-        };
-        let (id, pe) = match placed {
+        let (cap, now) = (((caller, dst), mem_dst), self.sim.now());
+        let placed = self.state.create_vpe(&self.ktok, cap, want, name, now);
+        let (id, pe, admission) = match placed {
             // Sharded multikernel (§7): out of PEs locally, forward the
             // placement to the peer shard with the most free PEs; the
             // returned capabilities are delegated back so the caller's
@@ -303,26 +298,7 @@ impl Kernel {
             },
             placed => placed?,
         };
-        // In overcommit mode every multiplexable child joins its PE's run
-        // queue. The PE's DTU arrival notify is the scheduler's wake signal
-        // for the resident, the context's DTU doorbell the child's own.
-        let mut queued = false;
-        if self.cfg.overcommit && self.state.multiplexable(pe) {
-            let wake = self.ktok.arrival_notify(pe)?;
-            let doorbell = self.ktok.ctx_doorbell(pe, u64::from(id.raw()))?;
-            queued = self.sched.borrow_mut().admit(id, pe, wake, doorbell) == Admission::Queued;
-        }
-        if queued {
-            // The PE is occupied: the channel goes into the VPE's DTU save
-            // area and materializes at its first restore.
-            self.stash_sysc_channel(id, pe)?;
-        } else {
-            self.setup_sysc_channel(id, pe)?;
-            if self.sched.borrow().manages(id) {
-                self.ktok.set_current_ctx(pe, u64::from(id.raw()))?;
-                self.resumed_at.borrow_mut().insert(pe, self.sim.now());
-            }
-        }
+        self.setup_sysc_channel(id, pe, admission)?;
         // Charge the remote EP configuration packets.
         self.charge_ep_config(pe).await;
         let mut os = OStream::new();
@@ -332,7 +308,7 @@ impl Kernel {
 
     async fn sys_vpe_start(&self, caller: VpeId, vpe: SelId) -> Result<Vec<u8>> {
         match self.state.get((caller, vpe), VPE)? {
-            VpeCap::Local(vpe_obj) => vpe_obj.borrow_mut().start()?,
+            VpeCap::Local(id) => self.state.start_vpe(id)?,
             // A remotely placed child is started by its own shard's kernel.
             VpeCap::Remote(r) => {
                 let ctx = self.shard_ctx_or_err()?;
@@ -349,7 +325,7 @@ impl Kernel {
 
     async fn sys_vpe_wait(&self, caller: VpeId, vpe: SelId) -> Result<Vec<u8>> {
         let code = match self.state.get((caller, vpe), VPE)? {
-            VpeCap::Local(v) => wait_exit(&v).await,
+            VpeCap::Local(id) => self.wait_exit(id).await?,
             // Wait on a remotely placed child: its shard's kernel holds
             // the exit code and replies once the VPE is gone.
             VpeCap::Remote(r) => {
@@ -516,8 +492,7 @@ impl Kernel {
     ) -> Result<Vec<u8>> {
         self.sim.sleep(costs::CAP_OP).await;
         match self.state.get((caller, vpe), VPE)? {
-            VpeCap::Local(v) => {
-                let peer = v.borrow().id;
+            VpeCap::Local(peer) => {
                 let (src, dst) = if obtain {
                     ((peer, other), (caller, own))
                 } else {
@@ -537,7 +512,8 @@ impl Kernel {
                         .with_msg("cannot obtain from a remotely placed VPE"));
                 }
                 let ctx = self.shard_ctx_or_err()?;
-                let desc = Self::desc_of_obj(&self.state.obj((caller, own))?)?;
+                let obj = self.state.obj((caller, own))?;
+                let desc = Self::desc_of_obj(&obj)?;
                 self.ktk_request(&ctx, r.shard, |req_id| KtkMsg::DelegateCap {
                     req_id,
                     vpe: r.vpe,
@@ -547,12 +523,18 @@ impl Kernel {
                 .await?
                 .into_result()?;
                 // Remember the edge so revoking the local capability cuts
-                // the remote copy too.
-                ctx.remote_children
-                    .borrow_mut()
-                    .entry((caller, own))
-                    .or_default()
-                    .push((r.shard, r.vpe, other.raw()));
+                // the remote copy too. Handlers that run beside the blocked
+                // syscall loop (a peer's `RevokeCap`, the crash watchdog)
+                // may have revoked it during the round trip; nothing would
+                // cut the copy then, so it is taken back now.
+                let (vpe, sel) = (r.vpe, other.raw());
+                let edge = self
+                    .state
+                    .add_remote_copy((caller, own), &obj, (r.shard, vpe, sel));
+                if let Err(e) = edge {
+                    self.ktk_send(&ctx, r.shard, &KtkMsg::RevokeCap { vpe, sel });
+                    return Err(e);
+                }
                 Ok(Vec::new())
             }
         }

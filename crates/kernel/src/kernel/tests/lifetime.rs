@@ -1,15 +1,18 @@
 //! Kernel-record lifetime: a consistency check over the kernel's state,
-//! and create/revoke cases that run it after every step, on one kernel and
-//! on two shards whose every child spills to the peer.
+//! and create/revoke cases that run it after every step, on one kernel, on
+//! two shards whose every child spills to the peer, and on an
+//! overcommitted kernel whose children share PEs.
 //!
 //! The check holds when every derivation-tree node is an entry in some
 //! capability table, every table entry is in the tree, every VPE record
 //! is alive or named by a capability (a local one, or a peer shard's
-//! `RemoteVpe` proxy), and every capability to a PE's SPM derives from a
-//! VPE capability or proxy, so that revoking the VPE revokes it too, and
-//! no request to a service or peer shard outlives its wait. A shard that
-//! a peer declared dead is left out: its state froze when its kernel PE
-//! crashed.
+//! `RemoteVpe` proxy), every capability to a PE's SPM derives from a
+//! VPE capability or proxy, so that revoking the VPE revokes it too,
+//! every multiplexed VPE is resident, ready or parked on its PE with a
+//! slice start exactly where a PE has a resident, every delegation edge
+//! is keyed by a live capability, and no request to a service or peer
+//! shard outlives its wait. A shard that a peer declared dead is left
+//! out: its state froze when its kernel PE crashed.
 
 use std::collections::BTreeSet;
 
@@ -17,7 +20,7 @@ use super::state::Census;
 use super::tests::syscall;
 use super::*;
 use crate::protocol::{PeRequest, Syscall, SyscallReply};
-use m3_base::{Perm, SelId};
+use m3_base::{EpId, Perm, SelId};
 use m3_platform::PlatformConfig;
 
 fn census(k: &Kernel) -> Census {
@@ -28,11 +31,7 @@ fn census(k: &Kernel) -> Census {
 /// multikernel in shard-id order. Call it when no ktk message is in
 /// flight, so that every `RevokeVpe` sent has arrived.
 fn assert_consistent(kernels: &[Kernel]) {
-    let dead = |shard: usize| {
-        kernels
-            .iter()
-            .any(|k| k.shard_ctx().is_some_and(|ctx| ctx.is_dead(shard as u32)))
-    };
+    let dead = |shard: usize| kernels.iter().any(|k| k.shard_is_dead(shard as u32));
     let live: Vec<&Kernel> = (0..kernels.len())
         .filter(|s| !dead(*s))
         .map(|s| &kernels[s])
@@ -41,10 +40,8 @@ fn assert_consistent(kernels: &[Kernel]) {
     let proxies: BTreeSet<(u32, u32)> = live.iter().flat_map(|k| k.state.proxies()).collect();
     for k in &live {
         let shard = k.shard_ctx().map_or(0, |ctx| ctx.id());
-        k.state.assert_consistent(
-            |vpe| proxies.contains(&(shard, vpe.raw())),
-            |vpe| k.sched.borrow().manages(vpe),
-        );
+        k.state
+            .assert_consistent(|vpe| proxies.contains(&(shard, vpe.raw())));
         let serv_requests = k.serv_requests.entries.borrow();
         assert!(
             serv_requests.is_empty(),
@@ -65,7 +62,10 @@ fn assert_consistent(kernels: &[Kernel]) {
             continue;
         }
         assert!(
-            kernels[*shard as usize].vpe_obj(VpeId::new(*vpe)).is_some(),
+            kernels[*shard as usize]
+                .state
+                .vpe(VpeId::new(*vpe))
+                .is_some(),
             "a proxy names V{vpe} of shard {shard}, whose record is gone"
         );
     }
@@ -301,13 +301,14 @@ fn exited_local_child_is_waited_on_then_freed_by_its_parents_revoke() {
     rig.exit(pe, 3);
     // Exit revoked the child's own capabilities; the parent's still names it.
     let record = kernel
-        .vpe_obj(id)
+        .state
+        .vpe(id)
         .expect("the parent's capability keeps the record");
     assert_eq!(record.borrow().exit_code(), Some(3));
     assert_eq!(rig.wait_child(), 3);
     assert_eq!(rig.wait_child(), 3, "a second wait reads the same code");
     rig.ok(rig.root, Syscall::Revoke { sel: SelId::new(1) });
-    assert!(kernel.vpe_obj(id).is_none());
+    assert!(kernel.state.vpe(id).is_none());
 }
 
 #[test]
@@ -315,14 +316,14 @@ fn spilled_child_exit_code_is_readable_until_revoke_vpe_frees_it() {
     let rig = Rig::spilled();
     let home = &rig.kernels[1];
     let (id, pe) = rig.create_child();
-    assert!(home.vpe_obj(id).is_some(), "shard 1 placed the child");
+    assert!(home.state.vpe(id).is_some(), "shard 1 placed the child");
     rig.exit(pe, 5);
     // The exit revoked the child's self capability on shard 1; shard 0's
     // proxy still names it, so ktk `WaitVpe` still finds the exit code.
-    assert_eq!(home.vpe_obj(id).unwrap().borrow().exit_code(), Some(5));
+    assert_eq!(home.state.vpe(id).unwrap().borrow().exit_code(), Some(5));
     assert_eq!(rig.wait_child(), 5);
     rig.ok(rig.root, Syscall::Revoke { sel: SelId::new(1) });
-    assert!(home.vpe_obj(id).is_none(), "RevokeVpe freed the record");
+    assert!(home.state.vpe(id).is_none(), "RevokeVpe freed the record");
 }
 
 /// Every syscall that mints a capability refuses a taken selector with
@@ -589,7 +590,7 @@ fn spilled_create_vpe_into_a_selector_filled_in_flight_places_nothing() {
     let sim = rig.platform.sim().clone();
     let sel = SelId::new;
     let (a, a_pe) = rig.create_child();
-    assert!(home.vpe_obj(a).is_some(), "shard 0 placed A");
+    assert!(home.state.vpe(a).is_some(), "shard 0 placed A");
     rig.ok(
         rig.root,
         Syscall::AllocMem {
@@ -704,19 +705,16 @@ fn dead_requester_shard_has_its_spilled_child_reclaimed() {
     let home = &rig.kernels[1];
     let free = home.free_pes();
     let (id, _) = rig.create_child();
-    let child = home.vpe_obj(id).expect("shard 1 placed the child");
+    let child = home.state.vpe(id).expect("shard 1 placed the child");
     assert!(child.borrow().is_alive());
     assert_eq!(home.free_pes(), free - 1);
     assert!(rig.platform.sim().now() < crash, "placed before the crash");
     // No `RevokeVpe` can come from the dead requester; its death ends
     // the proxy's name instead.
     rig.idle_until(crash + Cycles::new(100_000));
-    assert!(
-        home.shard_ctx().unwrap().is_dead(0),
-        "shard 0 declared dead"
-    );
+    assert!(home.shard_is_dead(0), "shard 0 declared dead");
     assert!(!child.borrow().is_alive(), "the child was destroyed");
-    assert!(home.vpe_obj(id).is_none(), "the child's record was freed");
+    assert!(home.state.vpe(id).is_none(), "the child's record was freed");
     assert_eq!(home.free_pes(), free);
 }
 
@@ -997,4 +995,183 @@ fn peer_declared_dead_during_the_forward_charge_is_unreachable_at_once() {
             "ask at {ask} answered after {took}"
         );
     }
+}
+
+/// The VPE id and PE a `CreateVpe` reply carries.
+fn placed(data: &[u8]) -> (VpeId, PeId) {
+    let mut is = m3_base::marshal::IStream::new(data);
+    let vpe = VpeId::new(is.pop_u32().unwrap());
+    (vpe, PeId::new(is.pop_u32().unwrap()))
+}
+
+/// A cross-shard `Exchange` whose source capability is revoked during its
+/// `DelegateCap` round trip takes the remote copy back. The root delegates
+/// a region to `A`, which shard 1 placed; `A` delegates its copy on to its
+/// own child `B`, which shard 0 placed. While that `DelegateCap` is in
+/// flight, the root revokes the region: shard 0 frees it and shard 1's
+/// ktk handler revokes `A`'s copy, which has no edge to `B`'s yet. `B`
+/// must not keep reaching the freed region.
+#[test]
+fn delegation_whose_source_is_revoked_in_flight_takes_the_copy_back() {
+    let rig = Rig::two_shards(3, 5, None);
+    let home = &rig.kernels[0];
+    let sim = rig.platform.sim().clone();
+    let sel = SelId::new;
+    let create = |dst, mem_dst, name: &str| Syscall::CreateVpe {
+        dst: sel(dst),
+        mem_dst: sel(mem_dst),
+        pe: PeRequest::Same,
+        name: name.to_string(),
+    };
+    let delegate = move |vpe, own, other| Syscall::Exchange {
+        vpe: sel(vpe),
+        own: sel(own),
+        other: sel(other),
+        obtain: false,
+    };
+    // `X` takes shard 0's free PE so that `A` spills to shard 1; `X`'s
+    // revoke frees the PE again for `B`.
+    rig.ok(rig.root, create(1, 2, "x"));
+    let (_, a_pe) = placed(&rig.ok(rig.root, create(3, 4, "a")));
+    rig.ok(rig.root, Syscall::Revoke { sel: sel(1) });
+    rig.ok(rig.root, Syscall::VpeStart { vpe: sel(3) });
+    let region = Syscall::AllocMem {
+        dst: sel(5),
+        size: 4096,
+        perm: Perm::RW,
+    };
+    rig.ok(rig.root, region);
+    let free = home.free_mem();
+    rig.ok(rig.root, delegate(3, 5, 3));
+    let (b, b_pe) = placed(&rig.ok(a_pe, create(1, 2, "b")));
+    assert_eq!(b_pe, PeId::new(2), "shard 0 placed B");
+    let syscalls = {
+        let sim = sim.clone();
+        move || sim.stats().get("kernel.syscalls")
+    };
+    let before = syscalls();
+    let a = rig.platform.dtu(a_pe);
+    let call = delegate(1, 3, 5);
+    sim.spawn("a-delegates", async move { syscall(&a, call).await });
+    let root = rig.platform.dtu(rig.root);
+    let revoked = sim.spawn("root-revokes", {
+        let sim = sim.clone();
+        async move {
+            // Shard 1 has taken up `A`'s `Exchange`.
+            while syscalls() == before {
+                sim.sleep(Cycles::new(10)).await;
+            }
+            syscall(&root, Syscall::Revoke { sel: sel(5) }).await
+        }
+    });
+    rig.settle();
+    assert_eq!(revoked.try_take().unwrap().error, None);
+    assert_eq!(home.free_mem(), free + 4096, "the region was freed");
+    assert!(
+        home.state.obj((b, sel(5))).is_err(),
+        "B still reaches the freed region"
+    );
+}
+
+impl Rig {
+    /// One kernel on four PEs in overcommit mode: the root pins one, so
+    /// every child shares one of the two application PEs.
+    fn overcommitted() -> Rig {
+        let platform = Platform::new(PlatformConfig::xtensa(4));
+        let owned: Vec<PeId> = (0..4).map(PeId::new).collect();
+        let cfg = KernelConfig {
+            overcommit: true,
+            ..KernelConfig::default()
+        };
+        let dram = platform.dram_size() as u64;
+        let kernel = Kernel::start_partition(&platform, PeId::new(0), &owned, 0, dram, cfg);
+        Rig::with_root(platform, vec![kernel])
+    }
+
+    /// Creates and starts a child into the root's selectors `sel` (VPE)
+    /// and `sel + 1` (its SPM), which then waits for its first slice as
+    /// the libos does; returns its id and PE.
+    fn start_multiplexed(&self, sel: u32) -> (VpeId, PeId) {
+        let create = Syscall::CreateVpe {
+            dst: SelId::new(sel),
+            mem_dst: SelId::new(sel + 1),
+            pe: PeRequest::Same,
+            name: "child".to_string(),
+        };
+        let child = placed(&self.ok(self.root, create));
+        self.ok(
+            self.root,
+            Syscall::VpeStart {
+                vpe: SelId::new(sel),
+            },
+        );
+        self.in_kernel(move |k| async move { k.sched_acquire(child.0).await });
+        child
+    }
+
+    /// Runs `body` on the kernel as one step that may stay blocked (a
+    /// multiplexed VPE waiting for its PE), as the libos calls it.
+    fn in_kernel<F: std::future::Future + 'static>(&self, body: impl FnOnce(Kernel) -> F) {
+        let kernel = self.kernels[0].clone();
+        self.platform.sim().spawn("in-kernel", body(kernel));
+        self.settle();
+    }
+
+    fn resident(&self, pe: PeId) -> Option<VpeId> {
+        let kernel = &self.kernels[0];
+        let on_pe = kernel.state.vpes_where(|v| v.pe == pe && v.is_alive());
+        let mut resident = on_pe.into_iter().filter(|v| kernel.state.resident(*v));
+        let first = resident.next();
+        assert_eq!(resident.next(), None, "two residents on {pe}");
+        first
+    }
+}
+
+/// Four children share the two application PEs of an overcommitted kernel
+/// through create, yield, exit and revoke steps, and the kernel's state
+/// stays consistent after each: run queues, slice starts and records.
+#[test]
+fn overcommitted_rounds_keep_run_queues_consistent() {
+    let rig = Rig::overcommitted();
+    let kernel = &rig.kernels[0];
+    let (pe2, pe3) = (PeId::new(2), PeId::new(3));
+    let kids: Vec<(VpeId, PeId)> = (0..4).map(|i| rig.start_multiplexed(1 + 2 * i)).collect();
+    let pes: Vec<PeId> = kids.iter().map(|(_, pe)| *pe).collect();
+    assert_eq!(pes, [pe2, pe3, pe2, pe3], "the later two queue");
+    assert!(kids.iter().all(|(v, _)| kernel.sched_manages(*v)));
+    assert_eq!(rig.resident(pe2), Some(kids[0].0));
+    // The resident of PE 2 yields to the head of its ready queue.
+    let first = kids[0].0;
+    rig.in_kernel(move |k| async move { k.sched_yield(first).await });
+    assert_eq!(rig.resident(pe2), Some(kids[2].0));
+    assert!(kernel.ctx_switches(pe2) >= 1);
+    // It exits; the yielded child claims the vacancy.
+    rig.exit(pe2, 4);
+    assert_eq!(rig.resident(pe2), Some(first));
+    // The root revokes the child queued on PE 3; its resident yields to
+    // nobody and keeps the PE.
+    rig.ok(rig.root, Syscall::Revoke { sel: SelId::new(7) });
+    assert!(!kernel.sched_manages(kids[3].0));
+    let second = kids[1].0;
+    rig.in_kernel(move |k| async move { k.sched_yield(second).await });
+    assert_eq!(rig.resident(pe3), Some(second));
+    // Both residents exit: each PE is free again, its run queue gone.
+    let free = kernel.free_pes();
+    rig.exit(pe2, 0);
+    rig.exit(pe3, 0);
+    assert_eq!(kernel.free_pes(), free + 2);
+    for sel in [1, 3, 5] {
+        rig.ok(
+            rig.root,
+            Syscall::Revoke {
+                sel: SelId::new(sel),
+            },
+        );
+    }
+    assert_eq!(kernel.state.vpes_where(|_| true), [rig.root_vpe]);
+    let (_, pe) = rig.start_multiplexed(1);
+    assert_eq!(
+        rig.resident(pe),
+        kernel.state.vpes_where(|v| v.pe == pe).first().copied()
+    );
 }

@@ -1,6 +1,6 @@
 use super::*;
 use crate::protocol::{PeRequest, Syscall, SyscallReply};
-use m3_base::{Perm, SelId};
+use m3_base::{EpId, Perm, SelId};
 use m3_platform::PlatformConfig;
 
 /// Boot a kernel and one root VPE; send raw syscalls from the root PE.
@@ -608,7 +608,7 @@ fn watchdog_destroys_vpe_on_crashed_pe() {
     platform.dtu_system().set_faults(plane.clone());
     kernel.attach_faults(&plane);
 
-    let vpe_obj = kernel.vpe_obj(root.vpe).unwrap();
+    let vpe_obj = kernel.state.vpe(root.vpe).unwrap();
     assert!(vpe_obj.borrow().is_alive());
     let sim2 = sim.clone();
     let h = sim.spawn("observer", async move {

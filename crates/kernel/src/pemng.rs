@@ -19,14 +19,6 @@ pub struct PeMng {
 }
 
 impl PeMng {
-    /// Creates a manager over the platform's PEs; `kernel_pe` is marked used
-    /// from the start.
-    pub fn new(descs: Vec<PeDesc>, kernel_pe: PeId) -> PeMng {
-        let mut used = vec![false; descs.len()];
-        used[kernel_pe.idx()] = true;
-        PeMng { descs, used }
-    }
-
     /// Creates a manager that only hands out the PEs in `owned` (multi-
     /// kernel partitioning, paper §7); `kernel_pe` is marked used.
     pub fn new_partition(descs: Vec<PeDesc>, kernel_pe: PeId, owned: &[PeId]) -> PeMng {
@@ -104,7 +96,8 @@ mod tests {
             PeDesc::new(PeType::Xtensa),   // PE2
             PeDesc::new(PeType::FftAccel), // PE3
         ];
-        PeMng::new(descs, PeId::new(0))
+        let all: Vec<PeId> = (0..4).map(PeId::new).collect();
+        PeMng::new_partition(descs, PeId::new(0), &all)
     }
 
     #[test]

@@ -93,31 +93,24 @@ impl ServiceRegistry {
     pub fn holds_ep(&self, ep: EpId) -> bool {
         self.services.values().any(|s| s.kernel_ep == ep)
     }
-
-    /// Number of registered services.
-    pub fn len(&self) -> usize {
-        self.services.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
-    }
-
-    /// The registered service names, always in lexicographic order.
-    ///
-    /// The registry is keyed on a `BTreeMap` precisely so that anything
-    /// iterating services (diagnostics, shutdown, future broadcasts) sees
-    /// one deterministic order regardless of registration order
-    /// (DESIGN.md §4.1).
-    pub fn names(&self) -> Vec<String> {
-        self.services.keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ServiceRegistry {
+        fn is_empty(&self) -> bool {
+            self.services.is_empty()
+        }
+
+        /// The registered names: in lexicographic order, whatever the
+        /// order of registration, since the registry is a `BTreeMap`
+        /// (DESIGN.md §4.1).
+        fn names(&self) -> Vec<String> {
+            self.services.keys().cloned().collect()
+        }
+    }
 
     fn serv(name: &str) -> Rc<ServObj> {
         Rc::new(ServObj {

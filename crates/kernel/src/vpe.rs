@@ -5,8 +5,6 @@
 //! in time" (§4.3). Each VPE represents a single activity; parallelism means
 //! creating more VPEs (§4.5.5).
 
-use std::cell::RefCell;
-
 use m3_base::error::{Code, Error, Result};
 use m3_base::{PeId, VpeId};
 use m3_sim::Notify;
@@ -86,20 +84,6 @@ impl VpeObj {
         }
         self.state = VpeState::Running;
         Ok(())
-    }
-}
-
-/// Waits until `vpe` has died and returns its exit code (`VpeWait`).
-pub async fn wait_exit(vpe: &RefCell<VpeObj>) -> i64 {
-    loop {
-        let (code, exited) = {
-            let v = vpe.borrow();
-            (v.exit_code(), v.exited.clone())
-        };
-        if let Some(code) = code {
-            return code;
-        }
-        exited.wait().await;
     }
 }
 

@@ -224,27 +224,6 @@ impl SendGate {
             .await
     }
 
-    /// Like [`SendGate::send`], but gives up at the absolute simulated-cycle
-    /// `deadline` — e.g. when the target PE is stalled under an injected
-    /// fault plane and the DTU command would otherwise block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Code::Timeout`] when the deadline passes before the send
-    /// completes, and propagates DTU errors.
-    pub async fn send_with_deadline(
-        &self,
-        payload: impl Into<Payload>,
-        reply: Option<(&RecvGate, Label)>,
-        deadline: m3_base::Cycles,
-    ) -> Result<()> {
-        let env = self.env.get();
-        match m3_sim::with_deadline(env.sim(), deadline, self.send(payload, reply)).await {
-            Some(r) => r,
-            None => Err(Error::new(Code::Timeout).with_msg("send deadline passed")),
-        }
-    }
-
     /// Remote procedure call: send and wait for the reply on the
     /// environment's shared reply gate.
     ///

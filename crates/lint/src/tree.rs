@@ -113,20 +113,32 @@ impl<'s> Tree<'s> {
         self.code[i].text(self.src)
     }
 
-    /// The identifiers in each function's body, in [`Tree::functions`]
-    /// order (none for a bodiless declaration).
+    /// The identifiers in each function's body that may name a call, in
+    /// [`Tree::functions`] order (none for a bodiless declaration). A field
+    /// access names none: an identifier right after `.` counts only when a
+    /// call follows it, `(` or a turbofish `::`, so `msg.header.reply` is
+    /// not a call of a `reply` fn.
     pub fn body_idents(&self) -> Vec<Vec<&'s str>> {
         let last = self.code.len().saturating_sub(1);
         self.functions
             .iter()
             .map(|f| match f.body {
                 Some((open, close)) => (open..=close.min(last))
-                    .filter(|&i| self.code[i].kind == Kind::Ident)
+                    .filter(|&i| self.code[i].kind == Kind::Ident && !self.is_field(i))
                     .map(|i| self.text(i))
                     .collect(),
                 None => Vec::new(),
             })
             .collect()
+    }
+
+    /// Whether identifier `i` is a field access: it follows a `.` and no
+    /// call follows it.
+    fn is_field(&self, i: usize) -> bool {
+        let next = |k: usize| self.code.get(i + k);
+        let called = next(1).is_some_and(|t| t.kind == Kind::OpenParen)
+            || (i + 2 < self.code.len() && self.is_punct(i + 1, ':') && self.is_punct(i + 2, ':'));
+        i > 0 && self.is_punct(i - 1, '.') && !called
     }
 
     /// Which functions reach a seed through same-file calls, given their

@@ -159,6 +159,12 @@ impl Scheduler {
             .is_some_and(|pe| self.resident_of(pe) == Some(vpe))
     }
 
+    /// Whether `vpe` waits in its PE's ready queue or is parked there.
+    pub fn is_queued(&self, vpe: VpeId) -> bool {
+        let slot = self.pe_of(vpe).and_then(|pe| self.slots.get(&pe));
+        slot.is_some_and(|s| s.ready.contains(&vpe) || s.parked.contains(&vpe))
+    }
+
     /// Number of VPEs scheduled on `pe` (resident + ready + parked +
     /// mid-switch).
     pub fn load(&self, pe: PeId) -> usize {

@@ -555,8 +555,10 @@ fn shard_kernel_crash_mid_delegation() {
     sys.sim().settle(Cycles::new(1_000_000));
     assert_eq!(job.try_take(), Some(TYPED_FAILURE));
     // The watchdog declared the peer dead and reaped the proxies.
-    let ctx = sys.kernels()[0].shard_ctx().unwrap();
-    assert!(ctx.is_dead(1), "shard 0 never noticed the dead peer");
+    assert!(
+        sys.kernels()[0].shard_is_dead(1),
+        "shard 0 never noticed the dead peer"
+    );
 }
 
 #[test]
