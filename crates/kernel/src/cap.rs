@@ -1,10 +1,12 @@
-//! Capabilities, capability tables, and the delegation tree.
+//! Capabilities and the store that holds them.
 //!
 //! A capability is "a pair consisting of a kernel object and permissions for
 //! this object"; the kernel maintains one table per VPE, "similar to the file
-//! descriptor table in UNIX systems" (§4.5.3). Delegations are recorded in a
-//! tree — the mapping database of L4 microkernels — so that revoke can undo
-//! all grants recursively.
+//! descriptor table in UNIX systems" (§4.5.3). Each capability also records
+//! the one it was derived from, the ones derived from it — together the
+//! mapping database of L4 microkernels — and the copies delegating it
+//! installed in peer shards, so that revoke can undo all grants recursively.
+//! [`CapStore`] holds the tables and is the only writer of those links.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -164,191 +166,221 @@ impl KObject {
     }
 }
 
-/// One entry of a VPE's capability table.
-#[derive(Clone, Debug)]
+/// A capability's global address: (VPE, selector).
+pub type CapRef = (VpeId, SelId);
+
+/// A copy that delegating a capability installed in a peer shard:
+/// `(shard, vpe, sel)` in that shard's namespace.
+pub(crate) type RemoteCopy = (u32, u32, u32);
+
+/// One entry of a VPE's capability table, with its derivation links.
+#[derive(Debug)]
 pub struct Capability {
     /// The kernel object.
     pub obj: KObject,
     /// Endpoints the kernel has configured from this capability; invalidated
     /// when the capability is revoked.
     pub activations: Vec<(PeId, EpId)>,
+    parent: Option<CapRef>,
+    children: Vec<CapRef>,
+    remote: Vec<RemoteCopy>,
 }
 
 impl Capability {
-    /// Wraps a kernel object into a capability.
-    pub fn new(obj: KObject) -> Capability {
-        Capability {
-            obj,
-            activations: Vec::new(),
-        }
+    /// The capability this one was derived from; `None` for a root.
+    pub fn parent(&self) -> Option<CapRef> {
+        self.parent
+    }
+
+    /// The capabilities derived from this one, in mint order.
+    pub fn children(&self) -> &[CapRef] {
+        &self.children
+    }
+
+    /// The copies delegating this capability installed in peer shards,
+    /// cut when it is revoked.
+    pub(crate) fn remote(&self) -> &[RemoteCopy] {
+        &self.remote
     }
 }
 
-/// A per-VPE capability table.
+/// Every capability of one kernel: a table per VPE whose entries link up
+/// into the derivation forest, "similar to the mapping database found in
+/// some L4 microkernels" (§4.5.3). [`CapStore::mint`] is the only way in
+/// and [`CapStore::revoke`] the only way out, so a link always names a
+/// capability in some table.
 #[derive(Default, Debug)]
-pub struct CapTable {
-    caps: BTreeMap<SelId, Capability>,
+pub struct CapStore {
+    tables: BTreeMap<VpeId, BTreeMap<SelId, Capability>>,
 }
 
-impl CapTable {
-    /// Creates an empty table.
-    pub fn new() -> CapTable {
-        CapTable::default()
+impl CapStore {
+    /// Gives `vpe` an empty table.
+    pub fn add_table(&mut self, vpe: VpeId) {
+        self.tables.insert(vpe, BTreeMap::new());
     }
 
-    /// Inserts a capability at `sel`.
+    /// Drops `vpe`'s table, once everything in it is revoked.
+    pub(crate) fn remove_table(&mut self, vpe: VpeId) {
+        self.tables.remove(&vpe);
+    }
+
+    /// Whether `vpe` has a table.
+    pub(crate) fn has_table(&self, vpe: VpeId) -> bool {
+        self.tables.contains_key(&vpe)
+    }
+
+    /// The capability at `cap`.
     ///
     /// # Errors
     ///
-    /// Returns [`Code::Exists`] if the selector is already in use.
-    pub fn insert(&mut self, sel: SelId, cap: Capability) -> Result<()> {
-        if self.caps.contains_key(&sel) {
-            return Err(Error::new(Code::Exists).with_msg(format!("{sel} already in use")));
+    /// Returns [`Code::VpeGone`] if its VPE has no table and
+    /// [`Code::InvCap`] if the selector is empty.
+    pub(crate) fn get(&self, (vpe, sel): CapRef) -> Result<&Capability> {
+        let table = self.tables.get(&vpe).ok_or_else(|| gone(vpe))?;
+        table.get(&sel).ok_or_else(|| empty(sel))
+    }
+
+    /// The capability at `cap`, if any: a lookup whose miss builds no
+    /// error, for callers that expect empty selectors.
+    pub fn find(&self, (vpe, sel): CapRef) -> Option<&Capability> {
+        self.tables.get(&vpe)?.get(&sel)
+    }
+
+    /// The capability at `cap` mutably, if any.
+    pub(crate) fn find_mut(&mut self, (vpe, sel): CapRef) -> Option<&mut Capability> {
+        self.tables.get_mut(&vpe)?.get_mut(&sel)
+    }
+
+    /// The occupied selectors of `vpe`'s table; none once it is gone.
+    pub(crate) fn selectors(&self, vpe: VpeId) -> Vec<SelId> {
+        let table = self.tables.get(&vpe);
+        table.map_or_else(Vec::new, |t| t.keys().copied().collect())
+    }
+
+    /// Refuses unless `owner` has a table in which `sels` are distinct and
+    /// free: the check a transition makes before it takes a PE, DRAM, a
+    /// name or an endpoint that a refused [`CapStore::mint`] would strand.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Code::VpeGone`] without a table and [`Code::Exists`] for
+    /// a repeated or taken selector.
+    pub(crate) fn check_free(&self, owner: VpeId, sels: &[SelId]) -> Result<()> {
+        let table = self.tables.get(&owner).ok_or_else(|| gone(owner))?;
+        for (i, sel) in sels.iter().enumerate() {
+            if sels[..i].contains(sel) || table.contains_key(sel) {
+                return Err(Error::new(Code::Exists).with_msg(format!("{sel} already in use")));
+            }
         }
-        self.caps.insert(sel, cap);
         Ok(())
     }
 
-    /// Looks up a capability.
+    /// Mints `obj` at `cap`, a root or the last child of `parent`.
     ///
     /// # Errors
     ///
-    /// Returns [`Code::InvCap`] if the selector is empty.
-    pub fn get(&self, sel: SelId) -> Result<&Capability> {
-        self.find(sel).ok_or_else(|| empty(sel))
+    /// Refuses before it writes anything: as [`CapStore::check_free`],
+    /// and with [`Code::InvCap`] for a `parent` in no table.
+    pub fn mint(&mut self, cap: CapRef, obj: KObject, parent: Option<CapRef>) -> Result<()> {
+        self.check_free(cap.0, &[cap.1])?;
+        if let Some(p) = parent {
+            let orphan =
+                || Error::new(Code::InvCap).with_msg(format!("parent {p:?} is in no table"));
+            self.find_mut(p).ok_or_else(orphan)?.children.push(cap);
+        }
+        let entry = Capability {
+            obj,
+            activations: Vec::new(),
+            parent,
+            children: Vec::new(),
+            remote: Vec::new(),
+        };
+        self.tables.entry(cap.0).or_default().insert(cap.1, entry);
+        Ok(())
     }
 
-    /// The capability at `sel`, if any: a lookup whose miss builds no
-    /// error, for callers that expect empty selectors.
-    pub fn find(&self, sel: SelId) -> Option<&Capability> {
-        self.caps.get(&sel)
+    /// Records that delegating `src` installed `copy` in a peer shard, so
+    /// that revoking `src` cuts the copy too.
+    ///
+    /// # Errors
+    ///
+    /// As [`CapStore::get`].
+    pub(crate) fn add_remote(&mut self, (vpe, sel): CapRef, copy: RemoteCopy) -> Result<()> {
+        let table = self.tables.get_mut(&vpe).ok_or_else(|| gone(vpe))?;
+        let cap = table.get_mut(&sel).ok_or_else(|| empty(sel))?;
+        cap.remote.push(copy);
+        Ok(())
     }
 
-    /// The capability at `sel` mutably, if any.
-    pub fn find_mut(&mut self, sel: SelId) -> Option<&mut Capability> {
-        self.caps.get_mut(&sel)
+    /// Drops every remote copy in peer `shard` and returns the capabilities
+    /// that proxy one of its objects, in one pass.
+    pub(crate) fn forget_shard(&mut self, shard: u32) -> Vec<CapRef> {
+        let mut proxies = Vec::new();
+        for (vpe, table) in &mut self.tables {
+            for (sel, cap) in table.iter_mut() {
+                cap.remote.retain(|(s, _, _)| *s != shard);
+                let home = match &cap.obj {
+                    KObject::RemoteVpe(r) => Some(r.shard),
+                    KObject::RemoteSess(r) => Some(r.shard),
+                    _ => None,
+                };
+                if home == Some(shard) {
+                    proxies.push((*vpe, *sel));
+                }
+            }
+        }
+        proxies
     }
 
-    /// Removes and returns the capability at `sel`, if present.
-    pub fn remove(&mut self, sel: SelId) -> Option<Capability> {
-        self.caps.remove(&sel)
+    /// Removes `cap` and every capability derived from it, each with its
+    /// address, parents before children: `cap` leaves its parent's child
+    /// list, then a stack walk removes a capability and pushes its children
+    /// in mint order. An absent `cap` removes nothing.
+    pub fn revoke(&mut self, cap: CapRef) -> Vec<(CapRef, Capability)> {
+        let Some(parent) = self.find(cap).map(Capability::parent) else {
+            return Vec::new();
+        };
+        if let Some(p) = parent.and_then(|p| self.find_mut(p)) {
+            p.children.retain(|&c| c != cap);
+        }
+        let mut removed = Vec::new();
+        let mut stack = vec![cap];
+        while let Some((vpe, sel)) = stack.pop() {
+            if let Some(c) = self.tables.get_mut(&vpe).and_then(|t| t.remove(&sel)) {
+                stack.extend_from_slice(&c.children);
+                removed.push(((vpe, sel), c));
+            }
+        }
+        removed
     }
+}
 
-    /// All occupied selectors (for teardown).
-    pub fn selectors(&self) -> Vec<SelId> {
-        self.caps.keys().copied().collect()
-    }
-
-    /// Number of capabilities in the table.
-    pub fn len(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.caps.is_empty()
-    }
+fn gone(vpe: VpeId) -> Error {
+    Error::new(Code::VpeGone).with_msg(format!("{vpe} has no table"))
 }
 
 fn empty(sel: SelId) -> Error {
     Error::new(Code::InvCap).with_msg(format!("{sel} is empty"))
 }
 
-/// A capability's global address: (VPE, selector).
-pub type CapRef = (VpeId, SelId);
-
-/// The delegation tree recording all delegate/obtain operations, "similar to
-/// the mapping database found in some L4 microkernels" (§4.5.3).
-#[derive(Default, Debug)]
-pub struct DerivationTree {
-    nodes: BTreeMap<CapRef, TreeNode>,
-}
-
-#[derive(Default, Debug)]
-struct TreeNode {
-    parent: Option<CapRef>,
-    children: Vec<CapRef>,
-}
-
-impl DerivationTree {
-    /// Creates an empty tree.
-    pub fn new() -> DerivationTree {
-        DerivationTree::default()
+/// The reads only the kernel's consistency checks and tests make.
+#[cfg(test)]
+impl CapStore {
+    /// The VPEs that have a table, in ascending id order.
+    pub(crate) fn vpes(&self) -> impl Iterator<Item = VpeId> + '_ {
+        self.tables.keys().copied()
     }
 
-    /// Records a freshly created (root) capability.
-    pub fn insert_root(&mut self, cap: CapRef) {
-        self.nodes.entry(cap).or_default();
+    /// Every capability with its address, by VPE, then selector.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (CapRef, &Capability)> {
+        let tables = self.tables.iter();
+        tables.flat_map(|(vpe, t)| t.iter().map(|(sel, cap)| ((*vpe, *sel), cap)))
     }
 
-    /// Records that `child` was delegated/obtained from `parent`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `child` is already in the tree (a selector can only be
-    /// filled once) — the kernel checks table occupancy first — or if
-    /// `parent` is not: every parent is a capability the kernel minted.
-    pub fn insert_child(&mut self, parent: CapRef, child: CapRef) {
-        assert!(
-            !self.nodes.contains_key(&child),
-            "{child:?} already tracked"
-        );
-        let Some(node) = self.nodes.get_mut(&parent) else {
-            panic!("parent {parent:?} not tracked");
-        };
-        node.children.push(child);
-        self.nodes.insert(
-            child,
-            TreeNode {
-                parent: Some(parent),
-                children: Vec::new(),
-            },
-        );
-    }
-
-    /// Removes `cap` and its entire subtree, returning every removed
-    /// reference (including `cap` itself), parents before children.
-    pub fn revoke(&mut self, cap: CapRef) -> Vec<CapRef> {
-        if !self.nodes.contains_key(&cap) {
-            return Vec::new();
-        }
-        // Unlink from the parent.
-        if let Some(parent) = self.nodes[&cap].parent {
-            if let Some(p) = self.nodes.get_mut(&parent) {
-                p.children.retain(|&c| c != cap);
-            }
-        }
-        let mut removed = Vec::new();
-        let mut stack = vec![cap];
-        while let Some(cur) = stack.pop() {
-            if let Some(node) = self.nodes.remove(&cur) {
-                removed.push(cur);
-                stack.extend(node.children);
-            }
-        }
-        removed
-    }
-
-    /// The capability `cap` was derived from; `None` for a root or an
-    /// untracked capability.
-    #[cfg(test)]
-    pub(crate) fn parent(&self, cap: CapRef) -> Option<CapRef> {
-        self.nodes.get(&cap).and_then(|n| n.parent)
-    }
-
-    /// Whether `cap` is tracked.
-    pub fn contains(&self, cap: CapRef) -> bool {
-        self.nodes.contains_key(&cap)
-    }
-
-    /// Number of tracked capabilities.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+    /// Number of capabilities in all tables.
+    pub(crate) fn len(&self) -> usize {
+        self.tables.values().map(BTreeMap::len).sum()
     }
 }
 
@@ -360,74 +392,126 @@ mod tests {
         (VpeId::new(vpe), SelId::new(sel))
     }
 
-    fn mgate() -> Capability {
-        Capability::new(KObject::MGate(Rc::new(MGateObj {
+    fn mgate() -> KObject {
+        KObject::MGate(Rc::new(MGateObj {
             pe: PeId::new(0),
             offset: 0,
             size: 4096,
             perm: Perm::RW,
             owned: false,
-        })))
+        }))
+    }
+
+    /// A store with tables for VPEs 0 to 2 and `links` minted in order,
+    /// each a capability and its parent.
+    fn store(links: &[(CapRef, Option<CapRef>)]) -> CapStore {
+        let mut s = CapStore::default();
+        for vpe in 0..3 {
+            s.add_table(VpeId::new(vpe));
+        }
+        for &(cap, parent) in links {
+            s.mint(cap, mgate(), parent).unwrap();
+        }
+        s
+    }
+
+    fn refs(removed: &[(CapRef, Capability)]) -> Vec<CapRef> {
+        removed.iter().map(|(cap, _)| *cap).collect()
     }
 
     #[test]
     fn table_insert_get_remove() {
-        let mut t = CapTable::new();
-        t.insert(SelId::new(1), mgate()).unwrap();
-        assert_eq!(t.get(SelId::new(1)).unwrap().obj.kind(), "mgate");
-        assert_eq!(
-            t.insert(SelId::new(1), mgate()).unwrap_err().code(),
-            Code::Exists
-        );
-        assert!(t.remove(SelId::new(1)).is_some());
-        assert_eq!(t.get(SelId::new(1)).unwrap_err().code(), Code::InvCap);
-        assert!(t.is_empty());
+        let mut s = store(&[(r(0, 1), None)]);
+        assert_eq!(s.get(r(0, 1)).unwrap().obj.kind(), "mgate");
+        assert_eq!(s.get(r(0, 2)).unwrap_err().code(), Code::InvCap);
+        assert_eq!(s.get(r(7, 1)).unwrap_err().code(), Code::VpeGone);
+        let taken = s.mint(r(0, 1), mgate(), None).unwrap_err();
+        assert_eq!(taken.code(), Code::Exists);
+        let gone = s.mint(r(7, 1), mgate(), None).unwrap_err();
+        assert_eq!(gone.code(), Code::VpeGone);
+        assert_eq!(refs(&s.revoke(r(0, 1))), [r(0, 1)]);
+        assert_eq!(s.len(), 0);
+    }
+
+    #[test]
+    fn mint_under_a_parent_in_no_table_changes_nothing() {
+        let mut s = store(&[(r(0, 1), None), (r(1, 1), Some(r(0, 1)))]);
+        for parent in [r(1, 9), r(7, 1)] {
+            let err = s.mint(r(2, 1), mgate(), Some(parent)).unwrap_err();
+            assert_eq!(err.code(), Code::InvCap);
+        }
+        assert_eq!(s.len(), 2);
+        assert!(s.find(r(2, 1)).is_none());
+        assert_eq!(s.get(r(0, 1)).unwrap().children(), [r(1, 1)]);
+        assert!(s.get(r(1, 1)).unwrap().children().is_empty());
     }
 
     #[test]
     fn revoke_removes_whole_subtree() {
-        let mut tree = DerivationTree::new();
         // v0:1 -> v1:1 -> v2:1, and v0:1 -> v1:2
-        tree.insert_root(r(0, 1));
-        tree.insert_child(r(0, 1), r(1, 1));
-        tree.insert_child(r(1, 1), r(2, 1));
-        tree.insert_child(r(0, 1), r(1, 2));
-        let removed = tree.revoke(r(0, 1));
-        assert_eq!(removed.len(), 4);
-        assert!(tree.is_empty());
+        let mut s = store(&[
+            (r(0, 1), None),
+            (r(1, 1), Some(r(0, 1))),
+            (r(2, 1), Some(r(1, 1))),
+            (r(1, 2), Some(r(0, 1))),
+        ]);
+        // Children go on the stack in mint order, so the last comes first.
+        let removed = refs(&s.revoke(r(0, 1)));
+        assert_eq!(removed, [r(0, 1), r(1, 2), r(1, 1), r(2, 1)]);
+        assert_eq!(s.len(), 0);
     }
 
     #[test]
     fn revoke_of_inner_node_keeps_ancestors() {
-        let mut tree = DerivationTree::new();
-        tree.insert_root(r(0, 1));
-        tree.insert_child(r(0, 1), r(1, 1));
-        tree.insert_child(r(1, 1), r(2, 1));
-        let removed = tree.revoke(r(1, 1));
-        assert_eq!(removed.len(), 2);
-        assert!(tree.contains(r(0, 1)));
-        assert!(!tree.contains(r(1, 1)));
-        assert!(!tree.contains(r(2, 1)));
-        // Parent's child list was cleaned up: revoking the root removes 1.
-        assert_eq!(tree.revoke(r(0, 1)).len(), 1);
+        let mut s = store(&[
+            (r(0, 1), None),
+            (r(1, 1), Some(r(0, 1))),
+            (r(2, 1), Some(r(1, 1))),
+        ]);
+        assert_eq!(refs(&s.revoke(r(1, 1))), [r(1, 1), r(2, 1)]);
+        assert!(s.find(r(0, 1)).is_some());
+        // The parent's child list was cleaned up.
+        assert!(s.get(r(0, 1)).unwrap().children().is_empty());
+        assert_eq!(s.revoke(r(0, 1)).len(), 1);
     }
 
     #[test]
     fn revoke_unknown_is_noop() {
-        let mut tree = DerivationTree::new();
-        assert!(tree.revoke(r(9, 9)).is_empty());
+        let mut s = store(&[(r(0, 1), None)]);
+        assert!(s.revoke(r(9, 9)).is_empty());
+        assert!(s.revoke(r(0, 9)).is_empty());
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn parents_come_before_children() {
-        let mut tree = DerivationTree::new();
-        tree.insert_root(r(0, 1));
-        tree.insert_child(r(0, 1), r(1, 1));
-        tree.insert_child(r(1, 1), r(2, 1));
-        let removed = tree.revoke(r(0, 1));
-        let pos = |c: CapRef| removed.iter().position(|&x| x == c).unwrap();
-        assert!(pos(r(0, 1)) < pos(r(1, 1)));
-        assert!(pos(r(1, 1)) < pos(r(2, 1)));
+        let mut s = store(&[
+            (r(2, 1), None),
+            (r(0, 1), Some(r(2, 1))),
+            (r(1, 1), Some(r(0, 1))),
+        ]);
+        assert_eq!(refs(&s.revoke(r(2, 1))), [r(2, 1), r(0, 1), r(1, 1)]);
+    }
+
+    #[test]
+    fn remote_copies_leave_with_their_capability() {
+        let mut s = store(&[(r(0, 1), None), (r(1, 1), Some(r(0, 1)))]);
+        let proxy = RemoteVpeObj {
+            shard: 1,
+            vpe: 4,
+            pe: PeId::new(9),
+        };
+        s.mint(r(2, 1), KObject::RemoteVpe(Rc::new(proxy)), None)
+            .unwrap();
+        s.add_remote(r(1, 1), (1, 5, 6)).unwrap();
+        s.add_remote(r(1, 1), (2, 5, 7)).unwrap();
+        assert_eq!(
+            s.add_remote(r(1, 2), (1, 5, 8)).unwrap_err().code(),
+            Code::InvCap
+        );
+        assert_eq!(s.forget_shard(1), [r(2, 1)]);
+        let removed = s.revoke(r(0, 1));
+        assert_eq!(removed[1].1.remote(), [(2, 5, 7)]);
     }
 
     #[test]
@@ -435,21 +519,5 @@ mod tests {
         let g = RGateObj::new(VpeId::new(0), 8, 512);
         assert_eq!(g.max_payload(), 512 - m3_base::cfg::MSG_HEADER_SIZE);
         assert!(g.activation.borrow().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "already tracked")]
-    fn double_insert_child_panics() {
-        let mut tree = DerivationTree::new();
-        tree.insert_root(r(0, 1));
-        tree.insert_child(r(0, 1), r(1, 1));
-        tree.insert_child(r(0, 1), r(1, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "not tracked")]
-    fn insert_child_of_an_untracked_parent_panics() {
-        let mut tree = DerivationTree::new();
-        tree.insert_child(r(0, 1), r(1, 1));
     }
 }

@@ -464,13 +464,13 @@ impl Kernel {
     fn revoke_cap(&self, cap: CapRef) -> usize {
         let revoked = self.state.revoke(cap);
         let shard = self.shard_ctx();
-        for (_, cap, copies) in &revoked.caps {
+        for (_, cap) in &revoked.caps {
             // Cross-shard legs of the recursive revoke (§4.5.3): copies
             // this capability spawned in peer shards are cut with
             // fire-and-forget revokes, and a remote-VPE proxy takes its
             // VPE down with it (§4.5.5).
             if let Some(ctx) = &shard {
-                for &(peer, vpe, sel) in copies {
+                for &(peer, vpe, sel) in cap.remote() {
                     self.ktk_send(ctx, peer, &KtkMsg::RevokeCap { vpe, sel });
                 }
                 if let KObject::RemoteVpe(r) = &cap.obj {
@@ -487,7 +487,7 @@ impl Kernel {
         // Revoking a VPE capability resets the PE (§4.5.5: "the owner
         // of the VPE capability could revoke it to let the kernel reset
         // the associated PE").
-        for (_, cap, _) in &revoked.caps {
+        for (_, cap) in &revoked.caps {
             if let KObject::Vpe(vpe) = &cap.obj {
                 let id = vpe.borrow().id;
                 self.destroy_vpe(id, -1);

@@ -25,8 +25,8 @@ use super::{Kernel, KernelInner, Outstanding};
 /// across PDES islands. Absent (`None` on the kernel), every cross-shard
 /// path is compiled out of the schedule and the kernel is cycle-identical
 /// to the single-instance build. What the kernel knows of its peers (their
-/// loads and deaths, the delegation edges into them) is kernel state
-/// (DESIGN.md §5l).
+/// loads and deaths, and the copies delegating a capability installed in
+/// them) is kernel state (DESIGN.md §5l).
 pub struct ShardCtx {
     id: u32,
     count: u32,
@@ -615,8 +615,8 @@ impl Kernel {
     }
 
     /// Severs a dead peer shard: marks it dead, fails the in-flight
-    /// requests addressed to it with `Unreachable`, drops its delegation
-    /// edges, revokes every proxy capability pointing into it (so
+    /// requests addressed to it with `Unreachable`, drops the remote
+    /// copies in it, revokes every proxy capability pointing into it (so
     /// cross-shard access is actually cut, not just orphaned), and reclaims
     /// every VPE placed for it, as the `RevokeVpe` it owed would have.
     pub(super) fn on_peer_shard_dead(&self, peer: u32) {

@@ -20,7 +20,7 @@ use m3_sim::Notify;
 use m3_vm::{AddrSpaceObj, FaultKind, PageEntry, SwapRegion, VictimPlan};
 
 use crate::cap::{
-    CapRef, CapTable, Capability, DerivationTree, KObject, MGateObj, RGateObj, RemoteVpeObj,
+    CapRef, CapStore, Capability, KObject, MGateObj, RGateObj, RemoteCopy, RemoteVpeObj,
 };
 use crate::mem::MemAlloc;
 use crate::pemng::PeMng;
@@ -30,14 +30,13 @@ use crate::vpe::{VpeObj, VpeState};
 
 use super::{keps, PAGE_SIZE, RINGBUF_SPM_BUDGET};
 
-/// The state of one kernel: capability tables and the derivation tree,
-/// VPE records, endpoint activations, address spaces, the PE, DRAM and
-/// service allocators, the run queues of the multiplexed PEs, and the view
-/// of the peer shards with the delegation edges into them.
+/// The state of one kernel: the capability store, VPE records, endpoint
+/// activations, address spaces, the PE, DRAM and service allocators, the
+/// run queues of the multiplexed PEs, and the view of the peer shards.
 pub(super) struct KState(RefCell<State>);
 
 struct State {
-    tables: BTreeMap<VpeId, CapTable>,
+    caps: CapStore,
     /// Ring-buffer bytes currently placed in each PE's SPM.
     ringbuf_bytes: BTreeMap<PeId, u64>,
     /// The capability `(vpe, sel)` whose activation currently occupies
@@ -50,7 +49,6 @@ struct State {
     /// sets, swap regions), managed remotely by the kernel like the
     /// endpoints (§7).
     addr_spaces: BTreeMap<VpeId, AddrSpaceObj>,
-    tree: DerivationTree,
     /// The record of every VPE that is alive or still named by a
     /// capability ([`VpeObj::names`]); [`KState::reap_vpe`] frees the rest.
     vpes: BTreeMap<VpeId, Rc<RefCell<VpeObj>>>,
@@ -76,13 +74,7 @@ struct State {
     peer_free: BTreeMap<u32, usize>,
     /// Peer shards the shard watchdog declared dead.
     dead_peers: BTreeSet<u32>,
-    /// Cross-shard delegation edges: a local capability and the remote
-    /// copies it spawned, cut when it is revoked (§4.5.3).
-    remote_children: BTreeMap<CapRef, Vec<RemoteCopy>>,
 }
-
-/// A remote copy a delegated capability spawned: `(shard, vpe, sel)`.
-pub(super) type RemoteCopy = (u32, u32, u32);
 
 /// A capability kind a lookup asks for: its name and how to pick it out.
 pub(super) struct Kind<T>(&'static str, fn(&KObject) -> Option<T>);
@@ -125,9 +117,9 @@ pub(super) enum Activation {
 
 /// What a revoke removed, for the kernel to apply right after.
 pub(super) struct Revoked {
-    /// Every removed capability with its address and the remote copies it
-    /// spawned, parents first.
-    pub(super) caps: Vec<(CapRef, Capability, Vec<RemoteCopy>)>,
+    /// Every removed capability with its address, parents first; each
+    /// carries its remote copies.
+    pub(super) caps: Vec<(CapRef, Capability)>,
     /// The kernel endpoints of the services that died with them.
     pub(super) serv_eps: Vec<EpId>,
 }
@@ -160,10 +152,6 @@ fn ring_bytes(rg: &RGateObj) -> u64 {
     rg.slots as u64 * rg.slot_size as u64
 }
 
-fn gone(vpe: VpeId) -> Error {
-    Error::new(Code::VpeGone).with_msg(format!("{vpe} has no table"))
-}
-
 /// The refusal of a placement no PE matches.
 pub(super) fn no_free_pe(want: PeRequest) -> Error {
     Error::new(Code::NoFreePe).with_msg(format!("request {want:?}"))
@@ -179,14 +167,8 @@ fn internal(what: &str) -> Error {
 /// capability and put another one there. While the frame is allocated,
 /// only the pager's capability (or one derived from it, which dies with
 /// it) names it, so a memory capability over exactly that frame is it.
-fn holds_frame(
-    tables: &BTreeMap<VpeId, CapTable>,
-    dram: PeId,
-    (vpe, sel): CapRef,
-    frame: u64,
-) -> bool {
-    let cap = tables.get(&vpe).and_then(|t| t.find(sel));
-    matches!(cap.map(|c| &c.obj), Some(KObject::MGate(mg))
+fn holds_frame(caps: &CapStore, dram: PeId, cap: CapRef, frame: u64) -> bool {
+    matches!(caps.find(cap).map(|c| &c.obj), Some(KObject::MGate(mg))
         if mg.pe == dram && mg.offset == frame && mg.size == PAGE_SIZE && !mg.owned)
 }
 
@@ -204,9 +186,8 @@ fn unmap_page(mem: &mut MemAlloc, aspace: &mut AddrSpaceObj, page: u64) -> Optio
 }
 
 impl State {
-    fn obj(&self, (vpe, sel): CapRef) -> Result<KObject> {
-        let table = self.tables.get(&vpe).ok_or_else(|| gone(vpe))?;
-        Ok(table.get(sel)?.obj.clone())
+    fn obj(&self, cap: CapRef) -> Result<KObject> {
+        Ok(self.caps.get(cap)?.obj.clone())
     }
 
     fn get<T>(&self, cap: CapRef, Kind(name, pick): Kind<T>) -> Result<T> {
@@ -216,24 +197,18 @@ impl State {
         })
     }
 
-    /// Mints `obj` into `(owner, sel)`: the one place a capability enters a
-    /// table, the derivation tree (a root, or a child of `parent`) and, for
-    /// a VPE capability, [`VpeObj::names`]; [`KState::revoke`] is the one
-    /// place it leaves them. Refuses a taken selector ([`Code::Exists`])
-    /// or a gone owner ([`Code::VpeGone`]) before touching anything.
-    fn mint(&mut self, (owner, sel): CapRef, obj: KObject, parent: Option<CapRef>) -> Result<()> {
+    /// Mints `obj` into `cap`, a root or a child of `parent`
+    /// ([`CapStore::mint`], which refuses before it writes anything) and,
+    /// for a VPE capability, one more of [`VpeObj::names`];
+    /// [`KState::revoke`] is the one place it leaves them.
+    fn mint(&mut self, cap: CapRef, obj: KObject, parent: Option<CapRef>) -> Result<()> {
         let named = match &obj {
             KObject::Vpe(v) => Some(v.clone()),
             _ => None,
         };
-        let table = self.tables.get_mut(&owner).ok_or_else(|| gone(owner))?;
-        table.insert(sel, Capability::new(obj))?;
+        self.caps.mint(cap, obj, parent)?;
         if let Some(v) = named {
             v.borrow_mut().names += 1;
-        }
-        match parent {
-            Some(parent) => self.tree.insert_child(parent, (owner, sel)),
-            None => self.tree.insert_root((owner, sel)),
         }
         Ok(())
     }
@@ -252,25 +227,12 @@ impl State {
         self.next_vpe += 1;
         let vpe = Rc::new(RefCell::new(VpeObj::new(id, name, pe)));
         self.vpes.insert(id, vpe.clone());
-        self.tables.insert(id, CapTable::new());
+        self.caps.add_table(id);
         if let Some(cap) = creator {
             self.mint(cap, KObject::Vpe(vpe.clone()), None)?;
         }
         self.mint((id, SelId::new(0)), KObject::Vpe(vpe.clone()), creator)?;
         Ok((id, vpe))
-    }
-
-    /// Refuses with [`Code::Exists`] unless `sels` are distinct and free
-    /// in `owner`'s table: the check a transition makes before it takes a
-    /// PE, DRAM, a name or an endpoint that a refused `mint` would strand.
-    fn sels_free(&self, owner: VpeId, sels: &[SelId]) -> Result<()> {
-        let table = self.tables.get(&owner).ok_or_else(|| gone(owner))?;
-        for (i, sel) in sels.iter().enumerate() {
-            if sels[..i].contains(sel) || table.find(*sel).is_some() {
-                return Err(Error::new(Code::Exists).with_msg(format!("{sel} already in use")));
-            }
-        }
-        Ok(())
     }
 
     /// Mints what a `CreateVpe` yields once both selectors are free: `vpe`
@@ -284,7 +246,7 @@ impl State {
         pe: PeId,
         vpe: impl FnOnce(&mut State, CapRef) -> Result<T>,
     ) -> Result<T> {
-        self.sels_free(caller, &[dst, mem_dst])?;
+        self.caps.check_free(caller, &[dst, mem_dst])?;
         let made = vpe(self, (caller, dst))?;
         let spm = KObject::MGate(Rc::new(MGateObj {
             pe,
@@ -341,11 +303,10 @@ impl KState {
     /// multiplexing PEs if `overcommit`.
     pub(super) fn new(pemng: PeMng, mem: MemAlloc, dram: PeId, overcommit: bool) -> KState {
         KState(RefCell::new(State {
-            tables: BTreeMap::new(),
+            caps: CapStore::default(),
             ringbuf_bytes: BTreeMap::new(),
             ep_owners: BTreeMap::new(),
             addr_spaces: BTreeMap::new(),
-            tree: DerivationTree::new(),
             vpes: BTreeMap::new(),
             next_vpe: 1,
             pemng,
@@ -358,7 +319,6 @@ impl KState {
             resumed_at: BTreeMap::new(),
             peer_free: BTreeMap::new(),
             dead_peers: BTreeSet::new(),
-            remote_children: BTreeMap::new(),
         }))
     }
 
@@ -374,11 +334,7 @@ impl KState {
 
     /// The occupied selectors of `vpe`'s table; none once it is gone.
     pub(super) fn selectors(&self, vpe: VpeId) -> Vec<SelId> {
-        let st = self.0.borrow();
-        st.tables
-            .get(&vpe)
-            .map(CapTable::selectors)
-            .unwrap_or_default()
+        self.0.borrow().caps.selectors(vpe)
     }
 
     /// The record of VPE `vpe`, while the kernel keeps it.
@@ -391,20 +347,6 @@ impl KState {
         let st = self.0.borrow();
         let hits = st.vpes.iter().filter(|(_, v)| pred(&v.borrow()));
         hits.map(|(id, _)| *id).collect()
-    }
-
-    /// The capabilities whose object satisfies `pred`.
-    pub(super) fn caps_where(&self, pred: impl Fn(&KObject) -> bool) -> Vec<CapRef> {
-        let st = self.0.borrow();
-        let mut hits = Vec::new();
-        for (vpe, table) in &st.tables {
-            for sel in table.selectors() {
-                if table.find(sel).is_some_and(|cap| pred(&cap.obj)) {
-                    hits.push((*vpe, sel));
-                }
-            }
-        }
-        hits
     }
 
     /// `req` as `caller` means it: `Same` becomes the type of `caller`'s PE.
@@ -467,7 +409,7 @@ impl KState {
     /// Allocates a DRAM region of `size` bytes `cap` owns; returns its offset.
     pub(super) fn alloc_mem(&self, cap: CapRef, size: u64, perm: Perm) -> Result<u64> {
         let mut st = self.0.borrow_mut();
-        st.sels_free(cap.0, &[cap.1])?;
+        st.caps.check_free(cap.0, &[cap.1])?;
         let offset = st.mem.alloc(size)?;
         let region = MGateObj {
             pe: st.dram,
@@ -480,20 +422,15 @@ impl KState {
         Ok(offset)
     }
 
-    /// Revokes `cap` and its subtree from the tables and the tree, with the
-    /// ring buffers, services, owned regions, VPE names and delegation
-    /// edges they held.
+    /// Revokes `cap` and its subtree from the store ([`CapStore::revoke`])
+    /// with the ring buffers, services, owned regions and VPE names they
+    /// held.
     pub(super) fn revoke(&self, cap: CapRef) -> Revoked {
         let mut st = self.0.borrow_mut();
         let st = &mut *st;
-        let mut revoked = Revoked {
-            caps: Vec::new(),
-            serv_eps: Vec::new(),
-        };
-        for at in st.tree.revoke(cap) {
-            let Some(cap) = st.tables.get_mut(&at.0).and_then(|t| t.remove(at.1)) else {
-                continue;
-            };
+        let caps = st.caps.revoke(cap);
+        let mut serv_eps = Vec::new();
+        for (at, cap) in &caps {
             match &cap.obj {
                 // A receive gate's ring buffer leaves the SPM of its PE.
                 KObject::RGate(rg) => {
@@ -507,7 +444,7 @@ impl KState {
                 // A service dies with its owner's capability: the name and
                 // the kernel's send endpoint to it go to the next service.
                 KObject::Serv(serv) if at.0 == serv.owner && st.services.unregister(serv) => {
-                    revoked.serv_eps.push(serv.kernel_ep);
+                    serv_eps.push(serv.kernel_ep);
                 }
                 // An `Activate` waiting on this send gate finds it gone.
                 KObject::SGate(sg) => sg.rgate.activated.notify_all(),
@@ -515,10 +452,8 @@ impl KState {
                 KObject::Vpe(vpe) => vpe.borrow_mut().names -= 1,
                 _ => {}
             }
-            let copies = st.remote_children.remove(&at).unwrap_or_default();
-            revoked.caps.push((at, cap, copies));
         }
-        revoked
+        Revoked { caps, serv_eps }
     }
 
     /// Activates `caller`'s `gate` on endpoint `ep` of the VPE its `vpe`
@@ -603,11 +538,11 @@ impl KState {
         }
         let prev = st.ep_owners.insert((target, ep), (caller, gate));
         if let (Some((v, s)), KObject::RGate(_)) = (prev, &obj) {
-            if let Some(prev) = st.tables.get_mut(&v).and_then(|t| t.find_mut(s)) {
+            if let Some(prev) = st.caps.find_mut((v, s)) {
                 prev.activations.retain(|a| *a != (target_pe, ep));
             }
         }
-        if let Some(cap) = st.tables.get_mut(&caller).and_then(|t| t.find_mut(gate)) {
+        if let Some(cap) = st.caps.find_mut((caller, gate)) {
             cap.activations.push((target_pe, ep));
         }
         Ok(Activation::Done(target_pe))
@@ -624,7 +559,7 @@ impl KState {
     ) -> Result<(EpId, EpConfig)> {
         let mut st = self.0.borrow_mut();
         let rgate = st.get((caller, rgate), RGATE)?;
-        st.sels_free(caller, &[dst])?;
+        st.caps.check_free(caller, &[dst])?;
         let Some((pe, ep)) = *rgate.activation.borrow() else {
             return Err(Error::new(Code::InvArgs).with_msg("service rgate not activated"));
         };
@@ -686,7 +621,7 @@ impl KState {
         let mut st = self.0.borrow_mut();
         // Both selectors must be free before anything is placed: a taken
         // one found later would strand the PE or cost a spill.
-        st.sels_free(cap.0, &[cap.1, mem_dst])?;
+        st.caps.check_free(cap.0, &[cap.1, mem_dst])?;
         // `want` is resolved, so `alloc` needs no caller type.
         let pe = match st.pemng.alloc(want, PeType::Xtensa) {
             Some(pe) => pe,
@@ -791,7 +726,7 @@ impl KState {
     pub(super) fn retire_vpe(&self, id: VpeId, pe: PeId, now: Cycles) -> (bool, Option<u64>) {
         let mut st = self.0.borrow_mut();
         let st = &mut *st;
-        st.tables.remove(&id);
+        st.caps.remove_table(id);
         let (resident, last) = match st.sched.remove(id) {
             Removal::NotManaged => (true, true),
             Removal::Removed {
@@ -833,7 +768,7 @@ impl KState {
         // `Kernel::destroy_vpe` retires the table after revoking
         // everything in it, so a VPE whose teardown is still running
         // keeps its table.
-        if named || st.tables.contains_key(&id) {
+        if named || st.caps.has_table(id) {
             return;
         }
         st.vpes.remove(&id);
@@ -923,7 +858,6 @@ impl KState {
         let mut st = self.0.borrow_mut();
         st.peer_free = peers.map(|s| (s, 0)).collect();
         st.dead_peers.clear();
-        st.remote_children.clear();
     }
 
     /// Whether the shard watchdog declared peer `shard` dead.
@@ -952,8 +886,8 @@ impl KState {
     }
 
     /// Records that delegating `src`, which held `obj` when its descriptor
-    /// was taken, installed `copy`, so that revoking `src` cuts the copy
-    /// too. Refuses a `src` revoked or replaced since.
+    /// was taken, installed `copy` ([`CapStore::add_remote`]). Refuses a
+    /// `src` revoked or replaced since.
     pub(super) fn add_remote_copy(
         &self,
         src: CapRef,
@@ -961,37 +895,30 @@ impl KState {
         copy: RemoteCopy,
     ) -> Result<()> {
         let mut st = self.0.borrow_mut();
-        let same = match (st.obj(src)?, obj) {
-            (KObject::MGate(a), KObject::MGate(b)) => Rc::ptr_eq(&a, b),
-            (KObject::SGate(a), KObject::SGate(b)) => Rc::ptr_eq(&a, b),
-            (KObject::XSGate(a), KObject::XSGate(b)) => Rc::ptr_eq(&a, b),
+        let same = match (&st.caps.get(src)?.obj, obj) {
+            (KObject::MGate(a), KObject::MGate(b)) => Rc::ptr_eq(a, b),
+            (KObject::SGate(a), KObject::SGate(b)) => Rc::ptr_eq(a, b),
+            (KObject::XSGate(a), KObject::XSGate(b)) => Rc::ptr_eq(a, b),
             _ => false,
         };
         if !same {
             return Err(Error::new(Code::InvCap).with_msg("delegated capability replaced"));
         }
-        st.remote_children.entry(src).or_default().push(copy);
-        Ok(())
+        st.caps.add_remote(src, copy)
     }
 
-    /// Declares peer `shard` dead, dropping the delegation edges into it;
-    /// returns the local capabilities that proxy its objects and the VPEs
-    /// placed for it, or `None` if it was declared dead before.
+    /// Declares peer `shard` dead, dropping the remote copies in it
+    /// ([`CapStore::forget_shard`]); returns the local capabilities that
+    /// proxy its objects and the VPEs placed for it, or `None` if it was
+    /// declared dead before.
     pub(super) fn peer_shard_dead(&self, shard: u32) -> Option<(Vec<CapRef>, Vec<VpeId>)> {
         let mut st = self.0.borrow_mut();
         if !st.dead_peers.insert(shard) {
             return None;
         }
         st.peer_free.remove(&shard);
-        for copies in st.remote_children.values_mut() {
-            copies.retain(|(s, _, _)| *s != shard);
-        }
+        let proxies = st.caps.forget_shard(shard);
         drop(st);
-        let proxies = self.caps_where(|obj| match obj {
-            KObject::RemoteVpe(r) => r.shard == shard,
-            KObject::RemoteSess(r) => r.shard == shard,
-            _ => false,
-        });
         Some((proxies, self.vpes_where(|v| v.placed_for == Some(shard))))
     }
 
@@ -1006,7 +933,7 @@ impl KState {
         resident_limit: Option<usize>,
     ) -> Result<FaultKind> {
         let mut st = self.0.borrow_mut();
-        st.sels_free(caller, &[dst])?;
+        st.caps.check_free(caller, &[dst])?;
         let aspace = st
             .addr_spaces
             .entry(caller)
@@ -1026,7 +953,7 @@ impl KState {
     ) -> Result<Mapped> {
         let mut st = self.0.borrow_mut();
         let st = &mut *st;
-        st.sels_free(caller, &[dst])?;
+        st.caps.check_free(caller, &[dst])?;
         let aspace = st
             .addr_spaces
             .get_mut(&caller)
@@ -1039,7 +966,7 @@ impl KState {
                     .frame
                     .ok_or_else(|| internal("resident without frame"))?;
                 let old = entry.cap.replace(dst);
-                let old = old.filter(|old| holds_frame(&st.tables, st.dram, (caller, *old), frame));
+                let old = old.filter(|old| holds_frame(&st.caps, st.dram, (caller, *old), frame));
                 (frame, Mapped::Resident(old))
             }
             kind => {
@@ -1119,7 +1046,7 @@ impl KState {
             aspace.writeback_bytes += PAGE_SIZE;
         }
         let cap = aspace.complete_eviction(page, slot);
-        let cap = cap.filter(|sel| holds_frame(&st.tables, st.dram, (caller, *sel), frame));
+        let cap = cap.filter(|sel| holds_frame(&st.caps, st.dram, (caller, *sel), frame));
         st.mem.free(frame, PAGE_SIZE);
         cap
     }
@@ -1137,7 +1064,7 @@ impl KState {
             .ok_or_else(|| Error::new(Code::InvArgs).with_msg("page not mapped"))?;
         let frame = entry.frame;
         Ok(entry.cap.filter(|sel| {
-            frame.is_some_and(|frame| holds_frame(&st.tables, st.dram, (caller, *sel), frame))
+            frame.is_some_and(|frame| holds_frame(&st.caps, st.dram, (caller, *sel), frame))
         }))
     }
 }
@@ -1158,7 +1085,6 @@ mod checks {
         vpes: usize,
         tables: usize,
         caps: usize,
-        tree: usize,
         ep_owners: usize,
         free_pes: usize,
     }
@@ -1168,9 +1094,8 @@ mod checks {
             let st = self.0.borrow();
             Census {
                 vpes: st.vpes.len(),
-                tables: st.tables.len(),
-                caps: st.tables.values().map(CapTable::len).sum(),
-                tree: st.tree.len(),
+                tables: st.caps.vpes().count(),
+                caps: st.caps.len(),
                 ep_owners: st.ep_owners.len(),
                 free_pes: st.pemng.free_count(),
             }
@@ -1181,62 +1106,57 @@ mod checks {
             self.0.borrow().sched.is_resident(vpe)
         }
 
-        /// `(home shard, VPE)` of every `RemoteVpe` proxy in the tables.
+        /// `(home shard, VPE)` of every `RemoteVpe` proxy in the store.
         pub(in crate::kernel) fn proxies(&self) -> Vec<(u32, u32)> {
             let st = self.0.borrow();
-            let mut proxies = Vec::new();
-            for table in st.tables.values() {
-                for sel in table.selectors() {
-                    if let KObject::RemoteVpe(r) = &table.get(sel).unwrap().obj {
-                        proxies.push((r.shard, r.vpe));
-                    }
-                }
-            }
-            proxies
+            let proxies = st.caps.iter().filter_map(|(_, cap)| match &cap.obj {
+                KObject::RemoteVpe(r) => Some((r.shard, r.vpe)),
+                _ => None,
+            });
+            proxies.collect()
         }
 
-        /// Asserts that every derivation-tree node is an entry in some
-        /// capability table and every table entry is in the tree, that
-        /// every VPE record is alive or named by a capability (a local
-        /// one, or a peer shard's proxy: `proxied`), that every capability
-        /// to a PE's SPM derives from a VPE capability or proxy, that
-        /// every multiplexed VPE is alive and resident, ready or parked on
-        /// the PE its record names, that a slice start exists exactly for
-        /// each PE with a resident, and that every delegation edge is
-        /// keyed by a capability in some table. Call it with no context
-        /// switch in flight.
+        /// Asserts that each capability's parent lists it among its
+        /// children and each listed child names it as parent, that every
+        /// VPE record is alive or named by a capability (a local one, or a
+        /// peer shard's proxy: `proxied`), that every capability to a PE's
+        /// SPM derives from a VPE capability or proxy, that every
+        /// multiplexed VPE is alive and resident, ready or parked on the
+        /// PE its record names, and that a slice start exists exactly for
+        /// each PE with a resident. Call it with no context switch in
+        /// flight.
         pub(in crate::kernel) fn assert_consistent(&self, proxied: impl Fn(VpeId) -> bool) {
             let st = self.0.borrow();
-            let mut caps = 0;
             let mut names: BTreeMap<VpeId, u32> = BTreeMap::new();
-            for (id, table) in &st.tables {
-                for sel in table.selectors() {
-                    caps += 1;
-                    assert!(
-                        st.tree.contains((*id, sel)),
-                        "{id}:{sel} is not in the derivation tree"
-                    );
-                    match &table.get(sel).unwrap().obj {
-                        KObject::Vpe(v) => {
-                            let named = v.borrow().id;
-                            assert!(
-                                st.vpes.get(&named).is_some_and(|r| Rc::ptr_eq(r, v)),
-                                "{id}:{sel} names {named}, whose record is gone"
-                            );
-                            *names.entry(named).or_default() += 1;
-                        }
-                        KObject::MGate(m) if m.pe != st.dram => assert!(
-                            st.derives_from_a_vpe((*id, sel)),
-                            "{id}:{sel} reaches the SPM of {} past its VPE's revoke",
-                            m.pe
-                        ),
-                        _ => {}
+            for ((id, sel), cap) in st.caps.iter() {
+                if let Some(p) = cap.parent() {
+                    let listed = st
+                        .caps
+                        .find(p)
+                        .is_some_and(|p| p.children().contains(&(id, sel)));
+                    assert!(listed, "{id}:{sel} is not a child of its parent {p:?}");
+                }
+                for &child in cap.children() {
+                    let parent = st.caps.find(child).and_then(Capability::parent);
+                    assert_eq!(parent, Some((id, sel)), "child {child:?} of {id}:{sel}");
+                }
+                match &cap.obj {
+                    KObject::Vpe(v) => {
+                        let named = v.borrow().id;
+                        assert!(
+                            st.vpes.get(&named).is_some_and(|r| Rc::ptr_eq(r, v)),
+                            "{id}:{sel} names {named}, whose record is gone"
+                        );
+                        *names.entry(named).or_default() += 1;
                     }
+                    KObject::MGate(m) if m.pe != st.dram => assert!(
+                        st.derives_from_a_vpe((id, sel)),
+                        "{id}:{sel} reaches the SPM of {} past its VPE's revoke",
+                        m.pe
+                    ),
+                    _ => {}
                 }
             }
-            // Every table entry is a distinct tree node, so equal sizes leave
-            // no tree node outside the tables.
-            assert_eq!(st.tree.len(), caps, "tree nodes without a table entry");
             for (id, v) in &st.vpes {
                 let v = v.borrow();
                 // Copies of a proxy count once: any of them cuts the VPE.
@@ -1246,7 +1166,7 @@ mod checks {
                     "name count of {id}"
                 );
                 assert!(v.is_alive() || v.names > 0, "dead {id} named by nothing");
-                assert_eq!(st.tables.contains_key(id), v.is_alive(), "table of {id}");
+                assert_eq!(st.caps.has_table(*id), v.is_alive(), "table of {id}");
                 if let Some(pe) = st.sched.pe_of(*id) {
                     assert!(v.is_alive(), "dead {id} still scheduled");
                     assert_eq!(pe, v.pe, "{id} scheduled off its PE");
@@ -1266,15 +1186,8 @@ mod checks {
             for pe in st.resumed_at.keys() {
                 assert!(st.sched.resident_of(*pe).is_some(), "slice of vacant {pe}");
             }
-            for (src, copies) in &st.remote_children {
-                let held = st
-                    .tables
-                    .get(&src.0)
-                    .is_some_and(|t| t.find(src.1).is_some());
-                assert!(held, "edges {copies:?} of {}:{} outlive it", src.0, src.1);
-            }
-            for id in st.tables.keys() {
-                assert!(st.vpes.contains_key(id), "table of {id} without a record");
+            for id in st.caps.vpes() {
+                assert!(st.vpes.contains_key(&id), "table of {id} without a record");
             }
             for (target, ep) in st.ep_owners.keys() {
                 assert!(
@@ -1287,15 +1200,14 @@ mod checks {
 
     impl State {
         /// Whether a VPE capability or `RemoteVpe` proxy is among the
-        /// ancestors of `cap` in the derivation tree.
+        /// ancestors of `cap`.
         fn derives_from_a_vpe(&self, cap: CapRef) -> bool {
-            let mut at = self.tree.parent(cap);
-            while let Some(parent) = at {
-                let obj = self.obj(parent);
-                if obj.is_ok_and(|o| matches!(o, KObject::Vpe(_) | KObject::RemoteVpe(_))) {
+            let mut at = self.caps.find(cap).and_then(Capability::parent);
+            while let Some(parent) = at.and_then(|p| self.caps.find(p)) {
+                if matches!(parent.obj, KObject::Vpe(_) | KObject::RemoteVpe(_)) {
                     return true;
                 }
-                at = self.tree.parent(parent);
+                at = parent.parent();
             }
             false
         }

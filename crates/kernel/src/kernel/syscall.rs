@@ -522,8 +522,8 @@ impl Kernel {
                 })
                 .await?
                 .into_result()?;
-                // Remember the edge so revoking the local capability cuts
-                // the remote copy too. Handlers that run beside the blocked
+                // Record the copy so that revoking the local capability
+                // cuts it too. Handlers that run beside the blocked
                 // syscall loop (a peer's `RevokeCap`, the crash watchdog)
                 // may have revoked it during the round trip; nothing would
                 // cut the copy then, so it is taken back now.

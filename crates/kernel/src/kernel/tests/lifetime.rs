@@ -3,15 +3,14 @@
 //! two shards whose every child spills to the peer, and on an
 //! overcommitted kernel whose children share PEs.
 //!
-//! The check holds when every derivation-tree node is an entry in some
-//! capability table, every table entry is in the tree, every VPE record
+//! The check holds when each capability's parent lists it among its
+//! children and each listed child names it as parent, every VPE record
 //! is alive or named by a capability (a local one, or a peer shard's
 //! `RemoteVpe` proxy), every capability to a PE's SPM derives from a
 //! VPE capability or proxy, so that revoking the VPE revokes it too,
 //! every multiplexed VPE is resident, ready or parked on its PE with a
-//! slice start exactly where a PE has a resident, every delegation edge
-//! is keyed by a live capability, and no request to a service or peer
-//! shard outlives its wait. A shard that a peer declared dead is left
+//! slice start exactly where a PE has a resident, and no request to a
+//! service or peer shard outlives its wait. A shard that a peer declared dead is left
 //! out: its state froze when its kernel PE crashed.
 
 use std::collections::BTreeSet;
@@ -328,7 +327,7 @@ fn spilled_child_exit_code_is_readable_until_revoke_vpe_frees_it() {
 
 /// Every syscall that mints a capability refuses a taken selector with
 /// `Exists` and leaves the kernel as it found it: no PE, DRAM, table
-/// entry, tree node, VPE name or service name is taken. The root's
+/// entry, derivation link, VPE name or service name is taken. The root's
 /// selector 1 is taken. Both `Exchange` rows move a VPE capability: the
 /// root's to the child's taken selector 0, and the child's self
 /// capability to the root's selector 1. A refused `PageFault` maps

@@ -12,8 +12,8 @@
 //!
 //! - [`protocol`] — the wire format of system calls and of the
 //!   kernel-service protocol (both are DTU messages),
-//! - [`cap`] — capabilities, per-VPE capability tables, and the delegation
-//!   tree used for recursive revoke (§4.5.3),
+//! - [`cap`] — the capability store: per-VPE tables whose entries carry
+//!   the derivation links that recursive revoke walks (§4.5.3),
 //! - [`mem`] — the kernel's DRAM allocator (§4.5.4: "the kernel is
 //!   responsible for managing the memories in the system"),
 //! - [`pemng`] — PE allocation by type (§4.5.5),

@@ -176,12 +176,6 @@ impl Scheduler {
         self.slots.keys().map(|pe| (*pe, self.load(*pe))).collect()
     }
 
-    /// The least-loaded multiplexed PE, ties going to the lowest PE id
-    /// (see [`least_loaded`]).
-    pub fn least_loaded_pe(&self) -> Option<PeId> {
-        least_loaded(self.loads())
-    }
-
     /// Depth of the ready queue on `pe` (excludes the resident and parked).
     pub fn ready_depth(&self, pe: PeId) -> usize {
         self.slots.get(&pe).map_or(0, |s| s.ready.len())
@@ -747,18 +741,5 @@ mod tests {
         // Ties keep the earliest entry.
         assert_eq!(least_loaded([(1u32, 2), (2, 2), (3, 2)]), Some(1));
         assert_eq!(least_loaded([(9u32, 0), (1, 0)]), Some(9));
-    }
-
-    #[test]
-    fn scheduler_least_loaded_pe_matches_loads() {
-        let mut s = Scheduler::new();
-        assert_eq!(s.least_loaded_pe(), None);
-        s.admit(v(1), p(2), Notify::new(), Notify::new());
-        s.admit(v(2), p(2), Notify::new(), Notify::new());
-        s.admit(v(3), p(5), Notify::new(), Notify::new());
-        assert_eq!(s.least_loaded_pe(), Some(p(5)));
-        s.admit(v(4), p(5), Notify::new(), Notify::new());
-        // Tie between PE 2 and PE 5: lowest PE id wins.
-        assert_eq!(s.least_loaded_pe(), Some(p(2)));
     }
 }

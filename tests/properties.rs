@@ -13,7 +13,6 @@ use m3_base::marshal::{IStream, OStream};
 use m3_base::rand::Rng;
 use m3_base::{Cycles, EpId, PeId, Perm};
 use m3_dtu::{DtuSystem, EpConfig, Header, Message, RingBuf, NO_CTX};
-use m3_kernel::cap::DerivationTree;
 use m3_kernel::mem::MemAlloc;
 use m3_noc::{route, Noc, NocConfig, Topology};
 use m3_platform::Cache;
@@ -297,68 +296,98 @@ fn transfer_completion_is_monotone_in_size() {
 }
 
 // ---------------------------------------------------------------------
-// Capability derivation tree
+// Capability store: derivation links across VPE tables
 // ---------------------------------------------------------------------
 
 #[test]
 fn revoke_removes_exactly_the_subtree() {
     use m3_base::{SelId, VpeId};
-    let mk = |i: u8| (VpeId::new(0), SelId::new(i as u32));
+    use m3_kernel::cap::{CapRef, CapStore, KObject, MGateObj};
+    const VPES: u32 = 3;
+    let obj = || {
+        KObject::MGate(std::rc::Rc::new(MGateObj {
+            pe: PeId::new(0),
+            offset: 0,
+            size: 4096,
+            perm: Perm::RW,
+            owned: false,
+        }))
+    };
 
     let mut rng = Rng::new(0x4d31_0007);
+    let mut cross_edges = 0;
     for _ in 0..128 {
-        // Build a forest: each new node attaches to a random existing node.
-        // `parents` is keyed by insertion-ordered node index, so iteration
-        // order never matters.
-        let mut tree = DerivationTree::new();
-        let mut parents: Vec<(u8, Option<u8>)> = Vec::new();
-        tree.insert_root(mk(0));
-        parents.push((0, None));
-        let mut next = 1u8;
-        let edges = rng.next_range(1, 59);
-        for _ in 0..edges {
-            if parents.len() >= 120 {
-                break;
-            }
-            let parent = parents[rng.next_below(parents.len() as u64) as usize].0;
-            tree.insert_child(mk(parent), mk(next));
-            parents.push((next, Some(parent)));
-            next = next.wrapping_add(1);
-            if parents.iter().any(|&(k, _)| k == next) {
-                break;
-            }
+        // Build a forest over the tables of `VPES` VPEs: node `i` lives at
+        // selector `i` of a random VPE and is a root or derives from a
+        // random earlier node, often one in another table.
+        let mut store = CapStore::default();
+        for vpe in 0..VPES {
+            store.add_table(VpeId::new(vpe));
+        }
+        let mut at: Vec<CapRef> = Vec::new();
+        let mut parents: Vec<Option<usize>> = Vec::new();
+        for i in 0..rng.next_range(1, 60) as usize {
+            let cap = (
+                VpeId::new(rng.next_below(VPES as u64) as u32),
+                SelId::new(i as u32),
+            );
+            let parent = match i {
+                0 => None,
+                _ if rng.next_below(8) == 0 => None,
+                _ => Some(rng.next_below(i as u64) as usize),
+            };
+            store.mint(cap, obj(), parent.map(|p| at[p])).unwrap();
+            cross_edges += usize::from(parent.is_some_and(|p| at[p].0 != cap.0));
+            at.push(cap);
+            parents.push(parent);
         }
 
-        // Model: compute the expected subtree of `target`.
-        let keys: Vec<u8> = parents.iter().map(|&(k, _)| k).collect();
-        let target = keys[rng.next_below(keys.len() as u64) as usize];
-        let parent_of = |node: u8| -> Option<u8> {
-            parents
-                .iter()
-                .find(|&&(k, _)| k == node)
-                .and_then(|&(_, p)| p)
-        };
-        let in_subtree = |mut node: u8| loop {
-            if node == target {
+        // Model: its own stack walk from `target`, children in mint order,
+        // and the subtree as the nodes with `target` among their ancestors.
+        let mut children = vec![Vec::new(); at.len()];
+        for (n, p) in parents.iter().enumerate() {
+            if let Some(p) = p {
+                children[*p].push(n);
+            }
+        }
+        let target = rng.next_below(at.len() as u64) as usize;
+        let mut expected = Vec::new();
+        let mut stack = vec![target];
+        while let Some(n) = stack.pop() {
+            expected.push(n);
+            stack.extend(&children[n]);
+        }
+        let in_subtree = |mut n: usize| loop {
+            if n == target {
                 return true;
             }
-            match parent_of(node) {
-                Some(p) => node = p,
+            match parents[n] {
+                Some(p) => n = p,
                 None => return false,
             }
         };
-        let mut expected: Vec<u8> = keys.iter().copied().filter(|&k| in_subtree(k)).collect();
-        expected.sort_unstable();
 
-        let removed = tree.revoke(mk(target));
-        let mut removed_keys: Vec<u8> = removed.iter().map(|(_, s)| s.raw() as u8).collect();
-        removed_keys.sort_unstable();
-        assert_eq!(removed_keys, expected);
-        // Everything else survives.
-        for k in keys {
-            assert_eq!(tree.contains(mk(k)), !expected.contains(&k));
+        let removed = store.revoke(at[target]);
+        let order: Vec<usize> = removed.iter().map(|(c, _)| c.1.raw() as usize).collect();
+        assert_eq!(order, expected, "revoke order of {target}");
+        for ((cap, entry), &n) in removed.iter().zip(&order) {
+            assert_eq!(*cap, at[n]);
+            assert_eq!(entry.parent(), parents[n].map(|p| at[p]));
+        }
+        // Exactly the subtree goes; every survivor keeps its links, and the
+        // target's parent no longer lists it.
+        for (n, &cap) in at.iter().enumerate() {
+            assert_eq!(order.contains(&n), in_subtree(n), "node {n} removed");
+            assert_eq!(store.find(cap).is_none(), in_subtree(n), "node {n} gone");
+            if let Some(entry) = store.find(cap) {
+                let kept = children[n].iter().filter(|&&c| c != target);
+                let kept: Vec<CapRef> = kept.map(|&c| at[c]).collect();
+                assert_eq!(entry.children(), kept, "children of {n}");
+                assert_eq!(entry.parent(), parents[n].map(|p| at[p]));
+            }
         }
     }
+    assert!(cross_edges > 0, "no edge crossed tables");
 }
 
 // ---------------------------------------------------------------------
