@@ -4,21 +4,26 @@
 //! The store is paged. A page is allocated on its first write; a read of a
 //! page that was never written (or was zeroed since) yields zeros and
 //! allocates nothing. A platform therefore costs the host only what its
-//! run touches, not the gigabytes it configures. The paging is invisible
-//! to the model: no simulated cycle passes here. [`Dtu::rdma`] and
-//! `Kernel::charge_page_move` charge the time of the transfers that end
-//! up in this store.
+//! run touches, not the gigabytes it configures. A page-aligned copy
+//! shares its pages copy-on-write, so a copy costs a reference count until
+//! one side is written. The paging is invisible to the model: no
+//! simulated cycle passes here. [`Dtu::rdma`] and
+//! `Kernel::charge_page_move` charge the time of the transfers that end up
+//! in this store.
 //!
 //! [`Dtu::rdma`]: crate::Dtu
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
+use std::rc::Rc;
 
 /// Bytes per page of a [`Memory`].
 pub const PAGE_SIZE: usize = 4096;
 
-type Page = Box<[u8; PAGE_SIZE]>;
+/// Shared between the table entries a page-aligned copy made; a write
+/// through [`Rc::make_mut`] gives the written entry a page of its own.
+type Page = Rc<[u8; PAGE_SIZE]>;
 
 /// A zero-initialised memory of a fixed size, allocated page by page as it
 /// is written.
@@ -66,12 +71,16 @@ impl Pages {
         &mut self.table[page]
     }
 
-    fn get_or_alloc(&mut self, page: usize) -> &mut Page {
+    /// The bytes of `page` to write, allocated if absent and unshared if
+    /// a copy shares them.
+    fn writable(&mut self, page: usize) -> &mut [u8; PAGE_SIZE] {
         if self.table.get(page).is_none_or(Option::is_none) {
             self.allocated += 1;
         }
-        self.slot(page)
-            .get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
+        Rc::make_mut(
+            self.slot(page)
+                .get_or_insert_with(|| Rc::new([0; PAGE_SIZE])),
+        )
     }
 
     /// Puts `page` (or its absence) at page number `at`.
@@ -171,7 +180,7 @@ impl Memory {
         self.check(offset, data.len());
         let mut pages = self.pages.borrow_mut();
         for (page, dst, src) in pieces(offset, data.len()) {
-            pages.get_or_alloc(page)[dst].copy_from_slice(&data[src]);
+            pages.writable(page)[dst].copy_from_slice(&data[src]);
         }
     }
 
@@ -189,15 +198,15 @@ impl Memory {
             if range.len() == PAGE_SIZE {
                 pages.release(page);
             } else if let Some(Some(page)) = pages.table.get_mut(page) {
-                page[range].fill(0);
+                Rc::make_mut(page)[range].fill(0);
             }
         }
     }
 
     /// Copies `len` bytes from `src` to `dst`, like [`slice::copy_within`]:
     /// the ranges may overlap. When all three are page-aligned, pages are
-    /// cloned (or released, where the source page is unallocated) instead
-    /// of copied byte by byte.
+    /// shared copy-on-write (or released, where the source page is
+    /// unallocated) instead of copied byte by byte.
     ///
     /// # Panics
     ///
@@ -343,6 +352,40 @@ mod tests {
         mem.copy_within(0, PAGE_SIZE, PAGE_SIZE);
         assert_eq!(mem.pages_allocated(), 0);
         assert_eq!(dense(&mem), vec![0; 2 * PAGE_SIZE]);
+    }
+
+    #[test]
+    fn a_write_after_a_page_copy_changes_only_the_side_written() {
+        let mem = Memory::new(4 * PAGE_SIZE);
+        let (a, b) = (pattern(PAGE_SIZE, 1), pattern(PAGE_SIZE, 2));
+        mem.write(0, &a);
+        mem.copy_within(0, PAGE_SIZE, PAGE_SIZE);
+        mem.copy_within(0, 2 * PAGE_SIZE, PAGE_SIZE);
+        // Table entries, not host pages: the three share one.
+        assert_eq!(mem.pages_allocated(), 3);
+        let page = |n: usize| {
+            let mut buf = vec![0; PAGE_SIZE];
+            mem.read(n * PAGE_SIZE, &mut buf);
+            buf
+        };
+
+        // Destination written: the source keeps its bytes.
+        mem.write(PAGE_SIZE + 8, &b[..16]);
+        assert_eq!(page(0), a);
+        assert_eq!(page(1)[8..24], b[..16]);
+        assert_eq!(page(2), a);
+
+        // Source written: the other copy keeps its bytes.
+        mem.write(0, &b);
+        assert_eq!(page(0), b);
+        assert_eq!(page(2), a);
+
+        // A partial zeroing of a shared page is a write too.
+        mem.copy_within(2 * PAGE_SIZE, 3 * PAGE_SIZE, PAGE_SIZE);
+        mem.zero(3 * PAGE_SIZE + 100, 50);
+        assert_eq!(page(2), a);
+        assert!(page(3)[100..150].iter().all(|&x| x == 0));
+        assert_eq!(mem.pages_allocated(), 4);
     }
 
     #[test]

@@ -280,8 +280,9 @@ impl CapStore {
     ///
     /// # Errors
     ///
-    /// Refuses before it writes anything: as [`CapStore::check_free`],
-    /// and with [`Code::InvCap`] for a `parent` in no table.
+    /// Refuses before it writes anything: with [`Code::VpeGone`] if the
+    /// owner has no table, [`Code::Exists`] for a taken selector, and
+    /// [`Code::InvCap`] for a `parent` in no table.
     pub fn mint(&mut self, cap: CapRef, obj: KObject, parent: Option<CapRef>) -> Result<()> {
         self.check_free(cap.0, &[cap.1])?;
         if let Some(p) = parent {

@@ -53,16 +53,19 @@ pub async fn run_kv_server(env: Env) -> Result<()> {
     let mut db = vfs::open(&env, DB_PATH, OpenFlags::R.or(OpenFlags::W)).await?;
 
     // Validate the schema page before accepting requests: a truncated DDL
-    // statement here means the database image is corrupt.
-    let schema = read_exact(db.as_mut(), PAGE_SIZE).await?;
-    decode_schema(&schema).map_err(|e| Error::new(Code::InvArgs).with_msg(e))?;
+    // statement here means the database image is corrupt. The buffer is
+    // sized for a scan and serves every later request.
+    let mut buf = vec![0u8; PAGES as usize * PAGE_SIZE];
+    let schema = &mut buf[..PAGE_SIZE];
+    read_exact(db.as_mut(), schema).await?;
+    decode_schema(schema).map_err(|e| Error::new(Code::InvArgs).with_msg(e))?;
 
     let req_rgate = RecvGate::new(&env, REQ_SLOTS, REQ_SLOT_SIZE).await?;
     let req_rgate_sel = req_rgate.sel();
     {
         let env2 = env.clone();
         env.sim().spawn_daemon("kv-req", async move {
-            req_loop(env2, db, req_rgate).await;
+            req_loop(env2, db, req_rgate, buf).await;
         });
     }
 
@@ -77,17 +80,17 @@ pub async fn run_kv_server(env: Env) -> Result<()> {
     .await
 }
 
-async fn read_exact(file: &mut dyn File, len: usize) -> Result<Vec<u8>> {
-    let mut data = vec![0u8; len];
+/// Fills `buf` from the file's position.
+async fn read_exact(file: &mut dyn File, buf: &mut [u8]) -> Result<()> {
     let mut pos = 0;
-    while pos < len {
-        let n = file.read(&mut data[pos..]).await?;
+    while pos < buf.len() {
+        let n = file.read(&mut buf[pos..]).await?;
         if n == 0 {
             return Err(Error::new(Code::InvOffset).with_msg("short database read"));
         }
         pos += n;
     }
-    Ok(data)
+    Ok(())
 }
 
 async fn write_all(file: &mut dyn File, data: &[u8]) -> Result<()> {
@@ -102,7 +105,8 @@ async fn write_all(file: &mut dyn File, data: &[u8]) -> Result<()> {
     Ok(())
 }
 
-async fn handle(env: &Env, db: &mut dyn File, op: KvOp) -> Result<KvReply> {
+/// Serves `op`; reads land in `buf`, which holds a whole scan.
+async fn handle(env: &Env, db: &mut dyn File, buf: &mut [u8], op: KvOp) -> Result<KvReply> {
     match op {
         KvOp::Get { key } => {
             if key >= KEYS {
@@ -111,8 +115,8 @@ async fn handle(env: &Env, db: &mut dyn File, op: KvOp) -> Result<KvReply> {
             env.compute(costs::GET).await;
             db.seek(((1 + key) as i64) * PAGE_SIZE as i64, SeekMode::Set)
                 .await?;
-            let page = read_exact(db, PAGE_SIZE).await?;
-            Ok(KvReply::ok(page.len() as u64))
+            read_exact(db, &mut buf[..PAGE_SIZE]).await?;
+            Ok(KvReply::ok(PAGE_SIZE as u64))
         }
         KvOp::Put { key, tag } => {
             if key >= KEYS {
@@ -127,19 +131,20 @@ async fn handle(env: &Env, db: &mut dyn File, op: KvOp) -> Result<KvReply> {
         KvOp::Scan => {
             env.compute(costs::SCAN_PER_PAGE * PAGES).await;
             db.seek(0, SeekMode::Set).await?;
-            let all = read_exact(db, PAGES as usize * PAGE_SIZE).await?;
+            let all = &mut buf[..PAGES as usize * PAGE_SIZE];
+            read_exact(db, all).await?;
             Ok(KvReply::ok(all.len() as u64))
         }
     }
 }
 
-async fn req_loop(env: Env, mut db: Box<dyn File>, rgate: RecvGate) {
+async fn req_loop(env: Env, mut db: Box<dyn File>, rgate: RecvGate, mut buf: Vec<u8>) {
     loop {
         let Ok(msg) = rgate.recv().await else { return };
         env.compute(m3_libos::costs::SERV_DISPATCH).await;
         let reply = match KvOp::from_bytes(&msg.payload) {
             Err(_) => KvReply::err(),
-            Ok(op) => handle(&env, db.as_mut(), op)
+            Ok(op) => handle(&env, db.as_mut(), &mut buf, op)
                 .await
                 .unwrap_or_else(|_| KvReply::err()),
         };
