@@ -47,20 +47,21 @@ pub async fn cat_tr(p: &LxProc, input: &str, output: &str) -> Result<u64> {
 
     let mut out = p.open(output, Perm::W, true, true).await?;
     let mut total = 0u64;
+    let mut buf = vec![0u8; BENCH_BUF_SIZE];
     loop {
-        let mut data = rx.read(p, BENCH_BUF_SIZE).await?;
-        if data.is_empty() {
+        let n = rx.read(p, &mut buf).await?;
+        if n == 0 {
             break;
         }
-        p.compute(Cycles::new(data.len() as u64 * TR_CYCLES_PER_BYTE))
-            .await;
-        for b in &mut data {
+        let data = &mut buf[..n];
+        p.compute(Cycles::new(n as u64 * TR_CYCLES_PER_BYTE)).await;
+        for b in data.iter_mut() {
             if *b == b'a' {
                 *b = b'b';
             }
         }
-        out.write(&data).await?;
-        total += data.len() as u64;
+        out.write(data).await?;
+        total += n as u64;
     }
     rx.close();
     out.close().await;
@@ -87,10 +88,11 @@ pub async fn fft_pipeline(p: &LxProc, out: &str) -> Result<()> {
                 return 1;
             }
             let mut data = Vec::new();
+            let mut buf = vec![0u8; BENCH_BUF_SIZE];
             loop {
-                match rx.read(&c, BENCH_BUF_SIZE).await {
-                    Ok(d) if d.is_empty() => break,
-                    Ok(d) => data.extend_from_slice(&d),
+                match rx.read(&c, &mut buf).await {
+                    Ok(0) => break,
+                    Ok(n) => data.extend_from_slice(&buf[..n]),
                     Err(_) => return 1,
                 }
             }

@@ -3,10 +3,11 @@
 //! Runs every entry of `m3_bench::registry` in full, timing each one and
 //! each of its scenarios
 //! (one independent `Sim` per scenario), collects the executor gauges from
-//! `m3_sim::gauges`, and writes `BENCH_<label>.json` at the repo root so the
-//! host-performance trajectory is recorded alongside the cycle-accurate
-//! results. Simulated cycle counts are untouched — this measures only how
-//! fast the host produces them. The process's peak resident set (`VmHWM`,
+//! `m3_sim::gauges`, and writes `BENCH_<label>.json` into the working
+//! directory (CI runs it from the repo root, so the host-performance
+//! trajectory is recorded alongside the cycle-accurate results). Simulated
+//! cycle counts are untouched — this measures only how fast the host
+//! produces them. The process's peak resident set (`VmHWM`,
 //! Linux only) is printed on the total line and written as `peak_rss_mib`;
 //! it is reported, never gated. So are each figure's `cpu_ms` (user plus
 //! system time, in 10 ms ticks) and `minor_faults`, the change in
@@ -27,7 +28,7 @@
 //!   one worker also gates `allocs`; with more, thread start-up adds a
 //!   few allocations per figure, so the count is reported only.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 // m3lint: allow(determinism): this binary's whole purpose is host wall-clock measurement
 use std::time::Instant;
@@ -325,8 +326,10 @@ fn compare_counters(
     (missing, rose)
 }
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+/// Where a run labelled `label` writes its JSON: the working directory,
+/// so two builds run side by side from their own directories keep apart.
+fn output_path(label: &str) -> PathBuf {
+    PathBuf::from(format!("BENCH_{label}.json"))
 }
 
 fn main() -> ExitCode {
@@ -383,7 +386,7 @@ fn main() -> ExitCode {
         peak_rss.map_or("n/a".to_string(), |mib| format!("{mib:.1} MiB")),
     );
 
-    let path = repo_root().join(format!("BENCH_{label}.json"));
+    let path = output_path(&label);
     if let Err(e) = std::fs::write(&path, to_json(&label, &runs, total_ms, peak_rss)) {
         eprintln!("perf: cannot write {}: {e}", path.display());
         return ExitCode::FAILURE;
@@ -442,6 +445,7 @@ fn usage(msg: &str) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn run(name: &'static str, tasks_spawned: u64, task_polls: u64) -> FigureRun {
         FigureRun {
@@ -568,6 +572,15 @@ mod tests {
         assert!(fig4.contains("\"cpu_ms\": null"));
         assert!(fig4.contains("\"minor_faults\": null"));
         assert_eq!(compare_counters(&runs, &json, false), (vec![], vec![]));
+    }
+
+    #[test]
+    fn the_json_goes_to_the_working_directory() {
+        assert_eq!(output_path("ci"), Path::new("BENCH_ci.json"));
+    }
+
+    fn repo_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
     }
 
     #[test]

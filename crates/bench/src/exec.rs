@@ -10,10 +10,10 @@
 //!
 //! Worker count: [`set_sim_workers`] (the harness `--sim-workers N` flag)
 //! or the `M3_SIM_WORKERS` environment variable pin the thread count;
-//! otherwise every available core is used. The same knob sets the PDES
-//! island workers of `pdes_bench` ([`workers_for`]), the one entry that
-//! asks for them, and `--sim-workers 1` runs everything on the calling
-//! thread.
+//! otherwise every available core is used. It sizes this pool and
+//! nothing else: a PDES run (fig10's points, `pdes_bench`) simulates all
+//! its islands on one thread of its own whatever the count. With
+//! `--sim-workers 1` every job runs on the calling thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -73,7 +73,7 @@ pub fn sim_workers() -> Option<usize> {
     }
 }
 
-/// Number of worker threads for `jobs` scenarios (or PDES islands).
+/// Number of worker threads for `jobs` scenarios.
 pub fn workers_for(jobs: usize) -> usize {
     // m3lint: allow(determinism): threads carry whole independent Sims; nothing inside a Sim is shared
     let cores = std::thread::available_parallelism()

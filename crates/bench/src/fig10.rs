@@ -205,13 +205,13 @@ fn field(line: &str, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("island output {line:?} lacks {key}"))
 }
 
-/// Runs one sweep point on `workers` threads.
+/// Runs one sweep point.
 ///
 /// # Panics
 ///
 /// Panics if `pes` does not divide into `shards` slices of at least
 /// [`MIN_PES_PER_SHARD`] PEs.
-pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
+pub fn run_point(pes: u32, shards: u32) -> Fig10Point {
     assert!(
         pes.is_multiple_of(shards) && pes / shards >= MIN_PES_PER_SHARD,
         "{pes} PEs cannot be carved into {shards} shards"
@@ -219,7 +219,7 @@ pub fn run_point(pes: u32, shards: u32, workers: usize) -> Fig10Point {
     let per = (pes / shards) as usize;
     let cfg = PdesConfig {
         lookahead: pdes_bench::lookahead(shards),
-        workers,
+        workers: 1,
     };
     let builders: Vec<IslandBuilder> = (0..shards)
         .map(|i| island_builder(i, shards, per))
@@ -297,7 +297,7 @@ pub fn run(pe_counts: &[u32]) -> Fig10 {
     let jobs: Vec<Job<Fig10Point>> = pe_counts
         .iter()
         .flat_map(|&pes| shard_counts_for(pes).into_iter().map(move |s| (pes, s)))
-        .map(|(pes, s)| -> Job<Fig10Point> { Box::new(move || run_point(pes, s, 1)) })
+        .map(|(pes, s)| -> Job<Fig10Point> { Box::new(move || run_point(pes, s)) })
         .collect();
     let mut points = exec::run_jobs(jobs).into_iter();
     let sweeps = pe_counts
@@ -316,18 +316,18 @@ mod tests {
 
     #[test]
     fn single_shard_runs_without_shard_context() {
-        let p = run_point(32, 1, 1);
+        let p = run_point(32, 1);
         assert_eq!(p.xplace, 0, "one shard never crosses shards");
         assert_eq!(p.serve as usize, PLACERS * ROUNDS + SPILL_ROUNDS);
     }
 
     #[test]
-    fn two_shards_cross_place_and_digest_is_worker_invariant() {
-        let serial = run_point(32, 2, 1);
-        let parallel = run_point(32, 2, 2);
-        assert_eq!(serial.digest, parallel.digest);
+    fn two_shards_cross_place() {
         // Shard 0 has no accelerators: its spiller rounds crossed shards.
-        assert!(serial.xplace > 0, "expected cross-shard placements");
+        assert!(
+            run_point(32, 2).xplace > 0,
+            "expected cross-shard placements"
+        );
     }
 
     #[test]
@@ -335,9 +335,9 @@ mod tests {
         // The acceptance thresholds of the sharding work: at 256 PEs the
         // aggregate kernel throughput must scale >= 1.7x from 1 -> 2
         // shards and >= 3x from 1 -> 4 shards.
-        let one = run_point(256, 1, 1);
-        let two = run_point(256, 2, 2);
-        let four = run_point(256, 4, 4);
+        let one = run_point(256, 1);
+        let two = run_point(256, 2);
+        let four = run_point(256, 4);
         let s2 = two.ops_per_kcycle / one.ops_per_kcycle;
         let s4 = four.ops_per_kcycle / one.ops_per_kcycle;
         assert!(s2 >= 1.7, "1->2 shard scaling {s2:.2}x below 1.7x");

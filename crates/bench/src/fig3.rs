@@ -221,7 +221,8 @@ fn lx_pipe(cfg: LxConfig, label: &str) -> Bar {
         })
         .await;
         let s = measure::split(&p, LxProc::APP, LxProc::XFER, async {
-            while !rx.read(&p, BENCH_BUF_SIZE).await.unwrap().is_empty() {}
+            let mut buf = vec![0u8; BENCH_BUF_SIZE];
+            while rx.read(&p, &mut buf).await.unwrap() > 0 {}
         })
         .await;
         rx.close();

@@ -129,14 +129,14 @@ impl LxPipeWriter {
 }
 
 impl LxPipeReader {
-    /// Reads up to `len` bytes, blocking while the pipe is empty. Returns
-    /// an empty vector at EOF.
+    /// Reads up to `buf.len()` bytes into `buf`, blocking while the pipe
+    /// is empty. Returns the number of bytes read, 0 at EOF.
     ///
     /// # Errors
     ///
     /// Currently infallible beyond transport; kept fallible for parity
     /// with the file API.
-    pub async fn read(&mut self, proc: &LxProc, len: usize) -> Result<Vec<u8>> {
+    pub async fn read(&mut self, proc: &LxProc, buf: &mut [u8]) -> Result<usize> {
         self.m
             .charge(costs::SYSCALL_ENTRY_EXIT + costs::PIPE_OP, Charge::Os)
             .await;
@@ -152,21 +152,23 @@ impl LxPipeReader {
             )
             .await;
         }
-        let (out, id) = {
+        let (n, id) = {
             let mut s = self.shared.borrow_mut();
-            let n = len.min(s.buf.len());
-            let out: Vec<u8> = s.buf.drain(..n).collect();
-            (out, s.id)
+            let n = buf.len().min(s.buf.len());
+            for (dst, src) in buf.iter_mut().zip(s.buf.drain(..n)) {
+                *dst = src;
+            }
+            (n, s.id)
         };
-        if out.is_empty() {
-            return Ok(out); // EOF
+        if n == 0 {
+            return Ok(0); // EOF
         }
         // Copy kernel pipe buffer -> user buffer.
-        let misses = self.m.touch(pipe_addr(id), out.len());
-        let copy = self.m.memcpy_cycles(out.len() as u64, misses);
+        let misses = self.m.touch(pipe_addr(id), n);
+        let copy = self.m.memcpy_cycles(n as u64, misses);
         self.m.charge(copy, Charge::Xfer).await;
         self.shared.borrow().space.notify_all();
-        Ok(out)
+        Ok(n)
     }
 
     /// Closes the reading end; further writes fail.
@@ -198,13 +200,14 @@ mod tests {
                 })
                 .await;
             let mut total = 0usize;
+            let mut buf = [0u8; 4096];
             loop {
-                let chunk = rx.read(&p, 4096).await.unwrap();
-                if chunk.is_empty() {
+                let n = rx.read(&p, &mut buf).await.unwrap();
+                if n == 0 {
                     break;
                 }
-                assert!(chunk.iter().all(|&b| b == 0xab));
-                total += chunk.len();
+                assert!(buf[..n].iter().all(|&b| b == 0xab));
+                total += n;
             }
             rx.close();
             p.waitpid(child).await;
@@ -244,12 +247,8 @@ mod tests {
                     0
                 })
                 .await;
-            loop {
-                let chunk = rx.read(&p, 4096).await.unwrap();
-                if chunk.is_empty() {
-                    break;
-                }
-            }
+            let mut buf = [0u8; 4096];
+            while rx.read(&p, &mut buf).await.unwrap() > 0 {}
             rx.close();
             p.waitpid(child).await
         });

@@ -17,33 +17,26 @@ use crate::load::ClientSet;
 use crate::proto::{initial_db, row_page, KvOp, KvReply, DB_PATH, KEYS, PAGES};
 use crate::scenario::{ServePlan, ServeRun};
 
-/// Reads one length-prefixed frame; `None` at EOF.
-async fn read_frame(proc: &LxProc, rx: &mut LxPipeReader) -> Option<Vec<u8>> {
-    let mut head = [0u8; 4];
+/// Fills `buf` from the pipe; `false` at EOF or on an error.
+async fn read_exact(proc: &LxProc, rx: &mut LxPipeReader, buf: &mut [u8]) -> bool {
     let mut got = 0;
-    while got < head.len() {
-        let chunk = rx.read(proc, head.len() - got).await.ok()?;
-        if chunk.is_empty() {
-            return None;
-        }
-        head[got..got + chunk.len()].copy_from_slice(&chunk);
-        got += chunk.len();
-    }
-    let len = u32::from_le_bytes(head) as usize;
-    // The first chunk is the whole frame unless the pipe split it.
-    let mut frame = Vec::new();
-    while frame.len() < len {
-        let chunk = rx.read(proc, len - frame.len()).await.ok()?;
-        if chunk.is_empty() {
-            return None;
-        }
-        if frame.is_empty() {
-            frame = chunk;
-        } else {
-            frame.extend_from_slice(&chunk);
+    while got < buf.len() {
+        match rx.read(proc, &mut buf[got..]).await {
+            Ok(n) if n > 0 => got += n,
+            _ => return false,
         }
     }
-    Some(frame)
+    true
+}
+
+/// Reads one length-prefixed frame into `frame`; `false` at EOF.
+async fn read_frame(proc: &LxProc, rx: &mut LxPipeReader, frame: &mut Vec<u8>) -> bool {
+    let mut head = [0u8; 4];
+    if !read_exact(proc, rx, &mut head).await {
+        return false;
+    }
+    frame.resize(u32::from_le_bytes(head) as usize, 0);
+    read_exact(proc, rx, frame).await
 }
 
 async fn write_frame(proc: &LxProc, tx: &mut LxPipeWriter, payload: &[u8]) -> bool {
@@ -57,7 +50,8 @@ async fn serve_proc(proc: LxProc, mut rx: LxPipeReader, mut tx: LxPipeWriter) ->
     let Ok(mut db) = proc.open(DB_PATH, Perm::RW, false, false).await else {
         return 1;
     };
-    while let Some(frame) = read_frame(&proc, &mut rx).await {
+    let mut frame = Vec::new();
+    while read_frame(&proc, &mut rx, &mut frame).await {
         let reply = match KvOp::from_bytes(&frame) {
             Err(_) => KvReply::err(),
             Ok(KvOp::Get { key }) if key < KEYS => {
@@ -127,15 +121,15 @@ pub fn run_lx(plan: &ServePlan) -> ServeRun {
         let metrics = sim.metrics();
         let mut set = ClientSet::new(&plan.load());
         let mut requests = 0u64;
+        let mut frame = Vec::new();
         while let Some(pending) = set.next_request() {
             if sim.now() < pending.due {
                 sim.sleep_until(pending.due).await;
             }
             let sent = write_frame(&proc, &mut req_tx, &pending.op.to_bytes()).await;
             assert!(sent, "request pipe closed early");
-            let frame = read_frame(&proc, &mut rsp_rx)
-                .await
-                .expect("reply pipe closed");
+            let read = read_frame(&proc, &mut rsp_rx, &mut frame).await;
+            assert!(read, "reply pipe closed");
             let reply = KvReply::from_bytes(&frame).expect("malformed reply");
             assert_eq!(reply.status, 0, "kv request failed");
             let latency = set.complete(pending.client, pending.due, sim.now());

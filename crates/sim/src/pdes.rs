@@ -1,15 +1,15 @@
 //! Conservative-lookahead parallel discrete-event simulation (PDES).
 //!
 //! The engine partitions a platform into *islands* — disjoint groups of
-//! PEs, each simulated by its own [`Sim`] (slab executor + timer wheel) on
-//! one of the run's threads — and synchronizes them in bounded time
-//! windows, the approach parti-gem5 and MGSim use for tile-based
-//! manycores. The window width comes from the *lookahead*: the minimum
-//! simulated latency of any cross-island NoC transfer
-//! (`m3_noc::IslandMap::lookahead`). Inside a window every island advances
-//! freely; events that cross a boundary are exported as timestamped
-//! [`PdesEvent`]s and delivered at the next barrier, which is always soon
-//! enough because nothing can cross the NoC faster than the lookahead.
+//! PEs, each simulated by its own [`Sim`] (slab executor + timer wheel) —
+//! and synchronizes them in bounded time windows, the approach parti-gem5
+//! and MGSim use for tile-based manycores. The window width comes from the
+//! *lookahead*: the minimum simulated latency of any cross-island NoC
+//! transfer (`m3_noc::IslandMap::lookahead`). Inside a window every island
+//! advances freely; events that cross a boundary are exported as
+//! timestamped [`PdesEvent`]s and delivered at the next barrier, which is
+//! always soon enough because nothing can cross the NoC faster than the
+//! lookahead.
 //!
 //! # The synchronization protocol
 //!
@@ -26,40 +26,28 @@
 //!
 //! # Determinism
 //!
-//! Results are bit-identical for every worker count by construction, not
-//! by tie-breaking heroics at runtime: the window sequence is a function
-//! of simulated state only, each island's execution inside a window is the
-//! ordinary deterministic single-threaded executor, and the one genuinely
-//! concurrent step — merging event streams from islands that ran in
-//! parallel — orders them by the total key `(timestamp, source island,
-//! sequence number)`. Worker threads only change which host core runs an
-//! island, never what the island observes. [`Sim::run_window`] also never
-//! advances a clock to the barrier itself, so traces contain no artifact
-//! of where the window boundaries fell.
+//! The window sequence is a function of simulated state only, each
+//! island's execution inside a window is the ordinary deterministic
+//! single-threaded executor, and events from different islands are
+//! merged by the total key `(timestamp, source island, sequence number)`,
+//! so no island observes the order in which the others ran.
+//! [`Sim::run_window`] also never advances a clock to the barrier itself,
+//! so traces contain no artifact of where the window boundaries fell.
 //!
 //! # What lives where
 //!
-//! `Sim` is `!Send` (single-threaded by design), so island *builders* are
-//! `Send` closures shipped to the thread that will run the island, which
-//! constructs it there; everything crossing threads afterwards is plain
-//! data. Cross-island messages travel as bytes (see `m3_dtu::wire`) through
-//! numbered [`PortRx`] inboxes registered by the builder.
-//!
-//! With `workers = N` the islands split into `N` contiguous chunks. The
-//! coordinator runs on a thread of its own (never the caller's) and hosts
-//! the *last* chunk itself: each window it sends the other chunks' events
-//! to their remote worker threads, runs its own islands inline, and then
-//! collects one reply per remote worker, covering its whole chunk. The
-//! protocol is plain data: a worker receives `Some(job)` per window, the
-//! window's end and due events, sends the job back with its islands'
-//! replies, and on `None` returns its islands' outputs from its thread.
-//! A run therefore uses `N` threads, and with one worker there is no
-//! channel and no per-window thread handoff at all.
+//! A run spawns one thread, `pdes-coordinator`, and every island lives on
+//! it: the builders run there, then each window runs the islands one
+//! after another, then the finish closures run. `Sim` is `!Send`, so an
+//! island *builder* is a `Send` closure that constructs the island on that
+//! thread. Cross-island messages travel as bytes (see `m3_dtu::wire`)
+//! through numbered [`PortRx`] inboxes registered by the builder.
+//! Parallelism across simulations comes from running independent runs on
+//! threads of their own, not from threads inside one run.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
-use std::sync::mpsc;
 
 use m3_base::Cycles;
 use m3_trace::{Component, Event, EventKind};
@@ -71,7 +59,7 @@ use crate::notify::Notify;
 ///
 /// The derived `Ord` is the deterministic merge order: timestamp, then
 /// source island, then per-source sequence number. `(src, seq)` is unique,
-/// so the order is total and identical for every worker count.
+/// so the order is total.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PdesEvent {
     /// Simulated delivery time (the NoC arrival time at the destination).
@@ -131,17 +119,17 @@ pub struct PdesConfig {
     /// *minimum* over all island pairs or the run is not conservative;
     /// derive it with `m3_noc::IslandMap::lookahead`.
     pub lookahead: Cycles,
-    /// Threads that run islands, the coordinator's included; clamped to
-    /// `[1, islands]`. The results are identical for every value — this
-    /// only trades wall-clock time.
+    /// Ignored: every island runs on the run's one thread, whatever the
+    /// value. It stays only so that callers which still set it build.
     pub workers: usize,
 }
 
-/// Extracts an island's result after its last window, on its thread.
+/// Extracts an island's result after its last window, on the run's thread.
 pub type IslandFinish = Box<dyn FnOnce(&IslandCtx) -> String>;
 
 /// Builds one island inside its freshly created [`Sim`], registering ports
-/// and spawning tasks; runs once on the worker thread before any window.
+/// and spawning tasks; runs once on the run's `pdes-coordinator` thread
+/// before any window.
 pub type IslandBuilder = Box<dyn FnOnce(&IslandCtx) -> IslandFinish + Send>;
 
 /// Timestamped payloads queued on one inbound port, shared between the
@@ -271,10 +259,6 @@ impl IslandCtx {
         state.queue.borrow_mut().push_back((ev.at, ev.bytes));
         state.notify.notify_all();
     }
-
-    fn drain_outbox(&self) -> Vec<PdesEvent> {
-        std::mem::take(&mut self.inner.outbox.borrow_mut())
-    }
 }
 
 /// The receive side of an inbound island port.
@@ -318,64 +302,40 @@ impl PortRx {
     }
 }
 
-/// One exchange between the coordinator and a chunk of islands. The
-/// coordinator keeps one per chunk and passes it to the chunk and back
-/// every window, so its buffers are allocated once per run.
-#[derive(Default)]
-struct Job {
-    /// Runs a window up to this instant, delivering `events` first; `None`
-    /// runs nothing and names each island's live regular tasks, for the
-    /// panic of a stalled run.
-    end: Option<Cycles>,
-    /// Due events, one list per island of the chunk, in chunk order, each
-    /// already in merge order; the chunk drains them.
-    events: Vec<Vec<PdesEvent>>,
-    /// One reply per island of the chunk, filled by the chunk.
-    replies: Vec<WindowReply>,
-}
-
-/// One island's state after a window (or before the first).
-struct WindowReply {
-    next: Option<Cycles>,
-    live: usize,
-    out: Vec<PdesEvent>,
-    /// The live regular tasks of a blocked island; rendered only when the
-    /// coordinator found the run stalled.
-    stalled: Vec<String>,
-}
-
-struct WorkerIsland {
+/// One island: its context, its finish closure and its residency.
+struct Island {
     ctx: IslandCtx,
     finish: IslandFinish,
     stats: IslandStats,
 }
 
-impl WorkerIsland {
-    fn report(&self) -> WindowReply {
-        let sim = self.ctx.sim();
-        WindowReply {
-            next: sim.next_event_time(),
-            live: sim.live_regular(),
-            out: self.ctx.drain_outbox(),
-            stalled: Vec::new(),
+impl Island {
+    fn build(id: u32, total: u32, lookahead: Cycles, build: IslandBuilder) -> Island {
+        let ctx = IslandCtx::new(id, total, lookahead);
+        let finish = build(&ctx);
+        Island {
+            ctx,
+            finish,
+            stats: IslandStats::default(),
         }
     }
 
-    /// [`WorkerIsland::report`] with the names of the live regular tasks
-    /// of an island that is blocked.
-    fn stall_report(&self) -> WindowReply {
-        let mut reply = self.report();
-        if reply.next.is_none() && reply.live > 0 {
-            reply.stalled = self.ctx.sim().regular_task_names();
-        }
-        reply
+    fn deliver(&mut self, ev: PdesEvent) {
+        self.stats.events_in += 1;
+        self.ctx.deposit(ev);
     }
 
-    fn run_window(&mut self, end: Cycles, events: &mut Vec<PdesEvent>) -> WindowReply {
-        self.stats.events_in += events.len() as u64;
-        for ev in events.drain(..) {
-            self.ctx.deposit(ev);
+    /// Moves the events the island sent into `pending`; each must lie past
+    /// `after`, the end of the window that produced it.
+    fn export(&mut self, after: Cycles, pending: &mut BTreeSet<PdesEvent>) {
+        for ev in self.ctx.inner.outbox.borrow_mut().drain(..) {
+            assert!(ev.at > after, "island {} broke lookahead", ev.src);
+            self.stats.events_out += 1;
+            pending.insert(ev);
         }
+    }
+
+    fn run_window(&mut self, end: Cycles, pending: &mut BTreeSet<PdesEvent>) {
         let sim = self.ctx.sim().clone();
         let before = sim.now();
         sim.run_window(end);
@@ -395,9 +355,7 @@ impl WorkerIsland {
                 waited,
             },
         });
-        let reply = self.report();
-        self.stats.events_out += reply.out.len() as u64;
-        reply
+        self.export(end, pending);
     }
 
     /// Runs the finish closure, then shuts the island's `Sim` down: its
@@ -412,119 +370,6 @@ impl WorkerIsland {
     }
 }
 
-/// The contiguous run of islands one thread simulates — a remote worker's
-/// or the coordinator's own.
-struct Chunk {
-    islands: Vec<WorkerIsland>,
-}
-
-impl Chunk {
-    /// Builds islands `first..first + builders.len()` on the calling thread.
-    fn build(first: u32, total: u32, lookahead: Cycles, builders: Vec<IslandBuilder>) -> Chunk {
-        let islands = (first..)
-            .zip(builders)
-            .map(|(id, build)| {
-                let ctx = IslandCtx::new(id, total, lookahead);
-                let finish = build(&ctx);
-                WorkerIsland {
-                    ctx,
-                    finish,
-                    stats: IslandStats::default(),
-                }
-            })
-            .collect();
-        Chunk { islands }
-    }
-
-    /// The chunk's job, with the horizon report before any window.
-    fn first_job(&self) -> Job {
-        Job {
-            end: None,
-            events: self.islands.iter().map(|_| Vec::new()).collect(),
-            replies: self.islands.iter().map(WorkerIsland::report).collect(),
-        }
-    }
-
-    /// Does what `job` asks and fills its replies.
-    fn serve(&mut self, job: &mut Job) {
-        job.replies.clear();
-        for (isl, events) in self.islands.iter_mut().zip(&mut job.events) {
-            job.replies.push(match job.end {
-                Some(end) => isl.run_window(end, events),
-                None => isl.stall_report(),
-            });
-        }
-    }
-
-    fn finish(self) -> Vec<(String, IslandStats)> {
-        self.islands.into_iter().map(WorkerIsland::finish).collect()
-    }
-}
-
-/// A remote worker: reports its freshly built chunk, then serves each job
-/// it is sent and sends it back. Sent `None`, it returns each island's
-/// output and residency, in chunk order. If its job channel closes first
-/// (the coordinator panicked), it returns `None` without running the
-/// finish closures.
-fn worker(
-    mut chunk: Chunk,
-    jobs: mpsc::Receiver<Option<Job>>,
-    done: mpsc::Sender<Job>,
-) -> Option<Vec<(String, IslandStats)>> {
-    let _ = done.send(chunk.first_job());
-    while let Some(mut job) = jobs.recv().ok()? {
-        chunk.serve(&mut job);
-        let _ = done.send(job);
-    }
-    Some(chunk.finish())
-}
-
-/// The coordinator's handle on one remote worker and its chunk.
-struct Remote<'scope> {
-    jobs: mpsc::Sender<Option<Job>>,
-    done: mpsc::Receiver<Job>,
-    thread: std::thread::ScopedJoinHandle<'scope, Option<Vec<(String, IslandStats)>>>,
-}
-
-/// The coordinator's view of every island between windows.
-struct Horizon {
-    next: Vec<Option<Cycles>>,
-    live: Vec<usize>,
-    /// Exported events not yet delivered, in merge order.
-    pending: BTreeSet<PdesEvent>,
-}
-
-impl Horizon {
-    fn new(islands: usize) -> Horizon {
-        Horizon {
-            next: vec![None; islands],
-            live: vec![0; islands],
-            pending: BTreeSet::new(),
-        }
-    }
-
-    /// Takes in one chunk's replies; the chunk starts at island `first`.
-    /// After a window, every exported event must lie past its `end`.
-    fn absorb(&mut self, first: usize, replies: &mut Vec<WindowReply>, window_end: Option<Cycles>) {
-        for (i, r) in (first..).zip(replies.drain(..)) {
-            self.next[i] = r.next;
-            self.live[i] = r.live;
-            for ev in r.out {
-                if let Some(end) = window_end {
-                    assert!(ev.at > end, "island {} broke lookahead", ev.src);
-                }
-                self.pending.insert(ev);
-            }
-        }
-    }
-
-    /// The earliest instant any island can act, if any can.
-    fn base(&self) -> Option<Cycles> {
-        let pending = self.pending.first().map(|e| e.at);
-        self.next.iter().flatten().copied().chain(pending).min()
-    }
-}
-
 /// Runs `builders.len()` islands to completion under the window protocol
 /// and returns their outputs and residency.
 ///
@@ -536,141 +381,69 @@ impl Horizon {
 ///
 /// Panics when every island is blocked with regular tasks still live and
 /// no event in flight (the distributed analogue of `SimState::Stalled`),
-/// or when an island violates the lookahead contract.
+/// or when an island violates the lookahead contract. An island's own
+/// panic ends the run with its message, and no finish closure runs.
 pub fn run(cfg: &PdesConfig, builders: Vec<IslandBuilder>) -> PdesReport {
     assert!(
         cfg.lookahead >= Cycles::new(1),
         "lookahead must be positive"
     );
     assert!(!builders.is_empty(), "need at least one island");
-    // The coordinator builds and runs islands too, so it gets a thread of
-    // its own rather than the caller's: on the main thread the islands'
-    // large allocations land in the allocator's main arena, which slows
-    // set-up and raises peak RSS.
-    std::thread::scope(|scope| {
-        let coordinator = std::thread::Builder::new()
-            .name("pdes-coordinator".to_string())
-            .spawn_scoped(scope, move || coordinate(scope, cfg, builders))
-            .expect("spawn the pdes coordinator");
-        coordinator
-            .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-    })
+    let lookahead = cfg.lookahead;
+    // The islands get a thread of their own rather than the caller's: on
+    // the main thread their large allocations land in the allocator's
+    // main arena, which slows set-up and raises peak RSS.
+    std::thread::Builder::new()
+        .name("pdes-coordinator".to_string())
+        .spawn(move || coordinate(lookahead, builders))
+        .expect("spawn the pdes coordinator")
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
-/// The window loop. Islands are split into `workers` contiguous chunks,
-/// wide chunks first (mirrors `IslandMap::columns`); the last chunk runs
-/// inline on this thread, every other one on a remote worker thread.
-fn coordinate<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    cfg: &PdesConfig,
-    builders: Vec<IslandBuilder>,
-) -> PdesReport {
-    let islands = builders.len();
-    let total = islands as u32;
-    let workers = cfg.workers.clamp(1, islands);
-    let (base, extra) = (islands / workers, islands % workers);
-    let mut builders = builders.into_iter();
-    // The first island of every chunk, the local one last, and each
-    // island's chunk.
-    let mut firsts = Vec::with_capacity(workers);
-    let mut chunk_of = Vec::with_capacity(islands);
-    // One reply channel per worker: a worker that dies (panic in an
-    // island) closes its channel, so the coordinator fails fast instead
-    // of waiting forever on a channel the healthy workers keep open.
-    let mut remotes = Vec::with_capacity(workers - 1);
-    for w in 0..workers - 1 {
-        let len = base + usize::from(w < extra);
-        let first = chunk_of.len();
-        firsts.push(first);
-        chunk_of.resize(first + len, w);
-        let chunk: Vec<IslandBuilder> = builders.by_ref().take(len).collect();
-        let (jobs, job_rx) = mpsc::channel();
-        let (done_tx, done) = mpsc::channel();
-        let lookahead = cfg.lookahead;
-        let thread = std::thread::Builder::new()
-            .name(format!("pdes-worker-{w}"))
-            .spawn_scoped(scope, move || {
-                let chunk = Chunk::build(first as u32, total, lookahead, chunk);
-                worker(chunk, job_rx, done_tx)
-            })
-            .expect("spawn a pdes worker");
-        remotes.push(Remote { jobs, done, thread });
-    }
-    let local_first = chunk_of.len();
-    firsts.push(local_first);
-    chunk_of.resize(islands, workers - 1);
-    let mut local = Chunk::build(local_first as u32, total, cfg.lookahead, builders.collect());
-
-    let mut horizon = Horizon::new(islands);
-    let mut jobs: Vec<Job> = remotes
-        .iter()
-        .map(|r| r.done.recv().expect("island worker died"))
-        .chain([local.first_job()])
+/// The window loop: builds every island, then runs each window's islands
+/// one after another.
+fn coordinate(lookahead: Cycles, builders: Vec<IslandBuilder>) -> PdesReport {
+    let total = builders.len() as u32;
+    let mut islands: Vec<Island> = (0..total)
+        .zip(builders)
+        .map(|(id, build)| Island::build(id, total, lookahead, build))
         .collect();
-    // Sends every remote chunk its job, serves the local one, and takes
-    // every job back with its replies.
-    let exchange = |jobs: &mut [Job], local: &mut Chunk| {
-        let (remote_jobs, local_job) = jobs.split_at_mut(workers - 1);
-        for (r, job) in remotes.iter().zip(remote_jobs.iter_mut()) {
-            r.jobs
-                .send(Some(std::mem::take(job)))
-                .expect("island worker died");
-        }
-        local.serve(&mut local_job[0]);
-        for (r, job) in remotes.iter().zip(remote_jobs) {
-            *job = r.done.recv().expect("island worker died");
-        }
-    };
-
+    // Exported events not yet delivered, in merge order. A builder's
+    // events lie at `lookahead` or later, past cycle zero.
+    let mut pending = BTreeSet::new();
+    for island in &mut islands {
+        island.export(Cycles::ZERO, &mut pending);
+    }
     let mut windows = 0u64;
-    let mut delivered = 0u64;
-    let mut window_end = None;
     loop {
-        for (&first, job) in firsts.iter().zip(&mut jobs) {
-            horizon.absorb(first, &mut job.replies, window_end);
-        }
-        if horizon.live.iter().all(|&l| l == 0) {
+        // The earliest instant any island can act, if any can. Asked of
+        // every island first, so one whose `Sim` was shut down says so.
+        let next = islands.iter().filter_map(|i| i.ctx.sim().next_event_time());
+        let base = next.chain(pending.first().map(|e| e.at)).min();
+        if islands.iter().all(|i| i.ctx.sim().live_regular() == 0) {
             break;
         }
-        let Some(window_base) = horizon.base() else {
-            for job in &mut jobs {
-                job.end = None;
-            }
-            exchange(&mut jobs, &mut local);
-            let names: Vec<String> = jobs
-                .iter_mut()
-                .flat_map(|job| job.replies.drain(..).flat_map(|r| r.stalled))
+        let Some(base) = base else {
+            let names: Vec<String> = islands
+                .iter()
+                .flat_map(|i| i.ctx.sim().regular_task_names())
                 .collect();
             panic!("pdes stalled: no island can make progress; live tasks: {names:?}");
         };
-        let end = window_base + cfg.lookahead - Cycles::new(1);
-        for job in &mut jobs {
-            job.end = Some(end);
+        let end = base + lookahead - Cycles::new(1);
+        while pending.first().is_some_and(|e| e.at <= end) {
+            let ev = pending.pop_first().expect("checked first");
+            islands[ev.dst as usize].deliver(ev);
         }
-        // Due events go to their island's list in its chunk's job.
-        while horizon.pending.first().is_some_and(|e| e.at <= end) {
-            let ev = horizon.pending.pop_first().expect("checked first");
-            delivered += 1;
-            let dst = ev.dst as usize;
-            let chunk = chunk_of[dst];
-            jobs[chunk].events[dst - firsts[chunk]].push(ev);
+        for island in &mut islands {
+            island.run_window(end, &mut pending);
         }
-        exchange(&mut jobs, &mut local);
-        window_end = Some(end);
         windows += 1;
     }
 
-    for r in &remotes {
-        r.jobs.send(None).expect("island worker died");
-    }
-    let mut finished = Vec::with_capacity(islands);
-    for r in remotes {
-        let chunk = r.thread.join().ok().flatten();
-        finished.extend(chunk.expect("island worker died"));
-    }
-    finished.extend(local.finish());
-    let (outputs, stats): (Vec<String>, Vec<IslandStats>) = finished.into_iter().unzip();
+    let (outputs, stats): (Vec<String>, Vec<IslandStats>) =
+        islands.into_iter().map(Island::finish).unzip();
     let end_time = stats
         .iter()
         .map(|s| s.final_now)
@@ -678,10 +451,10 @@ fn coordinate<'scope>(
         .unwrap_or(Cycles::ZERO);
     PdesReport {
         outputs,
-        islands: stats,
         windows,
-        events: delivered,
-        abandoned: horizon.pending.len() as u64,
+        events: stats.iter().map(|s| s.events_in).sum(),
+        islands: stats,
+        abandoned: pending.len() as u64,
         end_time,
     }
 }
@@ -757,8 +530,7 @@ mod tests {
     #[test]
     fn merge_order_breaks_timestamp_ties_by_source_island() {
         // Islands 1 and 2 both send to island 0 with the same timestamp;
-        // the receiver must see island 1's event first, regardless of
-        // which worker thread ran which island.
+        // the receiver must see island 1's event first.
         let build = || -> Vec<IslandBuilder> {
             let sink: IslandBuilder = Box::new(|ctx: &IslandCtx| {
                 let rx = ctx.port(0);
@@ -783,10 +555,8 @@ mod tests {
             };
             vec![sink, src(1), src(2)]
         };
-        for workers in [1, 2, 3] {
-            let report = run(&cfg(workers), build());
-            assert_eq!(report.outputs[0], "[1, 2]", "workers={workers}");
-        }
+        let report = run(&cfg(1), build());
+        assert_eq!(report.outputs[0], "[1, 2]");
     }
 
     #[test]
@@ -840,7 +610,7 @@ mod tests {
                 }) as IslandBuilder
             })
             .collect();
-        run(&cfg(2), builders);
+        run(&cfg(1), builders);
         assert_eq!(freed.load(Ordering::Relaxed), 2);
     }
 
@@ -855,7 +625,7 @@ mod tests {
 
     #[test]
     fn residency_accounts_busy_and_barrier_wait() {
-        let report = run(&cfg(2), ping_pong(4));
+        let report = run(&cfg(1), ping_pong(4));
         for s in &report.islands {
             // Both islands end at the same final barrier time, so busy +
             // wait covers the same span on each.
@@ -889,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "island worker")]
+    #[should_panic(expected = "violates lookahead")]
     fn lookahead_violation_is_fatal() {
         let bad: IslandBuilder = Box::new(|ctx: &IslandCtx| {
             let ctx2 = ctx.clone();
@@ -903,7 +673,7 @@ mod tests {
             ctx.port(0);
             Box::new(|_: &IslandCtx| String::new())
         });
-        run(&cfg(2), vec![bad, idle]);
+        run(&cfg(1), vec![bad, idle]);
     }
 
     type Seen = std::sync::Arc<std::sync::Mutex<Vec<Witness>>>;
@@ -960,56 +730,52 @@ mod tests {
         out
     }
 
-    #[test]
-    fn one_worker_runs_every_island_on_one_spawned_thread() {
+    /// Runs [`witnesses`] of `islands` islands on `workers` and checks
+    /// that the builders, the three window polls and the finish closure of
+    /// every island all ran on one spawned `pdes-coordinator` thread.
+    fn run_on_one_coordinator(islands: u32, workers: usize) -> PdesReport {
         let seen = Seen::default();
-        let report = run(&cfg(1), witnesses(3, &seen));
+        let report = run(&cfg(workers), witnesses(islands, &seen));
         assert!(report.windows >= 3, "windows: {}", report.windows);
         let seen = seen.lock().unwrap();
-        // Per island: builder, three window polls, finish.
-        assert_eq!(seen.len(), 3 * 5, "{seen:?}");
+        assert_eq!(seen.len(), islands as usize * 5, "{seen:?}");
         let threads = distinct(seen.iter().map(|w| w.thread));
         assert_eq!(threads.len(), 1, "{seen:?}");
         assert_ne!(threads[0], std::thread::current().id());
-        assert_eq!(seen[0].thread_name.as_deref(), Some("pdes-coordinator"));
+        assert!(
+            seen.iter()
+                .all(|w| w.thread_name.as_deref() == Some("pdes-coordinator")),
+            "{seen:?}"
+        );
+        let order: Vec<u32> = seen.iter().map(|w| w.island).collect();
+        assert_eq!(distinct(order), (0..islands).collect::<Vec<_>>());
+        report
+    }
+
+    #[test]
+    fn one_worker_runs_every_island_on_one_spawned_thread() {
+        run_on_one_coordinator(3, 1);
     }
 
     #[test]
     fn the_coordinator_hosts_the_last_chunk() {
-        let seen = Seen::default();
-        run(&cfg(3), witnesses(5, &seen));
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 5 * 5, "{seen:?}");
-        let threads = distinct(seen.iter().map(|w| w.thread));
-        assert_eq!(threads.len(), 3, "{seen:?}");
-        assert!(!threads.contains(&std::thread::current().id()));
-        // Chunks of 2, 2 and 1 islands; each island stays on one thread.
-        let thread_of = |island: u32| {
-            let on = distinct(
-                seen.iter()
-                    .filter(|w| w.island == island)
-                    .map(|w| (w.thread, w.thread_name.as_deref())),
-            );
-            assert_eq!(on.len(), 1, "island {island}: {on:?}");
-            on[0]
-        };
-        assert_eq!(thread_of(0), thread_of(1));
-        assert_eq!(thread_of(2), thread_of(3));
-        assert_eq!(thread_of(0).1, Some("pdes-worker-0"));
-        assert_eq!(thread_of(2).1, Some("pdes-worker-1"));
-        assert_eq!(thread_of(4).1, Some("pdes-coordinator"));
+        // Whatever `workers` says, all islands form one chunk, and the
+        // coordinator hosts it.
+        let one = run_on_one_coordinator(5, 1);
+        let four = run_on_one_coordinator(5, 4);
+        assert_eq!(four, one);
     }
 
     /// Runs `f` on a thread of its own and returns its panic message;
     /// fails if `f` returns normally or is still running after a minute.
     fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
         // The sender drops when `f` returns or unwinds, whichever happens.
-        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
         let handle = std::thread::spawn(move || {
             let _done = done_tx;
             f();
         });
-        if let Err(mpsc::RecvTimeoutError::Timeout) =
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
             done_rx.recv_timeout(std::time::Duration::from_secs(60))
         {
             panic!("the run hung");
@@ -1061,10 +827,9 @@ mod tests {
 
     #[test]
     fn a_coordinator_island_panic_ends_the_run_and_releases_the_worker() {
-        // Island 0, on the remote worker, would run forever; island 1, on
-        // the coordinator, panics. `run` only returns once its scope has
-        // joined every thread, so getting the panic back at all means the
-        // worker saw its window channel close.
+        // Island 0 would run forever; island 1 panics. `run` only returns
+        // once its `pdes-coordinator` thread has ended, so getting the
+        // panic back at all means the endless island was let go too.
         let endless: IslandBuilder = Box::new(|ctx: &IslandCtx| {
             let sim = ctx.sim().clone();
             ctx.sim().spawn("endless", async move {
@@ -1082,10 +847,10 @@ mod tests {
 
     #[test]
     fn a_coordinator_island_panic_skips_the_remote_finish() {
-        // The remote island's work ends at 10, before the coordinator's
-        // island panics; its finish closure must still never run.
-        let finished = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let remote: IslandBuilder = {
+        // Island 0's work ends at 10, before island 1 panics at 20, in its
+        // third window; island 0's finish closure must still never run.
+        let finished = Arc::new(AtomicUsize::new(0));
+        let short: IslandBuilder = {
             let finished = finished.clone();
             Box::new(move |ctx: &IslandCtx| {
                 let sim = ctx.sim().clone();
@@ -1093,40 +858,37 @@ mod tests {
                     sim.sleep(Cycles::new(10)).await;
                 });
                 Box::new(move |_: &IslandCtx| {
-                    finished.store(true, std::sync::atomic::Ordering::Relaxed);
+                    finished.fetch_add(1, Ordering::Relaxed);
                     String::new()
                 })
             })
         };
         let msg = panic_message(|| {
-            run(&cfg(2), vec![remote, doomed()]);
+            run(&cfg(2), vec![short, doomed()]);
         });
         assert_eq!(msg, "island 1 gave up at 20");
-        assert!(!finished.load(std::sync::atomic::Ordering::Relaxed));
+        assert_eq!(finished.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn cross_island_deadlock_reports_stall() {
-        let waiting = || -> IslandBuilder {
-            Box::new(|ctx: &IslandCtx| {
+        let waiting = |name: &'static str| -> IslandBuilder {
+            Box::new(move |ctx: &IslandCtx| {
                 let rx = ctx.port(0);
-                ctx.sim().spawn("forever", async move {
+                ctx.sim().spawn(name, async move {
                     let _ = rx.recv().await;
                 });
                 Box::new(|_: &IslandCtx| String::new())
             })
         };
         // The names are rendered only once the run stalls, from every
-        // island, the remote worker's too.
-        for workers in [1, 2] {
-            let msg = panic_message(move || {
-                run(&cfg(workers), vec![waiting(), waiting()]);
-            });
-            assert_eq!(
-                msg,
-                "pdes stalled: no island can make progress; live tasks: [\"forever\", \"forever\"]",
-                "{workers} workers"
-            );
-        }
+        // island, in island order.
+        let msg = panic_message(move || {
+            run(&cfg(1), vec![waiting("a"), waiting("b"), waiting("c")]);
+        });
+        assert_eq!(
+            msg,
+            "pdes stalled: no island can make progress; live tasks: [\"a\", \"b\", \"c\"]",
+        );
     }
 }

@@ -264,7 +264,7 @@ fn fig10_two_shard_sweep_point_golden_pin() {
     // the ktk gate (xplace=4). Any change to the ktk wire format, the
     // placement policy, the kernel-op accounting, or the island lookahead
     // moves these numbers.
-    let p = m3_bench::fig10::run_point(64, 2, 1);
+    let p = m3_bench::fig10::run_point(64, 2);
     assert_eq!(p.ops, 83 + 91, "kernel-op total drifted");
     assert_eq!(p.serve, 72, "admission count drifted");
     assert_eq!(p.xplace, 4, "cross-shard placement count drifted");
